@@ -1,10 +1,13 @@
-"""Binary checkpoints: shape header, little-endian f64 payload, FNV trailer.
+"""Binary checkpoints: shape header, little-endian f64 payload, blake2b trailer.
 
 Layout:
     "KGCK" | u32 version | u32 kind | [u32 condition_mode, GAN kind only]
     | u32 n_tensors | per tensor: u32 ndim, u32 dims...
     | f64 payload (little-endian, row-major, tensors in caller order)
-    | u64 FNV-1a of everything before the trailer
+    | 8-byte blake2b digest of everything before the trailer
+
+Version 2 replaced version 1's FNV-1a trailer with blake2b, which runs
+in C; version-1 files are rejected as unsupported.
 
 Tensor order is fixed by each model's save routine; the loader validates
 shapes against a freshly built model of the same configuration.
@@ -12,6 +15,7 @@ shapes against a freshly built model of the same configuration.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -20,7 +24,8 @@ from .errors import ContractError
 from .hashing import fnv1a_64
 
 MAGIC = b"KGCK"
-VERSION = 1
+VERSION = 2
+DIGEST_SIZE = 8
 KIND_REGRESSOR = 0
 KIND_GAN = 1
 
@@ -35,6 +40,10 @@ def params_hash(arrays) -> int:
         h ^= fnv1a_64(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _digest(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
 
 
 def save_checkpoint(path, kind: int, tensors, condition_mode: str | None = None) -> None:
@@ -52,7 +61,7 @@ def save_checkpoint(path, kind: int, tensors, condition_mode: str | None = None)
     body = header + payload
     with open(path, "wb") as fh:
         fh.write(body)
-        fh.write(struct.pack("<Q", fnv1a_64(body)))
+        fh.write(_digest(body))
 
 
 def load_checkpoint(path):
@@ -61,16 +70,15 @@ def load_checkpoint(path):
         blob = fh.read()
     if len(blob) < 20 or blob[:4] != MAGIC:
         raise ContractError(f"{path} is not a checkpoint file")
-    body, trailer = blob[:-8], blob[-8:]
-    (stored_hash,) = struct.unpack("<Q", trailer)
-    if fnv1a_64(body) != stored_hash:
-        raise ContractError(f"{path} failed its content hash check")
-
-    pos = 4
-    version, kind = struct.unpack_from("<II", body, pos)
-    pos += 8
+    # checked before the digest: a version-1 file carries an FNV-1a trailer
+    version, kind = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise ContractError(f"unsupported checkpoint version {version}")
+    body, trailer = blob[:-DIGEST_SIZE], blob[-DIGEST_SIZE:]
+    if _digest(body) != trailer:
+        raise ContractError(f"{path} failed its content hash check")
+
+    pos = 12
     condition_mode = None
     if kind == KIND_GAN:
         (code,) = struct.unpack_from("<I", body, pos)

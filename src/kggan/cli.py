@@ -299,7 +299,11 @@ def _sample_grid(images: np.ndarray, columns: int = 8) -> np.ndarray:
 
 
 def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = None):
-    """Score one trained cell; returns (FidReport, consistency, color)."""
+    """Score one trained cell.
+
+    Returns (FidReport, consistency, color, sample_fn, split). Each
+    category's n_gen images are drawn once and feed all three metrics.
+    """
     config = ws.config
     condition_mode = CELL_RULES[cell][0]
     dataset = _load_dataset(ws)
@@ -319,19 +323,32 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     def sample_fn(cid, n):
         return gan.sample_images(model, cid, n, cond, config.eval_seed)
 
-    report = evaluation.per_category_fid(sample_fn, dataset, split, embedder, config.n_gen)
-    all_ids = sorted(split.seen_ids | split.unseen_ids)
-    consistency = evaluation.embedding_consistency(
-        sample_fn, embedder, embeddings, all_ids, config.n_gen
-    )
     specs_by_id = {s.id: s for s in dataset.specs}
-    color = evaluation.color_fidelity(sample_fn, specs_by_id, all_ids, config.n_gen)
+    consistency, color = {}, {}
+
+    def score_draw(cid, images):
+        def drawn(c, n):
+            return images
+
+        consistency.update(
+            evaluation.embedding_consistency(drawn, embedder, embeddings, [cid], config.n_gen)
+        )
+        color.update(evaluation.color_fidelity(drawn, specs_by_id, [cid], config.n_gen))
+
+    report = evaluation.per_category_fid(
+        sample_fn, dataset, split, embedder, config.n_gen, on_draw=score_draw
+    )
     return report, consistency, color, sample_fn, split
 
 
 def cmd_evaluate(ws: Workspace, cell: str, checkpoint_path: str | None = None) -> int:
+    _write_evaluation(ws, cell, *evaluate_checkpoint(ws, cell, checkpoint_path))
+    return 0
+
+
+def _write_evaluation(ws: Workspace, cell: str, report, consistency, color, sample_fn, split) -> None:
+    """Write a cell's FID report and table, metric CSVs and sample grids."""
     config = ws.config
-    report, consistency, color, sample_fn, split = evaluate_checkpoint(ws, cell, checkpoint_path)
     cell_dir = ws.cell_dir(cell)
     os.makedirs(cell_dir, exist_ok=True)
     header = ws.header(config.eval_seed) + [f"cell {cell}", f"n_gen {config.n_gen}"]
@@ -373,7 +390,6 @@ def cmd_evaluate(ws: Workspace, cell: str, checkpoint_path: str | None = None) -
     print(
         f"evaluated {cell}: seen FID {report.seen_avg:.4f}, unseen FID {report.unseen_avg:.4f}"
     )
-    return 0
 
 
 def _verdict_lines(results: dict) -> list:
@@ -408,9 +424,9 @@ def cmd_ablate(ws: Workspace) -> int:
     for cell in CELLS:
         try:
             cmd_train(ws, cell)
-            report, consistency, color, _, split = evaluate_checkpoint(ws, cell)
-            cmd_evaluate(ws, cell)
-            results[cell] = report
+            evaluated = evaluate_checkpoint(ws, cell)
+            _write_evaluation(ws, cell, *evaluated)
+            results[cell] = evaluated[0]
         except (ContractError, NumericalAbort, OSError, ConfigError) as exc:
             failures[cell] = f"{type(exc).__name__}: {exc}"
 

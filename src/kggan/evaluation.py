@@ -3,8 +3,9 @@
 Fake and real feature distributions are fit with Gaussians in the frozen
 regressor's penultimate-layer space, then compared per category; seen and
 unseen categories are averaged separately. The matrix square root inside
-the distance uses the symmetric form s1^(1/2) s2 s1^(1/2) with Jacobi
-eigendecomposition and eigenvalue clamping at zero.
+the distance uses the symmetric form s1^(1/2) s2 s1^(1/2) with LAPACK
+eigendecomposition (numpy.linalg.eigh/eigvalsh) and eigenvalue clamping
+at zero.
 
 Absolute values live in this artifact's own feature space and are not
 comparable across feature extractors; the ordering between methods is
@@ -71,24 +72,32 @@ def frechet_distance(p: GaussianStats, q: GaussianStats) -> float:
     return max(value, 0.0)
 
 
-def per_category_fid(sample_fn, dataset, split, extractor: RegressorModel, n_gen: int) -> FidReport:
+def per_category_fid(
+    sample_fn, dataset, split, extractor: RegressorModel, n_gen: int, on_draw=None
+) -> FidReport:
     """Frechet distance per category between n_gen fakes and that
     category's real images, then seen/unseen averages.
 
     ``sample_fn(category_id, n)`` returns an [n, 3, S, S] array.
-    Categories with fewer than 2 real images are skipped with a warning
-    and excluded from the averages.
+    ``on_draw(category_id, images)``, when given, sees every category's
+    draw, so other metrics can score the same images without sampling
+    again. Categories with fewer than 2 real images are skipped with a
+    warning and excluded from the averages.
     """
     if n_gen < 2:
         raise ContractError(f"n_gen must be >= 2, got {n_gen}")
     per_category = {}
     for cid in sorted(split.seen_ids | split.unseen_ids):
+        fakes = sample_fn(cid, n_gen)
+        if on_draw is not None:
+            on_draw(cid, fakes)
+        fake_stats = feature_stats(fakes, extractor)
+        del fakes  # one category's draw in memory at a time
         rows = dataset.indices_of(cid)
         if rows.size < 2:
             warnings.warn(f"category {cid} has {rows.size} real images; skipped", RuntimeWarning)
             continue
         real_stats = feature_stats(dataset.images[rows], extractor)
-        fake_stats = feature_stats(sample_fn(cid, n_gen), extractor)
         per_category[cid] = frechet_distance(fake_stats, real_stats)
 
     def average(ids):

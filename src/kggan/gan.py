@@ -93,14 +93,12 @@ def condition_preconditioner(embeddings: dict, alpha: float = 0.5):
     separating categories; the rescaling equalizes those learning
     speeds.
     """
-    from .linalg import jacobi_eigh
-
     table = np.stack([embeddings[cid].vector for cid in sorted(embeddings)])
     n, dim = table.shape
     shift = table.mean(axis=0)
     centered = table - shift
     cov = centered.T @ centered / max(n - 1, 1)
-    eigvals, eigvecs = jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     keep = eigvals > 1e-10
     gains = np.where(keep, np.power(np.maximum(eigvals, 1e-10), -alpha), 0.0)
     matrix = (eigvecs * gains) @ eigvecs.T

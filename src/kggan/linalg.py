@@ -1,8 +1,8 @@
-"""Symmetric eigendecomposition by cyclic Jacobi rotations, and the
+"""Symmetric eigendecomposition through LAPACK (numpy.linalg.eigh), and the
 matrix-square-root machinery built on it.
 
-Sized for the feature dimensions this project uses (<= 64); each sweep
-costs O(n^3) and convergence is quadratic once off-diagonal mass is small.
+Every input is checked to be square and finite first, so a bad covariance
+surfaces as a ContractError rather than a LinAlgError or a NaN distance.
 """
 
 from __future__ import annotations
@@ -16,74 +16,32 @@ from .errors import ContractError
 CLAMP_WARN_THRESHOLD = -1e-6
 
 
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigenvalues and eigenvectors of a symmetric matrix.
-
-    Returns ``(eigvals, eigvecs)`` with eigenvectors in columns, like the
-    usual eigh convention (but unsorted). Cyclic sweeps zero each
-    off-diagonal pair in turn until the off-diagonal Frobenius mass drops
-    below ``tol`` relative to the matrix norm.
-    """
-    a = np.array(matrix, dtype=np.float64)
+def _checked_square(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractError(f"jacobi_eigh needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a**2) - np.sum(np.diagonal(a) ** 2), 0.0))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                if abs(theta) >= 1e150:
-                    # limit of the stable formula; avoids theta**2 overflow
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diagonal(a).copy(), v
+        raise ContractError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ContractError("eigendecomposition input has non-finite entries")
+    return a
 
 
-def _clamped_eigh(matrix):
-    """Eigendecomposition with negative eigenvalues clamped to zero.
+def _clamp(vals) -> np.ndarray:
+    """Negative eigenvalues clamped to zero.
 
     Warns when anything falls below CLAMP_WARN_THRESHOLD; smaller
     negatives are ordinary round-off from nearly singular inputs.
     """
-    vals, vecs = jacobi_eigh(matrix)
     if np.min(vals) < CLAMP_WARN_THRESHOLD:
         warnings.warn(
-            f"clamping eigenvalue {np.min(vals):.3e} to zero", RuntimeWarning, stacklevel=3
+            f"clamping eigenvalue {np.min(vals):.3e} to zero", RuntimeWarning, stacklevel=4
         )
-    return np.clip(vals, 0.0, None), vecs
+    return np.clip(vals, 0.0, None)
+
+
+def _clamped_eigh(matrix):
+    """Eigendecomposition with negative eigenvalues clamped to zero."""
+    vals, vecs = np.linalg.eigh(_checked_square(matrix))
+    return _clamp(vals), vecs
 
 
 def sym_sqrt(matrix) -> np.ndarray:
@@ -93,9 +51,13 @@ def sym_sqrt(matrix) -> np.ndarray:
 
 
 def trace_sqrt_product(sigma1, sigma2) -> float:
-    """tr((sigma1 sigma2)^(1/2)) via the symmetric form s1^(1/2) s2 s1^(1/2)."""
+    """tr((sigma1 sigma2)^(1/2)) via the symmetric form s1^(1/2) s2 s1^(1/2).
+
+    Only the eigenvalues of the inner matrix are needed, so it goes
+    through eigvalsh.
+    """
     root1 = sym_sqrt(sigma1)
     inner = root1 @ sigma2 @ root1
     inner = (inner + inner.T) / 2.0
-    vals, _ = _clamped_eigh(inner)
+    vals = _clamp(np.linalg.eigvalsh(_checked_square(inner)))
     return float(np.sum(np.sqrt(vals)))

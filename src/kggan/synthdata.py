@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .linalg import jacobi_eigh
 
 BACKGROUND = 0.05  # in [0, 1] space; images are stored in [-1, 1]
 TEXTURE_AMPLITUDE = 0.15
@@ -271,37 +270,6 @@ def augment_flip_crop(image: np.ndarray, seed: int, crop_fraction: float, flip=N
     if do_flip:
         out = out[:, :, ::-1]
     return np.ascontiguousarray(out)
-
-
-def augment_pca_color(images, magnitude_seed: int, draws=None) -> list:
-    """Shift every image along the RGB principal axes of the whole set.
-
-    The 3x3 channel covariance is taken over all pixels of all images;
-    each image gets one Gaussian coefficient (sigma 0.1) per eigenpair,
-    and the shift eigvec @ (coeff * eigval) is added to every pixel.
-    ``draws`` overrides the Gaussian coefficients, for testing.
-    """
-    images = list(images)
-    if len(images) < 2:
-        raise ContractError("PCA color augmentation needs at least 2 images")
-    pixels = np.concatenate([img.reshape(3, -1).T for img in images], axis=0)
-    centered = pixels - pixels.mean(axis=0)
-    cov = centered.T @ centered / (pixels.shape[0] - 1)
-    eigvals, eigvecs = jacobi_eigh(cov)
-
-    if draws is None:
-        rng = np.random.default_rng(magnitude_seed)
-        draws = rng.normal(0.0, 0.1, size=(len(images), 3))
-    else:
-        draws = np.asarray(draws, dtype=np.float64)
-        if draws.shape != (len(images), 3):
-            raise ContractError(f"draws must have shape ({len(images)}, 3), got {draws.shape}")
-
-    out = []
-    for img, alpha in zip(images, draws):
-        delta = eigvecs @ (alpha * eigvals)
-        out.append(np.clip(img + delta[:, None, None], -1.0, 1.0))
-    return out
 
 
 def make_split(category_ids, n_unseen: int, seed: int) -> SplitPlan:

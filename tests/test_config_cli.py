@@ -16,6 +16,8 @@ from kggan.config import (
 )
 from kggan.errors import ConfigError
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 TINY = """
 n_categories = 6
 images_per_category = 10
@@ -35,11 +37,14 @@ out_dir = {out}
 
 
 def run_cli(args, cwd):
+    # an absolute src path, so the child imports kggan from any cwd
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kggan.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -167,6 +172,25 @@ class TestTrainAndEvaluate:
         assert (cell_dir / "color_fidelity.csv").exists()
         ppms = sorted((cell_dir / "samples").glob("category_*.ppm"))
         assert len(ppms) == 6
+
+    def test_one_draw_scores_match_separate_draws(self, workspace):
+        from kggan import cli, evaluation, regressor, semantics
+        from kggan.config import load_config
+
+        ws = cli.Workspace(load_config(workspace[1]))
+        report, consistency, color, sample_fn, split = cli.evaluate_checkpoint(ws, "kggan_full")
+        config, dataset = ws.config, cli._load_dataset(ws)
+        embedder = regressor.freeze(
+            regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
+        )
+        ids = sorted(split.seen_ids | split.unseen_ids)
+        embeddings = semantics.load_embeddings(ws.embeddings_path)
+        specs_by_id = {s.id: s for s in dataset.specs}
+        n = config.n_gen
+        separate = evaluation.per_category_fid(sample_fn, dataset, split, embedder, n)
+        assert report.per_category == separate.per_category
+        assert consistency == evaluation.embedding_consistency(sample_fn, embedder, embeddings, ids, n)
+        assert color == evaluation.color_fidelity(sample_fn, specs_by_id, ids, n)
 
     def test_ppm_files_are_valid_p6(self, workspace):
         root, _ = workspace

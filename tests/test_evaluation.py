@@ -207,6 +207,21 @@ class TestPerCategoryFid:
         assert 2 not in report.per_category
         assert np.isnan(report.unseen_avg)
 
+    def test_on_draw_sees_each_draw_once(self, tiny_world, extractor, rng):
+        _, dataset, split = tiny_world
+        drawn, seen = [], []
+
+        def sample_fn(cid, n):
+            drawn.append((cid, rng.uniform(-1, 1, size=(n, 3, IMG, IMG))))
+            return drawn[-1][1]
+
+        per_category_fid(
+            sample_fn, dataset, split, extractor, n_gen=4, on_draw=lambda c, im: seen.append((c, im))
+        )
+        assert [c for c, _ in drawn] == sorted(split.seen_ids | split.unseen_ids)
+        assert len(seen) == len(drawn)
+        assert all(c == d and im is jm for (c, im), (d, jm) in zip(seen, drawn))
+
     def test_n_gen_too_small_rejected(self, tiny_world, extractor):
         _, dataset, split = tiny_world
         with pytest.raises(ContractError):

@@ -1,10 +1,48 @@
-"""Jacobi eigensolver and matrix square root against library oracles."""
+"""Matrix square root and trace-sqrt product against oracles, plus
+equivalence with the cyclic Jacobi solver they replaced.
+
+The Jacobi solver was deleted once LAPACK (numpy.linalg.eigh) took over;
+the JACOBI_* constants are its outputs, recorded before the deletion.
+"""
 
 import numpy as np
 import pytest
 
+from kggan import gan, semantics, synthdata
+from kggan.config import ExperimentConfig
 from kggan.errors import ContractError
-from kggan.linalg import jacobi_eigh, sym_sqrt, trace_sqrt_product
+from kggan.evaluation import per_category_fid
+from kggan.linalg import _clamped_eigh, sym_sqrt, trace_sqrt_product
+from kggan.regressor import RegressorModel, freeze
+
+# trace_sqrt_product on low_rank_cov pairs, seed 1000 + rank, dimension 64
+JACOBI_TRACE_SQRT = {
+    64: 2799.0455096996493,
+    32: 1133.0563229505356,
+    16: 413.34758756525946,
+    8: 142.1339698726448,
+}
+# condition_preconditioner on the default config's embeddings: Frobenius
+# norm, trace, and the upper triangle of P.T @ M @ P for three seeded probes
+JACOBI_PRECOND_NORM = 8.198035875000315
+JACOBI_PRECOND_TRACE = 24.86801047153486
+JACOBI_PRECOND_QUAD = [
+    33.5667628177198,
+    7.521752729404965,
+    10.710146732963917,
+    10.570177299483216,
+    5.583637573490815,
+    24.370221194714798,
+]
+# per_category_fid on the fixture of test_per_category_fid_pinned
+JACOBI_FID = {
+    0: 16.113080556298424,
+    1: 14.540888161301034,
+    2: 20.27755363451987,
+    3: 16.129759637322937,
+}
+JACOBI_FID_SEEN = 17.506797942713742
+JACOBI_FID_UNSEEN = 14.540888161301034
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -17,28 +55,122 @@ def random_psd(rng, n, scale=1.0):
     return a @ a.T
 
 
-class TestJacobi:
+def low_rank_cov(rng, dim, rank, n=256):
+    feats = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, dim))
+    centered = feats - feats.mean(axis=0)
+    cov = centered.T @ centered / (n - 1)
+    return (cov + cov.T) / 2.0
+
+
+def ill_conditioned_cov(rng, dim, lo, hi):
+    """Random rotation of eigenvalues logspaced from 10**lo to 10**hi."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    cov = (q * np.logspace(lo, hi, dim)) @ q.T
+    return (cov + cov.T) / 2.0
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+def sqrt_roundoff(null_dim, scale):
+    """Solver-dependent part of a tr-sqrt on a rank-deficient matrix.
+
+    Each of the ``null_dim`` null directions carries a round-off
+    eigenvalue near eps * scale, where scale bounds the largest
+    eigenvalue, and adds its square root to the trace; two solvers
+    disagree by up to this much.
+    """
+    return null_dim * np.sqrt(np.finfo(np.float64).eps * scale)
+
+
+class TestClampedEigh:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
-    def test_matches_eigh_oracle(self, rng, n):
-        a = random_symmetric(rng, n)
-        vals, vecs = jacobi_eigh(a)
-        assert np.max(np.abs(np.sort(vals) - np.sort(np.linalg.eigvalsh(a)))) < 1e-9
+    def test_reconstructs_psd_input(self, rng, n):
+        a = random_psd(rng, n) / n
+        vals, vecs = _clamped_eigh(a)
+        assert np.all(vals >= 0.0)
         # reconstruction check confirms eigenvectors pair with eigenvalues
         assert np.max(np.abs((vecs * vals) @ vecs.T - a)) < 1e-9
 
     def test_eigenvectors_orthonormal(self, rng):
-        a = random_symmetric(rng, 10)
-        _, vecs = jacobi_eigh(a)
+        _, vecs = _clamped_eigh(random_symmetric(rng, 10) + 10.0 * np.eye(10))
         assert np.max(np.abs(vecs.T @ vecs - np.eye(10))) < 1e-10
 
     def test_zero_matrix(self):
-        vals, vecs = jacobi_eigh(np.zeros((4, 4)))
+        vals, vecs = _clamped_eigh(np.zeros((4, 4)))
         assert np.array_equal(vals, np.zeros(4))
-        assert np.array_equal(vecs, np.eye(4))
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-12
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ContractError):
-            jacobi_eigh(np.zeros((3, 2)))
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ContractError, match="square"):
+            _clamped_eigh(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            _clamped_eigh(a)
+
+    def test_non_finite_second_covariance_rejected(self):
+        s2 = np.eye(3)
+        s2[0, 0] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            trace_sqrt_product(np.eye(3), s2)
+
+
+class TestJacobiEquivalence:
+    """LAPACK results against the recorded Jacobi outputs."""
+
+    @pytest.mark.parametrize("rank", sorted(JACOBI_TRACE_SQRT, reverse=True))
+    def test_trace_sqrt_product(self, rank):
+        rng = np.random.default_rng(1000 + rank)
+        s1 = low_rank_cov(rng, 64, rank)
+        s2 = low_rank_cov(rng, 64, rank)
+        want = JACOBI_TRACE_SQRT[rank]
+        scale = np.linalg.eigvalsh(s1)[-1] * np.linalg.eigvalsh(s2)[-1]
+        tol = 1e-8 * want + sqrt_roundoff(64 - rank, scale)
+        assert abs(trace_sqrt_product(s1, s2) - want) < tol
+
+    def test_condition_preconditioner(self):
+        config = ExperimentConfig()
+        specs = synthdata.make_category_specs(config.n_categories, config.descriptions_per_category)
+        embeddings = semantics.build_embeddings(specs, dim=config.embed_dim)
+        matrix, shift = gan.condition_preconditioner(embeddings)
+        # the 1e-10 keep threshold sits in a wide gap of the spectrum, so
+        # any solver keeps the same subspace
+        table = np.stack([embeddings[c].vector for c in sorted(embeddings)]) - shift
+        vals = np.linalg.eigvalsh(table.T @ table / (len(table) - 1))
+        assert not np.any((vals > 1e-14) & (vals < 1e-4))
+        probes = np.random.default_rng(0).standard_normal((config.embed_dim, 3))
+        quad = (probes.T @ matrix @ probes)[np.triu_indices(3)]
+        assert rel_err(np.linalg.norm(matrix), JACOBI_PRECOND_NORM) < 1e-9
+        assert rel_err(np.trace(matrix), JACOBI_PRECOND_TRACE) < 1e-9
+        for got, want in zip(quad, JACOBI_PRECOND_QUAD):
+            assert rel_err(got, want) < 1e-9
+
+    def test_per_category_fid_pinned(self):
+        # 16 fakes and 12 reals give rank <= 15 covariances in 64 feature
+        # dims, each with trace < 6, so eigenvalues of the inner product
+        # are < 36; FID carries the tr-sqrt round-off floor twice
+        tol = 2 * sqrt_roundoff(64, 36.0)
+        img = 8
+        extractor = freeze(RegressorModel(img, 16, np.random.default_rng(13)))
+        specs = synthdata.make_category_specs(4)
+        dataset = synthdata.build_dataset(specs, images_per_category=12, image_size=img, seed=3)
+        split = synthdata.make_split([s.id for s in specs], n_unseen=1, seed=2)
+
+        def sample_fn(cid, n):
+            return np.random.default_rng(cid).uniform(-1, 1, size=(n, 3, img, img))
+
+        report = per_category_fid(sample_fn, dataset, split, extractor, n_gen=16)
+        assert report.per_category.keys() == JACOBI_FID.keys()
+        for cid, want in JACOBI_FID.items():
+            assert abs(report.per_category[cid] - want) < tol
+        assert abs(report.seen_avg - JACOBI_FID_SEEN) < tol
+        assert abs(report.unseen_avg - JACOBI_FID_UNSEEN) < tol
 
 
 class TestSymSqrt:
@@ -76,6 +208,18 @@ class TestTraceSqrtProduct:
             inner = root1 @ s2 @ root1
             expected = float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0, None))))
             assert abs(trace_sqrt_product(s1, s2) - expected) < 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_matches_product_eigenvalues(self, seed):
+        # eigenvalues spread over 10 decades, as in FID feature covariances;
+        # the oracle is the nonsymmetric eigensolver on s1 @ s2, whose own
+        # error here is ~1e-8 relative. The Jacobi solver was off by 1.3e-5
+        # on seed 2: it stopped on s1 with off-diagonal mass 1.4e-8 of the
+        # norm, against its 1e-12 target.
+        rng = np.random.default_rng(seed)
+        s1, s2 = (ill_conditioned_cov(rng, 64, -8, 2) for _ in range(2))
+        want = float(np.sum(np.sqrt(np.abs(np.linalg.eigvals(s1 @ s2)))))
+        assert rel_err(trace_sqrt_product(s1, s2), want) < 1e-7
 
     def test_symmetric_in_arguments(self, rng):
         s1 = random_psd(rng, 4)

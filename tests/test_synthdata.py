@@ -7,23 +7,6 @@ from kggan.errors import ConfigError, ContractError
 from kggan import synthdata as sd
 
 
-def cubic_eigvals_3x3(m):
-    """Closed-form eigenvalues of a symmetric 3x3 via the characteristic cubic."""
-    p1 = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
-    q = np.trace(m) / 3.0
-    p2 = (m[0, 0] - q) ** 2 + (m[1, 1] - q) ** 2 + (m[2, 2] - q) ** 2 + 2 * p1
-    p = np.sqrt(p2 / 6.0)
-    if p == 0.0:
-        return np.full(3, q)
-    b = (m - q * np.eye(3)) / p
-    r = np.linalg.det(b) / 2.0
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    eig1 = q + 2.0 * p * np.cos(phi)
-    eig3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    eig2 = 3.0 * q - eig1 - eig3
-    return np.array([eig1, eig2, eig3])
-
-
 @pytest.fixture
 def specs():
     return sd.make_category_specs(12)
@@ -155,52 +138,6 @@ class TestAugmentFlipCrop:
         img = rng.uniform(-1, 1, size=(3, 16, 16))
         with pytest.raises(ConfigError):
             sd.augment_flip_crop(img, seed=0, crop_fraction=fraction)
-
-
-class TestAugmentPcaColor:
-    def test_zero_draws_leave_images_unchanged(self, rng):
-        images = [rng.uniform(-1, 1, size=(3, 8, 8)) for _ in range(3)]
-        out = sd.augment_pca_color(images, magnitude_seed=0, draws=np.zeros((3, 3)))
-        for a, b in zip(out, images):
-            assert np.array_equal(a, b)
-
-    def test_grayscale_dominant_direction(self, rng):
-        gray = []
-        for _ in range(4):
-            channel = rng.uniform(-0.5, 0.5, size=(8, 8))
-            gray.append(np.stack([channel, channel, channel]))
-        pixels = np.concatenate([img.reshape(3, -1).T for img in gray], axis=0)
-        centered = pixels - pixels.mean(axis=0)
-        cov = centered.T @ centered / (pixels.shape[0] - 1)
-        from kggan.linalg import jacobi_eigh
-
-        vals, vecs = jacobi_eigh(cov)
-        direction = vecs[:, np.argmax(vals)]
-        assert abs(abs(direction @ np.ones(3) / np.sqrt(3.0)) - 1.0) < 1e-9
-
-    def test_eigendecomposition_matches_cubic_oracle(self, rng):
-        images = [rng.uniform(-1, 1, size=(3, 8, 8)) for _ in range(5)]
-        pixels = np.concatenate([img.reshape(3, -1).T for img in images], axis=0)
-        centered = pixels - pixels.mean(axis=0)
-        cov = centered.T @ centered / (pixels.shape[0] - 1)
-        from kggan.linalg import jacobi_eigh
-
-        vals, _ = jacobi_eigh(cov)
-        assert np.max(np.abs(np.sort(vals) - np.sort(cubic_eigvals_3x3(cov)))) < 1e-8
-
-    def test_shift_is_constant_per_image_and_clamped(self, rng):
-        images = [rng.uniform(-0.2, 0.2, size=(3, 8, 8)) for _ in range(3)]
-        draws = rng.normal(0, 0.1, size=(3, 3))
-        out = sd.augment_pca_color(images, magnitude_seed=0, draws=draws)
-        for a, b in zip(out, images):
-            delta = a - b
-            # same shift at every pixel of one image
-            assert np.max(np.abs(delta - delta[:, :1, :1])) < 1e-12
-            assert a.min() >= -1.0 and a.max() <= 1.0
-
-    def test_single_image_rejected(self, rng):
-        with pytest.raises(ContractError):
-            sd.augment_pca_color([rng.uniform(-1, 1, size=(3, 8, 8))], magnitude_seed=0)
 
 
 class TestMakeSplit:
