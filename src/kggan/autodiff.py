@@ -6,7 +6,10 @@ first wipes stale gradients on every tensor the tape touches, seeds the
 loss with ones, then replays the tape exactly once in reverse, summing
 contributions into ``.grad``. The tape is cleared afterwards, which makes
 each forward/backward round self-contained: repeating the same forward
-pass yields the same gradients.
+pass yields the same gradients. Given the parameters it is to
+differentiate, ``backward`` replays only the nodes that depend on them,
+and the product rules (affine, matmul, mul) skip the product for any
+input whose gradient is not wanted.
 
 Gradient arrays are never mutated in place; accumulation always allocates,
 so it is safe for a backward rule to hand back the incoming gradient
@@ -69,10 +72,20 @@ class ComputationTape:
 
     Each node is ``(out, inputs, backward_fn)`` where ``backward_fn``
     maps the output gradient to one gradient array (or None) per input.
+    While ``backward`` runs, ``wanted`` holds the ids of the tensors whose
+    gradient it computes.
     """
 
     def __init__(self):
         self.nodes = []
+        self.wanted = None
+
+    def needs_grad(self, t: Tensor) -> bool:
+        """Whether the running backward pass wants ``t``'s gradient;
+        outside one, whether ``t`` requires a gradient at all."""
+        if self.wanted is None:
+            return t.requires_grad
+        return id(t) in self.wanted
 
     def __len__(self):
         return len(self.nodes)
@@ -128,18 +141,38 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every requires_grad tensor reachable from loss.
+def backward(loss: Tensor, params=None) -> None:
+    """Populate ``.grad`` on the requires_grad tensors reachable from loss.
+
+    With ``params`` given, only those of them that require a gradient, and
+    the tape's results that depend on them, receive one; every other
+    tensor on the tape is left with ``.grad`` None, and the products that
+    would only feed it are never computed. The gradients that are filled
+    carry the same bits as from a full pass.
 
     The loss must be a scalar (shape () or (1,)) and the tape non-empty.
-    All gradients belonging to the current tape are reset first, so each
-    call yields the plain derivative of this loss, not an accumulation
-    across calls. The tape is cleared before returning.
+    All gradients belonging to the current tape (and to ``params``) are
+    reset first, so each call yields the plain derivative of this loss,
+    not an accumulation across calls. The tape is cleared before
+    returning.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not _tape.nodes:
         raise ContractError("backward called with an empty tape")
+
+    if params is None:
+        wanted = {id(t) for out, inputs, _ in _tape.nodes for t in (out, *inputs) if t.requires_grad}
+    else:
+        params = list(params)
+        wanted = {id(p) for p in params if p.requires_grad}
+        for out, inputs, _ in _tape.nodes:
+            for t in inputs:
+                if id(t) in wanted:
+                    wanted.add(id(out))
+                    break
+        for p in params:
+            p.grad = None
 
     for out, inputs, _ in _tape.nodes:
         out.grad = None
@@ -147,14 +180,18 @@ def backward(loss: Tensor) -> None:
             t.grad = None
 
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(_tape.nodes):
-        g = out.grad
-        if g is None:
-            continue
-        for t, gi in zip(inputs, backward_fn(g)):
-            if gi is None or not t.requires_grad:
+    _tape.wanted = wanted
+    try:
+        for out, inputs, backward_fn in reversed(_tape.nodes):
+            g = out.grad
+            if g is None or id(out) not in wanted:
                 continue
-            t.grad = gi if t.grad is None else t.grad + gi
+            for t, gi in zip(inputs, backward_fn(g)):
+                if gi is None or id(t) not in wanted:
+                    continue
+                t.grad = gi if t.grad is None else t.grad + gi
+    finally:
+        _tape.wanted = None
     _tape.clear()
 
 
@@ -187,7 +224,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def back(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (
+            _unbroadcast(g * b.data, a.data.shape) if _tape.needs_grad(a) else None,
+            _unbroadcast(g * a.data, b.data.shape) if _tape.needs_grad(b) else None,
+        )
 
     return _make(out, (a, b), back)
 
@@ -224,7 +264,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return (
+            g @ b.data.T if _tape.needs_grad(a) else None,
+            a.data.T @ g if _tape.needs_grad(b) else None,
+        )
 
     return _make(out, (a, b), back)
 
@@ -242,7 +285,11 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = x.data @ weight.data + bias.data
 
     def back(g):
-        return g @ weight.data.T, x.data.T @ g, g.sum(axis=0)
+        return (
+            g @ weight.data.T if _tape.needs_grad(x) else None,
+            x.data.T @ g if _tape.needs_grad(weight) else None,
+            g.sum(axis=0) if _tape.needs_grad(bias) else None,
+        )
 
     return _make(out, (x, weight, bias), back)
 

@@ -186,10 +186,10 @@ def _build_model(config: ExperimentConfig, condition_mode: str, embeddings=None)
     return model
 
 
-def _condition_source(ws: Workspace, condition_mode: str):
+def _condition_source(config: ExperimentConfig, condition_mode: str, embeddings):
     if condition_mode == CONDITION_SEMANTIC:
-        return gan.semantic_condition_source(semantics.load_embeddings(ws.embeddings_path))
-    return gan.one_hot_condition_source(range(ws.config.n_categories))
+        return gan.semantic_condition_source(embeddings)
+    return gan.one_hot_condition_source(range(config.n_categories))
 
 
 def run_cell(ws: Workspace, cell: str, resume: str | None = None):
@@ -204,7 +204,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     lambda_se = config.lambda_se if use_knowledge else 0.0
     tconfig = _train_config(config, lambda_se)
     model = _build_model(config, condition_mode, embeddings)
-    cond = _condition_source(ws, condition_mode)
+    cond = _condition_source(config, condition_mode, embeddings)
 
     start_iteration = 0
     if resume:
@@ -302,14 +302,16 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     """Score one trained cell.
 
     Returns (FidReport, consistency, color, sample_fn, split). Each
-    category's n_gen images are drawn once and feed all three metrics.
+    category's n_gen images are drawn once and go through the regressor's
+    trunk once; that draw and its features feed all three metrics.
     """
     config = ws.config
     condition_mode = CELL_RULES[cell][0]
     dataset = _load_dataset(ws)
+    embeddings = semantics.load_embeddings(ws.embeddings_path)
     split = _split(config)
     tconfig = _train_config(config, config.lambda_se)
-    model = _build_model(config, condition_mode, semantics.load_embeddings(ws.embeddings_path))
+    model = _build_model(config, condition_mode, embeddings)
     path = checkpoint_path or ws.checkpoint_path(cell)
     if not os.path.exists(path):
         raise OSError(f"checkpoint missing: {path}")
@@ -317,8 +319,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
 
     embedder = regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
     regressor.freeze(embedder)
-    embeddings = semantics.load_embeddings(ws.embeddings_path)
-    cond = _condition_source(ws, condition_mode)
+    cond = _condition_source(config, condition_mode, embeddings)
 
     def sample_fn(cid, n):
         return gan.sample_images(model, cid, n, cond, config.eval_seed)
@@ -326,14 +327,10 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     specs_by_id = {s.id: s for s in dataset.specs}
     consistency, color = {}, {}
 
-    def score_draw(cid, images):
-        def drawn(c, n):
-            return images
-
-        consistency.update(
-            evaluation.embedding_consistency(drawn, embedder, embeddings, [cid], config.n_gen)
-        )
-        color.update(evaluation.color_fidelity(drawn, specs_by_id, [cid], config.n_gen))
+    def score_draw(cid, images, features):
+        target = embeddings[cid].vector
+        consistency[cid] = evaluation.embedding_consistency(embedder, features, target)
+        color[cid] = evaluation.color_fidelity(images, specs_by_id[cid].base_color)
 
     report = evaluation.per_category_fid(
         sample_fn, dataset, split, embedder, config.n_gen, on_draw=score_draw

@@ -47,6 +47,10 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
 
+# the five run seeds, in the order rebase_seeds offsets them
+SEED_FIELDS = ("data_seed", "split_seed", "embedder_seed", "gan_seed", "eval_seed")
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.image_size < 8:
         raise ConfigError(f"image_size must be >= 8, got {config.image_size}")
@@ -60,6 +64,12 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("lambda_se must be >= 0")
     if config.condition_mode not in ("semantic_embedding", "one_hot"):
         raise ConfigError(f"unknown condition_mode {config.condition_mode!r}")
+    for name in ("batch_size", "embedder_batch"):
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
+    for name in SEED_FIELDS:
+        if getattr(config, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
     return config
 
 
@@ -115,9 +125,6 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def rebase_seeds(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     """Derive the five run seeds from one master seed: master+0 .. master+4."""
-    config.data_seed = master_seed
-    config.split_seed = master_seed + 1
-    config.embedder_seed = master_seed + 2
-    config.gan_seed = master_seed + 3
-    config.eval_seed = master_seed + 4
+    for offset, name in enumerate(SEED_FIELDS):
+        setattr(config, name, master_seed + offset)
     return config

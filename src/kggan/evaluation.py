@@ -7,6 +7,14 @@ the distance uses the symmetric form s1^(1/2) s2 s1^(1/2) with LAPACK
 eigendecomposition (numpy.linalg.eigh/eigvalsh) and eigenvalue clamping
 at zero.
 
+Each category's draw is scored in batched passes: one trunk pass of the
+regressor gives the draw's penultimate features, which feed the FID
+statistics and, through the output layer alone, the embedding-consistency
+predictions; color fidelity takes the foreground means of the whole draw
+at once. ``per_category_fid`` hands each draw and its features to an
+``on_draw`` callback, so the knowledge metrics need no second draw and no
+second trunk pass, and only one category's draw is held at a time.
+
 Absolute values live in this artifact's own feature space and are not
 comparable across feature extractors; the ordering between methods is
 what the ablation reads.
@@ -19,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 from .linalg import trace_sqrt_product
 from .regressor import RegressorModel, extract_features
@@ -41,13 +51,12 @@ class FidReport:
     unseen_avg: float
 
 
-def feature_stats(images, extractor: RegressorModel) -> GaussianStats:
-    """Mean and unbiased covariance of penultimate-layer features."""
-    images = np.asarray(images)
-    n = images.shape[0]
+def feature_stats(features) -> GaussianStats:
+    """Mean and unbiased covariance of an [n, d] feature matrix."""
+    feats = np.asarray(features)
+    n = feats.shape[0]
     if n < 2:
         raise ContractError(f"need at least 2 images for feature statistics, got {n}")
-    feats = extract_features(extractor, images)
     mean = feats.mean(axis=0)
     centered = feats - mean
     cov = centered.T @ centered / (n - 1)
@@ -79,25 +88,28 @@ def per_category_fid(
     category's real images, then seen/unseen averages.
 
     ``sample_fn(category_id, n)`` returns an [n, 3, S, S] array.
-    ``on_draw(category_id, images)``, when given, sees every category's
-    draw, so other metrics can score the same images without sampling
-    again. Categories with fewer than 2 real images are skipped with a
-    warning and excluded from the averages.
+    ``on_draw(category_id, images, features)``, when given, sees every
+    category's draw together with its [n, d] penultimate features, the
+    very array the FID statistics are taken from, so other metrics can
+    score the same images without sampling or running the trunk again.
+    Categories with fewer than 2 real images are skipped with a warning
+    and excluded from the averages.
     """
     if n_gen < 2:
         raise ContractError(f"n_gen must be >= 2, got {n_gen}")
     per_category = {}
     for cid in sorted(split.seen_ids | split.unseen_ids):
         fakes = sample_fn(cid, n_gen)
+        features = extract_features(extractor, fakes)
         if on_draw is not None:
-            on_draw(cid, fakes)
-        fake_stats = feature_stats(fakes, extractor)
-        del fakes  # one category's draw in memory at a time
+            on_draw(cid, fakes, features)
+        fake_stats = feature_stats(features)
+        del fakes, features  # one category's draw in memory at a time
         rows = dataset.indices_of(cid)
         if rows.size < 2:
             warnings.warn(f"category {cid} has {rows.size} real images; skipped", RuntimeWarning)
             continue
-        real_stats = feature_stats(dataset.images[rows], extractor)
+        real_stats = feature_stats(extract_features(extractor, dataset.images[rows]))
         per_category[cid] = frechet_distance(fake_stats, real_stats)
 
     def average(ids):
@@ -111,40 +123,28 @@ def per_category_fid(
     )
 
 
-def embedding_consistency(sample_fn, embedder: RegressorModel, embeddings, category_ids, n_gen: int):
-    """Per category: mean squared distance between the regressor's
-    prediction on generated images and the target embedding."""
+def embedding_consistency(embedder: RegressorModel, features, target) -> float:
+    """Mean squared distance between the regressor's predictions for one
+    draw and the category's target embedding.
+
+    ``features`` are the draw's penultimate features; only the output
+    layer runs here, and ``RegressorModel.forward`` is that same layer over
+    the same features, so the predictions are bitwise those of a full
+    forward pass over the draw.
+    """
     if not embedder.frozen:
         raise ContractError("embedding consistency requires a frozen regressor")
-    out = {}
-    for cid in sorted(category_ids):
-        images = sample_fn(cid, n_gen)
-        feats = _predict_batch(embedder, images)
-        target = embeddings[cid].vector
-        out[cid] = float(np.mean(np.sum((feats - target) ** 2, axis=1)))
-    return out
-
-
-def _predict_batch(embedder: RegressorModel, images) -> np.ndarray:
-    from . import autodiff as ad
-    from .autodiff import Tensor
-
     with ad.no_grad():
-        pred = embedder.forward(Tensor(np.asarray(images), _validate=False))
-    return pred.data
+        pred = embedder.head(Tensor(features, _validate=False)).data
+    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
 
 
-def color_fidelity(sample_fn, specs_by_id, category_ids, n_gen: int):
-    """Fraction of generated images whose dominant mean-foreground channel
-    matches the category's dominant base color channel."""
-    out = {}
-    for cid in sorted(category_ids):
-        spec = specs_by_id[cid]
-        want = int(np.argmax(np.asarray(spec.base_color)))
-        images = sample_fn(cid, n_gen)
-        hits = sum(1 for img in images if int(np.argmax(mean_foreground_color(img))) == want)
-        out[cid] = hits / len(images)
-    return out
+def color_fidelity(images, base_color) -> float:
+    """Fraction of a draw's [n, 3, S, S] images whose dominant
+    mean-foreground channel is the dominant channel of ``base_color``."""
+    want = int(np.argmax(np.asarray(base_color)))
+    hits = np.argmax(mean_foreground_color(images), axis=-1) == want
+    return int(np.count_nonzero(hits)) / len(images)
 
 
 def format_fid_table(rows, header_lines=()) -> str:

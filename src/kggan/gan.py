@@ -391,7 +391,7 @@ def _d_step(model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_z, au
     )
     loss = hinge_d_loss(d_real, d_fake)
     value = loss.item()
-    ad.backward(loss)
+    ad.backward(loss, model.discriminator_params())
     adam_step(model.discriminator_params(), opt_d)
     return value
 
@@ -520,7 +520,7 @@ def train(
                 se_unseen = 0.0
                 loss_g = adv
             l_g = loss_g.item()
-            ad.backward(loss_g)
+            ad.backward(loss_g, model.generator_params())
             adam_step(model.generator_params(), opt_g)
         except NumericalAbort as abort:
             ad.get_tape().clear()
@@ -569,7 +569,7 @@ def train_sngan(
             rng_zg = _stream(config.seed, iteration, 2)
             _, _, loss_g = _g_adv(model, cats, cond, config, rng_zg)
             l_g = loss_g.item()
-            ad.backward(loss_g)
+            ad.backward(loss_g, model.generator_params())
             adam_step(model.generator_params(), opt_g)
         except NumericalAbort as abort:
             ad.get_tape().clear()

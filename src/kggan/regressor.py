@@ -64,35 +64,29 @@ class RegressorModel:
         raise DimensionError(f"expected [b,3,S,S] or [b,in] input, got shape {images.data.shape}")
 
     def forward(self, images: Tensor) -> Tensor:
-        """Differentiable forward pass; output entries in (0, 1)."""
+        """Differentiable forward pass; output entries in (0, 1).
+
+        Exactly ``head(penultimate(images))``, so predictions made from
+        already extracted features carry the same bits.
+        """
+        return self.head(self.penultimate(images))
+
+    def penultimate(self, images: Tensor) -> Tensor:
+        """The two leaky-relu hidden layers: [b, 64] features."""
         x = self._flatten(images)
         if x.data.shape[1] != self.w1.data.shape[0]:
             raise DimensionError(
                 f"input dim {x.data.shape[1]} does not match model {self.w1.data.shape[0]}"
             )
         h1 = ad.leaky_relu(ad.affine(x, self.w1, self.b1))
-        h2 = ad.leaky_relu(ad.affine(h1, self.w2, self.b2))
-        return ad.sigmoid(ad.affine(h2, self.w3, self.b3))
-
-    def penultimate(self, images: Tensor) -> Tensor:
-        x = self._flatten(images)
-        h1 = ad.leaky_relu(ad.affine(x, self.w1, self.b1))
         return ad.leaky_relu(ad.affine(h1, self.w2, self.b2))
+
+    def head(self, features: Tensor) -> Tensor:
+        """The sigmoid output layer over penultimate features."""
+        return ad.sigmoid(ad.affine(features, self.w3, self.b3))
 
     def param_hash(self) -> int:
         return params_hash([p.data for p in self.parameters()])
-
-
-def predict_embedding(model: RegressorModel, image: np.ndarray) -> np.ndarray:
-    """Deterministic embedding prediction for one [3,S,S] image."""
-    if image.shape != (3, model.image_size, model.image_size):
-        raise DimensionError(
-            f"image shape {image.shape} does not match model "
-            f"(3, {model.image_size}, {model.image_size})"
-        )
-    with ad.no_grad():
-        out = model.forward(Tensor(image[None], _validate=False))
-    return out.data[0]
 
 
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:

@@ -233,19 +233,29 @@ def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) 
 
 
 def foreground_mask(image: np.ndarray, threshold: float = 0.3) -> np.ndarray:
-    """Pixels bright enough in any channel to count as flower, not background."""
-    values01 = (image + 1.0) / 2.0
-    mask = values01.max(axis=0) > threshold
-    if not mask.any():
-        return np.ones(image.shape[1:], dtype=bool)
+    """Pixels bright enough in any channel to count as flower, not background.
+
+    ``image`` is [..., 3, S, S]; the mask is [..., S, S]. An image with no
+    such pixel counts as all foreground.
+    """
+    # (x + 1) / 2 rounds monotonically, so the brightest raw channel decides
+    mask = (image.max(axis=-3) + 1.0) / 2.0 > threshold
+    mask |= ~mask.any(axis=(-2, -1), keepdims=True)
     return mask
 
 
 def mean_foreground_color(image: np.ndarray) -> np.ndarray:
-    """Mean [0, 1] color over the foreground of a [-1, 1] image."""
-    mask = foreground_mask(image)
-    values01 = (image + 1.0) / 2.0
-    return values01[:, mask].mean(axis=1)
+    """Mean [0, 1] color over the foreground of [-1, 1] images.
+
+    ``image`` is [..., 3, S, S] (one image or a batch); the result is
+    [..., 3]. A batch is scored in one pass, its foreground sums taken as
+    one batched product with the mask; each mean agrees with averaging
+    that image's selected pixels alone to within summation rounding.
+    """
+    lead = image.shape[:-3]
+    weights = foreground_mask(image).reshape(*lead, -1, 1).astype(np.float64)
+    sums = (image.reshape(*lead, 3, -1) @ weights)[..., 0]
+    return (sums / weights.sum(axis=(-2, -1))[..., None] + 1.0) / 2.0
 
 
 def augment_flip_crop(image: np.ndarray, seed: int, crop_fraction: float, flip=None) -> np.ndarray:

@@ -135,6 +135,45 @@ class TestBackward:
         assert np.allclose(w.grad, [8.0])
 
 
+class TestRestrictedBackward:
+    def test_products_skipped_for_inputs_without_gradient(self, rng):
+        x = Tensor(rng.standard_normal((4, 3)))
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2))
+        s = Tensor(rng.standard_normal((4, 2)))
+        for op in (
+            lambda: ad.affine(x, w, b),
+            lambda: ad.matmul(x, w),
+            lambda: ad.mul(s, ad.matmul(x, w)),
+        ):
+            out = op()
+            node_out, inputs, backward_fn = ad.get_tape().nodes[-1]
+            assert node_out is out
+            grads = backward_fn(np.ones_like(out.data))
+            assert [g is None for g in grads] == [not t.requires_grad for t in inputs]
+        ad.get_tape().clear()
+
+    def test_only_named_params_and_their_dependents_get_gradients(self, rng):
+        x = Tensor(rng.standard_normal((5, 3)))
+        w1 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b1 = Tensor(rng.standard_normal(4), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b2 = Tensor(rng.standard_normal(2), requires_grad=True)
+
+        def loss():
+            h = ad.tanh(ad.affine(x, w1, b1))
+            return ad.tsum(ad.square(ad.affine(h, w2, b2)))
+
+        ad.backward(loss())
+        full = [w1.grad.copy(), b1.grad.copy()]
+        ad.backward(loss(), [w1, b1])
+        assert np.array_equal(w1.grad, full[0]) and np.array_equal(b1.grad, full[1])
+        assert w2.grad is None and b2.grad is None
+        ad.backward(loss(), [w2])
+        assert w1.grad is None and b1.grad is None and b2.grad is None
+        assert w2.grad is not None
+
+
 class TestOps:
     def test_bias_broadcast_gradient(self, rng):
         b = Tensor(rng.standard_normal(4), requires_grad=True)

@@ -103,6 +103,32 @@ class TestConfig:
             config.eval_seed,
         ) == (7000, 7001, 7002, 7003, 7004)
 
+    @pytest.mark.parametrize(
+        "line",
+        [f"{seed} = -1" for seed in ("data_seed", "split_seed", "embedder_seed", "gan_seed", "eval_seed")]
+        + ["batch_size = 0", "embedder_batch = 0", "batch_size = -4"],
+    )
+    def test_negative_seed_and_empty_batch_rejected(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
+
+    @pytest.mark.parametrize(
+        "settings, args",
+        [
+            ("", ["--seed", "-1", "--out", "o", "generate-data"]),
+            ("", ["--seed", "-3", "--out", "o", "generate-data"]),
+            ("batch_size = 0\n", ["train", "--cell", "kggan_full"]),
+            ("embedder_batch = 0\n", ["train-embedder"]),
+        ],
+    )
+    def test_out_of_range_seed_or_batch_exits_2_without_traceback(self, tmp_path, settings, args):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(settings)
+        proc = run_cli(["--config", str(cfg), *args], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "config error" in proc.stderr
+
 
 class TestGenerateData:
     def test_dataset_files_exist_and_parse(self, workspace):
@@ -174,7 +200,8 @@ class TestTrainAndEvaluate:
         assert len(ppms) == 6
 
     def test_one_draw_scores_match_separate_draws(self, workspace):
-        from kggan import cli, evaluation, regressor, semantics
+        from kggan import cli, evaluation, regressor, semantics, synthdata
+        from kggan.autodiff import Tensor, no_grad
         from kggan.config import load_config
 
         ws = cli.Workspace(load_config(workspace[1]))
@@ -189,8 +216,18 @@ class TestTrainAndEvaluate:
         n = config.n_gen
         separate = evaluation.per_category_fid(sample_fn, dataset, split, embedder, n)
         assert report.per_category == separate.per_category
-        assert consistency == evaluation.embedding_consistency(sample_fn, embedder, embeddings, ids, n)
-        assert color == evaluation.color_fidelity(sample_fn, specs_by_id, ids, n)
+        # references from fresh draws: a full forward pass, a per-image loop
+        for cid in ids:
+            images = sample_fn(cid, n)
+            with no_grad():
+                pred = embedder.forward(Tensor(images, _validate=False)).data
+            target = embeddings[cid].vector
+            assert consistency[cid] == float(np.mean(np.sum((pred - target) ** 2, axis=1)))
+            want = int(np.argmax(np.asarray(specs_by_id[cid].base_color)))
+            hits = sum(
+                1 for img in images if int(np.argmax(synthdata.mean_foreground_color(img))) == want
+            )
+            assert color[cid] == hits / len(images)
 
     def test_ppm_files_are_valid_p6(self, workspace):
         root, _ = workspace

@@ -35,24 +35,26 @@ def tiny_world():
     return specs, dataset, split
 
 
-def stats_from_features(feats):
-    feats = np.asarray(feats, dtype=np.float64)
-    mean = feats.mean(axis=0)
-    centered = feats - mean
-    cov = centered.T @ centered / (feats.shape[0] - 1)
-    return GaussianStats(mean=mean, covariance=(cov + cov.T) / 2, sample_count=feats.shape[0])
+def image_stats(images, extractor):
+    return feature_stats(extract_features(extractor, images))
+
+
+def loop_color_fidelity(images, base_color):
+    """Per-image reference for color_fidelity."""
+    want = int(np.argmax(np.asarray(base_color)))
+    return sum(1 for img in images if int(np.argmax(sd.mean_foreground_color(img))) == want) / len(images)
 
 
 class TestFeatureStats:
     def test_identical_images_zero_covariance(self, extractor, rng):
         image = rng.uniform(-1, 1, size=(3, IMG, IMG))
-        stats = feature_stats(np.stack([image] * 6), extractor)
+        stats = image_stats(np.stack([image] * 6), extractor)
         assert np.max(np.abs(stats.covariance)) < 1e-18
         assert stats.sample_count == 6
 
     def test_two_point_statistics(self, extractor, rng):
         images = rng.uniform(-1, 1, size=(2, 3, IMG, IMG))
-        stats = feature_stats(images, extractor)
+        stats = image_stats(images, extractor)
         feats = extract_features(extractor, images)
         a, b = feats[0], feats[1]
         assert np.allclose(stats.mean, (a + b) / 2.0)
@@ -63,7 +65,7 @@ class TestFeatureStats:
         mean = rng.uniform(-1, 1, size=5)
         scale = np.diag([1.0, 0.5, 2.0, 0.8, 1.5])
         draws = rng.standard_normal((500, 5)) @ scale + mean
-        stats = stats_from_features(draws)
+        stats = feature_stats(draws)
         cov_true = scale @ scale
         se_mean = np.sqrt(np.diag(cov_true) / 500)
         assert np.all(np.abs(stats.mean - mean) <= 3 * se_mean)
@@ -72,16 +74,16 @@ class TestFeatureStats:
 
     def test_single_image_rejected(self, extractor, rng):
         with pytest.raises(ContractError):
-            feature_stats(rng.uniform(-1, 1, size=(1, 3, IMG, IMG)), extractor)
+            image_stats(rng.uniform(-1, 1, size=(1, 3, IMG, IMG)), extractor)
 
     def test_covariance_symmetric(self, extractor, rng):
-        stats = feature_stats(rng.uniform(-1, 1, size=(10, 3, IMG, IMG)), extractor)
+        stats = image_stats(rng.uniform(-1, 1, size=(10, 3, IMG, IMG)), extractor)
         assert np.max(np.abs(stats.covariance - stats.covariance.T)) < 1e-10
 
 
 class TestFrechetDistance:
     def test_identical_gaussians_zero(self, rng):
-        stats = stats_from_features(rng.standard_normal((50, 6)))
+        stats = feature_stats(rng.standard_normal((50, 6)))
         assert frechet_distance(stats, stats) < 1e-8
 
     def test_equal_covariance_reduces_to_mean_distance(self, rng):
@@ -103,14 +105,14 @@ class TestFrechetDistance:
 
     def test_symmetry(self, rng):
         for _ in range(5):
-            p = stats_from_features(rng.standard_normal((40, 5)) * rng.uniform(0.5, 2))
-            q = stats_from_features(rng.standard_normal((40, 5)) + rng.uniform(-1, 1))
+            p = feature_stats(rng.standard_normal((40, 5)) * rng.uniform(0.5, 2))
+            q = feature_stats(rng.standard_normal((40, 5)) + rng.uniform(-1, 1))
             assert abs(frechet_distance(p, q) - frechet_distance(q, p)) < 1e-8
 
     def test_nonnegative(self, rng):
         for _ in range(10):
-            p = stats_from_features(rng.standard_normal((30, 4)))
-            q = stats_from_features(rng.standard_normal((30, 4)))
+            p = feature_stats(rng.standard_normal((30, 4)))
+            q = feature_stats(rng.standard_normal((30, 4)))
             assert frechet_distance(p, q) >= 0.0
 
     def test_asymmetric_covariance_rejected(self):
@@ -130,11 +132,11 @@ class TestFrechetDistance:
 
     def test_noise_increases_distance_monotonically(self, extractor, rng):
         clean = rng.uniform(-0.6, 0.6, size=(64, 3, IMG, IMG))
-        base = feature_stats(clean, extractor)
+        base = image_stats(clean, extractor)
         distances = []
         for sigma in (0.05, 0.1, 0.2):
             noisy = np.clip(clean + rng.standard_normal(clean.shape) * sigma, -1, 1)
-            distances.append(frechet_distance(feature_stats(noisy, extractor), base))
+            distances.append(frechet_distance(image_stats(noisy, extractor), base))
         assert distances[0] < distances[1] < distances[2]
 
 
@@ -216,11 +218,18 @@ class TestPerCategoryFid:
             return drawn[-1][1]
 
         per_category_fid(
-            sample_fn, dataset, split, extractor, n_gen=4, on_draw=lambda c, im: seen.append((c, im))
+            sample_fn,
+            dataset,
+            split,
+            extractor,
+            n_gen=4,
+            on_draw=lambda c, im, f: seen.append((c, im, f)),
         )
         assert [c for c, _ in drawn] == sorted(split.seen_ids | split.unseen_ids)
         assert len(seen) == len(drawn)
-        assert all(c == d and im is jm for (c, im), (d, jm) in zip(seen, drawn))
+        assert all(c == d and im is jm for (c, im, _), (d, jm) in zip(seen, drawn))
+        # the features handed over are the draw's own trunk pass, bit for bit
+        assert all(np.array_equal(f, extract_features(extractor, im)) for _, im, f in seen)
 
     def test_n_gen_too_small_rejected(self, tiny_world, extractor):
         _, dataset, split = tiny_world
@@ -230,84 +239,78 @@ class TestPerCategoryFid:
 
 class TestEmbeddingConsistency:
     def test_ideal_generator_scores_zero(self, tiny_world, extractor, rng):
-        specs, dataset, split = tiny_world
-        images = rng.uniform(-1, 1, size=(6, 3, IMG, IMG))
+        # a generator that always emits images whose prediction is the target
+        constant = np.stack([rng.uniform(-1, 1, size=(3, IMG, IMG))] * 4)
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
-            targets = extractor.forward(Tensor(images, _validate=False)).data
-        embeddings = {
-            7: sem.SemanticEmbedding(vector=targets.mean(axis=0), category_id=7)
-        }
-        # a generator that always emits images whose prediction is the target
-        constant = np.stack([images[0]] * 4)
-        with no_grad():
             pred0 = extractor.forward(Tensor(constant, _validate=False)).data
-        embeddings[7] = sem.SemanticEmbedding(vector=pred0[0], category_id=7)
-        out = embedding_consistency(lambda c, n: constant[:n], extractor, embeddings, [7], 4)
-        assert out[7] < 1e-24
+        out = embedding_consistency(extractor, extract_features(extractor, constant), pred0[0])
+        assert out < 1e-24
 
     def test_matches_per_item_loop_oracle(self, tiny_world, extractor, rng):
         specs, dataset, split = tiny_world
         embeddings = sem.build_embeddings(specs, dim=EMB)
         pool = rng.uniform(-1, 1, size=(8, 3, IMG, IMG))
-
-        out = embedding_consistency(
-            lambda c, n: pool[:n], extractor, embeddings, sorted(split.seen_ids), 8
-        )
+        features = extract_features(extractor, pool)
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
             preds = extractor.forward(Tensor(pool, _validate=False)).data
         for cid in sorted(split.seen_ids):
+            target = embeddings[cid].vector
+            out = embedding_consistency(extractor, features, target)
             acc = 0.0
             for i in range(8):
-                acc += float(np.sum((preds[i] - embeddings[cid].vector) ** 2))
-            assert abs(out[cid] - acc / 8.0) < 1e-12
+                acc += float(np.sum((preds[i] - target) ** 2))
+            assert abs(out - acc / 8.0) < 1e-12
+            # the shared trunk gives forward's predictions exactly
+            assert out == float(np.mean(np.sum((preds - target) ** 2, axis=1)))
 
     def test_unfrozen_extractor_rejected(self, tiny_world):
-        specs, dataset, split = tiny_world
         thawed = RegressorModel(IMG, EMB, np.random.default_rng(0))
         with pytest.raises(ContractError):
-            embedding_consistency(lambda c, n: None, thawed, {}, [0], 4)
+            embedding_consistency(thawed, np.zeros((4, 64)), np.zeros(EMB))
 
 
 class TestColorFidelity:
     def test_solid_base_color_matches_perfectly(self, tiny_world):
         specs, _, _ = tiny_world
-        specs_by_id = {s.id: s for s in specs}
-
-        def solid(cid, n):
-            color = np.asarray(specs_by_id[cid].base_color)
+        for spec in specs:
+            color = np.asarray(spec.base_color)
             img = np.ones((3, IMG, IMG)) * (2.0 * color[:, None, None] - 1.0)
-            return np.stack([img] * n)
-
-        out = color_fidelity(solid, specs_by_id, sorted(specs_by_id), 6)
-        assert all(v == 1.0 for v in out.values())
+            assert color_fidelity(np.stack([img] * 6), spec.base_color) == 1.0
 
     def test_wrong_channel_scores_zero(self, tiny_world):
         specs, _, _ = tiny_world
-        specs_by_id = {s.id: s for s in specs}
-
-        def wrong(cid, n):
-            want = int(np.argmax(np.asarray(specs_by_id[cid].base_color)))
+        for spec in specs:
+            want = int(np.argmax(np.asarray(spec.base_color)))
             color = np.full(3, 0.1)
             color[(want + 1) % 3] = 0.9
             img = np.ones((3, IMG, IMG)) * (2.0 * color[:, None, None] - 1.0)
-            return np.stack([img] * n)
-
-        out = color_fidelity(wrong, specs_by_id, sorted(specs_by_id), 6)
-        assert all(v == 0.0 for v in out.values())
+            assert color_fidelity(np.stack([img] * 6), spec.base_color) == 0.0
 
     def test_real_dataset_samples_match(self, tiny_world):
         specs, dataset, _ = tiny_world
-        specs_by_id = {s.id: s for s in specs}
+        for spec in specs:
+            images = dataset.images[np.resize(dataset.indices_of(spec.id), 10)]
+            assert color_fidelity(images, spec.base_color) == 1.0
 
-        def real(cid, n):
-            return dataset.images[np.resize(dataset.indices_of(cid), n)]
+    def test_matches_per_image_loop(self, tiny_world):
+        from kggan import gan
 
-        out = color_fidelity(real, specs_by_id, sorted(specs_by_id), 10)
-        assert all(v == 1.0 for v in out.values())
+        specs, dataset, _ = tiny_world
+        model = gan.GanModel(IMG, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(4))
+        cond = gan.one_hot_condition_source([s.id for s in specs])
+        for spec in specs:
+            for images in (
+                dataset.images[dataset.indices_of(spec.id)],
+                gan.sample_images(model, spec.id, 64, cond, seed=9),
+            ):
+                # each base color tried, so draws score between 0 and 1
+                for other in specs:
+                    want = loop_color_fidelity(images, other.base_color)
+                    assert color_fidelity(images, other.base_color) == want
 
 
 class TestReportFormatting:

@@ -249,6 +249,60 @@ class TestSemanticEmbeddingLoss:
             assert p.grad is None
 
 
+class TestRestrictedBackward:
+    """A step's backward over only the parameters it updates gives those
+    parameters the full pass's gradients, bit for bit, and no others."""
+
+    def _g_loss(self, model, mini_data):
+        _, _, split, embeddings, embedder = mini_data
+        rng = np.random.default_rng(17)
+        seen = rng.choice(sorted(split.seen_ids), size=8)
+        unseen = rng.choice(sorted(split.unseen_ids), size=8)
+        v = Tensor(np.stack([embeddings[int(c)].vector for c in seen]))
+        vu = Tensor(np.stack([embeddings[int(c)].vector for c in unseen]))
+        fakes = generator_forward(model, Tensor(rng.standard_normal((8, Z))), v)
+        adv = hinge_g_loss(discriminator_forward(model, fakes, v))
+        fakes_u = generator_forward(model, Tensor(rng.standard_normal((8, Z))), vu)
+        se = ad.add(
+            semantic_embedding_loss(fakes, v, embedder),
+            semantic_embedding_loss(fakes_u, vu, embedder),
+        )
+        return ad.add(adv, ad.scale(se, 0.1))
+
+    def _d_loss(self, model, mini_data):
+        _, dataset, _, embeddings, _ = mini_data
+        rng = np.random.default_rng(18)
+        rows = rng.integers(0, len(dataset), size=8)
+        v = Tensor(np.stack([embeddings[int(c)].vector for c in dataset.category_ids[rows]]))
+        with ad.no_grad():
+            fakes = generator_forward(model, Tensor(rng.standard_normal((8, Z))), v)
+        real = discriminator_forward(model, Tensor(dataset.images[rows]), v)
+        return hinge_d_loss(real, discriminator_forward(model, Tensor(fakes.data), v))
+
+    def _check(self, mini_data, loss_fn, stepped, others):
+        model = mini_model()
+        model.refresh_spectral()
+        ad.backward(loss_fn(model, mini_data))
+        full = [p.grad.copy() for p in stepped(model)]
+        ad.backward(loss_fn(model, mini_data), stepped(model))
+        for p, want in zip(stepped(model), full):
+            assert p.grad.tobytes() == want.tobytes(), p.name
+        for p in others(model):
+            assert p.grad is None, p.name
+
+    def test_generator_step(self, mini_data):
+        embedder = mini_data[4]
+        self._check(
+            mini_data,
+            self._g_loss,
+            GanModel.generator_params,
+            lambda m: m.discriminator_params() + embedder.parameters(),
+        )
+
+    def test_discriminator_step(self, mini_data):
+        self._check(mini_data, self._d_loss, GanModel.discriminator_params, GanModel.generator_params)
+
+
 class TestTotalLosses:
     def _batches(self, mini_data, rng, lambda_se):
         _, dataset, split, embeddings, embedder = mini_data

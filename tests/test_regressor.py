@@ -14,7 +14,6 @@ from kggan.regressor import (
     extract_features,
     freeze,
     load_regressor,
-    predict_embedding,
     save_regressor,
     train_embedder,
 )
@@ -29,6 +28,12 @@ def make_samples(n_categories=3, per_category=20, image_size=12, seed=5):
             samples.append(s)
     embeddings = sem.build_embeddings(specs, dim=16)
     return specs, samples, embeddings
+
+
+def predict(model, images):
+    """No-grad predictions for an [n,3,S,S] batch."""
+    with ad.no_grad():
+        return model.forward(Tensor(np.asarray(images), _validate=False)).data
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +72,9 @@ class TestTrainEmbedder:
         untrained = RegressorModel(12, 16, np.random.default_rng(77))
 
         def mean_error(m):
-            errs = []
-            for s in samples:
-                pred = predict_embedding(m, s.image)
-                errs.append(np.sum((pred - embeddings[s.category_id].vector) ** 2))
-            return float(np.mean(errs))
+            preds = predict(m, np.stack([s.image for s in samples]))
+            targets = np.stack([embeddings[s.category_id].vector for s in samples])
+            return float(np.mean(np.sum((preds - targets) ** 2, axis=1)))
 
         assert mean_error(model) < 0.5 * mean_error(untrained)
 
@@ -161,19 +164,19 @@ class TestFreeze:
 class TestPredict:
     def test_deterministic(self, trained):
         model = trained[3]
-        image = trained[1][3].image
-        assert np.array_equal(predict_embedding(model, image), predict_embedding(model, image))
+        images = trained[1][3].image[None]
+        assert np.array_equal(predict(model, images), predict(model, images))
 
     def test_output_in_open_unit_interval(self, trained, rng):
         model = trained[3]
         for _ in range(5):
-            image = rng.uniform(-1, 1, size=(3, 12, 12))
-            pred = predict_embedding(model, image)
+            image = rng.uniform(-1, 1, size=(1, 3, 12, 12))
+            pred = predict(model, image)
             assert np.all(pred > 0.0) and np.all(pred < 1.0)
 
     def test_shape_mismatch_rejected(self, trained):
         with pytest.raises(DimensionError):
-            predict_embedding(trained[3], np.zeros((3, 8, 8)))
+            predict(trained[3], np.zeros((1, 3, 8, 8)))
 
     def test_nearest_embedding_classification_beats_chance(self, trained):
         specs, _, embeddings, model = trained
@@ -183,7 +186,7 @@ class TestPredict:
         for spec in specs:
             for k in range(10):
                 img = sd.render_sample(spec, instance_seed=900_000 + k, image_size=12).image
-                pred = predict_embedding(model, img)
+                pred = predict(model, img[None])[0]
                 best = min(table, key=lambda c: np.sum((pred - table[c]) ** 2))
                 hits += best == spec.id
                 total += 1
@@ -194,6 +197,15 @@ class TestPredict:
         model = trained[3]
         feats = extract_features(model, np.stack([s.image for s in trained[1][:7]]))
         assert feats.shape == (7, 64)
+
+    def test_head_over_extracted_features_is_forward_bitwise(self, trained, rng):
+        model = trained[3]
+        images = np.concatenate(
+            [np.stack([s.image for s in trained[1][:20]]), rng.uniform(-1, 1, size=(9, 3, 12, 12))]
+        )
+        with ad.no_grad():
+            shared = model.head(Tensor(extract_features(model, images), _validate=False)).data
+        assert np.array_equal(shared, predict(model, images))
 
 
 class TestCheckpoint:

@@ -65,6 +65,52 @@ class TestRenderSample:
         assert np.max(np.abs(rendered - expected)) < 0.05
 
 
+def loop_mean_foreground_color(image):
+    """Per-image reference: mean over the selected foreground pixels."""
+    values01 = (image + 1.0) / 2.0
+    mask = values01.max(axis=0) > 0.3
+    if not mask.any():
+        mask = np.ones(image.shape[1:], dtype=bool)
+    return values01[:, mask].mean(axis=1)
+
+
+class TestMeanForegroundColorBatch:
+    """One batched pass against the per-image loop. The sums run in
+    another order, so values agree to rounding only: the 1e-12 bound is
+    far above 256 pixels times float64 eps (5.7e-14). The dominant
+    channel must agree exactly."""
+
+    TOL = 1e-12
+
+    def check(self, images):
+        batched = sd.mean_foreground_color(images)
+        loop = np.stack([loop_mean_foreground_color(img) for img in images])
+        assert batched.shape == (len(images), 3)
+        assert np.max(np.abs(batched - loop)) <= self.TOL
+        assert np.array_equal(np.argmax(batched, axis=1), np.argmax(loop, axis=1))
+        for img, want in zip(images, loop):
+            assert np.max(np.abs(sd.mean_foreground_color(img) - want)) <= self.TOL
+
+    def test_dataset_images(self, specs):
+        dataset = sd.build_dataset(specs, images_per_category=10, image_size=16, seed=42)
+        self.check(dataset.images)
+
+    def test_generated_draw(self, specs):
+        from kggan import gan
+
+        model = gan.GanModel(16, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(8))
+        cond = gan.one_hot_condition_source([s.id for s in specs])
+        for spec in specs[:3]:
+            self.check(gan.sample_images(model, spec.id, 256, cond, seed=105))
+
+    def test_all_background_image_counts_every_pixel(self, rng):
+        images = rng.uniform(-1, 1, size=(5, 3, 16, 16))
+        # no channel above the threshold anywhere
+        images[2] = np.array([-0.9, -0.8, -0.95])[:, None, None]
+        self.check(images)
+        assert np.allclose(sd.mean_foreground_color(images[2]), [0.05, 0.1, 0.025])
+
+
 class TestDescribeCategory:
     def test_single_description_contains_color_word(self, red_disk):
         texts = sd.describe_category(red_disk, 1)
