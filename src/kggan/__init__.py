@@ -13,7 +13,7 @@ from .errors import ConfigError, ContractError, DimensionError, NumericalAbort
 from .evaluation import FidReport, GaussianStats, frechet_distance
 from .gan import GanModel, MetricLog, TrainConfig
 from .regressor import RegressorModel
-from .semantics import OneHot, SemanticEmbedding
+from .semantics import SemanticEmbedding
 from .synthdata import CategorySpec, Dataset, Sample, SplitPlan
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "GaussianStats",
     "MetricLog",
     "NumericalAbort",
-    "OneHot",
     "RegressorModel",
     "Sample",
     "SemanticEmbedding",

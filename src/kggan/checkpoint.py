@@ -9,13 +9,18 @@ Layout:
 Version 2 replaced version 1's FNV-1a trailer with blake2b, which runs
 in C; version-1 files are rejected as unsupported.
 
+A checkpoint is written to a temporary file in the target's directory
+and renamed into place, so a reader never sees a partial file.
+
 Tensor order is fixed by each model's save routine; the loader validates
 shapes against a freshly built model of the same configuration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -59,9 +64,16 @@ def save_checkpoint(path, kind: int, tensors, condition_mode: str | None = None)
 
     payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in tensors)
     body = header + payload
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(_digest(body))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(_digest(body))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

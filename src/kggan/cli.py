@@ -193,14 +193,23 @@ def _condition_source(config: ExperimentConfig, condition_mode: str, embeddings)
 
 
 def run_cell(ws: Workspace, cell: str, resume: str | None = None):
-    """Train one ablation cell; returns (model, log, opt_g, opt_d)."""
+    """Train one ablation cell; returns (model, log, opt_g, opt_d).
+
+    Every cell trains through ``gan.train``. The full-data baseline is the
+    SN-GAN run: lambda_se = 0 and a split that sees every category and
+    leaves none unseen, so real batches draw from all of them.
+    """
     if cell not in CELLS:
         raise ConfigError(f"unknown cell {cell!r}; valid cells: {', '.join(CELLS)}")
     config = ws.config
     condition_mode, full_data, use_knowledge = CELL_RULES[cell]
     dataset = _load_dataset(ws)
     embeddings = semantics.load_embeddings(ws.embeddings_path)
-    split = _split(config)
+    if full_data:
+        all_ids = set(range(config.n_categories))
+        split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set(), seed=config.split_seed)
+    else:
+        split = _split(config)
     lambda_se = config.lambda_se if use_knowledge else 0.0
     tconfig = _train_config(config, lambda_se)
     model = _build_model(config, condition_mode, embeddings)
@@ -219,30 +228,18 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         embedder = regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
         regressor.freeze(embedder)
 
-    if full_data:
-        model, log = gan.train_sngan(
-            model,
-            dataset,
-            list(range(config.n_categories)),
-            tconfig,
-            cond=cond,
-            start_iteration=start_iteration,
-            opt_g=opt_g,
-            opt_d=opt_d,
-        )
-    else:
-        model, log = gan.train(
-            model,
-            dataset,
-            split,
-            embeddings,
-            embedder,
-            tconfig,
-            cond=cond,
-            start_iteration=start_iteration,
-            opt_g=opt_g,
-            opt_d=opt_d,
-        )
+    model, log = gan.train(
+        model,
+        dataset,
+        split,
+        embeddings,
+        embedder,
+        tconfig,
+        cond=cond,
+        start_iteration=start_iteration,
+        opt_g=opt_g,
+        opt_d=opt_d,
+    )
     return model, log, opt_g, opt_d
 
 
@@ -498,6 +495,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             rebase_seeds(config, args.seed)
         if args.out:
             config.out_dir = args.out

@@ -7,6 +7,7 @@ desk scale: 12 categories (9 seen / 3 unseen), 80 images each at 16x16,
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
@@ -50,26 +51,51 @@ class ExperimentConfig:
 # the five run seeds, in the order rebase_seeds offsets them
 SEED_FIELDS = ("data_seed", "split_seed", "embedder_seed", "gan_seed", "eval_seed")
 
+# smallest valid value of every integer field; n_gen needs two draws for
+# a covariance, and embedder_plateau = 0 turns early stopping off
+MIN_VALUES = {
+    "n_categories": 2,
+    "images_per_category": 1,
+    "image_size": 8,
+    "descriptions_per_category": 1,
+    "embed_dim": 1,
+    "embedder_steps": 1,
+    "embedder_batch": 1,
+    "embedder_plateau": 0,
+    "gan_iterations": 1,
+    "batch_size": 1,
+    "z_dim": 1,
+    "d_steps_per_g_step": 1,
+    "g_hidden": 1,
+    "d_hidden": 1,
+    "feat_dim": 1,
+    "n_gen": 2,
+    "grid_rows": 1,
+    **{name: 0 for name in SEED_FIELDS},
+}
+
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    if config.image_size < 8:
-        raise ConfigError(f"image_size must be >= 8, got {config.image_size}")
+    for name, minimum in MIN_VALUES.items():
+        value = getattr(config, name)
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     if not (1 <= config.n_unseen < config.n_categories):
         raise ConfigError(
             f"n_unseen must be in [1, {config.n_categories - 1}], got {config.n_unseen}"
         )
-    if config.gan_iterations < 1:
-        raise ConfigError("gan_iterations must be >= 1")
-    if config.lambda_se < 0:
-        raise ConfigError("lambda_se must be >= 0")
+    for name in ("gan_lr", "embedder_lr"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    for name in ("adam_beta1", "adam_beta2"):
+        value = getattr(config, name)
+        if not 0 <= value < 1:
+            raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+    if not (math.isfinite(config.lambda_se) and config.lambda_se >= 0):
+        raise ConfigError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
     if config.condition_mode not in ("semantic_embedding", "one_hot"):
         raise ConfigError(f"unknown condition_mode {config.condition_mode!r}")
-    for name in ("batch_size", "embedder_batch"):
-        if getattr(config, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(config, name)}")
-    for name in SEED_FIELDS:
-        if getattr(config, name) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
     return config
 
 

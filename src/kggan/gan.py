@@ -15,9 +15,8 @@ generator state:
     stream 0: real-batch sampling         stream 1: D-step fakes
     stream 2: G-step fakes                stream 3: unseen-condition fakes
 
-``train_sngan`` is the plain SN-GAN code path (no regressor, no unseen
-batches); ``train`` with lambda_se = 0 consumes streams 0-2 identically
-and produces a bit-identical metric log.
+The SN-GAN baseline is ``train`` with lambda_se = 0, every category seen
+and none unseen: no regressor, no unseen batches, streams 0-2 only.
 """
 
 from __future__ import annotations
@@ -276,62 +275,6 @@ def semantic_embedding_loss(fake_images: Tensor, v: Tensor, embedder: RegressorM
     return ad.scale(ad.tsum(ad.square(diff)), 1.0 / fake_images.data.shape[0])
 
 
-def combine_generator_loss(adversarial, se_seen, se_unseen, lambda_se):
-    """Total generator objective: adversarial + lambda * (seen + unseen)."""
-    return adversarial + lambda_se * (se_seen + se_unseen)
-
-
-@dataclass
-class GanBatch:
-    """One conditioning batch; ``images`` stays None for unseen categories."""
-
-    category_ids: np.ndarray
-    cond: np.ndarray          # [b, cond_dim]
-    noise: np.ndarray         # [b, z_dim]
-    se_targets: np.ndarray    # [b, embed_dim]
-    images: np.ndarray | None = None
-
-
-def total_losses(model, batch_seen: GanBatch, batch_unseen, embedder, config: TrainConfig):
-    """Diagnostic evaluation of the discriminator and generator objectives.
-
-    The discriminator loss is built only from the seen batch's real/fake
-    pair; the generator loss adds the weighted knowledge terms. Returns
-    (L_D, L_G) as floats.
-    """
-    if batch_seen.images is None:
-        raise ContractError("seen batch must carry real images")
-    if batch_unseen is not None and batch_unseen.images is not None:
-        raise ContractError("real images supplied for unseen categories")
-
-    cond_seen = Tensor(batch_seen.cond, _validate=False)
-    fakes = generator_forward(model, Tensor(batch_seen.noise, _validate=False), cond_seen)
-    d_real = discriminator_forward(model, Tensor(batch_seen.images, _validate=False), cond_seen)
-    d_fake = discriminator_forward(model, fakes, cond_seen)
-    l_d = hinge_d_loss(d_real, d_fake).item()
-    adv = hinge_g_loss(d_fake).item()
-
-    if config.lambda_se > 0.0:
-        se_seen = semantic_embedding_loss(
-            fakes, Tensor(batch_seen.se_targets, _validate=False), embedder
-        ).item()
-        if batch_unseen is None:
-            raise ContractError("lambda_se > 0 requires an unseen batch")
-        fakes_u = generator_forward(
-            model,
-            Tensor(batch_unseen.noise, _validate=False),
-            Tensor(batch_unseen.cond, _validate=False),
-        )
-        se_unseen = semantic_embedding_loss(
-            fakes_u, Tensor(batch_unseen.se_targets, _validate=False), embedder
-        ).item()
-        l_g = combine_generator_loss(adv, se_seen, se_unseen, config.lambda_se)
-    else:
-        l_g = adv
-    ad.get_tape().clear()
-    return l_d, l_g
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -457,7 +400,9 @@ def train(
 
     Real images are only ever drawn from seen categories. With
     lambda_se = 0 the unseen machinery is skipped entirely and the run is
-    an SN-GAN run. Returns (model, MetricLog).
+    an SN-GAN run; the split may then have no unseen categories, which is
+    how the full-data baseline trains on every category. Returns
+    (model, MetricLog).
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
         raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
@@ -467,8 +412,8 @@ def train(
     dataset_cats = set(int(c) for c in np.unique(dataset.category_ids))
     if split.seen_ids & split.unseen_ids:
         raise ContractError("split has overlapping seen and unseen ids")
-    if not split.unseen_ids:
-        raise ContractError("split has no unseen categories")
+    if config.lambda_se > 0.0 and not split.unseen_ids:
+        raise ContractError("lambda_se > 0 requires unseen categories")
     if not split.seen_ids <= dataset_cats:
         raise ContractError("split names categories absent from the dataset")
 
@@ -528,55 +473,6 @@ def train(
 
         _finite_or_abort((l_d, l_g, se_seen, se_unseen), snapshot, iteration)
         log.rows.append((iteration, l_d, l_g, se_seen, se_unseen))
-    return model, log
-
-
-def train_sngan(
-    model: GanModel,
-    dataset,
-    category_ids,
-    config: TrainConfig,
-    cond: ConditionSource | None = None,
-    start_iteration: int = 0,
-    opt_g: AdamState | None = None,
-    opt_d: AdamState | None = None,
-    log: MetricLog | None = None,
-    audit=None,
-):
-    """Plain SN-GAN training over the given categories; no knowledge loss.
-
-    Consumes random streams 0-2 exactly as ``train`` does, so the metric
-    log matches a lambda_se = 0 ``train`` run bit for bit.
-    """
-    if cond is None:
-        cond = one_hot_condition_source(sorted(set(int(c) for c in category_ids)))
-    pool, cats = _pool_and_cats(dataset, category_ids)
-    opt_g, opt_d = _make_optimizers(model, config, opt_g, opt_d)
-    if log is None:
-        log = MetricLog()
-
-    for iteration in range(start_iteration, config.iterations):
-        snapshot = _snapshot(model)
-        model.refresh_spectral()
-        rng_real = _stream(config.seed, iteration, 0)
-        rng_zd = _stream(config.seed, iteration, 1)
-        try:
-            l_d = 0.0
-            for _ in range(config.d_steps_per_g_step):
-                l_d = _d_step(
-                    model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_zd, audit
-                )
-            rng_zg = _stream(config.seed, iteration, 2)
-            _, _, loss_g = _g_adv(model, cats, cond, config, rng_zg)
-            l_g = loss_g.item()
-            ad.backward(loss_g, model.generator_params())
-            adam_step(model.generator_params(), opt_g)
-        except NumericalAbort as abort:
-            ad.get_tape().clear()
-            raise NumericalAbort(str(abort), last_good=snapshot, iteration=iteration) from None
-
-        _finite_or_abort((l_d, l_g), snapshot, iteration)
-        log.rows.append((iteration, l_d, l_g, 0.0, 0.0))
     return model, log
 
 

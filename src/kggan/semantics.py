@@ -25,12 +25,6 @@ class SemanticEmbedding:
     category_id: int
 
 
-@dataclass
-class OneHot:
-    vector: np.ndarray
-    index: int
-
-
 def embed_text(description: str, dim: int = 64) -> np.ndarray:
     """Hashed bag-of-words feature vector in [0, 1]."""
     tokens = _TOKEN_RE.findall(description.lower())
@@ -62,14 +56,6 @@ def build_embeddings(specs, dim: int = 64) -> dict:
     }
 
 
-def one_hot(index: int, n: int) -> OneHot:
-    if not (0 <= index < n):
-        raise ContractError(f"one-hot index {index} out of range [0, {n})")
-    vec = np.zeros(n)
-    vec[index] = 1.0
-    return OneHot(vector=vec, index=index)
-
-
 def save_embeddings(path, embeddings: dict, header_lines=()) -> None:
     """Plain-text rows: category_id followed by d decimal floats."""
     lines = [f"# {line}" for line in header_lines]
@@ -81,15 +67,32 @@ def save_embeddings(path, embeddings: dict, header_lines=()) -> None:
 
 
 def load_embeddings(path) -> dict:
+    """Read ``save_embeddings`` rows back.
+
+    Every row must parse and hold as many finite values as the first;
+    otherwise a ContractError names the file and the category.
+    """
     out = {}
+    dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            cid = int(parts[0])
-            out[cid] = SemanticEmbedding(
-                vector=np.asarray([float(x) for x in parts[1:]]), category_id=cid
-            )
+            try:
+                cid = int(parts[0])
+                vector = np.asarray([float(x) for x in parts[1:]])
+            except ValueError:
+                raise ContractError(f"{path}: unparsable embedding row {line!r}") from None
+            if dim is None:
+                dim = vector.size
+            if vector.size != dim or dim == 0:
+                raise ContractError(
+                    f"{path}: category {cid} has {vector.size} embedding values, "
+                    f"expected {dim or 'at least 1'}"
+                )
+            if not np.all(np.isfinite(vector)):
+                raise ContractError(f"{path}: category {cid} has a non-finite embedding value")
+            out[cid] = SemanticEmbedding(vector=vector, category_id=cid)
     return out

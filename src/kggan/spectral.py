@@ -73,7 +73,7 @@ def power_iteration_step(weight, state: SpectralState) -> SpectralState:
         return state
 
     state.u = u_new / u_norm
-    state.sigma_estimate = float(state.u @ (w @ v))
+    state.sigma_estimate = float(state.u @ u_new)
     state.degenerate = False
     state.steps += 1
     return state

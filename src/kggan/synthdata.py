@@ -258,30 +258,6 @@ def mean_foreground_color(image: np.ndarray) -> np.ndarray:
     return (sums / weights.sum(axis=(-2, -1))[..., None] + 1.0) / 2.0
 
 
-def augment_flip_crop(image: np.ndarray, seed: int, crop_fraction: float, flip=None) -> np.ndarray:
-    """Seeded random crop (resized back, nearest neighbor) plus horizontal flip.
-
-    Draw order from default_rng(seed): crop x0, crop y0, flip coin. The
-    ``flip`` argument overrides the coin when not None.
-    """
-    if not (0.5 <= crop_fraction <= 1.0):
-        raise ConfigError(f"crop_fraction must be in [0.5, 1], got {crop_fraction}")
-    s = image.shape[-1]
-    rng = np.random.default_rng(seed)
-    crop = max(1, int(round(crop_fraction * s)))
-    x0 = int(rng.integers(0, s - crop + 1))
-    y0 = int(rng.integers(0, s - crop + 1))
-    coin = bool(rng.random() < 0.5)
-    do_flip = coin if flip is None else bool(flip)
-
-    window = image[:, y0 : y0 + crop, x0 : x0 + crop]
-    idx = (np.arange(s) * crop) // s
-    out = window[:, idx[:, None], idx[None, :]]
-    if do_flip:
-        out = out[:, :, ::-1]
-    return np.ascontiguousarray(out)
-
-
 def make_split(category_ids, n_unseen: int, seed: int) -> SplitPlan:
     """Deterministic seen/unseen split: shuffle by seed, last n_unseen unseen."""
     ids = list(category_ids)

@@ -106,10 +106,14 @@ class TestConfig:
     @pytest.mark.parametrize(
         "line",
         [f"{seed} = -1" for seed in ("data_seed", "split_seed", "embedder_seed", "gan_seed", "eval_seed")]
-        + ["batch_size = 0", "embedder_batch = 0", "batch_size = -4"],
+        + ["batch_size = 0", "embedder_batch = 0", "batch_size = -4"]
+        + ["gan_lr = 0", "embedder_lr = -1e-3", "embedder_lr = inf", "adam_beta1 = -0.1",
+           "adam_beta2 = 1.0", "adam_beta2 = nan", "lambda_se = nan", "n_gen = 1",
+           "z_dim = 0", "d_hidden = 0", "feat_dim = 0", "grid_rows = 0", "n_categories = 1",
+           "d_steps_per_g_step = 0", "embedder_steps = 0", "embedder_plateau = -1"],
     )
     def test_negative_seed_and_empty_batch_rejected(self, line):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(line + "\n")
 
     @pytest.mark.parametrize(
@@ -119,6 +123,13 @@ class TestConfig:
             ("", ["--seed", "-3", "--out", "o", "generate-data"]),
             ("batch_size = 0\n", ["train", "--cell", "kggan_full"]),
             ("embedder_batch = 0\n", ["train-embedder"]),
+            ("embed_dim = 0\n", ["generate-data"]),
+            ("images_per_category = 0\n", ["generate-data"]),
+            ("g_hidden = 0\n", ["train", "--cell", "kggan_full"]),
+            ("g_hidden = 0\n", ["evaluate", "--cell", "kggan_full"]),
+            ("gan_lr = nan\n", ["train", "--cell", "kggan_full"]),
+            ("n_gen = 1\n", ["evaluate", "--cell", "kggan_full"]),
+            ("descriptions_per_category = 0\n", ["generate-data"]),
         ],
     )
     def test_out_of_range_seed_or_batch_exits_2_without_traceback(self, tmp_path, settings, args):
@@ -127,7 +138,18 @@ class TestConfig:
         proc = run_cli(["--config", str(cfg), *args], cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "config error" in proc.stderr
+        # the message names what the user set, the flag or the config key,
+        # and the run stops before it writes anything
+        if "--seed" in args:
+            seed = args[args.index("--seed") + 1]
+            assert f"config error: --seed must be >= 0, got {seed}" in proc.stderr
+        else:
+            assert f"config error: {settings.split()[0]} must be" in proc.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_zero_plateau_and_zero_betas_accepted(self):
+        config = parse_config("embedder_plateau = 0\nadam_beta1 = 0.0\nadam_beta2 = 0.0\n")
+        assert config.embedder_plateau == 0 and config.adam_beta2 == 0.0
 
 
 class TestGenerateData:
@@ -259,6 +281,24 @@ class TestTrainAndEvaluate:
         unseen = [v for v, part in per.values() if part == "unseen"]
         assert abs(avgs["seen_avg"] - np.mean(seen)) < 1e-12
         assert abs(avgs["unseen_avg"] - np.mean(unseen)) < 1e-12
+
+
+class TestEmbeddingsFile:
+    @pytest.mark.parametrize("damage", ["short_row", "nan"])
+    def test_damaged_embeddings_exit_3_naming_file_and_category(self, tmp_path, damage):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        assert run_cli(["--config", str(cfg), "generate-data"], cwd=tmp_path).returncode == 0
+        path = tmp_path / "out" / "dataset" / "embeddings.txt"
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
+        parts = lines[row].split()
+        lines[row] = " ".join(parts[:-1] if damage == "short_row" else parts[:-1] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"contract violation: {path}: category 4 has" in proc.stderr
 
 
 class TestResume:

@@ -1,4 +1,6 @@
-"""GAN forwards, the three loss families, and the training loops."""
+"""GAN forwards, the three loss families, and the training loop."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,10 @@ from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.autodiff import Tensor
 from kggan.errors import ContractError, DimensionError, NumericalAbort
+from kggan.checkpoint import params_hash
 from kggan.gan import (
-    GanBatch,
     GanModel,
     TrainConfig,
-    combine_generator_loss,
     discriminator_forward,
     generator_forward,
     hinge_d_loss,
@@ -24,9 +25,7 @@ from kggan.gan import (
     save_gan,
     semantic_condition_source,
     semantic_embedding_loss,
-    total_losses,
     train,
-    train_sngan,
 )
 from kggan.regressor import RegressorModel, freeze
 
@@ -304,79 +303,84 @@ class TestRestrictedBackward:
 
 
 class TestTotalLosses:
-    def _batches(self, mini_data, rng, lambda_se):
-        _, dataset, split, embeddings, embedder = mini_data
-        seen = sorted(split.seen_ids)
-        unseen = sorted(split.unseen_ids)
-        rows = dataset.indices_of(seen[0])[:4]
+    """The objectives ``train`` builds: L_D = hinge_d_loss(real, fake) and
+    L_G = hinge_g_loss(fake) + lambda * (L_se(seen) + L_se(unseen))."""
+
+    def _batches(self, mini_data, rng):
+        _, dataset, split, embeddings, _ = mini_data
+        seen = sorted(split.seen_ids)[0]
+        unseen = sorted(split.unseen_ids)[0]
         cond = semantic_condition_source(embeddings)
-        batch_seen = GanBatch(
-            category_ids=np.asarray([seen[0]] * 4),
-            cond=cond.batch([seen[0]] * 4),
+        seen_batch = dict(
+            cond=cond.batch([seen] * 4),
             noise=rng.standard_normal((4, Z)),
-            se_targets=np.stack([embeddings[seen[0]].vector] * 4),
-            images=dataset.images[rows],
+            targets=np.stack([embeddings[seen].vector] * 4),
+            images=dataset.images[dataset.indices_of(seen)[:4]],
         )
-        batch_unseen = GanBatch(
-            category_ids=np.asarray([unseen[0]] * 4),
-            cond=cond.batch([unseen[0]] * 4),
+        unseen_batch = dict(
+            cond=cond.batch([unseen] * 4),
             noise=rng.standard_normal((4, Z)),
-            se_targets=np.stack([embeddings[unseen[0]].vector] * 4),
+            targets=np.stack([embeddings[unseen].vector] * 4),
         )
-        return batch_seen, batch_unseen
+        return seen_batch, unseen_batch
+
+    def _losses(self, model, seen, unseen, embedder, lambda_se):
+        cond = Tensor(seen["cond"])
+        fakes = generator_forward(model, Tensor(seen["noise"]), cond)
+        d_fake = discriminator_forward(model, fakes, cond)
+        l_d = hinge_d_loss(discriminator_forward(model, Tensor(seen["images"]), cond), d_fake)
+        adv = hinge_g_loss(d_fake)
+        fakes_u = generator_forward(model, Tensor(unseen["noise"]), Tensor(unseen["cond"]))
+        se = ad.add(
+            semantic_embedding_loss(fakes, Tensor(seen["targets"]), embedder),
+            semantic_embedding_loss(fakes_u, Tensor(unseen["targets"]), embedder),
+        )
+        return l_d, adv, ad.add(adv, ad.scale(se, lambda_se))
 
     def test_lambda_zero_reduces_to_adversarial(self, mini_data, rng):
+        # train skips the knowledge terms at lambda = 0; that changes neither
+        # the generator objective nor its gradient
         model = mini_model()
         model.refresh_spectral()
-        batch_seen, batch_unseen = self._batches(mini_data, rng, 0.0)
-        config = mini_config(lambda_se=0.0)
-        l_d, l_g = total_losses(model, batch_seen, batch_unseen, None, config)
-        # recompute the pure SN-GAN pieces
-        cond = Tensor(batch_seen.cond)
-        with ad.no_grad():
-            fakes = generator_forward(model, Tensor(batch_seen.noise), cond)
-            d_fake = discriminator_forward(model, fakes, cond)
-        assert abs(l_g - (-float(np.mean(d_fake.data)))) < 1e-12
+        seen, unseen = self._batches(mini_data, rng)
+        _, _, l_g = self._losses(model, seen, unseen, mini_data[4], 0.0)
+        ad.backward(l_g, model.generator_params())
+        composed = [p.grad.copy() for p in model.generator_params()]
+        _, adv, _ = self._losses(model, seen, unseen, mini_data[4], 0.0)
+        ad.backward(adv, model.generator_params())
 
-    def test_hand_set_arithmetic(self):
-        got = combine_generator_loss(-2.0, 0.5, 0.3, 0.1)
-        assert got == -2.0 + 0.1 * (0.5 + 0.3)
-        assert abs(got - (-1.92)) < 1e-15
+        cond = Tensor(seen["cond"])
+        with ad.no_grad():
+            fakes = generator_forward(model, Tensor(seen["noise"]), cond)
+            d_fake = discriminator_forward(model, fakes, cond)
+        assert abs(l_g.item() - (-float(np.mean(d_fake.data)))) < 1e-12
+        assert abs(l_g.item() - adv.item()) < 1e-12
+        for p, g in zip(model.generator_params(), composed):
+            assert np.max(np.abs(p.grad - g)) < 1e-12
 
     def test_matches_componentwise_oracle(self, mini_data, rng):
-        _, dataset, split, embeddings, embedder = mini_data
+        embedder = mini_data[4]
         model = mini_model()
         model.refresh_spectral()
-        batch_seen, batch_unseen = self._batches(mini_data, rng, 0.1)
-        config = mini_config(lambda_se=0.1)
-        l_d, l_g = total_losses(model, batch_seen, batch_unseen, embedder, config)
+        seen, unseen = self._batches(mini_data, rng)
+        l_d, _, l_g = self._losses(model, seen, unseen, embedder, 0.1)
 
-        cond = Tensor(batch_seen.cond)
+        cond = Tensor(seen["cond"])
         with ad.no_grad():
-            fakes = generator_forward(model, Tensor(batch_seen.noise), cond)
-            d_real = discriminator_forward(model, Tensor(batch_seen.images), cond)
+            fakes = generator_forward(model, Tensor(seen["noise"]), cond)
+            d_real = discriminator_forward(model, Tensor(seen["images"]), cond)
             d_fake = discriminator_forward(model, fakes, cond)
             pred_seen = embedder.forward(fakes).data
-            fakes_u = generator_forward(
-                model, Tensor(batch_unseen.noise), Tensor(batch_unseen.cond)
-            )
+            fakes_u = generator_forward(model, Tensor(unseen["noise"]), Tensor(unseen["cond"]))
             pred_unseen = embedder.forward(fakes_u).data
         exp_d = np.mean(np.maximum(0.0, 1.0 - d_real.data)) + np.mean(
             np.maximum(0.0, 1.0 + d_fake.data)
         )
-        se_seen = np.mean(np.sum((pred_seen - batch_seen.se_targets) ** 2, axis=1))
-        se_unseen = np.mean(np.sum((pred_unseen - batch_unseen.se_targets) ** 2, axis=1))
+        se_seen = np.mean(np.sum((pred_seen - seen["targets"]) ** 2, axis=1))
+        se_unseen = np.mean(np.sum((pred_unseen - unseen["targets"]) ** 2, axis=1))
         exp_g = -np.mean(d_fake.data) + 0.1 * (se_seen + se_unseen)
-        assert abs(l_d - exp_d) < 1e-12
-        assert abs(l_g - exp_g) < 1e-12
-
-    def test_real_images_for_unseen_rejected(self, mini_data, rng):
-        model = mini_model()
-        model.refresh_spectral()
-        batch_seen, batch_unseen = self._batches(mini_data, rng, 0.1)
-        batch_unseen.images = batch_seen.images
-        with pytest.raises(ContractError):
-            total_losses(model, batch_seen, batch_unseen, mini_data[4], mini_config())
+        assert abs(l_d.item() - exp_d) < 1e-12
+        assert abs(l_g.item() - exp_g) < 1e-12
 
 
 class TestTrainLoop:
@@ -446,6 +450,12 @@ class TestTrainLoop:
         for row in log.rows:
             assert row[3] == 0.0 and row[4] == 0.0
 
+    def test_knowledge_loss_needs_unseen_categories(self, mini_data):
+        specs, dataset, _, embeddings, embedder = mini_data
+        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set(), seed=0)
+        with pytest.raises(ContractError, match="unseen"):
+            train(mini_model(), dataset, split, embeddings, embedder, mini_config(iterations=1))
+
     def test_unfrozen_embedder_rejected(self, mini_data):
         _, dataset, split, embeddings, _ = mini_data
         model = mini_model()
@@ -513,24 +523,23 @@ class TestTrainLoop:
                 assert abs(aflat[i] - fd) / max(abs(fd), 1e-6) < 1e-3
 
 
+GOLDEN_SNGAN_LOG = Path(__file__).parent / "golden" / "sngan_mini_metrics.csv"
+
+
 class TestBaselineReduction:
     def test_lambda_zero_matches_sngan_code_path_bitwise(self, mini_data):
-        _, dataset, split, embeddings, _ = mini_data
+        """The full-data baseline through ``train`` (lambda_se = 0, every
+        category seen, none unseen, one-hot conditions) writes the metric
+        log, and reaches the parameters, that the former separate SN-GAN
+        loop recorded in the golden file for the same run."""
+        specs, dataset, _, embeddings, _ = mini_data
+        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set(), seed=0)
+        model = mini_model(condition_mode="one_hot", cond_dim=len(specs))
         config = mini_config(iterations=200, lambda_se=0.0)
-        cond = semantic_condition_source(embeddings)
-
-        model_a = mini_model()
-        _, log_a = train(model_a, dataset, split, embeddings, None, config, cond=cond)
-        model_b = mini_model()
-        _, log_b = train_sngan(
-            model_b, dataset, sorted(split.seen_ids), config, cond=cond
-        )
-        assert log_a.to_csv_text() == log_b.to_csv_text()
-        for p, q in zip(
-            model_a.generator_params() + model_a.discriminator_params(),
-            model_b.generator_params() + model_b.discriminator_params(),
-        ):
-            assert np.array_equal(p.data, q.data)
+        _, log = train(model, dataset, split, embeddings, None, config)
+        digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
+        text = log.to_csv_text([f"params {digest:016x}"])
+        assert text == GOLDEN_SNGAN_LOG.read_text(encoding="utf-8")
 
 
 class TestCheckpointResume:

@@ -1,9 +1,7 @@
-"""Hashed bag-of-words embeddings and one-hot conditions."""
+"""Hashed bag-of-words embeddings and their text persistence."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kggan.errors import ContractError
 from kggan.hashing import fnv1a_64
@@ -80,28 +78,6 @@ class TestCategoryEmbedding:
             sem.category_embedding([], dim=64)
 
 
-class TestOneHot:
-    def test_first_basis_vector(self):
-        assert np.array_equal(sem.one_hot(0, 3).vector, [1.0, 0.0, 0.0])
-
-    def test_last_basis_vector(self):
-        assert np.array_equal(sem.one_hot(2, 3).vector, [0.0, 0.0, 1.0])
-
-    @given(n=st.integers(min_value=1, max_value=64), data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_sum_is_one_property(self, n, data):
-        index = data.draw(st.integers(min_value=0, max_value=n - 1))
-        oh = sem.one_hot(index, n)
-        assert oh.vector.sum() == 1.0
-        assert np.count_nonzero(oh.vector) == 1
-        assert oh.vector[index] == 1.0
-
-    @pytest.mark.parametrize("index,n", [(-1, 3), (3, 3)])
-    def test_out_of_range_rejected(self, index, n):
-        with pytest.raises(ContractError):
-            sem.one_hot(index, n)
-
-
 class TestTemplateStructure:
     def test_color_change_hits_only_color_buckets(self):
         specs = sd.make_category_specs(12)
@@ -153,3 +129,26 @@ class TestPersistence:
         assert set(loaded) == set(embeddings)
         for cid in embeddings:
             assert np.array_equal(loaded[cid].vector, embeddings[cid].vector)
+
+    @pytest.mark.parametrize(
+        "cid, values, message",
+        [
+            (1, "0.5 " * 7, "category 1 has 7 embedding values, expected 8"),
+            (0, "", "category 0 has 0 embedding values, expected at least 1"),
+            (2, "0.5 " * 7 + "nan", "category 2 has a non-finite embedding value"),
+            (2, "inf " + "0.5 " * 7, "category 2 has a non-finite embedding value"),
+            (2, "-inf " * 8, "category 2 has a non-finite embedding value"),
+            (1, "0.5 " * 7 + "0.5x", "unparsable embedding row '1 0.5"),
+        ],
+    )
+    def test_damaged_row_rejected_naming_file_and_category(self, tmp_path, cid, values, message):
+        embeddings = sem.build_embeddings(sd.make_category_specs(3), dim=8)
+        path = tmp_path / "embeddings.txt"
+        sem.save_embeddings(path, embeddings, header_lines=["config cafe"])
+        lines = path.read_text().splitlines()
+        lines[1 + cid] = f"{cid} {values}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError) as excinfo:
+            sem.load_embeddings(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)

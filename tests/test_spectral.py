@@ -77,6 +77,23 @@ class TestPowerIteration:
         power_iteration_step(w, state)
         assert state.steps == 2
 
+    @pytest.mark.parametrize("shape", [(3, 5), (16, 1), (64, 128), (768, 128)])
+    def test_matches_two_product_formula_bitwise(self, rng, shape):
+        # reference: the step with w @ v formed a second time for sigma
+        w = rng.standard_normal(shape)
+        u = init_spectral_state(shape[0], rng).u
+        state = init_spectral_state(shape[0], rng)
+        state.u = u.copy()
+        for _ in range(3):
+            v = w.T @ u
+            v = v / np.linalg.norm(v)
+            u_new = w @ v
+            u = u_new / np.linalg.norm(u_new)
+            sigma = float(u @ (w @ v))
+            power_iteration_step(w, state)
+            assert state.u.tobytes() == u.tobytes()
+            assert state.sigma_estimate == sigma
+
 
 class TestSpectralNormalize:
     def test_diagonal_scaling(self):

@@ -144,48 +144,6 @@ class TestDescribeCategory:
             sd.describe_category(red_disk, 0)
 
 
-class TestAugmentFlipCrop:
-    def test_full_crop_no_flip_is_identity(self, rng):
-        img = rng.uniform(-1, 1, size=(3, 16, 16))
-        out = sd.augment_flip_crop(img, seed=4, crop_fraction=1.0, flip=False)
-        assert np.array_equal(out, img)
-
-    def test_flip_is_involution(self, rng):
-        img = rng.uniform(-1, 1, size=(3, 16, 16))
-        once = sd.augment_flip_crop(img, seed=4, crop_fraction=1.0, flip=True)
-        twice = sd.augment_flip_crop(once, seed=4, crop_fraction=1.0, flip=True)
-        assert np.array_equal(twice, img)
-
-    def test_crop_window_matches_reimplemented_formula(self, rng):
-        img = rng.uniform(-1, 1, size=(3, 16, 16))
-        for seed in range(20):
-            out = sd.augment_flip_crop(img, seed=seed, crop_fraction=0.75)
-            # independent recomputation of the seeded coordinate formula
-            r = np.random.default_rng(seed)
-            crop = max(1, int(round(0.75 * 16)))
-            x0 = int(r.integers(0, 16 - crop + 1))
-            y0 = int(r.integers(0, 16 - crop + 1))
-            coin = bool(r.random() < 0.5)
-            window = img[:, y0 : y0 + crop, x0 : x0 + crop]
-            idx = (np.arange(16) * crop) // 16
-            expected = window[:, idx[:, None], idx[None, :]]
-            if coin:
-                expected = expected[:, :, ::-1]
-            assert np.array_equal(out, expected)
-
-    def test_preserves_shape_and_range(self, rng):
-        img = rng.uniform(-1, 1, size=(3, 16, 16))
-        out = sd.augment_flip_crop(img, seed=8, crop_fraction=0.5)
-        assert out.shape == (3, 16, 16)
-        assert out.min() >= -1.0 and out.max() <= 1.0
-
-    @pytest.mark.parametrize("fraction", [0.49, 1.01])
-    def test_fraction_out_of_range(self, rng, fraction):
-        img = rng.uniform(-1, 1, size=(3, 16, 16))
-        with pytest.raises(ConfigError):
-            sd.augment_flip_crop(img, seed=0, crop_fraction=fraction)
-
-
 class TestMakeSplit:
     def test_boundary_single_seen(self):
         plan = sd.make_split(list(range(5)), n_unseen=4, seed=0)
