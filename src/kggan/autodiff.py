@@ -58,10 +58,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A view of the same values outside the gradient graph."""
-        return Tensor(self.data, requires_grad=False, _validate=False)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"

@@ -6,6 +6,14 @@ ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
 4 numerical abort, 5 I/O error.
 
+Every checkpoint ``train`` writes records its run: the cell, the cell's
+lambda_se, the condition mode and every config field. ``train --resume``
+continues only a checkpoint of the same run: on the first of those that
+differs it exits 3 naming it, before it trains or writes anything. Only
+gan_iterations (a resume may train further) and out_dir may differ. A
+numerical abort (exit 4) leaves checkpoint.aborted.ckpt in the cell's
+directory: the named state at the start of the failing iteration.
+
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
     one_hot_kggan       one-hot     seen only        on
@@ -18,10 +26,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import evaluation, gan, regressor, semantics, synthdata
+from .checkpoint import write_atomic
 from .config import (
     ExperimentConfig,
     config_hash,
@@ -48,6 +58,9 @@ CELL_RULES = {
     "kggan_no_se": (CONDITION_SEMANTIC, False, False),
     "kggan_full": (CONDITION_SEMANTIC, False, True),
 }
+
+# config fields a resume may change: it may train further, or write elsewhere
+RESUME_FREE = ("config.gan_iterations", "config.out_dir")
 
 # Reference ordering from the original full-scale Oxford-flowers study
 # (seen FID / unseen FID); absolute values are not comparable to this
@@ -101,8 +114,12 @@ def _load_dataset(ws: Workspace):
         raise OSError(f"dataset blob missing: {ws.blob_path} (run generate-data first)")
     images, side = synthdata.load_blob(ws.blob_path)
     ids = synthdata.load_manifest(ws.manifest_path)
-    if side != ws.config.image_size or len(ids) != images.shape[0]:
+    if side != ws.config.image_size:
         raise ContractError("dataset on disk does not match the configuration")
+    if len(ids) != images.shape[0]:
+        raise ContractError(
+            f"{ws.manifest_path} lists {len(ids)} samples, {ws.blob_path} holds {images.shape[0]}"
+        )
     return synthdata.Dataset(
         image_size=side, images=images, category_ids=ids, specs=_specs(ws.config)
     )
@@ -192,17 +209,28 @@ def _condition_source(config: ExperimentConfig, condition_mode: str, embeddings)
     return gan.one_hot_condition_source(range(config.n_categories))
 
 
+def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
+    """What a cell's checkpoint records about its run, in resume-check order."""
+    _, _, use_knowledge = CELL_RULES[cell]
+    run = {"cell": cell, "lambda_se": config.lambda_se if use_knowledge else 0.0}
+    run.update((f"config.{name}", value) for name, value in asdict(config).items())
+    return run
+
+
 def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     """Train one ablation cell; returns (model, log, opt_g, opt_d).
 
     Every cell trains through ``gan.train``. The full-data baseline is the
     SN-GAN run: lambda_se = 0 and a split that sees every category and
-    leaves none unseen, so real batches draw from all of them.
+    leaves none unseen, so real batches draw from all of them. A
+    ``resume`` checkpoint must have been written by the same run (see the
+    module docstring).
     """
     if cell not in CELLS:
         raise ConfigError(f"unknown cell {cell!r}; valid cells: {', '.join(CELLS)}")
     config = ws.config
     condition_mode, full_data, use_knowledge = CELL_RULES[cell]
+    run = _run_metadata(config, cell)
     dataset = _load_dataset(ws)
     embeddings = semantics.load_embeddings(ws.embeddings_path)
     if full_data:
@@ -210,14 +238,14 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set(), seed=config.split_seed)
     else:
         split = _split(config)
-    lambda_se = config.lambda_se if use_knowledge else 0.0
-    tconfig = _train_config(config, lambda_se)
+    tconfig = _train_config(config, run["lambda_se"])
     model = _build_model(config, condition_mode, embeddings)
     cond = _condition_source(config, condition_mode, embeddings)
 
     start_iteration = 0
     if resume:
-        model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig)
+        expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
+        model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig, run=expect)
     else:
         opt_g, opt_d = gan._make_optimizers(model, tconfig, None, None)
 
@@ -247,31 +275,20 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     config = ws.config
     cell_dir = ws.cell_dir(cell)
     os.makedirs(cell_dir, exist_ok=True)
+    run = _run_metadata(config, cell)
     try:
         model, log, opt_g, opt_d = run_cell(ws, cell, resume=resume)
     except NumericalAbort as abort:
-        # retain the last finite parameters for post-mortem work
+        # the state at the start of the failing iteration, for post-mortem work
         if abort.last_good is not None:
-            condition_mode = CELL_RULES[cell][0]
-            embeddings = semantics.load_embeddings(ws.embeddings_path)
-            model = _build_model(config, condition_mode, embeddings)
-            for p, arr in zip(
-                model.generator_params() + model.discriminator_params(), abort.last_good
-            ):
-                p.data = arr.copy()
-            tconfig = _train_config(config, 0.0)
-            opt_g, opt_d = gan._make_optimizers(model, tconfig, None, None)
-            gan.save_gan(
-                os.path.join(cell_dir, "checkpoint.aborted.ckpt"),
-                model,
-                opt_g,
-                opt_d,
-                abort.iteration or 0,
-            )
+            path = os.path.join(cell_dir, "checkpoint.aborted.ckpt")
+            gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], run)
         raise
-    gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations)
-    with open(os.path.join(cell_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(log.to_csv_text(ws.header(config.gan_seed) + [f"cell {cell}"]))
+    gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations, run)
+    write_atomic(
+        os.path.join(cell_dir, "metrics.csv"),
+        log.to_csv_text(ws.header(config.gan_seed) + [f"cell {cell}"]),
+    )
     print(f"trained cell {cell}: {len(log.rows)} iterations logged")
     return 0
 
@@ -280,9 +297,8 @@ def _write_ppm(path, grid01: np.ndarray, comment: str) -> None:
     """grid01 is [3, H, W] in [0, 1]; written as binary P6."""
     h, w = grid01.shape[1], grid01.shape[2]
     pixels = np.clip(grid01 * 255.0 + 0.5, 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n# {comment}\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.transpose(1, 2, 0).tobytes())
+    header = f"P6\n# {comment}\n{w} {h}\n255\n".encode("ascii")
+    write_atomic(path, header + pixels.transpose(1, 2, 0).tobytes())
 
 
 def _sample_grid(images: np.ndarray, columns: int = 8) -> np.ndarray:
@@ -354,22 +370,19 @@ def _write_evaluation(ws: Workspace, cell: str, report, consistency, color, samp
         lines.append(f"{cid},{report.per_category[cid]!r},{part}")
     lines.append(f"seen_avg,{report.seen_avg!r},")
     lines.append(f"unseen_avg,{report.unseen_avg!r},")
-    with open(os.path.join(cell_dir, "fid_report.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(cell_dir, "fid_report.csv"), "\n".join(lines) + "\n")
 
     condition_mode, _, use_knowledge = CELL_RULES[cell]
     table = evaluation.format_fid_table(
         [(cell, condition_mode, use_knowledge, report.seen_avg, report.unseen_avg)], header
     )
-    with open(os.path.join(cell_dir, "fid_table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    write_atomic(os.path.join(cell_dir, "fid_table.txt"), table)
 
     for name, mapping in (("consistency.csv", consistency), ("color_fidelity.csv", color)):
         rows = [f"# {h}" for h in header]
         rows.append("category_id,value")
         rows.extend(f"{cid},{mapping[cid]!r}" for cid in sorted(mapping))
-        with open(os.path.join(cell_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_atomic(os.path.join(cell_dir, name), "\n".join(rows) + "\n")
 
     samples_dir = os.path.join(cell_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)
@@ -438,8 +451,7 @@ def cmd_ablate(ws: Workspace) -> int:
             table_rows.append((cell, condition_mode, use_knowledge, rep.seen_avg, rep.unseen_avg))
         else:
             csv_lines.append(f"{cell},{condition_mode},{flag},failed,failed")
-    with open(os.path.join(ws.ablation_dir, "combined.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
+    write_atomic(os.path.join(ws.ablation_dir, "combined.csv"), "\n".join(csv_lines) + "\n")
 
     text = evaluation.format_fid_table(table_rows, header)
     verdicts = _verdict_lines(results)
@@ -450,8 +462,7 @@ def cmd_ablate(ws: Workspace) -> int:
     report_lines.append("")
     report_lines.extend(REFERENCE_FOOTER)
     report_text = "\n".join(report_lines) + "\n"
-    with open(os.path.join(ws.ablation_dir, "combined.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report_text)
+    write_atomic(os.path.join(ws.ablation_dir, "combined.txt"), report_text)
     print(report_text, end="")
 
     if failures:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
+from .checkpoint import write_atomic
 from .errors import ConfigError
 from .hashing import fnv1a_64_hex
 
@@ -141,8 +142,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(config))
+    write_atomic(path, serialize_config(config))
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -20,9 +20,10 @@ class DimensionError(ContractError):
 class NumericalAbort(RuntimeError):
     """A non-finite value surfaced where finite math was required.
 
-    When raised from a training loop, ``last_good`` holds a snapshot of the
-    parameter arrays from the last fully finite iteration and ``iteration``
-    the step at which the run died.
+    When raised from a training loop, ``last_good`` holds the named state
+    (see ``checkpoint``) at the start of the failing iteration: parameters,
+    condition transform, spectral state, both optimizers and the
+    iteration, which ``iteration`` also gives.
     """
 
     def __init__(self, message, last_good=None, iteration=None):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import KIND_GAN, load_checkpoint, params_hash, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
 from .regressor import RegressorModel
@@ -197,9 +197,6 @@ class GanModel:
         for name, weight in self.spectral_weights():
             power_iteration_step(weight, self.spectral[name])
 
-    def generator_hash(self) -> int:
-        return params_hash([p.data for p in self.generator_params()])
-
 
 def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
     """tanh MLP over the concatenated [noise ; condition] input."""
@@ -305,10 +302,6 @@ def _pool_and_cats(dataset, category_ids):
     if pool.size == 0:
         raise ContractError("no training samples for the requested categories")
     return pool, cats
-
-
-def _snapshot(model: GanModel):
-    return [p.data.copy() for p in model.generator_params() + model.discriminator_params()]
 
 
 def _d_step(model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_z, audit):
@@ -430,7 +423,9 @@ def train(
         log = MetricLog()
 
     for iteration in range(start_iteration, config.iterations):
-        snapshot = _snapshot(model)
+        # held by reference: adam_step and power_iteration_step write new
+        # arrays, so this stays the state at the start of the iteration
+        snapshot = gan_state(model, opt_g, opt_d, iteration)
         model.refresh_spectral()
         rng_real = _stream(config.seed, iteration, 0)
         rng_zd = _stream(config.seed, iteration, 1)
@@ -490,87 +485,61 @@ def sample_images(model: GanModel, category_id: int, n: int, cond: ConditionSour
     return images.data
 
 
-def save_gan(path, model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int) -> None:
-    tensors = [p.data for p in model.generator_params() + model.discriminator_params()]
-    tensors.append(model.cond_transform.data)
-    tensors.append(model.cond_shift.data)
-    for name, _ in model.spectral_weights():
-        tensors.append(model.spectral[name].u)
-    tensors.append(np.asarray([model.spectral[name].sigma_estimate for name, _ in model.spectral_weights()]))
-    tensors.append(np.asarray([float(model.spectral[name].steps) for name, _ in model.spectral_weights()]))
-    tensors.append(np.asarray([1.0 if model.spectral[name].degenerate else 0.0 for name, _ in model.spectral_weights()]))
-    tensors.extend(opt_g.first_moment)
-    tensors.extend(opt_g.second_moment)
-    tensors.append(np.asarray([float(opt_g.step_count)]))
-    tensors.extend(opt_d.first_moment)
-    tensors.extend(opt_d.second_moment)
-    tensors.append(np.asarray([float(opt_d.step_count)]))
-    tensors.append(np.asarray([float(iteration)]))
-    save_checkpoint(path, KIND_GAN, tensors, condition_mode=model.condition_mode)
+def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int) -> dict:
+    """The named state a resume needs, holding the live arrays (no copies)."""
+    state = {p.name: p.data for p in model.generator_params() + model.discriminator_params()}
+    state["cond.transform"] = model.cond_transform.data
+    state["cond.shift"] = model.cond_shift.data
+    for key, weight in model.spectral_weights():
+        spec = model.spectral[key]
+        state[f"spectral.{weight.name}.u"] = spec.u
+        state[f"spectral.{weight.name}.sigma"] = np.asarray(spec.sigma_estimate, dtype=np.float64)
+        state[f"spectral.{weight.name}.steps"] = np.asarray(spec.steps, dtype=np.float64)
+        state[f"spectral.{weight.name}.degenerate"] = np.asarray(spec.degenerate, dtype=np.float64)
+    for tag, opt, params in (
+        ("adam_g", opt_g, model.generator_params()),
+        ("adam_d", opt_d, model.discriminator_params()),
+    ):
+        for p, m, v in zip(params, opt.first_moment, opt.second_moment):
+            state[f"{tag}.m.{p.name}"] = m
+            state[f"{tag}.v.{p.name}"] = v
+        state[f"{tag}.step"] = np.asarray(opt.step_count, dtype=np.float64)
+    state["iteration"] = np.asarray(iteration, dtype=np.float64)
+    return state
 
 
-def load_gan(path, model: GanModel, config: TrainConfig):
+def save_gan(
+    path, model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int, run=None
+) -> None:
+    """Write the named state; ``run`` adds metadata a resume compares."""
+    save_gan_state(path, gan_state(model, opt_g, opt_d, iteration), model.condition_mode, run)
+
+
+def save_gan_state(path, state: dict, condition_mode: str, run=None) -> None:
+    """Write a named state: a ``gan_state`` or an abort's ``last_good``."""
+    metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": int(state["iteration"])}
+    save_checkpoint(path, state, {**metadata, **(run or {})})
+
+
+def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     """Restore parameters, spectral state, and optimizers into ``model``.
 
     The model must be freshly built with the same architecture config.
-    Returns (model, opt_g, opt_d, iteration).
+    Every field of ``run`` must match the checkpoint's metadata, after
+    its kind and condition mode. Returns (model, opt_g, opt_d, iteration).
     """
-    kind, condition_mode, tensors = load_checkpoint(path)
-    if kind != KIND_GAN:
-        raise ContractError(f"{path} is not a GAN checkpoint")
-    if condition_mode != model.condition_mode:
-        raise ContractError(
-            f"checkpoint condition mode {condition_mode} mismatches model {model.condition_mode}"
-        )
-    params = model.generator_params() + model.discriminator_params()
-    n_g = len(model.generator_params())
-    n_d = len(model.discriminator_params())
-    spectral_names = [name for name, _ in model.spectral_weights()]
-    expected = len(params) + 2 + len(spectral_names) + 3 + 2 * (n_g + n_d) + 2 + 1
-    if len(tensors) != expected:
-        raise ContractError(f"checkpoint holds {len(tensors)} tensors, expected {expected}")
-
-    pos = 0
-    for p in params:
-        arr = tensors[pos]
-        pos += 1
-        if arr.shape != p.data.shape:
-            raise ContractError(f"checkpoint shape {arr.shape} mismatches model {p.data.shape}")
-        p.data = arr.copy()
-    model.cond_transform = Tensor(tensors[pos].copy(), _validate=False)
-    pos += 1
-    model.cond_shift = Tensor(tensors[pos].copy(), _validate=False)
-    pos += 1
-    for name in spectral_names:
-        model.spectral[name].u = tensors[pos].copy()
-        pos += 1
-    sigmas = tensors[pos]
-    pos += 1
-    steps = tensors[pos]
-    pos += 1
-    degenerate = tensors[pos]
-    pos += 1
-    for i, name in enumerate(spectral_names):
-        model.spectral[name].sigma_estimate = float(sigmas[i])
-        model.spectral[name].steps = int(steps[i])
-        model.spectral[name].degenerate = bool(degenerate[i])
-
     opt_g, opt_d = _make_optimizers(model, config, None, None)
-    for i in range(n_g):
-        opt_g.first_moment[i] = tensors[pos + i].copy()
-    pos += n_g
-    for i in range(n_g):
-        opt_g.second_moment[i] = tensors[pos + i].copy()
-    pos += n_g
-    opt_g.step_count = int(tensors[pos][0])
-    pos += 1
-    for i in range(n_d):
-        opt_d.first_moment[i] = tensors[pos + i].copy()
-    pos += n_d
-    for i in range(n_d):
-        opt_d.second_moment[i] = tensors[pos + i].copy()
-    pos += n_d
-    opt_d.step_count = int(tensors[pos][0])
-    pos += 1
-    iteration = int(tensors[pos][0])
-    return model, opt_g, opt_d, iteration
+    expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
+    live = gan_state(model, opt_g, opt_d, 0)
+    state, _ = load_checkpoint(path, template=live, expect=expect)
+    # the arrays are the fresh model's and optimizers' own; the scalars are copies
+    for name, arr in live.items():
+        arr[...] = state[name]
+    for key, weight in model.spectral_weights():
+        spec = model.spectral[key]
+        spec.sigma_estimate = float(state[f"spectral.{weight.name}.sigma"])
+        spec.steps = int(state[f"spectral.{weight.name}.steps"])
+        spec.degenerate = bool(state[f"spectral.{weight.name}.degenerate"])
+    opt_g.step_count = int(state["adam_g.step"])
+    opt_d.step_count = int(state["adam_d.step"])
+    return model, opt_g, opt_d, int(state["iteration"])

@@ -37,8 +37,10 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState, grads=None) -> None:
-    """Apply one in-place Adam update; increments ``step_count``.
+    """Apply one Adam update; increments ``step_count``.
 
+    Parameters and moments are replaced by new arrays, never written in
+    place, so a state that holds the old arrays keeps its values.
     ``grads`` defaults to each parameter's ``.grad``. A non-finite
     gradient aborts with a diagnostic naming the parameter.
     """
@@ -58,13 +60,13 @@ def adam_step(params, state: AdamState, grads=None) -> None:
             raise ContractError(f"gradient shape {g.shape} mismatches parameter {p.data.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericalAbort(f"non-finite gradient for parameter {p.name or i}")
-        m = state.first_moment[i]
-        v = state.second_moment[i]
-        m *= b1
+        m = state.first_moment[i] * b1
         m += (1.0 - b1) * g
-        v *= b2
+        v = state.second_moment[i] * b2
         v += (1.0 - b2) * (g * g)
+        state.first_moment[i] = m
+        state.second_moment[i] = v
         m_hat = m / correction1
         v_hat = v / correction2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     state.step_count = t

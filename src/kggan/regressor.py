@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import KIND_REGRESSOR, load_checkpoint, params_hash, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, DimensionError
 from .optim import AdamState, adam_step
 
@@ -84,9 +84,6 @@ class RegressorModel:
     def head(self, features: Tensor) -> Tensor:
         """The sigmoid output layer over penultimate features."""
         return ad.sigmoid(ad.affine(features, self.w3, self.b3))
-
-    def param_hash(self) -> int:
-        return params_hash([p.data for p in self.parameters()])
 
 
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
@@ -176,19 +173,13 @@ def train_embedder(
 
 
 def save_regressor(path, model: RegressorModel) -> None:
-    save_checkpoint(path, KIND_REGRESSOR, [p.data for p in model.parameters()])
+    save_checkpoint(path, {p.name: p.data for p in model.parameters()}, {"kind": "regressor"})
 
 
 def load_regressor(path, image_size: int, embed_dim: int) -> RegressorModel:
-    kind, _, tensors = load_checkpoint(path)
-    if kind != KIND_REGRESSOR:
-        raise ContractError(f"{path} is not a regressor checkpoint")
     model = RegressorModel(image_size, embed_dim, np.random.default_rng(0))
-    params = model.parameters()
-    if len(tensors) != len(params):
-        raise ContractError(f"checkpoint holds {len(tensors)} tensors, expected {len(params)}")
-    for p, arr in zip(params, tensors):
-        if arr.shape != p.data.shape:
-            raise ContractError(f"checkpoint shape {arr.shape} mismatches model {p.data.shape}")
-        p.data = arr.copy()
+    template = {p.name: p.data for p in model.parameters()}
+    state, _ = load_checkpoint(path, template=template, expect={"kind": "regressor"})
+    for p in model.parameters():
+        p.data = state[p.name]
     return model

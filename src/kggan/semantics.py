@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ContractError
 from .hashing import fnv1a_64
 
@@ -62,8 +63,7 @@ def save_embeddings(path, embeddings: dict, header_lines=()) -> None:
     for cid in sorted(embeddings):
         vals = " ".join(repr(float(v)) for v in embeddings[cid].vector)
         lines.append(f"{cid} {vals}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_embeddings(path) -> dict:

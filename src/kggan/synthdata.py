@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ConfigError, ContractError
 
 BACKGROUND = 0.05  # in [0, 1] space; images are stored in [-1, 1]
@@ -294,14 +295,12 @@ BLOB_VERSION = 1
 
 def save_blob(path, dataset: Dataset) -> None:
     """Images as little-endian f32 behind a 16-byte header."""
-    n = len(dataset)
-    header = BLOB_MAGIC + struct.pack("<III", BLOB_VERSION, n, dataset.image_size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(dataset.images.astype("<f4").tobytes())
+    header = BLOB_MAGIC + struct.pack("<III", BLOB_VERSION, len(dataset), dataset.image_size)
+    write_atomic(path, header + dataset.images.astype("<f4").tobytes())
 
 
 def load_blob(path):
+    """Returns (images [n, 3, side, side] float64, side); every pixel finite."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != BLOB_MAGIC:
@@ -313,28 +312,47 @@ def load_blob(path):
     expected = n * 3 * side * side
     if raw.size != expected:
         raise ContractError(f"blob holds {raw.size} floats, expected {expected}")
-    return raw.astype(np.float64).reshape(n, 3, side, side), side
+    images = raw.astype(np.float64).reshape(n, 3, side, side)
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))
+    if bad.size:
+        raise ContractError(f"{path}: sample {bad[0]} has a non-finite pixel")
+    return images, side
 
 
 def save_manifest(path, dataset: Dataset, header_lines=()) -> None:
     lines = [f"# {line}" for line in header_lines]
     lines.append("offset,category_id")
     lines.extend(f"{i},{int(cid)}" for i, cid in enumerate(dataset.category_ids))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_manifest(path):
-    ids = []
+    """Category ids in offset order; the offsets must number the rows 0..n-1 once each."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("offset"):
                 continue
-            offset, cid = line.split(",")
-            ids.append((int(offset), int(cid)))
-    ids.sort()
-    return np.asarray([cid for _, cid in ids], dtype=np.int64)
+            try:
+                offset, cid = (int(part) for part in line.split(","))
+            except ValueError:
+                raise ContractError(
+                    f"{path}: line {lineno} is not 'offset,category_id': {line!r}"
+                ) from None
+            rows.append((lineno, offset, cid))
+    ids = np.empty(len(rows), dtype=np.int64)
+    seen = set()
+    for lineno, offset, cid in rows:
+        if offset in seen:
+            raise ContractError(f"{path}: line {lineno} repeats offset {offset}")
+        if not 0 <= offset < len(rows):
+            raise ContractError(
+                f"{path}: line {lineno} has offset {offset}, outside 0..{len(rows) - 1}"
+            )
+        seen.add(offset)
+        ids[offset] = cid
+    return ids
 
 
 def save_descriptions(path, specs, header_lines=()) -> None:
@@ -342,21 +360,4 @@ def save_descriptions(path, specs, header_lines=()) -> None:
     for spec in specs:
         lines.append(f"#category {spec.id}")
         lines.extend(spec.descriptions)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_descriptions(path):
-    by_category = {}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#category "):
-                current = int(line.split()[1])
-                by_category[current] = []
-            elif line.startswith("#") or not line.strip():
-                continue
-            elif current is not None:
-                by_category[current].append(line)
-    return by_category
+    write_atomic(path, "\n".join(lines) + "\n")

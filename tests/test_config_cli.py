@@ -1,6 +1,7 @@
 """Configuration round-trips and the command-line harness."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -163,8 +164,8 @@ class TestGenerateData:
         assert side == 8
         assert images.shape == (60, 3, 8, 8)
         assert len(ids) == 60
-        descriptions = sd.load_descriptions(out / "descriptions.txt")
-        assert set(descriptions) == set(range(6))
+        lines = (out / "descriptions.txt").read_text().splitlines()
+        assert {int(l.split()[1]) for l in lines if l.startswith("#category ")} == set(range(6))
 
     def test_manifest_row_count(self, workspace):
         root, _ = workspace
@@ -338,3 +339,124 @@ class TestResume:
             l for l in resumed_log.splitlines() if l and not l.startswith(("#", "iteration"))
         ]
         assert resumed_rows == tail
+
+
+@pytest.fixture(scope="module")
+def trained_cells(workspace):
+    """The workspace with three cells trained in process."""
+    from kggan import cli
+
+    root, cfg_path = workspace
+    for cell in ("baseline_full_data", "one_hot_kggan", "kggan_full"):
+        assert cli.main(["--config", str(cfg_path), "train", "--cell", cell]) == 0
+    return root, cfg_path
+
+
+class TestResumeChecks:
+    @pytest.mark.parametrize(
+        "cell, source, settings, field",
+        [
+            ("baseline_full_data", "one_hot_kggan", "", "cell"),
+            ("kggan_full", "kggan_full", "lambda_se = 0.2\n", "lambda_se"),
+            ("kggan_full", "kggan_full", "batch_size = 4\n", "config.batch_size"),
+            ("kggan_full", "baseline_full_data", "", "condition_mode"),
+        ],
+        ids=["another_cell", "lambda_se", "config_field", "condition_mode"],
+    )
+    def test_checkpoint_of_another_run_exits_3_naming_the_field(
+        self, trained_cells, tmp_path, cell, source, settings, field
+    ):
+        root, cfg_path = trained_cells
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(cfg_path.read_text() + settings)
+        metrics = root / "out" / "cells" / cell / "metrics.csv"
+        before = metrics.read_bytes()
+        resume = root / "out" / "cells" / source / "checkpoint.ckpt"
+        proc = run_cli(
+            ["--config", str(cfg), "train", "--cell", cell, "--resume", str(resume)], cwd=tmp_path
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"contract violation: {resume}: checkpoint has {field} " in proc.stderr
+        assert metrics.read_bytes() == before
+
+
+class TestAbortCheckpoint:
+    def test_aborted_checkpoint_is_the_state_at_the_failing_iteration(self, tmp_path, monkeypatch):
+        from kggan import cli, gan, optim
+        from kggan.checkpoint import load_checkpoint
+        from kggan.config import load_config
+
+        k = 5
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 8"))
+        for cmd in (["generate-data"], ["train-embedder"]):
+            assert cli.main(["--config", str(cfg), *cmd]) == 0
+        # an uninterrupted run of k iterations ends where iteration k starts
+        ws = cli.Workspace(load_config(cfg))
+        ws.config.gan_iterations = k
+        model, _, opt_g, opt_d = cli.run_cell(ws, "kggan_full")
+        expected = gan.gan_state(model, opt_g, opt_d, k)
+
+        calls = []
+
+        def poisoned(params, state, grads=None):
+            calls.append(len(params))
+            if len(calls) == 2 * k + 2:  # iteration k's G step, after its D step
+                params[0].grad[0, 0] = np.nan
+            return optim.adam_step(params, state, grads)
+
+        monkeypatch.setattr(gan, "adam_step", poisoned)
+        assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        state, metadata = load_checkpoint(cell_dir / "checkpoint.aborted.ckpt")
+        assert (metadata["iteration"], metadata["cell"]) == (k, "kggan_full")
+        assert list(state) == list(expected)
+        for name, arr in expected.items():
+            assert state[name].shape == arr.shape and state[name].tobytes() == arr.tobytes(), name
+        assert not (cell_dir / "checkpoint.ckpt").exists()
+
+
+class TestDatasetFiles:
+    @staticmethod
+    def _damage_manifest(path, damage):
+        """Damage the row of offset 5; returns the line number to be named."""
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        cid = lines[row].split(",")[1]
+        if damage == "missing":
+            del lines[row]  # the last row's offset then lies outside 0..n-1
+            named = len(lines)
+        else:
+            bad = {"malformed": f"5;{cid}", "duplicate": f"4,{cid}", "out_of_range": f"999,{cid}"}
+            lines[row] = bad[damage]
+            named = row + 1
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path}: line {named} "
+
+    @staticmethod
+    def _damage_blob(path):
+        """A NaN at pixel 9 of sample 7 (16-byte header, 3x8x8 floats each)."""
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 16 + 4 * (7 * 3 * 8 * 8 + 9), float("nan"))
+        path.write_bytes(bytes(blob))
+        return f"{path}: sample 7 has a non-finite pixel"
+
+    @pytest.mark.parametrize(
+        "damage", ["malformed", "duplicate", "out_of_range", "missing", "nan_pixel"]
+    )
+    def test_damaged_dataset_exits_3_naming_file_and_row(self, tmp_path, damage):
+        from kggan import cli
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        assert cli.main(["--config", str(cfg), "generate-data"]) == 0
+        dataset = tmp_path / "out" / "dataset"
+        if damage == "nan_pixel":
+            named = self._damage_blob(dataset / "images.blob")
+        else:
+            named = self._damage_manifest(dataset / "manifest.csv", damage)
+        proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"contract violation: {named}" in proc.stderr

@@ -11,7 +11,8 @@ from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.autodiff import Tensor
 from kggan.errors import ContractError, DimensionError, NumericalAbort
-from kggan.checkpoint import params_hash
+from kggan.checkpoint import load_checkpoint, save_checkpoint
+from kggan.hashing import fnv1a_64
 from kggan.gan import (
     GanModel,
     TrainConfig,
@@ -32,6 +33,16 @@ from kggan.regressor import RegressorModel, freeze
 IMG = 8
 EMB = 16
 Z = 8
+
+
+def params_hash(arrays) -> int:
+    """Order-sensitive FNV-1a content hash of float64 arrays (the golden
+    file's ``params`` line)."""
+    h = 0xCBF29CE484222325
+    for arr in arrays:
+        h ^= fnv1a_64(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def mini_model(condition_mode="semantic_embedding", cond_dim=EMB, seed=3):
@@ -410,13 +421,13 @@ class TestTrainLoop:
         model = mini_model()
         train(model, dataset, split, embeddings, embedder, mini_config(iterations=10))
         # the generator invoked with seen and unseen conditions is the same object
-        h = model.generator_hash()
+        before = [p.data.copy() for p in model.generator_params()]
         ids_seen = sorted(split.seen_ids)[0]
         ids_unseen = sorted(split.unseen_ids)[0]
         cond = semantic_condition_source(embeddings)
         sample_images(model, ids_seen, 2, cond, seed=0)
         sample_images(model, ids_unseen, 2, cond, seed=0)
-        assert model.generator_hash() == h
+        assert all(np.array_equal(p.data, q) for p, q in zip(model.generator_params(), before))
 
     def test_real_batches_never_use_unseen_categories(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
@@ -584,8 +595,29 @@ class TestCheckpointResume:
         path = tmp_path / "gan.ckpt"
         save_gan(path, model, opt_g, opt_d, iteration=0)
         wrong = mini_model(condition_mode="semantic_embedding")
-        with pytest.raises(ContractError, match="condition mode"):
+        with pytest.raises(ContractError, match="condition_mode 'one_hot'"):
             load_gan(path, wrong, config)
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda s: s.pop("G.w1"), "tensor G.w1 is missing"),
+            (lambda s: s.update({"G.extra": np.zeros(2)}), "unexpected tensor G.extra"),
+            (lambda s: s.update({"D.proj": s.pop("D.v_proj")}), "tensor D.v_proj is missing"),
+            (lambda s: s.update({"adam_d.m.D.w2": np.zeros(3)}), r"adam_d.m.D.w2 has shape \(3,\)"),
+        ],
+        ids=["missing", "extra", "renamed", "misshaped"],
+    )
+    def test_mismatched_tensor_is_named(self, tmp_path, damage, named):
+        model, config = mini_model(), mini_config()
+        opt_g, opt_d = gan._make_optimizers(model, config, None, None)
+        path = tmp_path / "gan.ckpt"
+        save_gan(path, model, opt_g, opt_d, iteration=0)
+        state, metadata = load_checkpoint(path)
+        damage(state)
+        save_checkpoint(path, state, metadata)
+        with pytest.raises(ContractError, match=named):
+            load_gan(path, mini_model(), config)
 
 
 class TestSampling:
