@@ -13,8 +13,7 @@ from .errors import ConfigError, ContractError, DimensionError, NumericalAbort
 from .evaluation import FidReport, GaussianStats, frechet_distance
 from .gan import GanModel, MetricLog, TrainConfig
 from .regressor import RegressorModel
-from .semantics import SemanticEmbedding
-from .synthdata import CategorySpec, Dataset, Sample, SplitPlan
+from .synthdata import CategorySpec, Dataset, SplitPlan
 
 __version__ = "0.1.0"
 
@@ -31,8 +30,6 @@ __all__ = [
     "MetricLog",
     "NumericalAbort",
     "RegressorModel",
-    "Sample",
-    "SemanticEmbedding",
     "SplitPlan",
     "Tensor",
     "TrainConfig",

@@ -6,6 +6,13 @@ ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
 4 numerical abort, 5 I/O error.
 
+``embeddings.txt`` holds the category table: one row per category,
+numbered 0..n_categories-1 once each and in order, each of embed_dim
+values. A missing, repeated, extra or out-of-order row, or a table of
+the wrong width, exits 3 naming the file. ``evaluate`` scores only its
+own cell's checkpoint: one another cell wrote exits 3 naming ``cell``,
+before anything is written.
+
 Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field. ``train --resume``
 continues only a checkpoint of the same run: on the first of those that
@@ -143,16 +150,24 @@ def cmd_generate_data(ws: Workspace) -> int:
     return 0
 
 
+def _load_embeddings(ws: Workspace) -> np.ndarray:
+    """The category table from ``embeddings.txt``, shaped for this config."""
+    embeddings = semantics.load_embeddings(ws.embeddings_path)
+    want = (ws.config.n_categories, ws.config.embed_dim)
+    if embeddings.shape != want:
+        raise ContractError(
+            f"{ws.embeddings_path}: table is {embeddings.shape[0]} categories x "
+            f"{embeddings.shape[1]} values, the config needs {want[0]} x {want[1]}"
+        )
+    return embeddings
+
+
 def cmd_train_embedder(ws: Workspace) -> int:
     config = ws.config
     dataset = _load_dataset(ws)
-    embeddings = semantics.load_embeddings(ws.embeddings_path)
+    embeddings = _load_embeddings(ws)
     split = _split(config)
     seen_rows = np.nonzero(np.isin(dataset.category_ids, sorted(split.seen_ids)))[0]
-    samples = [
-        synthdata.Sample(image=dataset.images[i], category_id=int(dataset.category_ids[i]))
-        for i in seen_rows
-    ]
     reg_config = regressor.RegressorConfig(
         embed_dim=config.embed_dim,
         image_size=config.image_size,
@@ -162,7 +177,13 @@ def cmd_train_embedder(ws: Workspace) -> int:
         plateau_window=config.embedder_plateau,
         seed=config.embedder_seed,
     )
-    model = regressor.train_embedder(samples, embeddings, reg_config, seen_ids=split.seen_ids)
+    model = regressor.train_embedder(
+        dataset.images[seen_rows],
+        dataset.category_ids[seen_rows],
+        embeddings,
+        reg_config,
+        seen_ids=split.seen_ids,
+    )
     regressor.freeze(model)
     regressor.save_regressor(ws.embedder_path, model)
     final = model.training_loss_history[-1] if model.training_loss_history else float("nan")
@@ -184,7 +205,7 @@ def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
     )
 
 
-def _build_model(config: ExperimentConfig, condition_mode: str, embeddings=None) -> GanModel:
+def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> GanModel:
     cond_dim = config.embed_dim if condition_mode == CONDITION_SEMANTIC else config.n_categories
     rng = np.random.default_rng(config.gan_seed)
     model = GanModel(
@@ -197,16 +218,10 @@ def _build_model(config: ExperimentConfig, condition_mode: str, embeddings=None)
         d_hidden=config.d_hidden,
         feat_dim=config.feat_dim,
     )
-    if condition_mode == CONDITION_SEMANTIC and embeddings:
+    if condition_mode == CONDITION_SEMANTIC:
         matrix, shift = gan.condition_preconditioner(embeddings)
         model.set_condition_preconditioner(matrix, shift)
     return model
-
-
-def _condition_source(config: ExperimentConfig, condition_mode: str, embeddings):
-    if condition_mode == CONDITION_SEMANTIC:
-        return gan.semantic_condition_source(embeddings)
-    return gan.one_hot_condition_source(range(config.n_categories))
 
 
 def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
@@ -226,13 +241,11 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     ``resume`` checkpoint must have been written by the same run (see the
     module docstring).
     """
-    if cell not in CELLS:
-        raise ConfigError(f"unknown cell {cell!r}; valid cells: {', '.join(CELLS)}")
     config = ws.config
     condition_mode, full_data, use_knowledge = CELL_RULES[cell]
     run = _run_metadata(config, cell)
     dataset = _load_dataset(ws)
-    embeddings = semantics.load_embeddings(ws.embeddings_path)
+    embeddings = _load_embeddings(ws)
     if full_data:
         all_ids = set(range(config.n_categories))
         split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set(), seed=config.split_seed)
@@ -240,7 +253,6 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         split = _split(config)
     tconfig = _train_config(config, run["lambda_se"])
     model = _build_model(config, condition_mode, embeddings)
-    cond = _condition_source(config, condition_mode, embeddings)
 
     start_iteration = 0
     if resume:
@@ -263,7 +275,6 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         embeddings,
         embedder,
         tconfig,
-        cond=cond,
         start_iteration=start_iteration,
         opt_g=opt_g,
         opt_d=opt_d,
@@ -274,16 +285,17 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
 def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     config = ws.config
     cell_dir = ws.cell_dir(cell)
-    os.makedirs(cell_dir, exist_ok=True)
     run = _run_metadata(config, cell)
     try:
         model, log, opt_g, opt_d = run_cell(ws, cell, resume=resume)
     except NumericalAbort as abort:
         # the state at the start of the failing iteration, for post-mortem work
         if abort.last_good is not None:
+            os.makedirs(cell_dir, exist_ok=True)
             path = os.path.join(cell_dir, "checkpoint.aborted.ckpt")
             gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], run)
         raise
+    os.makedirs(cell_dir, exist_ok=True)
     gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations, run)
     write_atomic(
         os.path.join(cell_dir, "metrics.csv"),
@@ -321,28 +333,26 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     config = ws.config
     condition_mode = CELL_RULES[cell][0]
     dataset = _load_dataset(ws)
-    embeddings = semantics.load_embeddings(ws.embeddings_path)
+    embeddings = _load_embeddings(ws)
     split = _split(config)
     tconfig = _train_config(config, config.lambda_se)
     model = _build_model(config, condition_mode, embeddings)
     path = checkpoint_path or ws.checkpoint_path(cell)
     if not os.path.exists(path):
         raise OSError(f"checkpoint missing: {path}")
-    model, _, _, _ = gan.load_gan(path, model, tconfig)
+    model, _, _, _ = gan.load_gan(path, model, tconfig, run={"cell": cell})
 
     embedder = regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
     regressor.freeze(embedder)
-    cond = _condition_source(config, condition_mode, embeddings)
 
     def sample_fn(cid, n):
-        return gan.sample_images(model, cid, n, cond, config.eval_seed)
+        return gan.sample_images(model, cid, n, embeddings, config.eval_seed)
 
     specs_by_id = {s.id: s for s in dataset.specs}
     consistency, color = {}, {}
 
     def score_draw(cid, images, features):
-        target = embeddings[cid].vector
-        consistency[cid] = evaluation.embedding_consistency(embedder, features, target)
+        consistency[cid] = evaluation.embedding_consistency(embedder, features, embeddings[cid])
         color[cid] = evaluation.color_fidelity(images, specs_by_id[cid].base_color)
 
     report = evaluation.per_category_fid(
@@ -491,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("generate-data", help="write the dataset, descriptions, and embeddings")
     sub.add_parser("train-embedder", help="fit and freeze the embedding regressor")
     p_train = sub.add_parser("train", help="train one ablation cell")
-    p_train.add_argument("--cell", required=True, help=f"one of: {', '.join(CELLS)}")
+    p_train.add_argument("--cell", required=True, choices=CELLS)
     p_train.add_argument("--resume", help="checkpoint to continue from")
     p_eval = sub.add_parser("evaluate", help="score a trained cell")
-    p_eval.add_argument("--cell", required=True, help=f"one of: {', '.join(CELLS)}")
+    p_eval.add_argument("--cell", required=True, choices=CELLS)
     p_eval.add_argument("--checkpoint", help="checkpoint path override")
     sub.add_parser("ablate", help="run all four cells and emit the combined table")
     sub.add_parser("report", help="print the combined ablation report")
@@ -519,20 +529,8 @@ def main(argv=None) -> int:
         if args.command == "train-embedder":
             return cmd_train_embedder(ws)
         if args.command == "train":
-            if args.cell not in CELLS:
-                print(
-                    f"unknown cell {args.cell!r}; valid cells: {', '.join(CELLS)}",
-                    file=sys.stderr,
-                )
-                return 2
             return cmd_train(ws, args.cell, resume=args.resume)
         if args.command == "evaluate":
-            if args.cell not in CELLS:
-                print(
-                    f"unknown cell {args.cell!r}; valid cells: {', '.join(CELLS)}",
-                    file=sys.stderr,
-                )
-                return 2
             return cmd_evaluate(ws, args.cell, checkpoint_path=args.checkpoint)
         if args.command == "ablate":
             return cmd_ablate(ws)

@@ -23,7 +23,6 @@ class ExperimentConfig:
     n_unseen: int = 3
     descriptions_per_category: int = 10
     embed_dim: int = 64
-    condition_mode: str = "semantic_embedding"
     lambda_se: float = 0.1
     embedder_steps: int = 2000
     embedder_batch: int = 32
@@ -95,8 +94,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} must lie in [0, 1), got {value}")
     if not (math.isfinite(config.lambda_se) and config.lambda_se >= 0):
         raise ConfigError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
-    if config.condition_mode not in ("semantic_embedding", "one_hot"):
-        raise ConfigError(f"unknown condition_mode {config.condition_mode!r}")
     return config
 
 

@@ -17,6 +17,12 @@ generator state:
 
 The SN-GAN baseline is ``train`` with lambda_se = 0, every category seen
 and none unseen: no regressor, no unseen batches, streams 0-2 only.
+
+Condition vectors come from the model: ``GanModel.conditions(embeddings)``
+is the [n_categories, cond_dim] table whose row i conditions category i,
+the semantic embedding table itself in semantic mode and the identity in
+one-hot mode. A batch of categories ``ids`` is conditioned on those rows
+of it, and its knowledge-loss targets are ``embeddings[ids]``.
 """
 
 from __future__ import annotations
@@ -54,27 +60,8 @@ class TrainConfig:
     beta2: float = 0.9
 
 
-class ConditionSource:
-    """Category id -> condition vector lookup."""
-
-    def __init__(self, mode: str, table: dict):
-        self.mode = mode
-        self._table = {int(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
-        self.dim = len(next(iter(self._table.values())))
-
-    def vector(self, category_id: int) -> np.ndarray:
-        return self._table[int(category_id)]
-
-    def batch(self, category_ids) -> np.ndarray:
-        return np.stack([self._table[int(c)] for c in category_ids])
-
-
-def semantic_condition_source(embeddings: dict) -> ConditionSource:
-    return ConditionSource(CONDITION_SEMANTIC, {cid: e.vector for cid, e in embeddings.items()})
-
-
-def condition_preconditioner(embeddings: dict, alpha: float = 0.5):
-    """Fixed partial whitening of the category-embedding table.
+def condition_preconditioner(embeddings: np.ndarray, alpha: float = 0.5):
+    """Fixed partial whitening of the [n, d] category-embedding table.
 
     Returns (matrix, shift) such that (v - shift) @ matrix rescales the
     principal axes of the embedding cloud by eigenvalue^(-alpha),
@@ -92,10 +79,9 @@ def condition_preconditioner(embeddings: dict, alpha: float = 0.5):
     separating categories; the rescaling equalizes those learning
     speeds.
     """
-    table = np.stack([embeddings[cid].vector for cid in sorted(embeddings)])
-    n, dim = table.shape
-    shift = table.mean(axis=0)
-    centered = table - shift
+    n = embeddings.shape[0]
+    shift = embeddings.mean(axis=0)
+    centered = embeddings - shift
     cov = centered.T @ centered / max(n - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     keep = eigvals > 1e-10
@@ -106,17 +92,6 @@ def condition_preconditioner(embeddings: dict, alpha: float = 0.5):
     if scale > 0.0:
         matrix = matrix / scale
     return matrix, shift
-
-
-def one_hot_condition_source(category_ids) -> ConditionSource:
-    ids = sorted(int(c) for c in category_ids)
-    n = len(ids)
-    table = {}
-    for pos, cid in enumerate(ids):
-        vec = np.zeros(n)
-        vec[pos] = 1.0
-        table[cid] = vec
-    return ConditionSource(CONDITION_ONE_HOT, table)
 
 
 class GanModel:
@@ -179,6 +154,16 @@ class GanModel:
             )
         self.cond_transform = Tensor(matrix, _validate=False)
         self.cond_shift = Tensor(shift, _validate=False)
+
+    def conditions(self, embeddings: np.ndarray) -> np.ndarray:
+        """The condition table: row i is category i's condition vector.
+
+        Semantic mode conditions on the [n, d] embedding table itself;
+        one-hot mode on the identity, one row per category.
+        """
+        if self.condition_mode == CONDITION_SEMANTIC:
+            return embeddings
+        return np.eye(self.cond_dim)
 
     def _condition_input(self, v: Tensor) -> Tensor:
         return ad.matmul(ad.sub(v, self.cond_shift), self.cond_transform)
@@ -313,18 +298,12 @@ def _d_step(model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_z, au
 
     # fakes share the real batch's conditions: pairing them keeps the
     # projection term's real-vs-fake contrast on the same categories
-    fake_cats = real_cats
+    v = Tensor(cond[real_cats], _validate=False)
     z = rng_z.standard_normal((config.batch_size, config.z_dim))
     with ad.no_grad():
-        fakes = generator_forward(
-            model, Tensor(z, _validate=False), Tensor(cond.batch(fake_cats), _validate=False)
-        )
-    d_real = discriminator_forward(
-        model, Tensor(x_real, _validate=False), Tensor(cond.batch(real_cats), _validate=False)
-    )
-    d_fake = discriminator_forward(
-        model, Tensor(fakes.data, _validate=False), Tensor(cond.batch(fake_cats), _validate=False)
-    )
+        fakes = generator_forward(model, Tensor(z, _validate=False), v)
+    d_real = discriminator_forward(model, Tensor(x_real, _validate=False), v)
+    d_fake = discriminator_forward(model, Tensor(fakes.data, _validate=False), v)
     loss = hinge_d_loss(d_real, d_fake)
     value = loss.item()
     ad.backward(loss, model.discriminator_params())
@@ -335,15 +314,10 @@ def _d_step(model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_z, au
 def _g_adv(model, cats, cond, config, rng_z):
     g_cats = cats[rng_z.integers(0, cats.size, size=config.batch_size)]
     z = rng_z.standard_normal((config.batch_size, config.z_dim))
-    fakes = generator_forward(
-        model, Tensor(z, _validate=False), Tensor(cond.batch(g_cats), _validate=False)
-    )
-    scores = discriminator_forward(model, fakes, Tensor(cond.batch(g_cats), _validate=False))
+    v = Tensor(cond[g_cats], _validate=False)
+    fakes = generator_forward(model, Tensor(z, _validate=False), v)
+    scores = discriminator_forward(model, fakes, v)
     return fakes, g_cats, hinge_g_loss(scores)
-
-
-def _embedding_targets(embeddings, category_ids) -> np.ndarray:
-    return np.stack([embeddings[int(c)].vector for c in category_ids])
 
 
 def _finite_or_abort(values, snapshot, iteration):
@@ -378,10 +352,9 @@ def train(
     model: GanModel,
     dataset,
     split,
-    embeddings: dict,
+    embeddings: np.ndarray,
     embedder,
     config: TrainConfig,
-    cond: ConditionSource | None = None,
     start_iteration: int = 0,
     opt_g: AdamState | None = None,
     opt_d: AdamState | None = None,
@@ -394,7 +367,8 @@ def train(
     Real images are only ever drawn from seen categories. With
     lambda_se = 0 the unseen machinery is skipped entirely and the run is
     an SN-GAN run; the split may then have no unseen categories, which is
-    how the full-data baseline trains on every category. Returns
+    how the full-data baseline trains on every category. ``embeddings`` is
+    the [n_categories, d] table whose row i is category i. Returns
     (model, MetricLog).
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
@@ -410,11 +384,7 @@ def train(
     if not split.seen_ids <= dataset_cats:
         raise ContractError("split names categories absent from the dataset")
 
-    if cond is None:
-        if model.condition_mode == CONDITION_SEMANTIC:
-            cond = semantic_condition_source(embeddings)
-        else:
-            cond = one_hot_condition_source(sorted(dataset_cats))
+    cond = model.conditions(embeddings)
     pool, seen_cats = _pool_and_cats(dataset, split.seen_ids)
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
@@ -441,16 +411,16 @@ def train(
             fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)
             if config.lambda_se > 0.0:
                 se_seen_t = semantic_embedding_loss(
-                    fakes, Tensor(_embedding_targets(embeddings, g_cats), _validate=False), embedder
+                    fakes, Tensor(embeddings[g_cats], _validate=False), embedder
                 )
                 rng_u = _stream(config.seed, iteration, 3)
                 u_cats = unseen_cats[rng_u.integers(0, unseen_cats.size, size=config.batch_size)]
                 z_u = rng_u.standard_normal((config.batch_size, config.z_dim))
                 fakes_u = generator_forward(
-                    model, Tensor(z_u, _validate=False), Tensor(cond.batch(u_cats), _validate=False)
+                    model, Tensor(z_u, _validate=False), Tensor(cond[u_cats], _validate=False)
                 )
                 se_unseen_t = semantic_embedding_loss(
-                    fakes_u, Tensor(_embedding_targets(embeddings, u_cats), _validate=False), embedder
+                    fakes_u, Tensor(embeddings[u_cats], _validate=False), embedder
                 )
                 se_seen = se_seen_t.item()
                 se_unseen = se_unseen_t.item()
@@ -475,11 +445,14 @@ def train(
 # sampling and persistence
 
 
-def sample_images(model: GanModel, category_id: int, n: int, cond: ConditionSource, seed: int):
-    """n generated images for one category; deterministic in (seed, id)."""
+def sample_images(model: GanModel, category_id: int, n: int, embeddings: np.ndarray, seed: int):
+    """n generated images for one category; deterministic in (seed, id).
+
+    The condition is row ``category_id`` of ``model.conditions(embeddings)``.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, int(category_id)]))
     z = rng.standard_normal((n, model.z_dim))
-    v = np.tile(cond.vector(category_id), (n, 1))
+    v = np.tile(model.conditions(embeddings)[category_id], (n, 1))
     with ad.no_grad():
         images = generator_forward(model, Tensor(z, _validate=False), Tensor(v, _validate=False))
     return images.data

@@ -107,33 +107,33 @@ def freeze(model: RegressorModel) -> RegressorModel:
 
 
 def train_embedder(
-    seen_samples,
-    embeddings: dict,
+    images: np.ndarray,
+    category_ids: np.ndarray,
+    embeddings: np.ndarray,
     config: RegressorConfig,
     seen_ids=None,
     sampler_audit=None,
 ) -> RegressorModel:
     """Fit the regressor on seen-category samples by minibatch MSE.
 
-    Every sample's category must have an embedding; when ``seen_ids`` is
-    given, a sample from outside it is a contract violation. A plateau of
+    ``images`` is [n, 3, S, S] and ``category_ids`` [n]; sample k's target
+    is row ``category_ids[k]`` of the [n_categories, d] ``embeddings``
+    table, so every id must index a row. When ``seen_ids`` is given, a
+    sample from outside it is a contract violation. A plateau of
     ``plateau_window`` steps without a new best loss stops early.
     """
-    samples = list(seen_samples)
-    if not samples:
+    n = len(category_ids)
+    if not n:
         raise ContractError("no training samples")
-    for smp in samples:
-        if smp.category_id not in embeddings:
-            raise ContractError(f"category {smp.category_id} has no embedding")
-        if seen_ids is not None and smp.category_id not in seen_ids:
-            raise ContractError(f"unseen category {smp.category_id} in embedder training data")
+    for cid in np.unique(category_ids).tolist():
+        if not 0 <= cid < len(embeddings):
+            raise ContractError(f"category {cid} has no embedding")
+        if seen_ids is not None and cid not in seen_ids:
+            raise ContractError(f"unseen category {cid} in embedder training data")
 
     rng = np.random.default_rng(config.seed)
     model = RegressorModel(config.image_size, config.embed_dim, rng)
-    images = np.stack([s.image for s in samples])
-    targets = np.stack([embeddings[s.category_id].vector for s in samples])
-    cat_ids = np.asarray([s.category_id for s in samples])
-    n = len(samples)
+    targets = embeddings[category_ids]
     batch = min(config.batch_size, n)
 
     opt = AdamState.for_params(
@@ -154,7 +154,7 @@ def train_embedder(
         idx = order[pos : pos + batch]
         pos += batch
         if sampler_audit is not None:
-            sampler_audit.append(cat_ids[idx].copy())
+            sampler_audit.append(category_ids[idx].copy())
 
         pred = model.forward(Tensor(images[idx], _validate=False))
         diff = ad.sub(pred, Tensor(targets[idx], _validate=False))

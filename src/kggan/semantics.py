@@ -4,13 +4,15 @@ Each token lands in one of d buckets via 64-bit FNV-1a; bucket counts are
 scaled by 1 / (1 + max_count), which keeps every entry in [0, 1) and makes
 the embedding a pure function of the text. A category's embedding is the
 mean over its description embeddings.
+
+The category table is a [n_categories, d] float64 array whose row i is
+category i. ``embeddings.txt`` holds one row per category, numbered
+0..n-1 once each and in order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 import numpy as np
 
 from .checkpoint import write_atomic
@@ -18,12 +20,6 @@ from .errors import ContractError
 from .hashing import fnv1a_64
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-@dataclass
-class SemanticEmbedding:
-    vector: np.ndarray  # [d] float64 in [0, 1]
-    category_id: int
 
 
 def embed_text(description: str, dim: int = 64) -> np.ndarray:
@@ -37,7 +33,7 @@ def embed_text(description: str, dim: int = 64) -> np.ndarray:
     return counts / (1.0 + counts.max())
 
 
-def category_embedding(descriptions, dim: int = 64, category_id: int = -1) -> SemanticEmbedding:
+def category_embedding(descriptions, dim: int = 64) -> np.ndarray:
     """Mean of the description embeddings, clamped into [0, 1]."""
     descriptions = list(descriptions)
     if not descriptions:
@@ -45,34 +41,31 @@ def category_embedding(descriptions, dim: int = 64, category_id: int = -1) -> Se
     total = np.zeros(dim)
     for text in descriptions:
         total += embed_text(text, dim)
-    return SemanticEmbedding(
-        vector=np.clip(total / len(descriptions), 0.0, 1.0), category_id=category_id
-    )
+    return np.clip(total / len(descriptions), 0.0, 1.0)
 
 
-def build_embeddings(specs, dim: int = 64) -> dict:
-    return {
-        spec.id: category_embedding(spec.descriptions, dim=dim, category_id=spec.id)
-        for spec in specs
-    }
+def build_embeddings(specs, dim: int = 64) -> np.ndarray:
+    """The [n, dim] category table; ``specs`` are categories 0..n-1 in order."""
+    return np.stack([category_embedding(spec.descriptions, dim=dim) for spec in specs])
 
 
-def save_embeddings(path, embeddings: dict, header_lines=()) -> None:
+def save_embeddings(path, embeddings: np.ndarray, header_lines=()) -> None:
     """Plain-text rows: category_id followed by d decimal floats."""
     lines = [f"# {line}" for line in header_lines]
-    for cid in sorted(embeddings):
-        vals = " ".join(repr(float(v)) for v in embeddings[cid].vector)
+    for cid, row in enumerate(embeddings):
+        vals = " ".join(repr(float(v)) for v in row)
         lines.append(f"{cid} {vals}")
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_embeddings(path) -> dict:
-    """Read ``save_embeddings`` rows back.
+def load_embeddings(path) -> np.ndarray:
+    """Read ``save_embeddings`` rows back into the [n, d] category table.
 
-    Every row must parse and hold as many finite values as the first;
-    otherwise a ContractError names the file and the category.
+    The rows must number 0..n-1 once each, in order, and every row must
+    parse and hold as many finite values as the first; otherwise a
+    ContractError names the file and the category.
     """
-    out = {}
+    rows = []
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -85,6 +78,11 @@ def load_embeddings(path) -> dict:
                 vector = np.asarray([float(x) for x in parts[1:]])
             except ValueError:
                 raise ContractError(f"{path}: unparsable embedding row {line!r}") from None
+            if cid != len(rows):
+                raise ContractError(
+                    f"{path}: expected category {len(rows)}, found category {cid} "
+                    "(rows must number 0..n-1 once each, in order)"
+                )
             if dim is None:
                 dim = vector.size
             if vector.size != dim or dim == 0:
@@ -94,5 +92,7 @@ def load_embeddings(path) -> dict:
                 )
             if not np.all(np.isfinite(vector)):
                 raise ContractError(f"{path}: category {cid} has a non-finite embedding value")
-            out[cid] = SemanticEmbedding(vector=vector, category_id=cid)
-    return out
+            rows.append(vector)
+    if not rows:
+        raise ContractError(f"{path}: no embedding rows")
+    return np.stack(rows)

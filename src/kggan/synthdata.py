@@ -90,12 +90,6 @@ class CategorySpec:
 
 
 @dataclass
-class Sample:
-    image: np.ndarray  # [3, H, W] float64 in [-1, 1]
-    category_id: int
-
-
-@dataclass
 class SplitPlan:
     seen_ids: set
     unseen_ids: set
@@ -198,8 +192,8 @@ def _shape_mask(
     raise ConfigError(f"unknown shape {shape!r}")
 
 
-def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) -> Sample:
-    """Deterministically draw one instance of a category.
+def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) -> np.ndarray:
+    """Deterministically draw one instance of a category: [3, S, S] in [-1, 1].
 
     Jitter order is part of the format: center x/y, scale, per-channel
     hue, rotation, aspect, all from default_rng(SeedSequence([id, seed]))
@@ -230,7 +224,7 @@ def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) 
         channel = img01[c]
         channel[mask] = color[c] * texture[mask]
     img01 = np.clip(img01, 0.0, 1.0)
-    return Sample(image=img01 * 2.0 - 1.0, category_id=spec.id)
+    return img01 * 2.0 - 1.0
 
 
 def foreground_mask(image: np.ndarray, threshold: float = 0.3) -> np.ndarray:
@@ -275,8 +269,7 @@ def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -
     for spec in specs:
         for k in range(images_per_category):
             # per-sample seed folds dataset seed and sample index together
-            sample = render_sample(spec, instance_seed=seed * 1_000_003 + k, image_size=image_size)
-            images.append(sample.image)
+            images.append(render_sample(spec, instance_seed=seed * 1_000_003 + k, image_size=image_size))
             ids.append(spec.id)
     return Dataset(
         image_size=image_size,

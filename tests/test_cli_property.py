@@ -39,7 +39,6 @@ DRAWN = {
     "batch_size": st.integers(-1, 3),
     "n_gen": st.integers(1, 4),
     "lambda_se": st.sampled_from(["0.0", "0.1", "nan", "-1", "lots"]),
-    "condition_mode": st.sampled_from(["one_hot", "semantic_embedding", "other"]),
     "gan_seed": st.integers(-1, 3),
 }
 

@@ -1,6 +1,7 @@
 """Configuration round-trips and the command-line harness."""
 
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -244,7 +245,7 @@ class TestTrainAndEvaluate:
             images = sample_fn(cid, n)
             with no_grad():
                 pred = embedder.forward(Tensor(images, _validate=False)).data
-            target = embeddings[cid].vector
+            target = embeddings[cid]
             assert consistency[cid] == float(np.mean(np.sum((pred - target) ** 2, axis=1)))
             want = int(np.argmax(np.asarray(specs_by_id[cid].base_color)))
             hits = sum(
@@ -300,6 +301,47 @@ class TestEmbeddingsFile:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"contract violation: {path}: category 4 has" in proc.stderr
+
+    @staticmethod
+    def _damage_table(path, damage):
+        """Damage the table of 6 categories x 16 values; returns what is named."""
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
+        if damage == "missing_row":
+            del lines[row]
+            named = "expected category 4, found category 5"
+        elif damage == "repeated_row":
+            lines.insert(row, lines[row])
+            named = "expected category 5, found category 4"
+        elif damage == "extra_row":
+            lines.append("6 " + lines[row].split(" ", 1)[1])
+            named = "table is 7 categories x 16 values, the config needs 6 x 16"
+        else:
+            lines = [line if line.startswith("#") else line.rsplit(" ", 1)[0] for line in lines]
+            named = "table is 6 categories x 15 values, the config needs 6 x 16"
+        path.write_text("\n".join(lines) + "\n")
+        return named
+
+    @pytest.mark.parametrize(
+        "verb",
+        [["train-embedder"], ["train", "--cell", "kggan_full"], ["evaluate", "--cell", "kggan_full"]],
+        ids=["train-embedder", "train", "evaluate"],
+    )
+    @pytest.mark.parametrize("damage", ["missing_row", "repeated_row", "extra_row", "short_rows"])
+    def test_damaged_table_exits_3_naming_file(self, trained_cells, tmp_path, damage, verb):
+        # a copy of a workspace with an embedder and trained cells, so every
+        # verb gets past its other inputs to the table
+        shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        path = tmp_path / "out" / "dataset" / "embeddings.txt"
+        named = self._damage_table(path, damage)
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(["--config", str(cfg), *verb], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"contract violation: {path}: {named}" in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestResume:
@@ -379,6 +421,21 @@ class TestResumeChecks:
         assert "Traceback" not in proc.stderr
         assert f"contract violation: {resume}: checkpoint has {field} " in proc.stderr
         assert metrics.read_bytes() == before
+
+    def test_evaluate_of_another_cells_checkpoint_exits_3_naming_cell(self, trained_cells):
+        root, cfg_path = trained_cells
+        cell_dir = root / "out" / "cells" / "baseline_full_data"
+        before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
+        other = root / "out" / "cells" / "one_hot_kggan" / "checkpoint.ckpt"
+        argv = ["--config", str(cfg_path), "evaluate", "--cell", "baseline_full_data"]
+        proc = run_cli([*argv, "--checkpoint", str(other)], cwd=root)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (
+            f"contract violation: {other}: checkpoint has cell 'one_hot_kggan', "
+            "this run has 'baseline_full_data'" in proc.stderr
+        )
+        assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
 
 class TestAbortCheckpoint:

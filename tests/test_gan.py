@@ -21,10 +21,8 @@ from kggan.gan import (
     hinge_d_loss,
     hinge_g_loss,
     load_gan,
-    one_hot_condition_source,
     sample_images,
     save_gan,
-    semantic_condition_source,
     semantic_embedding_loss,
     train,
 )
@@ -115,8 +113,8 @@ class TestGeneratorForward:
         z = Tensor(rng.standard_normal((1, Z)))
         ids = sorted(split.seen_ids)[:2]
         with ad.no_grad():
-            a = generator_forward(model, z, Tensor(embeddings[ids[0]].vector[None]))
-            b = generator_forward(model, z, Tensor(embeddings[ids[1]].vector[None]))
+            a = generator_forward(model, z, Tensor(embeddings[ids[0]][None]))
+            b = generator_forward(model, z, Tensor(embeddings[ids[1]][None]))
         assert np.max(np.abs(a.data - b.data)) > 1e-3
 
 
@@ -268,8 +266,8 @@ class TestRestrictedBackward:
         rng = np.random.default_rng(17)
         seen = rng.choice(sorted(split.seen_ids), size=8)
         unseen = rng.choice(sorted(split.unseen_ids), size=8)
-        v = Tensor(np.stack([embeddings[int(c)].vector for c in seen]))
-        vu = Tensor(np.stack([embeddings[int(c)].vector for c in unseen]))
+        v = Tensor(embeddings[seen])
+        vu = Tensor(embeddings[unseen])
         fakes = generator_forward(model, Tensor(rng.standard_normal((8, Z))), v)
         adv = hinge_g_loss(discriminator_forward(model, fakes, v))
         fakes_u = generator_forward(model, Tensor(rng.standard_normal((8, Z))), vu)
@@ -283,7 +281,7 @@ class TestRestrictedBackward:
         _, dataset, _, embeddings, _ = mini_data
         rng = np.random.default_rng(18)
         rows = rng.integers(0, len(dataset), size=8)
-        v = Tensor(np.stack([embeddings[int(c)].vector for c in dataset.category_ids[rows]]))
+        v = Tensor(embeddings[dataset.category_ids[rows]])
         with ad.no_grad():
             fakes = generator_forward(model, Tensor(rng.standard_normal((8, Z))), v)
         real = discriminator_forward(model, Tensor(dataset.images[rows]), v)
@@ -321,17 +319,16 @@ class TestTotalLosses:
         _, dataset, split, embeddings, _ = mini_data
         seen = sorted(split.seen_ids)[0]
         unseen = sorted(split.unseen_ids)[0]
-        cond = semantic_condition_source(embeddings)
         seen_batch = dict(
-            cond=cond.batch([seen] * 4),
+            cond=embeddings[[seen] * 4],
             noise=rng.standard_normal((4, Z)),
-            targets=np.stack([embeddings[seen].vector] * 4),
+            targets=embeddings[[seen] * 4],
             images=dataset.images[dataset.indices_of(seen)[:4]],
         )
         unseen_batch = dict(
-            cond=cond.batch([unseen] * 4),
+            cond=embeddings[[unseen] * 4],
             noise=rng.standard_normal((4, Z)),
-            targets=np.stack([embeddings[unseen].vector] * 4),
+            targets=embeddings[[unseen] * 4],
         )
         return seen_batch, unseen_batch
 
@@ -424,9 +421,8 @@ class TestTrainLoop:
         before = [p.data.copy() for p in model.generator_params()]
         ids_seen = sorted(split.seen_ids)[0]
         ids_unseen = sorted(split.unseen_ids)[0]
-        cond = semantic_condition_source(embeddings)
-        sample_images(model, ids_seen, 2, cond, seed=0)
-        sample_images(model, ids_unseen, 2, cond, seed=0)
+        sample_images(model, ids_seen, 2, embeddings, seed=0)
+        sample_images(model, ids_unseen, 2, embeddings, seed=0)
         assert all(np.array_equal(p.data, q) for p, q in zip(model.generator_params(), before))
 
     def test_real_batches_never_use_unseen_categories(self, mini_data):
@@ -498,8 +494,8 @@ class TestTrainLoop:
         z = rng.standard_normal((1, Z))
         seen0 = sorted(split.seen_ids)[0]
         unseen0 = sorted(split.unseen_ids)[0]
-        v = embeddings[seen0].vector[None]
-        vu = embeddings[unseen0].vector[None]
+        v = embeddings[seen0][None]
+        vu = embeddings[unseen0][None]
         zu = rng.standard_normal((1, Z))
         lam = 0.1
 
@@ -624,15 +620,16 @@ class TestSampling:
     def test_sample_images_deterministic(self, mini_data):
         _, _, split, embeddings, _ = mini_data
         model = mini_model()
-        cond = semantic_condition_source(embeddings)
         cid = sorted(split.seen_ids)[0]
-        a = sample_images(model, cid, 4, cond, seed=7)
-        b = sample_images(model, cid, 4, cond, seed=7)
+        a = sample_images(model, cid, 4, embeddings, seed=7)
+        b = sample_images(model, cid, 4, embeddings, seed=7)
         assert np.array_equal(a, b)
         assert a.shape == (4, 3, IMG, IMG)
 
-    def test_one_hot_condition_source_layout(self):
-        cond = one_hot_condition_source([4, 2, 9])
-        assert cond.dim == 3
-        assert np.array_equal(cond.vector(2), [1.0, 0.0, 0.0])
-        assert np.array_equal(cond.vector(9), [0.0, 0.0, 1.0])
+    def test_conditions_table_by_mode(self, mini_data):
+        embeddings = mini_data[3]
+        # semantic mode conditions on the embedding table itself, row i for category i
+        assert mini_model().conditions(embeddings) is embeddings
+        # one-hot mode: row i is the i-th unit vector, whatever the embeddings
+        cond = mini_model(condition_mode="one_hot", cond_dim=3).conditions(embeddings)
+        assert np.array_equal(cond, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

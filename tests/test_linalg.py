@@ -148,7 +148,7 @@ class TestJacobiEquivalence:
         matrix, shift = gan.condition_preconditioner(embeddings)
         # the 1e-10 keep threshold sits in a wide gap of the spectrum, so
         # any solver keeps the same subspace
-        table = np.stack([embeddings[c].vector for c in sorted(embeddings)]) - shift
+        table = embeddings - shift
         vals = np.linalg.eigvalsh(table.T @ table / (len(table) - 1))
         assert not np.any((vals > 1e-14) & (vals < 1e-4))
         probes = np.random.default_rng(0).standard_normal((config.embed_dim, 3))

@@ -51,14 +51,13 @@ class TestEmbedText:
 class TestCategoryEmbedding:
     def test_single_description_equals_embed_text(self):
         text = "a red flower with smooth coloring"
-        got = sem.category_embedding([text], dim=64, category_id=3)
-        assert np.array_equal(got.vector, sem.embed_text(text, dim=64))
-        assert got.category_id == 3
+        got = sem.category_embedding([text], dim=64)
+        assert np.array_equal(got, sem.embed_text(text, dim=64))
 
     def test_identical_descriptions_collapse_to_one(self):
         text = "a blue bloom with striped shading"
-        one = sem.category_embedding([text], dim=64).vector
-        five = sem.category_embedding([text] * 5, dim=64).vector
+        one = sem.category_embedding([text], dim=64)
+        five = sem.category_embedding([text] * 5, dim=64)
         assert np.max(np.abs(one - five)) < 1e-15
 
     def test_matches_naive_mean_oracle(self, rng):
@@ -66,7 +65,7 @@ class TestCategoryEmbedding:
         texts = [
             " ".join(rng.choice(words, size=rng.integers(3, 8)).tolist()) for _ in range(10)
         ]
-        got = sem.category_embedding(texts, dim=64).vector
+        got = sem.category_embedding(texts, dim=64)
         oracle = np.zeros(64)
         for t in texts:
             oracle = oracle + sem.embed_text(t, dim=64)
@@ -90,8 +89,8 @@ class TestTemplateStructure:
             name=red.name,
         )
         blue.descriptions = sd.describe_category(blue, 10)
-        va = sem.category_embedding(red.descriptions, dim=64).vector
-        vb = sem.category_embedding(blue.descriptions, dim=64).vector
+        va = sem.category_embedding(red.descriptions, dim=64)
+        vb = sem.category_embedding(blue.descriptions, dim=64)
         color_buckets = {fnv1a_64(b"red") % 64, fnv1a_64(b"blue") % 64}
         differing = set(np.nonzero(np.abs(va - vb) > 1e-12)[0].tolist())
         assert differing == color_buckets
@@ -108,15 +107,18 @@ class TestTemplateStructure:
             for b in specs:
                 if a.id >= b.id or a.shape == b.shape:
                     continue
-                sim = cosine(embeddings[a.id].vector, embeddings[b.id].vector)
+                sim = cosine(embeddings[a.id], embeddings[b.id])
                 (same_color if word(a) == word(b) else diff_color).append(sim)
         assert min(same_color) > max(diff_color)
 
     def test_embeddings_in_range_and_nonzero(self):
         specs = sd.make_category_specs(12)
-        for emb in sem.build_embeddings(specs, dim=64).values():
-            assert emb.vector.min() >= 0.0 and emb.vector.max() <= 1.0
-            assert np.any(emb.vector > 0.0)
+        embeddings = sem.build_embeddings(specs, dim=64)
+        assert embeddings.shape == (12, 64)
+        for spec, row in zip(specs, embeddings):
+            assert np.array_equal(row, sem.category_embedding(spec.descriptions, dim=64))
+            assert row.min() >= 0.0 and row.max() <= 1.0
+            assert np.any(row > 0.0)
 
 
 class TestPersistence:
@@ -126,9 +128,8 @@ class TestPersistence:
         path = tmp_path / "embeddings.txt"
         sem.save_embeddings(path, embeddings, header_lines=["config cafe", "seed 0"])
         loaded = sem.load_embeddings(path)
-        assert set(loaded) == set(embeddings)
-        for cid in embeddings:
-            assert np.array_equal(loaded[cid].vector, embeddings[cid].vector)
+        assert loaded.dtype == np.float64 and loaded.shape == (6, 64)
+        assert loaded.tobytes() == embeddings.tobytes()
 
     @pytest.mark.parametrize(
         "cid, values, message",
@@ -139,6 +140,13 @@ class TestPersistence:
             (2, "inf " + "0.5 " * 7, "category 2 has a non-finite embedding value"),
             (2, "-inf " * 8, "category 2 has a non-finite embedding value"),
             (1, "0.5 " * 7 + "0.5x", "unparsable embedding row '1 0.5"),
+            # the rows, by category, in file order: one missing, repeated,
+            # out of order, an extra one numbered past the end, or none
+            (1, (0, 2), "expected category 1, found category 2"),
+            (2, (0, 1, 1, 2), "expected category 2, found category 1"),
+            (1, (0, 2, 1), "expected category 1, found category 2"),
+            (3, (0, 1, 2, 5), "expected category 3, found category 5"),
+            (0, (), "no embedding rows"),
         ],
     )
     def test_damaged_row_rejected_naming_file_and_category(self, tmp_path, cid, values, message):
@@ -146,7 +154,11 @@ class TestPersistence:
         path = tmp_path / "embeddings.txt"
         sem.save_embeddings(path, embeddings, header_lines=["config cafe"])
         lines = path.read_text().splitlines()
-        lines[1 + cid] = f"{cid} {values}"
+        if isinstance(values, tuple):
+            rows = dict(line.split(" ", 1) for line in lines[1:])
+            lines[1:] = [f"{c} {rows[str(c % 3)]}" for c in values]
+        else:
+            lines[1 + cid] = f"{cid} {values}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError) as excinfo:
             sem.load_embeddings(path)

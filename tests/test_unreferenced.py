@@ -1,10 +1,16 @@
-"""Guard: every function and class in ``src/kggan`` has a caller there.
+"""Guards: every function and class in ``src/kggan`` has a caller there,
+and every ``ExperimentConfig`` field is read there.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
 any reference anywhere in the package (a call, an attribute, an import)
 counts, except one inside the definition itself. Dunder methods are called
 by the interpreter, and ``cli.main`` by the ``kggan`` console script.
+
+A config field that only ``config.py`` touches (validates, serializes,
+hashes) changes nothing but the config hash. A field counts as read when a
+module other than ``config.py`` loads it as ``config.<field>`` or
+``<obj>.config.<field>``.
 """
 
 import ast
@@ -56,3 +62,28 @@ def unreferenced():
 
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced() == []
+
+
+def _is_config(node):
+    return (isinstance(node, ast.Name) and node.id == "config") or (
+        isinstance(node, ast.Attribute) and node.attr == "config"
+    )
+
+
+def unread_config_fields():
+    tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")
+    declared = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if _is_config(node.value):
+                    read.add(node.attr)
+    return [name for name in declared if name not in read]
+
+
+def test_every_config_field_is_read_outside_config():
+    assert unread_config_fields() == []
