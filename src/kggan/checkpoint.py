@@ -23,7 +23,11 @@ state, a missing, unexpected or misshaped tensor is named the same way.
 Versions 1 and 2 laid tensors out by position and are rejected.
 
 Files are written to a temporary file beside the target and renamed into
-place, so a reader never sees a partial file.
+place, so a reader never sees a partial file. A save hashes and streams
+each array's own buffer (only an array that is not contiguous float64 is
+converted, on its own), so it never holds a copy of the payload; a load
+reads the payload once, straight into the one array its tensors are views
+of, so it holds one payload copy.
 """
 
 from __future__ import annotations
@@ -47,18 +51,24 @@ PREAMBLE = 16  # magic, version, header length
 
 
 def write_atomic(path, data) -> None:
-    """Write ``data`` (bytes, or text as UTF-8) to ``path`` all or nothing.
+    """Write ``data`` to ``path`` all or nothing.
 
-    The bytes go to ``<path>.<pid>.tmp``, which ``os.replace`` moves over
-    the target; on any failure the temporary file is removed and the
-    previous target is left as it was.
+    ``data`` is bytes, text (written as UTF-8) or a sequence of buffers
+    (bytes, memoryviews, contiguous arrays), which are streamed to the
+    file one after another and never joined into one payload copy. The
+    bytes go to ``<path>.<pid>.tmp``, which ``os.replace`` moves over the
+    target; on any failure the temporary file is removed and the previous
+    target is left as it was.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -66,22 +76,22 @@ def write_atomic(path, data) -> None:
         raise
 
 
-def _digest(body: bytes) -> bytes:
-    return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
-
-
 def save_checkpoint(path, state: dict, metadata: dict) -> None:
+    """Write ``state`` and ``metadata``, streaming each array's own buffer."""
     header, pos = {}, 0
     for name, arr in state.items():
         header[name] = {"shape": list(arr.shape), "data_offsets": [pos, pos + 8 * arr.size]}
         pos += 8 * arr.size
     header["__metadata__"] = metadata
     text = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    body = b"".join(
-        [MAGIC, struct.pack("<IQ", VERSION, len(text)), text]
-        + [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in state.values()]
-    )
-    write_atomic(path, body + _digest(body))
+    buffers = [MAGIC + struct.pack("<IQ", VERSION, len(text)), text]
+    buffers += [
+        memoryview(np.ascontiguousarray(arr, "<f8").reshape(-1)).cast("B") for arr in state.values()
+    ]
+    digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
+    for buf in buffers:
+        digest.update(buf)
+    write_atomic(path, [*buffers, digest.digest()])
 
 
 def load_checkpoint(path, template: dict | None = None, expect: dict | None = None):
@@ -89,26 +99,40 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
 
     Each field of ``expect`` must equal the file's metadata, in order;
     with a ``template`` state the file must hold exactly its names and
-    shapes. The arrays are writable views of one fresh copy of the payload.
+    shapes. The payload is read once, straight into one float64 array,
+    and the returned arrays are writable views of it: a load holds one
+    payload copy. Lengths are checked against the file's size before
+    anything of that size is allocated.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < PREAMBLE + DIGEST_SIZE or blob[:4] != MAGIC:
-        raise ContractError(f"{path} is not a checkpoint file")
-    # checked before the digest: a version-1 file carries an FNV-1a trailer
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise ContractError(f"unsupported checkpoint version {version}")
-    body = memoryview(blob)[:-DIGEST_SIZE]  # a view: the payload is not copied twice
-    if _digest(body) != blob[-DIGEST_SIZE:]:
+        file_size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(PREAMBLE)
+        if file_size < PREAMBLE + DIGEST_SIZE or preamble[:4] != MAGIC:
+            raise ContractError(f"{path} is not a checkpoint file")
+        # checked before the digest: a version-1 file carries an FNV-1a trailer
+        version, size = struct.unpack_from("<IQ", preamble, 4)
+        if version != VERSION:
+            raise ContractError(f"unsupported checkpoint version {version}")
+        payload = file_size - PREAMBLE - size - DIGEST_SIZE
+        if payload < 0:
+            raise ContractError(f"{path}: header length {size} runs past the end of the file")
+        if payload % 8:
+            raise ContractError(f"{path}: payload of {payload} bytes is not whole float64 values")
+        text = fh.read(size)
+        flat = np.empty(payload // 8, dtype="<f8")
+        got = fh.readinto(memoryview(flat).cast("B"))
+        trailer = fh.read(DIGEST_SIZE)
+    if len(text) != size or got != payload or len(trailer) != DIGEST_SIZE:
+        raise ContractError(f"{path} is shorter than its size on opening")
+    digest = hashlib.blake2b(preamble, digest_size=DIGEST_SIZE)
+    digest.update(text)
+    digest.update(flat)
+    if digest.digest() != trailer:
         raise ContractError(f"{path} failed its content hash check")
 
-    (size,) = struct.unpack_from("<Q", body, 8)
-    start = PREAMBLE + size
     try:
-        header = json.loads(bytes(body[PREAMBLE:start]))
+        header = json.loads(text)
         metadata = dict(header.pop("__metadata__"))
-        flat = np.frombuffer(body, dtype="<f8", offset=start).astype(np.float64)
         state, pos = {}, 0
         for name, entry in header.items():
             begin, end = entry["data_offsets"]
@@ -121,8 +145,8 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
         raise
     except (AttributeError, KeyError, TypeError, ValueError):
         raise ContractError(f"{path} has a malformed header") from None
-    if pos != 8 * flat.size:
-        raise ContractError(f"{path} has {8 * flat.size - pos} trailing bytes")
+    if pos != payload:
+        raise ContractError(f"{path} has {payload - pos} trailing bytes")
 
     for field, value in (expect or {}).items():
         if metadata.get(field) != value:

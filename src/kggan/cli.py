@@ -205,10 +205,11 @@ def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
     )
 
 
-def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> GanModel:
+def _new_model(config: ExperimentConfig, condition_mode: str) -> GanModel:
+    """A freshly initialized model whose condition transform is the identity."""
     cond_dim = config.embed_dim if condition_mode == CONDITION_SEMANTIC else config.n_categories
     rng = np.random.default_rng(config.gan_seed)
-    model = GanModel(
+    return GanModel(
         image_size=config.image_size,
         cond_dim=cond_dim,
         condition_mode=condition_mode,
@@ -218,6 +219,11 @@ def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> G
         d_hidden=config.d_hidden,
         feat_dim=config.feat_dim,
     )
+
+
+def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> GanModel:
+    """The model training starts from: semantic conditions are preconditioned."""
+    model = _new_model(config, condition_mode)
     if condition_mode == CONDITION_SEMANTIC:
         matrix, shift = gan.condition_preconditioner(embeddings)
         model.set_condition_preconditioner(matrix, shift)
@@ -326,7 +332,9 @@ def _sample_grid(images: np.ndarray, columns: int = 8) -> np.ndarray:
 def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = None):
     """Score one trained cell.
 
-    Returns (FidReport, consistency, color, sample_fn, split). Each
+    Returns (FidReport, consistency, color, sample_fn, split). Only the
+    generator and the condition transform are restored from the
+    checkpoint, which is verified whole (see ``gan.load_generator``). Each
     category's n_gen images are drawn once and go through the regressor's
     trunk once; that draw and its features feed all three metrics.
     """
@@ -335,12 +343,10 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     dataset = _load_dataset(ws)
     embeddings = _load_embeddings(ws)
     split = _split(config)
-    tconfig = _train_config(config, config.lambda_se)
-    model = _build_model(config, condition_mode, embeddings)
     path = checkpoint_path or ws.checkpoint_path(cell)
     if not os.path.exists(path):
         raise OSError(f"checkpoint missing: {path}")
-    model, _, _, _ = gan.load_gan(path, model, tconfig, run={"cell": cell})
+    model = gan.load_generator(path, _new_model(config, condition_mode), run={"cell": cell})
 
     embedder = regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
     regressor.freeze(embedder)

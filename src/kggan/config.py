@@ -108,7 +108,7 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     known = {f.name: f.type for f in fields(ExperimentConfig)}
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,6 +120,11 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
+        if key in set_on:
+            raise ConfigError(
+                f"config key {key!r} is set on line {set_on[key]} and again on line {lineno}"
+            )
+        set_on[key] = lineno
         kind = known[key]
         try:
             if kind in ("int", int):
@@ -134,8 +139,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+    return parse_config(text)
 
 
 def save_config(path, config: ExperimentConfig) -> None:

@@ -516,3 +516,26 @@ def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     opt_g.step_count = int(state["adam_g.step"])
     opt_d.step_count = int(state["adam_d.step"])
     return model, opt_g, opt_d, int(state["iteration"])
+
+
+def load_generator(path, model: GanModel, run=None) -> GanModel:
+    """Restore only what sampling reads: the generator and the condition
+    transform. Returns ``model``.
+
+    The file is verified as ``load_gan`` verifies it (digest, kind,
+    condition mode, ``run`` and every name and shape) but the
+    discriminator, spectral and optimizer arrays are not kept, so no
+    optimizer state is built.
+    """
+    # each optimizer's moments have their parameters' names and shapes, so
+    # the parameters themselves stand in for them in the template
+    opt_g, opt_d = (
+        AdamState(first_moment=[p.data for p in params], second_moment=[p.data for p in params])
+        for params in (model.generator_params(), model.discriminator_params())
+    )
+    template = gan_state(model, opt_g, opt_d, 0)
+    expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
+    state, _ = load_checkpoint(path, template=template, expect=expect)
+    for name in [p.name for p in model.generator_params()] + ["cond.transform", "cond.shift"]:
+        template[name][...] = state[name]
+    return model

@@ -40,9 +40,17 @@ def adam_step(params, state: AdamState, grads=None) -> None:
     """Apply one Adam update; increments ``step_count``.
 
     Parameters and moments are replaced by new arrays, never written in
-    place, so a state that holds the old arrays keeps its values.
-    ``grads`` defaults to each parameter's ``.grad``. A non-finite
-    gradient aborts with a diagnostic naming the parameter.
+    place, so a state that holds the old arrays keeps its values. Each
+    parameter costs those three new arrays plus two scratch arrays of its
+    size, which hold every intermediate. The rounding steps are those of
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    with operands swapped only across a multiplication; the golden
+    lambda = 0 metric log pins them bit for bit. ``grads`` defaults to
+    each parameter's ``.grad``. A non-finite gradient aborts with a
+    diagnostic naming the parameter.
     """
     if grads is None:
         grads = [p.grad for p in params]
@@ -60,13 +68,20 @@ def adam_step(params, state: AdamState, grads=None) -> None:
             raise ContractError(f"gradient shape {g.shape} mismatches parameter {p.data.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericalAbort(f"non-finite gradient for parameter {p.name or i}")
+        scratch = (1.0 - b1) * g
         m = state.first_moment[i] * b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
         v = state.second_moment[i] * b2
-        v += (1.0 - b2) * (g * g)
+        v += scratch
         state.first_moment[i] = m
         state.second_moment[i] = v
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        denom = v / correction2
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        np.divide(m, correction1, out=scratch)
+        scratch *= state.learning_rate
+        scratch /= denom
+        p.data = p.data - scratch
     state.step_count = t

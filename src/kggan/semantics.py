@@ -65,34 +65,38 @@ def load_embeddings(path) -> np.ndarray:
     parse and hold as many finite values as the first; otherwise a
     ContractError names the file and the category.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ContractError(f"{path} is not UTF-8 text") from None
     rows = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                cid = int(parts[0])
-                vector = np.asarray([float(x) for x in parts[1:]])
-            except ValueError:
-                raise ContractError(f"{path}: unparsable embedding row {line!r}") from None
-            if cid != len(rows):
-                raise ContractError(
-                    f"{path}: expected category {len(rows)}, found category {cid} "
-                    "(rows must number 0..n-1 once each, in order)"
-                )
-            if dim is None:
-                dim = vector.size
-            if vector.size != dim or dim == 0:
-                raise ContractError(
-                    f"{path}: category {cid} has {vector.size} embedding values, "
-                    f"expected {dim or 'at least 1'}"
-                )
-            if not np.all(np.isfinite(vector)):
-                raise ContractError(f"{path}: category {cid} has a non-finite embedding value")
-            rows.append(vector)
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            cid = int(parts[0])
+            vector = np.asarray([float(x) for x in parts[1:]])
+        except ValueError:
+            raise ContractError(f"{path}: unparsable embedding row {line!r}") from None
+        if cid != len(rows):
+            raise ContractError(
+                f"{path}: expected category {len(rows)}, found category {cid} "
+                "(rows must number 0..n-1 once each, in order)"
+            )
+        if dim is None:
+            dim = vector.size
+        if vector.size != dim or dim == 0:
+            raise ContractError(
+                f"{path}: category {cid} has {vector.size} embedding values, "
+                f"expected {dim or 'at least 1'}"
+            )
+        if not np.all(np.isfinite(vector)):
+            raise ContractError(f"{path}: category {cid} has a non-finite embedding value")
+        rows.append(vector)
     if not rows:
         raise ContractError(f"{path}: no embedding rows")
     return np.stack(rows)

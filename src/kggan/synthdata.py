@@ -289,7 +289,7 @@ BLOB_VERSION = 1
 def save_blob(path, dataset: Dataset) -> None:
     """Images as little-endian f32 behind a 16-byte header."""
     header = BLOB_MAGIC + struct.pack("<III", BLOB_VERSION, len(dataset), dataset.image_size)
-    write_atomic(path, header + dataset.images.astype("<f4").tobytes())
+    write_atomic(path, [header, dataset.images.astype("<f4")])
 
 
 def load_blob(path):
@@ -321,19 +321,23 @@ def save_manifest(path, dataset: Dataset, header_lines=()) -> None:
 
 def load_manifest(path):
     """Category ids in offset order; the offsets must number the rows 0..n-1 once each."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ContractError(f"{path} is not UTF-8 text") from None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("offset"):
-                continue
-            try:
-                offset, cid = (int(part) for part in line.split(","))
-            except ValueError:
-                raise ContractError(
-                    f"{path}: line {lineno} is not 'offset,category_id': {line!r}"
-                ) from None
-            rows.append((lineno, offset, cid))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("offset"):
+            continue
+        try:
+            offset, cid = (int(part) for part in line.split(","))
+        except ValueError:
+            raise ContractError(
+                f"{path}: line {lineno} is not 'offset,category_id': {line!r}"
+            ) from None
+        rows.append((lineno, offset, cid))
     ids = np.empty(len(rows), dtype=np.int64)
     seen = set()
     for lineno, offset, cid in rows:

@@ -1,9 +1,10 @@
-"""Checkpoint container: digest check, version gate, header checks and
-atomic writes."""
+"""Checkpoint container: digest check, version gate, header checks,
+atomic streaming writes and one-copy reads."""
 
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,3 +140,114 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch, writer):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.out"]
     load(path)
+
+
+# ---------------------------------------------------------------------------
+# streaming writes and one-copy reads
+
+
+def join_save_checkpoint(path, state, metadata):
+    """The writer before streaming: every tensor's bytes joined, then hashed."""
+    header, pos = {}, 0
+    for name, arr in state.items():
+        header[name] = {"shape": list(arr.shape), "data_offsets": [pos, pos + 8 * arr.size]}
+        pos += 8 * arr.size
+    header["__metadata__"] = metadata
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    body = b"".join(
+        [b"KGCK", struct.pack("<IQ", 3, len(text)), text]
+        + [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in state.values()]
+    )
+    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+def join_save_blob(path, dataset):
+    """The blob writer before streaming: header and image bytes joined."""
+    header = b"KGDS" + struct.pack("<III", 1, len(dataset), dataset.image_size)
+    path.write_bytes(header + dataset.images.astype("<f4").tobytes())
+
+
+def test_streamed_files_equal_joined_files(rng, tmp_path):
+    from kggan import gan
+    from kggan.optim import AdamState
+
+    model = gan.GanModel(image_size=8, cond_dim=4, condition_mode=gan.CONDITION_SEMANTIC, rng=rng)
+    opts = [AdamState.for_params(ps) for ps in (model.generator_params(), model.discriminator_params())]
+    odd = {
+        "transposed": rng.standard_normal((3, 5)).T,
+        "strided": rng.standard_normal(9)[::2],
+        "float32": rng.standard_normal(4).astype(np.float32),
+        "integer": np.arange(6).reshape(2, 3),
+        "empty": np.zeros((0, 3)),
+        "scalar": np.asarray(2.5),
+    }
+    for i, state in enumerate([gan.gan_state(model, *opts, 7), odd]):
+        save_checkpoint(tmp_path / f"{i}.stream", state, {"kind": "test"})
+        join_save_checkpoint(tmp_path / f"{i}.join", state, {"kind": "test"})
+        assert (tmp_path / f"{i}.stream").read_bytes() == (tmp_path / f"{i}.join").read_bytes()
+
+    dataset = sd.build_dataset(sd.make_category_specs(3, 2), 4, 8, seed=5)
+    sd.save_blob(tmp_path / "stream.blob", dataset)
+    join_save_blob(tmp_path / "join.blob", dataset)
+    assert (tmp_path / "stream.blob").read_bytes() == (tmp_path / "join.blob").read_bytes()
+
+
+MIB = 1 << 20
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def big_state(rng):
+    """5.25 MiB: seven 128 x 768 tensors, the size of the bench-config GAN's."""
+    return {f"w{i}": rng.standard_normal((128, 768)) for i in range(7)}
+
+
+def test_save_and_load_hold_at_most_one_payload(big_state, tmp_path):
+    path = tmp_path / "big.ckpt"
+    payload = sum(arr.nbytes for arr in big_state.values())
+    assert traced_peak(save_checkpoint, path, big_state, {"kind": "test"}) < MIB // 2
+    assert traced_peak(load_checkpoint, path, big_state) <= payload + MIB // 2
+    state, _ = load_checkpoint(path, big_state)
+    assert all(np.array_equal(state[k], big_state[k]) for k in big_state)
+
+
+def _damaged(blob, damage):
+    """A damaged copy of a checkpoint's bytes and the error it must raise."""
+    blob = bytearray(blob)
+    if damage == "header_past_eof":
+        struct.pack_into("<Q", blob, 8, 1 << 40)
+        return blob, "header length 1099511627776 runs past the end of the file"
+    if damage == "truncated_trailer":
+        return blob[:-5], "payload of .* bytes is not whole float64 values"
+    if damage == "truncated_payload":
+        return blob[: len(blob) - 8 * 1000], "failed its content hash check"
+    return blob[:-8] + b"\0\0\0" + blob[-8:], "payload of .* bytes is not whole float64 values"
+
+
+@pytest.mark.parametrize(
+    "damage", ["header_past_eof", "truncated_trailer", "truncated_payload", "odd_payload"]
+)
+def test_damaged_lengths_rejected_before_a_payload_is_allocated(big_state, tmp_path, damage):
+    # the header is trusted only once the digest checks, so a payload cut
+    # by whole float64s is read (no more than the file holds) and then
+    # fails the digest; every other length is rejected from the file size
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, big_state, {"kind": "test"})
+    blob, message = _damaged(path.read_bytes(), damage)
+    path.write_bytes(bytes(blob))
+
+    def load():
+        with pytest.raises(ContractError, match=message):
+            load_checkpoint(path)
+
+    bound = len(blob) if damage == "truncated_payload" else 0
+    assert traced_peak(load) < bound + MIB // 2

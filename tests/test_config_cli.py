@@ -149,6 +149,11 @@ class TestConfig:
             assert f"config error: {settings.split()[0]} must be" in proc.stderr
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        text = "gan_iterations = 2\nbatch_size = 4\n\ngan_iterations = 5\n"
+        with pytest.raises(ConfigError, match="'gan_iterations' is set on line 1 and again on line 4"):
+            parse_config(text)
+
     def test_zero_plateau_and_zero_betas_accepted(self):
         config = parse_config("embedder_plateau = 0\nadam_beta1 = 0.0\nadam_beta2 = 0.0\n")
         assert config.embedder_plateau == 0 and config.adam_beta2 == 0.0
@@ -400,7 +405,7 @@ class TestResumeChecks:
         [
             ("baseline_full_data", "one_hot_kggan", "", "cell"),
             ("kggan_full", "kggan_full", "lambda_se = 0.2\n", "lambda_se"),
-            ("kggan_full", "kggan_full", "batch_size = 4\n", "config.batch_size"),
+            ("kggan_full", "kggan_full", "embedder_batch = 16\n", "config.embedder_batch"),
             ("kggan_full", "baseline_full_data", "", "condition_mode"),
         ],
         ids=["another_cell", "lambda_se", "config_field", "condition_mode"],
@@ -436,6 +441,89 @@ class TestResumeChecks:
             "this run has 'baseline_full_data'" in proc.stderr
         )
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
+
+
+class TestEvaluateLoad:
+    def test_evaluate_builds_no_optimizer_or_preconditioner(self, trained_cells, monkeypatch):
+        from kggan import cli, gan, semantics
+        from kggan.optim import AdamState
+
+        root, cfg_path = trained_cells
+        cell_dir = root / "out" / "cells" / "kggan_full"
+        argv = ["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]
+
+        def written():
+            """What evaluate writes: every file but train's checkpoint and log."""
+            files = sorted(p for p in cell_dir.rglob("*") if p.is_file())
+            trained = ("checkpoint.ckpt", "metrics.csv")
+            return {p.relative_to(cell_dir): p.read_bytes() for p in files if p.name not in trained}
+
+        # the whole-state load into a preconditioned model, as training builds it
+        embeddings = semantics.load_embeddings(root / "out" / "dataset" / "embeddings.txt")
+
+        def whole_state_load(path, model, run=None):
+            model.set_condition_preconditioner(*gan.condition_preconditioner(embeddings))
+            return gan.load_gan(path, model, gan.TrainConfig(), run=run)[0]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "load_generator", whole_state_load)
+            assert cli.main(argv) == 0
+        reference = written()
+
+        calls = []
+        for_params, preconditioner = AdamState.for_params, gan.condition_preconditioner
+        monkeypatch.setattr(
+            AdamState,
+            "for_params",
+            staticmethod(lambda *a, **k: calls.append("for_params") or for_params(*a, **k)),
+        )
+        monkeypatch.setattr(
+            gan,
+            "condition_preconditioner",
+            lambda *a, **k: calls.append("condition_preconditioner") or preconditioner(*a, **k),
+        )
+        for name in reference:
+            (cell_dir / name).unlink()
+        assert cli.main(argv) == 0
+        assert calls == []
+        assert written() == reference
+
+
+class TestUnreadableInput:
+    @staticmethod
+    def _damage(tmp_path, cfg, damage):
+        """Damage one input file; returns the exit code and the message expected."""
+        dataset = tmp_path / "out" / "dataset"
+        if damage == "config_repeated_key":
+            cfg.write_text(cfg.read_text() + "gan_iterations = 5\n")
+            n = len(cfg.read_text().splitlines())
+            return 2, f"config error: config key 'gan_iterations' is set on line 8 and again on line {n}"
+        path = {
+            "config_non_utf8": cfg,
+            "manifest_non_utf8": dataset / "manifest.csv",
+            "embeddings_non_utf8": dataset / "embeddings.txt",
+        }[damage]
+        path.write_bytes(path.read_bytes().replace(b"\n", "\n# caf\u00e9\n".encode("latin-1"), 1))
+        if damage == "config_non_utf8":
+            return 2, f"config error: {path} is not UTF-8 text"
+        return 3, f"contract violation: {path} is not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["config_non_utf8", "config_repeated_key", "manifest_non_utf8", "embeddings_non_utf8"],
+    )
+    def test_unreadable_input_exits_naming_the_file(self, tmp_path, damage):
+        from kggan import cli
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        assert cli.main(["--config", str(cfg), "generate-data"]) == 0
+        code, message = self._damage(tmp_path, cfg, damage)
+        proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert not (tmp_path / "out" / "embedder.ckpt").exists()
 
 
 class TestAbortCheckpoint:

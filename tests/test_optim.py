@@ -83,3 +83,42 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(ContractError):
             adam_step([p, q], state, grads=[np.zeros(2), np.zeros(2)])
+
+
+def old_adam_step(params, state, grads):
+    """The update before scratch arrays, one full-size temporary per operation."""
+    t = state.step_count + 1
+    b1, b2 = state.beta1, state.beta2
+    correction1 = 1.0 - b1**t
+    correction2 = 1.0 - b2**t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m = state.first_moment[i] * b1
+        m += (1.0 - b1) * g
+        v = state.second_moment[i] * b2
+        v += (1.0 - b2) * (g * g)
+        state.first_moment[i] = m
+        state.second_moment[i] = v
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.step_count = t
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+def test_scratch_update_is_bitwise_the_old_update(rng, beta1):
+    shapes = [(7, 5), (5,), (3, 4, 2)]
+    # parameters of the update's size, so its last bits reach theirs
+    mine = [Tensor(1e-3 * rng.standard_normal(s), requires_grad=True) for s in shapes]
+    ref = [Tensor(p.data.copy(), requires_grad=True) for p in mine]
+    kwargs = dict(learning_rate=3e-3, beta1=beta1, beta2=0.9, epsilon=1e-8)
+    s_mine, s_ref = AdamState.for_params(mine, **kwargs), AdamState.for_params(ref, **kwargs)
+    for _ in range(20):
+        # zeros and tiny values reach the epsilon and signed-zero paths
+        grads = [rng.standard_normal(s) * rng.choice([0.0, 1e-12, 1.0], size=s) for s in shapes]
+        adam_step(mine, s_mine, grads=grads)
+        old_adam_step(ref, s_ref, grads)
+    for a, b, m_a, m_b, v_a, v_b in zip(
+        mine, ref, s_mine.first_moment, s_ref.first_moment, s_mine.second_moment, s_ref.second_moment
+    ):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert m_a.tobytes() == m_b.tobytes() and v_a.tobytes() == v_b.tobytes()

@@ -1,5 +1,6 @@
 """Guards: every function and class in ``src/kggan`` has a caller there,
-and every ``ExperimentConfig`` field is read there.
+every ``ExperimentConfig`` field is read there, and only
+``checkpoint.write_atomic`` opens a file for writing.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
@@ -11,6 +12,11 @@ A config field that only ``config.py`` touches (validates, serializes,
 hashes) changes nothing but the config hash. A field counts as read when a
 module other than ``config.py`` loads it as ``config.<field>`` or
 ``<obj>.config.<field>``.
+
+Every artifact goes through the one atomic writer, which the disk-full
+test in ``test_checkpoint.py`` breaks to show a failed write keeps the
+previous file. An ``open`` elsewhere with a write, append, exclusive or
+update mode (or a mode not spelled as a literal) would bypass both.
 """
 
 import ast
@@ -87,3 +93,39 @@ def unread_config_fields():
 
 def test_every_config_field_is_read_outside_config():
     assert unread_config_fields() == []
+
+
+def _open_mode(call):
+    """The mode of an ``open(...)`` call: a string, or None when not a literal."""
+    mode = call.args[1] if len(call.args) > 1 else None
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            mode = kw.value
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
+
+
+def writing_opens():
+    """``module.function:line`` of each writing ``open`` outside the atomic writer."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {}  # each node to the innermost function around it
+        for qualname, node in _definitions(tree):
+            for sub in ast.walk(node):
+                owners[sub] = qualname
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id != "open":
+                continue
+            mode = _open_mode(node)
+            where = f"{path.stem}.{owners.get(node, '<module>')}"
+            if (mode is None or set(mode) & set("wax+")) and where != "checkpoint.write_atomic":
+                found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    assert writing_opens() == []
