@@ -5,6 +5,10 @@ loss: seen categories get the hinge adversarial objective plus a semantic
 knowledge term, unseen categories the knowledge term alone. Everything
 runs at desk scale on a procedurally generated flower dataset, with
 per-category Frechet evaluation and a four-cell ablation harness.
+
+``backward(loss, params)`` returns the gradients of a scalar loss, one
+per parameter; tensors hold no gradient, so nothing is reset between
+passes.
 """
 
 from .autodiff import Tensor, backward, no_grad

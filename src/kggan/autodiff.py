@@ -1,15 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A module-level tape records every differentiable operation in execution
-order, so operands always precede the nodes that use them. ``backward``
-first wipes stale gradients on every tensor the tape touches, seeds the
-loss with ones, then replays the tape exactly once in reverse, summing
-contributions into ``.grad``. The tape is cleared afterwards, which makes
-each forward/backward round self-contained: repeating the same forward
-pass yields the same gradients. Given the parameters it is to
-differentiate, ``backward`` replays only the nodes that depend on them,
-and the product rules (affine, matmul, mul) skip the product for any
-input whose gradient is not wanted.
+order, so operands always precede the nodes that use them.
+``backward(loss, params)`` seeds the loss with ones and replays, in
+reverse and exactly once, only the nodes that depend on ``params``; the
+product rules (affine, matmul, mul) skip the product for any input whose
+gradient is not wanted. Gradients live in a dict local to the pass and
+are returned, one per parameter, so tensors carry no gradient and
+nothing is reset between passes. The tape is cleared afterwards, which
+makes each forward/backward round self-contained: repeating the same
+forward pass yields the same gradients.
 
 Gradient arrays are never mutated in place; accumulation always allocates,
 so it is safe for a backward rule to hand back the incoming gradient
@@ -27,31 +27,18 @@ from .errors import ContractError, DimensionError
 
 
 class Tensor:
-    """A dense float64 array with optional gradient tracking.
+    """A dense float64 array, optionally differentiated by ``backward``.
 
     ``data`` is kept C-contiguous, i.e. a flat row-major buffer plus a
-    shape. ``grad`` is populated by ``backward`` and always matches
-    ``data``'s shape.
+    shape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "name")
 
-    def __init__(self, data, requires_grad=False, name=None, _validate=True):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
-        if _validate and not np.all(np.isfinite(arr)):
-            raise ContractError("tensor data contains non-finite values")
-        self.data = arr
+    def __init__(self, data, requires_grad=False, name=None):
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.name = name
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -74,13 +61,10 @@ class ComputationTape:
 
     def __init__(self):
         self.nodes = []
-        self.wanted = None
+        self.wanted = frozenset()
 
     def needs_grad(self, t: Tensor) -> bool:
-        """Whether the running backward pass wants ``t``'s gradient;
-        outside one, whether ``t`` requires a gradient at all."""
-        if self.wanted is None:
-            return t.requires_grad
+        """Whether the running backward pass wants ``t``'s gradient."""
         return id(t) in self.wanted
 
     def __len__(self):
@@ -112,7 +96,7 @@ def no_grad():
 
 def _make(out_data, inputs, backward_fn) -> Tensor:
     track = _grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track, _validate=False)
+    out = Tensor(out_data, requires_grad=track)
     if track:
         _tape.nodes.append((out, inputs, backward_fn))
     return out
@@ -121,7 +105,7 @@ def _make(out_data, inputs, backward_fn) -> Tensor:
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64), _validate=False)
+    return Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -137,58 +121,49 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def backward(loss: Tensor, params=None) -> None:
-    """Populate ``.grad`` on the requires_grad tensors reachable from loss.
+def backward(loss: Tensor, params) -> list:
+    """The gradients of a scalar ``loss`` with respect to ``params``.
 
-    With ``params`` given, only those of them that require a gradient, and
-    the tape's results that depend on them, receive one; every other
-    tensor on the tape is left with ``.grad`` None, and the products that
-    would only feed it are never computed. The gradients that are filled
-    carry the same bits as from a full pass.
+    Returns one array per parameter, in order, or None for a parameter
+    that does not require a gradient or that the loss does not reach.
+    Only the tape's nodes that depend on ``params`` are replayed, and no
+    product that would only feed another tensor is computed. The
+    gradients are held in a dict local to this pass, so each call yields
+    the plain derivative of this loss, never an accumulation across
+    calls, and nothing is stored on any tensor.
 
     The loss must be a scalar (shape () or (1,)) and the tape non-empty.
-    All gradients belonging to the current tape (and to ``params``) are
-    reset first, so each call yields the plain derivative of this loss,
-    not an accumulation across calls. The tape is cleared before
-    returning.
+    The tape is cleared before returning.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not _tape.nodes:
         raise ContractError("backward called with an empty tape")
 
-    if params is None:
-        wanted = {id(t) for out, inputs, _ in _tape.nodes for t in (out, *inputs) if t.requires_grad}
-    else:
-        params = list(params)
-        wanted = {id(p) for p in params if p.requires_grad}
-        for out, inputs, _ in _tape.nodes:
-            for t in inputs:
-                if id(t) in wanted:
-                    wanted.add(id(out))
-                    break
-        for p in params:
-            p.grad = None
-
+    params = list(params)
+    wanted = {id(p) for p in params if p.requires_grad}
     for out, inputs, _ in _tape.nodes:
-        out.grad = None
         for t in inputs:
-            t.grad = None
+            if id(t) in wanted:
+                wanted.add(id(out))
+                break
 
-    loss.grad = np.ones_like(loss.data)
+    grads = {id(loss): np.ones_like(loss.data)} if id(loss) in wanted else {}
     _tape.wanted = wanted
     try:
         for out, inputs, backward_fn in reversed(_tape.nodes):
-            g = out.grad
-            if g is None or id(out) not in wanted:
+            g = grads.get(id(out))
+            if g is None:
                 continue
             for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or id(t) not in wanted:
                     continue
-                t.grad = gi if t.grad is None else t.grad + gi
+                have = grads.get(id(t))
+                grads[id(t)] = gi if have is None else have + gi
     finally:
-        _tape.wanted = None
+        _tape.wanted = frozenset()
     _tape.clear()
+    return [grads.get(id(p)) for p in params]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field. ``train --resume``
 continues only a checkpoint of the same run: on the first of those that
 differs it exits 3 naming it, before it trains or writes anything. Only
-gan_iterations (a resume may train further) and out_dir may differ. A
+gan_iterations (a resume may train further) and out_dir may differ; a
+checkpoint at or past gan_iterations exits 3 naming both numbers. A
 numerical abort (exit 4) leaves checkpoint.aborted.ckpt in the cell's
 directory: the named state at the start of the failing iteration.
 
@@ -120,7 +121,7 @@ def _load_dataset(ws: Workspace):
     if not os.path.exists(ws.blob_path):
         raise OSError(f"dataset blob missing: {ws.blob_path} (run generate-data first)")
     images, side = synthdata.load_blob(ws.blob_path)
-    ids = synthdata.load_manifest(ws.manifest_path)
+    ids = synthdata.load_manifest(ws.manifest_path, ws.config.n_categories)
     if side != ws.config.image_size:
         raise ContractError("dataset on disk does not match the configuration")
     if len(ids) != images.shape[0]:
@@ -264,6 +265,11 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
         model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig, run=expect)
+        if start_iteration >= config.gan_iterations:
+            raise ContractError(
+                f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
+                f"gan_iterations {config.gan_iterations}; there is nothing to train"
+            )
     else:
         opt_g, opt_d = gan._make_optimizers(model, tconfig, None, None)
 

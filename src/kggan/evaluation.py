@@ -135,7 +135,7 @@ def embedding_consistency(embedder: RegressorModel, features, target) -> float:
     if not embedder.frozen:
         raise ContractError("embedding consistency requires a frozen regressor")
     with ad.no_grad():
-        pred = embedder.head(Tensor(features, _validate=False)).data
+        pred = embedder.head(Tensor(features)).data
     return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
 
 

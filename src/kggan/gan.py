@@ -143,8 +143,8 @@ class GanModel:
         }
 
         # fixed condition reparametrization (identity unless preconditioned)
-        self.cond_transform = Tensor(np.eye(cond_dim), _validate=False)
-        self.cond_shift = Tensor(np.zeros(cond_dim), _validate=False)
+        self.cond_transform = Tensor(np.eye(cond_dim))
+        self.cond_shift = Tensor(np.zeros(cond_dim))
 
     def set_condition_preconditioner(self, matrix: np.ndarray, shift: np.ndarray) -> None:
         if matrix.shape != (self.cond_dim, self.cond_dim) or shift.shape != (self.cond_dim,):
@@ -152,8 +152,8 @@ class GanModel:
                 f"preconditioner shapes {matrix.shape}/{shift.shape} do not match "
                 f"cond_dim {self.cond_dim}"
             )
-        self.cond_transform = Tensor(matrix, _validate=False)
-        self.cond_shift = Tensor(shift, _validate=False)
+        self.cond_transform = Tensor(matrix)
+        self.cond_shift = Tensor(shift)
 
     def conditions(self, embeddings: np.ndarray) -> np.ndarray:
         """The condition table: row i is category i's condition vector.
@@ -298,24 +298,24 @@ def _d_step(model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_z, au
 
     # fakes share the real batch's conditions: pairing them keeps the
     # projection term's real-vs-fake contrast on the same categories
-    v = Tensor(cond[real_cats], _validate=False)
+    v = Tensor(cond[real_cats])
     z = rng_z.standard_normal((config.batch_size, config.z_dim))
     with ad.no_grad():
-        fakes = generator_forward(model, Tensor(z, _validate=False), v)
-    d_real = discriminator_forward(model, Tensor(x_real, _validate=False), v)
-    d_fake = discriminator_forward(model, Tensor(fakes.data, _validate=False), v)
+        fakes = generator_forward(model, Tensor(z), v)
+    d_real = discriminator_forward(model, Tensor(x_real), v)
+    d_fake = discriminator_forward(model, Tensor(fakes.data), v)
     loss = hinge_d_loss(d_real, d_fake)
     value = loss.item()
-    ad.backward(loss, model.discriminator_params())
-    adam_step(model.discriminator_params(), opt_d)
+    params = model.discriminator_params()
+    adam_step(params, opt_d, ad.backward(loss, params))
     return value
 
 
 def _g_adv(model, cats, cond, config, rng_z):
     g_cats = cats[rng_z.integers(0, cats.size, size=config.batch_size)]
     z = rng_z.standard_normal((config.batch_size, config.z_dim))
-    v = Tensor(cond[g_cats], _validate=False)
-    fakes = generator_forward(model, Tensor(z, _validate=False), v)
+    v = Tensor(cond[g_cats])
+    fakes = generator_forward(model, Tensor(z), v)
     scores = discriminator_forward(model, fakes, v)
     return fakes, g_cats, hinge_g_loss(scores)
 
@@ -410,18 +410,12 @@ def train(
             rng_zg = _stream(config.seed, iteration, 2)
             fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)
             if config.lambda_se > 0.0:
-                se_seen_t = semantic_embedding_loss(
-                    fakes, Tensor(embeddings[g_cats], _validate=False), embedder
-                )
+                se_seen_t = semantic_embedding_loss(fakes, Tensor(embeddings[g_cats]), embedder)
                 rng_u = _stream(config.seed, iteration, 3)
                 u_cats = unseen_cats[rng_u.integers(0, unseen_cats.size, size=config.batch_size)]
                 z_u = rng_u.standard_normal((config.batch_size, config.z_dim))
-                fakes_u = generator_forward(
-                    model, Tensor(z_u, _validate=False), Tensor(cond[u_cats], _validate=False)
-                )
-                se_unseen_t = semantic_embedding_loss(
-                    fakes_u, Tensor(embeddings[u_cats], _validate=False), embedder
-                )
+                fakes_u = generator_forward(model, Tensor(z_u), Tensor(cond[u_cats]))
+                se_unseen_t = semantic_embedding_loss(fakes_u, Tensor(embeddings[u_cats]), embedder)
                 se_seen = se_seen_t.item()
                 se_unseen = se_unseen_t.item()
                 loss_g = ad.add(adv, ad.scale(ad.add(se_seen_t, se_unseen_t), config.lambda_se))
@@ -430,8 +424,8 @@ def train(
                 se_unseen = 0.0
                 loss_g = adv
             l_g = loss_g.item()
-            ad.backward(loss_g, model.generator_params())
-            adam_step(model.generator_params(), opt_g)
+            params = model.generator_params()
+            adam_step(params, opt_g, ad.backward(loss_g, params))
         except NumericalAbort as abort:
             ad.get_tape().clear()
             raise NumericalAbort(str(abort), last_good=snapshot, iteration=iteration) from None
@@ -454,7 +448,7 @@ def sample_images(model: GanModel, category_id: int, n: int, embeddings: np.ndar
     z = rng.standard_normal((n, model.z_dim))
     v = np.tile(model.conditions(embeddings)[category_id], (n, 1))
     with ad.no_grad():
-        images = generator_forward(model, Tensor(z, _validate=False), Tensor(v, _validate=False))
+        images = generator_forward(model, Tensor(z), Tensor(v))
     return images.data
 
 

@@ -36,24 +36,24 @@ class AdamState:
         )
 
 
-def adam_step(params, state: AdamState, grads=None) -> None:
-    """Apply one Adam update; increments ``step_count``.
+def adam_step(params, state: AdamState, grads) -> None:
+    """Apply one Adam update with ``grads``, one array per parameter, as
+    ``autodiff.backward`` returns them; increments ``step_count``.
 
     Parameters and moments are replaced by new arrays, never written in
     place, so a state that holds the old arrays keeps its values. Each
-    parameter costs those three new arrays plus two scratch arrays of its
-    size, which hold every intermediate. The rounding steps are those of
+    parameter costs four arrays of its size: the two new moments, a
+    scratch array that holds every intermediate and becomes the new
+    parameter, and the denominator. The rounding steps are those of
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
 
     with operands swapped only across a multiplication; the golden
-    lambda = 0 metric log pins them bit for bit. ``grads`` defaults to
-    each parameter's ``.grad``. A non-finite gradient aborts with a
-    diagnostic naming the parameter.
+    metric logs pin them bit for bit. A missing gradient is a contract
+    error and a non-finite one a numerical abort, each naming the
+    parameter.
     """
-    if grads is None:
-        grads = [p.grad for p in params]
     if len(grads) != len(params) or len(state.first_moment) != len(params):
         raise ContractError("optimizer state does not align with the parameter list")
 
@@ -83,5 +83,6 @@ def adam_step(params, state: AdamState, grads=None) -> None:
         np.divide(m, correction1, out=scratch)
         scratch *= state.learning_rate
         scratch /= denom
-        p.data = p.data - scratch
+        np.subtract(p.data, scratch, out=scratch)
+        p.data = scratch
     state.step_count = t

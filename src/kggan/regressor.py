@@ -89,7 +89,7 @@ class RegressorModel:
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
     """Penultimate-layer features for a [n,3,S,S] batch."""
     with ad.no_grad():
-        feats = model.penultimate(Tensor(images, _validate=False))
+        feats = model.penultimate(Tensor(images))
     return feats.data
 
 
@@ -136,8 +136,9 @@ def train_embedder(
     targets = embeddings[category_ids]
     batch = min(config.batch_size, n)
 
+    params = model.parameters()
     opt = AdamState.for_params(
-        model.parameters(),
+        params,
         learning_rate=config.learning_rate,
         beta1=config.beta1,
         beta2=config.beta2,
@@ -156,11 +157,10 @@ def train_embedder(
         if sampler_audit is not None:
             sampler_audit.append(category_ids[idx].copy())
 
-        pred = model.forward(Tensor(images[idx], _validate=False))
-        diff = ad.sub(pred, Tensor(targets[idx], _validate=False))
+        pred = model.forward(Tensor(images[idx]))
+        diff = ad.sub(pred, Tensor(targets[idx]))
         loss = ad.scale(ad.tsum(ad.square(diff)), 1.0 / batch)
-        ad.backward(loss)
-        adam_step(model.parameters(), opt)
+        adam_step(params, opt, ad.backward(loss, params))
 
         value = loss.item()
         model.training_loss_history.append(value)

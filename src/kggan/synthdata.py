@@ -319,8 +319,9 @@ def save_manifest(path, dataset: Dataset, header_lines=()) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_manifest(path):
-    """Category ids in offset order; the offsets must number the rows 0..n-1 once each."""
+def load_manifest(path, n_categories: int):
+    """Category ids in offset order; the offsets must number the rows 0..n-1
+    once each, and every id must lie in 0..n_categories-1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -346,6 +347,10 @@ def load_manifest(path):
         if not 0 <= offset < len(rows):
             raise ContractError(
                 f"{path}: line {lineno} has offset {offset}, outside 0..{len(rows) - 1}"
+            )
+        if not 0 <= cid < n_categories:
+            raise ContractError(
+                f"{path}: line {lineno} has category {cid}, outside 0..{n_categories - 1}"
             )
         seen.add(offset)
         ids[offset] = cid

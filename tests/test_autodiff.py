@@ -40,8 +40,7 @@ def finite_difference(f, params, h=1e-5):
 
 
 def assert_close_to_fd(loss_fn, params, rtol=1e-4):
-    ad.backward(loss_fn())
-    analytic = [p.grad.copy() for p in params]
+    analytic = ad.backward(loss_fn(), params)
     with ad.no_grad():
         fd = finite_difference(lambda: loss_fn().item(), params)
     for a, n in zip(analytic, fd):
@@ -85,13 +84,13 @@ class TestAffine:
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):
         w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        ad.backward(ad.tsum(w))
-        assert np.array_equal(w.grad, np.ones((3, 5)))
+        (grad,) = ad.backward(ad.tsum(w), [w])
+        assert np.array_equal(grad, np.ones((3, 5)))
 
     def test_square_sum_gradient(self):
         w = Tensor([2.0, -3.0], requires_grad=True)
-        ad.backward(ad.tsum(ad.square(w)))
-        assert np.array_equal(w.grad, [4.0, -6.0])
+        (grad,) = ad.backward(ad.tsum(ad.square(w)), [w])
+        assert np.array_equal(grad, [4.0, -6.0])
 
     def test_two_layer_tanh_network_matches_finite_differences(self, rng):
         x = Tensor(rng.standard_normal((4, 3)))
@@ -109,19 +108,19 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            ad.backward(ad.square(w))
+            ad.backward(ad.square(w), [w])
 
     def test_empty_tape_rejected(self):
         with pytest.raises(ContractError):
-            ad.backward(Tensor([1.0]))
+            ad.backward(Tensor([1.0]), [])
 
     def test_tape_cleared_and_second_pass_matches(self, rng):
         w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 2)))
 
         def run():
-            ad.backward(ad.tsum(ad.square(ad.matmul(x, w))))
-            return w.grad.copy()
+            (grad,) = ad.backward(ad.tsum(ad.square(ad.matmul(x, w))), [w])
+            return grad
 
         first = run()
         assert len(ad.get_tape()) == 0
@@ -131,8 +130,8 @@ class TestBackward:
     def test_branching_graph_accumulates(self):
         w = Tensor([3.0], requires_grad=True)
         y = ad.add(ad.square(w), ad.scale(w, 2.0))  # w^2 + 2w
-        ad.backward(ad.tsum(y))
-        assert np.allclose(w.grad, [8.0])
+        (grad,) = ad.backward(ad.tsum(y), [w])
+        assert np.allclose(grad, [8.0])
 
 
 class TestRestrictedBackward:
@@ -147,11 +146,19 @@ class TestRestrictedBackward:
             lambda: ad.mul(s, ad.matmul(x, w)),
         ):
             out = op()
-            node_out, inputs, backward_fn = ad.get_tape().nodes[-1]
+            nodes = ad.get_tape().nodes
+            node_out, inputs, backward_fn = nodes[-1]
             assert node_out is out
-            grads = backward_fn(np.ones_like(out.data))
+            returned = []
+
+            def spy(g, backward_fn=backward_fn, returned=returned):
+                returned.append(backward_fn(g))
+                return returned[-1]
+
+            nodes[-1] = (node_out, inputs, spy)
+            ad.backward(ad.tsum(out), [w])
+            (grads,) = returned
             assert [g is None for g in grads] == [not t.requires_grad for t in inputs]
-        ad.get_tape().clear()
 
     def test_only_named_params_and_their_dependents_get_gradients(self, rng):
         x = Tensor(rng.standard_normal((5, 3)))
@@ -164,38 +171,38 @@ class TestRestrictedBackward:
             h = ad.tanh(ad.affine(x, w1, b1))
             return ad.tsum(ad.square(ad.affine(h, w2, b2)))
 
-        ad.backward(loss())
-        full = [w1.grad.copy(), b1.grad.copy()]
-        ad.backward(loss(), [w1, b1])
-        assert np.array_equal(w1.grad, full[0]) and np.array_equal(b1.grad, full[1])
-        assert w2.grad is None and b2.grad is None
-        ad.backward(loss(), [w2])
-        assert w1.grad is None and b1.grad is None and b2.grad is None
-        assert w2.grad is not None
+        full = ad.backward(loss(), [w1, b1, w2, b2])
+        first = ad.backward(loss(), [w1, b1])
+        assert [g.tobytes() for g in first] == [g.tobytes() for g in full[:2]]
+        (second,) = ad.backward(loss(), [w2])
+        assert second.tobytes() == full[2].tobytes()
+        # neither a tensor without requires_grad nor one off the tape gets one
+        unreached = Tensor(np.ones(3), requires_grad=True)
+        assert ad.backward(loss(), [x, unreached]) == [None, None]
 
 
 class TestOps:
     def test_bias_broadcast_gradient(self, rng):
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         x = Tensor(rng.standard_normal((5, 4)))
-        ad.backward(ad.tsum(ad.add(x, b)))
-        assert np.allclose(b.grad, np.full(4, 5.0))
+        (grad,) = ad.backward(ad.tsum(ad.add(x, b)), [b])
+        assert np.allclose(grad, np.full(4, 5.0))
 
     def test_concat_splits_gradient(self, rng):
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         joined = ad.concat([a, b], axis=1)
         weights = rng.standard_normal((2, 5))
-        ad.backward(ad.tsum(ad.mul(joined, Tensor(weights))))
-        assert np.allclose(a.grad, weights[:, :3])
-        assert np.allclose(b.grad, weights[:, 3:])
+        grad_a, grad_b = ad.backward(ad.tsum(ad.mul(joined, Tensor(weights))), [a, b])
+        assert np.allclose(grad_a, weights[:, :3])
+        assert np.allclose(grad_b, weights[:, 3:])
 
     def test_sum_axis_backward(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        ad.backward(ad.tsum(ad.square(ad.tsum(a, axis=1))))
+        (grad,) = ad.backward(ad.tsum(ad.square(ad.tsum(a, axis=1))), [a])
         with ad.no_grad():
             expected = np.repeat(2.0 * a.data.sum(axis=1)[:, None], 4, axis=1)
-        assert np.allclose(a.grad, expected)
+        assert np.allclose(grad, expected)
 
     @pytest.mark.parametrize(
         "op",
@@ -220,10 +227,9 @@ class TestOps:
     def test_detach_blocks_gradient(self):
         # a tensor rebuilt from another's values, as the D step feeds G's fakes
         w = Tensor([2.0], requires_grad=True)
-        y = Tensor(ad.square(w).data, _validate=False)
+        y = Tensor(ad.square(w).data)
         z = ad.mul(Tensor([3.0], requires_grad=True), y)
-        ad.backward(ad.tsum(z))
-        assert w.grad is None
+        assert ad.backward(ad.tsum(z), [w]) == [None]
 
     def test_no_grad_suppresses_recording(self):
         w = Tensor([2.0], requires_grad=True)
@@ -231,10 +237,6 @@ class TestOps:
             out = ad.square(w)
         assert not out.requires_grad
         assert len(ad.get_tape()) == 0
-
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(ContractError):
-            Tensor([np.nan, 1.0])
 
 
 class TestLayerTypeGradients:
@@ -250,8 +252,7 @@ class TestLayerTypeGradients:
                 for shape in n_params
             ]
             loss_fn = build_loss(rng, params)
-            ad.backward(loss_fn())
-            analytic = [p.grad.copy() for p in params]
+            analytic = ad.backward(loss_fn(), params)
             with ad.no_grad():
                 fd = finite_difference(lambda: loss_fn().item(), params)
             for a, n in zip(analytic, fd):
@@ -304,8 +305,8 @@ class TestDeterminism:
             w = ad.uniform_init((4, 4), rng)
             x = Tensor(rng.standard_normal((2, 4)))
             out = ad.tsum(ad.square(ad.tanh(ad.matmul(x, w))))
-            ad.backward(out)
-            return w.data.tobytes(), w.grad.tobytes()
+            (grad,) = ad.backward(out, [w])
+            return w.data.tobytes(), grad.tobytes()
 
         assert run() == run()
 

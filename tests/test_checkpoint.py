@@ -96,7 +96,7 @@ def _writers():
         ),
         "manifest": (
             lambda path, k: sd.save_manifest(path, sd.build_dataset(specs, 2, 8, seed=k), [f"v{k}"]),
-            sd.load_manifest,
+            lambda path: sd.load_manifest(path, 3),
         ),
         "descriptions": (
             lambda path, k: sd.save_descriptions(path, specs, [f"v{k}"]),

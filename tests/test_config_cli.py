@@ -166,7 +166,7 @@ class TestGenerateData:
         from kggan import synthdata as sd
 
         images, side = sd.load_blob(out / "images.blob")
-        ids = sd.load_manifest(out / "manifest.csv")
+        ids = sd.load_manifest(out / "manifest.csv", 6)
         assert side == 8
         assert images.shape == (60, 3, 8, 8)
         assert len(ids) == 60
@@ -249,7 +249,7 @@ class TestTrainAndEvaluate:
         for cid in ids:
             images = sample_fn(cid, n)
             with no_grad():
-                pred = embedder.forward(Tensor(images, _validate=False)).data
+                pred = embedder.forward(Tensor(images)).data
             target = embeddings[cid]
             assert consistency[cid] == float(np.mean(np.sum((pred - target) ** 2, axis=1)))
             want = int(np.argmax(np.asarray(specs_by_id[cid].base_color)))
@@ -427,6 +427,29 @@ class TestResumeChecks:
         assert f"contract violation: {resume}: checkpoint has {field} " in proc.stderr
         assert metrics.read_bytes() == before
 
+    @pytest.mark.parametrize("iterations", [40, 20], ids=["at_the_end", "past_the_end"])
+    def test_checkpoint_at_or_past_the_end_exits_3_naming_both_numbers(
+        self, trained_cells, tmp_path, iterations
+    ):
+        root, cfg_path = trained_cells
+        cfg = tmp_path / "exp.cfg"
+        text = cfg_path.read_text()
+        cfg.write_text(text.replace("gan_iterations = 40", f"gan_iterations = {iterations}"))
+        cell_dir = root / "out" / "cells" / "kggan_full"
+        before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
+        resume = cell_dir / "checkpoint.ckpt"
+        proc = run_cli(
+            ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)],
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (
+            f"contract violation: {resume}: checkpoint has iteration 40, at or past this run's "
+            f"gan_iterations {iterations}" in proc.stderr
+        )
+        assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
+
     def test_evaluate_of_another_cells_checkpoint_exits_3_naming_cell(self, trained_cells):
         root, cfg_path = trained_cells
         cell_dir = root / "out" / "cells" / "baseline_full_data"
@@ -441,6 +464,31 @@ class TestResumeChecks:
             "this run has 'baseline_full_data'" in proc.stderr
         )
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
+
+
+class TestBenchmarkChecks:
+    def test_checkpoint_check_loads_what_train_writes(self, trained_cells):
+        """The benchmark's checkpoint check runs against the package as it
+        is, so a change that breaks it fails here, not as failed
+        benchmark operations."""
+        import importlib.util
+
+        from kggan.config import load_config
+        from kggan.gan import CONDITION_ONE_HOT, CONDITION_SEMANTIC
+
+        path = os.path.join(os.path.dirname(SRC), "perfbench", "checks.py")
+        spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+
+        root, cfg_path = trained_cells
+        config = load_config(cfg_path)
+        one_hot = root / "out" / "cells" / "one_hot_kggan" / "checkpoint.ckpt"
+        semantic = root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt"
+        checks.checkpoint_iteration(one_hot, config, CONDITION_ONE_HOT, 40)
+        checks.checkpoint_iteration(semantic, config, CONDITION_SEMANTIC, 40)
+        with pytest.raises(checks.CheckFailed, match="iteration 40, expected 39"):
+            checks.checkpoint_iteration(semantic, config, CONDITION_SEMANTIC, 39)
 
 
 class TestEvaluateLoad:
@@ -545,10 +593,10 @@ class TestAbortCheckpoint:
 
         calls = []
 
-        def poisoned(params, state, grads=None):
+        def poisoned(params, state, grads):
             calls.append(len(params))
             if len(calls) == 2 * k + 2:  # iteration k's G step, after its D step
-                params[0].grad[0, 0] = np.nan
+                grads[0][0, 0] = np.nan
             return optim.adam_step(params, state, grads)
 
         monkeypatch.setattr(gan, "adam_step", poisoned)
@@ -573,11 +621,16 @@ class TestDatasetFiles:
             del lines[row]  # the last row's offset then lies outside 0..n-1
             named = len(lines)
         else:
-            bad = {"malformed": f"5;{cid}", "duplicate": f"4,{cid}", "out_of_range": f"999,{cid}"}
+            bad = {
+                "malformed": f"5;{cid}",
+                "duplicate": f"4,{cid}",
+                "out_of_range": f"999,{cid}",
+                "category": "5,99",
+            }
             lines[row] = bad[damage]
             named = row + 1
         path.write_text("\n".join(lines) + "\n")
-        return f"{path}: line {named} "
+        return f"{path}: line {named} " + ("has category 99" if damage == "category" else "")
 
     @staticmethod
     def _damage_blob(path):
@@ -588,7 +641,7 @@ class TestDatasetFiles:
         return f"{path}: sample 7 has a non-finite pixel"
 
     @pytest.mark.parametrize(
-        "damage", ["malformed", "duplicate", "out_of_range", "missing", "nan_pixel"]
+        "damage", ["malformed", "duplicate", "out_of_range", "category", "missing", "nan_pixel"]
     )
     def test_damaged_dataset_exits_3_naming_file_and_row(self, tmp_path, damage):
         from kggan import cli

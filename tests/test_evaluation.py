@@ -244,7 +244,7 @@ class TestEmbeddingConsistency:
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
-            pred0 = extractor.forward(Tensor(constant, _validate=False)).data
+            pred0 = extractor.forward(Tensor(constant)).data
         out = embedding_consistency(extractor, extract_features(extractor, constant), pred0[0])
         assert out < 1e-24
 
@@ -256,7 +256,7 @@ class TestEmbeddingConsistency:
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
-            preds = extractor.forward(Tensor(pool, _validate=False)).data
+            preds = extractor.forward(Tensor(pool)).data
         for cid in sorted(split.seen_ids):
             target = embeddings[cid]
             out = embedding_consistency(extractor, features, target)

@@ -75,7 +75,7 @@ class TestAdam:
         p = Tensor(np.zeros(2), requires_grad=True)
         state = AdamState.for_params([p])
         with pytest.raises(ContractError):
-            adam_step([p], state)
+            adam_step([p], state, grads=[None])
 
     def test_state_misalignment_rejected(self, rng):
         p = Tensor(np.zeros(2), requires_grad=True)

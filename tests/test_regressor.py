@@ -1,5 +1,7 @@
 """Embedding regressor: training, freezing, prediction, persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kggan import synthdata as sd
 from kggan.autodiff import Tensor
 from kggan.checkpoint import save_checkpoint
 from kggan.errors import ContractError, DimensionError
+from kggan.hashing import fnv1a_64
 from kggan.regressor import (
     RegressorConfig,
     RegressorModel,
@@ -38,7 +41,7 @@ def make_samples(n_categories=3, per_category=20, image_size=12, seed=5):
 def predict(model, images):
     """No-grad predictions for an [n,3,S,S] batch."""
     with ad.no_grad():
-        return model.forward(Tensor(np.asarray(images), _validate=False)).data
+        return model.forward(Tensor(np.asarray(images))).data
 
 
 def param_bytes(model):
@@ -112,13 +115,27 @@ class TestTrainEmbedder:
         assert audit and all(set(batch.tolist()) <= {0, 1, 2} for batch in audit)
 
 
+GOLDEN_EMBEDDER_LOG = Path(__file__).parent / "golden" / "embedder_mini_losses.csv"
+
+
+class TestEmbedderGolden:
+    def test_training_matches_golden_bitwise(self, trained):
+        """``train_embedder`` on the mini samples writes the loss history,
+        and reaches the parameters (the ``params`` hash line), recorded in
+        the golden file before the backward pass was last rewritten."""
+        model = trained[4]
+        lines = [f"# params {fnv1a_64(param_bytes(model)):016x}", "step,loss"]
+        lines += [f"{step},{loss!r}" for step, loss in enumerate(model.training_loss_history)]
+        assert "\n".join(lines) + "\n" == GOLDEN_EMBEDDER_LOG.read_text(encoding="utf-8")
+
+
 class TestFreeze:
     def test_hash_constant_after_freeze(self, trained):
         model = trained[4]
         freeze(model)
         before = param_bytes(model)
         # forward passes and even an attempted backward leave params alone
-        images = Tensor(trained[1][:1], _validate=False)
+        images = Tensor(trained[1][:1])
         out = model.forward(images)
         assert param_bytes(model) == before
 
@@ -132,12 +149,11 @@ class TestFreeze:
         _, images, ids, embeddings, model = trained
         freeze(model)
         images = Tensor(images[:1].copy(), requires_grad=True)
-        target = Tensor(embeddings[ids[0]][None], _validate=False)
+        target = Tensor(embeddings[ids[0]][None])
         loss = ad.tsum(ad.square(ad.sub(model.forward(images), target)))
-        ad.backward(loss)
-        assert images.grad is not None and np.any(images.grad != 0.0)
-        for p in model.parameters():
-            assert p.grad is None
+        grad, *param_grads = ad.backward(loss, [images] + model.parameters())
+        assert grad is not None and np.any(grad != 0.0)
+        assert all(g is None for g in param_grads)
 
     def test_input_gradient_matches_finite_differences(self, trained):
         _, images, ids, embeddings, model = trained
@@ -147,13 +163,13 @@ class TestFreeze:
 
         def loss_value(arr):
             with ad.no_grad():
-                pred = model.forward(Tensor(arr, _validate=False))
+                pred = model.forward(Tensor(arr))
             return float(np.sum((pred.data - target) ** 2))
 
         images = Tensor(base.copy(), requires_grad=True)
-        loss = ad.tsum(ad.square(ad.sub(model.forward(images), Tensor(target, _validate=False))))
-        ad.backward(loss)
-        analytic = images.grad.reshape(-1)
+        loss = ad.tsum(ad.square(ad.sub(model.forward(images), Tensor(target))))
+        (grad,) = ad.backward(loss, [images])
+        analytic = grad.reshape(-1)
 
         flat = base.reshape(-1)
         rng = np.random.default_rng(0)
@@ -210,7 +226,7 @@ class TestPredict:
         model = trained[4]
         images = np.concatenate([trained[1][:20], rng.uniform(-1, 1, size=(9, 3, 12, 12))])
         with ad.no_grad():
-            shared = model.head(Tensor(extract_features(model, images), _validate=False)).data
+            shared = model.head(Tensor(extract_features(model, images))).data
         assert np.array_equal(shared, predict(model, images))
 
 

@@ -230,7 +230,7 @@ class TestPersistence:
         dataset = sd.build_dataset(specs, images_per_category=2, image_size=8, seed=1)
         path = tmp_path / "manifest.csv"
         sd.save_manifest(path, dataset, header_lines=["config deadbeef", "seed 1"])
-        ids = sd.load_manifest(path)
+        ids = sd.load_manifest(path, 3)
         assert np.array_equal(ids, dataset.category_ids)
         assert path.read_text().startswith("# config deadbeef")
 
