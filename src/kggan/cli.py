@@ -53,7 +53,6 @@ from .gan import (
     CONDITION_ONE_HOT,
     CONDITION_SEMANTIC,
     GanModel,
-    MetricLog,
     TrainConfig,
 )
 
@@ -66,6 +65,9 @@ CELL_RULES = {
     "kggan_no_se": (CONDITION_SEMANTIC, False, False),
     "kggan_full": (CONDITION_SEMANTIC, False, True),
 }
+
+# sample grids are GRID_COLUMNS images wide and config.grid_rows high
+GRID_COLUMNS = 8
 
 # config fields a resume may change: it may train further, or write elsewhere
 RESUME_FREE = ("config.gan_iterations", "config.out_dir")
@@ -169,20 +171,11 @@ def cmd_train_embedder(ws: Workspace) -> int:
     embeddings = _load_embeddings(ws)
     split = _split(config)
     seen_rows = np.nonzero(np.isin(dataset.category_ids, sorted(split.seen_ids)))[0]
-    reg_config = regressor.RegressorConfig(
-        embed_dim=config.embed_dim,
-        image_size=config.image_size,
-        steps=config.embedder_steps,
-        batch_size=config.embedder_batch,
-        learning_rate=config.embedder_lr,
-        plateau_window=config.embedder_plateau,
-        seed=config.embedder_seed,
-    )
     model = regressor.train_embedder(
         dataset.images[seen_rows],
         dataset.category_ids[seen_rows],
         embeddings,
-        reg_config,
+        config,
         seen_ids=split.seen_ids,
     )
     regressor.freeze(model)
@@ -255,7 +248,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     embeddings = _load_embeddings(ws)
     if full_data:
         all_ids = set(range(config.n_categories))
-        split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set(), seed=config.split_seed)
+        split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set())
     else:
         split = _split(config)
     tconfig = _train_config(config, run["lambda_se"])
@@ -325,12 +318,12 @@ def _write_ppm(path, grid01: np.ndarray, comment: str) -> None:
     write_atomic(path, header + pixels.transpose(1, 2, 0).tobytes())
 
 
-def _sample_grid(images: np.ndarray, columns: int = 8) -> np.ndarray:
+def _sample_grid(images: np.ndarray) -> np.ndarray:
     n, _, s, _ = images.shape
-    rows = (n + columns - 1) // columns
-    grid = np.zeros((3, rows * s, columns * s))
+    rows = (n + GRID_COLUMNS - 1) // GRID_COLUMNS
+    grid = np.zeros((3, rows * s, GRID_COLUMNS * s))
     for i in range(n):
-        r, c = divmod(i, columns)
+        r, c = divmod(i, GRID_COLUMNS)
         grid[:, r * s : (r + 1) * s, c * s : (c + 1) * s] = (images[i] + 1.0) / 2.0
     return grid
 
@@ -408,7 +401,7 @@ def _write_evaluation(ws: Workspace, cell: str, report, consistency, color, samp
 
     samples_dir = os.path.join(cell_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)
-    n_grid = 8 * config.grid_rows
+    n_grid = GRID_COLUMNS * config.grid_rows
     for cid in sorted(split.seen_ids | split.unseen_ids):
         grid = _sample_grid(sample_fn(cid, n_grid))
         _write_ppm(
@@ -496,8 +489,12 @@ def cmd_report(ws: Workspace) -> int:
     path = os.path.join(ws.ablation_dir, "combined.txt")
     if not os.path.exists(path):
         raise OSError(f"no ablation report at {path} (run ablate first)")
-    with open(path, "r", encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ContractError(f"{path} is not UTF-8 text") from None
+    print(text, end="")
     return 0
 
 

@@ -46,6 +46,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 LEAK = 0.1
 
+# exponent of the condition preconditioner's eigenvalue rescaling
+WHITENING = 0.5
+
 
 @dataclass
 class TrainConfig:
@@ -60,15 +63,15 @@ class TrainConfig:
     beta2: float = 0.9
 
 
-def condition_preconditioner(embeddings: np.ndarray, alpha: float = 0.5):
-    """Fixed partial whitening of the [n, d] category-embedding table.
+def condition_preconditioner(embeddings: np.ndarray):
+    """Fixed whitening of the [n, d] category-embedding table.
 
     Returns (matrix, shift) such that (v - shift) @ matrix rescales the
-    principal axes of the embedding cloud by eigenvalue^(-alpha),
+    principal axes of the embedding cloud by eigenvalue^(-WHITENING),
     normalized so the transformed vectors have roughly unit norm.
-    alpha = 0.5 is full whitening (identity sample covariance); smaller
-    values keep proportionally more of the raw anisotropy, preserving
-    the similarity structure interpolation relies on.
+    WHITENING = 0.5 is full whitening (identity sample covariance); a
+    smaller exponent would keep proportionally more of the raw
+    anisotropy.
 
     Applying this inside the networks is a reparametrization of their
     first condition-facing weights, not a change of conditioning: any
@@ -85,7 +88,7 @@ def condition_preconditioner(embeddings: np.ndarray, alpha: float = 0.5):
     cov = centered.T @ centered / max(n - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     keep = eigvals > 1e-10
-    gains = np.where(keep, np.power(np.maximum(eigvals, 1e-10), -alpha), 0.0)
+    gains = np.where(keep, np.power(np.maximum(eigvals, 1e-10), -WHITENING), 0.0)
     matrix = (eigvecs * gains) @ eigvecs.T
     transformed = centered @ matrix
     scale = float(np.sqrt(np.mean(np.sum(transformed**2, axis=1))))
@@ -289,12 +292,10 @@ def _pool_and_cats(dataset, category_ids):
     return pool, cats
 
 
-def _d_step(model, opt_d, dataset, pool, cats, cond, config, rng_real, rng_z, audit):
+def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z):
     rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
     x_real = dataset.images[rows]
     real_cats = dataset.category_ids[rows]
-    if audit is not None:
-        audit.append(real_cats.copy())
 
     # fakes share the real batch's conditions: pairing them keeps the
     # projection term's real-vs-fake contrast on the same categories
@@ -358,8 +359,6 @@ def train(
     start_iteration: int = 0,
     opt_g: AdamState | None = None,
     opt_d: AdamState | None = None,
-    log: MetricLog | None = None,
-    audit=None,
 ):
     """Category-dependent training: seen batches drive the adversarial and
     knowledge losses, unseen batches the knowledge loss alone.
@@ -368,8 +367,13 @@ def train(
     lambda_se = 0 the unseen machinery is skipped entirely and the run is
     an SN-GAN run; the split may then have no unseen categories, which is
     how the full-data baseline trains on every category. ``embeddings`` is
-    the [n_categories, d] table whose row i is category i. Returns
-    (model, MetricLog).
+    the [n_categories, d] table whose row i is category i.
+
+    Trains iterations ``start_iteration`` .. ``config.iterations - 1``,
+    continuing ``opt_g``/``opt_d`` when given (a resume) or starting fresh
+    optimizers. Returns (model, MetricLog); the log holds one row per
+    iteration trained here, so a resumed run's rows follow the rows of
+    the run it continues.
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
         raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
@@ -389,8 +393,7 @@ def train(
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
     opt_g, opt_d = _make_optimizers(model, config, opt_g, opt_d)
-    if log is None:
-        log = MetricLog()
+    log = MetricLog()
 
     for iteration in range(start_iteration, config.iterations):
         # held by reference: adam_step and power_iteration_step write new
@@ -403,9 +406,7 @@ def train(
         try:
             l_d = 0.0
             for _ in range(config.d_steps_per_g_step):
-                l_d = _d_step(
-                    model, opt_d, dataset, pool, seen_cats, cond, config, rng_real, rng_zd, audit
-                )
+                l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd)
 
             rng_zg = _stream(config.seed, iteration, 2)
             fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)

@@ -25,12 +25,11 @@ class AdamState:
     second_moment: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, learning_rate=2e-4, beta1=0.0, beta2=0.9, epsilon=1e-8):
+    def for_params(cls, params, learning_rate=2e-4, beta1=0.0, beta2=0.9):
         return cls(
             learning_rate=learning_rate,
             beta1=beta1,
             beta2=beta2,
-            epsilon=epsilon,
             first_moment=[np.zeros_like(p.data) for p in params],
             second_moment=[np.zeros_like(p.data) for p in params],
         )

@@ -9,30 +9,20 @@ Frechet-distance evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import ExperimentConfig
 from .errors import ContractError, DimensionError
 from .optim import AdamState, adam_step
 
 HIDDEN = (128, 64)
 
-
-@dataclass
-class RegressorConfig:
-    embed_dim: int = 64
-    image_size: int = 16
-    steps: int = 2000
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    plateau_window: int = 300  # 0 disables early stop
-    seed: int = 0
+# the embedder's Adam betas; its learning rate is config.embedder_lr
+BETA1 = 0.9
+BETA2 = 0.999
 
 
 class RegressorModel:
@@ -110,17 +100,22 @@ def train_embedder(
     images: np.ndarray,
     category_ids: np.ndarray,
     embeddings: np.ndarray,
-    config: RegressorConfig,
+    config: ExperimentConfig,
     seen_ids=None,
-    sampler_audit=None,
 ) -> RegressorModel:
     """Fit the regressor on seen-category samples by minibatch MSE.
 
     ``images`` is [n, 3, S, S] and ``category_ids`` [n]; sample k's target
     is row ``category_ids[k]`` of the [n_categories, d] ``embeddings``
     table, so every id must index a row. When ``seen_ids`` is given, a
-    sample from outside it is a contract violation. A plateau of
-    ``plateau_window`` steps without a new best loss stops early.
+    sample from outside it is a contract violation.
+
+    Reads from the ``ExperimentConfig``: ``image_size`` and ``embed_dim``
+    (the model), ``embedder_seed`` (initialization and batch order),
+    ``embedder_steps``, ``embedder_batch`` (capped at n) and
+    ``embedder_lr`` (Adam, with the constant betas ``BETA1``, ``BETA2``).
+    A plateau of ``embedder_plateau`` steps without a new best loss stops
+    early; 0 never stops.
     """
     n = len(category_ids)
     if not n:
@@ -131,31 +126,24 @@ def train_embedder(
         if seen_ids is not None and cid not in seen_ids:
             raise ContractError(f"unseen category {cid} in embedder training data")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.embedder_seed)
     model = RegressorModel(config.image_size, config.embed_dim, rng)
     targets = embeddings[category_ids]
-    batch = min(config.batch_size, n)
+    batch = min(config.embedder_batch, n)
 
     params = model.parameters()
-    opt = AdamState.for_params(
-        params,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-    )
+    opt = AdamState.for_params(params, learning_rate=config.embedder_lr, beta1=BETA1, beta2=BETA2)
 
     best = np.inf
     best_step = 0
     order = rng.permutation(n)
     pos = 0
-    for step in range(config.steps):
+    for step in range(config.embedder_steps):
         if pos + batch > n:
             order = rng.permutation(n)
             pos = 0
         idx = order[pos : pos + batch]
         pos += batch
-        if sampler_audit is not None:
-            sampler_audit.append(category_ids[idx].copy())
 
         pred = model.forward(Tensor(images[idx]))
         diff = ad.sub(pred, Tensor(targets[idx]))
@@ -167,7 +155,7 @@ def train_embedder(
         if value < best - 1e-12:
             best = value
             best_step = step
-        if config.plateau_window and step - best_step >= config.plateau_window:
+        if config.embedder_plateau and step - best_step >= config.embedder_plateau:
             break
     return model
 

@@ -23,6 +23,7 @@ BACKGROUND = 0.05  # in [0, 1] space; images are stored in [-1, 1]
 TEXTURE_AMPLITUDE = 0.15
 HUE_JITTER = 0.05
 BASE_RADIUS = 0.32
+FOREGROUND_THRESHOLD = 0.3  # [0, 1] brightness a flower pixel exceeds in some channel
 
 # Intra-category variation differs by shape family, the way real flower
 # categories vary in their own characteristic ways: disks breathe in
@@ -93,7 +94,6 @@ class CategorySpec:
 class SplitPlan:
     seen_ids: set
     unseen_ids: set
-    seed: int
 
 
 @dataclass
@@ -227,14 +227,14 @@ def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) 
     return img01 * 2.0 - 1.0
 
 
-def foreground_mask(image: np.ndarray, threshold: float = 0.3) -> np.ndarray:
+def foreground_mask(image: np.ndarray) -> np.ndarray:
     """Pixels bright enough in any channel to count as flower, not background.
 
     ``image`` is [..., 3, S, S]; the mask is [..., S, S]. An image with no
     such pixel counts as all foreground.
     """
     # (x + 1) / 2 rounds monotonically, so the brightest raw channel decides
-    mask = (image.max(axis=-3) + 1.0) / 2.0 > threshold
+    mask = (image.max(axis=-3) + 1.0) / 2.0 > FOREGROUND_THRESHOLD
     mask |= ~mask.any(axis=(-2, -1), keepdims=True)
     return mask
 
@@ -260,7 +260,7 @@ def make_split(category_ids, n_unseen: int, seed: int) -> SplitPlan:
         raise ConfigError(f"n_unseen must be in [1, {len(ids) - 1}], got {n_unseen}")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
-    return SplitPlan(seen_ids=set(order[:-n_unseen]), unseen_ids=set(order[-n_unseen:]), seed=seed)
+    return SplitPlan(seen_ids=set(order[:-n_unseen]), unseen_ids=set(order[-n_unseen:]))
 
 
 def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -> Dataset:
@@ -301,11 +301,13 @@ def load_blob(path):
         version, n, side = struct.unpack("<III", header[4:])
         if version != BLOB_VERSION:
             raise ContractError(f"unsupported blob version {version}")
-        raw = np.frombuffer(fh.read(), dtype="<f4")
-    expected = n * 3 * side * side
-    if raw.size != expected:
-        raise ContractError(f"blob holds {raw.size} floats, expected {expected}")
-    images = raw.astype(np.float64).reshape(n, 3, side, side)
+        payload = fh.read()
+    expected = 4 * n * 3 * side * side
+    if len(payload) != expected:
+        raise ContractError(
+            f"{path}: {len(payload)} bytes of pixels, expected {expected} for {n} samples"
+        )
+    images = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, 3, side, side)
     bad = np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))
     if bad.size:
         raise ContractError(f"{path}: sample {bad[0]} has a non-finite pixel")

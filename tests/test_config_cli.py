@@ -550,7 +550,11 @@ class TestUnreadableInput:
             "config_non_utf8": cfg,
             "manifest_non_utf8": dataset / "manifest.csv",
             "embeddings_non_utf8": dataset / "embeddings.txt",
+            "report_non_utf8": tmp_path / "out" / "ablation" / "combined.txt",
         }[damage]
+        if damage == "report_non_utf8":
+            path.parent.mkdir()
+            path.write_text("method,condition,l_se,seen_fid,unseen_fid\n")
         path.write_bytes(path.read_bytes().replace(b"\n", "\n# caf\u00e9\n".encode("latin-1"), 1))
         if damage == "config_non_utf8":
             return 2, f"config error: {path} is not UTF-8 text"
@@ -558,7 +562,13 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize(
         "damage",
-        ["config_non_utf8", "config_repeated_key", "manifest_non_utf8", "embeddings_non_utf8"],
+        [
+            "config_non_utf8",
+            "config_repeated_key",
+            "manifest_non_utf8",
+            "embeddings_non_utf8",
+            "report_non_utf8",
+        ],
     )
     def test_unreadable_input_exits_naming_the_file(self, tmp_path, damage):
         from kggan import cli
@@ -567,7 +577,8 @@ class TestUnreadableInput:
         cfg.write_text(TINY.format(out=tmp_path / "out"))
         assert cli.main(["--config", str(cfg), "generate-data"]) == 0
         code, message = self._damage(tmp_path, cfg, damage)
-        proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
+        verb = "report" if damage == "report_non_utf8" else "train-embedder"
+        proc = run_cli(["--config", str(cfg), verb], cwd=tmp_path)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
@@ -633,15 +644,28 @@ class TestDatasetFiles:
         return f"{path}: line {named} " + ("has category 99" if damage == "category" else "")
 
     @staticmethod
-    def _damage_blob(path):
-        """A NaN at pixel 9 of sample 7 (16-byte header, 3x8x8 floats each)."""
+    def _damage_blob(path, damage):
+        """A NaN at pixel 9 of sample 7 (16-byte header, 3x8x8 floats each),
+        or 2 bytes past the last whole float."""
         blob = bytearray(path.read_bytes())
+        if damage == "partial_float":
+            path.write_bytes(blob + b"\0\0")
+            return f"{path}: {len(blob) - 16 + 2} bytes of pixels, expected {len(blob) - 16}"
         struct.pack_into("<f", blob, 16 + 4 * (7 * 3 * 8 * 8 + 9), float("nan"))
         path.write_bytes(bytes(blob))
         return f"{path}: sample 7 has a non-finite pixel"
 
     @pytest.mark.parametrize(
-        "damage", ["malformed", "duplicate", "out_of_range", "category", "missing", "nan_pixel"]
+        "damage",
+        [
+            "malformed",
+            "duplicate",
+            "out_of_range",
+            "category",
+            "missing",
+            "nan_pixel",
+            "partial_float",
+        ],
     )
     def test_damaged_dataset_exits_3_naming_file_and_row(self, tmp_path, damage):
         from kggan import cli
@@ -650,8 +674,8 @@ class TestDatasetFiles:
         cfg.write_text(TINY.format(out=tmp_path / "out"))
         assert cli.main(["--config", str(cfg), "generate-data"]) == 0
         dataset = tmp_path / "out" / "dataset"
-        if damage == "nan_pixel":
-            named = self._damage_blob(dataset / "images.blob")
+        if damage in ("nan_pixel", "partial_float"):
+            named = self._damage_blob(dataset / "images.blob", damage)
         else:
             named = self._damage_manifest(dataset / "manifest.csv", damage)
         proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)

@@ -199,7 +199,7 @@ class TestPerCategoryFid:
             category_ids=dataset.category_ids[keep],
             specs=specs,
         )
-        split = sd.SplitPlan(seen_ids={0, 1}, unseen_ids={2}, seed=0)
+        split = sd.SplitPlan(seen_ids={0, 1}, unseen_ids={2})
 
         def sample_fn(cid, n):
             return dataset.images[np.resize(dataset.indices_of(cid), n)]

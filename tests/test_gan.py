@@ -422,16 +422,23 @@ class TestTrainLoop:
         assert all(np.array_equal(p.data, q) for p, q in zip(model.generator_params(), before))
 
     def test_real_batches_never_use_unseen_categories(self, mini_data):
+        """A real image reaches the discriminator's loss and the gradient
+        of D.w1, so one NaN image in a real batch aborts the run."""
         _, dataset, split, embeddings, embedder = mini_data
-        model = mini_model()
-        audit = []
-        train(
-            model, dataset, split, embeddings, embedder, mini_config(iterations=40), audit=audit
-        )
-        assert audit
-        seen = split.seen_ids
-        for batch in audit:
-            assert set(int(c) for c in batch) <= seen
+
+        def poisoned(categories):
+            images = dataset.images.copy()
+            images[np.isin(dataset.category_ids, sorted(categories))] = np.nan
+            return sd.Dataset(dataset.image_size, images, dataset.category_ids, dataset.specs)
+
+        config = mini_config(iterations=40)
+        unseen_nan = poisoned(split.unseen_ids)
+        _, log = train(mini_model(), unseen_nan, split, embeddings, embedder, config)
+        assert len(log.rows) == 40
+        # the control: the same run aborts when one seen category is poisoned
+        seen_nan = poisoned({min(split.seen_ids)})
+        with pytest.raises(NumericalAbort):
+            train(mini_model(), seen_nan, split, embeddings, embedder, config)
 
     def test_metric_log_schema(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
@@ -455,7 +462,7 @@ class TestTrainLoop:
 
     def test_knowledge_loss_needs_unseen_categories(self, mini_data):
         specs, dataset, _, embeddings, embedder = mini_data
-        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set(), seed=0)
+        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
         with pytest.raises(ContractError, match="unseen"):
             train(mini_model(), dataset, split, embeddings, embedder, mini_config(iterations=1))
 
@@ -551,7 +558,7 @@ class TestBaselineReduction:
         log, and reaches the parameters, that the former separate SN-GAN
         loop recorded in the golden file for the same run."""
         specs, dataset, _, embeddings, _ = mini_data
-        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set(), seed=0)
+        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
         model = mini_model(condition_mode="one_hot", cond_dim=len(specs))
         config = mini_config(iterations=200, lambda_se=0.0)
         _, log = train(model, dataset, split, embeddings, None, config)
@@ -591,9 +598,9 @@ class TestCheckpointResume:
             start_iteration=start,
             opt_g=opt_g2,
             opt_d=opt_d2,
-            log=gan.MetricLog(rows=list(log_a.rows)),
         )
-        assert log_c.to_csv_text() == log_full.to_csv_text()
+        resumed = gan.MetricLog(rows=log_a.rows + log_c.rows)
+        assert resumed.to_csv_text() == log_full.to_csv_text()
 
     def test_checkpoint_preserves_condition_mode(self, mini_data, tmp_path):
         model = mini_model(condition_mode="one_hot", cond_dim=6)

@@ -43,7 +43,7 @@ class TestAdam:
     def test_quadratic_trajectory_matches_scalar_reference(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         p = Tensor([1.0], requires_grad=True)
-        state = AdamState.for_params([p], learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        state = AdamState.for_params([p], learning_rate=lr, beta1=b1, beta2=b2)
         mine = []
         for _ in range(10):
             adam_step([p], state, grads=[2.0 * p.data])
@@ -110,7 +110,7 @@ def test_scratch_update_is_bitwise_the_old_update(rng, beta1):
     # parameters of the update's size, so its last bits reach theirs
     mine = [Tensor(1e-3 * rng.standard_normal(s), requires_grad=True) for s in shapes]
     ref = [Tensor(p.data.copy(), requires_grad=True) for p in mine]
-    kwargs = dict(learning_rate=3e-3, beta1=beta1, beta2=0.9, epsilon=1e-8)
+    kwargs = dict(learning_rate=3e-3, beta1=beta1, beta2=0.9)
     s_mine, s_ref = AdamState.for_params(mine, **kwargs), AdamState.for_params(ref, **kwargs)
     for _ in range(20):
         # zeros and tiny values reach the epsilon and signed-zero paths

@@ -10,10 +10,10 @@ from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.autodiff import Tensor
 from kggan.checkpoint import save_checkpoint
+from kggan.config import ExperimentConfig
 from kggan.errors import ContractError, DimensionError
 from kggan.hashing import fnv1a_64
 from kggan.regressor import (
-    RegressorConfig,
     RegressorModel,
     extract_features,
     freeze,
@@ -38,6 +38,11 @@ def make_samples(n_categories=3, per_category=20, image_size=12, seed=5):
     return specs, images, ids, embeddings
 
 
+def mini_config(**kw):
+    """The mini samples' config: 12x12 images, 16-wide embeddings."""
+    return ExperimentConfig(image_size=12, embed_dim=16, **kw)
+
+
 def predict(model, images):
     """No-grad predictions for an [n,3,S,S] batch."""
     with ad.no_grad():
@@ -52,7 +57,7 @@ def param_bytes(model):
 @pytest.fixture(scope="module")
 def trained():
     specs, images, ids, embeddings = make_samples()
-    config = RegressorConfig(embed_dim=16, image_size=12, steps=600, seed=1)
+    config = mini_config(embedder_steps=600, embedder_seed=1)
     model = train_embedder(images, ids, embeddings, config)
     return specs, images, ids, embeddings, model
 
@@ -62,16 +67,14 @@ class TestTrainEmbedder:
         spec = sd.make_category_specs(1)[0]
         image = sd.render_sample(spec, instance_seed=0, image_size=12)
         embeddings = sem.build_embeddings([spec], dim=16)
-        config = RegressorConfig(
-            embed_dim=16, image_size=12, steps=500, plateau_window=0, seed=0
-        )
+        config = mini_config(embedder_steps=500, embedder_plateau=0, embedder_seed=0)
         model = train_embedder(np.stack([image] * 8), np.zeros(8, dtype=int), embeddings, config)
         history = model.training_loss_history
         assert history[-1] < 1e-3 * history[0]
 
     def test_zero_steps_returns_initialized_model(self):
         _, images, ids, embeddings = make_samples(per_category=4)
-        config = RegressorConfig(embed_dim=16, image_size=12, steps=0, seed=2)
+        config = mini_config(embedder_steps=0, embedder_seed=2)
         model = train_embedder(images, ids, embeddings, config)
         assert model.training_loss_history == []
         assert not model.frozen
@@ -96,23 +99,36 @@ class TestTrainEmbedder:
 
     def test_missing_embedding_rejected(self):
         _, images, ids, embeddings = make_samples(per_category=2)
-        config = RegressorConfig(embed_dim=16, image_size=12, steps=10)
+        config = mini_config(embedder_steps=10)
         # the table has rows for categories 0 and 1; the samples reach 2
         with pytest.raises(ContractError, match="category 2 has no embedding"):
             train_embedder(images, ids, embeddings[:2], config)
 
     def test_unseen_sample_rejected(self):
         _, images, ids, embeddings = make_samples(per_category=2)
-        config = RegressorConfig(embed_dim=16, image_size=12, steps=10)
+        config = mini_config(embedder_steps=10)
         with pytest.raises(ContractError, match="unseen"):
             train_embedder(images, ids, embeddings, config, seen_ids={0, 1})
 
-    def test_sampler_audit_sees_only_provided_categories(self):
+    def test_sampler_audit_sees_only_provided_categories(self, monkeypatch):
         _, images, ids, embeddings = make_samples(per_category=4)
-        config = RegressorConfig(embed_dim=16, image_size=12, steps=40, seed=3)
-        audit = []
-        train_embedder(images, ids, embeddings, config, seen_ids={0, 1, 2}, sampler_audit=audit)
-        assert audit and all(set(batch.tolist()) <= {0, 1, 2} for batch in audit)
+        owner = {image.tobytes(): int(cid) for image, cid in zip(images, ids)}
+        assert len(owner) == len(ids)
+        provided = np.isin(ids, [0, 2])
+        batches = []
+        forward = RegressorModel.forward
+
+        def spy(model, x):
+            batches.append(x.data.copy())
+            return forward(model, x)
+
+        monkeypatch.setattr(RegressorModel, "forward", spy)
+        config = mini_config(embedder_steps=40, embedder_batch=5, embedder_seed=3)
+        train_embedder(images[provided], ids[provided], embeddings, config, seen_ids={0, 2})
+        assert len(batches) == 40
+        for batch in batches:
+            assert len(batch) == 5
+            assert {owner.get(image.tobytes()) for image in batch} <= {0, 2}
 
 
 GOLDEN_EMBEDDER_LOG = Path(__file__).parent / "golden" / "embedder_mini_losses.csv"

@@ -1,12 +1,20 @@
 """Guards: every function and class in ``src/kggan`` has a caller there,
-every ``ExperimentConfig`` field is read there, and only
-``checkpoint.write_atomic`` opens a file for writing.
+every defaulted parameter is passed there, every ``ExperimentConfig``
+field is read there, and only ``checkpoint.write_atomic`` opens a file
+for writing.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
 any reference anywhere in the package (a call, an attribute, an import)
 counts, except one inside the definition itself. Dunder methods are called
 by the interpreter, and ``cli.main`` by the ``kggan`` console script.
+
+A parameter with a default that no call in the package passes is a knob
+only tests turn, or none at all: the package always runs the default.
+A call passes it by keyword, or by position when it has enough
+positional arguments; ``*args`` and ``**kwargs`` pass everything. Calls
+are matched to definitions by name, as above; a method's ``self`` or
+``cls`` is not counted, and ``Class(...)`` calls ``Class.__init__``.
 
 A config field that only ``config.py`` touches (validates, serializes,
 hashes) changes nothing but the config hash. A field counts as read when a
@@ -20,7 +28,7 @@ update mode (or a mode not spelled as a literal) would bypass both.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kggan"
@@ -51,8 +59,12 @@ def _names(node):
     return counts
 
 
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
 def unreferenced():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    trees = _trees()
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     found = []
     for module, tree in sorted(trees.items()):
@@ -68,6 +80,67 @@ def unreferenced():
 
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced() == []
+
+
+def _calls(trees):
+    """Every call in the package, keyed by the name it calls."""
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls[func.id].append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls[func.attr].append(node)
+    return calls
+
+
+def _passes(call, index, name):
+    """Whether ``call`` passes parameter ``name``, at positional ``index``
+    (None for a keyword-only parameter)."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def _defaulted(node, skip):
+    """(positional index or None, name) of each parameter with a default;
+    ``skip`` leading parameters (``self``, ``cls``) are not counted."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+    found += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def unpassed_parameters():
+    trees = _trees()
+    calls = _calls(trees)
+    found = []
+    for module, tree in sorted(trees.items()):
+        for qualname, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef) or f"{module}.{qualname}" in EXEMPT:
+                continue
+            name, skip = node.name, 0
+            if "." in qualname:
+                decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+                skip = 0 if "staticmethod" in decorators else 1
+                if name == "__init__":
+                    name = qualname.split(".")[0]
+                elif name.startswith("__") and name.endswith("__"):
+                    continue
+            for index, param in _defaulted(node, skip):
+                if not any(_passes(call, index, param) for call in calls[name]):
+                    found.append(f"{module}.{qualname}({param})")
+    return found
+
+
+def test_every_keyword_parameter_is_passed_in_the_package():
+    assert unpassed_parameters() == []
 
 
 def _is_config(node):
