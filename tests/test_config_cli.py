@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +465,25 @@ class TestResumeChecks:
             "this run has 'baseline_full_data'" in proc.stderr
         )
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestEvaluationGolden:
+    def test_kggan_full_scores_match_golden(self, trained_cells):
+        """The TINY config's kggan_full scores, recorded in the golden files
+        before the dataset moved into one checkpoint file: data, embedder,
+        GAN training and evaluation must reproduce every row bit for bit."""
+        from kggan import cli
+
+        root, cfg_path = trained_cells
+        assert cli.main(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]) == 0
+        cell_dir = root / "out" / "cells" / "kggan_full"
+        for name in ("fid_report.csv", "consistency.csv", "color_fidelity.csv"):
+            lines = (cell_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            rows = "".join(line for line in lines if not line.startswith("#"))
+            assert rows == (GOLDEN / f"tiny_kggan_full_{name}").read_text(encoding="utf-8"), name
 
 
 class TestBenchmarkChecks:
