@@ -1,10 +1,13 @@
 """Checkpoints as one named state, plus the atomic writer every artifact uses.
 
-A state maps names to float64 arrays (scalars are 0-d). A GAN's holds the
-parameters G.w1 ... D.v_proj; cond.transform and cond.shift;
+A state maps names to float64 arrays (scalars are 0-d). The metadata's
+``kind`` says which state a file holds. A "gan" holds the parameters
+G.w1 ... D.v_proj; cond.transform and cond.shift;
 spectral.<D weight>.u/.sigma/.steps/.degenerate; for each optimizer
 (adam_g over G, adam_d over D) adam_g.m.<param>, adam_g.v.<param> and
-adam_g.step; and the next ``iteration``. A regressor's holds E.w1 ... E.b3.
+adam_g.step; and the next ``iteration``. A "regressor" holds E.w1 ...
+E.b3. A "dataset" holds ``images`` [N, 3, S, S] and the category table
+``embeddings`` [n_categories, d].
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length
@@ -12,14 +15,16 @@ Layout (version 3, the safetensors layout):
     | f64 payload (little-endian, row-major; offsets are bytes into it)
     | 8-byte blake2b digest of everything before the trailer
 
-The metadata holds the ``kind`` ("gan" or "regressor") and, for a GAN, the
-``condition_mode`` and ``iteration``; ``train`` adds its run: the ``cell``,
-the cell's ``lambda_se`` and each config field as ``config.<field>``. A
-loader names the metadata it expects, and the first field that differs
-raises ContractError naming it. A resume expects the kind, condition
-mode, cell, lambda_se and every config field but ``config.gan_iterations``
-(a run may train further) and ``config.out_dir``. Against a template
-state, a missing, unexpected or misshaped tensor is named the same way.
+The metadata holds the ``kind`` and, as ``config.<field>``, the config
+fields the contents depend on: a dataset's ``synthdata.DATASET_FIELDS``, a
+regressor's ``regressor.EMBEDDER_FIELDS``. A GAN's holds its
+``condition_mode`` and ``iteration``; ``train`` adds its run: the
+``cell``, the cell's ``lambda_se`` and every config field. A loader names
+the metadata it expects, and the first field that differs raises
+ContractError naming it. A resume expects the kind, condition mode, cell,
+lambda_se and every config field but ``config.gan_iterations`` (a run may
+train further) and ``config.out_dir``. Against a template state, a
+missing, unexpected or misshaped tensor is named the same way.
 Versions 1 and 2 laid tensors out by position and are rejected.
 
 Files are written to a temporary file beside the target and renamed into
@@ -54,7 +59,7 @@ def write_atomic(path, data) -> None:
     """Write ``data`` to ``path`` all or nothing.
 
     ``data`` is bytes, text (written as UTF-8) or a sequence of buffers
-    (bytes, memoryviews, contiguous arrays), which are streamed to the
+    (bytes, memoryviews), which are streamed to the
     file one after another and never joined into one payload copy. The
     bytes go to ``<path>.<pid>.tmp``, which ``os.replace`` moves over the
     target; on any failure the temporary file is removed and the previous
@@ -112,7 +117,7 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
         # checked before the digest: a version-1 file carries an FNV-1a trailer
         version, size = struct.unpack_from("<IQ", preamble, 4)
         if version != VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
+            raise ContractError(f"{path}: unsupported checkpoint version {version}")
         payload = file_size - PREAMBLE - size - DIGEST_SIZE
         if payload < 0:
             raise ContractError(f"{path}: header length {size} runs past the end of the file")

@@ -6,12 +6,13 @@ ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
 4 numerical abort, 5 I/O error.
 
-``embeddings.txt`` holds the category table: one row per category,
-numbered 0..n_categories-1 once each and in order, each of embed_dim
-values. A missing, repeated, extra or out-of-order row, or a table of
-the wrong width, exits 3 naming the file. ``evaluate`` scores only its
-own cell's checkpoint: one another cell wrote exits 3 naming ``cell``,
-before anything is written.
+``dataset/dataset.ckpt`` (the images and the category table) and
+``embedder.ckpt`` record the config fields they depend on. A verb that
+reads one exits 3 naming the file and the first such field, or tensor
+shape, that does not match its own config, or the first sample or
+category with a non-finite value. ``evaluate`` scores only its own
+cell's checkpoint: one another cell wrote exits 3 naming ``cell``. All of
+these checks run before anything is written.
 
 Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field. ``train --resume``
@@ -19,8 +20,12 @@ continues only a checkpoint of the same run: on the first of those that
 differs it exits 3 naming it, before it trains or writes anything. Only
 gan_iterations (a resume may train further) and out_dir may differ; a
 checkpoint at or past gan_iterations exits 3 naming both numbers. A
-numerical abort (exit 4) leaves checkpoint.aborted.ckpt in the cell's
-directory: the named state at the start of the failing iteration.
+resume also reads the ``metrics.csv`` beside the checkpoint, which must
+hold the rows of iterations 0..start-1 as ``train`` wrote them; otherwise
+it exits 3 naming the file and the first bad row. The new log holds
+those rows, verbatim, and then the resumed ones. A numerical abort
+(exit 4) leaves checkpoint.aborted.ckpt in the cell's directory: the
+named state at the start of the failing iteration.
 
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
@@ -42,6 +47,7 @@ from . import evaluation, gan, regressor, semantics, synthdata
 from .checkpoint import write_atomic
 from .config import (
     ExperimentConfig,
+    config_fields,
     config_hash,
     load_config,
     rebase_seeds,
@@ -53,6 +59,7 @@ from .gan import (
     CONDITION_ONE_HOT,
     CONDITION_SEMANTIC,
     GanModel,
+    MetricLog,
     TrainConfig,
 )
 
@@ -93,10 +100,8 @@ class Workspace:
         self.dataset_dir = os.path.join(self.root, "dataset")
         self.cells_dir = os.path.join(self.root, "cells")
         self.ablation_dir = os.path.join(self.root, "ablation")
-        self.blob_path = os.path.join(self.dataset_dir, "images.blob")
-        self.manifest_path = os.path.join(self.dataset_dir, "manifest.csv")
+        self.dataset_path = os.path.join(self.dataset_dir, "dataset.ckpt")
         self.descriptions_path = os.path.join(self.dataset_dir, "descriptions.txt")
-        self.embeddings_path = os.path.join(self.dataset_dir, "embeddings.txt")
         self.embedder_path = os.path.join(self.root, "embedder.ckpt")
 
     def header(self, seed) -> list:
@@ -109,66 +114,31 @@ class Workspace:
         return os.path.join(self.cell_dir(cell), "checkpoint.ckpt")
 
 
-def _specs(config: ExperimentConfig):
-    return synthdata.make_category_specs(config.n_categories, config.descriptions_per_category)
-
-
 def _split(config: ExperimentConfig):
     return synthdata.make_split(
         list(range(config.n_categories)), config.n_unseen, config.split_seed
     )
 
 
-def _load_dataset(ws: Workspace):
-    if not os.path.exists(ws.blob_path):
-        raise OSError(f"dataset blob missing: {ws.blob_path} (run generate-data first)")
-    images, side = synthdata.load_blob(ws.blob_path)
-    ids = synthdata.load_manifest(ws.manifest_path, ws.config.n_categories)
-    if side != ws.config.image_size:
-        raise ContractError("dataset on disk does not match the configuration")
-    if len(ids) != images.shape[0]:
-        raise ContractError(
-            f"{ws.manifest_path} lists {len(ids)} samples, {ws.blob_path} holds {images.shape[0]}"
-        )
-    return synthdata.Dataset(
-        image_size=side, images=images, category_ids=ids, specs=_specs(ws.config)
-    )
-
-
 def cmd_generate_data(ws: Workspace) -> int:
     config = ws.config
     os.makedirs(ws.dataset_dir, exist_ok=True)
-    specs = _specs(config)
+    specs = synthdata.make_category_specs(config.n_categories, config.descriptions_per_category)
     dataset = synthdata.build_dataset(
         specs, config.images_per_category, config.image_size, config.data_seed
     )
     embeddings = semantics.build_embeddings(specs, dim=config.embed_dim)
 
-    synthdata.save_blob(ws.blob_path, dataset)
-    synthdata.save_manifest(ws.manifest_path, dataset, ws.header(config.data_seed))
+    synthdata.save_dataset(ws.dataset_path, dataset, embeddings, config)
     synthdata.save_descriptions(ws.descriptions_path, specs, ws.header(config.data_seed))
-    semantics.save_embeddings(ws.embeddings_path, embeddings, ws.header(config.data_seed))
     save_config(os.path.join(ws.root, "config.cfg"), config)
     print(f"wrote {len(dataset)} samples across {config.n_categories} categories to {ws.dataset_dir}")
     return 0
 
 
-def _load_embeddings(ws: Workspace) -> np.ndarray:
-    """The category table from ``embeddings.txt``, shaped for this config."""
-    embeddings = semantics.load_embeddings(ws.embeddings_path)
-    want = (ws.config.n_categories, ws.config.embed_dim)
-    if embeddings.shape != want:
-        raise ContractError(
-            f"{ws.embeddings_path}: table is {embeddings.shape[0]} categories x "
-            f"{embeddings.shape[1]} values, the config needs {want[0]} x {want[1]}"
-        )
-    return embeddings
-
-
 def cmd_train_embedder(ws: Workspace) -> int:
     config = ws.config
-    dataset = _load_dataset(ws)
-    embeddings = _load_embeddings(ws)
+    dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     split = _split(config)
     seen_rows = np.nonzero(np.isin(dataset.category_ids, sorted(split.seen_ids)))[0]
     model = regressor.train_embedder(
@@ -178,8 +148,7 @@ def cmd_train_embedder(ws: Workspace) -> int:
         config,
         seen_ids=split.seen_ids,
     )
-    regressor.freeze(model)
-    regressor.save_regressor(ws.embedder_path, model)
+    regressor.save_regressor(ws.embedder_path, model, config)
     final = model.training_loss_history[-1] if model.training_loss_history else float("nan")
     print(f"embedder trained for {len(model.training_loss_history)} steps, final loss {final:.6f}")
     return 0
@@ -226,10 +195,8 @@ def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> G
 
 def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
     """What a cell's checkpoint records about its run, in resume-check order."""
-    _, _, use_knowledge = CELL_RULES[cell]
-    run = {"cell": cell, "lambda_se": config.lambda_se if use_knowledge else 0.0}
-    run.update((f"config.{name}", value) for name, value in asdict(config).items())
-    return run
+    lambda_se = config.lambda_se if CELL_RULES[cell][2] else 0.0
+    return {"cell": cell, "lambda_se": lambda_se, **config_fields(config, asdict(config))}
 
 
 def run_cell(ws: Workspace, cell: str, resume: str | None = None):
@@ -238,14 +205,14 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     Every cell trains through ``gan.train``. The full-data baseline is the
     SN-GAN run: lambda_se = 0 and a split that sees every category and
     leaves none unseen, so real batches draw from all of them. A
-    ``resume`` checkpoint must have been written by the same run (see the
-    module docstring).
+    ``resume`` checkpoint must have been written by the same run, and the
+    log beside it must hold its iterations (see the module docstring); the
+    returned log then starts with those rows.
     """
     config = ws.config
     condition_mode, full_data, use_knowledge = CELL_RULES[cell]
     run = _run_metadata(config, cell)
-    dataset = _load_dataset(ws)
-    embeddings = _load_embeddings(ws)
+    dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     if full_data:
         all_ids = set(range(config.n_categories))
         split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set())
@@ -254,7 +221,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     tconfig = _train_config(config, run["lambda_se"])
     model = _build_model(config, condition_mode, embeddings)
 
-    start_iteration = 0
+    start_iteration, logged = 0, []
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
         model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig, run=expect)
@@ -263,15 +230,13 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
                 f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
                 f"gan_iterations {config.gan_iterations}; there is nothing to train"
             )
+        logged = _logged_rows(os.path.join(os.path.dirname(resume), "metrics.csv"), start_iteration)
     else:
         opt_g, opt_d = gan._make_optimizers(model, tconfig, None, None)
 
     embedder = None
     if use_knowledge:
-        if not os.path.exists(ws.embedder_path):
-            raise OSError(f"embedder checkpoint missing: {ws.embedder_path}")
-        embedder = regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
-        regressor.freeze(embedder)
+        embedder = regressor.load_regressor(ws.embedder_path, config)
 
     model, log = gan.train(
         model,
@@ -284,7 +249,27 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         opt_g=opt_g,
         opt_d=opt_d,
     )
+    log.rows[:0] = logged
     return model, log, opt_g, opt_d
+
+
+def _logged_rows(path: str, start: int) -> list:
+    """Rows 0..start-1 of the metric log at ``path``, each written exactly as
+    ``MetricLog`` writes it; otherwise ContractError names the first bad row."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith(("#", "iteration,"))]
+    rows = []
+    for i in range(max(start, len(lines))):
+        try:
+            it, *losses = lines[i].split(",")
+            rows.append((int(it), *map(float, losses)))
+            ok = i < start and rows[i][0] == i and MetricLog.row_text(rows[i]) == lines[i]
+        except (IndexError, ValueError):  # a missing row, or not an int and four floats
+            ok = False
+        if not ok:
+            found = repr(lines[i]) if i < len(lines) else "missing"
+            raise ContractError(f"{path}: row {i} of the checkpoint's 0..{start - 1} is {found}")
+    return rows
 
 
 def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
@@ -339,26 +324,23 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     """
     config = ws.config
     condition_mode = CELL_RULES[cell][0]
-    dataset = _load_dataset(ws)
-    embeddings = _load_embeddings(ws)
+    dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     split = _split(config)
     path = checkpoint_path or ws.checkpoint_path(cell)
     if not os.path.exists(path):
         raise OSError(f"checkpoint missing: {path}")
     model = gan.load_generator(path, _new_model(config, condition_mode), run={"cell": cell})
 
-    embedder = regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
-    regressor.freeze(embedder)
+    embedder = regressor.load_regressor(ws.embedder_path, config)
 
     def sample_fn(cid, n):
         return gan.sample_images(model, cid, n, embeddings, config.eval_seed)
 
-    specs_by_id = {s.id: s for s in dataset.specs}
     consistency, color = {}, {}
 
     def score_draw(cid, images, features):
         consistency[cid] = evaluation.embedding_consistency(embedder, features, embeddings[cid])
-        color[cid] = evaluation.color_fidelity(images, specs_by_id[cid].base_color)
+        color[cid] = evaluation.color_fidelity(images, dataset.specs[cid].base_color)
 
     report = evaluation.per_category_fid(
         sample_fn, dataset, split, embedder, config.n_gen, on_draw=score_draw

@@ -155,6 +155,11 @@ def config_hash(config: ExperimentConfig) -> str:
     return fnv1a_64_hex(serialize_config(config).encode("utf-8"))
 
 
+def config_fields(config: ExperimentConfig, names) -> dict:
+    """``{"config.<name>": value}`` for each name: how a file records its config."""
+    return {f"config.{name}": getattr(config, name) for name in names}
+
+
 def rebase_seeds(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     """Derive the five run seeds from one master seed: master+0 .. master+4."""
     for offset, name in enumerate(SEED_FIELDS):

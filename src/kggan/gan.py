@@ -273,9 +273,13 @@ class MetricLog:
     def to_csv_text(self, header_lines=()) -> str:
         lines = [f"# {line}" for line in header_lines]
         lines.append("iteration,L_D,L_G,L_se_seen,L_se_unseen")
-        for it, l_d, l_g, se_s, se_u in self.rows:
-            lines.append(f"{it},{l_d!r},{l_g!r},{se_s!r},{se_u!r}")
+        lines.extend(self.row_text(row) for row in self.rows)
         return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def row_text(row) -> str:
+        it, l_d, l_g, se_s, se_u = row
+        return f"{it},{l_d!r},{l_g!r},{se_s!r},{se_u!r}"
 
 
 def _stream(seed: int, iteration: int, stream: int) -> np.random.Generator:

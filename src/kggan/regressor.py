@@ -14,15 +14,23 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import ExperimentConfig, config_fields
 from .errors import ContractError, DimensionError
 from .optim import AdamState, adam_step
+from .synthdata import DATASET_FIELDS
 
 HIDDEN = (128, 64)
 
 # the embedder's Adam betas; its learning rate is config.embedder_lr
 BETA1 = 0.9
 BETA2 = 0.999
+
+# the config fields a trained embedder depends on: its data, the split
+# that picks its categories, and its training
+EMBEDDER_FIELDS = DATASET_FIELDS + (
+    "n_unseen", "split_seed", "embedder_seed", "embedder_steps", "embedder_batch",
+    "embedder_lr", "embedder_plateau",
+)
 
 
 class RegressorModel:
@@ -160,14 +168,19 @@ def train_embedder(
     return model
 
 
-def save_regressor(path, model: RegressorModel) -> None:
-    save_checkpoint(path, {p.name: p.data for p in model.parameters()}, {"kind": "regressor"})
+def save_regressor(path, model: RegressorModel, config: ExperimentConfig) -> None:
+    """The parameters, recording the EMBEDDER_FIELDS of the ``config`` trained on."""
+    metadata = {"kind": "regressor", **config_fields(config, EMBEDDER_FIELDS)}
+    save_checkpoint(path, {p.name: p.data for p in model.parameters()}, metadata)
 
 
-def load_regressor(path, image_size: int, embed_dim: int) -> RegressorModel:
-    model = RegressorModel(image_size, embed_dim, np.random.default_rng(0))
+def load_regressor(path, config: ExperimentConfig) -> RegressorModel:
+    """The embedder ``save_regressor`` wrote, frozen; it must record this
+    ``config``'s EMBEDDER_FIELDS, or a ContractError names the first that differs."""
+    model = RegressorModel(config.image_size, config.embed_dim, np.random.default_rng(0))
     template = {p.name: p.data for p in model.parameters()}
-    state, _ = load_checkpoint(path, template=template, expect={"kind": "regressor"})
+    expect = {"kind": "regressor", **config_fields(config, EMBEDDER_FIELDS)}
+    state, _ = load_checkpoint(path, template=template, expect=expect)
     for p in model.parameters():
         p.data = state[p.name]
-    return model
+    return freeze(model)

@@ -7,16 +7,22 @@ palette uses exactly three color words, each with a strictly dominant RGB
 channel, so color metrics are unambiguous and every color word stays
 represented on the seen side of any split that leaves fewer unseen
 categories than there are categories per color.
+
+The dataset file is a checkpoint of kind "dataset": the images, rounded
+to float32 precision, and the [n_categories, d] category table, with the
+DATASET_FIELDS they depend on. Category ids are not stored; samples are
+category-major (``sample_category_ids``).
 """
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .config import ExperimentConfig, config_fields
 from .errors import ConfigError, ContractError
 
 BACKGROUND = 0.05  # in [0, 1] space; images are stored in [-1, 1]
@@ -24,6 +30,12 @@ TEXTURE_AMPLITUDE = 0.15
 HUE_JITTER = 0.05
 BASE_RADIUS = 0.32
 FOREGROUND_THRESHOLD = 0.3  # [0, 1] brightness a flower pixel exceeds in some channel
+
+# the config fields a dataset file's images and category table depend on
+DATASET_FIELDS = (
+    "n_categories", "images_per_category", "image_size", "descriptions_per_category",
+    "embed_dim", "data_seed",
+)
 
 # Intra-category variation differs by shape family, the way real flower
 # categories vary in their own characteristic ways: disks breathe in
@@ -98,7 +110,6 @@ class SplitPlan:
 
 @dataclass
 class Dataset:
-    image_size: int
     images: np.ndarray  # [N, 3, S, S] float64 in [-1, 1]
     category_ids: np.ndarray  # [N] int64
     specs: list
@@ -263,100 +274,54 @@ def make_split(category_ids, n_unseen: int, seed: int) -> SplitPlan:
     return SplitPlan(seen_ids=set(order[:-n_unseen]), unseen_ids=set(order[-n_unseen:]))
 
 
+def sample_category_ids(specs, images_per_category: int) -> np.ndarray:
+    """Each sample's category id, category-major: the order ``build_dataset`` renders in."""
+    return np.repeat(np.asarray([spec.id for spec in specs], dtype=np.int64), images_per_category)
+
+
 def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -> Dataset:
-    images = []
-    ids = []
-    for spec in specs:
-        for k in range(images_per_category):
-            # per-sample seed folds dataset seed and sample index together
-            images.append(render_sample(spec, instance_seed=seed * 1_000_003 + k, image_size=image_size))
-            ids.append(spec.id)
-    return Dataset(
-        image_size=image_size,
-        images=np.stack(images),
-        category_ids=np.asarray(ids, dtype=np.int64),
-        specs=list(specs),
-    )
+    images = [
+        # per-sample seed folds dataset seed and sample index together
+        render_sample(spec, instance_seed=seed * 1_000_003 + k, image_size=image_size)
+        for spec in specs
+        for k in range(images_per_category)
+    ]
+    return Dataset(np.stack(images), sample_category_ids(specs, images_per_category), list(specs))
 
 
 # ---------------------------------------------------------------------------
-# persistence: binary blob + manifest + descriptions
-
-BLOB_MAGIC = b"KGDS"
-BLOB_VERSION = 1
+# persistence: one dataset file, plus the descriptions as text
 
 
-def save_blob(path, dataset: Dataset) -> None:
-    """Images as little-endian f32 behind a 16-byte header."""
-    header = BLOB_MAGIC + struct.pack("<III", BLOB_VERSION, len(dataset), dataset.image_size)
-    write_atomic(path, [header, dataset.images.astype("<f4")])
+def save_dataset(path, dataset: Dataset, embeddings: np.ndarray, config: ExperimentConfig) -> None:
+    """Round ``dataset.images`` to float32 precision in place, and write them
+    and the category table, recording the DATASET_FIELDS of ``config``."""
+    np.copyto(dataset.images, dataset.images.astype(np.float32))  # no second float64 copy
+    state = {"images": dataset.images, "embeddings": embeddings}
+    save_checkpoint(path, state, {"kind": "dataset", **config_fields(config, DATASET_FIELDS)})
 
 
-def load_blob(path):
-    """Returns (images [n, 3, side, side] float64, side); every pixel finite."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != BLOB_MAGIC:
-            raise ContractError(f"{path} is not a dataset blob")
-        version, n, side = struct.unpack("<III", header[4:])
-        if version != BLOB_VERSION:
-            raise ContractError(f"unsupported blob version {version}")
-        payload = fh.read()
-    expected = 4 * n * 3 * side * side
-    if len(payload) != expected:
-        raise ContractError(
-            f"{path}: {len(payload)} bytes of pixels, expected {expected} for {n} samples"
-        )
-    images = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, 3, side, side)
-    bad = np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))
-    if bad.size:
-        raise ContractError(f"{path}: sample {bad[0]} has a non-finite pixel")
-    return images, side
-
-
-def save_manifest(path, dataset: Dataset, header_lines=()) -> None:
-    lines = [f"# {line}" for line in header_lines]
-    lines.append("offset,category_id")
-    lines.extend(f"{i},{int(cid)}" for i, cid in enumerate(dataset.category_ids))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_manifest(path, n_categories: int):
-    """Category ids in offset order; the offsets must number the rows 0..n-1
-    once each, and every id must lie in 0..n_categories-1."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise ContractError(f"{path} is not UTF-8 text") from None
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("offset"):
-            continue
-        try:
-            offset, cid = (int(part) for part in line.split(","))
-        except ValueError:
-            raise ContractError(
-                f"{path}: line {lineno} is not 'offset,category_id': {line!r}"
-            ) from None
-        rows.append((lineno, offset, cid))
-    ids = np.empty(len(rows), dtype=np.int64)
-    seen = set()
-    for lineno, offset, cid in rows:
-        if offset in seen:
-            raise ContractError(f"{path}: line {lineno} repeats offset {offset}")
-        if not 0 <= offset < len(rows):
-            raise ContractError(
-                f"{path}: line {lineno} has offset {offset}, outside 0..{len(rows) - 1}"
-            )
-        if not 0 <= cid < n_categories:
-            raise ContractError(
-                f"{path}: line {lineno} has category {cid}, outside 0..{n_categories - 1}"
-            )
-        seen.add(offset)
-        ids[offset] = cid
-    return ids
+def load_dataset(path, config: ExperimentConfig):
+    """(Dataset, embeddings) from a file with ``config``'s DATASET_FIELDS and
+    the shapes they imply, every value finite; else ContractError names the
+    first field, tensor, sample or category that differs."""
+    if not os.path.exists(path):
+        raise OSError(f"dataset missing: {path} (run generate-data first)")
+    specs = make_category_specs(config.n_categories, config.descriptions_per_category)
+    side = config.image_size
+    template = {  # shapes only: broadcast views allocate nothing
+        "images": np.broadcast_to(0.0, (len(specs) * config.images_per_category, 3, side, side)),
+        "embeddings": np.broadcast_to(0.0, (len(specs), config.embed_dim)),
+    }
+    expect = {"kind": "dataset", **config_fields(config, DATASET_FIELDS)}
+    state, _ = load_checkpoint(path, template, expect)
+    for name, what in (("images", "sample {} has a non-finite pixel"),
+                       ("embeddings", "category {} has a non-finite embedding value")):
+        bad = np.flatnonzero(~np.isfinite(state[name]).reshape(len(state[name]), -1).all(axis=1))
+        if bad.size:
+            raise ContractError(f"{path}: " + what.format(bad[0]))
+    ids = sample_category_ids(specs, config.images_per_category)
+    return Dataset(state["images"], ids, specs), state["embeddings"]
 
 
 def save_descriptions(path, specs, header_lines=()) -> None:

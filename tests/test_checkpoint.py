@@ -13,6 +13,7 @@ from kggan import checkpoint
 from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.checkpoint import load_checkpoint, save_checkpoint
+from kggan.config import ExperimentConfig
 from kggan.errors import ContractError
 from kggan.hashing import fnv1a_64
 
@@ -85,26 +86,27 @@ def _writers():
     """name -> (write(path, version), load(path)) for every atomic artifact."""
     specs = sd.make_category_specs(3, 2)
     embeddings = sem.build_embeddings(specs, dim=4)
+
+    def config(k):
+        return ExperimentConfig(
+            n_categories=3, images_per_category=2, image_size=8, descriptions_per_category=2,
+            embed_dim=4, data_seed=k,
+        )
+
     return {
         "checkpoint": (
             lambda path, k: save_checkpoint(path, {"w": np.full(3, float(k))}, {"kind": "test"}),
             load_checkpoint,
         ),
-        "blob": (
-            lambda path, k: sd.save_blob(path, sd.build_dataset(specs, 2, 8, seed=k)),
-            sd.load_blob,
-        ),
-        "manifest": (
-            lambda path, k: sd.save_manifest(path, sd.build_dataset(specs, 2, 8, seed=k), [f"v{k}"]),
-            lambda path: sd.load_manifest(path, 3),
+        "dataset": (
+            lambda path, k: sd.save_dataset(
+                path, sd.build_dataset(specs, 2, 8, seed=k), embeddings, config(k)
+            ),
+            lambda path: sd.load_dataset(path, config(1)),
         ),
         "descriptions": (
             lambda path, k: sd.save_descriptions(path, specs, [f"v{k}"]),
             lambda path: path.read_text(encoding="utf-8"),
-        ),
-        "embeddings": (
-            lambda path, k: sem.save_embeddings(path, embeddings, [f"v{k}"]),
-            sem.load_embeddings,
         ),
     }
 
@@ -161,12 +163,6 @@ def join_save_checkpoint(path, state, metadata):
     path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
 
 
-def join_save_blob(path, dataset):
-    """The blob writer before streaming: header and image bytes joined."""
-    header = b"KGDS" + struct.pack("<III", 1, len(dataset), dataset.image_size)
-    path.write_bytes(header + dataset.images.astype("<f4").tobytes())
-
-
 def test_streamed_files_equal_joined_files(rng, tmp_path):
     from kggan import gan
     from kggan.optim import AdamState
@@ -185,11 +181,6 @@ def test_streamed_files_equal_joined_files(rng, tmp_path):
         save_checkpoint(tmp_path / f"{i}.stream", state, {"kind": "test"})
         join_save_checkpoint(tmp_path / f"{i}.join", state, {"kind": "test"})
         assert (tmp_path / f"{i}.stream").read_bytes() == (tmp_path / f"{i}.join").read_bytes()
-
-    dataset = sd.build_dataset(sd.make_category_specs(3, 2), 4, 8, seed=5)
-    sd.save_blob(tmp_path / "stream.blob", dataset)
-    join_save_blob(tmp_path / "join.blob", dataset)
-    assert (tmp_path / "stream.blob").read_bytes() == (tmp_path / "join.blob").read_bytes()
 
 
 MIB = 1 << 20
@@ -230,11 +221,14 @@ def _damaged(blob, damage):
         return blob[:-5], "payload of .* bytes is not whole float64 values"
     if damage == "truncated_payload":
         return blob[: len(blob) - 8 * 1000], "failed its content hash check"
+    if damage == "version_7":
+        struct.pack_into("<I", blob, 4, 7)
+        return blob, r"big\.ckpt: unsupported checkpoint version 7"
     return blob[:-8] + b"\0\0\0" + blob[-8:], "payload of .* bytes is not whole float64 values"
 
 
 @pytest.mark.parametrize(
-    "damage", ["header_past_eof", "truncated_trailer", "truncated_payload", "odd_payload"]
+    "damage", ["header_past_eof", "truncated_trailer", "truncated_payload", "odd_payload", "version_7"]
 )
 def test_damaged_lengths_rejected_before_a_payload_is_allocated(big_state, tmp_path, damage):
     # the header is trusted only once the digest checks, so a payload cut

@@ -1,6 +1,7 @@
 """Configuration round-trips and the command-line harness."""
 
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -162,39 +163,41 @@ class TestConfig:
 
 class TestGenerateData:
     def test_dataset_files_exist_and_parse(self, workspace):
-        root, _ = workspace
+        root, cfg_path = workspace
         out = root / "out" / "dataset"
         from kggan import synthdata as sd
+        from kggan.config import load_config
 
-        images, side = sd.load_blob(out / "images.blob")
-        ids = sd.load_manifest(out / "manifest.csv", 6)
-        assert side == 8
-        assert images.shape == (60, 3, 8, 8)
-        assert len(ids) == 60
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.ckpt", "descriptions.txt"]
+        dataset, embeddings = sd.load_dataset(out / "dataset.ckpt", load_config(cfg_path))
+        assert dataset.images.shape == (60, 3, 8, 8)
+        assert dataset.category_ids.tolist() == [c for c in range(6) for _ in range(10)]
+        assert embeddings.shape == (6, 16)
         lines = (out / "descriptions.txt").read_text().splitlines()
         assert {int(l.split()[1]) for l in lines if l.startswith("#category ")} == set(range(6))
 
-    def test_manifest_row_count(self, workspace):
-        root, _ = workspace
-        lines = (root / "out" / "dataset" / "manifest.csv").read_text().splitlines()
-        rows = [l for l in lines if l and not l.startswith("#") and not l.startswith("offset")]
-        assert len(rows) == 6 * 10
-
     def test_rerun_is_byte_identical(self, workspace):
         root, cfg_path = workspace
-        blob = (root / "out" / "dataset" / "images.blob").read_bytes()
+        out = root / "out" / "dataset"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         proc = run_cli(["--config", str(cfg_path), "generate-data"], cwd=root)
         assert proc.returncode == 0
-        assert (root / "out" / "dataset" / "images.blob").read_bytes() == blob
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_artifacts_carry_config_hash(self, workspace):
         root, cfg_path = workspace
+        from kggan.checkpoint import load_checkpoint
         from kggan.config import load_config
+        from kggan.synthdata import DATASET_FIELDS
 
-        expected = config_hash(load_config(cfg_path))
-        for name in ("manifest.csv", "descriptions.txt", "embeddings.txt"):
-            text = (root / "out" / "dataset" / name).read_text()
-            assert f"config {expected}" in text.splitlines()[0]
+        config = load_config(cfg_path)
+        text = (root / "out" / "dataset" / "descriptions.txt").read_text()
+        assert f"config {config_hash(config)}" in text.splitlines()[0]
+        _, metadata = load_checkpoint(root / "out" / "dataset" / "dataset.ckpt")
+        assert metadata == {
+            "kind": "dataset",
+            **{f"config.{name}": getattr(config, name) for name in DATASET_FIELDS},
+        }
 
 
 class TestTrainAndEvaluate:
@@ -209,6 +212,8 @@ class TestTrainAndEvaluate:
         cfg.write_text(TINY.format(out=tmp_path / "nowhere"))
         proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
         assert proc.returncode == 5
+        dataset = tmp_path / "nowhere" / "dataset" / "dataset.ckpt"
+        assert f"i/o error: dataset missing: {dataset} (run generate-data first)" in proc.stderr
 
     def test_train_then_evaluate_cell(self, workspace):
         root, cfg_path = workspace
@@ -230,18 +235,16 @@ class TestTrainAndEvaluate:
         assert len(ppms) == 6
 
     def test_one_draw_scores_match_separate_draws(self, workspace):
-        from kggan import cli, evaluation, regressor, semantics, synthdata
+        from kggan import cli, evaluation, regressor, synthdata
         from kggan.autodiff import Tensor, no_grad
         from kggan.config import load_config
 
         ws = cli.Workspace(load_config(workspace[1]))
         report, consistency, color, sample_fn, split = cli.evaluate_checkpoint(ws, "kggan_full")
-        config, dataset = ws.config, cli._load_dataset(ws)
-        embedder = regressor.freeze(
-            regressor.load_regressor(ws.embedder_path, config.image_size, config.embed_dim)
-        )
+        config = ws.config
+        dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
+        embedder = regressor.load_regressor(ws.embedder_path, config)
         ids = sorted(split.seen_ids | split.unseen_ids)
-        embeddings = semantics.load_embeddings(ws.embeddings_path)
         specs_by_id = {s.id: s for s in dataset.specs}
         n = config.n_gen
         separate = evaluation.per_category_fid(sample_fn, dataset, split, embedder, n)
@@ -291,42 +294,57 @@ class TestTrainAndEvaluate:
         assert abs(avgs["unseen_avg"] - np.mean(unseen)) < 1e-12
 
 
+def rewrite_dataset(path, damage):
+    """Apply ``damage`` to the dataset file's state and write it back whole,
+    so its digest is valid and only the damaged content is wrong."""
+    from kggan.checkpoint import load_checkpoint, save_checkpoint
+
+    state, metadata = load_checkpoint(path)
+    state = {name: np.array(arr) for name, arr in state.items()}
+    damage(state)
+    save_checkpoint(path, state, metadata)
+
+
 class TestEmbeddingsFile:
-    @pytest.mark.parametrize("damage", ["short_row", "nan"])
+    """The category table is the dataset file's ``embeddings`` tensor."""
+
+    @pytest.mark.parametrize("damage", ["nan"])
     def test_damaged_embeddings_exit_3_naming_file_and_category(self, tmp_path, damage):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY.format(out=tmp_path / "out"))
         assert run_cli(["--config", str(cfg), "generate-data"], cwd=tmp_path).returncode == 0
-        path = tmp_path / "out" / "dataset" / "embeddings.txt"
-        lines = path.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
-        parts = lines[row].split()
-        lines[row] = " ".join(parts[:-1] if damage == "short_row" else parts[:-1] + ["nan"])
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "out" / "dataset" / "dataset.ckpt"
+
+        def poison(state):
+            state["embeddings"][4, -1] = np.nan
+
+        rewrite_dataset(path, poison)
         proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert f"contract violation: {path}: category 4 has" in proc.stderr
+        assert f"contract violation: {path}: category 4 has a non-finite embedding value" in proc.stderr
 
     @staticmethod
     def _damage_table(path, damage):
         """Damage the table of 6 categories x 16 values; returns what is named."""
-        lines = path.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
-        if damage == "missing_row":
-            del lines[row]
-            named = "expected category 4, found category 5"
-        elif damage == "repeated_row":
-            lines.insert(row, lines[row])
-            named = "expected category 5, found category 4"
-        elif damage == "extra_row":
-            lines.append("6 " + lines[row].split(" ", 1)[1])
-            named = "table is 7 categories x 16 values, the config needs 6 x 16"
-        else:
-            lines = [line if line.startswith("#") else line.rsplit(" ", 1)[0] for line in lines]
-            named = "table is 6 categories x 15 values, the config needs 6 x 16"
-        path.write_text("\n".join(lines) + "\n")
-        return named
+
+        def table(state):
+            rows = list(state["embeddings"])
+            if damage == "missing_row":
+                del rows[4]
+            elif damage == "repeated_row":
+                rows.insert(4, rows[4])
+            elif damage == "extra_row":
+                rows.append(rows[4])
+            else:
+                rows = [row[:-1] for row in rows]
+            state["embeddings"] = np.stack(rows)
+
+        rewrite_dataset(path, table)
+        shape = {
+            "missing_row": (5, 16), "repeated_row": (7, 16), "extra_row": (7, 16), "short_rows": (6, 15)
+        }[damage]
+        return f"tensor embeddings has shape {shape}, expected (6, 16)"
 
     @pytest.mark.parametrize(
         "verb",
@@ -340,7 +358,7 @@ class TestEmbeddingsFile:
         shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY.format(out=tmp_path / "out"))
-        path = tmp_path / "out" / "dataset" / "embeddings.txt"
+        path = tmp_path / "out" / "dataset" / "dataset.ckpt"
         named = self._damage_table(path, damage)
         before = sorted(tmp_path.rglob("*"))
         proc = run_cli(["--config", str(cfg), *verb], cwd=tmp_path)
@@ -357,36 +375,22 @@ class TestResume:
         for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
             proc = run_cli(["--config", str(cfg_path), *cmd], cwd=tmp_path)
             assert proc.returncode == 0, proc.stderr
-        full_log = (tmp_path / "out" / "cells" / "kggan_full" / "metrics.csv").read_text()
+        metrics = tmp_path / "out" / "cells" / "kggan_full" / "metrics.csv"
+        full_log = metrics.read_bytes()
 
-        # train a half-length run, then resume it to completion
+        # a half-length run in the same out_dir, resumed to completion,
+        # writes the uninterrupted run's log byte for byte: its rows 0..19
+        # kept verbatim under the resumed run's header, then rows 20..39
         half_cfg = tmp_path / "half.cfg"
-        half_cfg.write_text(TINY.format(out=tmp_path / "out2").replace("gan_iterations = 40", "gan_iterations = 20"))
-        for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
-            proc = run_cli(["--config", str(half_cfg), *cmd], cwd=tmp_path)
-            assert proc.returncode == 0, proc.stderr
-        resume_cfg = tmp_path / "resume.cfg"
-        resume_cfg.write_text(TINY.format(out=tmp_path / "out2"))
-        proc = run_cli(
-            [
-                "--config",
-                str(resume_cfg),
-                "train",
-                "--cell",
-                "kggan_full",
-                "--resume",
-                str(tmp_path / "out2" / "cells" / "kggan_full" / "checkpoint.ckpt"),
-            ],
-            cwd=tmp_path,
-        )
+        half_cfg.write_text(cfg_path.read_text().replace("gan_iterations = 40", "gan_iterations = 20"))
+        proc = run_cli(["--config", str(half_cfg), "train", "--cell", "kggan_full"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        resumed_log = (tmp_path / "out2" / "cells" / "kggan_full" / "metrics.csv").read_text()
-        # resumed log holds iterations 20..39; the uninterrupted one 0..39
-        tail = [l for l in full_log.splitlines() if l and not l.startswith(("#", "iteration"))][20:]
-        resumed_rows = [
-            l for l in resumed_log.splitlines() if l and not l.startswith(("#", "iteration"))
-        ]
-        assert resumed_rows == tail
+        assert len(metrics.read_text().splitlines()) == len(full_log.splitlines()) - 20
+        resume = metrics.parent / "checkpoint.ckpt"
+        argv = ["--config", str(cfg_path), "train", "--cell", "kggan_full", "--resume", str(resume)]
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert metrics.read_bytes() == full_log
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +455,70 @@ class TestResumeChecks:
         )
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
+    @staticmethod
+    def _damage_log(path, damage):
+        """Damage a 40-row metric log; returns the row named and what it holds."""
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("0,"))
+        if damage == "missing_row":
+            del lines[first + 5]
+            named = 5, repr(lines[first + 5])
+        elif damage == "garbled_row":
+            lines[first + 3] = lines[first + 3].replace(",", ";", 1)
+            named = 3, repr(lines[first + 3])
+        elif damage == "rewritten_value":  # the same number, not as train writes it
+            it, l_d, rest = lines[first + 3].split(",", 2)
+            lines[first + 3] = f"{it},{float(l_d):.20e},{rest}"
+            named = 3, repr(lines[first + 3])
+        elif damage == "extra_row":
+            lines.append("40," + lines[-1].split(",", 1)[1])
+            named = 40, repr(lines[-1])
+        else:
+            del lines[-3:]
+            named = 37, "missing"
+        path.write_text("\n".join(lines) + "\n")
+        return "row {} of the checkpoint's 0..39 is {}".format(*named)
+
+    @pytest.mark.parametrize(
+        "damage", ["missing_row", "garbled_row", "rewritten_value", "extra_row", "short_log"]
+    )
+    def test_damaged_metric_log_exits_3_naming_file_and_row(self, trained_cells, tmp_path, damage):
+        # a copy of the workspace, resumed from 40 to 60 iterations
+        shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 60"))
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        named = self._damage_log(cell_dir / "metrics.csv", damage)
+        before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
+        resume = cell_dir / "checkpoint.ckpt"
+        proc = run_cli(
+            ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)],
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"contract violation: {cell_dir / 'metrics.csv'}: {named}" in proc.stderr
+        assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "verb", [["train", "--cell", "kggan_full"], ["evaluate", "--cell", "kggan_full"]],
+        ids=["train", "evaluate"],
+    )
+    def test_embedder_of_another_config_exits_3_naming_the_field(self, trained_cells, tmp_path, verb):
+        root, cfg_path = trained_cells
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(cfg_path.read_text().replace("embedder_steps = 120", "embedder_steps = 121"))
+        before = {p: p.read_bytes() for p in (root / "out").rglob("*") if p.is_file()}
+        proc = run_cli(["--config", str(cfg), *verb], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        embedder = root / "out" / "embedder.ckpt"
+        assert (
+            f"contract violation: {embedder}: checkpoint has config.embedder_steps 120, "
+            "this run has 121" in proc.stderr
+        )
+        assert {p: p.read_bytes() for p in (root / "out").rglob("*") if p.is_file()} == before
+
     def test_evaluate_of_another_cells_checkpoint_exits_3_naming_cell(self, trained_cells):
         root, cfg_path = trained_cells
         cell_dir = root / "out" / "cells" / "baseline_full_data"
@@ -513,7 +581,8 @@ class TestBenchmarkChecks:
 
 class TestEvaluateLoad:
     def test_evaluate_builds_no_optimizer_or_preconditioner(self, trained_cells, monkeypatch):
-        from kggan import cli, gan, semantics
+        from kggan import cli, gan, synthdata
+        from kggan.config import load_config
         from kggan.optim import AdamState
 
         root, cfg_path = trained_cells
@@ -527,7 +596,9 @@ class TestEvaluateLoad:
             return {p.relative_to(cell_dir): p.read_bytes() for p in files if p.name not in trained}
 
         # the whole-state load into a preconditioned model, as training builds it
-        embeddings = semantics.load_embeddings(root / "out" / "dataset" / "embeddings.txt")
+        _, embeddings = synthdata.load_dataset(
+            root / "out" / "dataset" / "dataset.ckpt", load_config(cfg_path)
+        )
 
         def whole_state_load(path, model, run=None):
             model.set_condition_preconditioner(*gan.condition_preconditioner(embeddings))
@@ -568,8 +639,6 @@ class TestUnreadableInput:
             return 2, f"config error: config key 'gan_iterations' is set on line 8 and again on line {n}"
         path = {
             "config_non_utf8": cfg,
-            "manifest_non_utf8": dataset / "manifest.csv",
-            "embeddings_non_utf8": dataset / "embeddings.txt",
             "report_non_utf8": tmp_path / "out" / "ablation" / "combined.txt",
         }[damage]
         if damage == "report_non_utf8":
@@ -585,8 +654,6 @@ class TestUnreadableInput:
         [
             "config_non_utf8",
             "config_repeated_key",
-            "manifest_non_utf8",
-            "embeddings_non_utf8",
             "report_non_utf8",
         ],
     )
@@ -643,62 +710,57 @@ class TestAbortCheckpoint:
 
 class TestDatasetFiles:
     @staticmethod
-    def _damage_manifest(path, damage):
-        """Damage the row of offset 5; returns the line number to be named."""
-        lines = path.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("5,"))
-        cid = lines[row].split(",")[1]
-        if damage == "missing":
-            del lines[row]  # the last row's offset then lies outside 0..n-1
-            named = len(lines)
-        else:
-            bad = {
-                "malformed": f"5;{cid}",
-                "duplicate": f"4,{cid}",
-                "out_of_range": f"999,{cid}",
-                "category": "5,99",
-            }
-            lines[row] = bad[damage]
-            named = row + 1
-        path.write_text("\n".join(lines) + "\n")
-        return f"{path}: line {named} " + ("has category 99" if damage == "category" else "")
+    def _damage(path, damage):
+        """Damage the dataset file of 60 samples of 3x8x8; returns what is named."""
+        if damage == "nan_pixel":  # pixel 9 of sample 7, under a valid digest
 
-    @staticmethod
-    def _damage_blob(path, damage):
-        """A NaN at pixel 9 of sample 7 (16-byte header, 3x8x8 floats each),
-        or 2 bytes past the last whole float."""
-        blob = bytearray(path.read_bytes())
+            def poison(state):
+                state["images"][7].flat[9] = np.nan
+
+            rewrite_dataset(path, poison)
+            return "sample 7 has a non-finite pixel"
+        blob = path.read_bytes()
         if damage == "partial_float":
-            path.write_bytes(blob + b"\0\0")
-            return f"{path}: {len(blob) - 16 + 2} bytes of pixels, expected {len(blob) - 16}"
-        struct.pack_into("<f", blob, 16 + 4 * (7 * 3 * 8 * 8 + 9), float("nan"))
-        path.write_bytes(bytes(blob))
-        return f"{path}: sample 7 has a non-finite pixel"
+            path.write_bytes(blob[:-8] + b"\0\0" + blob[-8:])
+            return "payload of .* bytes is not whole float64 values"
+        if damage == "flipped_byte":
+            path.write_bytes(blob[:-20] + bytes([blob[-20] ^ 1]) + blob[-19:])
+            return "failed its content hash check"
+        path.write_bytes(blob[: len(blob) - 8 * 1000])  # cut short by 1000 float64s
+        return "failed its content hash check"
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            "malformed",
-            "duplicate",
-            "out_of_range",
-            "category",
-            "missing",
-            "nan_pixel",
-            "partial_float",
-        ],
-    )
+    @pytest.mark.parametrize("damage", ["nan_pixel", "partial_float", "flipped_byte", "truncated"])
     def test_damaged_dataset_exits_3_naming_file_and_row(self, tmp_path, damage):
         from kggan import cli
 
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY.format(out=tmp_path / "out"))
         assert cli.main(["--config", str(cfg), "generate-data"]) == 0
-        dataset = tmp_path / "out" / "dataset"
-        if damage in ("nan_pixel", "partial_float"):
-            named = self._damage_blob(dataset / "images.blob", damage)
-        else:
-            named = self._damage_manifest(dataset / "manifest.csv", damage)
+        path = tmp_path / "out" / "dataset" / "dataset.ckpt"
+        named = self._damage(path, damage)
         proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert f"contract violation: {named}" in proc.stderr
+        assert re.search(f"contract violation: {re.escape(str(path))}:? {named}", proc.stderr)
+        assert not (tmp_path / "out" / "embedder.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "generated, used, named",
+        [
+            ([], ["--seed", "7"], "config.data_seed 101, this run has 7"),
+            ([], [], "config.images_per_category 10, this run has 5"),
+        ],
+        ids=["other_seed", "other_images_per_category"],
+    )
+    def test_data_of_another_config_exits_3_naming_the_field(self, tmp_path, generated, used, named):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        assert run_cli(["--config", str(cfg), *generated, "generate-data"], cwd=tmp_path).returncode == 0
+        if not used:
+            cfg.write_text(cfg.read_text().replace("images_per_category = 10", "images_per_category = 5"))
+        proc = run_cli(["--config", str(cfg), *used, "train-embedder"], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        path = tmp_path / "out" / "dataset" / "dataset.ckpt"
+        assert f"contract violation: {path}: checkpoint has {named}" in proc.stderr
+        assert not (tmp_path / "out" / "embedder.ckpt").exists()

@@ -194,7 +194,6 @@ class TestPerCategoryFid:
         rows = dataset.indices_of(2)
         keep[rows[1:]] = False
         dataset = sd.Dataset(
-            image_size=IMG,
             images=dataset.images[keep],
             category_ids=dataset.category_ids[keep],
             specs=specs,

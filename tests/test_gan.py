@@ -429,7 +429,7 @@ class TestTrainLoop:
         def poisoned(categories):
             images = dataset.images.copy()
             images[np.isin(dataset.category_ids, sorted(categories))] = np.nan
-            return sd.Dataset(dataset.image_size, images, dataset.category_ids, dataset.specs)
+            return sd.Dataset(images, dataset.category_ids, dataset.specs)
 
         config = mini_config(iterations=40)
         unseen_nan = poisoned(split.unseen_ids)

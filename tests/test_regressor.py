@@ -1,5 +1,6 @@
 """Embedding regressor: training, freezing, prediction, persistence."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,13 @@ def param_bytes(model):
     return b"".join(p.data.tobytes() for p in model.parameters())
 
 
+TRAINED_CONFIG = mini_config(embedder_steps=600, embedder_seed=1)
+
+
 @pytest.fixture(scope="module")
 def trained():
     specs, images, ids, embeddings = make_samples()
-    config = mini_config(embedder_steps=600, embedder_seed=1)
-    model = train_embedder(images, ids, embeddings, config)
+    model = train_embedder(images, ids, embeddings, TRAINED_CONFIG)
     return specs, images, ids, embeddings, model
 
 
@@ -250,23 +253,35 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, trained, tmp_path):
         model = trained[4]
         path = tmp_path / "embedder.ckpt"
-        save_regressor(path, model)
-        loaded = load_regressor(path, image_size=12, embed_dim=16)
+        save_regressor(path, model, TRAINED_CONFIG)
+        loaded = load_regressor(path, TRAINED_CONFIG)
         for p, q in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(p.data, q.data)
         assert param_bytes(loaded) == param_bytes(model)
 
     def test_corrupted_file_rejected(self, trained, tmp_path):
         path = tmp_path / "embedder.ckpt"
-        save_regressor(path, trained[4])
+        save_regressor(path, trained[4], TRAINED_CONFIG)
         blob = bytearray(path.read_bytes())
         blob[40] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ContractError, match="hash"):
-            load_regressor(path, image_size=12, embed_dim=16)
+            load_regressor(path, TRAINED_CONFIG)
 
     def test_gan_checkpoint_rejected_by_kind(self, tmp_path):
         path = tmp_path / "gan.ckpt"
         save_checkpoint(path, {"G.w1": np.zeros((2, 2))}, {"kind": "gan"})
         with pytest.raises(ContractError, match="kind 'gan', this run has 'regressor'"):
-            load_regressor(path, image_size=12, embed_dim=16)
+            load_regressor(path, TRAINED_CONFIG)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("embedder_steps", 601), ("split_seed", 7), ("n_unseen", 2), ("data_seed", 0),
+         ("images_per_category", 9)],
+    )
+    def test_other_config_rejected_naming_the_field(self, trained, tmp_path, field, value):
+        path = tmp_path / "embedder.ckpt"
+        save_regressor(path, trained[4], TRAINED_CONFIG)
+        want = getattr(TRAINED_CONFIG, field)
+        with pytest.raises(ContractError, match=f"has config.{field} {want}, this run has {value}$"):
+            load_regressor(path, replace(TRAINED_CONFIG, **{field: value}))

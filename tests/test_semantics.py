@@ -1,8 +1,9 @@
-"""Hashed bag-of-words embeddings and their text persistence."""
+"""Hashed bag-of-words embeddings and the category table's persistence."""
 
 import numpy as np
 import pytest
 
+from kggan.config import ExperimentConfig
 from kggan.errors import ContractError
 from kggan.hashing import fnv1a_64
 from kggan import semantics as sem
@@ -122,45 +123,40 @@ class TestTemplateStructure:
 
 
 class TestPersistence:
+    """The category table goes through the dataset file (``synthdata``)."""
+
+    @staticmethod
+    def _save(path, n_categories, dim, damage=None):
+        """Write a dataset file whose table is built for ``n_categories`` at
+        width ``dim``; ``damage`` (row, values) replaces one row first."""
+        config = ExperimentConfig(
+            n_categories=n_categories, images_per_category=1, image_size=8, embed_dim=dim
+        )
+        specs = sd.make_category_specs(n_categories)
+        embeddings = sem.build_embeddings(specs, dim=dim)
+        if damage:
+            embeddings[damage[0]] = [float(v) for v in damage[1].split()]
+        sd.save_dataset(path, sd.build_dataset(specs, 1, 8, seed=0), embeddings, config)
+        return config, embeddings
+
     def test_embeddings_round_trip_exact(self, tmp_path):
-        specs = sd.make_category_specs(6)
-        embeddings = sem.build_embeddings(specs, dim=64)
-        path = tmp_path / "embeddings.txt"
-        sem.save_embeddings(path, embeddings, header_lines=["config cafe", "seed 0"])
-        loaded = sem.load_embeddings(path)
+        path = tmp_path / "dataset.ckpt"
+        config, embeddings = self._save(path, 6, 64)
+        _, loaded = sd.load_dataset(path, config)
         assert loaded.dtype == np.float64 and loaded.shape == (6, 64)
         assert loaded.tobytes() == embeddings.tobytes()
 
     @pytest.mark.parametrize(
         "cid, values, message",
         [
-            (1, "0.5 " * 7, "category 1 has 7 embedding values, expected 8"),
-            (0, "", "category 0 has 0 embedding values, expected at least 1"),
             (2, "0.5 " * 7 + "nan", "category 2 has a non-finite embedding value"),
             (2, "inf " + "0.5 " * 7, "category 2 has a non-finite embedding value"),
             (2, "-inf " * 8, "category 2 has a non-finite embedding value"),
-            (1, "0.5 " * 7 + "0.5x", "unparsable embedding row '1 0.5"),
-            # the rows, by category, in file order: one missing, repeated,
-            # out of order, an extra one numbered past the end, or none
-            (1, (0, 2), "expected category 1, found category 2"),
-            (2, (0, 1, 1, 2), "expected category 2, found category 1"),
-            (1, (0, 2, 1), "expected category 1, found category 2"),
-            (3, (0, 1, 2, 5), "expected category 3, found category 5"),
-            (0, (), "no embedding rows"),
         ],
     )
     def test_damaged_row_rejected_naming_file_and_category(self, tmp_path, cid, values, message):
-        embeddings = sem.build_embeddings(sd.make_category_specs(3), dim=8)
-        path = tmp_path / "embeddings.txt"
-        sem.save_embeddings(path, embeddings, header_lines=["config cafe"])
-        lines = path.read_text().splitlines()
-        if isinstance(values, tuple):
-            rows = dict(line.split(" ", 1) for line in lines[1:])
-            lines[1:] = [f"{c} {rows[str(c % 3)]}" for c in values]
-        else:
-            lines[1 + cid] = f"{cid} {values}"
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "dataset.ckpt"
+        config, _ = self._save(path, 3, 8, damage=(cid, values))
         with pytest.raises(ContractError) as excinfo:
-            sem.load_embeddings(path)
-        assert str(excinfo.value).startswith(f"{path}: ")
-        assert message in str(excinfo.value)
+            sd.load_dataset(path, config)
+        assert str(excinfo.value) == f"{path}: {message}"

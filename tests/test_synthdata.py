@@ -1,10 +1,16 @@
 """Procedural dataset: rendering, descriptions, augmentations, splits."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kggan.checkpoint import load_checkpoint, save_checkpoint
+from kggan.config import ExperimentConfig
 from kggan.errors import ConfigError, ContractError
 from kggan import synthdata as sd
+from kggan.semantics import build_embeddings
 
 
 def read_descriptions(path):
@@ -207,32 +213,77 @@ class TestDatasetInvariants:
 
 
 class TestPersistence:
-    def test_blob_round_trip(self, tmp_path):
-        specs = sd.make_category_specs(4)
-        dataset = sd.build_dataset(specs, images_per_category=3, image_size=8, seed=1)
-        path = tmp_path / "images.blob"
-        sd.save_blob(path, dataset)
-        images, side = sd.load_blob(path)
-        assert side == 8
-        assert images.shape == dataset.images.shape
-        # loaded values are the f32-quantized originals
-        assert np.array_equal(images, dataset.images.astype("<f4").astype(np.float64))
+    CONFIG = ExperimentConfig(
+        n_categories=4, images_per_category=3, image_size=8, descriptions_per_category=5,
+        embed_dim=16, data_seed=9,
+    )
 
-    def test_blob_rerun_byte_identical(self, tmp_path):
-        specs = sd.make_category_specs(4)
-        a, b = tmp_path / "a.blob", tmp_path / "b.blob"
-        sd.save_blob(a, sd.build_dataset(specs, 3, 8, seed=9))
-        sd.save_blob(b, sd.build_dataset(specs, 3, 8, seed=9))
-        assert a.read_bytes() == b.read_bytes()
+    def _save(self, path):
+        specs = sd.make_category_specs(4, 5)
+        dataset = sd.build_dataset(specs, 3, 8, seed=9)
+        sd.save_dataset(path, dataset, build_embeddings(specs, dim=16), self.CONFIG)
+        return dataset
 
-    def test_manifest_round_trip(self, tmp_path):
+    def test_dataset_round_trip(self, tmp_path):
+        """The file gives back the float32-rounded images, the category ids
+        and the category table, bit for bit."""
+        path = tmp_path / "dataset.ckpt"
+        built = self._save(path)
+        fresh = sd.build_dataset(built.specs, 3, 8, seed=9)
+        rounded = fresh.images.astype("<f4").astype(np.float64)
+        assert not np.array_equal(rounded, fresh.images)
+        dataset, embeddings = sd.load_dataset(path, self.CONFIG)
+        assert dataset.images.dtype == np.float64
+        assert dataset.images.tobytes() == rounded.tobytes() == built.images.tobytes()
+        assert np.array_equal(dataset.category_ids, built.category_ids)
+        assert dataset.category_ids.dtype == built.category_ids.dtype == np.int64
+        table = build_embeddings(built.specs, dim=16)
+        assert embeddings.tobytes() == table.tobytes()
+        assert [s.descriptions for s in dataset.specs] == [s.descriptions for s in built.specs]
+
+    def test_sample_category_ids_are_the_render_order(self):
         specs = sd.make_category_specs(3)
-        dataset = sd.build_dataset(specs, images_per_category=2, image_size=8, seed=1)
-        path = tmp_path / "manifest.csv"
-        sd.save_manifest(path, dataset, header_lines=["config deadbeef", "seed 1"])
-        ids = sd.load_manifest(path, 3)
-        assert np.array_equal(ids, dataset.category_ids)
-        assert path.read_text().startswith("# config deadbeef")
+        assert sd.sample_category_ids(specs, 2).tolist() == [0, 0, 1, 1, 2, 2]
+        dataset = sd.build_dataset(specs, 2, 8, seed=1)
+        for k, cid in enumerate(dataset.category_ids):
+            expected = sd.render_sample(specs[cid], instance_seed=1 * 1_000_003 + k % 2, image_size=8)
+            assert np.array_equal(dataset.images[k], expected)
+
+    def test_dataset_rerun_byte_identical(self, tmp_path):
+        self._save(tmp_path / "a.ckpt")
+        self._save(tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_categories", 5), ("images_per_category", 2), ("image_size", 9),
+         ("descriptions_per_category", 4), ("embed_dim", 8), ("data_seed", 10)],
+    )
+    def test_other_config_rejected_naming_file_and_field(self, tmp_path, field, value):
+        path = tmp_path / "dataset.ckpt"
+        self._save(path)
+        config = replace(self.CONFIG, **{field: value})
+        want = getattr(self.CONFIG, field)
+        with pytest.raises(ContractError) as excinfo:
+            sd.load_dataset(path, config)
+        assert str(excinfo.value) == (
+            f"{path}: checkpoint has config.{field} {want!r}, this run has {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [("images", 7, "sample 7 has a non-finite pixel"),
+         ("embeddings", 2, "category 2 has a non-finite embedding value")],
+    )
+    def test_non_finite_value_rejected_naming_the_row(self, tmp_path, name, row, message):
+        # rewritten whole, so the file's digest is valid and only the value is wrong
+        path = tmp_path / "dataset.ckpt"
+        self._save(path)
+        state, metadata = load_checkpoint(path)
+        state[name][row].flat[-1] = np.nan
+        save_checkpoint(path, state, metadata)
+        with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: {message}$"):
+            sd.load_dataset(path, self.CONFIG)
 
     def test_descriptions_round_trip(self, tmp_path):
         specs = sd.make_category_specs(3)
