@@ -169,12 +169,19 @@ class TestGenerateData:
         from kggan.config import load_config
 
         assert sorted(p.name for p in out.iterdir()) == ["dataset.ckpt", "descriptions.txt"]
-        dataset, embeddings = sd.load_dataset(out / "dataset.ckpt", load_config(cfg_path))
-        assert dataset.images.shape == (60, 3, 8, 8)
-        assert dataset.category_ids.tolist() == [c for c in range(6) for _ in range(10)]
+        _, embeddings = sd.load_dataset(out / "dataset.ckpt", load_config(cfg_path))
         assert embeddings.shape == (6, 16)
         lines = (out / "descriptions.txt").read_text().splitlines()
         assert {int(l.split()[1]) for l in lines if l.startswith("#category ")} == set(range(6))
+
+    def test_dataset_row_count(self, workspace):
+        root, cfg_path = workspace
+        from kggan import synthdata as sd
+        from kggan.config import load_config
+
+        dataset, _ = sd.load_dataset(root / "out" / "dataset" / "dataset.ckpt", load_config(cfg_path))
+        assert dataset.images.shape == (6 * 10, 3, 8, 8)
+        assert dataset.category_ids.tolist() == [c for c in range(6) for _ in range(10)]
 
     def test_rerun_is_byte_identical(self, workspace):
         root, cfg_path = workspace
