@@ -545,6 +545,19 @@ class TestResumeChecks:
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class TestTrainingGolden:
+    @pytest.mark.parametrize("cell", ["kggan_full", "baseline_full_data"])
+    def test_metric_log_matches_golden(self, trained_cells, cell):
+        """The TINY config's metric log for a cell trained through the CLI
+        from the dataset file, on the lambda_se = 0.1 and the lambda_se = 0
+        path, recorded in the golden files before the file stored float32
+        images: every row must be reproduced bit for bit."""
+        root, _ = trained_cells
+        lines = (root / "out" / "cells" / cell / "metrics.csv").read_text(encoding="utf-8")
+        rows = "".join(line for line in lines.splitlines(keepends=True) if not line.startswith("#"))
+        assert rows == (GOLDEN / f"tiny_{cell}_metrics.csv").read_text(encoding="utf-8")
+
+
 class TestEvaluationGolden:
     def test_kggan_full_scores_match_golden(self, trained_cells):
         """The TINY config's kggan_full scores, recorded in the golden files
