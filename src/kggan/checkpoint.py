@@ -1,19 +1,29 @@
 """Checkpoints as one named state, plus the atomic writer every artifact uses.
 
-A state maps names to float64 arrays (scalars are 0-d). The metadata's
-``kind`` says which state a file holds. A "gan" holds the parameters
-G.w1 ... D.v_proj; cond.transform and cond.shift;
+A state maps names to float64 or float32 arrays (scalars are 0-d). The
+metadata's ``kind`` says which state a file holds. A "gan" holds the
+parameters G.w1 ... D.v_proj; cond.transform and cond.shift;
 spectral.<D weight>.u/.sigma/.steps/.degenerate; for each optimizer
 (adam_g over G, adam_d over D) adam_g.m.<param>, adam_g.v.<param> and
 adam_g.step; and the next ``iteration``. A "regressor" holds E.w1 ...
-E.b3. A "dataset" holds ``images`` [N, 3, S, S] and the category table
-``embeddings`` [n_categories, d].
+E.b3. A "dataset" holds float32 ``images`` [N, 3, S, S] and the category
+table ``embeddings`` [n_categories, d]. Only a dataset's images are
+float32.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length
-    | JSON header {name: {"shape", "data_offsets": [begin, end]}, "__metadata__"}
-    | f64 payload (little-endian, row-major; offsets are bytes into it)
+    | JSON header {name: {["dtype",] "shape", "data_offsets": [begin, end]}, "__metadata__"}
+    | payload (little-endian, row-major; offsets are bytes into it)
     | 8-byte blake2b digest of everything before the trailer
+
+An entry's ``dtype`` is "F32" (float32) or "F64" (float64); an entry
+without one is F64. The writer stores a float32 array as F32, and any
+other array as F64 with no ``dtype``, so an all-float64 state is written
+byte for byte as it was before entries carried a dtype. Each tensor
+begins at a multiple of 8 bytes, zero bytes padding the end of a tensor
+whose size is not, so the payload is a whole number of 8-byte words and
+every view of it is aligned. A load rejects an unknown dtype, and against
+a template a dtype other than the template's, naming the tensor.
 
 The metadata holds the ``kind`` and, as ``config.<field>``, the config
 fields the contents depend on: a dataset's ``synthdata.DATASET_FIELDS``, a
@@ -24,15 +34,15 @@ the metadata it expects, and the first field that differs raises
 ContractError naming it. A resume expects the kind, condition mode, cell,
 lambda_se and every config field but ``config.gan_iterations`` (a run may
 train further) and ``config.out_dir``. Against a template state, a
-missing, unexpected or misshaped tensor is named the same way.
-Versions 1 and 2 laid tensors out by position and are rejected.
+missing, unexpected, misshaped or other-dtype tensor is named the same
+way. Versions 1 and 2 laid tensors out by position and are rejected.
 
 Files are written to a temporary file beside the target and renamed into
 place, so a reader never sees a partial file. A save hashes and streams
-each array's own buffer (only an array that is not contiguous float64 is
-converted, on its own), so it never holds a copy of the payload; a load
-reads the payload once, straight into the one array its tensors are views
-of, so it holds one payload copy.
+each array's own buffer (only an array that is not contiguous in its
+stored dtype is converted, on its own), so it never holds a copy of the
+payload; a load reads the payload once, straight into the one buffer its
+tensors are views of, so it holds one payload copy.
 """
 
 from __future__ import annotations
@@ -53,6 +63,8 @@ MAGIC = b"KGCK"
 VERSION = 3
 DIGEST_SIZE = 8
 PREAMBLE = 16  # magic, version, header length
+DTYPES = {"F64": np.dtype("<f8"), "F32": np.dtype("<f4")}  # a header entry's "dtype"
+ALIGN = 8  # every tensor begins at a multiple of this many payload bytes
 
 
 def write_atomic(path, data) -> None:
@@ -82,17 +94,24 @@ def write_atomic(path, data) -> None:
 
 
 def save_checkpoint(path, state: dict, metadata: dict) -> None:
-    """Write ``state`` and ``metadata``, streaming each array's own buffer."""
-    header, pos = {}, 0
+    """Write ``state`` and ``metadata``, streaming each array's own buffer.
+
+    A float32 array is stored as F32, any other array as F64.
+    """
+    header, chunks, pos = {}, [], 0
     for name, arr in state.items():
-        header[name] = {"shape": list(arr.shape), "data_offsets": [pos, pos + 8 * arr.size]}
-        pos += 8 * arr.size
+        tag = "F32" if arr.dtype == np.float32 else "F64"
+        flat = np.ascontiguousarray(arr, DTYPES[tag]).reshape(-1)
+        entry = {"shape": list(arr.shape), "data_offsets": [pos, pos + flat.nbytes]}
+        header[name] = entry if tag == "F64" else {"dtype": tag, **entry}
+        chunks.append(memoryview(flat).cast("B"))
+        pad = -flat.nbytes % ALIGN
+        if pad:
+            chunks.append(bytes(pad))
+        pos += flat.nbytes + pad
     header["__metadata__"] = metadata
     text = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    buffers = [MAGIC + struct.pack("<IQ", VERSION, len(text)), text]
-    buffers += [
-        memoryview(np.ascontiguousarray(arr, "<f8").reshape(-1)).cast("B") for arr in state.values()
-    ]
+    buffers = [MAGIC + struct.pack("<IQ", VERSION, len(text)), text, *chunks]
     digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
     for buf in buffers:
         digest.update(buf)
@@ -103,11 +122,12 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
     """Returns (state, metadata).
 
     Each field of ``expect`` must equal the file's metadata, in order;
-    with a ``template`` state the file must hold exactly its names and
-    shapes. The payload is read once, straight into one float64 array,
-    and the returned arrays are writable views of it: a load holds one
-    payload copy. Lengths are checked against the file's size before
-    anything of that size is allocated.
+    with a ``template`` state the file must hold exactly its names,
+    shapes and dtypes. The payload is read once, straight into one
+    buffer, and the returned arrays are writable views of it, each in
+    its entry's dtype: a load holds one payload copy. Lengths are
+    checked against the file's size before anything of that size is
+    allocated.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -121,17 +141,18 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
         payload = file_size - PREAMBLE - size - DIGEST_SIZE
         if payload < 0:
             raise ContractError(f"{path}: header length {size} runs past the end of the file")
-        if payload % 8:
+        if payload % ALIGN:
             raise ContractError(f"{path}: payload of {payload} bytes is not whole float64 values")
         text = fh.read(size)
-        flat = np.empty(payload // 8, dtype="<f8")
-        got = fh.readinto(memoryview(flat).cast("B"))
+        # allocated as 8-byte words, so the view at every tensor's offset is aligned
+        raw = np.empty(payload // ALIGN, dtype="<f8").view(np.uint8)
+        got = fh.readinto(raw)
         trailer = fh.read(DIGEST_SIZE)
     if len(text) != size or got != payload or len(trailer) != DIGEST_SIZE:
         raise ContractError(f"{path} is shorter than its size on opening")
     digest = hashlib.blake2b(preamble, digest_size=DIGEST_SIZE)
     digest.update(text)
-    digest.update(flat)
+    digest.update(raw)
     if digest.digest() != trailer:
         raise ContractError(f"{path} failed its content hash check")
 
@@ -140,12 +161,15 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
         metadata = dict(header.pop("__metadata__"))
         state, pos = {}, 0
         for name, entry in header.items():
+            tag = entry.get("dtype", "F64")
+            if tag not in DTYPES:
+                raise ContractError(f"{path}: tensor {name} has unknown dtype {tag!r}")
             begin, end = entry["data_offsets"]
             shape = tuple(entry["shape"])
-            if begin != pos or end != begin + 8 * math.prod(shape):
+            if begin != pos or end != begin + DTYPES[tag].itemsize * math.prod(shape):
                 raise ContractError(f"{path}: tensor {name} has offsets {[begin, end]}")
-            state[name] = flat[begin // 8 : end // 8].reshape(shape)
-            pos = end
+            state[name] = raw[begin:end].view(DTYPES[tag]).reshape(shape)
+            pos = end + -end % ALIGN
     except ContractError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError):
@@ -165,6 +189,10 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
             if state[name].shape != arr.shape:
                 raise ContractError(
                     f"{path}: tensor {name} has shape {state[name].shape}, expected {arr.shape}"
+                )
+            if state[name].dtype != arr.dtype:
+                raise ContractError(
+                    f"{path}: tensor {name} has dtype {state[name].dtype}, expected {arr.dtype}"
                 )
         extra = sorted(state.keys() - template.keys())
         if extra:

@@ -6,10 +6,12 @@ ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
 4 numerical abort, 5 I/O error.
 
-``dataset/dataset.ckpt`` (the images and the category table) and
-``embedder.ckpt`` record the config fields they depend on. A verb that
-reads one exits 3 naming the file and the first such field, or tensor
-shape, that does not match its own config, or the first sample or
+``dataset/dataset.ckpt`` (the float32 images and the category table)
+and ``embedder.ckpt`` record the config fields they depend on. A verb
+that reads one exits 3 naming the file and the first such field, or
+tensor shape or dtype, that does not match its own config (a dataset
+file holding float64 images is regenerated with ``generate-data``), or
+the first sample or
 category with a non-finite value. ``evaluate`` scores only its own
 cell's checkpoint: one another cell wrote exits 3 naming ``cell``. All of
 these checks run before anything is written.
@@ -20,12 +22,15 @@ continues only a checkpoint of the same run: on the first of those that
 differs it exits 3 naming it, before it trains or writes anything. Only
 gan_iterations (a resume may train further) and out_dir may differ; a
 checkpoint at or past gan_iterations exits 3 naming both numbers. A
-resume also reads the ``metrics.csv`` beside the checkpoint, which must
-hold the rows of iterations 0..start-1 as ``train`` wrote them; otherwise
-it exits 3 naming the file and the first bad row. The new log holds
-those rows, verbatim, and then the resumed ones. A numerical abort
-(exit 4) leaves checkpoint.aborted.ckpt in the cell's directory: the
-named state at the start of the failing iteration.
+resume also reads the log written with the checkpoint (``metrics.csv``,
+or ``metrics.aborted.csv`` beside ``checkpoint.aborted.ckpt``), which
+must hold the rows of iterations 0..start-1 as ``train`` wrote them;
+otherwise it exits 3 naming the file and the first bad row. The new log
+holds those rows, verbatim, and then the resumed ones. A numerical abort
+(exit 4) leaves in the cell's directory checkpoint.aborted.ckpt, the
+named state at the start of the failing iteration, and
+metrics.aborted.csv, the rows of the iterations before it; an earlier
+run's checkpoint.ckpt and metrics.csv are left as they were.
 
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
@@ -78,6 +83,9 @@ GRID_COLUMNS = 8
 
 # config fields a resume may change: it may train further, or write elsewhere
 RESUME_FREE = ("config.gan_iterations", "config.out_dir")
+
+# a numerical abort's state and log, a pair beside checkpoint.ckpt and metrics.csv
+ABORTED_CHECKPOINT, ABORTED_LOG = "checkpoint.aborted.ckpt", "metrics.aborted.csv"
 
 # Reference ordering from the original full-scale Oxford-flowers study
 # (seen FID / unseen FID); absolute values are not comparable to this
@@ -221,7 +229,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     tconfig = _train_config(config, run["lambda_se"])
     model = _build_model(config, condition_mode, embeddings)
 
-    start_iteration, logged = 0, []
+    start_iteration, log = 0, MetricLog()
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
         model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig, run=expect)
@@ -230,7 +238,8 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
                 f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
                 f"gan_iterations {config.gan_iterations}; there is nothing to train"
             )
-        logged = _logged_rows(os.path.join(os.path.dirname(resume), "metrics.csv"), start_iteration)
+        name = ABORTED_LOG if os.path.basename(resume) == ABORTED_CHECKPOINT else "metrics.csv"
+        log.rows = _logged_rows(os.path.join(os.path.dirname(resume), name), start_iteration)
     else:
         opt_g, opt_d = gan._make_optimizers(model, tconfig, None, None)
 
@@ -248,8 +257,8 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         start_iteration=start_iteration,
         opt_g=opt_g,
         opt_d=opt_d,
+        log=log,
     )
-    log.rows[:0] = logged
     return model, log, opt_g, opt_d
 
 
@@ -276,21 +285,21 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     config = ws.config
     cell_dir = ws.cell_dir(cell)
     run = _run_metadata(config, cell)
+    header = ws.header(config.gan_seed) + [f"cell {cell}"]
     try:
         model, log, opt_g, opt_d = run_cell(ws, cell, resume=resume)
     except NumericalAbort as abort:
-        # the state at the start of the failing iteration, for post-mortem work
+        # the state at the start of the failing iteration and the log before
+        # it, for post-mortem work or a resume
         if abort.last_good is not None:
             os.makedirs(cell_dir, exist_ok=True)
-            path = os.path.join(cell_dir, "checkpoint.aborted.ckpt")
+            path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
             gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], run)
+            write_atomic(os.path.join(cell_dir, ABORTED_LOG), abort.log.to_csv_text(header))
         raise
     os.makedirs(cell_dir, exist_ok=True)
     gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations, run)
-    write_atomic(
-        os.path.join(cell_dir, "metrics.csv"),
-        log.to_csv_text(ws.header(config.gan_seed) + [f"cell {cell}"]),
-    )
+    write_atomic(os.path.join(cell_dir, "metrics.csv"), log.to_csv_text(header))
     print(f"trained cell {cell}: {len(log.rows)} iterations logged")
     return 0
 

@@ -23,10 +23,12 @@ class NumericalAbort(RuntimeError):
     When raised from a training loop, ``last_good`` holds the named state
     (see ``checkpoint``) at the start of the failing iteration: parameters,
     condition transform, spectral state, both optimizers and the
-    iteration, which ``iteration`` also gives.
+    iteration, which ``iteration`` also gives. ``log`` is the loop's
+    ``MetricLog``, holding the rows of the iterations before it.
     """
 
-    def __init__(self, message, last_good=None, iteration=None):
+    def __init__(self, message, last_good=None, iteration=None, log=None):
         super().__init__(message)
         self.last_good = last_good
         self.iteration = iteration
+        self.log = log

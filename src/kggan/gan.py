@@ -325,13 +325,14 @@ def _g_adv(model, cats, cond, config, rng_z):
     return fakes, g_cats, hinge_g_loss(scores)
 
 
-def _finite_or_abort(values, snapshot, iteration):
+def _finite_or_abort(values, snapshot, iteration, log):
     for v in values:
         if not np.isfinite(v):
             raise NumericalAbort(
                 f"non-finite loss at iteration {iteration}",
                 last_good=snapshot,
                 iteration=iteration,
+                log=log,
             )
 
 
@@ -363,6 +364,7 @@ def train(
     start_iteration: int = 0,
     opt_g: AdamState | None = None,
     opt_d: AdamState | None = None,
+    log: MetricLog | None = None,
 ):
     """Category-dependent training: seen batches drive the adversarial and
     knowledge losses, unseen batches the knowledge loss alone.
@@ -375,9 +377,10 @@ def train(
 
     Trains iterations ``start_iteration`` .. ``config.iterations - 1``,
     continuing ``opt_g``/``opt_d`` when given (a resume) or starting fresh
-    optimizers. Returns (model, MetricLog); the log holds one row per
-    iteration trained here, so a resumed run's rows follow the rows of
-    the run it continues.
+    optimizers. Returns (model, MetricLog): one row per iteration trained
+    here, appended to ``log`` when given (a resume's rows of the
+    iterations before ``start_iteration``). A NumericalAbort carries the
+    log as it stood at the start of the failing iteration.
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
         raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
@@ -397,7 +400,8 @@ def train(
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
     opt_g, opt_d = _make_optimizers(model, config, opt_g, opt_d)
-    log = MetricLog()
+    if log is None:
+        log = MetricLog()
 
     for iteration in range(start_iteration, config.iterations):
         # held by reference: adam_step and power_iteration_step write new
@@ -433,9 +437,11 @@ def train(
             adam_step(params, opt_g, ad.backward(loss_g, params))
         except NumericalAbort as abort:
             ad.get_tape().clear()
-            raise NumericalAbort(str(abort), last_good=snapshot, iteration=iteration) from None
+            raise NumericalAbort(
+                str(abort), last_good=snapshot, iteration=iteration, log=log
+            ) from None
 
-        _finite_or_abort((l_d, l_g, se_seen, se_unseen), snapshot, iteration)
+        _finite_or_abort((l_d, l_g, se_seen, se_unseen), snapshot, iteration, log)
         log.rows.append((iteration, l_d, l_g, se_seen, se_unseen))
     return model, log
 

@@ -8,10 +8,11 @@ channel, so color metrics are unambiguous and every color word stays
 represented on the seen side of any split that leaves fewer unseen
 categories than there are categories per color.
 
-The dataset file is a checkpoint of kind "dataset": the images, rounded
-to float32 precision, and the [n_categories, d] category table, with the
-DATASET_FIELDS they depend on. Category ids are not stored; samples are
-category-major (``sample_category_ids``).
+The dataset file is a checkpoint of kind "dataset": the images as
+float32 and the [n_categories, d] category table, with the DATASET_FIELDS
+they depend on. A loaded dataset keeps its images float32; a batch is
+widened to float64, exactly, when it becomes a ``Tensor``. Category ids
+are not stored; samples are category-major (``sample_category_ids``).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class SplitPlan:
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # [N, 3, S, S] float64 in [-1, 1]
+    images: np.ndarray  # [N, 3, S, S] in [-1, 1]: float32 when loaded, float64 when built
     category_ids: np.ndarray  # [N] int64
     specs: list
 
@@ -294,23 +295,24 @@ def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -
 
 
 def save_dataset(path, dataset: Dataset, embeddings: np.ndarray, config: ExperimentConfig) -> None:
-    """Round ``dataset.images`` to float32 precision in place, and write them
-    and the category table, recording the DATASET_FIELDS of ``config``."""
-    np.copyto(dataset.images, dataset.images.astype(np.float32))  # no second float64 copy
-    state = {"images": dataset.images, "embeddings": embeddings}
+    """Write ``dataset.images``, cast to float32, and the category table,
+    recording the DATASET_FIELDS of ``config``."""
+    state = {"images": dataset.images.astype(np.float32), "embeddings": embeddings}
     save_checkpoint(path, state, {"kind": "dataset", **config_fields(config, DATASET_FIELDS)})
 
 
 def load_dataset(path, config: ExperimentConfig):
-    """(Dataset, embeddings) from a file with ``config``'s DATASET_FIELDS and
-    the shapes they imply, every value finite; else ContractError names the
-    first field, tensor, sample or category that differs."""
+    """(Dataset, embeddings) from a file with ``config``'s DATASET_FIELDS,
+    the shapes they imply, float32 images and a float64 table, every value
+    finite; else ContractError names the first field, tensor, sample or
+    category that differs. The images are the file's float32 values."""
     if not os.path.exists(path):
         raise OSError(f"dataset missing: {path} (run generate-data first)")
     specs = make_category_specs(config.n_categories, config.descriptions_per_category)
     side = config.image_size
-    template = {  # shapes only: broadcast views allocate nothing
-        "images": np.broadcast_to(0.0, (len(specs) * config.images_per_category, 3, side, side)),
+    n = len(specs) * config.images_per_category
+    template = {  # shapes and dtypes only: broadcast views allocate nothing
+        "images": np.broadcast_to(np.float32(0.0), (n, 3, side, side)),
         "embeddings": np.broadcast_to(0.0, (len(specs), config.embed_dim)),
     }
     expect = {"kind": "dataset", **config_fields(config, DATASET_FIELDS)}

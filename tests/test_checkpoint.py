@@ -3,6 +3,7 @@ atomic streaming writes and one-copy reads."""
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -66,6 +67,39 @@ def test_round_trip_keeps_names_shapes_and_metadata(tensors, tmp_path):
     assert all(np.array_equal(state[k], tensors[k]) and state[k].flags.writeable for k in tensors)
     with pytest.raises(ContractError, match="lambda_se 0.1, this run has 0.2"):
         load_checkpoint(path, expect={"kind": "test", "lambda_se": 0.2})
+
+
+def test_float32_tensor_of_odd_size_round_trips_beside_float64(rng, tmp_path):
+    """An F32 tensor of 15 values is padded to 64 bytes, so the F64 tensor
+    after it begins 8-byte aligned; every tensor comes back bit for bit."""
+    state = {
+        "a": rng.standard_normal(3),
+        "odd": rng.standard_normal((3, 5)).astype(np.float32),
+        "b": rng.standard_normal((2, 2)),
+        "c": np.asarray(7.0),
+    }
+    path = tmp_path / "mixed.ckpt"
+    save_checkpoint(path, state, {"kind": "test"})
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + size])
+    assert header["odd"] == {"dtype": "F32", "shape": [3, 5], "data_offsets": [24, 84]}
+    assert header["b"] == {"shape": [2, 2], "data_offsets": [88, 120]}
+    assert len(blob) == 16 + size + 128 + 8
+    loaded, _ = load_checkpoint(path, template=state)
+    for name, arr in state.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape, name
+        assert loaded[name].flags.aligned and loaded[name].flags.writeable, name
+        assert loaded[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("stored, expected", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_dtype_other_than_the_templates_rejected_naming_both(rng, tmp_path, stored, expected):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"w": rng.standard_normal(5).astype(stored)}, {"kind": "test"})
+    message = f"{path}: tensor w has dtype {np.dtype(stored)}, expected {np.dtype(expected)}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path, template={"w": np.zeros(5, expected)})
 
 
 @pytest.mark.parametrize(
@@ -172,7 +206,7 @@ def test_streamed_files_equal_joined_files(rng, tmp_path):
     odd = {
         "transposed": rng.standard_normal((3, 5)).T,
         "strided": rng.standard_normal(9)[::2],
-        "float32": rng.standard_normal(4).astype(np.float32),
+        "float16": rng.standard_normal(4).astype(np.float16),
         "integer": np.arange(6).reshape(2, 3),
         "empty": np.zeros((0, 3)),
         "scalar": np.asarray(2.5),

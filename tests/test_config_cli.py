@@ -1,5 +1,6 @@
 """Configuration round-trips and the command-line harness."""
 
+import hashlib
 import os
 import re
 import shutil
@@ -727,6 +728,44 @@ class TestAbortCheckpoint:
             assert state[name].shape == arr.shape and state[name].tobytes() == arr.tobytes(), name
         assert not (cell_dir / "checkpoint.ckpt").exists()
 
+    def test_aborted_run_resumes_to_the_uninterrupted_log(self, tmp_path, monkeypatch):
+        """A NaN in G.w1's gradient at iteration 30 aborts the run; resumed
+        from its checkpoint.aborted.ckpt, the run writes the uninterrupted
+        run's log byte for byte, and the abort leaves the earlier run's
+        checkpoint and log as they were."""
+        from kggan import cli, gan, optim
+
+        k = 30
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
+            assert cli.main(["--config", str(cfg), *cmd]) == 0
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        finished = {name: (cell_dir / name).read_bytes() for name in ("checkpoint.ckpt", "metrics.csv")}
+
+        g_steps = []
+
+        def poisoned(params, state, grads):
+            if params[0].name == "G.w1":
+                g_steps.append(len(g_steps))
+                if len(g_steps) == k + 1:  # iteration k's G step
+                    grads[0][0, 0] = np.nan
+            return optim.adam_step(params, state, grads)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "adam_step", poisoned)
+            assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
+        assert {name: (cell_dir / name).read_bytes() for name in finished} == finished
+        aborted_log = (cell_dir / "metrics.aborted.csv").read_text().splitlines()
+        rows = [line for line in aborted_log if not line.startswith("#")]
+        assert rows == finished["metrics.csv"].decode().splitlines()[-41:-40 + k]
+
+        resume = cell_dir / "checkpoint.aborted.ckpt"
+        argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
+        assert cli.main(argv) == 0
+        assert (cell_dir / "metrics.csv").read_bytes() == finished["metrics.csv"]
+        assert (cell_dir / "checkpoint.ckpt").read_bytes() == finished["checkpoint.ckpt"]
+
 
 class TestDatasetFiles:
     @staticmethod
@@ -739,7 +778,18 @@ class TestDatasetFiles:
 
             rewrite_dataset(path, poison)
             return "sample 7 has a non-finite pixel"
+        if damage == "float64_images":  # the file as it was before images were float32
+
+            def widen(state):
+                state["images"] = state["images"].astype(np.float64)
+
+            rewrite_dataset(path, widen)
+            return "tensor images has dtype float64, expected float32"
         blob = path.read_bytes()
+        if damage == "unknown_dtype":  # under a valid digest
+            body = blob[:-8].replace(b'"dtype":"F32"', b'"dtype":"F16"', 1)
+            path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+            return "tensor images has unknown dtype 'F16'"
         if damage == "partial_float":
             path.write_bytes(blob[:-8] + b"\0\0" + blob[-8:])
             return "payload of .* bytes is not whole float64 values"
@@ -749,7 +799,10 @@ class TestDatasetFiles:
         path.write_bytes(blob[: len(blob) - 8 * 1000])  # cut short by 1000 float64s
         return "failed its content hash check"
 
-    @pytest.mark.parametrize("damage", ["nan_pixel", "partial_float", "flipped_byte", "truncated"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["nan_pixel", "partial_float", "flipped_byte", "truncated", "float64_images", "unknown_dtype"],
+    )
     def test_damaged_dataset_exits_3_naming_file_and_row(self, tmp_path, damage):
         from kggan import cli
 

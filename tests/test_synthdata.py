@@ -225,16 +225,19 @@ class TestPersistence:
         return dataset
 
     def test_dataset_round_trip(self, tmp_path):
-        """The file gives back the float32-rounded images, the category ids
-        and the category table, bit for bit."""
+        """The file gives back the images as float32, the category ids and
+        the category table, bit for bit. Widened to float64, the images are
+        the float32-rounded float64 images the file held before it stored
+        float32."""
         path = tmp_path / "dataset.ckpt"
         built = self._save(path)
         fresh = sd.build_dataset(built.specs, 3, 8, seed=9)
+        assert built.images.tobytes() == fresh.images.tobytes()  # the save does not round them
         rounded = fresh.images.astype("<f4").astype(np.float64)
         assert not np.array_equal(rounded, fresh.images)
         dataset, embeddings = sd.load_dataset(path, self.CONFIG)
-        assert dataset.images.dtype == np.float64
-        assert dataset.images.tobytes() == rounded.tobytes() == built.images.tobytes()
+        assert dataset.images.dtype == np.float32
+        assert dataset.images.astype(np.float64).tobytes() == rounded.tobytes()
         assert np.array_equal(dataset.category_ids, built.category_ids)
         assert dataset.category_ids.dtype == built.category_ids.dtype == np.int64
         table = build_embeddings(built.specs, dim=16)
