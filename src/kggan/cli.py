@@ -9,12 +9,13 @@ Exit codes: 0 success, 2 usage/config error, 3 contract violation,
 ``dataset/dataset.ckpt`` (the float32 images and the category table)
 and ``embedder.ckpt`` record the config fields they depend on. A verb
 that reads one exits 3 naming the file and the first such field, or
-tensor shape or dtype, that does not match its own config (a dataset
-file holding float64 images is regenerated with ``generate-data``), or
-the first sample or
-category with a non-finite value. ``evaluate`` scores only its own
-cell's checkpoint: one another cell wrote exits 3 naming ``cell``. All of
-these checks run before anything is written.
+tensor shape or dtype, that does not match its own config, or the first
+sample or category with a non-finite value. A dataset file holding
+float64 images, as files did before the images were stored as float32,
+exits 3 naming the ``images`` tensor; ``generate-data`` writes it anew.
+``evaluate`` scores only its own cell's checkpoint: one another cell
+wrote exits 3 naming ``cell``. All of these checks run before anything
+is written.
 
 Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field. ``train --resume``

@@ -437,9 +437,7 @@ def train(
             adam_step(params, opt_g, ad.backward(loss_g, params))
         except NumericalAbort as abort:
             ad.get_tape().clear()
-            raise NumericalAbort(
-                str(abort), last_good=snapshot, iteration=iteration, log=log
-            ) from None
+            raise NumericalAbort(str(abort), last_good=snapshot, iteration=iteration, log=log) from None
 
         _finite_or_abort((l_d, l_g, se_seen, se_unseen), snapshot, iteration, log)
         log.rows.append((iteration, l_d, l_g, se_seen, se_unseen))

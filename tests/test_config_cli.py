@@ -746,9 +746,9 @@ class TestAbortCheckpoint:
         g_steps = []
 
         def poisoned(params, state, grads):
-            if params[0].name == "G.w1":
-                g_steps.append(len(g_steps))
-                if len(g_steps) == k + 1:  # iteration k's G step
+            if params[0].name == "G.w1":  # a G step
+                g_steps.append(params[0].name)
+                if len(g_steps) == k + 1:  # iteration k's
                     grads[0][0, 0] = np.nan
             return optim.adam_step(params, state, grads)
 
