@@ -6,9 +6,10 @@ knowledge term, unseen categories the knowledge term alone. Everything
 runs at desk scale on a procedurally generated flower dataset, with
 per-category Frechet evaluation and a four-cell ablation harness.
 
-``backward(loss, params)`` returns the gradients of a scalar loss, one
-per parameter; tensors hold no gradient, so nothing is reset between
-passes.
+``backward(loss, params)`` returns the gradients of a scalar loss for
+exactly the params passed; tensors hold no gradient and no flag, so
+nothing is reset between passes. A model is frozen, as the embedding
+regressor is, when no optimizer holds its parameters.
 """
 
 from .autodiff import Tensor, backward, no_grad

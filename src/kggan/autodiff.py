@@ -1,15 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-A module-level tape records every differentiable operation in execution
-order, so operands always precede the nodes that use them.
+A module-level tape records every operation run outside ``no_grad``, in
+execution order, so operands always precede the nodes that use them.
 ``backward(loss, params)`` seeds the loss with ones and replays, in
 reverse and exactly once, only the nodes that depend on ``params``; the
 product rules (affine, matmul, mul) skip the product for any input whose
-gradient is not wanted. Gradients live in a dict local to the pass and
-are returned, one per parameter, so tensors carry no gradient and
-nothing is reset between passes. The tape is cleared afterwards, which
-makes each forward/backward round self-contained: repeating the same
-forward pass yields the same gradients.
+gradient is not wanted. It returns a gradient for exactly the params
+passed, one each, from a dict local to the pass: tensors carry no
+gradient and no flag, nothing is reset between passes, and only an
+optimizer decides what is stepped. The tape is cleared afterwards,
+which makes each forward/backward round self-contained: repeating the
+same forward pass yields the same gradients.
 
 Gradient arrays are never mutated in place; accumulation always allocates,
 so it is safe for a backward rule to hand back the incoming gradient
@@ -27,17 +28,16 @@ from .errors import ContractError, DimensionError
 
 
 class Tensor:
-    """A dense float64 array, optionally differentiated by ``backward``.
+    """A dense float64 array; ``backward`` differentiates it when passed it.
 
     ``data`` is kept C-contiguous, i.e. a flat row-major buffer plus a
     shape.
     """
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "name")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, name=None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.name = name
 
     def item(self) -> float:
@@ -47,7 +47,7 @@ class Tensor:
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}{tag})"
 
 
 class ComputationTape:
@@ -95,17 +95,10 @@ def no_grad():
 
 
 def _make(out_data, inputs, backward_fn) -> Tensor:
-    track = _grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track)
-    if track:
+    out = Tensor(out_data)
+    if _grad_enabled:
         _tape.nodes.append((out, inputs, backward_fn))
     return out
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -125,7 +118,7 @@ def backward(loss: Tensor, params) -> list:
     """The gradients of a scalar ``loss`` with respect to ``params``.
 
     Returns one array per parameter, in order, or None for a parameter
-    that does not require a gradient or that the loss does not reach.
+    that the loss does not reach.
     Only the tape's nodes that depend on ``params`` are replayed, and no
     product that would only feed another tensor is computed. The
     gradients are held in a dict local to this pass, so each call yields
@@ -141,7 +134,7 @@ def backward(loss: Tensor, params) -> list:
         raise ContractError("backward called with an empty tape")
 
     params = list(params)
-    wanted = {id(p) for p in params if p.requires_grad}
+    wanted = {id(p) for p in params}
     for out, inputs, _ in _tape.nodes:
         for t in inputs:
             if id(t) in wanted:
@@ -170,8 +163,7 @@ def backward(loss: Tensor, params) -> list:
 # operations
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def back(g):
@@ -180,8 +172,7 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def back(g):
@@ -190,8 +181,7 @@ def sub(a, b) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def back(g):
@@ -345,7 +335,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     bounds = np.cumsum([0] + sizes)
@@ -367,8 +356,8 @@ def uniform_init(shape, rng: np.random.Generator, name=None) -> Tensor:
     """Weight matrix drawn uniformly from +-sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = shape[0], shape[-1]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, name=name)
+    return Tensor(rng.uniform(-bound, bound, size=shape), name=name)
 
 
 def zeros_init(shape, name=None) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True, name=name)
+    return Tensor(np.zeros(shape), name=name)

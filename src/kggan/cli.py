@@ -4,7 +4,8 @@ four-cell ablation.
 Verbs: generate-data, train-embedder, train --cell <name>, evaluate,
 ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
-4 numerical abort, 5 I/O error.
+4 numerical abort, 5 I/O error. ``ablate`` runs every cell, then exits
+with the code of the first cell that failed, in ``CELLS`` order.
 
 ``dataset/dataset.ckpt`` (the float32 images and the category table)
 and ``embedder.ckpt`` record the config fields they depend on. A verb
@@ -87,6 +88,14 @@ RESUME_FREE = ("config.gan_iterations", "config.out_dir")
 
 # a numerical abort's state and log, a pair beside checkpoint.ckpt and metrics.csv
 ABORTED_CHECKPOINT, ABORTED_LOG = "checkpoint.aborted.ckpt", "metrics.aborted.csv"
+
+# each failure a verb may raise: its exit code and its stderr label
+EXIT_CODES = {
+    ConfigError: (2, "config error"),
+    ContractError: (3, "contract violation"),
+    NumericalAbort: (4, "numerical abort"),
+    OSError: (5, "i/o error"),
+}
 
 # Reference ordering from the original full-scale Oxford-flowers study
 # (seen FID / unseen FID); absolute values are not comparable to this
@@ -441,8 +450,8 @@ def cmd_ablate(ws: Workspace) -> int:
             evaluated = evaluate_checkpoint(ws, cell)
             _write_evaluation(ws, cell, *evaluated)
             results[cell] = evaluated[0]
-        except (ContractError, NumericalAbort, OSError, ConfigError) as exc:
-            failures[cell] = f"{type(exc).__name__}: {exc}"
+        except tuple(EXIT_CODES) as exc:
+            failures[cell] = exc
 
     os.makedirs(ws.ablation_dir, exist_ok=True)
     header = ws.header(config.gan_seed)
@@ -464,17 +473,20 @@ def cmd_ablate(ws: Workspace) -> int:
     verdicts = _verdict_lines(results)
     report_lines = [text.rstrip("\n"), ""]
     report_lines.extend(verdicts)
-    for cell, why in failures.items():
-        report_lines.append(f"cell {cell} FAILED: {why}")
+    for cell, exc in failures.items():
+        report_lines.append(f"cell {cell} FAILED: {type(exc).__name__}: {exc}")
     report_lines.append("")
     report_lines.extend(REFERENCE_FOOTER)
     report_text = "\n".join(report_lines) + "\n"
     write_atomic(os.path.join(ws.ablation_dir, "combined.txt"), report_text)
     print(report_text, end="")
 
-    if failures:
-        return 4 if any("NumericalAbort" in why for why in failures.values()) else 3
-    return 0
+    return _failure(next(iter(failures.values())))[0] if failures else 0
+
+
+def _failure(exc: Exception) -> tuple:
+    """(exit code, label) of the first EXIT_CODES entry ``exc`` is an instance of."""
+    return next(entry for kind, entry in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def cmd_report(ws: Workspace) -> int:
@@ -500,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate-data", help="write the dataset, descriptions, and embeddings")
-    sub.add_parser("train-embedder", help="fit and freeze the embedding regressor")
+    sub.add_parser("train-embedder", help="fit the embedding regressor L_se and evaluation read")
     p_train = sub.add_parser("train", help="train one ablation cell")
     p_train.add_argument("--cell", required=True, choices=CELLS)
     p_train.add_argument("--resume", help="checkpoint to continue from")
@@ -538,18 +550,10 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(ws)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 3
-    except NumericalAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 5
+    except tuple(EXIT_CODES) as exc:
+        code, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -51,11 +51,12 @@ class ExperimentConfig:
 # the five run seeds, in the order rebase_seeds offsets them
 SEED_FIELDS = ("data_seed", "split_seed", "embedder_seed", "gan_seed", "eval_seed")
 
-# smallest valid value of every integer field; n_gen needs two draws for
-# a covariance, and embedder_plateau = 0 turns early stopping off
+# smallest valid value of every integer field; images_per_category and
+# n_gen need two images for a covariance, and embedder_plateau = 0 turns
+# early stopping off
 MIN_VALUES = {
     "n_categories": 2,
-    "images_per_category": 1,
+    "images_per_category": 2,
     "image_size": 8,
     "descriptions_per_category": 1,
     "embed_dim": 1,

@@ -22,7 +22,6 @@ what the ablation reads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +91,8 @@ def per_category_fid(
     category's draw together with its [n, d] penultimate features, the
     very array the FID statistics are taken from, so other metrics can
     score the same images without sampling or running the trunk again.
-    Categories with fewer than 2 real images are skipped with a warning
-    and excluded from the averages.
+    A category with fewer than 2 real images is a ContractError, raised
+    by ``feature_stats``.
     """
     if n_gen < 2:
         raise ContractError(f"n_gen must be >= 2, got {n_gen}")
@@ -105,15 +104,12 @@ def per_category_fid(
             on_draw(cid, fakes, features)
         fake_stats = feature_stats(features)
         del fakes, features  # one category's draw in memory at a time
-        rows = dataset.indices_of(cid)
-        if rows.size < 2:
-            warnings.warn(f"category {cid} has {rows.size} real images; skipped", RuntimeWarning)
-            continue
-        real_stats = feature_stats(extract_features(extractor, dataset.images[rows]))
+        reals = dataset.images[dataset.indices_of(cid)]
+        real_stats = feature_stats(extract_features(extractor, reals))
         per_category[cid] = frechet_distance(fake_stats, real_stats)
 
     def average(ids):
-        values = [per_category[c] for c in sorted(ids) if c in per_category]
+        values = [per_category[c] for c in sorted(ids)]
         return float(np.mean(values)) if values else float("nan")
 
     return FidReport(
@@ -132,8 +128,6 @@ def embedding_consistency(embedder: RegressorModel, features, target) -> float:
     the same features, so the predictions are bitwise those of a full
     forward pass over the draw.
     """
-    if not embedder.frozen:
-        raise ContractError("embedding consistency requires a frozen regressor")
     with ad.no_grad():
         pred = embedder.head(Tensor(features)).data
     return float(np.mean(np.sum((pred - target) ** 2, axis=1)))

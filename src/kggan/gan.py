@@ -246,11 +246,10 @@ def hinge_g_loss(fake_scores: Tensor) -> Tensor:
 def semantic_embedding_loss(fake_images: Tensor, v: Tensor, embedder: RegressorModel) -> Tensor:
     """Mean squared distance between predicted and target embeddings.
 
-    The regressor must be frozen; gradients reach the generator through
-    it but its own parameters receive none.
+    Gradients reach the generator through the regressor; its own
+    parameters get one only if passed to ``backward``, which training
+    never does.
     """
-    if not embedder.frozen:
-        raise ContractError("semantic embedding loss requires a frozen regressor")
     if v.data.ndim != 2 or v.data.shape[1] != embedder.embed_dim:
         raise DimensionError(
             f"target shape {v.data.shape} does not match embed_dim {embedder.embed_dim}"
@@ -384,9 +383,8 @@ def train(
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
         raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
-    if config.lambda_se > 0.0:
-        if embedder is None or not embedder.frozen:
-            raise ContractError("training with lambda_se > 0 requires a frozen regressor")
+    if config.lambda_se > 0.0 and embedder is None:
+        raise ContractError("training with lambda_se > 0 requires a regressor")
     dataset_cats = set(int(c) for c in np.unique(dataset.category_ids))
     if split.seen_ids & split.unseen_ids:
         raise ContractError("split has overlapping seen and unseen ids")

@@ -1,10 +1,10 @@
 """Embedding regression network: image -> per-category semantic vector.
 
-Trained by mean squared error on seen categories only, then frozen. Once
-frozen its parameters never change again, but gradients still flow
-*through* it into its input, which is what lets the knowledge loss steer
-a generator. The penultimate activation doubles as the feature space for
-Frechet-distance evaluation.
+Trained by mean squared error on seen categories only, then frozen:
+frozen means no optimizer holds its parameters, so nothing steps them.
+Gradients still flow *through* it into its input, which is what lets the
+knowledge loss steer a generator. The penultimate activation doubles as
+the feature space for Frechet-distance evaluation.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class RegressorModel:
         self.b2 = ad.zeros_init((h2,), name="E.b2")
         self.w3 = ad.uniform_init((h2, embed_dim), rng, name="E.w3")
         self.b3 = ad.zeros_init((embed_dim,), name="E.b3")
-        self.frozen = False
         self.training_loss_history = []
 
     def parameters(self):
@@ -89,19 +88,6 @@ def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
     with ad.no_grad():
         feats = model.penultimate(Tensor(images))
     return feats.data
-
-
-def freeze(model: RegressorModel) -> RegressorModel:
-    """Fix the parameters; idempotent.
-
-    Subsequent forward passes still backpropagate into their inputs, but
-    parameter gradients are no longer computed, so no update can touch
-    them.
-    """
-    model.frozen = True
-    for p in model.parameters():
-        p.requires_grad = False
-    return model
 
 
 def train_embedder(
@@ -175,7 +161,7 @@ def save_regressor(path, model: RegressorModel, config: ExperimentConfig) -> Non
 
 
 def load_regressor(path, config: ExperimentConfig) -> RegressorModel:
-    """The embedder ``save_regressor`` wrote, frozen; it must record this
+    """The embedder ``save_regressor`` wrote; it must record this
     ``config``'s EMBEDDER_FIELDS, or a ContractError names the first that differs."""
     model = RegressorModel(config.image_size, config.embed_dim, np.random.default_rng(0))
     template = {p.name: p.data for p in model.parameters()}
@@ -183,4 +169,4 @@ def load_regressor(path, config: ExperimentConfig) -> RegressorModel:
     state, _ = load_checkpoint(path, template=template, expect=expect)
     for p in model.parameters():
         p.data = state[p.name]
-    return freeze(model)
+    return model

@@ -135,6 +135,7 @@ class TestConfig:
             ("gan_lr = nan\n", ["train", "--cell", "kggan_full"]),
             ("n_gen = 1\n", ["evaluate", "--cell", "kggan_full"]),
             ("descriptions_per_category = 0\n", ["generate-data"]),
+            ("images_per_category = 1\n", ["evaluate", "--cell", "kggan_full"]),
         ],
     )
     def test_out_of_range_seed_or_batch_exits_2_without_traceback(self, tmp_path, settings, args):
@@ -765,6 +766,75 @@ class TestAbortCheckpoint:
         assert cli.main(argv) == 0
         assert (cell_dir / "metrics.csv").read_bytes() == finished["metrics.csv"]
         assert (cell_dir / "checkpoint.ckpt").read_bytes() == finished["checkpoint.ckpt"]
+
+
+class TestAblateExitCodes:
+    """``ablate`` exits with the code ``train`` gives for the first cell
+    that failed, in CELLS order: 5 for an I/O error, 4 for a NaN."""
+
+    @pytest.mark.parametrize(
+        "nan_cell, blocked_cell, code",
+        [(None, "kggan_full", 5), ("kggan_full", None, 4), ("kggan_full", "one_hot_kggan", 5)],
+    )
+    def test_first_failed_cell_sets_the_code(self, tmp_path, monkeypatch, nan_cell, blocked_cell, code):
+        from kggan import cli, gan, optim
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 4"))
+        if blocked_cell:  # a file where the cell's directory goes, so train exits 5
+            for verb in (["generate-data"], ["train-embedder"]):
+                assert cli.main(["--config", str(cfg), *verb]) == 0
+            (tmp_path / "out" / "cells").mkdir()
+            (tmp_path / "out" / "cells" / blocked_cell).write_text("")
+            assert cli.main(["--config", str(cfg), "train", "--cell", blocked_cell]) == 5
+        poisoned_cells = []
+        cmd_train = cli.cmd_train
+
+        def train_cell(ws, cell, resume=None):
+            poisoned_cells.append(cell == nan_cell)
+            return cmd_train(ws, cell, resume)
+
+        def adam_step(params, state, grads):
+            if poisoned_cells[-1]:
+                grads[0][0, 0] = np.nan
+            return optim.adam_step(params, state, grads)
+
+        monkeypatch.setattr(cli, "cmd_train", train_cell)
+        monkeypatch.setattr(gan, "adam_step", adam_step)
+        assert cli.main(["--config", str(cfg), "ablate"]) == code
+        report = (tmp_path / "out" / "ablation" / "combined.txt").read_text()
+        failed = {blocked_cell: "FileExistsError", nan_cell: "NumericalAbort"}
+        for cell in cli.CELLS:
+            assert (f"cell {cell} FAILED" in report) == (cell in failed), cell
+        assert all(f"cell {c} FAILED: {kind}" in report for c, kind in failed.items() if c)
+
+
+class TestNoTapeLeftBehind:
+    def test_every_verb_leaves_the_tape_empty(self, tmp_path, monkeypatch):
+        """Every op outside no_grad is recorded, so each verb must end with
+        its last backward pass, or clear the tape, even when it aborts."""
+        from kggan import autodiff as ad
+        from kggan import cli, gan, optim
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 4"))
+        for verb in (
+            ["generate-data"],
+            ["train-embedder"],
+            ["train", "--cell", "kggan_full"],
+            ["train", "--cell", "kggan_no_se"],
+            ["evaluate", "--cell", "kggan_full"],
+        ):
+            assert cli.main(["--config", str(cfg), *verb]) == 0, verb
+            assert len(ad.get_tape()) == 0, verb
+
+        def poisoned(params, state, grads):
+            grads[0][0, 0] = np.nan
+            return optim.adam_step(params, state, grads)
+
+        monkeypatch.setattr(gan, "adam_step", poisoned)
+        assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
+        assert len(ad.get_tape()) == 0
 
 
 class TestDatasetFiles:

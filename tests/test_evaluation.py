@@ -16,7 +16,7 @@ from kggan.evaluation import (
     frechet_distance,
     per_category_fid,
 )
-from kggan.regressor import RegressorModel, extract_features, freeze
+from kggan.regressor import RegressorModel, extract_features
 
 IMG = 8
 EMB = 16
@@ -24,7 +24,7 @@ EMB = 16
 
 @pytest.fixture(scope="module")
 def extractor():
-    return freeze(RegressorModel(IMG, EMB, np.random.default_rng(13)))
+    return RegressorModel(IMG, EMB, np.random.default_rng(13))
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +186,7 @@ class TestPerCategoryFid:
         assert abs(report.seen_avg - sum(seen_vals) / len(seen_vals)) < 1e-12
         assert abs(report.unseen_avg - sum(unseen_vals) / len(unseen_vals)) < 1e-12
 
-    def test_category_with_too_few_reals_skipped_with_warning(self, extractor):
+    def test_category_with_too_few_reals_rejected(self, extractor):
         specs = sd.make_category_specs(3)
         dataset = sd.build_dataset(specs, images_per_category=6, image_size=IMG, seed=1)
         # strip category 2 down to one image
@@ -203,10 +203,8 @@ class TestPerCategoryFid:
         def sample_fn(cid, n):
             return dataset.images[np.resize(dataset.indices_of(cid), n)]
 
-        with pytest.warns(RuntimeWarning, match="skipped"):
-            report = per_category_fid(sample_fn, dataset, split, extractor, n_gen=8)
-        assert 2 not in report.per_category
-        assert np.isnan(report.unseen_avg)
+        with pytest.raises(ContractError, match="at least 2 images"):
+            per_category_fid(sample_fn, dataset, split, extractor, n_gen=8)
 
     def test_on_draw_sees_each_draw_once(self, tiny_world, extractor, rng):
         _, dataset, split = tiny_world
@@ -265,11 +263,6 @@ class TestEmbeddingConsistency:
             assert abs(out - acc / 8.0) < 1e-12
             # the shared trunk gives forward's predictions exactly
             assert out == float(np.mean(np.sum((preds - target) ** 2, axis=1)))
-
-    def test_unfrozen_extractor_rejected(self, tiny_world):
-        thawed = RegressorModel(IMG, EMB, np.random.default_rng(0))
-        with pytest.raises(ContractError):
-            embedding_consistency(thawed, np.zeros((4, 64)), np.zeros(EMB))
 
 
 class TestColorFidelity:

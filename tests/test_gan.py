@@ -26,7 +26,7 @@ from kggan.gan import (
     semantic_embedding_loss,
     train,
 )
-from kggan.regressor import RegressorModel, freeze
+from kggan.regressor import RegressorModel
 
 IMG = 8
 EMB = 16
@@ -62,7 +62,7 @@ def mini_data():
     dataset = sd.build_dataset(specs, images_per_category=10, image_size=IMG, seed=21)
     split = sd.make_split([s.id for s in specs], n_unseen=2, seed=4)
     embeddings = sem.build_embeddings(specs, dim=EMB)
-    embedder = freeze(RegressorModel(IMG, EMB, np.random.default_rng(9)))
+    embedder = RegressorModel(IMG, EMB, np.random.default_rng(9))
     return specs, dataset, split, embeddings, embedder
 
 
@@ -237,24 +237,31 @@ class TestSemanticEmbeddingLoss:
             acc += float(np.sum((pred[i] - targets[i]) ** 2))
         assert abs(got - acc / 5.0) < 1e-12
 
-    def test_unfrozen_embedder_rejected(self, rng):
-        embedder = RegressorModel(IMG, EMB, np.random.default_rng(0))
-        with pytest.raises(ContractError):
-            semantic_embedding_loss(
-                Tensor(np.zeros((1, 3, IMG, IMG))), Tensor(np.zeros((1, EMB))), embedder
-            )
-
     def test_gradient_reaches_generator_only(self, mini_data, rng):
+        """Passed only the generator's parameters, as training passes them,
+        backward computes no product into the regressor's weights, though
+        the loss flows through them."""
         embedder = mini_data[4]
         model = mini_model()
         z = Tensor(rng.standard_normal((2, Z)))
         v = Tensor(rng.uniform(0, 1, size=(2, EMB)))
-        fakes = generator_forward(model, z, v)
-        loss = semantic_embedding_loss(fakes, v, embedder)
-        n = len(model.generator_params())
-        grads = ad.backward(loss, model.generator_params() + embedder.parameters())
-        assert any(np.any(g != 0) for g in grads[:n] if g is not None)
-        assert all(g is None for g in grads[n:])
+        loss = semantic_embedding_loss(generator_forward(model, z, v), v, embedder)
+        regressor_ids = {id(p) for p in embedder.parameters()}
+        products = []
+        nodes = ad.get_tape().nodes
+        for i, (out, inputs, backward_fn) in enumerate(nodes):
+            if regressor_ids.isdisjoint(map(id, inputs)):
+                continue
+
+            def spy(g, inputs=inputs, backward_fn=backward_fn):
+                grads = backward_fn(g)
+                products.extend(gi for t, gi in zip(inputs, grads) if id(t) in regressor_ids)
+                return grads
+
+            nodes[i] = (out, inputs, spy)
+        grads = ad.backward(loss, model.generator_params())
+        assert all(g is not None for g in grads) and any(np.any(g != 0) for g in grads)
+        assert len(products) == len(regressor_ids) and all(g is None for g in products)
 
 
 class TestRestrictedBackward:
@@ -466,12 +473,17 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="unseen"):
             train(mini_model(), dataset, split, embeddings, embedder, mini_config(iterations=1))
 
-    def test_unfrozen_embedder_rejected(self, mini_data):
+    def test_knowledge_loss_needs_a_regressor(self, mini_data):
         _, dataset, split, embeddings, _ = mini_data
-        model = mini_model()
-        thawed = RegressorModel(IMG, EMB, np.random.default_rng(1))
-        with pytest.raises(ContractError):
-            train(model, dataset, split, embeddings, thawed, mini_config(iterations=1))
+        with pytest.raises(ContractError, match="requires a regressor"):
+            train(mini_model(), dataset, split, embeddings, None, mini_config(iterations=1))
+
+    def test_knowledge_loss_leaves_the_regressor_unchanged(self, mini_data):
+        _, dataset, split, embeddings, embedder = mini_data
+        before = [p.data.tobytes() for p in embedder.parameters()]
+        _, log = train(mini_model(), dataset, split, embeddings, embedder, mini_config(iterations=5))
+        assert all(row[3] > 0.0 and row[4] > 0.0 for row in log.rows)
+        assert [p.data.tobytes() for p in embedder.parameters()] == before
 
     def test_all_logged_losses_finite(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data

@@ -13,7 +13,7 @@ from kggan.config import ExperimentConfig
 from kggan.errors import ContractError
 from kggan.evaluation import per_category_fid
 from kggan.linalg import _clamped_eigh, sym_sqrt, trace_sqrt_product
-from kggan.regressor import RegressorModel, freeze
+from kggan.regressor import RegressorModel
 
 # trace_sqrt_product on low_rank_cov pairs, seed 1000 + rank, dimension 64
 JACOBI_TRACE_SQRT = {
@@ -164,7 +164,7 @@ class TestJacobiEquivalence:
         # are < 36; FID carries the tr-sqrt round-off floor twice
         tol = 2 * sqrt_roundoff(64, 36.0)
         img = 8
-        extractor = freeze(RegressorModel(img, 16, np.random.default_rng(13)))
+        extractor = RegressorModel(img, 16, np.random.default_rng(13))
         specs = synthdata.make_category_specs(4)
         dataset = synthdata.build_dataset(specs, images_per_category=12, image_size=img, seed=3)
         split = synthdata.make_split([s.id for s in specs], n_unseen=1, seed=2)

@@ -25,7 +25,7 @@ def scalar_adam_reference(grad_fn, w0, lr, beta1, beta2, eps, steps):
 
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self, rng):
-        p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        p = Tensor(rng.standard_normal((3, 3)))
         before = p.data.copy()
         state = AdamState.for_params([p])
         adam_step([p], state, grads=[np.zeros((3, 3))])
@@ -33,7 +33,7 @@ class TestAdam:
         assert state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self, rng):
-        p = Tensor(np.zeros(4), requires_grad=True)
+        p = Tensor(np.zeros(4))
         state = AdamState.for_params([p], learning_rate=0.05)
         g = np.full(4, 1.7)
         adam_step([p], state, grads=[g])
@@ -42,7 +42,7 @@ class TestAdam:
 
     def test_quadratic_trajectory_matches_scalar_reference(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        p = Tensor([1.0], requires_grad=True)
+        p = Tensor([1.0])
         state = AdamState.for_params([p], learning_rate=lr, beta1=b1, beta2=b2)
         mine = []
         for _ in range(10):
@@ -52,34 +52,34 @@ class TestAdam:
         assert np.max(np.abs(np.asarray(mine) - np.asarray(expected))) < 1e-10
 
     def test_step_count_increments(self, rng):
-        p = Tensor(rng.standard_normal(2), requires_grad=True)
+        p = Tensor(rng.standard_normal(2))
         state = AdamState.for_params([p])
         for expected in range(1, 5):
             adam_step([p], state, grads=[np.ones(2)])
             assert state.step_count == expected
 
     def test_second_moment_nonnegative(self, rng):
-        p = Tensor(rng.standard_normal(6), requires_grad=True)
+        p = Tensor(rng.standard_normal(6))
         state = AdamState.for_params([p])
         for _ in range(20):
             adam_step([p], state, grads=[rng.standard_normal(6)])
             assert np.all(state.second_moment[0] >= 0.0)
 
     def test_nan_gradient_aborts_naming_parameter(self):
-        p = Tensor(np.zeros(2), requires_grad=True, name="G.w1")
+        p = Tensor(np.zeros(2), name="G.w1")
         state = AdamState.for_params([p])
         with pytest.raises(NumericalAbort, match="G.w1"):
             adam_step([p], state, grads=[np.array([np.nan, 0.0])])
 
     def test_missing_gradient_rejected(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
+        p = Tensor(np.zeros(2))
         state = AdamState.for_params([p])
         with pytest.raises(ContractError):
             adam_step([p], state, grads=[None])
 
     def test_state_misalignment_rejected(self, rng):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        q = Tensor(np.zeros(2), requires_grad=True)
+        p = Tensor(np.zeros(2))
+        q = Tensor(np.zeros(2))
         state = AdamState.for_params([p])
         with pytest.raises(ContractError):
             adam_step([p, q], state, grads=[np.zeros(2), np.zeros(2)])
@@ -108,8 +108,8 @@ def old_adam_step(params, state, grads):
 def test_scratch_update_is_bitwise_the_old_update(rng, beta1):
     shapes = [(7, 5), (5,), (3, 4, 2)]
     # parameters of the update's size, so its last bits reach theirs
-    mine = [Tensor(1e-3 * rng.standard_normal(s), requires_grad=True) for s in shapes]
-    ref = [Tensor(p.data.copy(), requires_grad=True) for p in mine]
+    mine = [Tensor(1e-3 * rng.standard_normal(s)) for s in shapes]
+    ref = [Tensor(p.data.copy()) for p in mine]
     kwargs = dict(learning_rate=3e-3, beta1=beta1, beta2=0.9)
     s_mine, s_ref = AdamState.for_params(mine, **kwargs), AdamState.for_params(ref, **kwargs)
     for _ in range(20):

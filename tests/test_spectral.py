@@ -135,7 +135,7 @@ class TestSpectralNormalize:
     def test_gradient_flows_through_normalization(self, rng):
         from kggan import autodiff as ad
 
-        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3)))
         state = converged_state(w.data)
         out = spectral_normalize(w, state)
         (grad,) = ad.backward(ad.tsum(out), [w])
