@@ -8,9 +8,12 @@ product rules (affine, matmul, mul) skip the product for any input whose
 gradient is not wanted. It returns a gradient for exactly the params
 passed, one each, from a dict local to the pass: tensors carry no
 gradient and no flag, nothing is reset between passes, and only an
-optimizer decides what is stepped. The tape is cleared afterwards,
-which makes each forward/backward round self-contained: repeating the
-same forward pass yields the same gradients.
+optimizer decides what is stepped. ``backward`` consumes the tape: it
+pops each node as it replays it, and drops each output's gradient once
+passed on, so the pass frees the forward's intermediates as it goes and
+leaves the tape empty. That makes each forward/backward round
+self-contained: repeating the same forward pass yields the same
+gradients.
 
 Gradient arrays are never mutated in place; accumulation always allocates,
 so it is safe for a backward rule to hand back the incoming gradient
@@ -126,7 +129,11 @@ def backward(loss: Tensor, params) -> list:
     calls, and nothing is stored on any tensor.
 
     The loss must be a scalar (shape () or (1,)) and the tape non-empty.
-    The tape is cleared before returning.
+    The tape is consumed as it is replayed: each node is popped before
+    its rule runs, and each output's gradient is dropped once passed to
+    that rule, so intermediates nothing else holds are freed during the
+    pass. The tape is empty when the pass ends, whether it returns or
+    a rule raises.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -134,7 +141,8 @@ def backward(loss: Tensor, params) -> list:
         raise ContractError("backward called with an empty tape")
 
     params = list(params)
-    wanted = {id(p) for p in params}
+    keep = {id(p) for p in params}
+    wanted = set(keep)
     for out, inputs, _ in _tape.nodes:
         for t in inputs:
             if id(t) in wanted:
@@ -144,8 +152,10 @@ def backward(loss: Tensor, params) -> list:
     grads = {id(loss): np.ones_like(loss.data)} if id(loss) in wanted else {}
     _tape.wanted = wanted
     try:
-        for out, inputs, backward_fn in reversed(_tape.nodes):
-            g = grads.get(id(out))
+        nodes = _tape.nodes
+        while nodes:
+            out, inputs, backward_fn = nodes.pop()
+            g = grads.get(id(out)) if id(out) in keep else grads.pop(id(out), None)
             if g is None:
                 continue
             for t, gi in zip(inputs, backward_fn(g)):
@@ -155,7 +165,7 @@ def backward(loss: Tensor, params) -> list:
                 grads[id(t)] = gi if have is None else have + gi
     finally:
         _tape.wanted = frozenset()
-    _tape.clear()
+        _tape.clear()
     return [grads.get(id(p)) for p in params]
 
 

@@ -8,7 +8,7 @@ desk scale: 12 categories (9 seen / 3 unseen), 80 images each at 16x16,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .checkpoint import write_atomic
 from .errors import ConfigError

@@ -295,7 +295,7 @@ def _pool_and_cats(dataset, category_ids):
     return pool, cats
 
 
-def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z):
+def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot):
     rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
     x_real = dataset.images[rows]
     real_cats = dataset.category_ids[rows]
@@ -311,8 +311,21 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z):
     loss = hinge_d_loss(d_real, d_fake)
     value = loss.item()
     params = model.discriminator_params()
-    adam_step(params, opt_d, ad.backward(loss, params))
+    grads = ad.backward(loss, params)
+    _copy_before_write(snapshot, params, opt_d)
+    adam_step(params, opt_d, grads)
     return value
+
+
+def _copy_before_write(snapshot, params, opt):
+    """Replace, in ``snapshot``, each array that ``adam_step`` on
+    ``params`` and ``opt`` would write in place by a copy. Once the
+    snapshot holds no such array, as after the first call, nothing is
+    copied."""
+    written = {id(a) for a in [p.data for p in params] + opt.first_moment + opt.second_moment}
+    for name, arr in snapshot.items():
+        if id(arr) in written:
+            snapshot[name] = arr.copy()
 
 
 def _g_adv(model, cats, cond, config, rng_z):
@@ -324,15 +337,9 @@ def _g_adv(model, cats, cond, config, rng_z):
     return fakes, g_cats, hinge_g_loss(scores)
 
 
-def _finite_or_abort(values, snapshot, iteration, log):
-    for v in values:
-        if not np.isfinite(v):
-            raise NumericalAbort(
-                f"non-finite loss at iteration {iteration}",
-                last_good=snapshot,
-                iteration=iteration,
-                log=log,
-            )
+def _finite_or_abort(values, iteration):
+    if not all(np.isfinite(v) for v in values):
+        raise NumericalAbort(f"non-finite loss at iteration {iteration}")
 
 
 def _make_optimizers(model, config, opt_g, opt_d):
@@ -378,8 +385,9 @@ def train(
     continuing ``opt_g``/``opt_d`` when given (a resume) or starting fresh
     optimizers. Returns (model, MetricLog): one row per iteration trained
     here, appended to ``log`` when given (a resume's rows of the
-    iterations before ``start_iteration``). A NumericalAbort carries the
-    log as it stood at the start of the failing iteration.
+    iterations before ``start_iteration``). A non-finite loss or gradient
+    raises NumericalAbort before G is updated; it carries the state and
+    the log as they stood at the start of the failing iteration.
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
         raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
@@ -402,8 +410,14 @@ def train(
         log = MetricLog()
 
     for iteration in range(start_iteration, config.iterations):
-        # held by reference: adam_step and power_iteration_step write new
-        # arrays, so this stays the state at the start of the iteration
+        # The state at the start of the iteration, kept for an abort. It
+        # holds the live arrays, which is safe while nothing writes them:
+        # power_iteration_step replaces its vectors, and adam_step writes
+        # in place only once every gradient has passed its checks. The
+        # first D update copies D's parameters and moments out of it just
+        # before writing them, after its backward pass has freed the tape.
+        # G's need no copy: D's steps, the loss check and G's gradient
+        # checks all run before G's update, the iteration's last write.
         snapshot = gan_state(model, opt_g, opt_d, iteration)
         model.refresh_spectral()
         rng_real = _stream(config.seed, iteration, 0)
@@ -412,7 +426,7 @@ def train(
         try:
             l_d = 0.0
             for _ in range(config.d_steps_per_g_step):
-                l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd)
+                l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd, snapshot)
 
             rng_zg = _stream(config.seed, iteration, 2)
             fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)
@@ -431,13 +445,13 @@ def train(
                 se_unseen = 0.0
                 loss_g = adv
             l_g = loss_g.item()
+            _finite_or_abort((l_d, l_g, se_seen, se_unseen), iteration)
             params = model.generator_params()
             adam_step(params, opt_g, ad.backward(loss_g, params))
         except NumericalAbort as abort:
             ad.get_tape().clear()
             raise NumericalAbort(str(abort), last_good=snapshot, iteration=iteration, log=log) from None
 
-        _finite_or_abort((l_d, l_g, se_seen, se_unseen), snapshot, iteration, log)
         log.rows.append((iteration, l_d, l_g, se_seen, se_unseen))
     return model, log
 

@@ -1,5 +1,7 @@
 """Tensor arithmetic and reverse-mode gradients against independent oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,30 @@ class TestBackward:
         with pytest.raises(ContractError):
             ad.backward(Tensor([1.0]), [])
 
+    def test_tape_released_as_it_is_replayed(self, rng):
+        """backward pops each node before its rule runs and drops each
+        output's gradient once passed on: when the first node's rule runs
+        the tape is empty, and a later output nothing else holds is freed,
+        while one the caller holds is not."""
+        x = Tensor(rng.standard_normal((4, 3)))
+        w = Tensor(rng.standard_normal((3, 2)))
+        held = ad.matmul(x, w)
+        loss = ad.tsum(ad.square(ad.tanh(held)))
+        nodes = ad.get_tape().nodes
+        later = weakref.ref(nodes[1][0].data)  # the tanh output
+        kept = weakref.ref(held.data)
+        first_out, inputs, backward_fn = nodes[0]
+        seen = []
+
+        def spy(g):
+            seen.append((len(ad.get_tape()), later() is None, kept() is None))
+            return backward_fn(g)
+
+        nodes[0] = (first_out, inputs, spy)
+        (grad,) = ad.backward(loss, [w])
+        assert seen == [(0, True, False)]
+        assert grad.shape == (3, 2)
+
     def test_tape_cleared_and_second_pass_matches(self, rng):
         w = Tensor(rng.standard_normal((2, 2)))
         x = Tensor(rng.standard_normal((3, 2)))
@@ -184,6 +210,10 @@ class TestRestrictedBackward:
         # an input passed gets its gradient; a tensor off the tape gets none
         grad_x, unreached = ad.backward(loss(), [x, Tensor(np.ones(3))])
         assert grad_x.shape == x.data.shape and np.any(grad_x != 0.0) and unreached is None
+        # an intermediate passed keeps its gradient though the pass frees others'
+        h = ad.tanh(ad.affine(x, w1, b1))
+        (grad_h,) = ad.backward(ad.tsum(ad.square(h)), [h])
+        assert np.array_equal(grad_h, 2.0 * h.data)
 
 
 class TestOps:

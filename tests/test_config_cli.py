@@ -767,6 +767,51 @@ class TestAbortCheckpoint:
         assert (cell_dir / "metrics.csv").read_bytes() == finished["metrics.csv"]
         assert (cell_dir / "checkpoint.ckpt").read_bytes() == finished["checkpoint.ckpt"]
 
+    def test_abort_in_a_later_d_step_keeps_the_iteration_start(self, tmp_path, monkeypatch):
+        """With two D steps per G step, a NaN in the second D step's
+        gradient at iteration k aborts after the first has written D in
+        place. checkpoint.aborted.ckpt is still the state at the start of
+        iteration k, and a resume from it writes the uninterrupted run's
+        log byte for byte."""
+        from kggan import cli, gan, optim
+        from kggan.checkpoint import load_checkpoint
+        from kggan.config import load_config
+
+        k = 5
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 8") + "d_steps_per_g_step = 2\n")
+        for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
+            assert cli.main(["--config", str(cfg), *cmd]) == 0
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        finished = (cell_dir / "metrics.csv").read_bytes()
+        ws = cli.Workspace(load_config(cfg))
+        ws.config.gan_iterations = k
+        model, _, opt_g, opt_d = cli.run_cell(ws, "kggan_full")
+        expected = gan.gan_state(model, opt_g, opt_d, k)
+
+        stepped = []
+
+        def poisoned(params, state, grads):
+            stepped.append(params[0].name)
+            if len(stepped) == 3 * k + 2:  # iteration k's second D step
+                grads[0][0, 0] = np.nan
+            return optim.adam_step(params, state, grads)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "adam_step", poisoned)
+            assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
+        assert stepped[-3:] == ["G.w1", "D.w1", "D.w1"]
+        state, metadata = load_checkpoint(cell_dir / "checkpoint.aborted.ckpt")
+        assert metadata["iteration"] == k
+        assert list(state) == list(expected)
+        for name, arr in expected.items():
+            assert state[name].shape == arr.shape and state[name].tobytes() == arr.tobytes(), name
+
+        resume = cell_dir / "checkpoint.aborted.ckpt"
+        argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
+        assert cli.main(argv) == 0
+        assert (cell_dir / "metrics.csv").read_bytes() == finished
+
 
 class TestAblateExitCodes:
     """``ablate`` exits with the code ``train`` gives for the first cell

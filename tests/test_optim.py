@@ -71,6 +71,26 @@ class TestAdam:
         with pytest.raises(NumericalAbort, match="G.w1"):
             adam_step([p], state, grads=[np.array([np.nan, 0.0])])
 
+    def test_rejected_step_writes_nothing(self, rng):
+        """Every gradient is checked before anything is written: a NaN in
+        the last parameter's gradient leaves every parameter and moment,
+        and the step count, as they were."""
+        params = [Tensor(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate([(4, 3), (3,), (2, 2)])]
+        state = AdamState.for_params(params)
+        for _ in range(3):
+            adam_step(params, state, grads=[rng.standard_normal(p.data.shape) for p in params])
+
+        def arrays():
+            return [a.tobytes() for a in [p.data for p in params] + state.first_moment + state.second_moment]
+
+        before = arrays()
+        grads = [rng.standard_normal(p.data.shape) for p in params]
+        grads[-1][1, 0] = np.nan
+        with pytest.raises(NumericalAbort, match="p2"):
+            adam_step(params, state, grads=grads)
+        assert arrays() == before
+        assert state.step_count == 3
+
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2))
         state = AdamState.for_params([p])

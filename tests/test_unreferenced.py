@@ -1,7 +1,7 @@
 """Guards: every function and class in ``src/kggan`` has a caller there,
 every defaulted parameter is passed there, every ``ExperimentConfig``
-field is read there, and only ``checkpoint.write_atomic`` opens a file
-for writing.
+field is read there, every import is used by its module, and only
+``checkpoint.write_atomic`` opens a file for writing.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
@@ -20,6 +20,10 @@ A config field that only ``config.py`` touches (validates, serializes,
 hashes) changes nothing but the config hash. A field counts as read when a
 module other than ``config.py`` loads it as ``config.<field>`` or
 ``<obj>.config.<field>``.
+
+An import its module never spells is a dependency nothing needs. The
+package's ``__init__`` imports to re-export, and an import marked
+``# noqa`` is kept on purpose, so both are exempt.
 
 Every artifact goes through the one atomic writer, which the disk-full
 test in ``test_checkpoint.py`` breaks to show a failed write keeps the
@@ -166,6 +170,34 @@ def unread_config_fields():
 
 def test_every_config_field_is_read_outside_config():
     assert unread_config_fields() == []
+
+
+def unused_imports():
+    """``module:name`` of each name an import binds that its module never uses."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"{path.stem}:{name}")
+    return found
+
+
+def test_every_import_is_used_by_its_module():
+    assert unused_imports() == []
 
 
 def _open_mode(call):
