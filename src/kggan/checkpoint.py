@@ -3,12 +3,12 @@
 A state maps names to float64 or float32 arrays (scalars are 0-d). The
 metadata's ``kind`` says which state a file holds. A "gan" holds the
 parameters G.w1 ... D.v_proj; cond.transform and cond.shift;
-spectral.<D weight>.u/.sigma/.steps/.degenerate; for each optimizer
-(adam_g over G, adam_d over D) adam_g.m.<param>, adam_g.v.<param> and
-adam_g.step; and the next ``iteration``. A "regressor" holds E.w1 ...
-E.b3. A "dataset" holds float32 ``images`` [N, 3, S, S] and the category
-table ``embeddings`` [n_categories, d]. Only a dataset's images are
-float32.
+spectral.<D weight>.u only (each iteration's power step recomputes the
+rest from it); for each optimizer (adam_g over G, adam_d over D)
+adam_g.m.<param>, adam_g.v.<param> and adam_g.step; and the next
+``iteration``. A "regressor" holds E.w1 ... E.b3. A "dataset" holds
+float32 ``images`` [N, 3, S, S] and the category table ``embeddings``
+[n_categories, d]. Only a dataset's images are float32.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length

@@ -15,8 +15,9 @@ sample or category with a non-finite value. A dataset file holding
 float64 images, as files did before the images were stored as float32,
 exits 3 naming the ``images`` tensor; ``generate-data`` writes it anew.
 ``evaluate`` scores only its own cell's checkpoint: one another cell
-wrote exits 3 naming ``cell``. All of these checks run before anything
-is written.
+wrote exits 3 naming ``cell``, and one trained on other data or against
+another embedder exits 3 naming the first ``EMBEDDER_FIELDS`` field that
+differs. All of these checks run before anything is written.
 
 Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field. ``train --resume``
@@ -348,9 +349,9 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     path = checkpoint_path or ws.checkpoint_path(cell)
     if not os.path.exists(path):
         raise OSError(f"checkpoint missing: {path}")
-    model = gan.load_generator(path, _new_model(config, condition_mode), run={"cell": cell})
-
     embedder = regressor.load_regressor(ws.embedder_path, config)
+    run = {"cell": cell, **config_fields(config, regressor.EMBEDDER_FIELDS)}
+    model = gan.load_generator(path, _new_model(config, condition_mode), run=run)
 
     def sample_fn(cid, n):
         return gan.sample_images(model, cid, n, embeddings, config.eval_seed)

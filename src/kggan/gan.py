@@ -19,10 +19,11 @@ The SN-GAN baseline is ``train`` with lambda_se = 0, every category seen
 and none unseen: no regressor, no unseen batches, streams 0-2 only.
 
 Condition vectors come from the model: ``GanModel.conditions(embeddings)``
-is the [n_categories, cond_dim] table whose row i conditions category i,
-the semantic embedding table itself in semantic mode and the identity in
-one-hot mode. A batch of categories ``ids`` is conditioned on those rows
-of it, and its knowledge-loss targets are ``embeddings[ids]``.
+is the [n_categories, cond_dim] table whose row i conditions category i:
+the semantic embedding table in semantic mode and the identity in one-hot
+mode, whitened once by the model's fixed condition transform. A batch of
+categories ``ids`` is conditioned on those rows, which the forwards take
+as they are, and its knowledge-loss targets are ``embeddings[ids]``.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class GanModel:
         }
 
         # fixed condition reparametrization (identity unless preconditioned)
-        self.cond_transform = Tensor(np.eye(cond_dim))
-        self.cond_shift = Tensor(np.zeros(cond_dim))
+        self.cond_transform = np.eye(cond_dim)
+        self.cond_shift = np.zeros(cond_dim)
 
     def set_condition_preconditioner(self, matrix: np.ndarray, shift: np.ndarray) -> None:
         if matrix.shape != (self.cond_dim, self.cond_dim) or shift.shape != (self.cond_dim,):
@@ -155,21 +156,17 @@ class GanModel:
                 f"preconditioner shapes {matrix.shape}/{shift.shape} do not match "
                 f"cond_dim {self.cond_dim}"
             )
-        self.cond_transform = Tensor(matrix)
-        self.cond_shift = Tensor(shift)
+        self.cond_transform = matrix
+        self.cond_shift = shift
 
     def conditions(self, embeddings: np.ndarray) -> np.ndarray:
-        """The condition table: row i is category i's condition vector.
-
-        Semantic mode conditions on the [n, d] embedding table itself;
-        one-hot mode on the identity, one row per category.
+        """The whitened condition table, ``(source - cond_shift) @ cond_transform``:
+        row i is category i's condition vector, which the forwards take as it
+        is. The source is the [n, d] embedding table in semantic mode and the
+        identity, one row per category, in one-hot mode.
         """
-        if self.condition_mode == CONDITION_SEMANTIC:
-            return embeddings
-        return np.eye(self.cond_dim)
-
-    def _condition_input(self, v: Tensor) -> Tensor:
-        return ad.matmul(ad.sub(v, self.cond_shift), self.cond_transform)
+        source = embeddings if self.condition_mode == CONDITION_SEMANTIC else np.eye(self.cond_dim)
+        return (source - self.cond_shift) @ self.cond_transform
 
     def generator_params(self):
         return [self.gw1, self.gb1, self.gw2, self.gb2, self.gw3, self.gb3]
@@ -181,7 +178,9 @@ class GanModel:
         return [("dw1", self.dw1), ("dw2", self.dw2), ("psi_w", self.psi_w), ("v_proj", self.v_proj)]
 
     def refresh_spectral(self):
-        """One power-iteration step per discriminator weight."""
+        """One power-iteration step per discriminator weight. Each step
+        recomputes sigma, the step count and the degenerate flag from ``u``,
+        the only spectral state carried over (and checkpointed)."""
         for name, weight in self.spectral_weights():
             power_iteration_step(weight, self.spectral[name])
 
@@ -194,7 +193,7 @@ def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
         )
     if z.data.ndim != 2 or z.data.shape[0] != v.data.shape[0]:
         raise DimensionError(f"noise shape {z.data.shape} does not pair with {v.data.shape}")
-    x = ad.concat([z, model._condition_input(v)], axis=1)
+    x = ad.concat([z, v], axis=1)
     h1 = ad.leaky_relu(ad.affine(x, model.gw1, model.gb1), LEAK)
     h2 = ad.leaky_relu(ad.affine(h1, model.gw2, model.gb2), LEAK)
     flat = ad.tanh(ad.affine(h2, model.gw3, model.gb3))
@@ -219,7 +218,7 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
     h = ad.leaky_relu(ad.affine(x, w1, model.db1), LEAK)
     phi = ad.leaky_relu(ad.affine(h, w2, model.db2), LEAK)
     psi = ad.affine(phi, psi_w, model.psi_b)
-    proj = ad.tsum(ad.mul(ad.matmul(model._condition_input(v), v_proj), phi), axis=1)
+    proj = ad.tsum(ad.mul(ad.matmul(v, v_proj), phi), axis=1)
     return ad.add(ad.reshape(psi, (x.data.shape[0],)), proj)
 
 
@@ -476,14 +475,10 @@ def sample_images(model: GanModel, category_id: int, n: int, embeddings: np.ndar
 def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int) -> dict:
     """The named state a resume needs, holding the live arrays (no copies)."""
     state = {p.name: p.data for p in model.generator_params() + model.discriminator_params()}
-    state["cond.transform"] = model.cond_transform.data
-    state["cond.shift"] = model.cond_shift.data
+    state["cond.transform"] = model.cond_transform
+    state["cond.shift"] = model.cond_shift
     for key, weight in model.spectral_weights():
-        spec = model.spectral[key]
-        state[f"spectral.{weight.name}.u"] = spec.u
-        state[f"spectral.{weight.name}.sigma"] = np.asarray(spec.sigma_estimate, dtype=np.float64)
-        state[f"spectral.{weight.name}.steps"] = np.asarray(spec.steps, dtype=np.float64)
-        state[f"spectral.{weight.name}.degenerate"] = np.asarray(spec.degenerate, dtype=np.float64)
+        state[f"spectral.{weight.name}.u"] = model.spectral[key].u
     for tag, opt, params in (
         ("adam_g", opt_g, model.generator_params()),
         ("adam_d", opt_d, model.discriminator_params()),
@@ -510,7 +505,7 @@ def save_gan_state(path, state: dict, condition_mode: str, run=None) -> None:
 
 
 def load_gan(path, model: GanModel, config: TrainConfig, run=None):
-    """Restore parameters, spectral state, and optimizers into ``model``.
+    """Restore parameters, spectral ``u`` vectors, and optimizers into ``model``.
 
     The model must be freshly built with the same architecture config.
     Every field of ``run`` must match the checkpoint's metadata, after
@@ -523,11 +518,6 @@ def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     # the arrays are the fresh model's and optimizers' own; the scalars are copies
     for name, arr in live.items():
         arr[...] = state[name]
-    for key, weight in model.spectral_weights():
-        spec = model.spectral[key]
-        spec.sigma_estimate = float(state[f"spectral.{weight.name}.sigma"])
-        spec.steps = int(state[f"spectral.{weight.name}.steps"])
-        spec.degenerate = bool(state[f"spectral.{weight.name}.degenerate"])
     opt_g.step_count = int(state["adam_g.step"])
     opt_d.step_count = int(state["adam_d.step"])
     return model, opt_g, opt_d, int(state["iteration"])

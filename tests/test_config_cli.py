@@ -543,6 +543,29 @@ class TestResumeChecks:
         )
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
+    def test_evaluate_of_a_checkpoint_trained_on_other_data_exits_3(self, trained_cells, tmp_path):
+        """kggan_full trained at the default data_seed; the dataset and the
+        embedder then made anew at data_seed 7. Both of those load, so the
+        checkpoint's own record of the data it was trained on must refuse it."""
+        from kggan import cli
+
+        root, _ = trained_cells
+        shutil.copytree(root / "out", tmp_path / "out")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out") + "data_seed = 7\n")
+        for verb in (["generate-data"], ["train-embedder"]):
+            assert cli.main(["--config", str(cfg), *verb]) == 0, verb
+        before = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+        proc = run_cli(["--config", str(cfg), "evaluate", "--cell", "kggan_full"], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        checkpoint = tmp_path / "out" / "cells" / "kggan_full" / "checkpoint.ckpt"
+        assert (
+            f"contract violation: {checkpoint}: checkpoint has config.data_seed 101, "
+            "this run has 7" in proc.stderr
+        )
+        assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()} == before
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -548,6 +548,27 @@ GOLDEN_SNGAN_LOG = Path(__file__).parent / "golden" / "sngan_mini_metrics.csv"
 GOLDEN_KGGAN_LOG = Path(__file__).parent / "golden" / "kggan_mini_metrics.csv"
 
 
+class TestTapeSize:
+    @pytest.mark.parametrize(
+        "mode, cond_dim, lambda_se, expected",
+        [("semantic_embedding", EMB, 0.1, [38, 58]), ("one_hot", 6, 0.0, [38, 25])],
+        ids=["semantic", "one_hot"],
+    )
+    def test_nodes_recorded_per_step(self, mini_data, monkeypatch, mode, cond_dim, lambda_se, expected):
+        """The condition rows enter the forwards already whitened: no
+        per-forward transform of constants is recorded on the tape."""
+        _, dataset, split, embeddings, embedder = mini_data
+        counts, backward = [], ad.backward
+        monkeypatch.setattr(
+            ad, "backward", lambda *a, **k: counts.append(len(ad.get_tape())) or backward(*a, **k)
+        )
+        model = mini_model(condition_mode=mode, cond_dim=cond_dim)
+        config = mini_config(iterations=2, lambda_se=lambda_se)
+        train(model, dataset, split, embeddings, embedder if lambda_se else None, config)
+        # D's backward, then G's, in each iteration
+        assert counts == expected * 2
+
+
 class TestKnowledgeLossGolden:
     def test_knowledge_loss_run_matches_golden_bitwise(self, mini_data):
         """A 200-iteration run at lambda_se = 0.1 (semantic conditions, the
@@ -631,8 +652,13 @@ class TestCheckpointResume:
             (lambda s: s.update({"G.extra": np.zeros(2)}), "unexpected tensor G.extra"),
             (lambda s: s.update({"D.proj": s.pop("D.v_proj")}), "tensor D.v_proj is missing"),
             (lambda s: s.update({"adam_d.m.D.w2": np.zeros(3)}), r"adam_d.m.D.w2 has shape \(3,\)"),
+            # a file from when the spectral sigma, steps and degenerate flag were stored
+            (
+                lambda s: s.update({"spectral.D.w1.sigma": np.asarray(1.0)}),
+                "unexpected tensor spectral.D.w1.sigma",
+            ),
         ],
-        ids=["missing", "extra", "renamed", "misshaped"],
+        ids=["missing", "extra", "renamed", "misshaped", "old_spectral_entry"],
     )
     def test_mismatched_tensor_is_named(self, tmp_path, damage, named):
         model, config = mini_model(), mini_config()
@@ -658,8 +684,15 @@ class TestSampling:
 
     def test_conditions_table_by_mode(self, mini_data):
         embeddings = mini_data[3]
-        # semantic mode conditions on the embedding table itself, row i for category i
-        assert mini_model().conditions(embeddings) is embeddings
+        # an untouched semantic model conditions on the embedding table's values
+        assert np.array_equal(mini_model().conditions(embeddings), embeddings)
         # one-hot mode: row i is the i-th unit vector, whatever the embeddings
         cond = mini_model(condition_mode="one_hot", cond_dim=3).conditions(embeddings)
         assert np.array_equal(cond, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        # preconditioned: a batch of the table's rows has the bits of
+        # whitening that batch's own condition vectors
+        model = mini_model()
+        matrix, shift = gan.condition_preconditioner(embeddings)
+        model.set_condition_preconditioner(matrix, shift)
+        ids = np.array([3, 0, 5, 0, 2, 1, 4, 3])  # a batch of 8 naming every category
+        assert np.array_equal(model.conditions(embeddings)[ids], (embeddings[ids] - shift) @ matrix)
