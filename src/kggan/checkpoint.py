@@ -1,14 +1,17 @@
 """Checkpoints as one named state, plus the atomic writer every artifact uses.
 
 A state maps names to float64 or float32 arrays (scalars are 0-d). The
-metadata's ``kind`` says which state a file holds. A "gan" holds the
-parameters G.w1 ... D.v_proj; cond.transform and cond.shift;
-spectral.<D weight>.u only (each iteration's power step recomputes the
-rest from it); for each optimizer (adam_g over G, adam_d over D)
-adam_g.m.<param>, adam_g.v.<param> and adam_g.step; and the next
-``iteration``. A "regressor" holds E.w1 ... E.b3. A "dataset" holds
-float32 ``images`` [N, 3, S, S] and the category table ``embeddings``
-[n_categories, d]. Only a dataset's images are float32.
+metadata's ``kind`` says which state a file holds. A "gan" holds the 43
+arrays training learned: the 13 parameters G.w1 ... D.v_proj; the 4
+spectral.<D weight>.u vectors (each iteration's power step recomputes
+sigma from them); and for each optimizer (adam_g over G, adam_d over D)
+the moments adam_g.m.<param> and adam_g.v.<param>, 26 in all. The rest
+is derived: the condition transform from the dataset's category table
+(``cli._build_model``), the iteration from the metadata, and the Adam
+step counts from the iteration, since each iteration steps G once and D
+``d_steps_per_g_step`` times. A "regressor" holds E.w1 ... E.b3. A
+"dataset" holds float32 ``images`` [N, 3, S, S] and the category table
+``embeddings`` [n_categories, d]. Only a dataset's images are float32.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length

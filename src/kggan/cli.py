@@ -24,12 +24,14 @@ lambda_se, the condition mode and every config field. ``train --resume``
 continues only a checkpoint of the same run: on the first of those that
 differs it exits 3 naming it, before it trains or writes anything. Only
 gan_iterations (a resume may train further) and out_dir may differ; a
-checkpoint at or past gan_iterations exits 3 naming both numbers. A
-resume also reads the log written with the checkpoint (``metrics.csv``,
-or ``metrics.aborted.csv`` beside ``checkpoint.aborted.ckpt``), which
-must hold the rows of iterations 0..start-1 as ``train`` wrote them;
-otherwise it exits 3 naming the file and the first bad row. The new log
-holds those rows, verbatim, and then the resumed ones. A numerical abort
+checkpoint at or past gan_iterations exits 3 naming both numbers, and
+one whose metadata iteration is not a non-negative int exits 3 naming
+it. A resume also reads the log written with the checkpoint
+(``metrics.csv``, or ``metrics.aborted.csv`` beside
+``checkpoint.aborted.ckpt``), which must hold the rows of iterations
+0..start-1 as ``train`` wrote them; otherwise it exits 3 naming the
+file and the first bad row. The new log holds those rows, verbatim, and
+then the resumed ones. A numerical abort
 (exit 4) leaves in the cell's directory checkpoint.aborted.ckpt, the
 named state at the start of the failing iteration, and
 metrics.aborted.csv, the rows of the iterations before it; an earlier
@@ -187,25 +189,22 @@ def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
     )
 
 
-def _new_model(config: ExperimentConfig, condition_mode: str) -> GanModel:
-    """A freshly initialized model whose condition transform is the identity."""
+def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> GanModel:
+    """The model training starts from, a resume loads into and evaluate
+    samples from: freshly initialized, with semantic conditions whitened
+    by ``embeddings``, the dataset's category table. So the condition
+    transform a checkpoint was trained under is recomputed, not stored."""
     cond_dim = config.embed_dim if condition_mode == CONDITION_SEMANTIC else config.n_categories
-    rng = np.random.default_rng(config.gan_seed)
-    return GanModel(
+    model = GanModel(
         image_size=config.image_size,
         cond_dim=cond_dim,
         condition_mode=condition_mode,
-        rng=rng,
+        rng=np.random.default_rng(config.gan_seed),
         z_dim=config.z_dim,
         g_hidden=config.g_hidden,
         d_hidden=config.d_hidden,
         feat_dim=config.feat_dim,
     )
-
-
-def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> GanModel:
-    """The model training starts from: semantic conditions are preconditioned."""
-    model = _new_model(config, condition_mode)
     if condition_mode == CONDITION_SEMANTIC:
         matrix, shift = gan.condition_preconditioner(embeddings)
         model.set_condition_preconditioner(matrix, shift)
@@ -305,7 +304,7 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         if abort.last_good is not None:
             os.makedirs(cell_dir, exist_ok=True)
             path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
-            gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], run)
+            gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], abort.iteration, run)
             write_atomic(os.path.join(cell_dir, ABORTED_LOG), abort.log.to_csv_text(header))
         raise
     os.makedirs(cell_dir, exist_ok=True)
@@ -337,8 +336,9 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     """Score one trained cell.
 
     Returns (FidReport, consistency, color, sample_fn, split). Only the
-    generator and the condition transform are restored from the
-    checkpoint, which is verified whole (see ``gan.load_generator``). Each
+    generator is restored from the checkpoint, which is verified whole
+    (see ``gan.load_generator``); the condition transform is rebuilt from
+    the dataset's table, as training built it. Each
     category's n_gen images are drawn once and go through the regressor's
     trunk once; that draw and its features feed all three metrics.
     """
@@ -351,7 +351,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         raise OSError(f"checkpoint missing: {path}")
     embedder = regressor.load_regressor(ws.embedder_path, config)
     run = {"cell": cell, **config_fields(config, regressor.EMBEDDER_FIELDS)}
-    model = gan.load_generator(path, _new_model(config, condition_mode), run=run)
+    model = gan.load_generator(path, _build_model(config, condition_mode, embeddings), run=run)
 
     def sample_fn(cid, n):
         return gan.sample_images(model, cid, n, embeddings, config.eval_seed)

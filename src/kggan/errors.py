@@ -21,10 +21,12 @@ class NumericalAbort(RuntimeError):
     """A non-finite value surfaced where finite math was required.
 
     When raised from a training loop, ``last_good`` holds the named state
-    (see ``checkpoint``) at the start of the failing iteration: parameters,
-    condition transform, spectral state, both optimizers and the
-    iteration, which ``iteration`` also gives. ``log`` is the loop's
-    ``MetricLog``, holding the rows of the iterations before it.
+    (see ``checkpoint``) at the start of the failing iteration: the
+    parameters, the spectral ``u`` vectors and both optimizers' moments.
+    It holds no iteration or condition transform: the iteration is
+    ``iteration``, and the transform is rebuilt from the dataset's table.
+    ``log`` is the loop's ``MetricLog``, holding the rows of the
+    iterations before it.
     """
 
     def __init__(self, message, last_good=None, iteration=None, log=None):

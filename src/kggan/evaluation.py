@@ -40,7 +40,6 @@ SYMMETRY_TOL = 1e-10
 class GaussianStats:
     mean: np.ndarray
     covariance: np.ndarray
-    sample_count: int
 
 
 @dataclass
@@ -60,7 +59,7 @@ def feature_stats(features) -> GaussianStats:
     centered = feats - mean
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0
-    return GaussianStats(mean=mean, covariance=cov, sample_count=n)
+    return GaussianStats(mean=mean, covariance=cov)
 
 
 def frechet_distance(p: GaussianStats, q: GaussianStats) -> float:
@@ -145,14 +144,14 @@ def format_fid_table(rows, header_lines=()) -> str:
     """Aligned text table: method, condition, knowledge-loss flag, FIDs.
 
     ``rows`` is a list of (method, condition, l_se_flag, seen_fid,
-    unseen_fid) tuples.
+    unseen_fid) tuples; with none, the table is its header and rule.
     """
     header = ("Method", "Condition", "L_se", "Seen FID", "Unseen FID")
     body = [
         (method, condition, "yes" if flag else "no", f"{seen:.4f}", f"{unseen:.4f}")
         for method, condition, flag, seen, unseen in rows
     ]
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
+    widths = [max([len(header[i]), *(len(r[i]) for r in body)]) for i in range(len(header))]
     lines = [f"# {line}" for line in header_lines]
     lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
     lines.append("  ".join("-" * w for w in widths))

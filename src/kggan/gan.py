@@ -38,7 +38,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
 from .regressor import RegressorModel
-from .spectral import init_spectral_state, power_iteration_step, spectral_normalize
+from .spectral import power_iteration_step, spectral_normalize
 
 CONDITION_SEMANTIC = "semantic_embedding"
 CONDITION_ONE_HOT = "one_hot"
@@ -102,7 +102,10 @@ class GanModel:
     """Generator and projection discriminator with spectral state.
 
     The generator is one parameter set; conditioning on a seen or an
-    unseen category invokes the same tensors.
+    unseen category invokes the same tensors. ``spectral_u`` holds each
+    spectrally normalized D weight's unit vector ``u``, the only spectral
+    state carried over; ``sigma`` holds the estimates that
+    ``refresh_spectral`` computes from it, empty until the first refresh.
     """
 
     def __init__(
@@ -139,12 +142,11 @@ class GanModel:
         self.psi_b = ad.zeros_init((1,), name="D.psi_b")
         self.v_proj = ad.uniform_init((cond_dim, feat_dim), rng, name="D.v_proj")
 
-        self.spectral = {
-            "dw1": init_spectral_state(out_dim, rng),
-            "dw2": init_spectral_state(d_hidden, rng),
-            "psi_w": init_spectral_state(feat_dim, rng),
-            "v_proj": init_spectral_state(cond_dim, rng),
-        }
+        self.spectral_u = {}
+        for key, weight in self.spectral_weights():
+            u = rng.standard_normal(weight.data.shape[0])
+            self.spectral_u[key] = u / np.linalg.norm(u)
+        self.sigma = {}
 
         # fixed condition reparametrization (identity unless preconditioned)
         self.cond_transform = np.eye(cond_dim)
@@ -178,11 +180,10 @@ class GanModel:
         return [("dw1", self.dw1), ("dw2", self.dw2), ("psi_w", self.psi_w), ("v_proj", self.v_proj)]
 
     def refresh_spectral(self):
-        """One power-iteration step per discriminator weight. Each step
-        recomputes sigma, the step count and the degenerate flag from ``u``,
-        the only spectral state carried over (and checkpointed)."""
-        for name, weight in self.spectral_weights():
-            power_iteration_step(weight, self.spectral[name])
+        """One power-iteration step per discriminator weight from its ``u``:
+        sets the new ``u`` and the ``sigma`` the discriminator divides by."""
+        for key, weight in self.spectral_weights():
+            self.spectral_u[key], self.sigma[key] = power_iteration_step(weight, self.spectral_u[key])
 
 
 def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
@@ -210,10 +211,12 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(
             f"condition shape {v.data.shape} does not match cond_dim {model.cond_dim}"
         )
-    w1 = spectral_normalize(model.dw1, model.spectral["dw1"])
-    w2 = spectral_normalize(model.dw2, model.spectral["dw2"])
-    psi_w = spectral_normalize(model.psi_w, model.spectral["psi_w"])
-    v_proj = spectral_normalize(model.v_proj, model.spectral["v_proj"])
+    if not model.sigma:
+        raise ContractError("discriminator_forward before the first refresh_spectral")
+    w1 = spectral_normalize(model.dw1, model.sigma["dw1"])
+    w2 = spectral_normalize(model.dw2, model.sigma["dw2"])
+    psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"])
+    v_proj = spectral_normalize(model.v_proj, model.sigma["v_proj"])
 
     h = ad.leaky_relu(ad.affine(x, w1, model.db1), LEAK)
     phi = ad.leaky_relu(ad.affine(h, w2, model.db2), LEAK)
@@ -417,12 +420,14 @@ def train(
         # before writing them, after its backward pass has freed the tape.
         # G's need no copy: D's steps, the loss check and G's gradient
         # checks all run before G's update, the iteration's last write.
-        snapshot = gan_state(model, opt_g, opt_d, iteration)
+        snapshot = gan_state(model, opt_g, opt_d)
         model.refresh_spectral()
         rng_real = _stream(config.seed, iteration, 0)
         rng_zd = _stream(config.seed, iteration, 1)
 
         try:
+            # D steps d_steps_per_g_step times and G once per iteration, so
+            # both optimizers' step counts follow from the iteration (load_gan)
             l_d = 0.0
             for _ in range(config.d_steps_per_g_step):
                 l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd, snapshot)
@@ -472,13 +477,13 @@ def sample_images(model: GanModel, category_id: int, n: int, embeddings: np.ndar
     return images.data
 
 
-def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int) -> dict:
-    """The named state a resume needs, holding the live arrays (no copies)."""
+def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
+    """What training learned, as the named state a resume needs, holding the
+    live arrays (no copies): the parameters, each spectral ``u`` and both
+    optimizers' moments. See ``checkpoint`` for what is derived instead."""
     state = {p.name: p.data for p in model.generator_params() + model.discriminator_params()}
-    state["cond.transform"] = model.cond_transform
-    state["cond.shift"] = model.cond_shift
     for key, weight in model.spectral_weights():
-        state[f"spectral.{weight.name}.u"] = model.spectral[key].u
+        state[f"spectral.{weight.name}.u"] = model.spectral_u[key]
     for tag, opt, params in (
         ("adam_g", opt_g, model.generator_params()),
         ("adam_d", opt_d, model.discriminator_params()),
@@ -486,8 +491,6 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: in
         for p, m, v in zip(params, opt.first_moment, opt.second_moment):
             state[f"{tag}.m.{p.name}"] = m
             state[f"{tag}.v.{p.name}"] = v
-        state[f"{tag}.step"] = np.asarray(opt.step_count, dtype=np.float64)
-    state["iteration"] = np.asarray(iteration, dtype=np.float64)
     return state
 
 
@@ -495,42 +498,52 @@ def save_gan(
     path, model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int, run=None
 ) -> None:
     """Write the named state; ``run`` adds metadata a resume compares."""
-    save_gan_state(path, gan_state(model, opt_g, opt_d, iteration), model.condition_mode, run)
+    save_gan_state(path, gan_state(model, opt_g, opt_d), model.condition_mode, iteration, run)
 
 
-def save_gan_state(path, state: dict, condition_mode: str, run=None) -> None:
-    """Write a named state: a ``gan_state`` or an abort's ``last_good``."""
-    metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": int(state["iteration"])}
+def save_gan_state(path, state: dict, condition_mode: str, iteration: int, run=None) -> None:
+    """Write a named state, a ``gan_state`` or an abort's ``last_good``, as
+    the state at the start of ``iteration``."""
+    metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": iteration}
     save_checkpoint(path, state, {**metadata, **(run or {})})
 
 
 def load_gan(path, model: GanModel, config: TrainConfig, run=None):
-    """Restore parameters, spectral ``u`` vectors, and optimizers into ``model``.
+    """Restore parameters, spectral ``u`` vectors and both optimizers'
+    moments into ``model``.
 
-    The model must be freshly built with the same architecture config.
-    Every field of ``run`` must match the checkpoint's metadata, after
-    its kind and condition mode. Returns (model, opt_g, opt_d, iteration).
+    The model must be freshly built with the same architecture config and
+    the condition transform it trained under (``cli._build_model``
+    recomputes it from the dataset's table). Every field of ``run`` must
+    match the checkpoint's metadata, after its kind and condition mode.
+    The iteration is the metadata's, which must be a non-negative int;
+    otherwise ContractError names it. The step counts follow from it: G's
+    is the iteration and D's the iteration times
+    ``config.d_steps_per_g_step``. Returns (model, opt_g, opt_d, iteration).
     """
     opt_g, opt_d = _make_optimizers(model, config, None, None)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
-    live = gan_state(model, opt_g, opt_d, 0)
-    state, _ = load_checkpoint(path, template=live, expect=expect)
-    # the arrays are the fresh model's and optimizers' own; the scalars are copies
+    live = gan_state(model, opt_g, opt_d)
+    state, metadata = load_checkpoint(path, template=live, expect=expect)
+    iteration = metadata.get("iteration")
+    if type(iteration) is not int or iteration < 0:
+        raise ContractError(f"{path}: checkpoint has iteration {iteration!r}, expected a non-negative int")
+    # the arrays are the fresh model's and optimizers' own
     for name, arr in live.items():
         arr[...] = state[name]
-    opt_g.step_count = int(state["adam_g.step"])
-    opt_d.step_count = int(state["adam_d.step"])
-    return model, opt_g, opt_d, int(state["iteration"])
+    opt_g.step_count = iteration
+    opt_d.step_count = iteration * config.d_steps_per_g_step
+    return model, opt_g, opt_d, iteration
 
 
 def load_generator(path, model: GanModel, run=None) -> GanModel:
-    """Restore only what sampling reads: the generator and the condition
-    transform. Returns ``model``.
+    """Restore only what sampling reads, the generator. Returns ``model``.
 
     The file is verified as ``load_gan`` verifies it (digest, kind,
     condition mode, ``run`` and every name and shape) but the
     discriminator, spectral and optimizer arrays are not kept, so no
-    optimizer state is built.
+    optimizer state is built. The condition transform is the model's
+    own, which ``cli._build_model`` recomputes from the dataset's table.
     """
     # each optimizer's moments have their parameters' names and shapes, so
     # the parameters themselves stand in for them in the template
@@ -538,9 +551,8 @@ def load_generator(path, model: GanModel, run=None) -> GanModel:
         AdamState(first_moment=[p.data for p in params], second_moment=[p.data for p in params])
         for params in (model.generator_params(), model.discriminator_params())
     )
-    template = gan_state(model, opt_g, opt_d, 0)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
-    state, _ = load_checkpoint(path, template=template, expect=expect)
-    for name in [p.name for p in model.generator_params()] + ["cond.transform", "cond.shift"]:
-        template[name][...] = state[name]
+    state, _ = load_checkpoint(path, template=gan_state(model, opt_g, opt_d), expect=expect)
+    for p in model.generator_params():
+        p.data[...] = state[p.name]
     return model

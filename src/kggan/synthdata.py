@@ -99,7 +99,7 @@ class CategorySpec:
     base_color: tuple
     shape: str
     texture_freq: float
-    name: str = ""
+    name: str
     descriptions: list = field(default_factory=list)
 
 
@@ -151,9 +151,8 @@ def describe_category(spec: CategorySpec, n: int) -> list:
     cw = color_word(spec.base_color)
     sw = _SHAPE_WORDS[spec.shape]
     tw = texture_word(spec.texture_freq)
-    name = spec.name or NAME_WORDS[spec.id % len(NAME_WORDS)]
     return [
-        _TEMPLATES[i % len(_TEMPLATES)].format(name=name, color=cw, shape=sw, texture=tw)
+        _TEMPLATES[i % len(_TEMPLATES)].format(name=spec.name, color=cw, shape=sw, texture=tw)
         for i in range(n)
     ]
 

@@ -211,7 +211,7 @@ def test_streamed_files_equal_joined_files(rng, tmp_path):
         "empty": np.zeros((0, 3)),
         "scalar": np.asarray(2.5),
     }
-    for i, state in enumerate([gan.gan_state(model, *opts, 7), odd]):
+    for i, state in enumerate([gan.gan_state(model, *opts), odd]):
         save_checkpoint(tmp_path / f"{i}.stream", state, {"kind": "test"})
         join_save_checkpoint(tmp_path / f"{i}.join", state, {"kind": "test"})
         assert (tmp_path / f"{i}.stream").read_bytes() == (tmp_path / f"{i}.join").read_bytes()

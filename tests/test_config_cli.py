@@ -464,6 +464,46 @@ class TestResumeChecks:
         )
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize(
+        "damage, verb, named",
+        [
+            ("negative", "train", "checkpoint has iteration -1, expected a non-negative int"),
+            ("fraction", "train", "checkpoint has iteration 2.5, expected a non-negative int"),
+            ("missing", "train", "checkpoint has iteration None, expected a non-negative int"),
+            ("older_layout", "train", "unexpected tensor adam_d.step"),
+            ("older_layout", "evaluate", "unexpected tensor adam_d.step"),
+        ],
+        ids=["negative", "fraction", "missing", "older_layout_train", "older_layout_evaluate"],
+    )
+    def test_checkpoint_iteration_or_layout_exits_3_naming_it(
+        self, trained_cells, tmp_path, damage, verb, named
+    ):
+        """The iteration is the metadata's and must be a count; a file that
+        still stores derived state (the iteration, the Adam step counts,
+        the condition transform) is refused naming the first such tensor."""
+        from kggan.checkpoint import load_checkpoint, save_checkpoint
+
+        root, cfg_path = trained_cells
+        cell_dir = root / "out" / "cells" / "kggan_full"
+        state, metadata = load_checkpoint(cell_dir / "checkpoint.ckpt")
+        if damage == "older_layout":
+            state.update({name: np.asarray(40.0) for name in ("adam_g.step", "adam_d.step", "iteration")})
+            state.update({"cond.transform": np.eye(16), "cond.shift": np.zeros(16)})
+        elif damage == "missing":
+            del metadata["iteration"]
+        else:
+            metadata["iteration"] = {"negative": -1, "fraction": 2.5}[damage]
+        path = tmp_path / "checkpoint.ckpt"
+        save_checkpoint(path, state, metadata)
+        before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
+        flag = {"train": "--resume", "evaluate": "--checkpoint"}[verb]
+        argv = ["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)]
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"contract violation: {path}: {named}" in proc.stderr
+        assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
+
     @staticmethod
     def _damage_log(path, damage):
         """Damage a 40-row metric log; returns the row named and what it holds."""
@@ -625,9 +665,11 @@ class TestBenchmarkChecks:
 
 
 class TestEvaluateLoad:
-    def test_evaluate_builds_no_optimizer_or_preconditioner(self, trained_cells, monkeypatch):
-        from kggan import cli, gan, synthdata
-        from kggan.config import load_config
+    def test_evaluate_builds_no_optimizer_and_one_preconditioner(self, trained_cells, monkeypatch):
+        """evaluate restores the generator alone, builds no optimizer, and
+        whitens the dataset's table once, as training did; it writes what a
+        whole-state load writes."""
+        from kggan import cli, gan
         from kggan.optim import AdamState
 
         root, cfg_path = trained_cells
@@ -640,13 +682,7 @@ class TestEvaluateLoad:
             trained = ("checkpoint.ckpt", "metrics.csv")
             return {p.relative_to(cell_dir): p.read_bytes() for p in files if p.name not in trained}
 
-        # the whole-state load into a preconditioned model, as training builds it
-        _, embeddings = synthdata.load_dataset(
-            root / "out" / "dataset" / "dataset.ckpt", load_config(cfg_path)
-        )
-
         def whole_state_load(path, model, run=None):
-            model.set_condition_preconditioner(*gan.condition_preconditioner(embeddings))
             return gan.load_gan(path, model, gan.TrainConfig(), run=run)[0]
 
         with monkeypatch.context() as patch:
@@ -669,7 +705,7 @@ class TestEvaluateLoad:
         for name in reference:
             (cell_dir / name).unlink()
         assert cli.main(argv) == 0
-        assert calls == []
+        assert calls == ["condition_preconditioner"]
         assert written() == reference
 
 
@@ -732,7 +768,7 @@ class TestAbortCheckpoint:
         ws = cli.Workspace(load_config(cfg))
         ws.config.gan_iterations = k
         model, _, opt_g, opt_d = cli.run_cell(ws, "kggan_full")
-        expected = gan.gan_state(model, opt_g, opt_d, k)
+        expected = gan.gan_state(model, opt_g, opt_d)
 
         calls = []
 
@@ -810,7 +846,7 @@ class TestAbortCheckpoint:
         ws = cli.Workspace(load_config(cfg))
         ws.config.gan_iterations = k
         model, _, opt_g, opt_d = cli.run_cell(ws, "kggan_full")
-        expected = gan.gan_state(model, opt_g, opt_d, k)
+        expected = gan.gan_state(model, opt_g, opt_d)
 
         stepped = []
 
@@ -838,23 +874,40 @@ class TestAbortCheckpoint:
 
 class TestAblateExitCodes:
     """``ablate`` exits with the code ``train`` gives for the first cell
-    that failed, in CELLS order: 5 for an I/O error, 4 for a NaN."""
+    that failed, in CELLS order: 5 for an I/O error, 4 for a NaN. When
+    every cell fails, the report is the table's header and a FAILED line
+    per cell."""
 
     @pytest.mark.parametrize(
         "nan_cell, blocked_cell, code",
-        [(None, "kggan_full", 5), ("kggan_full", None, 4), ("kggan_full", "one_hot_kggan", 5)],
+        [
+            (None, "kggan_full", 5),
+            ("kggan_full", None, 4),
+            ("kggan_full", "one_hot_kggan", 5),
+            (None, "cells", 5),  # a file where every cell's directory goes
+        ],
     )
-    def test_first_failed_cell_sets_the_code(self, tmp_path, monkeypatch, nan_cell, blocked_cell, code):
+    def test_first_failed_cell_sets_the_code(
+        self, tmp_path, monkeypatch, capsys, nan_cell, blocked_cell, code
+    ):
         from kggan import cli, gan, optim
 
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 4"))
+        failed = {nan_cell: "NumericalAbort"} if nan_cell else {}
         if blocked_cell:  # a file where the cell's directory goes, so train exits 5
             for verb in (["generate-data"], ["train-embedder"]):
                 assert cli.main(["--config", str(cfg), *verb]) == 0
-            (tmp_path / "out" / "cells").mkdir()
-            (tmp_path / "out" / "cells" / blocked_cell).write_text("")
-            assert cli.main(["--config", str(cfg), "train", "--cell", blocked_cell]) == 5
+            cells = tmp_path / "out" / "cells"
+            if blocked_cell == "cells":
+                cells.write_text("")
+                failed.update(dict.fromkeys(cli.CELLS, "NotADirectoryError"))
+            else:
+                cells.mkdir()
+                (cells / blocked_cell).write_text("")
+                failed[blocked_cell] = "FileExistsError"
+            first = blocked_cell if blocked_cell in cli.CELLS else cli.CELLS[0]
+            assert cli.main(["--config", str(cfg), "train", "--cell", first]) == 5
         poisoned_cells = []
         cmd_train = cli.cmd_train
 
@@ -869,12 +922,14 @@ class TestAblateExitCodes:
 
         monkeypatch.setattr(cli, "cmd_train", train_cell)
         monkeypatch.setattr(gan, "adam_step", adam_step)
+        capsys.readouterr()
         assert cli.main(["--config", str(cfg), "ablate"]) == code
+        assert "Traceback" not in capsys.readouterr().err
         report = (tmp_path / "out" / "ablation" / "combined.txt").read_text()
-        failed = {blocked_cell: "FileExistsError", nan_cell: "NumericalAbort"}
         for cell in cli.CELLS:
             assert (f"cell {cell} FAILED" in report) == (cell in failed), cell
-        assert all(f"cell {c} FAILED: {kind}" in report for c, kind in failed.items() if c)
+        assert all(f"cell {c} FAILED: {kind}" in report for c, kind in failed.items())
+        assert report.startswith("# config ") and "\nMethod " in report
 
 
 class TestNoTapeLeftBehind:

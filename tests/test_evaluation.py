@@ -50,7 +50,6 @@ class TestFeatureStats:
         image = rng.uniform(-1, 1, size=(3, IMG, IMG))
         stats = image_stats(np.stack([image] * 6), extractor)
         assert np.max(np.abs(stats.covariance)) < 1e-18
-        assert stats.sample_count == 6
 
     def test_two_point_statistics(self, extractor, rng):
         images = rng.uniform(-1, 1, size=(2, 3, IMG, IMG))
@@ -90,16 +89,16 @@ class TestFrechetDistance:
         cov = np.eye(4)
         mu1 = rng.standard_normal(4)
         delta = rng.standard_normal(4)
-        p = GaussianStats(mean=mu1, covariance=cov, sample_count=10)
-        q = GaussianStats(mean=mu1 + delta, covariance=cov.copy(), sample_count=10)
+        p = GaussianStats(mean=mu1, covariance=cov)
+        q = GaussianStats(mean=mu1 + delta, covariance=cov.copy())
         assert abs(frechet_distance(p, q) - float(delta @ delta)) < 1e-10
 
     def test_one_dimensional_closed_form(self, rng):
         for _ in range(20):
             mu1, mu2 = rng.standard_normal(2) * 3
             s1, s2 = rng.uniform(0.1, 2.0, size=2)
-            p = GaussianStats(np.array([mu1]), np.array([[s1**2]]), 10)
-            q = GaussianStats(np.array([mu2]), np.array([[s2**2]]), 10)
+            p = GaussianStats(np.array([mu1]), np.array([[s1**2]]))
+            q = GaussianStats(np.array([mu2]), np.array([[s2**2]]))
             expected = (mu1 - mu2) ** 2 + (s1 - s2) ** 2
             assert abs(frechet_distance(p, q) - expected) < 1e-10
 
@@ -119,14 +118,14 @@ class TestFrechetDistance:
         cov = np.eye(3)
         bad = cov.copy()
         bad[0, 1] = 0.5
-        p = GaussianStats(np.zeros(3), cov, 5)
-        q = GaussianStats(np.zeros(3), bad, 5)
+        p = GaussianStats(np.zeros(3), cov)
+        q = GaussianStats(np.zeros(3), bad)
         with pytest.raises(ContractError):
             frechet_distance(p, q)
 
     def test_dimension_mismatch_rejected(self):
-        p = GaussianStats(np.zeros(3), np.eye(3), 5)
-        q = GaussianStats(np.zeros(4), np.eye(4), 5)
+        p = GaussianStats(np.zeros(3), np.eye(3))
+        q = GaussianStats(np.zeros(4), np.eye(4))
         with pytest.raises(DimensionError):
             frechet_distance(p, q)
 

@@ -137,9 +137,9 @@ class TestDiscriminatorForward:
         # independent recomputation of psi(phi(x)) with normalized weights
         from kggan.spectral import spectral_normalize
 
-        w1 = spectral_normalize(model.dw1, model.spectral["dw1"]).data
-        w2 = spectral_normalize(model.dw2, model.spectral["dw2"]).data
-        psi_w = spectral_normalize(model.psi_w, model.spectral["psi_w"]).data
+        w1 = spectral_normalize(model.dw1, model.sigma["dw1"]).data
+        w2 = spectral_normalize(model.dw2, model.sigma["dw2"]).data
+        psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"]).data
         flat = x.data.reshape(2, -1)
         h = np.where(flat @ w1 + model.db1.data > 0, flat @ w1 + model.db1.data, 0.1 * (flat @ w1 + model.db1.data))
         phi = np.where(h @ w2 + model.db2.data > 0, h @ w2 + model.db2.data, 0.1 * (h @ w2 + model.db2.data))
@@ -155,10 +155,10 @@ class TestDiscriminatorForward:
 
         from kggan.spectral import spectral_normalize
 
-        w1 = spectral_normalize(model.dw1, model.spectral["dw1"]).data
-        w2 = spectral_normalize(model.dw2, model.spectral["dw2"]).data
-        psi_w = spectral_normalize(model.psi_w, model.spectral["psi_w"]).data
-        v_proj = spectral_normalize(model.v_proj, model.spectral["v_proj"]).data
+        w1 = spectral_normalize(model.dw1, model.sigma["dw1"]).data
+        w2 = spectral_normalize(model.dw2, model.sigma["dw2"]).data
+        psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"]).data
+        v_proj = spectral_normalize(model.v_proj, model.sigma["v_proj"]).data
         flat = x.data.reshape(4, -1)
         pre1 = flat @ w1 + model.db1.data
         h = np.where(pre1 > 0, pre1, 0.1 * pre1)
@@ -170,7 +170,7 @@ class TestDiscriminatorForward:
     def test_requires_current_spectral_state(self, rng):
         model = mini_model()
         x = Tensor(rng.uniform(-1, 1, size=(2, 3, IMG, IMG)))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="before the first refresh_spectral"):
             discriminator_forward(model, x, Tensor(np.zeros((2, EMB))))
 
 
@@ -657,8 +657,13 @@ class TestCheckpointResume:
                 lambda s: s.update({"spectral.D.w1.sigma": np.asarray(1.0)}),
                 "unexpected tensor spectral.D.w1.sigma",
             ),
+            # files from when the condition transform and the iteration were stored
+            (lambda s: s.update({"cond.transform": np.eye(EMB)}), "unexpected tensor cond.transform"),
+            (lambda s: s.update({"iteration": np.asarray(0.0)}), "unexpected tensor iteration"),
         ],
-        ids=["missing", "extra", "renamed", "misshaped", "old_spectral_entry"],
+        ids=[
+            "missing", "extra", "renamed", "misshaped", "old_spectral_entry", "old_transform", "old_iteration"
+        ],
     )
     def test_mismatched_tensor_is_named(self, tmp_path, damage, named):
         model, config = mini_model(), mini_config()

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from kggan.autodiff import Tensor
-from kggan.errors import ContractError, DimensionError
-from kggan.spectral import (
-    SIGMA_FLOOR,
-    init_spectral_state,
-    power_iteration_step,
-    spectral_normalize,
-)
+from kggan.errors import DimensionError
+from kggan.spectral import power_iteration_step, spectral_normalize
 
 
 def top_singular_value(w):
@@ -18,88 +13,90 @@ def top_singular_value(w):
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def converged_state(w, steps=100, seed=0):
-    state = init_spectral_state(w.shape[0], np.random.default_rng(seed))
+def unit_vector(n, rng):
+    u = rng.standard_normal(n)
+    return u / np.linalg.norm(u)
+
+
+def converged(w, steps=100, seed=0):
+    """(u, sigma) after ``steps`` power steps from a random unit vector."""
+    u, sigma = unit_vector(w.shape[0], np.random.default_rng(seed)), None
     for _ in range(steps):
-        power_iteration_step(w, state)
-    return state
+        u, sigma = power_iteration_step(w, u)
+    return u, sigma
 
 
 class TestPowerIteration:
     def test_diagonal_matrix(self):
-        w = np.diag([3.0, 1.0])
-        state = converged_state(w, steps=50)
-        assert abs(state.sigma_estimate - 3.0) < 1e-6
+        _, sigma = converged(np.diag([3.0, 1.0]), steps=50)
+        assert abs(sigma - 3.0) < 1e-6
 
     def test_single_offdiagonal_entry(self):
-        w = np.array([[0.0, 2.0], [0.0, 0.0]])
-        state = converged_state(w, steps=50)
-        assert abs(state.sigma_estimate - 2.0) < 1e-6
+        _, sigma = converged(np.array([[0.0, 2.0], [0.0, 0.0]]), steps=50)
+        assert abs(sigma - 2.0) < 1e-6
 
     def test_random_matrix_matches_svd_oracle(self, rng):
         w = rng.standard_normal((5, 3))
-        state = converged_state(w)
-        assert abs(state.sigma_estimate - top_singular_value(w)) < 1e-6
+        _, sigma = converged(w)
+        assert abs(sigma - top_singular_value(w)) < 1e-6
 
     def test_twenty_random_small_matrices(self, rng):
         for _ in range(20):
             m = int(rng.integers(2, 7))
             n = int(rng.integers(2, 7))
             w = rng.standard_normal((m, n))
-            state = converged_state(w, steps=150)
-            assert abs(state.sigma_estimate - top_singular_value(w)) < 1e-6
+            _, sigma = converged(w, steps=150)
+            assert abs(sigma - top_singular_value(w)) < 1e-6
 
     def test_u_stays_unit(self, rng):
-        w = rng.standard_normal((4, 4))
-        state = converged_state(w, steps=7)
-        assert abs(np.linalg.norm(state.u) - 1.0) < 1e-9
-        assert state.sigma_estimate > 0
+        u, sigma = converged(rng.standard_normal((4, 4)), steps=7)
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-9
+        assert sigma > 0
 
     def test_zero_matrix_flagged_degenerate(self, rng):
-        state = init_spectral_state(3, rng)
-        power_iteration_step(np.zeros((3, 2)), state)
-        assert state.degenerate
-        assert state.sigma_estimate == SIGMA_FLOOR
+        u = unit_vector(3, rng)
+        got, sigma = power_iteration_step(np.zeros((3, 2)), u)
+        assert sigma is None
+        assert got is u
 
     def test_wrong_u_length_rejected(self, rng):
-        state = init_spectral_state(4, rng)
         with pytest.raises(DimensionError):
-            power_iteration_step(np.zeros((3, 2)), state)
+            power_iteration_step(np.zeros((3, 2)), unit_vector(4, rng))
 
     def test_non_2d_rejected(self, rng):
-        state = init_spectral_state(3, rng)
         with pytest.raises(DimensionError):
-            power_iteration_step(np.zeros(3), state)
+            power_iteration_step(np.zeros(3), unit_vector(3, rng))
 
     def test_accepts_tensor_weight(self, rng):
-        w = Tensor(rng.standard_normal((3, 3)))
-        state = converged_state(w.data, steps=1)
-        power_iteration_step(w, state)
-        assert state.steps == 2
+        w = rng.standard_normal((3, 3))
+        u = unit_vector(3, rng)
+        from_tensor = power_iteration_step(Tensor(w), u)
+        from_array = power_iteration_step(w, u)
+        assert from_tensor[0].tobytes() == from_array[0].tobytes()
+        assert from_tensor[1] == from_array[1]
 
     @pytest.mark.parametrize("shape", [(3, 5), (16, 1), (64, 128), (768, 128)])
     def test_matches_two_product_formula_bitwise(self, rng, shape):
         # reference: the step with w @ v formed a second time for sigma
         w = rng.standard_normal(shape)
-        u = init_spectral_state(shape[0], rng).u
-        state = init_spectral_state(shape[0], rng)
-        state.u = u.copy()
+        u = unit_vector(shape[0], rng)
+        got = u.copy()
         for _ in range(3):
             v = w.T @ u
             v = v / np.linalg.norm(v)
             u_new = w @ v
             u = u_new / np.linalg.norm(u_new)
             sigma = float(u @ (w @ v))
-            power_iteration_step(w, state)
-            assert state.u.tobytes() == u.tobytes()
-            assert state.sigma_estimate == sigma
+            got, got_sigma = power_iteration_step(w, got)
+            assert got.tobytes() == u.tobytes()
+            assert got_sigma == sigma
 
 
 class TestSpectralNormalize:
     def test_diagonal_scaling(self):
         w = Tensor(np.diag([3.0, 1.0]))
-        state = converged_state(w.data, steps=60)
-        out = spectral_normalize(w, state)
+        _, sigma = converged(w.data, steps=60)
+        out = spectral_normalize(w, sigma)
         assert np.allclose(out.data, np.diag([1.0, 1.0 / 3.0]), atol=1e-6)
         # original untouched
         assert np.array_equal(w.data, np.diag([3.0, 1.0]))
@@ -107,36 +104,28 @@ class TestSpectralNormalize:
     def test_already_normalized_unchanged(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         w = Tensor(q)  # orthogonal: every singular value is 1
-        state = converged_state(w.data)
-        out = spectral_normalize(w, state)
+        _, sigma = converged(w.data)
+        out = spectral_normalize(w, sigma)
         assert np.max(np.abs(out.data - w.data)) < 1e-9
 
     def test_output_top_singular_value_near_one(self, rng):
         for _ in range(5):
             w = Tensor(rng.standard_normal((4, 4)) * 3.0)
-            state = converged_state(w.data)
-            out = spectral_normalize(w, state)
+            _, sigma = converged(w.data)
+            out = spectral_normalize(w, sigma)
             assert 0.99 <= top_singular_value(out.data) <= 1.01
-
-    def test_requires_prior_power_step(self, rng):
-        w = Tensor(rng.standard_normal((3, 3)))
-        state = init_spectral_state(3, rng)
-        with pytest.raises(ContractError):
-            spectral_normalize(w, state)
 
     def test_degenerate_returns_weight_unchanged(self, rng):
         w = Tensor(np.zeros((3, 3)))
-        state = init_spectral_state(3, rng)
-        power_iteration_step(w, state)
-        out = spectral_normalize(w, state)
-        assert out is w
-        assert state.degenerate
+        _, sigma = power_iteration_step(w, unit_vector(3, rng))
+        assert sigma is None
+        assert spectral_normalize(w, sigma) is w
 
     def test_gradient_flows_through_normalization(self, rng):
         from kggan import autodiff as ad
 
         w = Tensor(rng.standard_normal((3, 3)))
-        state = converged_state(w.data)
-        out = spectral_normalize(w, state)
+        _, sigma = converged(w.data)
+        out = spectral_normalize(w, sigma)
         (grad,) = ad.backward(ad.tsum(out), [w])
-        assert np.allclose(grad, np.full((3, 3), 1.0 / state.sigma_estimate))
+        assert np.allclose(grad, np.full((3, 3), 1.0 / sigma))

@@ -1,7 +1,8 @@
 """Guards: every function and class in ``src/kggan`` has a caller there,
 every defaulted parameter is passed there, every ``ExperimentConfig``
-field is read there, every import is used by its module, and only
-``checkpoint.write_atomic`` opens a file for writing.
+field is read there, every dataclass field is read there, every import
+is used by its module, and only ``checkpoint.write_atomic`` opens a file
+for writing.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
@@ -20,6 +21,10 @@ A config field that only ``config.py`` touches (validates, serializes,
 hashes) changes nothing but the config hash. A field counts as read when a
 module other than ``config.py`` loads it as ``config.<field>`` or
 ``<obj>.config.<field>``.
+
+A dataclass field that nothing reads as an attribute is state written
+for no one. As with definitions, a field counts as read when any module
+in the package loads an attribute of its spelling.
 
 An import its module never spells is a dependency nothing needs. The
 package's ``__init__`` imports to re-export, and an import marked
@@ -170,6 +175,33 @@ def unread_config_fields():
 
 def test_every_config_field_is_read_outside_config():
     assert unread_config_fields() == []
+
+
+def unread_dataclass_fields():
+    """``module.Class.field`` of each ``@dataclass`` field no module loads as an attribute."""
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for module, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
+                    found.append(f"{module}.{cls.name}.{item.target.id}")
+    return found
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_dataclass_fields() == []
 
 
 def unused_imports():
