@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, scale
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 
 def power_iteration_step(weight, u: np.ndarray):
@@ -45,7 +45,10 @@ def power_iteration_step(weight, u: np.ndarray):
 def spectral_normalize(weight: Tensor, sigma) -> Tensor:
     """Divide a weight matrix by ``sigma``, its estimated largest singular
     value. The original tensor is left untouched. A sigma of None, a
-    numerically zero matrix's, returns the weight unchanged."""
+    numerically zero matrix's, returns the weight unchanged. Any other
+    sigma must be one a power step could give: finite and positive."""
     if sigma is None:
         return weight
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ContractError(f"spectral_normalize needs the sigma of a power step, got {sigma!r}")
     return scale(weight, 1.0 / sigma)

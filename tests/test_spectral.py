@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kggan.autodiff import Tensor
-from kggan.errors import DimensionError
+from kggan.errors import ContractError, DimensionError
 from kggan.spectral import power_iteration_step, spectral_normalize
 
 
@@ -114,6 +114,13 @@ class TestSpectralNormalize:
             _, sigma = converged(w.data)
             out = spectral_normalize(w, sigma)
             assert 0.99 <= top_singular_value(out.data) <= 1.01
+
+    def test_requires_prior_power_step(self, rng):
+        # no power step yields these: its sigma is u @ (w v), a positive norm
+        w = Tensor(rng.standard_normal((3, 3)))
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="sigma of a power step"):
+                spectral_normalize(w, sigma)
 
     def test_degenerate_returns_weight_unchanged(self, rng):
         w = Tensor(np.zeros((3, 3)))
