@@ -6,10 +6,11 @@ arrays training learned: the 13 parameters G.w1 ... D.v_proj; the 4
 spectral.<D weight>.u vectors (each iteration's power step recomputes
 sigma from them); and for each optimizer (adam_g over G, adam_d over D)
 the moments adam_g.m.<param> and adam_g.v.<param>, 26 in all. The rest
-is derived: the condition transform from the dataset's category table
-(``cli._build_model``), the iteration from the metadata, and the Adam
-step counts from the iteration, since each iteration steps G once and D
-``d_steps_per_g_step`` times. A "regressor" holds E.w1 ... E.b3. A
+is derived: the condition table from the dataset's category table
+(``gan.condition_table``, which ``cli._build_model`` calls), the
+iteration from the metadata, and the Adam step counts from the
+iteration, since each iteration steps G once and D ``d_steps_per_g_step``
+times. A "regressor" holds E.w1 ... E.b3. A
 "dataset" holds float32 ``images`` [N, 3, S, S] and the category table
 ``embeddings`` [n_categories, d]. Only a dataset's images are float32.
 

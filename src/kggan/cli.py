@@ -35,7 +35,9 @@ then the resumed ones. A numerical abort
 (exit 4) leaves in the cell's directory checkpoint.aborted.ckpt, the
 named state at the start of the failing iteration, and
 metrics.aborted.csv, the rows of the iterations before it; an earlier
-run's checkpoint.ckpt and metrics.csv are left as they were.
+run's checkpoint.ckpt and metrics.csv are left as they were. ``train``
+makes the cell's directory first, so one it cannot make exits 5 before
+anything trains.
 
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
@@ -189,26 +191,23 @@ def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
     )
 
 
-def _build_model(config: ExperimentConfig, condition_mode: str, embeddings) -> GanModel:
-    """The model training starts from, a resume loads into and evaluate
-    samples from: freshly initialized, with semantic conditions whitened
-    by ``embeddings``, the dataset's category table. So the condition
-    transform a checkpoint was trained under is recomputed, not stored."""
-    cond_dim = config.embed_dim if condition_mode == CONDITION_SEMANTIC else config.n_categories
-    model = GanModel(
+def _build_model(config: ExperimentConfig, condition_mode: str, embeddings):
+    """(model, cond): the freshly initialized model training starts from, a
+    resume loads into and evaluate samples from, and the condition table
+    ``gan.condition_table`` computes from ``embeddings``, the dataset's
+    category table. The table's width is the model's ``cond_dim``. So the
+    conditioning a checkpoint was trained under is recomputed, not stored."""
+    cond = gan.condition_table(condition_mode, embeddings)
+    return GanModel(
         image_size=config.image_size,
-        cond_dim=cond_dim,
+        cond_dim=cond.shape[1],
         condition_mode=condition_mode,
         rng=np.random.default_rng(config.gan_seed),
         z_dim=config.z_dim,
         g_hidden=config.g_hidden,
         d_hidden=config.d_hidden,
         feat_dim=config.feat_dim,
-    )
-    if condition_mode == CONDITION_SEMANTIC:
-        matrix, shift = gan.condition_preconditioner(embeddings)
-        model.set_condition_preconditioner(matrix, shift)
-    return model
+    ), cond
 
 
 def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
@@ -237,7 +236,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     else:
         split = _split(config)
     tconfig = _train_config(config, run["lambda_se"])
-    model = _build_model(config, condition_mode, embeddings)
+    model, cond = _build_model(config, condition_mode, embeddings)
 
     start_iteration, log = 0, MetricLog()
     if resume:
@@ -251,7 +250,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         name = ABORTED_LOG if os.path.basename(resume) == ABORTED_CHECKPOINT else "metrics.csv"
         log.rows = _logged_rows(os.path.join(os.path.dirname(resume), name), start_iteration)
     else:
-        opt_g, opt_d = gan._make_optimizers(model, tconfig, None, None)
+        opt_g, opt_d = gan.new_optimizers(model, tconfig)
 
     embedder = None
     if use_knowledge:
@@ -261,6 +260,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
         model,
         dataset,
         split,
+        cond,
         embeddings,
         embedder,
         tconfig,
@@ -296,18 +296,18 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     cell_dir = ws.cell_dir(cell)
     run = _run_metadata(config, cell)
     header = ws.header(config.gan_seed) + [f"cell {cell}"]
+    # first, so an output directory that cannot be made fails before any training
+    os.makedirs(cell_dir, exist_ok=True)
     try:
         model, log, opt_g, opt_d = run_cell(ws, cell, resume=resume)
     except NumericalAbort as abort:
         # the state at the start of the failing iteration and the log before
         # it, for post-mortem work or a resume
         if abort.last_good is not None:
-            os.makedirs(cell_dir, exist_ok=True)
             path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
             gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], abort.iteration, run)
             write_atomic(os.path.join(cell_dir, ABORTED_LOG), abort.log.to_csv_text(header))
         raise
-    os.makedirs(cell_dir, exist_ok=True)
     gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations, run)
     write_atomic(os.path.join(cell_dir, "metrics.csv"), log.to_csv_text(header))
     print(f"trained cell {cell}: {len(log.rows)} iterations logged")
@@ -337,8 +337,8 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
 
     Returns (FidReport, consistency, color, sample_fn, split). Only the
     generator is restored from the checkpoint, which is verified whole
-    (see ``gan.load_generator``); the condition transform is rebuilt from
-    the dataset's table, as training built it. Each
+    (see ``gan.load_generator``); the condition table is rebuilt from the
+    dataset's category table, as training built it. Each
     category's n_gen images are drawn once and go through the regressor's
     trunk once; that draw and its features feed all three metrics.
     """
@@ -351,10 +351,11 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         raise OSError(f"checkpoint missing: {path}")
     embedder = regressor.load_regressor(ws.embedder_path, config)
     run = {"cell": cell, **config_fields(config, regressor.EMBEDDER_FIELDS)}
-    model = gan.load_generator(path, _build_model(config, condition_mode, embeddings), run=run)
+    model, cond = _build_model(config, condition_mode, embeddings)
+    gan.load_generator(path, model, run=run)
 
     def sample_fn(cid, n):
-        return gan.sample_images(model, cid, n, embeddings, config.eval_seed)
+        return gan.sample_images(model, cid, n, cond, config.eval_seed)
 
     consistency, color = {}, {}
 

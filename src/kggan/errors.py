@@ -23,8 +23,9 @@ class NumericalAbort(RuntimeError):
     When raised from a training loop, ``last_good`` holds the named state
     (see ``checkpoint``) at the start of the failing iteration: the
     parameters, the spectral ``u`` vectors and both optimizers' moments.
-    It holds no iteration or condition transform: the iteration is
-    ``iteration``, and the transform is rebuilt from the dataset's table.
+    It holds no iteration or condition table: the iteration is
+    ``iteration``, and the table is rebuilt from the dataset's category
+    table.
     ``log`` is the loop's ``MetricLog``, holding the rows of the
     iterations before it.
     """

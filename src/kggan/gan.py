@@ -18,12 +18,14 @@ generator state:
 The SN-GAN baseline is ``train`` with lambda_se = 0, every category seen
 and none unseen: no regressor, no unseen batches, streams 0-2 only.
 
-Condition vectors come from the model: ``GanModel.conditions(embeddings)``
-is the [n_categories, cond_dim] table whose row i conditions category i:
-the semantic embedding table in semantic mode and the identity in one-hot
-mode, whitened once by the model's fixed condition transform. A batch of
-categories ``ids`` is conditioned on those rows, which the forwards take
-as they are, and its knowledge-loss targets are ``embeddings[ids]``.
+The networks take rows. An image is a row of 3*S*S values, the dataset's
+[3, S, S] layout flattened, so the generator's output feeds the
+discriminator and the regressor as it is. A condition is a row of the
+[n_categories, cond_dim] table ``condition_table`` computes once per run:
+the whitened embedding table in semantic mode and the identity in one-hot
+mode; row i conditions category i. A batch of categories ``ids`` is
+conditioned on ``cond[ids]`` and its knowledge-loss targets are
+``embeddings[ids]``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
-from .regressor import RegressorModel
+from .regressor import semantic_embedding_loss
 from .spectral import power_iteration_step, spectral_normalize
 
 CONDITION_SEMANTIC = "semantic_embedding"
@@ -98,6 +100,17 @@ def condition_preconditioner(embeddings: np.ndarray):
     return matrix, shift
 
 
+def condition_table(condition_mode: str, embeddings: np.ndarray) -> np.ndarray:
+    """The [n, cond_dim] condition table for the [n, d] category table
+    ``embeddings``: row i conditions category i. In one-hot mode it is
+    the n x n identity; in semantic mode ``(embeddings - shift) @ matrix``,
+    whitened by ``condition_preconditioner``."""
+    if condition_mode == CONDITION_ONE_HOT:
+        return np.eye(len(embeddings))
+    matrix, shift = condition_preconditioner(embeddings)
+    return (embeddings - shift) @ matrix
+
+
 class GanModel:
     """Generator and projection discriminator with spectral state.
 
@@ -148,28 +161,6 @@ class GanModel:
             self.spectral_u[key] = u / np.linalg.norm(u)
         self.sigma = {}
 
-        # fixed condition reparametrization (identity unless preconditioned)
-        self.cond_transform = np.eye(cond_dim)
-        self.cond_shift = np.zeros(cond_dim)
-
-    def set_condition_preconditioner(self, matrix: np.ndarray, shift: np.ndarray) -> None:
-        if matrix.shape != (self.cond_dim, self.cond_dim) or shift.shape != (self.cond_dim,):
-            raise DimensionError(
-                f"preconditioner shapes {matrix.shape}/{shift.shape} do not match "
-                f"cond_dim {self.cond_dim}"
-            )
-        self.cond_transform = matrix
-        self.cond_shift = shift
-
-    def conditions(self, embeddings: np.ndarray) -> np.ndarray:
-        """The whitened condition table, ``(source - cond_shift) @ cond_transform``:
-        row i is category i's condition vector, which the forwards take as it
-        is. The source is the [n, d] embedding table in semantic mode and the
-        identity, one row per category, in one-hot mode.
-        """
-        source = embeddings if self.condition_mode == CONDITION_SEMANTIC else np.eye(self.cond_dim)
-        return (source - self.cond_shift) @ self.cond_transform
-
     def generator_params(self):
         return [self.gw1, self.gb1, self.gw2, self.gb2, self.gw3, self.gb3]
 
@@ -187,7 +178,8 @@ class GanModel:
 
 
 def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
-    """tanh MLP over the concatenated [noise ; condition] input."""
+    """tanh MLP over the concatenated [noise ; condition] input: [b, 3*S*S]
+    image rows."""
     if v.data.ndim != 2 or v.data.shape[1] != model.cond_dim:
         raise DimensionError(
             f"condition shape {v.data.shape} does not match cond_dim {model.cond_dim}"
@@ -197,16 +189,12 @@ def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
     x = ad.concat([z, v], axis=1)
     h1 = ad.leaky_relu(ad.affine(x, model.gw1, model.gb1), LEAK)
     h2 = ad.leaky_relu(ad.affine(h1, model.gw2, model.gb2), LEAK)
-    flat = ad.tanh(ad.affine(h2, model.gw3, model.gb3))
-    b = z.data.shape[0]
-    return ad.reshape(flat, (b, 3, model.image_size, model.image_size))
+    return ad.tanh(ad.affine(h2, model.gw3, model.gb3))
 
 
 def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
-    """Projection score psi(phi(x)) + <v, V phi(x)>, weights normalized."""
-    if x.data.ndim == 4:
-        b = x.data.shape[0]
-        x = ad.reshape(x, (b, x.data.shape[1] * x.data.shape[2] * x.data.shape[3]))
+    """Projection score psi(phi(x)) + <v, V phi(x)> of [b, 3*S*S] image
+    rows ``x``, weights normalized."""
     if v.data.ndim != 2 or v.data.shape[1] != model.cond_dim:
         raise DimensionError(
             f"condition shape {v.data.shape} does not match cond_dim {model.cond_dim}"
@@ -226,7 +214,7 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses (the knowledge loss, semantic_embedding_loss, is the regressor's)
 
 
 def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
@@ -243,22 +231,6 @@ def hinge_g_loss(fake_scores: Tensor) -> Tensor:
     if fake_scores.data.size == 0:
         raise ContractError("hinge loss over an empty batch")
     return ad.neg(ad.tmean(fake_scores))
-
-
-def semantic_embedding_loss(fake_images: Tensor, v: Tensor, embedder: RegressorModel) -> Tensor:
-    """Mean squared distance between predicted and target embeddings.
-
-    Gradients reach the generator through the regressor; its own
-    parameters get one only if passed to ``backward``, which training
-    never does.
-    """
-    if v.data.ndim != 2 or v.data.shape[1] != embedder.embed_dim:
-        raise DimensionError(
-            f"target shape {v.data.shape} does not match embed_dim {embedder.embed_dim}"
-        )
-    pred = embedder.forward(fake_images)
-    diff = ad.sub(pred, v)
-    return ad.scale(ad.tsum(ad.square(diff)), 1.0 / fake_images.data.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +271,7 @@ def _pool_and_cats(dataset, category_ids):
 
 def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot):
     rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
-    x_real = dataset.images[rows]
+    x_real = dataset.images[rows].reshape(config.batch_size, -1)
     real_cats = dataset.category_ids[rows]
 
     # fakes share the real batch's conditions: pairing them keeps the
@@ -344,28 +316,21 @@ def _finite_or_abort(values, iteration):
         raise NumericalAbort(f"non-finite loss at iteration {iteration}")
 
 
-def _make_optimizers(model, config, opt_g, opt_d):
-    if opt_g is None:
-        opt_g = AdamState.for_params(
-            model.generator_params(),
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
+def new_optimizers(model: GanModel, config: TrainConfig):
+    """Fresh Adam states over G's and over D's parameters: (opt_g, opt_d)."""
+    return tuple(
+        AdamState.for_params(
+            params, learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2
         )
-    if opt_d is None:
-        opt_d = AdamState.for_params(
-            model.discriminator_params(),
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-        )
-    return opt_g, opt_d
+        for params in (model.generator_params(), model.discriminator_params())
+    )
 
 
 def train(
     model: GanModel,
     dataset,
     split,
+    cond: np.ndarray,
     embeddings: np.ndarray,
     embedder,
     config: TrainConfig,
@@ -380,13 +345,15 @@ def train(
     Real images are only ever drawn from seen categories. With
     lambda_se = 0 the unseen machinery is skipped entirely and the run is
     an SN-GAN run; the split may then have no unseen categories, which is
-    how the full-data baseline trains on every category. ``embeddings`` is
-    the [n_categories, d] table whose row i is category i.
+    how the full-data baseline trains on every category. Row i of
+    ``cond``, the ``condition_table``, conditions category i, and row i of
+    ``embeddings``, the [n_categories, d] category table, is its
+    knowledge-loss target.
 
     Trains iterations ``start_iteration`` .. ``config.iterations - 1``,
-    continuing ``opt_g``/``opt_d`` when given (a resume) or starting fresh
-    optimizers. Returns (model, MetricLog): one row per iteration trained
-    here, appended to ``log`` when given (a resume's rows of the
+    continuing ``opt_g`` and ``opt_d`` when given (a resume) or starting
+    ``new_optimizers``. Returns (model, MetricLog): one row per iteration
+    trained here, appended to ``log`` when given (a resume's rows of the
     iterations before ``start_iteration``). A non-finite loss or gradient
     raises NumericalAbort before G is updated; it carries the state and
     the log as they stood at the start of the failing iteration.
@@ -403,11 +370,11 @@ def train(
     if not split.seen_ids <= dataset_cats:
         raise ContractError("split names categories absent from the dataset")
 
-    cond = model.conditions(embeddings)
     pool, seen_cats = _pool_and_cats(dataset, split.seen_ids)
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
-    opt_g, opt_d = _make_optimizers(model, config, opt_g, opt_d)
+    if opt_g is None and opt_d is None:
+        opt_g, opt_d = new_optimizers(model, config)
     if log is None:
         log = MetricLog()
 
@@ -464,17 +431,16 @@ def train(
 # sampling and persistence
 
 
-def sample_images(model: GanModel, category_id: int, n: int, embeddings: np.ndarray, seed: int):
-    """n generated images for one category; deterministic in (seed, id).
-
-    The condition is row ``category_id`` of ``model.conditions(embeddings)``.
-    """
+def sample_images(model: GanModel, category_id: int, n: int, cond: np.ndarray, seed: int):
+    """n generated [3, S, S] images for one category, conditioned on row
+    ``category_id`` of the condition table ``cond``; deterministic in
+    (seed, id)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, int(category_id)]))
     z = rng.standard_normal((n, model.z_dim))
-    v = np.tile(model.conditions(embeddings)[category_id], (n, 1))
+    v = np.tile(cond[category_id], (n, 1))
     with ad.no_grad():
         images = generator_forward(model, Tensor(z), Tensor(v))
-    return images.data
+    return images.data.reshape(n, 3, model.image_size, model.image_size)
 
 
 def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
@@ -512,16 +478,16 @@ def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     """Restore parameters, spectral ``u`` vectors and both optimizers'
     moments into ``model``.
 
-    The model must be freshly built with the same architecture config and
-    the condition transform it trained under (``cli._build_model``
-    recomputes it from the dataset's table). Every field of ``run`` must
-    match the checkpoint's metadata, after its kind and condition mode.
-    The iteration is the metadata's, which must be a non-negative int;
-    otherwise ContractError names it. The step counts follow from it: G's
-    is the iteration and D's the iteration times
+    The model must be freshly built with the same architecture config.
+    Nothing of the conditioning is stored: the caller recomputes the
+    condition table from the dataset's (``cli._build_model``). Every
+    field of ``run`` must match the checkpoint's metadata, after its kind
+    and condition mode. The iteration is the metadata's, which must be a
+    non-negative int; otherwise ContractError names it. The step counts
+    follow from it: G's is the iteration and D's the iteration times
     ``config.d_steps_per_g_step``. Returns (model, opt_g, opt_d, iteration).
     """
-    opt_g, opt_d = _make_optimizers(model, config, None, None)
+    opt_g, opt_d = new_optimizers(model, config)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
     live = gan_state(model, opt_g, opt_d)
     state, metadata = load_checkpoint(path, template=live, expect=expect)
@@ -542,8 +508,8 @@ def load_generator(path, model: GanModel, run=None) -> GanModel:
     The file is verified as ``load_gan`` verifies it (digest, kind,
     condition mode, ``run`` and every name and shape) but the
     discriminator, spectral and optimizer arrays are not kept, so no
-    optimizer state is built. The condition transform is the model's
-    own, which ``cli._build_model`` recomputes from the dataset's table.
+    optimizer state is built. Sampling takes the condition table as an
+    argument, which ``cli._build_model`` recomputes from the dataset's.
     """
     # each optimizer's moments have their parameters' names and shapes, so
     # the parameters themselves stand in for them in the template

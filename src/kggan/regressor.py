@@ -3,8 +3,11 @@
 Trained by mean squared error on seen categories only, then frozen:
 frozen means no optimizer holds its parameters, so nothing steps them.
 Gradients still flow *through* it into its input, which is what lets the
-knowledge loss steer a generator. The penultimate activation doubles as
-the feature space for Frechet-distance evaluation.
+knowledge loss L_se, ``semantic_embedding_loss``, steer a generator. Its
+input is [b, 3*S*S] image rows, the dataset's [3, S, S] layout flattened;
+``extract_features`` and ``train_embedder`` flatten the images they are
+given. The penultimate activation doubles as the feature space for
+Frechet-distance evaluation.
 """
 
 from __future__ import annotations
@@ -52,16 +55,9 @@ class RegressorModel:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def _flatten(self, images: Tensor) -> Tensor:
-        if images.data.ndim == 4:
-            b = images.data.shape[0]
-            return ad.reshape(images, (b, images.data.shape[1] * images.data.shape[2] * images.data.shape[3]))
-        if images.data.ndim == 2:
-            return images
-        raise DimensionError(f"expected [b,3,S,S] or [b,in] input, got shape {images.data.shape}")
-
     def forward(self, images: Tensor) -> Tensor:
-        """Differentiable forward pass; output entries in (0, 1).
+        """Differentiable forward pass over [b, 3*S*S] image rows; output
+        entries in (0, 1).
 
         Exactly ``head(penultimate(images))``, so predictions made from
         already extracted features carry the same bits.
@@ -70,12 +66,7 @@ class RegressorModel:
 
     def penultimate(self, images: Tensor) -> Tensor:
         """The two leaky-relu hidden layers: [b, 64] features."""
-        x = self._flatten(images)
-        if x.data.shape[1] != self.w1.data.shape[0]:
-            raise DimensionError(
-                f"input dim {x.data.shape[1]} does not match model {self.w1.data.shape[0]}"
-            )
-        h1 = ad.leaky_relu(ad.affine(x, self.w1, self.b1))
+        h1 = ad.leaky_relu(ad.affine(images, self.w1, self.b1))
         return ad.leaky_relu(ad.affine(h1, self.w2, self.b2))
 
     def head(self, features: Tensor) -> Tensor:
@@ -84,10 +75,26 @@ class RegressorModel:
 
 
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
-    """Penultimate-layer features for a [n,3,S,S] batch."""
+    """Penultimate-layer features for a [n, 3, S, S] batch."""
     with ad.no_grad():
-        feats = model.penultimate(Tensor(images))
+        feats = model.penultimate(Tensor(images.reshape(len(images), -1)))
     return feats.data
+
+
+def semantic_embedding_loss(images: Tensor, targets: Tensor, embedder: RegressorModel) -> Tensor:
+    """L_se: the mean over the batch of the squared distance between the
+    embeddings ``embedder`` predicts for the image rows and ``targets``.
+
+    Gradients reach whatever produced ``images`` through the regressor;
+    its own parameters get one only if passed to ``backward``, which only
+    ``train_embedder`` does.
+    """
+    if targets.data.ndim != 2 or targets.data.shape[1] != embedder.embed_dim:
+        raise DimensionError(
+            f"target shape {targets.data.shape} does not match embed_dim {embedder.embed_dim}"
+        )
+    diff = ad.sub(embedder.forward(images), targets)
+    return ad.scale(ad.tsum(ad.square(diff)), 1.0 / images.data.shape[0])
 
 
 def train_embedder(
@@ -139,9 +146,8 @@ def train_embedder(
         idx = order[pos : pos + batch]
         pos += batch
 
-        pred = model.forward(Tensor(images[idx]))
-        diff = ad.sub(pred, Tensor(targets[idx]))
-        loss = ad.scale(ad.tsum(ad.square(diff)), 1.0 / batch)
+        rows = Tensor(images[idx].reshape(batch, -1))
+        loss = semantic_embedding_loss(rows, Tensor(targets[idx]), model)
         adam_step(params, opt, ad.backward(loss, params))
 
         value = loss.item()

@@ -262,7 +262,7 @@ class TestTrainAndEvaluate:
         for cid in ids:
             images = sample_fn(cid, n)
             with no_grad():
-                pred = embedder.forward(Tensor(images)).data
+                pred = embedder.forward(Tensor(images.reshape(n, -1))).data
             target = embeddings[cid]
             assert consistency[cid] == float(np.mean(np.sum((pred - target) ** 2, axis=1)))
             want = int(np.argmax(np.asarray(specs_by_id[cid].base_color)))
@@ -870,6 +870,27 @@ class TestAbortCheckpoint:
         argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
         assert cli.main(argv) == 0
         assert (cell_dir / "metrics.csv").read_bytes() == finished
+
+
+class TestUnwritableCellDirectory:
+    def test_train_exits_5_naming_the_directory_before_it_trains(self, tmp_path, monkeypatch, capsys):
+        """A file where the cells' directory goes makes ``train`` exit 5,
+        naming the cell's directory, before ``gan.train`` runs at all."""
+        from kggan import cli, gan
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 4"))
+        for verb in (["generate-data"], ["train-embedder"]):
+            assert cli.main(["--config", str(cfg), *verb]) == 0
+        (tmp_path / "out" / "cells").write_text("")
+        calls, train = [], gan.train
+        monkeypatch.setattr(gan, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
+        capsys.readouterr()
+        assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(tmp_path / "out" / "cells" / "kggan_full") in err
+        assert "Traceback" not in err
+        assert calls == []
 
 
 class TestAblateExitCodes:

@@ -240,7 +240,7 @@ class TestEmbeddingConsistency:
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
-            pred0 = extractor.forward(Tensor(constant)).data
+            pred0 = extractor.forward(Tensor(constant.reshape(4, -1))).data
         out = embedding_consistency(extractor, extract_features(extractor, constant), pred0[0])
         assert out < 1e-24
 
@@ -252,7 +252,7 @@ class TestEmbeddingConsistency:
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
-            preds = extractor.forward(Tensor(pool)).data
+            preds = extractor.forward(Tensor(pool.reshape(8, -1))).data
         for cid in sorted(split.seen_ids):
             target = embeddings[cid]
             out = embedding_consistency(extractor, features, target)
@@ -295,7 +295,7 @@ class TestColorFidelity:
         for spec in specs:
             for images in (
                 dataset.images[dataset.indices_of(spec.id)],
-                gan.sample_images(model, spec.id, 64, None, seed=9),
+                gan.sample_images(model, spec.id, 64, np.eye(len(specs)), seed=9),
             ):
                 # each base color tried, so draws score between 0 and 1
                 for other in specs:

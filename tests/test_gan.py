@@ -1,5 +1,6 @@
 """GAN forwards, the three loss families, and the training loop."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,9 @@ def mini_model(condition_mode="semantic_embedding", cond_dim=EMB, seed=3):
 
 @pytest.fixture(scope="module")
 def mini_data():
+    """(specs, dataset, split, embeddings, embedder). The semantic runs here
+    condition on the raw table, ``cond = embeddings``, the unwhitened run
+    the golden logs recorded; the CLI whitens it (``gan.condition_table``)."""
     specs = sd.make_category_specs(6)
     dataset = sd.build_dataset(specs, images_per_category=10, image_size=IMG, seed=21)
     split = sd.make_split([s.id for s in specs], n_unseen=2, seed=4)
@@ -86,7 +90,7 @@ class TestGeneratorForward:
         z = Tensor(rng.standard_normal((4, Z)))
         v = Tensor(rng.uniform(0, 1, size=(4, EMB)))
         out = generator_forward(model, z, v)
-        assert out.data.shape == (4, 3, IMG, IMG)
+        assert out.data.shape == (4, 3 * IMG * IMG)
         assert out.data.min() >= -1.0 and out.data.max() <= 1.0
 
     def test_deterministic(self, rng):
@@ -108,7 +112,7 @@ class TestGeneratorForward:
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         config = mini_config(iterations=150)
-        train(model, dataset, split, embeddings, embedder, config)
+        train(model, dataset, split, embeddings, embeddings, embedder, config)
         rng = np.random.default_rng(0)
         z = Tensor(rng.standard_normal((1, Z)))
         ids = sorted(split.seen_ids)[:2]
@@ -123,7 +127,7 @@ class TestDiscriminatorForward:
         model = mini_model()
         model.v_proj.data[:] = 0.0
         model.refresh_spectral()
-        x = Tensor(rng.uniform(-1, 1, size=(3, 3, IMG, IMG)))
+        x = Tensor(rng.uniform(-1, 1, size=(3, 3 * IMG * IMG)))
         s1 = discriminator_forward(model, x, Tensor(rng.uniform(0, 1, size=(3, EMB))))
         s2 = discriminator_forward(model, x, Tensor(rng.uniform(0, 1, size=(3, EMB))))
         assert np.allclose(s1.data, s2.data)
@@ -131,7 +135,7 @@ class TestDiscriminatorForward:
     def test_zero_condition_reduces_to_unconditional_head(self, rng):
         model = mini_model()
         model.refresh_spectral()
-        x = Tensor(rng.uniform(-1, 1, size=(2, 3, IMG, IMG)))
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3 * IMG * IMG)))
         v0 = Tensor(np.zeros((2, EMB)))
         scores = discriminator_forward(model, x, v0)
         # independent recomputation of psi(phi(x)) with normalized weights
@@ -140,7 +144,7 @@ class TestDiscriminatorForward:
         w1 = spectral_normalize(model.dw1, model.sigma["dw1"]).data
         w2 = spectral_normalize(model.dw2, model.sigma["dw2"]).data
         psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"]).data
-        flat = x.data.reshape(2, -1)
+        flat = x.data
         h = np.where(flat @ w1 + model.db1.data > 0, flat @ w1 + model.db1.data, 0.1 * (flat @ w1 + model.db1.data))
         phi = np.where(h @ w2 + model.db2.data > 0, h @ w2 + model.db2.data, 0.1 * (h @ w2 + model.db2.data))
         expected = (phi @ psi_w)[:, 0] + model.psi_b.data[0]
@@ -149,7 +153,7 @@ class TestDiscriminatorForward:
     def test_matches_projection_formula_oracle(self, rng):
         model = mini_model()
         model.refresh_spectral()
-        x = Tensor(rng.uniform(-1, 1, size=(4, 3, IMG, IMG)))
+        x = Tensor(rng.uniform(-1, 1, size=(4, 3 * IMG * IMG)))
         v = Tensor(rng.uniform(0, 1, size=(4, EMB)))
         scores = discriminator_forward(model, x, v)
 
@@ -159,7 +163,7 @@ class TestDiscriminatorForward:
         w2 = spectral_normalize(model.dw2, model.sigma["dw2"]).data
         psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"]).data
         v_proj = spectral_normalize(model.v_proj, model.sigma["v_proj"]).data
-        flat = x.data.reshape(4, -1)
+        flat = x.data
         pre1 = flat @ w1 + model.db1.data
         h = np.where(pre1 > 0, pre1, 0.1 * pre1)
         pre2 = h @ w2 + model.db2.data
@@ -167,9 +171,19 @@ class TestDiscriminatorForward:
         expected = (phi @ psi_w)[:, 0] + model.psi_b.data[0] + np.sum((v.data @ v_proj) * phi, axis=1)
         assert np.max(np.abs(scores.data - expected)) < 1e-12
 
+    def test_image_batch_is_not_rows(self):
+        """The networks take [b, 3*S*S] rows only; a [b, 3, S, S] batch is a
+        DimensionError naming both shapes, as a row of another width is."""
+        model = mini_model()
+        model.refresh_spectral()
+        v = Tensor(np.zeros((2, EMB)))
+        for shape in ((2, 3, IMG, IMG), (2, 3 * IMG * IMG + 1)):
+            with pytest.raises(DimensionError, match=re.escape(f"input {shape} vs weight (192, 32)")):
+                discriminator_forward(model, Tensor(np.zeros(shape)), v)
+
     def test_requires_current_spectral_state(self, rng):
         model = mini_model()
-        x = Tensor(rng.uniform(-1, 1, size=(2, 3, IMG, IMG)))
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3 * IMG * IMG)))
         with pytest.raises(ContractError, match="before the first refresh_spectral"):
             discriminator_forward(model, x, Tensor(np.zeros((2, EMB))))
 
@@ -209,7 +223,7 @@ class TestHingeLosses:
 class TestSemanticEmbeddingLoss:
     def test_exact_match_gives_zero(self, mini_data, rng):
         embedder = mini_data[4]
-        images = Tensor(rng.uniform(-1, 1, size=(3, 3, IMG, IMG)))
+        images = Tensor(rng.uniform(-1, 1, size=(3, 3 * IMG * IMG)))
         with ad.no_grad():
             targets = embedder.forward(images).data
         loss = semantic_embedding_loss(images, Tensor(targets), embedder)
@@ -217,7 +231,7 @@ class TestSemanticEmbeddingLoss:
 
     def test_unit_basis_offset_gives_one(self, mini_data, rng):
         embedder = mini_data[4]
-        images = Tensor(rng.uniform(-1, 1, size=(4, 3, IMG, IMG)))
+        images = Tensor(rng.uniform(-1, 1, size=(4, 3 * IMG * IMG)))
         with ad.no_grad():
             pred = embedder.forward(images).data
         targets = pred.copy()
@@ -227,7 +241,7 @@ class TestSemanticEmbeddingLoss:
 
     def test_matches_per_item_loop_oracle(self, mini_data, rng):
         embedder = mini_data[4]
-        images = Tensor(rng.uniform(-1, 1, size=(5, 3, IMG, IMG)))
+        images = Tensor(rng.uniform(-1, 1, size=(5, 3 * IMG * IMG)))
         targets = rng.uniform(0, 1, size=(5, EMB))
         got = semantic_embedding_loss(images, Tensor(targets), embedder).item()
         with ad.no_grad():
@@ -291,7 +305,7 @@ class TestRestrictedBackward:
         v = Tensor(embeddings[dataset.category_ids[rows]])
         with ad.no_grad():
             fakes = generator_forward(model, Tensor(rng.standard_normal((8, Z))), v)
-        real = discriminator_forward(model, Tensor(dataset.images[rows]), v)
+        real = discriminator_forward(model, Tensor(dataset.images[rows].reshape(8, -1)), v)
         return hinge_d_loss(real, discriminator_forward(model, Tensor(fakes.data), v))
 
     def _check(self, mini_data, loss_fn, stepped, others):
@@ -327,7 +341,7 @@ class TestTotalLosses:
             cond=embeddings[[seen] * 4],
             noise=rng.standard_normal((4, Z)),
             targets=embeddings[[seen] * 4],
-            images=dataset.images[dataset.indices_of(seen)[:4]],
+            images=dataset.images[dataset.indices_of(seen)[:4]].reshape(4, -1),
         )
         unseen_batch = dict(
             cond=embeddings[[unseen] * 4],
@@ -399,7 +413,7 @@ class TestTrainLoop:
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         reference = mini_model()
-        train(model, dataset, split, embeddings, embedder, mini_config(iterations=0))
+        train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=0))
         for p, q in zip(
             model.generator_params() + model.discriminator_params(),
             reference.generator_params() + reference.discriminator_params(),
@@ -411,7 +425,8 @@ class TestTrainLoop:
 
         def run():
             model = mini_model()
-            _, log = train(model, dataset, split, embeddings, embedder, mini_config(iterations=50))
+            config = mini_config(iterations=50)
+            _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
             return log.to_csv_text()
 
         assert run() == run()
@@ -419,7 +434,7 @@ class TestTrainLoop:
     def test_weight_sharing_single_parameter_set(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        train(model, dataset, split, embeddings, embedder, mini_config(iterations=10))
+        train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=10))
         # the generator invoked with seen and unseen conditions is the same object
         before = [p.data.copy() for p in model.generator_params()]
         ids_seen = sorted(split.seen_ids)[0]
@@ -440,17 +455,18 @@ class TestTrainLoop:
 
         config = mini_config(iterations=40)
         unseen_nan = poisoned(split.unseen_ids)
-        _, log = train(mini_model(), unseen_nan, split, embeddings, embedder, config)
+        _, log = train(mini_model(), unseen_nan, split, embeddings, embeddings, embedder, config)
         assert len(log.rows) == 40
         # the control: the same run aborts when one seen category is poisoned
         seen_nan = poisoned({min(split.seen_ids)})
         with pytest.raises(NumericalAbort):
-            train(mini_model(), seen_nan, split, embeddings, embedder, config)
+            train(mini_model(), seen_nan, split, embeddings, embeddings, embedder, config)
 
     def test_metric_log_schema(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        _, log = train(model, dataset, split, embeddings, embedder, mini_config(iterations=5))
+        config = mini_config(iterations=5)
+        _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         assert len(log.rows) == 5
         text = log.to_csv_text(header_lines=["config abc", "seed 11"])
         lines = text.strip().splitlines()
@@ -462,7 +478,7 @@ class TestTrainLoop:
         _, dataset, split, embeddings, _ = mini_data
         model = mini_model()
         _, log = train(
-            model, dataset, split, embeddings, None, mini_config(iterations=5, lambda_se=0.0)
+            model, dataset, split, embeddings, embeddings, None, mini_config(iterations=5, lambda_se=0.0)
         )
         for row in log.rows:
             assert row[3] == 0.0 and row[4] == 0.0
@@ -470,25 +486,28 @@ class TestTrainLoop:
     def test_knowledge_loss_needs_unseen_categories(self, mini_data):
         specs, dataset, _, embeddings, embedder = mini_data
         split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
+        config = mini_config(iterations=1)
         with pytest.raises(ContractError, match="unseen"):
-            train(mini_model(), dataset, split, embeddings, embedder, mini_config(iterations=1))
+            train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
 
     def test_knowledge_loss_needs_a_regressor(self, mini_data):
         _, dataset, split, embeddings, _ = mini_data
         with pytest.raises(ContractError, match="requires a regressor"):
-            train(mini_model(), dataset, split, embeddings, None, mini_config(iterations=1))
+            train(mini_model(), dataset, split, embeddings, embeddings, None, mini_config(iterations=1))
 
     def test_knowledge_loss_leaves_the_regressor_unchanged(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         before = [p.data.tobytes() for p in embedder.parameters()]
-        _, log = train(mini_model(), dataset, split, embeddings, embedder, mini_config(iterations=5))
+        config = mini_config(iterations=5)
+        _, log = train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
         assert all(row[3] > 0.0 and row[4] > 0.0 for row in log.rows)
         assert [p.data.tobytes() for p in embedder.parameters()] == before
 
     def test_all_logged_losses_finite(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        _, log = train(model, dataset, split, embeddings, embedder, mini_config(iterations=60))
+        config = mini_config(iterations=60)
+        _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         values = np.asarray([row[1:] for row in log.rows], dtype=float)
         assert np.all(np.isfinite(values))
 
@@ -497,7 +516,7 @@ class TestTrainLoop:
         model = mini_model()
         model.gw2.data[0, 0] = np.nan
         with pytest.raises(NumericalAbort) as excinfo:
-            train(model, dataset, split, embeddings, embedder, mini_config(iterations=3))
+            train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=3))
         assert excinfo.value.last_good is not None
         assert excinfo.value.iteration == 0
 
@@ -551,12 +570,13 @@ GOLDEN_KGGAN_LOG = Path(__file__).parent / "golden" / "kggan_mini_metrics.csv"
 class TestTapeSize:
     @pytest.mark.parametrize(
         "mode, cond_dim, lambda_se, expected",
-        [("semantic_embedding", EMB, 0.1, [38, 58]), ("one_hot", 6, 0.0, [38, 25])],
+        [("semantic_embedding", EMB, 0.1, [36, 53]), ("one_hot", 6, 0.0, [36, 23])],
         ids=["semantic", "one_hot"],
     )
     def test_nodes_recorded_per_step(self, mini_data, monkeypatch, mode, cond_dim, lambda_se, expected):
-        """The condition rows enter the forwards already whitened: no
-        per-forward transform of constants is recorded on the tape."""
+        """The condition rows enter the forwards as the table holds them and
+        the images as the rows the networks take: no per-forward transform
+        of constants and no reshape of an image batch is recorded."""
         _, dataset, split, embeddings, embedder = mini_data
         counts, backward = [], ad.backward
         monkeypatch.setattr(
@@ -564,7 +584,8 @@ class TestTapeSize:
         )
         model = mini_model(condition_mode=mode, cond_dim=cond_dim)
         config = mini_config(iterations=2, lambda_se=lambda_se)
-        train(model, dataset, split, embeddings, embedder if lambda_se else None, config)
+        cond = gan.condition_table(mode, embeddings)
+        train(model, dataset, split, cond, embeddings, embedder if lambda_se else None, config)
         # D's backward, then G's, in each iteration
         assert counts == expected * 2
 
@@ -578,7 +599,8 @@ class TestKnowledgeLossGolden:
         rewritten."""
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        _, log = train(model, dataset, split, embeddings, embedder, mini_config(iterations=200))
+        config = mini_config(iterations=200)
+        _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
         text = log.to_csv_text([f"params {digest:016x}"])
         assert text == GOLDEN_KGGAN_LOG.read_text(encoding="utf-8")
@@ -594,7 +616,7 @@ class TestBaselineReduction:
         split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
         model = mini_model(condition_mode="one_hot", cond_dim=len(specs))
         config = mini_config(iterations=200, lambda_se=0.0)
-        _, log = train(model, dataset, split, embeddings, None, config)
+        _, log = train(model, dataset, split, np.eye(len(specs)), embeddings, None, config)
         digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
         text = log.to_csv_text([f"params {digest:016x}"])
         assert text == GOLDEN_SNGAN_LOG.read_text(encoding="utf-8")
@@ -606,14 +628,15 @@ class TestCheckpointResume:
         config = mini_config(iterations=40)
 
         model_full = mini_model()
-        _, log_full = train(model_full, dataset, split, embeddings, embedder, config)
+        _, log_full = train(model_full, dataset, split, embeddings, embeddings, embedder, config)
 
         # interruptible path: train to 20, checkpoint, load, continue to 40
         config_half = mini_config(iterations=20)
         model_a = mini_model()
-        opt_g, opt_d = gan._make_optimizers(model_a, config_half, None, None)
+        opt_g, opt_d = gan.new_optimizers(model_a, config_half)
         _, log_a = train(
-            model_a, dataset, split, embeddings, embedder, config_half, opt_g=opt_g, opt_d=opt_d
+            model_a, dataset, split, embeddings, embeddings, embedder, config_half,
+            opt_g=opt_g, opt_d=opt_d,
         )
         path = tmp_path / "gan.ckpt"
         save_gan(path, model_a, opt_g, opt_d, iteration=20)
@@ -625,6 +648,7 @@ class TestCheckpointResume:
             model_c,
             dataset,
             split,
+            embeddings,
             embeddings,
             embedder,
             config,
@@ -638,7 +662,7 @@ class TestCheckpointResume:
     def test_checkpoint_preserves_condition_mode(self, mini_data, tmp_path):
         model = mini_model(condition_mode="one_hot", cond_dim=6)
         config = mini_config()
-        opt_g, opt_d = gan._make_optimizers(model, config, None, None)
+        opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
         save_gan(path, model, opt_g, opt_d, iteration=0)
         wrong = mini_model(condition_mode="semantic_embedding")
@@ -667,7 +691,7 @@ class TestCheckpointResume:
     )
     def test_mismatched_tensor_is_named(self, tmp_path, damage, named):
         model, config = mini_model(), mini_config()
-        opt_g, opt_d = gan._make_optimizers(model, config, None, None)
+        opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
         save_gan(path, model, opt_g, opt_d, iteration=0)
         state, metadata = load_checkpoint(path)
@@ -687,17 +711,25 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert a.shape == (4, 3, IMG, IMG)
 
-    def test_conditions_table_by_mode(self, mini_data):
+
+class TestConditionTable:
+    def test_one_hot_is_the_identity(self, mini_data):
         embeddings = mini_data[3]
-        # an untouched semantic model conditions on the embedding table's values
-        assert np.array_equal(mini_model().conditions(embeddings), embeddings)
-        # one-hot mode: row i is the i-th unit vector, whatever the embeddings
-        cond = mini_model(condition_mode="one_hot", cond_dim=3).conditions(embeddings)
-        assert np.array_equal(cond, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        # preconditioned: a batch of the table's rows has the bits of
-        # whitening that batch's own condition vectors
-        model = mini_model()
+        # row i is the i-th unit vector, whatever the embeddings
+        assert np.array_equal(gan.condition_table("one_hot", embeddings), np.eye(len(embeddings)))
+        assert np.array_equal(gan.condition_table("one_hot", embeddings[:3]), np.eye(3))
+
+    def test_semantic_is_the_whitened_table_bitwise(self, mini_data):
+        embeddings = mini_data[3]
         matrix, shift = gan.condition_preconditioner(embeddings)
-        model.set_condition_preconditioner(matrix, shift)
+        cond = gan.condition_table("semantic_embedding", embeddings)
+        assert cond.tobytes() == ((embeddings - shift) @ matrix).tobytes()
+
+    def test_batch_of_rows_is_whitening_the_batch(self, mini_data):
+        """A batch of the table's rows has the bits of whitening that
+        batch's own condition vectors."""
+        embeddings = mini_data[3]
+        matrix, shift = gan.condition_preconditioner(embeddings)
         ids = np.array([3, 0, 5, 0, 2, 1, 4, 3])  # a batch of 8 naming every category
-        assert np.array_equal(model.conditions(embeddings)[ids], (embeddings[ids] - shift) @ matrix)
+        cond = gan.condition_table("semantic_embedding", embeddings)
+        assert np.array_equal(cond[ids], (embeddings[ids] - shift) @ matrix)

@@ -47,7 +47,7 @@ def mini_config(**kw):
 def predict(model, images):
     """No-grad predictions for an [n,3,S,S] batch."""
     with ad.no_grad():
-        return model.forward(Tensor(np.asarray(images))).data
+        return model.forward(Tensor(np.asarray(images).reshape(len(images), -1))).data
 
 
 def param_bytes(model):
@@ -155,14 +155,14 @@ class TestFreeze:
     def test_hash_constant_after_freeze(self, trained):
         _, images, ids, embeddings, model = trained
         before = param_bytes(model)
-        images = Tensor(images[:2].copy())
+        images = Tensor(images[:2].reshape(2, -1))
         loss = ad.tsum(ad.square(ad.sub(model.forward(images), Tensor(embeddings[ids[:2]]))))
         ad.backward(loss, [images])
         assert param_bytes(model) == before
 
     def test_gradient_flows_through_but_not_into_params(self, trained):
         _, images, ids, embeddings, model = trained
-        images = Tensor(images[:1].copy())
+        images = Tensor(images[:1].reshape(1, -1))
         target = Tensor(embeddings[ids[0]][None])
         loss = ad.tsum(ad.square(ad.sub(model.forward(images), target)))
         param_ids = {id(p) for p in model.parameters()}
@@ -182,7 +182,7 @@ class TestFreeze:
 
     def test_input_gradient_matches_finite_differences(self, trained):
         _, images, ids, embeddings, model = trained
-        base = images[:1].copy()
+        base = images[:1].reshape(1, -1).copy()
         target = embeddings[ids[0]][None]
 
         def loss_value(arr):
@@ -226,6 +226,9 @@ class TestPredict:
     def test_shape_mismatch_rejected(self, trained):
         with pytest.raises(DimensionError):
             predict(trained[4], np.zeros((1, 3, 8, 8)))
+        # the model takes rows only, not the dataset's [b, 3, S, S] layout
+        with pytest.raises(DimensionError, match=r"input \(1, 3, 12, 12\) vs weight \(432, 128\)"):
+            trained[4].forward(Tensor(np.zeros((1, 3, 12, 12))))
 
     def test_nearest_embedding_classification_beats_chance(self, trained):
         specs, _, _, embeddings, model = trained

@@ -117,7 +117,7 @@ class TestMeanForegroundColorBatch:
 
         model = gan.GanModel(16, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(8))
         for spec in specs[:3]:
-            self.check(gan.sample_images(model, spec.id, 256, None, seed=105))
+            self.check(gan.sample_images(model, spec.id, 256, np.eye(len(specs)), seed=105))
 
     def test_all_background_image_counts_every_pixel(self, rng):
         images = rng.uniform(-1, 1, size=(5, 3, 16, 16))

@@ -1,8 +1,8 @@
 """Guards: every function and class in ``src/kggan`` has a caller there,
 every defaulted parameter is passed there, every ``ExperimentConfig``
 field is read there, every dataclass field is read there, every import
-is used by its module, and only ``checkpoint.write_atomic`` opens a file
-for writing.
+is used by its module, no module reads another's private attribute, and
+only ``checkpoint.write_atomic`` opens a file for writing.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
@@ -29,6 +29,12 @@ in the package loads an attribute of its spelling.
 An import its module never spells is a dependency nothing needs. The
 package's ``__init__`` imports to re-export, and an import marked
 ``# noqa`` is kept on purpose, so both are exempt.
+
+A ``_private`` name is its module's own. Another module that reads it,
+as ``module._name`` through a ``from . import module``, depends on what
+the owner may change without notice; a helper two modules share is
+public. Only attribute loads in code count, so a docstring naming one
+does not.
 
 Every artifact goes through the one atomic writer, which the disk-full
 test in ``test_checkpoint.py`` breaks to show a failed write keeps the
@@ -230,6 +236,47 @@ def unused_imports():
 
 def test_every_import_is_used_by_its_module():
     assert unused_imports() == []
+
+
+def private_reads(trees=None):
+    """``module:other._name`` of each private attribute a module reads from
+    a sibling module it imported by name."""
+    found = []
+    for module, tree in sorted((trees or _trees()).items()):
+        siblings = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+            ):
+                found.append(f"{module}:{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    assert private_reads() == []
+
+
+def test_private_read_guard_sees_code_not_docstrings():
+    source = '''
+"""Docstrings may name gan._make_optimizers."""
+from . import gan, regressor as reg
+from .optim import _private_helper
+
+
+def run(model, config):
+    reg.__doc__
+    return gan._make_optimizers(model, config, None, None), _private_helper
+'''
+    assert private_reads({"cli": ast.parse(source)}) == ["cli:gan._make_optimizers"]
 
 
 def _open_mode(call):
