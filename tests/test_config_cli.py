@@ -639,6 +639,39 @@ class TestEvaluationGolden:
             assert rows == (GOLDEN / f"tiny_kggan_full_{name}").read_text(encoding="utf-8"), name
 
 
+@pytest.fixture(scope="module")
+def ablated(tmp_path_factory):
+    """The TINY config's ``ablate`` output directory."""
+    from kggan import cli
+
+    root = tmp_path_factory.mktemp("ablate")
+    cfg = root / "exp.cfg"
+    cfg.write_text(TINY.format(out=root / "out"))
+    assert cli.main(["--config", str(cfg), "ablate"]) == 0
+    return root / "out"
+
+
+class TestAblationGolden:
+    """The TINY config's ``ablate`` tables and kggan_full sample grids,
+    recorded in the golden files before the table writers were merged.
+    Header lines carry the config hash, which covers ``out_dir``, so only
+    the lines below them and the pixels after the PPM header are pinned."""
+
+    @pytest.mark.parametrize("name", ["combined.csv", "combined.txt"])
+    def test_combined_report_matches_golden(self, ablated, name):
+        lines = (ablated / "ablation" / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        body = "".join(line for line in lines if not line.startswith("#"))
+        assert body == (GOLDEN / f"tiny_ablation_{name}").read_text(encoding="utf-8")
+
+    def test_kggan_full_sample_pixels_match_golden(self, ablated):
+        digests = []
+        for ppm in sorted((ablated / "cells" / "kggan_full" / "samples").glob("*.ppm")):
+            magic, _comment, size, maxval, pixels = ppm.read_bytes().split(b"\n", 4)
+            assert (magic, maxval) == (b"P6", b"255")
+            digests.append(f"{ppm.name} {hashlib.blake2b(pixels).hexdigest()}\n")
+        assert "".join(digests) == (GOLDEN / "tiny_kggan_full_samples.blake2b").read_text(encoding="utf-8")
+
+
 class TestBenchmarkChecks:
     def test_checkpoint_check_loads_what_train_writes(self, trained_cells):
         """The benchmark's checkpoint check runs against the package as it
