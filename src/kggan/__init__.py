@@ -5,6 +5,8 @@ loss: seen categories get the hinge adversarial objective plus a semantic
 knowledge term, unseen categories the knowledge term alone. Everything
 runs at desk scale on a procedurally generated flower dataset, with
 per-category Frechet evaluation and a four-cell ablation harness.
+Training returns its metric log as plain rows, one tuple per iteration,
+whose columns ``gan.METRIC_COLUMNS`` names.
 
 ``backward(loss, params)`` returns the gradients of a scalar loss for
 exactly the params passed; tensors hold no gradient and no flag, so
@@ -16,7 +18,7 @@ from .autodiff import Tensor, backward, no_grad
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractError, DimensionError, NumericalAbort
 from .evaluation import FidReport, GaussianStats, frechet_distance
-from .gan import GanModel, MetricLog, TrainConfig
+from .gan import GanModel, TrainConfig
 from .regressor import RegressorModel
 from .synthdata import CategorySpec, Dataset, SplitPlan
 
@@ -32,7 +34,6 @@ __all__ = [
     "FidReport",
     "GanModel",
     "GaussianStats",
-    "MetricLog",
     "NumericalAbort",
     "RegressorModel",
     "SplitPlan",

@@ -4,8 +4,13 @@ four-cell ablation.
 Verbs: generate-data, train-embedder, train --cell <name>, evaluate,
 ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
-4 numerical abort, 5 I/O error. ``ablate`` runs every cell, then exits
-with the code of the first cell that failed, in ``CELLS`` order.
+4 numerical abort, 5 I/O error. ``evaluate`` writes a cell's
+fid_report.csv, fid_table.txt, consistency.csv, color_fidelity.csv and
+samples/category_<id>.ppm grids. ``ablate`` is ``generate-data``,
+``train-embedder``, then ``cmd_train`` and ``evaluate_checkpoint`` per
+cell; it writes ablation/combined.csv and combined.txt and exits with
+the code of the first cell that failed, in ``CELLS`` order. Every CSV
+is written by ``_write_table``, each float as its ``repr``.
 
 ``dataset/dataset.ckpt`` (the float32 images and the category table)
 and ``embedder.ckpt`` record the config fields they depend on. A verb
@@ -67,13 +72,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, ContractError, NumericalAbort
-from .gan import (
-    CONDITION_ONE_HOT,
-    CONDITION_SEMANTIC,
-    GanModel,
-    MetricLog,
-    TrainConfig,
-)
+from .gan import CONDITION_ONE_HOT, CONDITION_SEMANTIC, GanModel, TrainConfig
 
 CELLS = ("baseline_full_data", "one_hot_kggan", "kggan_no_se", "kggan_full")
 
@@ -238,7 +237,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     tconfig = _train_config(config, run["lambda_se"])
     model, cond = _build_model(config, condition_mode, embeddings)
 
-    start_iteration, log = 0, MetricLog()
+    start_iteration, log = 0, []
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
         model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig, run=expect)
@@ -248,7 +247,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
                 f"gan_iterations {config.gan_iterations}; there is nothing to train"
             )
         name = ABORTED_LOG if os.path.basename(resume) == ABORTED_CHECKPOINT else "metrics.csv"
-        log.rows = _logged_rows(os.path.join(os.path.dirname(resume), name), start_iteration)
+        log = _logged_rows(os.path.join(os.path.dirname(resume), name), start_iteration)
     else:
         opt_g, opt_d = gan.new_optimizers(model, tconfig)
 
@@ -274,7 +273,7 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
 
 def _logged_rows(path: str, start: int) -> list:
     """Rows 0..start-1 of the metric log at ``path``, each written exactly as
-    ``MetricLog`` writes it; otherwise ContractError names the first bad row."""
+    ``_row_text`` writes it; otherwise ContractError names the first bad row."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = [line for line in fh.read().splitlines() if not line.startswith(("#", "iteration,"))]
     rows = []
@@ -282,7 +281,7 @@ def _logged_rows(path: str, start: int) -> list:
         try:
             it, *losses = lines[i].split(",")
             rows.append((int(it), *map(float, losses)))
-            ok = i < start and rows[i][0] == i and MetricLog.row_text(rows[i]) == lines[i]
+            ok = i < start and rows[i][0] == i and _row_text(rows[i]) == lines[i]
         except (IndexError, ValueError):  # a missing row, or not an int and four floats
             ok = False
         if not ok:
@@ -306,12 +305,24 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         if abort.last_good is not None:
             path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
             gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], abort.iteration, run)
-            write_atomic(os.path.join(cell_dir, ABORTED_LOG), abort.log.to_csv_text(header))
+            _write_table(os.path.join(cell_dir, ABORTED_LOG), header, gan.METRIC_COLUMNS, abort.log)
         raise
     gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations, run)
-    write_atomic(os.path.join(cell_dir, "metrics.csv"), log.to_csv_text(header))
-    print(f"trained cell {cell}: {len(log.rows)} iterations logged")
+    _write_table(os.path.join(cell_dir, "metrics.csv"), header, gan.METRIC_COLUMNS, log)
+    print(f"trained cell {cell}: {len(log)} iterations logged")
     return 0
+
+
+def _row_text(row) -> str:
+    """One CSV line: ``str`` of each value, for a float its ``repr``."""
+    return ",".join(map(str, row))
+
+
+def _write_table(path, header_lines, columns, rows) -> None:
+    """A ``# `` line per header line, the ``columns`` line, a ``_row_text`` line per row."""
+    lines = [f"# {line}" for line in header_lines] + [",".join(columns)]
+    lines.extend(map(_row_text, rows))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_ppm(path, grid01: np.ndarray, comment: str) -> None:
@@ -333,17 +344,17 @@ def _sample_grid(images: np.ndarray) -> np.ndarray:
 
 
 def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = None):
-    """Score one trained cell.
+    """Score one trained cell, write its FID report and table, metric CSVs
+    and sample grids, and return its FidReport.
 
-    Returns (FidReport, consistency, color, sample_fn, split). Only the
-    generator is restored from the checkpoint, which is verified whole
-    (see ``gan.load_generator``); the condition table is rebuilt from the
-    dataset's category table, as training built it. Each
-    category's n_gen images are drawn once and go through the regressor's
-    trunk once; that draw and its features feed all three metrics.
+    Only the generator is restored from the checkpoint, which is verified
+    whole (see ``gan.load_generator``); the condition table is rebuilt from
+    the dataset's category table, as training built it. Each category's
+    n_gen images are drawn once and go through the regressor's trunk once;
+    that draw and its features feed all three metrics.
     """
     config = ws.config
-    condition_mode = CELL_RULES[cell][0]
+    condition_mode, _, use_knowledge = CELL_RULES[cell]
     dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     split = _split(config)
     path = checkpoint_path or ws.checkpoint_path(cell)
@@ -366,55 +377,39 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     report = evaluation.per_category_fid(
         sample_fn, dataset, split, embedder, config.n_gen, on_draw=score_draw
     )
-    return report, consistency, color, sample_fn, split
 
-
-def cmd_evaluate(ws: Workspace, cell: str, checkpoint_path: str | None = None) -> int:
-    _write_evaluation(ws, cell, *evaluate_checkpoint(ws, cell, checkpoint_path))
-    return 0
-
-
-def _write_evaluation(ws: Workspace, cell: str, report, consistency, color, sample_fn, split) -> None:
-    """Write a cell's FID report and table, metric CSVs and sample grids."""
-    config = ws.config
     cell_dir = ws.cell_dir(cell)
     os.makedirs(cell_dir, exist_ok=True)
-    header = ws.header(config.eval_seed) + [f"cell {cell}", f"n_gen {config.n_gen}"]
-
-    lines = [f"# {h}" for h in header]
-    lines.append("category_id,fid,split")
-    for cid in sorted(report.per_category):
-        part = "unseen" if cid in split.unseen_ids else "seen"
-        lines.append(f"{cid},{report.per_category[cid]!r},{part}")
-    lines.append(f"seen_avg,{report.seen_avg!r},")
-    lines.append(f"unseen_avg,{report.unseen_avg!r},")
-    write_atomic(os.path.join(cell_dir, "fid_report.csv"), "\n".join(lines) + "\n")
-
-    condition_mode, _, use_knowledge = CELL_RULES[cell]
-    table = evaluation.format_fid_table(
-        [(cell, condition_mode, use_knowledge, report.seen_avg, report.unseen_avg)], header
+    header = ws.header(config.eval_seed) + [f"cell {cell}"]
+    table_header = header + [f"n_gen {config.n_gen}"]
+    rows = [
+        (cid, report.per_category[cid], "unseen" if cid in split.unseen_ids else "seen")
+        for cid in sorted(report.per_category)
+    ]
+    rows += [("seen_avg", report.seen_avg, ""), ("unseen_avg", report.unseen_avg, "")]
+    _write_table(
+        os.path.join(cell_dir, "fid_report.csv"), table_header, ("category_id", "fid", "split"), rows
     )
-    write_atomic(os.path.join(cell_dir, "fid_table.txt"), table)
-
+    row = (cell, condition_mode, use_knowledge, report.seen_avg, report.unseen_avg)
+    write_atomic(os.path.join(cell_dir, "fid_table.txt"), evaluation.format_fid_table([row], table_header))
     for name, mapping in (("consistency.csv", consistency), ("color_fidelity.csv", color)):
-        rows = [f"# {h}" for h in header]
-        rows.append("category_id,value")
-        rows.extend(f"{cid},{mapping[cid]!r}" for cid in sorted(mapping))
-        write_atomic(os.path.join(cell_dir, name), "\n".join(rows) + "\n")
+        rows = [(cid, mapping[cid]) for cid in sorted(mapping)]
+        _write_table(os.path.join(cell_dir, name), table_header, ("category_id", "value"), rows)
 
     samples_dir = os.path.join(cell_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)
     n_grid = GRID_COLUMNS * config.grid_rows
     for cid in sorted(split.seen_ids | split.unseen_ids):
         grid = _sample_grid(sample_fn(cid, n_grid))
-        _write_ppm(
-            os.path.join(samples_dir, f"category_{cid}.ppm"),
-            grid,
-            f"config {config_hash(config)} seed {config.eval_seed} cell {cell} category {cid}",
-        )
-    print(
-        f"evaluated {cell}: seen FID {report.seen_avg:.4f}, unseen FID {report.unseen_avg:.4f}"
-    )
+        comment = " ".join(header + [f"category {cid}"])
+        _write_ppm(os.path.join(samples_dir, f"category_{cid}.ppm"), grid, comment)
+    print(f"evaluated {cell}: seen FID {report.seen_avg:.4f}, unseen FID {report.unseen_avg:.4f}")
+    return report
+
+
+def cmd_evaluate(ws: Workspace, cell: str, checkpoint_path: str | None = None) -> int:
+    evaluate_checkpoint(ws, cell, checkpoint_path)
+    return 0
 
 
 def _verdict_lines(results: dict) -> list:
@@ -440,46 +435,33 @@ def _verdict_lines(results: dict) -> list:
 
 def cmd_ablate(ws: Workspace) -> int:
     """Run all four cells with shared data and embedder, then report."""
-    config = ws.config
     cmd_generate_data(ws)
     cmd_train_embedder(ws)
 
-    results = {}
-    failures = {}
+    results, failures = {}, {}
     for cell in CELLS:
         try:
             cmd_train(ws, cell)
-            evaluated = evaluate_checkpoint(ws, cell)
-            _write_evaluation(ws, cell, *evaluated)
-            results[cell] = evaluated[0]
+            results[cell] = evaluate_checkpoint(ws, cell)
         except tuple(EXIT_CODES) as exc:
             failures[cell] = exc
 
     os.makedirs(ws.ablation_dir, exist_ok=True)
-    header = ws.header(config.gan_seed)
-    csv_lines = [f"# {h}" for h in header]
-    csv_lines.append("method,condition,l_se,seen_fid,unseen_fid")
-    table_rows = []
+    header = ws.header(ws.config.gan_seed)
+    csv_rows, table_rows = [], []
     for cell in CELLS:
         condition_mode, _, use_knowledge = CELL_RULES[cell]
-        flag = "yes" if use_knowledge else "no"
+        scores = ("failed", "failed")
         if cell in results:
-            rep = results[cell]
-            csv_lines.append(f"{cell},{condition_mode},{flag},{rep.seen_avg!r},{rep.unseen_avg!r}")
-            table_rows.append((cell, condition_mode, use_knowledge, rep.seen_avg, rep.unseen_avg))
-        else:
-            csv_lines.append(f"{cell},{condition_mode},{flag},failed,failed")
-    write_atomic(os.path.join(ws.ablation_dir, "combined.csv"), "\n".join(csv_lines) + "\n")
+            scores = (results[cell].seen_avg, results[cell].unseen_avg)
+            table_rows.append((cell, condition_mode, use_knowledge, *scores))
+        csv_rows.append((cell, condition_mode, "yes" if use_knowledge else "no", *scores))
+    columns = ("method", "condition", "l_se", "seen_fid", "unseen_fid")
+    _write_table(os.path.join(ws.ablation_dir, "combined.csv"), header, columns, csv_rows)
 
-    text = evaluation.format_fid_table(table_rows, header)
-    verdicts = _verdict_lines(results)
-    report_lines = [text.rstrip("\n"), ""]
-    report_lines.extend(verdicts)
-    for cell, exc in failures.items():
-        report_lines.append(f"cell {cell} FAILED: {type(exc).__name__}: {exc}")
-    report_lines.append("")
-    report_lines.extend(REFERENCE_FOOTER)
-    report_text = "\n".join(report_lines) + "\n"
+    table = evaluation.format_fid_table(table_rows, header).rstrip("\n")
+    failed = [f"cell {cell} FAILED: {type(exc).__name__}: {exc}" for cell, exc in failures.items()]
+    report_text = "\n".join([table, "", *_verdict_lines(results), *failed, "", *REFERENCE_FOOTER, ""])
     write_atomic(os.path.join(ws.ablation_dir, "combined.txt"), report_text)
     print(report_text, end="")
 

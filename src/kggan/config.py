@@ -75,12 +75,18 @@ MIN_VALUES = {
     **{name: 0 for name in SEED_FIELDS},
 }
 
+# synthdata's category recipes: 3 colours x 4 shapes x 3 textures
+MAX_CATEGORIES = 36
+
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     for name, minimum in MIN_VALUES.items():
         value = getattr(config, name)
         if value < minimum:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if config.n_categories > MAX_CATEGORIES:
+        low = MIN_VALUES["n_categories"]
+        raise ConfigError(f"n_categories must be in [{low}, {MAX_CATEGORIES}], got {config.n_categories}")
     if not (1 <= config.n_unseen < config.n_categories):
         raise ConfigError(
             f"n_unseen must be in [1, {config.n_categories - 1}], got {config.n_unseen}"

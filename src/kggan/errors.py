@@ -25,9 +25,8 @@ class NumericalAbort(RuntimeError):
     parameters, the spectral ``u`` vectors and both optimizers' moments.
     It holds no iteration or condition table: the iteration is
     ``iteration``, and the table is rebuilt from the dataset's category
-    table.
-    ``log`` is the loop's ``MetricLog``, holding the rows of the
-    iterations before it.
+    table. ``log`` is the loop's metric log, the list of
+    ``gan.METRIC_COLUMNS`` rows of the iterations before it.
     """
 
     def __init__(self, message, last_good=None, iteration=None, log=None):

@@ -25,12 +25,12 @@ discriminator and the regressor as it is. A condition is a row of the
 the whitened embedding table in semantic mode and the identity in one-hot
 mode; row i conditions category i. A batch of categories ``ids`` is
 conditioned on ``cond[ids]`` and its knowledge-loss targets are
-``embeddings[ids]``.
+``embeddings[ids]``. ``train`` logs one ``METRIC_COLUMNS`` row per iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,9 @@ LEAK = 0.1
 
 # exponent of the condition preconditioner's eigenvalue rescaling
 WHITENING = 0.5
+
+# the columns of a metric-log row, one row per training iteration
+METRIC_COLUMNS = ("iteration", "L_D", "L_G", "L_se_seen", "L_se_unseen")
 
 
 @dataclass
@@ -237,24 +240,6 @@ def hinge_g_loss(fake_scores: Tensor) -> Tensor:
 # training
 
 
-@dataclass
-class MetricLog:
-    """Per-iteration record: (iteration, L_D, L_G, L_se_seen, L_se_unseen)."""
-
-    rows: list = field(default_factory=list)
-
-    def to_csv_text(self, header_lines=()) -> str:
-        lines = [f"# {line}" for line in header_lines]
-        lines.append("iteration,L_D,L_G,L_se_seen,L_se_unseen")
-        lines.extend(self.row_text(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def row_text(row) -> str:
-        it, l_d, l_g, se_s, se_u = row
-        return f"{it},{l_d!r},{l_g!r},{se_s!r},{se_u!r}"
-
-
 def _stream(seed: int, iteration: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([seed & _MASK64, iteration, stream])
@@ -311,9 +296,11 @@ def _g_adv(model, cats, cond, config, rng_z):
     return fakes, g_cats, hinge_g_loss(scores)
 
 
-def _finite_or_abort(values, iteration):
-    if not all(np.isfinite(v) for v in values):
-        raise NumericalAbort(f"non-finite loss at iteration {iteration}")
+def _finite_or_abort(losses):
+    """Abort naming each non-finite loss by its ``METRIC_COLUMNS`` name."""
+    bad = [name for name, value in zip(METRIC_COLUMNS[1:], losses) if not np.isfinite(value)]
+    if bad:
+        raise NumericalAbort(f"non-finite loss {', '.join(bad)}")
 
 
 def new_optimizers(model: GanModel, config: TrainConfig):
@@ -337,7 +324,7 @@ def train(
     start_iteration: int = 0,
     opt_g: AdamState | None = None,
     opt_d: AdamState | None = None,
-    log: MetricLog | None = None,
+    log: list | None = None,
 ):
     """Category-dependent training: seen batches drive the adversarial and
     knowledge losses, unseen batches the knowledge loss alone.
@@ -352,11 +339,12 @@ def train(
 
     Trains iterations ``start_iteration`` .. ``config.iterations - 1``,
     continuing ``opt_g`` and ``opt_d`` when given (a resume) or starting
-    ``new_optimizers``. Returns (model, MetricLog): one row per iteration
-    trained here, appended to ``log`` when given (a resume's rows of the
-    iterations before ``start_iteration``). A non-finite loss or gradient
-    raises NumericalAbort before G is updated; it carries the state and
-    the log as they stood at the start of the failing iteration.
+    ``new_optimizers``. Returns (model, log): a list of ``METRIC_COLUMNS``
+    rows, one per iteration trained here, appended to ``log`` when given (a
+    resume's rows of the iterations before ``start_iteration``). A non-finite
+    loss or gradient raises NumericalAbort before G is updated, naming what
+    it was and "at iteration N"; it carries the state and the log as they
+    stood at the start of the failing iteration.
     """
     if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
         raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
@@ -376,7 +364,7 @@ def train(
     if opt_g is None and opt_d is None:
         opt_g, opt_d = new_optimizers(model, config)
     if log is None:
-        log = MetricLog()
+        log = []
 
     for iteration in range(start_iteration, config.iterations):
         # The state at the start of the iteration, kept for an abort. It
@@ -416,14 +404,15 @@ def train(
                 se_unseen = 0.0
                 loss_g = adv
             l_g = loss_g.item()
-            _finite_or_abort((l_d, l_g, se_seen, se_unseen), iteration)
+            _finite_or_abort((l_d, l_g, se_seen, se_unseen))
             params = model.generator_params()
             adam_step(params, opt_g, ad.backward(loss_g, params))
         except NumericalAbort as abort:
             ad.get_tape().clear()
-            raise NumericalAbort(str(abort), last_good=snapshot, iteration=iteration, log=log) from None
+            message = f"{abort} at iteration {iteration}"
+            raise NumericalAbort(message, last_good=snapshot, iteration=iteration, log=log) from None
 
-        log.rows.append((iteration, l_d, l_g, se_seen, se_unseen))
+        log.append((iteration, l_d, l_g, se_seen, se_unseen))
     return model, log
 
 

@@ -115,7 +115,8 @@ class TestConfig:
         + ["gan_lr = 0", "embedder_lr = -1e-3", "embedder_lr = inf", "adam_beta1 = -0.1",
            "adam_beta2 = 1.0", "adam_beta2 = nan", "lambda_se = nan", "n_gen = 1",
            "z_dim = 0", "d_hidden = 0", "feat_dim = 0", "grid_rows = 0", "n_categories = 1",
-           "d_steps_per_g_step = 0", "embedder_steps = 0", "embedder_plateau = -1"],
+           "d_steps_per_g_step = 0", "embedder_steps = 0", "embedder_plateau = -1",
+           "n_categories = 37"],
     )
     def test_negative_seed_and_empty_batch_rejected(self, line):
         with pytest.raises(ConfigError, match=line.split()[0]):
@@ -136,6 +137,7 @@ class TestConfig:
             ("n_gen = 1\n", ["evaluate", "--cell", "kggan_full"]),
             ("descriptions_per_category = 0\n", ["generate-data"]),
             ("images_per_category = 1\n", ["evaluate", "--cell", "kggan_full"]),
+            ("n_categories = 40\n", ["generate-data"]),
         ],
     )
     def test_out_of_range_seed_or_batch_exits_2_without_traceback(self, tmp_path, settings, args):
@@ -152,6 +154,18 @@ class TestConfig:
         else:
             assert f"config error: {settings.split()[0]} must be" in proc.stderr
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_category_bound_is_the_recipe_count(self):
+        """validate_config's n_categories bound is the number of category
+        recipes synthdata has, and the message names the range it enforces."""
+        from kggan import synthdata as sd
+        from kggan.config import MAX_CATEGORIES
+
+        assert MAX_CATEGORIES == len(sd.PALETTE) * len(sd.SHAPES) * len(sd.TEXTURE_FREQS)
+        assert parse_config(f"n_categories = {MAX_CATEGORIES}\n").n_categories == MAX_CATEGORIES
+        assert len(sd.make_category_specs(MAX_CATEGORIES)) == MAX_CATEGORIES
+        with pytest.raises(ConfigError, match=rf"^n_categories must be in \[2, {MAX_CATEGORIES}\], got 37$"):
+            parse_config("n_categories = 37\n")
 
     def test_repeated_key_rejected_naming_both_lines(self):
         text = "gan_iterations = 2\nbatch_size = 4\n\ngan_iterations = 5\n"
@@ -244,15 +258,31 @@ class TestTrainAndEvaluate:
         assert len(ppms) == 6
 
     def test_one_draw_scores_match_separate_draws(self, workspace):
-        from kggan import cli, evaluation, regressor, synthdata
+        from kggan import cli, evaluation, gan, regressor, synthdata
         from kggan.autodiff import Tensor, no_grad
         from kggan.config import load_config
 
         ws = cli.Workspace(load_config(workspace[1]))
-        report, consistency, color, sample_fn, split = cli.evaluate_checkpoint(ws, "kggan_full")
+        report = cli.evaluate_checkpoint(ws, "kggan_full")
+
+        def written(name):
+            """A score CSV as evaluate wrote it: float of each value is the value."""
+            lines = (Path(ws.cell_dir("kggan_full")) / name).read_text().splitlines()
+            rows = [line.split(",") for line in lines if not line.startswith("#")]
+            assert rows[0] == ["category_id", "value"]
+            return {int(cid): float(value) for cid, value in rows[1:]}
+
+        consistency, color = written("consistency.csv"), written("color_fidelity.csv")
         config = ws.config
         dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
         embedder = regressor.load_regressor(ws.embedder_path, config)
+        split = cli._split(config)
+        model, cond = cli._build_model(config, gan.CONDITION_SEMANTIC, embeddings)
+        gan.load_generator(ws.checkpoint_path("kggan_full"), model)
+
+        def sample_fn(cid, n):
+            return gan.sample_images(model, cid, n, cond, config.eval_seed)
+
         ids = sorted(split.seen_ids | split.unseen_ids)
         specs_by_id = {s.id: s for s in dataset.specs}
         n = config.n_gen
@@ -903,6 +933,33 @@ class TestAbortCheckpoint:
         argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
         assert cli.main(argv) == 0
         assert (cell_dir / "metrics.csv").read_bytes() == finished
+
+
+class TestAbortMessage:
+    def test_abort_names_the_parameter_and_the_iteration(self, tmp_path, monkeypatch, capsys):
+        """A NaN in G.w1's gradient at iteration k exits 4, and stderr names
+        the parameter and the iteration."""
+        from kggan import cli, gan, optim
+
+        k = 3
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 8"))
+        for cmd in (["generate-data"], ["train-embedder"]):
+            assert cli.main(["--config", str(cfg), *cmd]) == 0
+        g_steps = []
+
+        def poisoned(params, state, grads):
+            if params[0].name == "G.w1":  # a G step
+                g_steps.append(params[0].name)
+                if len(g_steps) == k + 1:  # iteration k's
+                    grads[0][0, 0] = np.nan
+            return optim.adam_step(params, state, grads)
+
+        monkeypatch.setattr(gan, "adam_step", poisoned)
+        capsys.readouterr()
+        assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
+        err = capsys.readouterr().err
+        assert err == f"numerical abort: non-finite gradient for parameter G.w1 at iteration {k}\n"
 
 
 class TestUnwritableCellDirectory:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kggan import autodiff as ad
-from kggan import gan
+from kggan import cli, gan
 from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.autodiff import Tensor
@@ -42,6 +42,12 @@ def params_hash(arrays) -> int:
         h ^= fnv1a_64(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def log_text(log, path, header_lines=()):
+    """The metric log as the CLI writes it, read back from ``path``."""
+    cli._write_table(path, header_lines, gan.METRIC_COLUMNS, log)
+    return path.read_text(encoding="utf-8")
 
 
 def mini_model(condition_mode="semantic_embedding", cond_dim=EMB, seed=3):
@@ -420,14 +426,14 @@ class TestTrainLoop:
         ):
             assert np.array_equal(p.data, q.data)
 
-    def test_fixed_seed_runs_identically(self, mini_data):
+    def test_fixed_seed_runs_identically(self, mini_data, tmp_path):
         _, dataset, split, embeddings, embedder = mini_data
 
         def run():
             model = mini_model()
             config = mini_config(iterations=50)
             _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
-            return log.to_csv_text()
+            return log_text(log, tmp_path / "log.csv")
 
         assert run() == run()
 
@@ -456,19 +462,19 @@ class TestTrainLoop:
         config = mini_config(iterations=40)
         unseen_nan = poisoned(split.unseen_ids)
         _, log = train(mini_model(), unseen_nan, split, embeddings, embeddings, embedder, config)
-        assert len(log.rows) == 40
+        assert len(log) == 40
         # the control: the same run aborts when one seen category is poisoned
         seen_nan = poisoned({min(split.seen_ids)})
         with pytest.raises(NumericalAbort):
             train(mini_model(), seen_nan, split, embeddings, embeddings, embedder, config)
 
-    def test_metric_log_schema(self, mini_data):
+    def test_metric_log_schema(self, mini_data, tmp_path):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         config = mini_config(iterations=5)
         _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
-        assert len(log.rows) == 5
-        text = log.to_csv_text(header_lines=["config abc", "seed 11"])
+        assert len(log) == 5
+        text = log_text(log, tmp_path / "log.csv", header_lines=["config abc", "seed 11"])
         lines = text.strip().splitlines()
         assert lines[0] == "# config abc"
         assert lines[2] == "iteration,L_D,L_G,L_se_seen,L_se_unseen"
@@ -480,7 +486,7 @@ class TestTrainLoop:
         _, log = train(
             model, dataset, split, embeddings, embeddings, None, mini_config(iterations=5, lambda_se=0.0)
         )
-        for row in log.rows:
+        for row in log:
             assert row[3] == 0.0 and row[4] == 0.0
 
     def test_knowledge_loss_needs_unseen_categories(self, mini_data):
@@ -500,7 +506,7 @@ class TestTrainLoop:
         before = [p.data.tobytes() for p in embedder.parameters()]
         config = mini_config(iterations=5)
         _, log = train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
-        assert all(row[3] > 0.0 and row[4] > 0.0 for row in log.rows)
+        assert all(row[3] > 0.0 and row[4] > 0.0 for row in log)
         assert [p.data.tobytes() for p in embedder.parameters()] == before
 
     def test_all_logged_losses_finite(self, mini_data):
@@ -508,7 +514,7 @@ class TestTrainLoop:
         model = mini_model()
         config = mini_config(iterations=60)
         _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
-        values = np.asarray([row[1:] for row in log.rows], dtype=float)
+        values = np.asarray([row[1:] for row in log], dtype=float)
         assert np.all(np.isfinite(values))
 
     def test_nan_parameter_aborts_with_last_good(self, mini_data):
@@ -519,6 +525,20 @@ class TestTrainLoop:
             train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=3))
         assert excinfo.value.last_good is not None
         assert excinfo.value.iteration == 0
+
+    def test_nan_regressor_weight_names_every_knowledge_loss(self, mini_data, monkeypatch):
+        """A NaN in the frozen regressor leaves L_D finite and makes L_G and
+        both L_se terms non-finite at iteration 0; the abort names all three."""
+        _, dataset, split, embeddings, embedder = mini_data
+        weight = embedder.parameters()[0]
+        poisoned = weight.data.copy()
+        poisoned[0, 0] = np.nan
+        monkeypatch.setattr(weight, "data", poisoned)
+        config = mini_config(iterations=3)
+        with pytest.raises(NumericalAbort) as excinfo:
+            train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
+        assert str(excinfo.value) == "non-finite loss L_G, L_se_seen, L_se_unseen at iteration 0"
+        assert (excinfo.value.iteration, excinfo.value.log) == (0, [])
 
     def test_generator_gradient_matches_finite_differences(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
@@ -591,7 +611,7 @@ class TestTapeSize:
 
 
 class TestKnowledgeLossGolden:
-    def test_knowledge_loss_run_matches_golden_bitwise(self, mini_data):
+    def test_knowledge_loss_run_matches_golden_bitwise(self, mini_data, tmp_path):
         """A 200-iteration run at lambda_se = 0.1 (semantic conditions, the
         frozen regressor on the generator's backward path, 2 unseen
         categories) writes the metric log, and reaches the parameters,
@@ -602,12 +622,12 @@ class TestKnowledgeLossGolden:
         config = mini_config(iterations=200)
         _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
-        text = log.to_csv_text([f"params {digest:016x}"])
+        text = log_text(log, tmp_path / "log.csv", [f"params {digest:016x}"])
         assert text == GOLDEN_KGGAN_LOG.read_text(encoding="utf-8")
 
 
 class TestBaselineReduction:
-    def test_lambda_zero_matches_sngan_code_path_bitwise(self, mini_data):
+    def test_lambda_zero_matches_sngan_code_path_bitwise(self, mini_data, tmp_path):
         """The full-data baseline through ``train`` (lambda_se = 0, every
         category seen, none unseen, one-hot conditions) writes the metric
         log, and reaches the parameters, that the former separate SN-GAN
@@ -618,7 +638,7 @@ class TestBaselineReduction:
         config = mini_config(iterations=200, lambda_se=0.0)
         _, log = train(model, dataset, split, np.eye(len(specs)), embeddings, None, config)
         digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
-        text = log.to_csv_text([f"params {digest:016x}"])
+        text = log_text(log, tmp_path / "log.csv", [f"params {digest:016x}"])
         assert text == GOLDEN_SNGAN_LOG.read_text(encoding="utf-8")
 
 
@@ -656,8 +676,8 @@ class TestCheckpointResume:
             opt_g=opt_g2,
             opt_d=opt_d2,
         )
-        resumed = gan.MetricLog(rows=log_a.rows + log_c.rows)
-        assert resumed.to_csv_text() == log_full.to_csv_text()
+        resumed = log_text(log_a + log_c, tmp_path / "resumed.csv")
+        assert resumed == log_text(log_full, tmp_path / "full.csv")
 
     def test_checkpoint_preserves_condition_mode(self, mini_data, tmp_path):
         model = mini_model(condition_mode="one_hot", cond_dim=6)
