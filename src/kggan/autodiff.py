@@ -104,17 +104,10 @@ def _make(out_data, inputs, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to the shape numpy broadcast it up from."""
-    if g.shape == tuple(shape):
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+def _same_shape(a: Tensor, b: Tensor) -> None:
+    """Elementwise operands must have one shape: nothing is broadcast."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"elementwise shapes differ: {a.data.shape} and {b.data.shape}")
 
 
 def backward(loss: Tensor, params) -> list:
@@ -174,30 +167,33 @@ def backward(loss: Tensor, params) -> list:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b)
     out = a.data + b.data
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return _make(out, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b)
     out = a.data - b.data
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return g, -g
 
     return _make(out, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b)
     out = a.data * b.data
 
     def back(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if _tape.needs_grad(a) else None,
-            _unbroadcast(g * a.data, b.data.shape) if _tape.needs_grad(b) else None,
+            g * b.data if _tape.needs_grad(a) else None,
+            g * a.data if _tape.needs_grad(b) else None,
         )
 
     return _make(out, (a, b), back)

@@ -8,11 +8,11 @@ sigma from them); and for each optimizer (adam_g over G, adam_d over D)
 the moments adam_g.m.<param> and adam_g.v.<param>, 26 in all. The rest
 is derived: the condition table from the dataset's category table
 (``gan.condition_table``, which ``cli._build_model`` calls), the
-iteration from the metadata, and the Adam step counts from the
-iteration, since each iteration steps G once and D ``d_steps_per_g_step``
-times. A "regressor" holds E.w1 ... E.b3. A
-"dataset" holds float32 ``images`` [N, 3, S, S] and the category table
-``embeddings`` [n_categories, d]. Only a dataset's images are float32.
+iteration from the metadata, and both Adam step counts, which equal the
+iteration since each iteration steps G and D once. A "regressor" holds
+E.w1 ... E.b3. A "dataset" holds float32 ``images`` [N, 3, S, S] and the
+category table ``embeddings`` [n_categories, d]. Only a dataset's images
+are float32.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length
@@ -33,13 +33,13 @@ The metadata holds the ``kind`` and, as ``config.<field>``, the config
 fields the contents depend on: a dataset's ``synthdata.DATASET_FIELDS``, a
 regressor's ``regressor.EMBEDDER_FIELDS``. A GAN's holds its
 ``condition_mode`` and ``iteration``; ``train`` adds its run: the
-``cell``, the cell's ``lambda_se`` and every config field. A loader names
-the metadata it expects, and the first field that differs raises
-ContractError naming it. A resume expects the kind, condition mode, cell,
-lambda_se and every config field but ``config.gan_iterations`` (a run may
-train further) and ``config.out_dir``. Against a template state, a
-missing, unexpected, misshaped or other-dtype tensor is named the same
-way. Versions 1 and 2 laid tensors out by position and are rejected.
+``cell``, the cell's ``lambda_se`` and every config field but ``out_dir``.
+A loader names the metadata it expects, and the first field that differs
+raises ContractError naming it. A resume expects all of it but
+``config.gan_iterations``, the one field a resume may change (a run may
+train further). Against a template state, a missing, unexpected,
+misshaped or other-dtype tensor is named the same way. Versions 1 and 2
+laid tensors out by position and are rejected.
 
 Files are written to a temporary file beside the target and renamed into
 place, so a reader never sees a partial file. A save hashes and streams

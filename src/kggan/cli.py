@@ -25,24 +25,23 @@ another embedder exits 3 naming the first ``EMBEDDER_FIELDS`` field that
 differs. All of these checks run before anything is written.
 
 Every checkpoint ``train`` writes records its run: the cell, the cell's
-lambda_se, the condition mode and every config field. ``train --resume``
-continues only a checkpoint of the same run: on the first of those that
-differs it exits 3 naming it, before it trains or writes anything. Only
-gan_iterations (a resume may train further) and out_dir may differ; a
-checkpoint at or past gan_iterations exits 3 naming both numbers, and
-one whose metadata iteration is not a non-negative int exits 3 naming
-it. A resume also reads the log written with the checkpoint
-(``metrics.csv``, or ``metrics.aborted.csv`` beside
+lambda_se, the condition mode and every config field but out_dir, where
+the run writes. ``train --resume`` continues only a checkpoint of the
+same run: on the first of those that differs it exits 3 naming it,
+before it trains or writes anything. Only gan_iterations may differ (a
+resume may train further); a checkpoint at or past it exits 3 naming
+both numbers, and one whose metadata iteration is not a non-negative
+int exits 3 naming it. A resume also reads the log written with the
+checkpoint (``metrics.csv``, or ``metrics.aborted.csv`` beside
 ``checkpoint.aborted.ckpt``), which must hold the rows of iterations
 0..start-1 as ``train`` wrote them; otherwise it exits 3 naming the
 file and the first bad row. The new log holds those rows, verbatim, and
-then the resumed ones. A numerical abort
-(exit 4) leaves in the cell's directory checkpoint.aborted.ckpt, the
-named state at the start of the failing iteration, and
-metrics.aborted.csv, the rows of the iterations before it; an earlier
-run's checkpoint.ckpt and metrics.csv are left as they were. ``train``
-makes the cell's directory first, so one it cannot make exits 5 before
-anything trains.
+then the resumed ones. A numerical abort (exit 4) leaves in the cell's
+directory checkpoint.aborted.ckpt, the named state at the start of the
+failing iteration, and metrics.aborted.csv, the rows of the iterations
+before it; an earlier run's checkpoint.ckpt and metrics.csv are left as
+they were. ``train`` makes the cell's directory first, so one it cannot
+make exits 5 before anything trains.
 
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
@@ -87,8 +86,8 @@ CELL_RULES = {
 # sample grids are GRID_COLUMNS images wide and config.grid_rows high
 GRID_COLUMNS = 8
 
-# config fields a resume may change: it may train further, or write elsewhere
-RESUME_FREE = ("config.gan_iterations", "config.out_dir")
+# config fields a resume may change: it may train further
+RESUME_FREE = ("config.gan_iterations",)
 
 # a numerical abort's state and log, a pair beside checkpoint.ckpt and metrics.csv
 ABORTED_CHECKPOINT, ABORTED_LOG = "checkpoint.aborted.ckpt", "metrics.aborted.csv"
@@ -182,11 +181,8 @@ def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
         iterations=config.gan_iterations,
         batch_size=config.batch_size,
         z_dim=config.z_dim,
-        d_steps_per_g_step=config.d_steps_per_g_step,
         seed=config.gan_seed,
         learning_rate=config.gan_lr,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
     )
 
 
@@ -210,9 +206,11 @@ def _build_model(config: ExperimentConfig, condition_mode: str, embeddings):
 
 
 def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
-    """What a cell's checkpoint records about its run, in resume-check order."""
+    """What a cell's checkpoint records about its run, in resume-check order:
+    every config field but ``out_dir``, where the run writes."""
     lambda_se = config.lambda_se if CELL_RULES[cell][2] else 0.0
-    return {"cell": cell, "lambda_se": lambda_se, **config_fields(config, asdict(config))}
+    names = [name for name in asdict(config) if name != "out_dir"]
+    return {"cell": cell, "lambda_se": lambda_se, **config_fields(config, names)}
 
 
 def run_cell(ws: Workspace, cell: str, resume: str | None = None):

@@ -8,7 +8,7 @@ desk scale: 12 categories (9 seen / 3 unseen), 80 images each at 16x16,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .checkpoint import write_atomic
 from .errors import ConfigError
@@ -31,10 +31,7 @@ class ExperimentConfig:
     gan_iterations: int = 3000
     batch_size: int = 16
     z_dim: int = 16
-    d_steps_per_g_step: int = 1
     gan_lr: float = 2e-4
-    adam_beta1: float = 0.0
-    adam_beta2: float = 0.9
     g_hidden: int = 128
     d_hidden: int = 128
     feat_dim: int = 64
@@ -66,7 +63,6 @@ MIN_VALUES = {
     "gan_iterations": 1,
     "batch_size": 1,
     "z_dim": 1,
-    "d_steps_per_g_step": 1,
     "g_hidden": 1,
     "d_hidden": 1,
     "feat_dim": 1,
@@ -95,10 +91,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         value = getattr(config, name)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
-    for name in ("adam_beta1", "adam_beta2"):
-        value = getattr(config, name)
-        if not 0 <= value < 1:
-            raise ConfigError(f"{name} must lie in [0, 1), got {value}")
     if not (math.isfinite(config.lambda_se) and config.lambda_se >= 0):
         raise ConfigError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
     return config
@@ -159,7 +151,9 @@ def save_config(path, config: ExperimentConfig) -> None:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return fnv1a_64_hex(serialize_config(config).encode("utf-8"))
+    """The hash of every field but ``out_dir``: where a run writes does not
+    change what it computes."""
+    return fnv1a_64_hex(serialize_config(replace(config, out_dir="")).encode("utf-8"))
 
 
 def config_fields(config: ExperimentConfig, names) -> dict:

@@ -49,6 +49,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 LEAK = 0.1
 
+# Adam's moment decays for both networks, the SN-GAN regime
+BETA1 = 0.0
+BETA2 = 0.9
+
 # exponent of the condition preconditioner's eigenvalue rescaling
 WHITENING = 0.5
 
@@ -62,11 +66,8 @@ class TrainConfig:
     iterations: int = 3000
     batch_size: int = 16
     z_dim: int = 16
-    d_steps_per_g_step: int = 1
     seed: int = 0
     learning_rate: float = 2e-4
-    beta1: float = 0.0
-    beta2: float = 0.9
 
 
 def condition_preconditioner(embeddings: np.ndarray):
@@ -271,20 +272,12 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
     value = loss.item()
     params = model.discriminator_params()
     grads = ad.backward(loss, params)
-    _copy_before_write(snapshot, params, opt_d)
+    # adam_step writes D's parameters and moments in place, and the abort
+    # snapshot holds them live: it keeps copies of the values they had
+    written = {id(a) for a in [p.data for p in params] + opt_d.first_moment + opt_d.second_moment}
+    snapshot.update({name: a.copy() for name, a in snapshot.items() if id(a) in written})
     adam_step(params, opt_d, grads)
     return value
-
-
-def _copy_before_write(snapshot, params, opt):
-    """Replace, in ``snapshot``, each array that ``adam_step`` on
-    ``params`` and ``opt`` would write in place by a copy. Once the
-    snapshot holds no such array, as after the first call, nothing is
-    copied."""
-    written = {id(a) for a in [p.data for p in params] + opt.first_moment + opt.second_moment}
-    for name, arr in snapshot.items():
-        if id(arr) in written:
-            snapshot[name] = arr.copy()
 
 
 def _g_adv(model, cats, cond, config, rng_z):
@@ -306,9 +299,7 @@ def _finite_or_abort(losses):
 def new_optimizers(model: GanModel, config: TrainConfig):
     """Fresh Adam states over G's and over D's parameters: (opt_g, opt_d)."""
     return tuple(
-        AdamState.for_params(
-            params, learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2
-        )
+        AdamState.for_params(params, learning_rate=config.learning_rate, beta1=BETA1, beta2=BETA2)
         for params in (model.generator_params(), model.discriminator_params())
     )
 
@@ -370,22 +361,20 @@ def train(
         # The state at the start of the iteration, kept for an abort. It
         # holds the live arrays, which is safe while nothing writes them:
         # power_iteration_step replaces its vectors, and adam_step writes
-        # in place only once every gradient has passed its checks. The
-        # first D update copies D's parameters and moments out of it just
-        # before writing them, after its backward pass has freed the tape.
-        # G's need no copy: D's steps, the loss check and G's gradient
-        # checks all run before G's update, the iteration's last write.
+        # in place only once every gradient has passed its checks. The D
+        # step copies D's parameters and moments out of it just before
+        # writing them, after its backward pass has freed the tape. G's
+        # need no copy: the D step, the loss check and G's gradient checks
+        # all run before G's update, the iteration's last write.
         snapshot = gan_state(model, opt_g, opt_d)
         model.refresh_spectral()
         rng_real = _stream(config.seed, iteration, 0)
         rng_zd = _stream(config.seed, iteration, 1)
 
         try:
-            # D steps d_steps_per_g_step times and G once per iteration, so
-            # both optimizers' step counts follow from the iteration (load_gan)
-            l_d = 0.0
-            for _ in range(config.d_steps_per_g_step):
-                l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd, snapshot)
+            # D and G step once per iteration, so both optimizers' step
+            # counts are the iteration (load_gan)
+            l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd, snapshot)
 
             rng_zg = _stream(config.seed, iteration, 2)
             fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)
@@ -472,9 +461,9 @@ def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     condition table from the dataset's (``cli._build_model``). Every
     field of ``run`` must match the checkpoint's metadata, after its kind
     and condition mode. The iteration is the metadata's, which must be a
-    non-negative int; otherwise ContractError names it. The step counts
-    follow from it: G's is the iteration and D's the iteration times
-    ``config.d_steps_per_g_step``. Returns (model, opt_g, opt_d, iteration).
+    non-negative int; otherwise ContractError names it. Both optimizers'
+    step counts are the iteration, since each iteration steps G and D
+    once. Returns (model, opt_g, opt_d, iteration).
     """
     opt_g, opt_d = new_optimizers(model, config)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
@@ -486,8 +475,7 @@ def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     # the arrays are the fresh model's and optimizers' own
     for name, arr in live.items():
         arr[...] = state[name]
-    opt_g.step_count = iteration
-    opt_d.step_count = iteration * config.d_steps_per_g_step
+    opt_g.step_count = opt_d.step_count = iteration
     return model, opt_g, opt_d, iteration
 
 

@@ -158,11 +158,9 @@ def describe_category(spec: CategorySpec, n: int) -> list:
 
 
 def make_category_specs(n_categories: int, descriptions_per_category: int = 10) -> list:
-    """The default category grid: colors x shapes, textures cycling by id."""
+    """The default category grid: colors x shapes, textures cycling by id.
+    ``validate_config`` bounds ``n_categories`` by ``config.MAX_CATEGORIES``."""
     colors = list(PALETTE.values())
-    max_unique = len(colors) * len(SHAPES) * len(TEXTURE_FREQS)
-    if not (1 <= n_categories <= max_unique):
-        raise ConfigError(f"n_categories must be in [1, {max_unique}], got {n_categories}")
     specs = []
     for cid in range(n_categories):
         color = colors[cid % len(colors)]
@@ -280,13 +278,13 @@ def sample_category_ids(specs, images_per_category: int) -> np.ndarray:
 
 
 def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -> Dataset:
-    images = [
-        # per-sample seed folds dataset seed and sample index together
-        render_sample(spec, instance_seed=seed * 1_000_003 + k, image_size=image_size)
-        for spec in specs
-        for k in range(images_per_category)
-    ]
-    return Dataset(np.stack(images), sample_category_ids(specs, images_per_category), list(specs))
+    images = np.empty((len(specs) * images_per_category, 3, image_size, image_size))
+    for i, spec in enumerate(specs):
+        for k in range(images_per_category):
+            # per-sample seed folds dataset seed and sample index together
+            sample = render_sample(spec, instance_seed=seed * 1_000_003 + k, image_size=image_size)
+            images[i * images_per_category + k] = sample
+    return Dataset(images, sample_category_ids(specs, images_per_category), list(specs))
 
 
 # ---------------------------------------------------------------------------

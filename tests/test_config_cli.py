@@ -112,10 +112,9 @@ class TestConfig:
         "line",
         [f"{seed} = -1" for seed in ("data_seed", "split_seed", "embedder_seed", "gan_seed", "eval_seed")]
         + ["batch_size = 0", "embedder_batch = 0", "batch_size = -4"]
-        + ["gan_lr = 0", "embedder_lr = -1e-3", "embedder_lr = inf", "adam_beta1 = -0.1",
-           "adam_beta2 = 1.0", "adam_beta2 = nan", "lambda_se = nan", "n_gen = 1",
-           "z_dim = 0", "d_hidden = 0", "feat_dim = 0", "grid_rows = 0", "n_categories = 1",
-           "d_steps_per_g_step = 0", "embedder_steps = 0", "embedder_plateau = -1",
+        + ["gan_lr = 0", "embedder_lr = -1e-3", "embedder_lr = inf", "lambda_se = nan",
+           "n_gen = 1", "z_dim = 0", "d_hidden = 0", "feat_dim = 0", "grid_rows = 0",
+           "n_categories = 1", "embedder_steps = 0", "embedder_plateau = -1",
            "n_categories = 37"],
     )
     def test_negative_seed_and_empty_batch_rejected(self, line):
@@ -173,8 +172,24 @@ class TestConfig:
             parse_config(text)
 
     def test_zero_plateau_and_zero_betas_accepted(self):
-        config = parse_config("embedder_plateau = 0\nadam_beta1 = 0.0\nadam_beta2 = 0.0\n")
-        assert config.embedder_plateau == 0 and config.adam_beta2 == 0.0
+        config = parse_config("embedder_plateau = 0\n")
+        assert config.embedder_plateau == 0
+
+    @pytest.mark.parametrize(
+        "key, value", [("d_steps_per_g_step", "1"), ("adam_beta1", "0.0"), ("adam_beta2", "0.9")]
+    )
+    def test_removed_training_key_exits_2_before_writing(self, tmp_path, capsys, key, value):
+        """One D step per G step and Adam's betas are constants of the GAN,
+        not config keys: a config that still sets one, even to the value
+        the GAN uses, is rejected."""
+        from kggan import cli
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out") + f"{key} = {value}\n")
+        assert cli.main(["--config", str(cfg), "generate-data"]) == 2
+        n = len(cfg.read_text().splitlines())
+        assert f"config error: unknown config key '{key}' on line {n}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestGenerateData:
@@ -684,8 +699,9 @@ def ablated(tmp_path_factory):
 class TestAblationGolden:
     """The TINY config's ``ablate`` tables and kggan_full sample grids,
     recorded in the golden files before the table writers were merged.
-    Header lines carry the config hash, which covers ``out_dir``, so only
-    the lines below them and the pixels after the PPM header are pinned."""
+    Header lines carry the config hash, which changes with every other
+    config field, so only the lines below them and the pixels after the
+    PPM header are pinned."""
 
     @pytest.mark.parametrize("name", ["combined.csv", "combined.txt"])
     def test_combined_report_matches_golden(self, ablated, name):
@@ -700,6 +716,25 @@ class TestAblationGolden:
             assert (magic, maxval) == (b"P6", b"255")
             digests.append(f"{ppm.name} {hashlib.blake2b(pixels).hexdigest()}\n")
         assert "".join(digests) == (GOLDEN / "tiny_kggan_full_samples.blake2b").read_text(encoding="utf-8")
+
+    def test_output_directory_changes_only_config_cfg(self, ablated, tmp_path):
+        """Where a run writes is in no header and no checkpoint: the same
+        ablate written elsewhere differs only in config.cfg's out_dir line."""
+        from kggan import cli
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        assert cli.main(["--config", str(cfg), "ablate"]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        first, second = files(ablated), files(tmp_path / "out")
+        assert sorted(first) == sorted(second)
+        differ = [name for name in first if first[name] != second[name]]
+        assert differ == [Path("config.cfg")]
+        changed = set(first[differ[0]].decode().splitlines()) ^ set(second[differ[0]].decode().splitlines())
+        assert changed == {f"out_dir = {ablated}", f"out_dir = {tmp_path / 'out'}"}
 
 
 class TestBenchmarkChecks:
@@ -888,51 +923,6 @@ class TestAbortCheckpoint:
         assert cli.main(argv) == 0
         assert (cell_dir / "metrics.csv").read_bytes() == finished["metrics.csv"]
         assert (cell_dir / "checkpoint.ckpt").read_bytes() == finished["checkpoint.ckpt"]
-
-    def test_abort_in_a_later_d_step_keeps_the_iteration_start(self, tmp_path, monkeypatch):
-        """With two D steps per G step, a NaN in the second D step's
-        gradient at iteration k aborts after the first has written D in
-        place. checkpoint.aborted.ckpt is still the state at the start of
-        iteration k, and a resume from it writes the uninterrupted run's
-        log byte for byte."""
-        from kggan import cli, gan, optim
-        from kggan.checkpoint import load_checkpoint
-        from kggan.config import load_config
-
-        k = 5
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 8") + "d_steps_per_g_step = 2\n")
-        for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
-            assert cli.main(["--config", str(cfg), *cmd]) == 0
-        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
-        finished = (cell_dir / "metrics.csv").read_bytes()
-        ws = cli.Workspace(load_config(cfg))
-        ws.config.gan_iterations = k
-        model, _, opt_g, opt_d = cli.run_cell(ws, "kggan_full")
-        expected = gan.gan_state(model, opt_g, opt_d)
-
-        stepped = []
-
-        def poisoned(params, state, grads):
-            stepped.append(params[0].name)
-            if len(stepped) == 3 * k + 2:  # iteration k's second D step
-                grads[0][0, 0] = np.nan
-            return optim.adam_step(params, state, grads)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(gan, "adam_step", poisoned)
-            assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
-        assert stepped[-3:] == ["G.w1", "D.w1", "D.w1"]
-        state, metadata = load_checkpoint(cell_dir / "checkpoint.aborted.ckpt")
-        assert metadata["iteration"] == k
-        assert list(state) == list(expected)
-        for name, arr in expected.items():
-            assert state[name].shape == arr.shape and state[name].tobytes() == arr.tobytes(), name
-
-        resume = cell_dir / "checkpoint.aborted.ckpt"
-        argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
-        assert cli.main(argv) == 0
-        assert (cell_dir / "metrics.csv").read_bytes() == finished
 
 
 class TestAbortMessage:

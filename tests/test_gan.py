@@ -82,7 +82,6 @@ def mini_config(**kw):
         iterations=30,
         batch_size=8,
         z_dim=Z,
-        d_steps_per_g_step=1,
         seed=11,
         learning_rate=2e-4,
     )
