@@ -2,11 +2,12 @@
 four-cell ablation.
 
 Verbs: generate-data, train-embedder, train --cell <name>, evaluate,
-ablate, report. Global flags: --config <path>, --seed <u64>, --out <dir>.
+ablate. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
-4 numerical abort, 5 I/O error. ``evaluate`` writes a cell's
-fid_report.csv, fid_table.txt, consistency.csv, color_fidelity.csv and
-samples/category_<id>.ppm grids. ``ablate`` is ``generate-data``,
+4 numerical abort, 5 I/O error. ``evaluate`` draws each category once
+and writes a cell's fid_report.csv, fid_table.txt, consistency.csv,
+color_fidelity.csv and samples/category_<id>.ppm grids, each grid the
+head of the draw the metrics score. ``ablate`` is ``generate-data``,
 ``train-embedder``, then ``cmd_train`` and ``evaluate_checkpoint`` per
 cell; it writes ablation/combined.csv and combined.txt and exits with
 the code of the first cell that failed, in ``CELLS`` order. Every CSV
@@ -99,18 +100,6 @@ EXIT_CODES = {
     NumericalAbort: (4, "numerical abort"),
     OSError: (5, "i/o error"),
 }
-
-# Reference ordering from the original full-scale Oxford-flowers study
-# (seen FID / unseen FID); absolute values are not comparable to this
-# artifact's synthetic feature space.
-REFERENCE_FOOTER = (
-    "reference ordering, full-scale Oxford flowers study (seen/unseen FID):",
-    "  SN-GAN 0.6922/0.6201,"
-    " One-hot KG-GAN 0.7077/0.6286,"
-    " KG-GAN w/o L_se 0.1412/0.1408,"
-    " KG-GAN 0.1385/0.1386",
-)
-
 
 class Workspace:
     """Filesystem layout rooted at the configured output directory."""
@@ -347,9 +336,10 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
 
     Only the generator is restored from the checkpoint, which is verified
     whole (see ``gan.load_generator``); the condition table is rebuilt from
-    the dataset's category table, as training built it. Each category's
-    n_gen images are drawn once and go through the regressor's trunk once;
-    that draw and its features feed all three metrics.
+    the dataset's category table, as training built it. Each category is
+    drawn once, max(n_gen, grid size) images. Its first n_gen go through
+    the regressor's trunk once, and that draw and its features feed all
+    three metrics; its head is the category's sample grid.
     """
     config = ws.config
     condition_mode, _, use_knowledge = CELL_RULES[cell]
@@ -363,8 +353,13 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     model, cond = _build_model(config, condition_mode, embeddings)
     gan.load_generator(path, model, run=run)
 
+    n_grid = GRID_COLUMNS * config.grid_rows
+    grids = {}
+
     def sample_fn(cid, n):
-        return gan.sample_images(model, cid, n, cond, config.eval_seed)
+        images = gan.sample_images(model, cid, max(n, n_grid), cond, config.eval_seed)
+        grids[cid] = _sample_grid(images[:n_grid])
+        return images[:n]
 
     consistency, color = {}, {}
 
@@ -396,11 +391,9 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
 
     samples_dir = os.path.join(cell_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)
-    n_grid = GRID_COLUMNS * config.grid_rows
-    for cid in sorted(split.seen_ids | split.unseen_ids):
-        grid = _sample_grid(sample_fn(cid, n_grid))
+    for cid in sorted(grids):
         comment = " ".join(header + [f"category {cid}"])
-        _write_ppm(os.path.join(samples_dir, f"category_{cid}.ppm"), grid, comment)
+        _write_ppm(os.path.join(samples_dir, f"category_{cid}.ppm"), grids[cid], comment)
     print(f"evaluated {cell}: seen FID {report.seen_avg:.4f}, unseen FID {report.unseen_avg:.4f}")
     return report
 
@@ -459,7 +452,7 @@ def cmd_ablate(ws: Workspace) -> int:
 
     table = evaluation.format_fid_table(table_rows, header).rstrip("\n")
     failed = [f"cell {cell} FAILED: {type(exc).__name__}: {exc}" for cell, exc in failures.items()]
-    report_text = "\n".join([table, "", *_verdict_lines(results), *failed, "", *REFERENCE_FOOTER, ""])
+    report_text = "\n".join([table, "", *_verdict_lines(results), *failed, ""])
     write_atomic(os.path.join(ws.ablation_dir, "combined.txt"), report_text)
     print(report_text, end="")
 
@@ -469,19 +462,6 @@ def cmd_ablate(ws: Workspace) -> int:
 def _failure(exc: Exception) -> tuple:
     """(exit code, label) of the first EXIT_CODES entry ``exc`` is an instance of."""
     return next(entry for kind, entry in EXIT_CODES.items() if isinstance(exc, kind))
-
-
-def cmd_report(ws: Workspace) -> int:
-    path = os.path.join(ws.ablation_dir, "combined.txt")
-    if not os.path.exists(path):
-        raise OSError(f"no ablation report at {path} (run ablate first)")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise ContractError(f"{path} is not UTF-8 text") from None
-    print(text, end="")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--cell", required=True, choices=CELLS)
     p_eval.add_argument("--checkpoint", help="checkpoint path override")
     sub.add_parser("ablate", help="run all four cells and emit the combined table")
-    sub.add_parser("report", help="print the combined ablation report")
     return parser
 
 
@@ -529,8 +508,6 @@ def main(argv=None) -> int:
             return cmd_evaluate(ws, args.cell, checkpoint_path=args.checkpoint)
         if args.command == "ablate":
             return cmd_ablate(ws)
-        if args.command == "report":
-            return cmd_report(ws)
         return 2
     except tuple(EXIT_CODES) as exc:
         code, label = _failure(exc)

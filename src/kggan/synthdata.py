@@ -158,14 +158,17 @@ def describe_category(spec: CategorySpec, n: int) -> list:
 
 
 def make_category_specs(n_categories: int, descriptions_per_category: int = 10) -> list:
-    """The default category grid: colors x shapes, textures cycling by id.
+    """The default category grid: colour cycles by id, shape steps every
+    ``len(PALETTE)`` ids, and texture cycles by id shifted one step per
+    block of colours x shapes ids, so ids 0..35 are 36 distinct recipes.
     ``validate_config`` bounds ``n_categories`` by ``config.MAX_CATEGORIES``."""
     colors = list(PALETTE.values())
+    block = len(colors) * len(SHAPES)
     specs = []
     for cid in range(n_categories):
         color = colors[cid % len(colors)]
         shape = SHAPES[(cid // len(colors)) % len(SHAPES)]
-        freq = TEXTURE_FREQS[cid % len(TEXTURE_FREQS)]
+        freq = TEXTURE_FREQS[(cid + cid // block) % len(TEXTURE_FREQS)]
         spec = CategorySpec(
             id=cid,
             base_color=color,

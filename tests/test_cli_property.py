@@ -45,7 +45,7 @@ DRAWN = {
 }
 
 VERBS = st.sampled_from(
-    [["generate-data"], ["train-embedder"], ["ablate"], ["report"], ["evaluate", "--cell", "bogus"]]
+    [["generate-data"], ["train-embedder"], ["ablate"], ["evaluate", "--cell", "bogus"]]
     + [[verb, "--cell", cell] for verb in ("train", "evaluate") for cell in cli.CELLS]
     + [["train", "--cell", "kggan_full", "--resume", "embedder.ckpt"]]
 )

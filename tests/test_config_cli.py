@@ -192,6 +192,22 @@ class TestConfig:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+class TestVerbs:
+    def test_docstring_names_every_verb_the_parser_takes(self):
+        from kggan import cli
+
+        listed = re.search(r"Verbs: (.*?)\. ", cli.__doc__, re.DOTALL).group(1)
+        documented = [item.split()[0] for item in listed.split(",")]
+        usage = cli.build_parser().format_usage()
+        assert documented == re.search(r"\{(.*?)\}", usage).group(1).split(",")
+
+    def test_removed_report_verb_exits_2(self, tmp_path):
+        proc = run_cli(["report"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "invalid choice: 'report'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestGenerateData:
     def test_dataset_files_exist_and_parse(self, workspace):
         root, cfg_path = workspace
@@ -806,6 +822,25 @@ class TestEvaluateLoad:
         assert calls == ["condition_preconditioner"]
         assert written() == reference
 
+    def test_evaluate_draws_each_category_once(self, trained_cells, monkeypatch):
+        """One draw per category, long enough for both the metrics and the
+        grid; the grid is its head."""
+        from kggan import cli, gan
+        from kggan.config import load_config
+
+        root, cfg_path = trained_cells
+        config = load_config(cfg_path)
+        calls, sample_images = [], gan.sample_images
+
+        def spy(model, cid, n, cond, seed):
+            calls.append((cid, n))
+            return sample_images(model, cid, n, cond, seed)
+
+        monkeypatch.setattr(gan, "sample_images", spy)
+        assert cli.main(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]) == 0
+        n = max(config.n_gen, cli.GRID_COLUMNS * config.grid_rows)
+        assert calls == [(cid, n) for cid in range(config.n_categories)]
+
 
 class TestUnreadableInput:
     @staticmethod
@@ -816,26 +851,10 @@ class TestUnreadableInput:
             cfg.write_text(cfg.read_text() + "gan_iterations = 5\n")
             n = len(cfg.read_text().splitlines())
             return 2, f"config error: config key 'gan_iterations' is set on line 8 and again on line {n}"
-        path = {
-            "config_non_utf8": cfg,
-            "report_non_utf8": tmp_path / "out" / "ablation" / "combined.txt",
-        }[damage]
-        if damage == "report_non_utf8":
-            path.parent.mkdir()
-            path.write_text("method,condition,l_se,seen_fid,unseen_fid\n")
-        path.write_bytes(path.read_bytes().replace(b"\n", "\n# caf\u00e9\n".encode("latin-1"), 1))
-        if damage == "config_non_utf8":
-            return 2, f"config error: {path} is not UTF-8 text"
-        return 3, f"contract violation: {path} is not UTF-8 text"
+        cfg.write_bytes(cfg.read_bytes().replace(b"\n", "\n# caf\u00e9\n".encode("latin-1"), 1))
+        return 2, f"config error: {cfg} is not UTF-8 text"
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            "config_non_utf8",
-            "config_repeated_key",
-            "report_non_utf8",
-        ],
-    )
+    @pytest.mark.parametrize("damage", ["config_non_utf8", "config_repeated_key"])
     def test_unreadable_input_exits_naming_the_file(self, tmp_path, damage):
         from kggan import cli
 
@@ -843,8 +862,7 @@ class TestUnreadableInput:
         cfg.write_text(TINY.format(out=tmp_path / "out"))
         assert cli.main(["--config", str(cfg), "generate-data"]) == 0
         code, message = self._damage(tmp_path, cfg, damage)
-        verb = "report" if damage == "report_non_utf8" else "train-embedder"
-        proc = run_cli(["--config", str(cfg), verb], cwd=tmp_path)
+        proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr

@@ -211,6 +211,18 @@ class TestDatasetInvariants:
             cw = sd.color_word(s.base_color)
             assert all(cw in d for d in s.descriptions)
 
+    def test_every_recipe_is_a_distinct_look(self):
+        """The 36 ids are the 3 x 4 x 3 (colour, shape, texture) recipes. Ids
+        0..11, all that the default config uses, pair texture index with
+        colour index, so the default dataset's bytes stay as pinned."""
+        specs = sd.make_category_specs(36)
+        looks = [(s.base_color, s.shape, s.texture_freq) for s in specs]
+        assert len(set(looks)) == 36
+        colors = list(sd.PALETTE.values())
+        assert looks[:12] == [
+            (colors[c % 3], sd.SHAPES[c // 3], sd.TEXTURE_FREQS[c % 3]) for c in range(12)
+        ]
+
 
 class TestPersistence:
     CONFIG = ExperimentConfig(
