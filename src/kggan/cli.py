@@ -4,10 +4,11 @@ four-cell ablation.
 Verbs: generate-data, train-embedder, train --cell <name>, evaluate,
 ablate. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
-4 numerical abort, 5 I/O error. ``evaluate`` draws each category once
-and writes a cell's fid_report.csv, fid_table.txt, consistency.csv,
-color_fidelity.csv and samples/category_<id>.ppm grids, each grid the
-head of the draw the metrics score. ``ablate`` is ``generate-data``,
+4 numerical abort, 5 I/O error. ``evaluate`` is ``evaluate_checkpoint``:
+one loop draws and scores each category once, then it writes a cell's
+fid_report.csv, fid_table.txt, consistency.csv, color_fidelity.csv and
+samples/category_<id>.ppm grids, each grid the head of the draw the
+metrics score. ``ablate`` is ``generate-data``,
 ``train-embedder``, then ``cmd_train`` and ``evaluate_checkpoint`` per
 cell; it writes ablation/combined.csv and combined.txt and exits with
 the code of the first cell that failed, in ``CELLS`` order. Every CSV
@@ -169,7 +170,6 @@ def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
         lambda_se=lambda_se,
         iterations=config.gan_iterations,
         batch_size=config.batch_size,
-        z_dim=config.z_dim,
         seed=config.gan_seed,
         learning_rate=config.gan_lr,
     )
@@ -280,6 +280,7 @@ def _logged_rows(path: str, start: int) -> list:
 def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     config = ws.config
     cell_dir = ws.cell_dir(cell)
+    condition_mode = CELL_RULES[cell][0]
     run = _run_metadata(config, cell)
     header = ws.header(config.gan_seed) + [f"cell {cell}"]
     # first, so an output directory that cannot be made fails before any training
@@ -291,10 +292,11 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         # it, for post-mortem work or a resume
         if abort.last_good is not None:
             path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
-            gan.save_gan_state(path, abort.last_good, CELL_RULES[cell][0], abort.iteration, run)
+            gan.save_gan(path, abort.last_good, condition_mode, abort.iteration, run)
             _write_table(os.path.join(cell_dir, ABORTED_LOG), header, gan.METRIC_COLUMNS, abort.log)
         raise
-    gan.save_gan(ws.checkpoint_path(cell), model, opt_g, opt_d, config.gan_iterations, run)
+    state = gan.gan_state(model, opt_g, opt_d)
+    gan.save_gan(ws.checkpoint_path(cell), state, condition_mode, config.gan_iterations, run)
     _write_table(os.path.join(cell_dir, "metrics.csv"), header, gan.METRIC_COLUMNS, log)
     print(f"trained cell {cell}: {len(log)} iterations logged")
     return 0
@@ -336,10 +338,13 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
 
     Only the generator is restored from the checkpoint, which is verified
     whole (see ``gan.load_generator``); the condition table is rebuilt from
-    the dataset's category table, as training built it. Each category is
-    drawn once, max(n_gen, grid size) images. Its first n_gen go through
-    the regressor's trunk once, and that draw and its features feed all
-    three metrics; its head is the category's sample grid.
+    the dataset's category table, as training built it. One loop visits
+    the categories in id order. Each is drawn once, max(n_gen, grid size)
+    images; the head is its sample grid. The first n_gen go through the
+    regressor's trunk once, and those features feed the FID statistics and
+    embedding consistency, as the draw feeds color fidelity. The category's
+    real images go through the trunk for the FID's other side. Every file
+    is written after the loop, so a failure in it writes nothing.
     """
     config = ws.config
     condition_mode, _, use_knowledge = CELL_RULES[cell]
@@ -354,22 +359,18 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     gan.load_generator(path, model, run=run)
 
     n_grid = GRID_COLUMNS * config.grid_rows
-    grids = {}
-
-    def sample_fn(cid, n):
-        images = gan.sample_images(model, cid, max(n, n_grid), cond, config.eval_seed)
+    fid, consistency, color, grids = {}, {}, {}, {}
+    for cid in sorted(split.seen_ids | split.unseen_ids):
+        images = gan.sample_images(model, cid, max(config.n_gen, n_grid), cond, config.eval_seed)
         grids[cid] = _sample_grid(images[:n_grid])
-        return images[:n]
-
-    consistency, color = {}, {}
-
-    def score_draw(cid, images, features):
+        fakes = images[: config.n_gen]
+        features = regressor.extract_features(embedder, fakes)
+        reals = dataset.images[dataset.indices_of(cid)]
+        real_stats = evaluation.feature_stats(regressor.extract_features(embedder, reals))
+        fid[cid] = evaluation.frechet_distance(evaluation.feature_stats(features), real_stats)
         consistency[cid] = evaluation.embedding_consistency(embedder, features, embeddings[cid])
-        color[cid] = evaluation.color_fidelity(images, dataset.specs[cid].base_color)
-
-    report = evaluation.per_category_fid(
-        sample_fn, dataset, split, embedder, config.n_gen, on_draw=score_draw
-    )
+        color[cid] = evaluation.color_fidelity(fakes, dataset.specs[cid].base_color)
+    report = evaluation.fid_report(fid, split)
 
     cell_dir = ws.cell_dir(cell)
     os.makedirs(cell_dir, exist_ok=True)
@@ -396,11 +397,6 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         _write_ppm(os.path.join(samples_dir, f"category_{cid}.ppm"), grids[cid], comment)
     print(f"evaluated {cell}: seen FID {report.seen_avg:.4f}, unseen FID {report.unseen_avg:.4f}")
     return report
-
-
-def cmd_evaluate(ws: Workspace, cell: str, checkpoint_path: str | None = None) -> int:
-    evaluate_checkpoint(ws, cell, checkpoint_path)
-    return 0
 
 
 def _verdict_lines(results: dict) -> list:
@@ -505,7 +501,8 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(ws, args.cell, resume=args.resume)
         if args.command == "evaluate":
-            return cmd_evaluate(ws, args.cell, checkpoint_path=args.checkpoint)
+            evaluate_checkpoint(ws, args.cell, checkpoint_path=args.checkpoint)
+            return 0
         if args.command == "ablate":
             return cmd_ablate(ws)
         return 2

@@ -11,9 +11,9 @@ Each category's draw is scored in batched passes: one trunk pass of the
 regressor gives the draw's penultimate features, which feed the FID
 statistics and, through the output layer alone, the embedding-consistency
 predictions; color fidelity takes the foreground means of the whole draw
-at once. ``per_category_fid`` hands each draw and its features to an
-``on_draw`` callback, so the knowledge metrics need no second draw and no
-second trunk pass, and only one category's draw is held at a time.
+at once. The caller (``cli.evaluate_checkpoint``) owns the per-category
+loop, so the knowledge metrics need no second draw and no second trunk
+pass; ``fid_report`` averages its per-category distances.
 
 Absolute values live in this artifact's own feature space and are not
 comparable across feature extractors; the ordering between methods is
@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 from .linalg import trace_sqrt_product
-from .regressor import RegressorModel, extract_features
+from .regressor import RegressorModel
 from .synthdata import mean_foreground_color
 
 SYMMETRY_TOL = 1e-10
@@ -79,43 +79,14 @@ def frechet_distance(p: GaussianStats, q: GaussianStats) -> float:
     return max(value, 0.0)
 
 
-def per_category_fid(
-    sample_fn, dataset, split, extractor: RegressorModel, n_gen: int, on_draw=None
-) -> FidReport:
-    """Frechet distance per category between n_gen fakes and that
-    category's real images, then seen/unseen averages.
-
-    ``sample_fn(category_id, n)`` returns an [n, 3, S, S] array.
-    ``on_draw(category_id, images, features)``, when given, sees every
-    category's draw together with its [n, d] penultimate features, the
-    very array the FID statistics are taken from, so other metrics can
-    score the same images without sampling or running the trunk again.
-    A category with fewer than 2 real images is a ContractError, raised
-    by ``feature_stats``.
-    """
-    if n_gen < 2:
-        raise ContractError(f"n_gen must be >= 2, got {n_gen}")
-    per_category = {}
-    for cid in sorted(split.seen_ids | split.unseen_ids):
-        fakes = sample_fn(cid, n_gen)
-        features = extract_features(extractor, fakes)
-        if on_draw is not None:
-            on_draw(cid, fakes, features)
-        fake_stats = feature_stats(features)
-        del fakes, features  # one category's draw in memory at a time
-        reals = dataset.images[dataset.indices_of(cid)]
-        real_stats = feature_stats(extract_features(extractor, reals))
-        per_category[cid] = frechet_distance(fake_stats, real_stats)
+def fid_report(per_category: dict, split) -> FidReport:
+    """The per-category distances with their seen and unseen averages,
+    each the mean over that part of ``split`` in id order."""
 
     def average(ids):
-        values = [per_category[c] for c in sorted(ids)]
-        return float(np.mean(values)) if values else float("nan")
+        return float(np.mean([per_category[c] for c in sorted(ids)]))
 
-    return FidReport(
-        per_category=per_category,
-        seen_avg=average(split.seen_ids),
-        unseen_avg=average(split.unseen_ids),
-    )
+    return FidReport(per_category, average(split.seen_ids), average(split.unseen_ids))
 
 
 def embedding_consistency(embedder: RegressorModel, features, target) -> float:

@@ -65,7 +65,6 @@ class TrainConfig:
     lambda_se: float = 0.1
     iterations: int = 3000
     batch_size: int = 16
-    z_dim: int = 16
     seed: int = 0
     learning_rate: float = 2e-4
 
@@ -263,7 +262,7 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
     # fakes share the real batch's conditions: pairing them keeps the
     # projection term's real-vs-fake contrast on the same categories
     v = Tensor(cond[real_cats])
-    z = rng_z.standard_normal((config.batch_size, config.z_dim))
+    z = rng_z.standard_normal((config.batch_size, model.z_dim))
     with ad.no_grad():
         fakes = generator_forward(model, Tensor(z), v)
     d_real = discriminator_forward(model, Tensor(x_real), v)
@@ -282,7 +281,7 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
 
 def _g_adv(model, cats, cond, config, rng_z):
     g_cats = cats[rng_z.integers(0, cats.size, size=config.batch_size)]
-    z = rng_z.standard_normal((config.batch_size, config.z_dim))
+    z = rng_z.standard_normal((config.batch_size, model.z_dim))
     v = Tensor(cond[g_cats])
     fakes = generator_forward(model, Tensor(z), v)
     scores = discriminator_forward(model, fakes, v)
@@ -382,7 +381,7 @@ def train(
                 se_seen_t = semantic_embedding_loss(fakes, Tensor(embeddings[g_cats]), embedder)
                 rng_u = _stream(config.seed, iteration, 3)
                 u_cats = unseen_cats[rng_u.integers(0, unseen_cats.size, size=config.batch_size)]
-                z_u = rng_u.standard_normal((config.batch_size, config.z_dim))
+                z_u = rng_u.standard_normal((config.batch_size, model.z_dim))
                 fakes_u = generator_forward(model, Tensor(z_u), Tensor(cond[u_cats]))
                 se_unseen_t = semantic_embedding_loss(fakes_u, Tensor(embeddings[u_cats]), embedder)
                 se_seen = se_seen_t.item()
@@ -438,16 +437,10 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
     return state
 
 
-def save_gan(
-    path, model: GanModel, opt_g: AdamState, opt_d: AdamState, iteration: int, run=None
-) -> None:
-    """Write the named state; ``run`` adds metadata a resume compares."""
-    save_gan_state(path, gan_state(model, opt_g, opt_d), model.condition_mode, iteration, run)
-
-
-def save_gan_state(path, state: dict, condition_mode: str, iteration: int, run=None) -> None:
+def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None) -> None:
     """Write a named state, a ``gan_state`` or an abort's ``last_good``, as
-    the state at the start of ``iteration``."""
+    the state at the start of ``iteration``; ``run`` adds metadata a resume
+    compares."""
     metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": iteration}
     save_checkpoint(path, state, {**metadata, **(run or {})})
 

@@ -288,12 +288,12 @@ class TestTrainAndEvaluate:
         ppms = sorted((cell_dir / "samples").glob("category_*.ppm"))
         assert len(ppms) == 6
 
-    def test_one_draw_scores_match_separate_draws(self, workspace):
+    def test_one_draw_scores_match_separate_draws(self, trained_cells):
         from kggan import cli, evaluation, gan, regressor, synthdata
         from kggan.autodiff import Tensor, no_grad
         from kggan.config import load_config
 
-        ws = cli.Workspace(load_config(workspace[1]))
+        ws = cli.Workspace(load_config(trained_cells[1]))
         report = cli.evaluate_checkpoint(ws, "kggan_full")
 
         def written(name):
@@ -311,17 +311,19 @@ class TestTrainAndEvaluate:
         model, cond = cli._build_model(config, gan.CONDITION_SEMANTIC, embeddings)
         gan.load_generator(ws.checkpoint_path("kggan_full"), model)
 
-        def sample_fn(cid, n):
-            return gan.sample_images(model, cid, n, cond, config.eval_seed)
+        def stats(images):
+            return evaluation.feature_stats(regressor.extract_features(embedder, images))
 
         ids = sorted(split.seen_ids | split.unseen_ids)
         specs_by_id = {s.id: s for s in dataset.specs}
         n = config.n_gen
-        separate = evaluation.per_category_fid(sample_fn, dataset, split, embedder, n)
-        assert report.per_category == separate.per_category
-        # references from fresh draws: a full forward pass, a per-image loop
+        assert sorted(report.per_category) == ids
+        # references from fresh n-image draws: the FID, a full forward
+        # pass, a per-image loop
         for cid in ids:
-            images = sample_fn(cid, n)
+            images = gan.sample_images(model, cid, n, cond, config.eval_seed)
+            reals = dataset.images[dataset.indices_of(cid)]
+            assert report.per_category[cid] == evaluation.frechet_distance(stats(images), stats(reals))
             with no_grad():
                 pred = embedder.forward(Tensor(images.reshape(n, -1))).data
             target = embeddings[cid]
@@ -332,8 +334,8 @@ class TestTrainAndEvaluate:
             )
             assert color[cid] == hits / len(images)
 
-    def test_ppm_files_are_valid_p6(self, workspace):
-        root, _ = workspace
+    def test_ppm_files_are_valid_p6(self, evaluated):
+        root, _ = evaluated
         ppm = sorted((root / "out" / "cells" / "kggan_full" / "samples").glob("*.ppm"))[0]
         blob = ppm.read_bytes()
         assert blob.startswith(b"P6\n")
@@ -348,8 +350,8 @@ class TestTrainAndEvaluate:
         proc = run_cli(["--config", str(cfg_path), "evaluate", "--cell", "kggan_no_se"], cwd=root)
         assert proc.returncode == 5
 
-    def test_fid_report_averages_recompute(self, workspace):
-        root, _ = workspace
+    def test_fid_report_averages_recompute(self, evaluated):
+        root, _ = evaluated
         lines = (root / "out" / "cells" / "kggan_full" / "fid_report.csv").read_text().splitlines()
         rows = [l.split(",") for l in lines if l and not l.startswith("#")]
         per, avgs = {}, {}
@@ -471,6 +473,16 @@ def trained_cells(workspace):
     root, cfg_path = workspace
     for cell in ("baseline_full_data", "one_hot_kggan", "kggan_full"):
         assert cli.main(["--config", str(cfg_path), "train", "--cell", cell]) == 0
+    return root, cfg_path
+
+
+@pytest.fixture(scope="module")
+def evaluated(trained_cells):
+    """The trained workspace with kggan_full evaluated in process."""
+    from kggan import cli
+
+    root, cfg_path = trained_cells
+    assert cli.main(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]) == 0
     return root, cfg_path
 
 
@@ -824,22 +836,35 @@ class TestEvaluateLoad:
 
     def test_evaluate_draws_each_category_once(self, trained_cells, monkeypatch):
         """One draw per category, long enough for both the metrics and the
-        grid; the grid is its head."""
-        from kggan import cli, gan
+        grid; the grid is its head. Two trunk passes per category: its
+        n_gen fakes, then its real images."""
+        from kggan import cli, gan, regressor, synthdata
         from kggan.config import load_config
 
         root, cfg_path = trained_cells
         config = load_config(cfg_path)
         calls, sample_images = [], gan.sample_images
+        passes, extract_features = [], regressor.extract_features
 
         def spy(model, cid, n, cond, seed):
             calls.append((cid, n))
             return sample_images(model, cid, n, cond, seed)
 
+        def spy_features(model, images):
+            passes.append(images)
+            return extract_features(model, images)
+
         monkeypatch.setattr(gan, "sample_images", spy)
+        monkeypatch.setattr(regressor, "extract_features", spy_features)
         assert cli.main(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]) == 0
         n = max(config.n_gen, cli.GRID_COLUMNS * config.grid_rows)
         assert calls == [(cid, n) for cid in range(config.n_categories)]
+        dataset, _ = synthdata.load_dataset(cli.Workspace(config).dataset_path, config)
+        assert len(passes) == 2 * config.n_categories
+        for cid in range(config.n_categories):
+            fakes, reals = passes[2 * cid], passes[2 * cid + 1]
+            assert fakes.shape == (config.n_gen, 3, config.image_size, config.image_size)
+            assert np.array_equal(reals, dataset.images[dataset.indices_of(cid)])
 
 
 class TestUnreadableInput:

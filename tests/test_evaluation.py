@@ -12,9 +12,9 @@ from kggan.evaluation import (
     color_fidelity,
     embedding_consistency,
     feature_stats,
+    fid_report,
     format_fid_table,
     frechet_distance,
-    per_category_fid,
 )
 from kggan.regressor import RegressorModel, extract_features
 
@@ -37,6 +37,18 @@ def tiny_world():
 
 def image_stats(images, extractor):
     return feature_stats(extract_features(extractor, images))
+
+
+def category_fids(fakes_of, dataset, split, extractor):
+    """Per-category FID through the calls ``cli.evaluate_checkpoint``'s
+    loop makes: ``fakes_of(cid)`` against the category's real images."""
+    return {
+        cid: frechet_distance(
+            image_stats(fakes_of(cid), extractor),
+            image_stats(dataset.images[dataset.indices_of(cid)], extractor),
+        )
+        for cid in sorted(split.seen_ids | split.unseen_ids)
+    }
 
 
 def loop_color_fidelity(images, base_color):
@@ -144,12 +156,10 @@ class TestPerCategoryFid:
         _, dataset, split = tiny_world
 
         # hand back exactly the category's real images
-        def sample_fn(cid, n):
-            rows = dataset.indices_of(cid)
-            assert n == rows.size
-            return dataset.images[rows]
+        def reals(cid):
+            return dataset.images[dataset.indices_of(cid)]
 
-        report = per_category_fid(sample_fn, dataset, split, extractor, n_gen=12)
+        report = fid_report(category_fids(reals, dataset, split, extractor), split)
         assert set(report.per_category) == split.seen_ids | split.unseen_ids
         for value in report.per_category.values():
             assert value < 1e-6
@@ -159,78 +169,29 @@ class TestPerCategoryFid:
         ids = sorted(split.seen_ids | split.unseen_ids)
         a, b = ids[0], ids[1]
 
-        def swapped(cid, n):
+        def swapped(cid):
             source = b if cid == a else (a if cid == b else cid)
-            rows = dataset.indices_of(source)
-            return dataset.images[np.resize(rows, n)]
+            return dataset.images[np.resize(dataset.indices_of(source), 24)]
 
-        def honest(cid, n):
-            rows = dataset.indices_of(cid)
-            return dataset.images[np.resize(rows, n)]
+        def honest(cid):
+            return dataset.images[np.resize(dataset.indices_of(cid), 24)]
 
-        honest_report = per_category_fid(honest, dataset, split, extractor, n_gen=24)
-        swapped_report = per_category_fid(swapped, dataset, split, extractor, n_gen=24)
-        assert swapped_report.per_category[a] > honest_report.per_category[a]
-        assert swapped_report.per_category[b] > honest_report.per_category[b]
+        honest_fids = category_fids(honest, dataset, split, extractor)
+        swapped_fids = category_fids(swapped, dataset, split, extractor)
+        assert swapped_fids[a] > honest_fids[a]
+        assert swapped_fids[b] > honest_fids[b]
 
     def test_averages_match_naive_mean_oracle(self, tiny_world, extractor, rng):
         _, dataset, split = tiny_world
 
-        def sample_fn(cid, n):
-            return rng.uniform(-1, 1, size=(n, 3, IMG, IMG))
+        def noise(cid):
+            return rng.uniform(-1, 1, size=(16, 3, IMG, IMG))
 
-        report = per_category_fid(sample_fn, dataset, split, extractor, n_gen=16)
+        report = fid_report(category_fids(noise, dataset, split, extractor), split)
         seen_vals = [report.per_category[c] for c in sorted(split.seen_ids)]
         unseen_vals = [report.per_category[c] for c in sorted(split.unseen_ids)]
         assert abs(report.seen_avg - sum(seen_vals) / len(seen_vals)) < 1e-12
         assert abs(report.unseen_avg - sum(unseen_vals) / len(unseen_vals)) < 1e-12
-
-    def test_category_with_too_few_reals_rejected(self, extractor):
-        specs = sd.make_category_specs(3)
-        dataset = sd.build_dataset(specs, images_per_category=6, image_size=IMG, seed=1)
-        # strip category 2 down to one image
-        keep = np.ones(len(dataset), dtype=bool)
-        rows = dataset.indices_of(2)
-        keep[rows[1:]] = False
-        dataset = sd.Dataset(
-            images=dataset.images[keep],
-            category_ids=dataset.category_ids[keep],
-            specs=specs,
-        )
-        split = sd.SplitPlan(seen_ids={0, 1}, unseen_ids={2})
-
-        def sample_fn(cid, n):
-            return dataset.images[np.resize(dataset.indices_of(cid), n)]
-
-        with pytest.raises(ContractError, match="at least 2 images"):
-            per_category_fid(sample_fn, dataset, split, extractor, n_gen=8)
-
-    def test_on_draw_sees_each_draw_once(self, tiny_world, extractor, rng):
-        _, dataset, split = tiny_world
-        drawn, seen = [], []
-
-        def sample_fn(cid, n):
-            drawn.append((cid, rng.uniform(-1, 1, size=(n, 3, IMG, IMG))))
-            return drawn[-1][1]
-
-        per_category_fid(
-            sample_fn,
-            dataset,
-            split,
-            extractor,
-            n_gen=4,
-            on_draw=lambda c, im, f: seen.append((c, im, f)),
-        )
-        assert [c for c, _ in drawn] == sorted(split.seen_ids | split.unseen_ids)
-        assert len(seen) == len(drawn)
-        assert all(c == d and im is jm for (c, im, _), (d, jm) in zip(seen, drawn))
-        # the features handed over are the draw's own trunk pass, bit for bit
-        assert all(np.array_equal(f, extract_features(extractor, im)) for _, im, f in seen)
-
-    def test_n_gen_too_small_rejected(self, tiny_world, extractor):
-        _, dataset, split = tiny_world
-        with pytest.raises(ContractError):
-            per_category_fid(lambda c, n: None, dataset, split, extractor, n_gen=1)
 
 
 class TestEmbeddingConsistency:

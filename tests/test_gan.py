@@ -81,7 +81,6 @@ def mini_config(**kw):
         lambda_se=0.1,
         iterations=30,
         batch_size=8,
-        z_dim=Z,
         seed=11,
         learning_rate=2e-4,
     )
@@ -658,7 +657,7 @@ class TestCheckpointResume:
             opt_g=opt_g, opt_d=opt_d,
         )
         path = tmp_path / "gan.ckpt"
-        save_gan(path, model_a, opt_g, opt_d, iteration=20)
+        save_gan(path, gan.gan_state(model_a, opt_g, opt_d), model_a.condition_mode, iteration=20)
 
         model_c = mini_model(seed=99)  # different init; checkpoint must override
         model_c, opt_g2, opt_d2, start = load_gan(path, model_c, config)
@@ -683,7 +682,7 @@ class TestCheckpointResume:
         config = mini_config()
         opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
-        save_gan(path, model, opt_g, opt_d, iteration=0)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=0)
         wrong = mini_model(condition_mode="semantic_embedding")
         with pytest.raises(ContractError, match="condition_mode 'one_hot'"):
             load_gan(path, wrong, config)
@@ -712,7 +711,7 @@ class TestCheckpointResume:
         model, config = mini_model(), mini_config()
         opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
-        save_gan(path, model, opt_g, opt_d, iteration=0)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=0)
         state, metadata = load_checkpoint(path)
         damage(state)
         save_checkpoint(path, state, metadata)

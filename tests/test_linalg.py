@@ -11,9 +11,9 @@ import pytest
 from kggan import gan, semantics, synthdata
 from kggan.config import ExperimentConfig
 from kggan.errors import ContractError
-from kggan.evaluation import per_category_fid
+from kggan.evaluation import feature_stats, fid_report, frechet_distance
 from kggan.linalg import _clamped_eigh, sym_sqrt, trace_sqrt_product
-from kggan.regressor import RegressorModel
+from kggan.regressor import RegressorModel, extract_features
 
 # trace_sqrt_product on low_rank_cov pairs, seed 1000 + rank, dimension 64
 JACOBI_TRACE_SQRT = {
@@ -34,7 +34,7 @@ JACOBI_PRECOND_QUAD = [
     5.583637573490815,
     24.370221194714798,
 ]
-# per_category_fid on the fixture of test_per_category_fid_pinned
+# per-category FID and its averages on the fixture of test_per_category_fid_pinned
 JACOBI_FID = {
     0: 16.113080556298424,
     1: 14.540888161301034,
@@ -169,10 +169,14 @@ class TestJacobiEquivalence:
         dataset = synthdata.build_dataset(specs, images_per_category=12, image_size=img, seed=3)
         split = synthdata.make_split([s.id for s in specs], n_unseen=1, seed=2)
 
-        def sample_fn(cid, n):
-            return np.random.default_rng(cid).uniform(-1, 1, size=(n, 3, img, img))
-
-        report = per_category_fid(sample_fn, dataset, split, extractor, n_gen=16)
+        # the calls cli.evaluate_checkpoint's loop makes, 16 fakes a category
+        fids = {}
+        for cid in sorted(split.seen_ids | split.unseen_ids):
+            fakes = np.random.default_rng(cid).uniform(-1, 1, size=(16, 3, img, img))
+            reals = dataset.images[dataset.indices_of(cid)]
+            fake_stats = feature_stats(extract_features(extractor, fakes))
+            fids[cid] = frechet_distance(fake_stats, feature_stats(extract_features(extractor, reals)))
+        report = fid_report(fids, split)
         assert report.per_category.keys() == JACOBI_FID.keys()
         for cid, want in JACOBI_FID.items():
             assert abs(report.per_category[cid] - want) < tol
