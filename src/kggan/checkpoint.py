@@ -1,15 +1,18 @@
 """Checkpoints as one named state, plus the atomic writer every artifact uses.
 
 A state maps names to float64 or float32 arrays (scalars are 0-d). The
-metadata's ``kind`` says which state a file holds. A "gan" holds the 43
+metadata's ``kind`` says which state a file holds. A "gan" holds the 30
 arrays training learned: the 13 parameters G.w1 ... D.v_proj; the 4
 spectral.<D weight>.u vectors (each iteration's power step recomputes
 sigma from them); and for each optimizer (adam_g over G, adam_d over D)
-the moments adam_g.m.<param> and adam_g.v.<param>, 26 in all. The rest
-is derived: the condition table from the dataset's category table
-(``gan.condition_table``, which ``cli._build_model`` calls), the
-iteration from the metadata, and both Adam step counts, which equal the
-iteration since each iteration steps G and D once. A "regressor" holds
+the second moments adam_g.v.<param>, 13 in all. There is no first
+moment: at ``gan.BETA1`` = 0 it is the current gradient, which no later
+step reads, so a file that stores adam_*.m.<param> is refused as
+holding unexpected tensors. The rest is derived: the condition table
+from the dataset's category table (``gan.condition_table``, which
+``cli._build_model`` calls), the iteration from the metadata, and both
+Adam step counts, which equal the iteration since each iteration steps
+G and D once. A "regressor" holds
 E.w1 ... E.b3. A "dataset" holds float32 ``images`` [N, 3, S, S] and the
 category table ``embeddings`` [n_categories, d]. Only a dataset's images
 are float32.

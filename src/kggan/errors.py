@@ -22,7 +22,8 @@ class NumericalAbort(RuntimeError):
 
     When raised from a training loop, ``last_good`` holds the named state
     (see ``checkpoint``) at the start of the failing iteration: the
-    parameters, the spectral ``u`` vectors and both optimizers' moments.
+    parameters, the spectral ``u`` vectors and both optimizers' second
+    moments (the GAN's Adam keeps no first moment).
     It holds no iteration or condition table: the iteration is
     ``iteration``, and the table is rebuilt from the dataset's category
     table. ``log`` is the loop's metric log, the list of

@@ -271,9 +271,9 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
     value = loss.item()
     params = model.discriminator_params()
     grads = ad.backward(loss, params)
-    # adam_step writes D's parameters and moments in place, and the abort
-    # snapshot holds them live: it keeps copies of the values they had
-    written = {id(a) for a in [p.data for p in params] + opt_d.first_moment + opt_d.second_moment}
+    # adam_step writes D's 7 parameters and 7 second moments in place, and
+    # the abort snapshot holds them live: it keeps copies of the values they had
+    written = {id(a) for a in [p.data for p in params] + opt_d.second_moment}
     snapshot.update({name: a.copy() for name, a in snapshot.items() if id(a) in written})
     adam_step(params, opt_d, grads)
     return value
@@ -361,10 +361,11 @@ def train(
         # holds the live arrays, which is safe while nothing writes them:
         # power_iteration_step replaces its vectors, and adam_step writes
         # in place only once every gradient has passed its checks. The D
-        # step copies D's parameters and moments out of it just before
-        # writing them, after its backward pass has freed the tape. G's
-        # need no copy: the D step, the loss check and G's gradient checks
-        # all run before G's update, the iteration's last write.
+        # step copies D's parameters and second moments (14 arrays) out of
+        # it just before writing them, after its backward pass has freed
+        # the tape. G's need no copy: the D step, the loss check and G's
+        # gradient checks all run before G's update, the iteration's last
+        # write.
         snapshot = gan_state(model, opt_g, opt_d)
         model.refresh_spectral()
         rng_real = _stream(config.seed, iteration, 0)
@@ -423,7 +424,8 @@ def sample_images(model: GanModel, category_id: int, n: int, cond: np.ndarray, s
 def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
     """What training learned, as the named state a resume needs, holding the
     live arrays (no copies): the parameters, each spectral ``u`` and both
-    optimizers' moments. See ``checkpoint`` for what is derived instead."""
+    optimizers' second moments. At ``BETA1`` = 0 Adam keeps no first
+    moment. See ``checkpoint`` for what is derived instead."""
     state = {p.name: p.data for p in model.generator_params() + model.discriminator_params()}
     for key, weight in model.spectral_weights():
         state[f"spectral.{weight.name}.u"] = model.spectral_u[key]
@@ -431,8 +433,7 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
         ("adam_g", opt_g, model.generator_params()),
         ("adam_d", opt_d, model.discriminator_params()),
     ):
-        for p, m, v in zip(params, opt.first_moment, opt.second_moment):
-            state[f"{tag}.m.{p.name}"] = m
+        for p, v in zip(params, opt.second_moment):
             state[f"{tag}.v.{p.name}"] = v
     return state
 
@@ -447,7 +448,7 @@ def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None) -
 
 def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     """Restore parameters, spectral ``u`` vectors and both optimizers'
-    moments into ``model``.
+    second moments into ``model``.
 
     The model must be freshly built with the same architecture config.
     Nothing of the conditioning is stored: the caller recomputes the
@@ -481,10 +482,10 @@ def load_generator(path, model: GanModel, run=None) -> GanModel:
     optimizer state is built. Sampling takes the condition table as an
     argument, which ``cli._build_model`` recomputes from the dataset's.
     """
-    # each optimizer's moments have their parameters' names and shapes, so
-    # the parameters themselves stand in for them in the template
+    # each second moment has its parameter's name and shape, so the
+    # parameters themselves stand in for them in the template
     opt_g, opt_d = (
-        AdamState(first_moment=[p.data for p in params], second_moment=[p.data for p in params])
+        AdamState(second_moment=[p.data for p in params])
         for params in (model.generator_params(), model.discriminator_params())
     )
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}

@@ -1,9 +1,11 @@
 """Bias-corrected adaptive-moment (Adam) parameter updates, in place.
 
 ``adam_step`` checks every gradient before it writes anything, then
-updates each parameter and its two moments in their own arrays, with two
+updates each parameter and its moments in their own arrays, with two
 temporaries per parameter. Defaults follow the usual
-spectrally-normalized GAN regime: lr 2e-4, beta1 0.0, beta2 0.9.
+spectrally-normalized GAN regime: lr 2e-4, beta1 0.0, beta2 0.9. At
+beta1 = 0 the first moment is the current gradient, which no later step
+reads, so the state keeps none and the update reads the gradient itself.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ class AdamState:
     beta2: float = 0.9
     epsilon: float = 1e-8
     step_count: int = 0
+    # one array per parameter, none at beta1 = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
 
@@ -31,7 +34,7 @@ class AdamState:
             learning_rate=learning_rate,
             beta1=beta1,
             beta2=beta2,
-            first_moment=[np.zeros_like(p.data) for p in params],
+            first_moment=[np.zeros_like(p.data) for p in params] if beta1 else [],
             second_moment=[np.zeros_like(p.data) for p in params],
         )
 
@@ -44,19 +47,24 @@ def adam_step(params, state: AdamState, grads) -> None:
     or one of the wrong shape is a contract error, a non-finite one a
     numerical abort, each naming the parameter. A rejected step leaves
     every parameter, moment and ``step_count`` as it was. The update then
-    writes each parameter's array and its two moments in place, so a
-    caller that must keep the old values copies them first. Each
-    parameter costs two temporaries of its size, a scratch array that
-    holds every intermediate and the denominator. The rounding steps are
-    those of
+    writes each parameter's array and its moments in place, so a caller
+    that must keep the old values copies them first. Each parameter costs
+    two temporaries of its size, a scratch array that holds every
+    intermediate and the denominator, and 14 elementwise passes. The
+    rounding steps are those of
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
 
-    with operands swapped only across a multiplication; the golden
-    metric logs pin them bit for bit.
+    with operands swapped only across a multiplication, and m's steps
+    after v's, which share no operand; the golden metric logs pin them
+    bit for bit. At beta1 = 0 there is no m: the update is
+    p - (g * lr) / (sqrt(v / c2) + eps), in 10 passes. That is the same
+    value bit for bit, since m / c1 was g itself (or +0 for a -0
+    gradient, and p - (+-0) = p for any p but -0).
     """
-    if len(grads) != len(params) or len(state.first_moment) != len(params):
+    moments = state.first_moment if state.beta1 else [None] * len(params)
+    if not len(grads) == len(moments) == len(state.second_moment) == len(params):
         raise ContractError("optimizer state does not align with the parameter list")
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
@@ -70,19 +78,22 @@ def adam_step(params, state: AdamState, grads) -> None:
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        scratch = (1.0 - b1) * g
-        m *= b1
-        m += scratch
-        np.multiply(g, g, out=scratch)
+    for p, g, m, v in zip(params, grads, moments, state.second_moment):
+        scratch = g * g
         scratch *= 1.0 - b2
         v *= b2
         v += scratch
         denom = v / correction2
         np.sqrt(denom, out=denom)
         denom += state.epsilon
-        np.divide(m, correction1, out=scratch)
-        scratch *= state.learning_rate
+        if m is None:
+            np.multiply(g, state.learning_rate, out=scratch)
+        else:
+            np.multiply(g, 1.0 - b1, out=scratch)
+            m *= b1
+            m += scratch
+            np.divide(m, correction1, out=scratch)
+            scratch *= state.learning_rate
         scratch /= denom
         np.subtract(p.data, scratch, out=p.data)
     state.step_count = t

@@ -577,6 +577,38 @@ class TestResumeChecks:
         assert f"contract violation: {path}: {named}" in proc.stderr
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    def test_checkpoint_with_first_moments_exits_3_naming_one(self, trained_cells, tmp_path, verb):
+        """A file from when the GAN's Adam stored a first moment (today's
+        state plus the 13 adam_*.m.<param> arrays, saved through
+        ``gan.save_gan``) is refused naming one of them; nothing is written
+        or replaced and no traceback is printed."""
+        from kggan import gan
+        from kggan.checkpoint import load_checkpoint
+
+        root, cfg_path = trained_cells
+        state, metadata = load_checkpoint(root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt")
+        params = [name for name in state if name[:2] in ("G.", "D.")]
+        assert len(params) == 13
+        for name in params:
+            state[f"adam_{name[0].lower()}.m.{name}"] = np.full_like(state[name], 1e-3)
+        run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
+        path = tmp_path / "checkpoint.ckpt"
+        gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
+
+        def files():
+            found = sorted(p for d in (root / "out", tmp_path) for p in d.rglob("*") if p.is_file())
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in found}
+
+        before = files()
+        flag = {"train": "--resume", "evaluate": "--checkpoint"}[verb]
+        proc = run_cli(["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        named = rf"contract violation: {re.escape(str(path))}: unexpected tensor adam_[dg]\.m\."
+        assert re.search(named, proc.stderr)
+        assert files() == before
+
     @staticmethod
     def _damage_log(path, damage):
         """Damage a 40-row metric log; returns the row named and what it holds."""
@@ -788,6 +820,53 @@ class TestBenchmarkChecks:
         checks.checkpoint_iteration(semantic, config, CONDITION_SEMANTIC, 40)
         with pytest.raises(checks.CheckFailed, match="iteration 40, expected 39"):
             checks.checkpoint_iteration(semantic, config, CONDITION_SEMANTIC, 39)
+
+
+class TestCheckpointLayout:
+    def test_gan_checkpoint_holds_30_tensors_and_no_first_moment(self, trained_cells):
+        """A GAN checkpoint holds the 13 parameters, the 4 spectral vectors
+        and the 13 second moments, nothing more: at beta1 = 0 Adam
+        allocates no first moment. The whole-state load the benchmark's
+        checkpoint check makes restores it at its iteration."""
+        from kggan import gan
+        from kggan.checkpoint import load_checkpoint
+        from kggan.config import load_config
+        from kggan.optim import AdamState
+
+        root, cfg_path = trained_cells
+        path = root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt"
+        state, metadata = load_checkpoint(path)
+        g = ["G.w1", "G.b1", "G.w2", "G.b2", "G.w3", "G.b3"]
+        d = ["D.w1", "D.b1", "D.w2", "D.b2", "D.psi_w", "D.psi_b", "D.v_proj"]
+        spectral = [f"spectral.{name}.u" for name in ("D.w1", "D.w2", "D.psi_w", "D.v_proj")]
+        moments = [f"adam_g.v.{name}" for name in g] + [f"adam_d.v.{name}" for name in d]
+        assert len(state) == 30
+        assert sorted(state) == sorted(g + d + spectral + moments)
+
+        config = load_config(cfg_path)
+        model = gan.GanModel(
+            image_size=config.image_size,
+            cond_dim=config.embed_dim,
+            condition_mode=gan.CONDITION_SEMANTIC,
+            rng=np.random.default_rng(0),
+            z_dim=config.z_dim,
+            g_hidden=config.g_hidden,
+            d_hidden=config.d_hidden,
+            feat_dim=config.feat_dim,
+        )
+        for params in (model.generator_params(), model.discriminator_params()):
+            assert AdamState.for_params(params, beta1=0.0).first_moment == []
+            assert len(AdamState.for_params(params, beta1=0.9).first_moment) == len(params)
+
+        # the call perfbench/checks.py makes
+        model, opt_g, opt_d, iteration = gan.load_gan(path, model, gan.TrainConfig())
+        assert iteration == metadata["iteration"] == 40
+        assert opt_g.step_count == opt_d.step_count == 40
+        assert opt_g.first_moment == [] and opt_d.first_moment == []
+        loaded = gan.gan_state(model, opt_g, opt_d)
+        assert list(loaded) == list(state)
+        for name, arr in state.items():
+            assert loaded[name].tobytes() == arr.tobytes(), name
 
 
 class TestEvaluateLoad:

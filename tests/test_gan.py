@@ -693,7 +693,7 @@ class TestCheckpointResume:
             (lambda s: s.pop("G.w1"), "tensor G.w1 is missing"),
             (lambda s: s.update({"G.extra": np.zeros(2)}), "unexpected tensor G.extra"),
             (lambda s: s.update({"D.proj": s.pop("D.v_proj")}), "tensor D.v_proj is missing"),
-            (lambda s: s.update({"adam_d.m.D.w2": np.zeros(3)}), r"adam_d.m.D.w2 has shape \(3,\)"),
+            (lambda s: s.update({"adam_d.v.D.w2": np.zeros(3)}), r"adam_d.v.D.w2 has shape \(3,\)"),
             # a file from when the spectral sigma, steps and degenerate flag were stored
             (
                 lambda s: s.update({"spectral.D.w1.sigma": np.asarray(1.0)}),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kggan.autodiff import Tensor
+from kggan.autodiff import Tensor, uniform_init, zeros_init
 from kggan.errors import ContractError, NumericalAbort
 from kggan.optim import AdamState, adam_step
 
@@ -73,23 +73,23 @@ class TestAdam:
 
     def test_rejected_step_writes_nothing(self, rng):
         """Every gradient is checked before anything is written: a NaN in
-        the last parameter's gradient leaves every parameter and moment,
-        and the step count, as they were."""
-        params = [Tensor(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate([(4, 3), (3,), (2, 2)])]
-        state = AdamState.for_params(params)
-        for _ in range(3):
-            adam_step(params, state, grads=[rng.standard_normal(p.data.shape) for p in params])
-
-        def arrays():
-            return [a.tobytes() for a in [p.data for p in params] + state.first_moment + state.second_moment]
-
-        before = arrays()
-        grads = [rng.standard_normal(p.data.shape) for p in params]
-        grads[-1][1, 0] = np.nan
-        with pytest.raises(NumericalAbort, match="p2"):
-            adam_step(params, state, grads=grads)
-        assert arrays() == before
-        assert state.step_count == 3
+        the last parameter's gradient leaves every parameter and whatever
+        moments the state holds (none of the first at beta1 = 0), and the
+        step count, as they were."""
+        for beta1 in (0.0, 0.9):
+            params = [Tensor(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate([(4, 3), (3,), (2, 2)])]
+            state = AdamState.for_params(params, beta1=beta1)
+            for _ in range(3):
+                adam_step(params, state, grads=[rng.standard_normal(p.data.shape) for p in params])
+            held = [p.data for p in params] + state.first_moment + state.second_moment
+            assert len(held) == (3 if beta1 else 2) * len(params)
+            before = [a.tobytes() for a in held]
+            grads = [rng.standard_normal(p.data.shape) for p in params]
+            grads[-1][1, 0] = np.nan
+            with pytest.raises(NumericalAbort, match="p2"):
+                adam_step(params, state, grads=grads)
+            assert [a.tobytes() for a in held] == before
+            assert state.step_count == 3
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2))
@@ -105,23 +105,47 @@ class TestAdam:
             adam_step([p, q], state, grads=[np.zeros(2), np.zeros(2)])
 
 
-def old_adam_step(params, state, grads):
-    """The update before scratch arrays, one full-size temporary per operation."""
-    t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1**t
-    correction2 = 1.0 - b2**t
+def old_adam_step(params, moments, grads, learning_rate, beta1, beta2, epsilon=1e-8):
+    """The update before scratch arrays, one full-size temporary per
+    operation, in 14 passes; it keeps its own ``moments``, a dict of the
+    step count "t" and the lists "m" and "v"."""
+    t = moments["t"] + 1
+    correction1 = 1.0 - beta1**t
+    correction2 = 1.0 - beta2**t
     for i, (p, g) in enumerate(zip(params, grads)):
-        m = state.first_moment[i] * b1
-        m += (1.0 - b1) * g
-        v = state.second_moment[i] * b2
-        v += (1.0 - b2) * (g * g)
-        state.first_moment[i] = m
-        state.second_moment[i] = v
+        m = moments["m"][i] * beta1
+        m += (1.0 - beta1) * g
+        v = moments["v"][i] * beta2
+        v += (1.0 - beta2) * (g * g)
+        moments["m"][i] = m
+        moments["v"][i] = v
         m_hat = m / correction1
         v_hat = v / correction2
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    state.step_count = t
+        p.data = p.data - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    moments["t"] = t
+
+
+def assert_bitwise_the_old_update(mine, ref, state, moments, grad_steps):
+    """Step ``mine`` through ``adam_step`` and ``ref`` through the old
+    update with each list of ``grad_steps``; compare p and v byte for byte,
+    and m too where the state keeps one."""
+    for grads in grad_steps:
+        adam_step(mine, state, grads=[g.copy() for g in grads])
+        old_adam_step(ref, moments, grads, state.learning_rate, state.beta1, state.beta2, state.epsilon)
+    assert state.step_count == moments["t"]
+    for a, b, v_a, v_b in zip(mine, ref, state.second_moment, moments["v"]):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert v_a.tobytes() == v_b.tobytes()
+    if state.beta1:
+        assert len(state.first_moment) == len(mine)
+        for m_a, m_b in zip(state.first_moment, moments["m"]):
+            assert m_a.tobytes() == m_b.tobytes()
+    else:
+        assert state.first_moment == []
+
+
+def fresh_moments(params):
+    return {"t": 0, "m": [np.zeros_like(p.data) for p in params], "v": [np.zeros_like(p.data) for p in params]}
 
 
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
@@ -130,15 +154,31 @@ def test_scratch_update_is_bitwise_the_old_update(rng, beta1):
     # parameters of the update's size, so its last bits reach theirs
     mine = [Tensor(1e-3 * rng.standard_normal(s)) for s in shapes]
     ref = [Tensor(p.data.copy()) for p in mine]
-    kwargs = dict(learning_rate=3e-3, beta1=beta1, beta2=0.9)
-    s_mine, s_ref = AdamState.for_params(mine, **kwargs), AdamState.for_params(ref, **kwargs)
-    for _ in range(20):
-        # zeros and tiny values reach the epsilon and signed-zero paths
-        grads = [rng.standard_normal(s) * rng.choice([0.0, 1e-12, 1.0], size=s) for s in shapes]
-        adam_step(mine, s_mine, grads=grads)
-        old_adam_step(ref, s_ref, grads)
-    for a, b, m_a, m_b, v_a, v_b in zip(
-        mine, ref, s_mine.first_moment, s_ref.first_moment, s_mine.second_moment, s_ref.second_moment
-    ):
-        assert a.data.tobytes() == b.data.tobytes()
-        assert m_a.tobytes() == m_b.tobytes() and v_a.tobytes() == v_b.tobytes()
+    state = AdamState.for_params(mine, learning_rate=3e-3, beta1=beta1, beta2=0.9)
+    # +0 and -0 reach the signed-zero paths, tiny values the epsilon and
+    # subnormal paths, and a rare huge one a v near the largest double
+    scales = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e150])
+    odds = [0.15, 0.15, 0.05, 0.05, 0.1, 0.48, 0.02]
+    grad_steps = [
+        [rng.standard_normal(s) * rng.choice(scales, size=s, p=odds) for s in shapes] for _ in range(20)
+    ]
+    assert any((np.abs(g) >= 1e150).any() for grads in grad_steps for g in grads)
+    assert any(np.signbit(g[g == 0.0]).any() for grads in grad_steps for g in grads)
+    assert_bitwise_the_old_update(mine, ref, state, fresh_moments(ref), grad_steps)
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+def test_initialized_parameters_meet_negative_zero_gradients(rng, beta1):
+    """The GAN's parameters start from ``uniform_init`` and ``zeros_init``,
+    which give +0.0, never -0.0; all -0.0 gradients and then mixed ones
+    leave them as the old update does."""
+    mine = [uniform_init((6, 4), rng), zeros_init((4,)), uniform_init((4, 1), rng), zeros_init((1,))]
+    assert not any(np.signbit(p.data[p.data == 0.0]).any() for p in mine)
+    ref = [Tensor(p.data.copy()) for p in mine]
+    state = AdamState.for_params(mine, learning_rate=2e-4, beta1=beta1, beta2=0.9)
+    shapes = [p.data.shape for p in mine]
+    grad_steps = [[np.full(s, -0.0) for s in shapes] for _ in range(3)]
+    mixed = [-0.0, 0.0, 1.0]
+    grad_steps += [[rng.standard_normal(s) * rng.choice(mixed, size=s) for s in shapes] for _ in range(5)]
+    grad_steps += [[np.full(s, -0.0) for s in shapes] for _ in range(3)]
+    assert_bitwise_the_old_update(mine, ref, state, fresh_moments(ref), grad_steps)
