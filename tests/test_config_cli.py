@@ -744,6 +744,31 @@ class TestEvaluationGolden:
             assert rows == (GOLDEN / f"tiny_kggan_full_{name}").read_text(encoding="utf-8"), name
 
 
+class TestDatasetGolden:
+    """The TINY config's dataset, recorded in the golden files before the
+    category recipes held their attributes as words. Header lines carry
+    the config hash, which changes with every other config field, so the
+    descriptions are pinned from the first ``#category`` line; the
+    dataset file by the blake2b of each tensor's bytes."""
+
+    def test_descriptions_match_golden(self, workspace):
+        root, _ = workspace
+        text = (root / "out" / "dataset" / "descriptions.txt").read_text(encoding="utf-8")
+        body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# "))
+        assert body == (GOLDEN / "tiny_dataset_descriptions.txt").read_text(encoding="utf-8")
+
+    def test_dataset_tensors_match_golden(self, workspace):
+        from kggan.checkpoint import load_checkpoint
+
+        root, _ = workspace
+        state, _ = load_checkpoint(root / "out" / "dataset" / "dataset.ckpt")
+        digests = "".join(
+            f"{name} {hashlib.blake2b(state[name].tobytes()).hexdigest()}\n"
+            for name in ("images", "embeddings")
+        )
+        assert digests == (GOLDEN / "tiny_dataset.blake2b").read_text(encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def ablated(tmp_path_factory):
     """The TINY config's ``ablate`` output directory."""
