@@ -8,38 +8,8 @@ per-category Frechet evaluation and a four-cell ablation harness.
 Training returns its metric log as plain rows, one tuple per iteration,
 whose columns ``gan.METRIC_COLUMNS`` names.
 
-``backward(loss, params)`` returns the gradients of a scalar loss for
-exactly the params passed; tensors hold no gradient and no flag, so
-nothing is reset between passes. A model is frozen, as the embedding
-regressor is, when no optimizer holds its parameters.
+``autodiff.backward(loss, params)`` returns the gradients of a scalar
+loss for exactly the params passed; tensors hold no gradient and no
+flag, so nothing is reset between passes. A model is frozen, as the
+embedding regressor is, when no optimizer holds its parameters.
 """
-
-from .autodiff import Tensor, backward, no_grad
-from .config import ExperimentConfig
-from .errors import ConfigError, ContractError, DimensionError, NumericalAbort
-from .evaluation import FidReport, GaussianStats, frechet_distance
-from .gan import GanModel, TrainConfig
-from .regressor import RegressorModel
-from .synthdata import CategorySpec, Dataset, SplitPlan
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CategorySpec",
-    "ConfigError",
-    "ContractError",
-    "Dataset",
-    "DimensionError",
-    "ExperimentConfig",
-    "FidReport",
-    "GanModel",
-    "GaussianStats",
-    "NumericalAbort",
-    "RegressorModel",
-    "SplitPlan",
-    "Tensor",
-    "TrainConfig",
-    "backward",
-    "frechet_distance",
-    "no_grad",
-]

@@ -4,15 +4,17 @@ four-cell ablation.
 Verbs: generate-data, train-embedder, train --cell <name>, evaluate,
 ablate. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
-4 numerical abort, 5 I/O error. ``evaluate`` is ``evaluate_checkpoint``:
-one loop draws and scores each category once, then it writes a cell's
-fid_report.csv, fid_table.txt, consistency.csv, color_fidelity.csv and
-samples/category_<id>.ppm grids, each grid the head of the draw the
-metrics score. ``ablate`` is ``generate-data``,
+4 numerical abort, 5 I/O error. ``train`` is ``cmd_train``: it trains
+one cell and writes its checkpoint.ckpt and metrics.csv. ``evaluate`` is
+``evaluate_checkpoint``: one loop draws and scores each category once,
+then it writes a cell's fid_report.csv, consistency.csv,
+color_fidelity.csv and samples/category_<id>.ppm grids, each grid the
+head of the draw the metrics score. ``ablate`` is ``generate-data``,
 ``train-embedder``, then ``cmd_train`` and ``evaluate_checkpoint`` per
-cell; it writes ablation/combined.csv and combined.txt and exits with
-the code of the first cell that failed, in ``CELLS`` order. Every CSV
-is written by ``_write_table``, each float as its ``repr``.
+cell; it writes ablation/combined.csv and combined.txt, whose table
+holds each cell's seen and unseen FID averages, and exits with the code
+of the first cell that failed, in ``CELLS`` order. Every CSV is written
+by ``_write_table``, each float as its ``repr``.
 
 ``dataset/dataset.ckpt`` (the float32 images and the category table)
 and ``embedder.ckpt`` record the config fields they depend on. A verb
@@ -160,8 +162,8 @@ def cmd_train_embedder(ws: Workspace) -> int:
         seen_ids=split.seen_ids,
     )
     regressor.save_regressor(ws.embedder_path, model, config)
-    final = model.training_loss_history[-1] if model.training_loss_history else float("nan")
-    print(f"embedder trained for {len(model.training_loss_history)} steps, final loss {final:.6f}")
+    history = model.training_loss_history
+    print(f"embedder trained for {len(history)} steps, final loss {history[-1]:.6f}")
     return 0
 
 
@@ -202,19 +204,42 @@ def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
     return {"cell": cell, "lambda_se": lambda_se, **config_fields(config, names)}
 
 
-def run_cell(ws: Workspace, cell: str, resume: str | None = None):
-    """Train one ablation cell; returns (model, log, opt_g, opt_d).
+def _logged_rows(path: str, start: int) -> list:
+    """Rows 0..start-1 of the metric log at ``path``, each written exactly as
+    ``_row_text`` writes it; otherwise ContractError names the first bad row."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith(("#", "iteration,"))]
+    rows = []
+    for i in range(max(start, len(lines))):
+        try:
+            it, *losses = lines[i].split(",")
+            rows.append((int(it), *map(float, losses)))
+            ok = i < start and rows[i][0] == i and _row_text(rows[i]) == lines[i]
+        except (IndexError, ValueError):  # a missing row, or not an int and four floats
+            ok = False
+        if not ok:
+            found = repr(lines[i]) if i < len(lines) else "missing"
+            raise ContractError(f"{path}: row {i} of the checkpoint's 0..{start - 1} is {found}")
+    return rows
+
+
+def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
+    """Train one ablation cell and write its checkpoint and metric log.
 
     Every cell trains through ``gan.train``. The full-data baseline is the
     SN-GAN run: lambda_se = 0 and a split that sees every category and
     leaves none unseen, so real batches draw from all of them. A
     ``resume`` checkpoint must have been written by the same run, and the
     log beside it must hold its iterations (see the module docstring); the
-    returned log then starts with those rows.
+    written log then starts with those rows.
     """
     config = ws.config
     condition_mode, full_data, use_knowledge = CELL_RULES[cell]
     run = _run_metadata(config, cell)
+    cell_dir = ws.cell_dir(cell)
+    header = ws.header(config.gan_seed) + [f"cell {cell}"]
+    # first, so an output directory that cannot be made fails before any training
+    os.makedirs(cell_dir, exist_ok=True)
     dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     if full_data:
         all_ids = set(range(config.n_categories))
@@ -242,58 +267,26 @@ def run_cell(ws: Workspace, cell: str, resume: str | None = None):
     if use_knowledge:
         embedder = regressor.load_regressor(ws.embedder_path, config)
 
-    model, log = gan.train(
-        model,
-        dataset,
-        split,
-        cond,
-        embeddings,
-        embedder,
-        tconfig,
-        start_iteration=start_iteration,
-        opt_g=opt_g,
-        opt_d=opt_d,
-        log=log,
-    )
-    return model, log, opt_g, opt_d
-
-
-def _logged_rows(path: str, start: int) -> list:
-    """Rows 0..start-1 of the metric log at ``path``, each written exactly as
-    ``_row_text`` writes it; otherwise ContractError names the first bad row."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = [line for line in fh.read().splitlines() if not line.startswith(("#", "iteration,"))]
-    rows = []
-    for i in range(max(start, len(lines))):
-        try:
-            it, *losses = lines[i].split(",")
-            rows.append((int(it), *map(float, losses)))
-            ok = i < start and rows[i][0] == i and _row_text(rows[i]) == lines[i]
-        except (IndexError, ValueError):  # a missing row, or not an int and four floats
-            ok = False
-        if not ok:
-            found = repr(lines[i]) if i < len(lines) else "missing"
-            raise ContractError(f"{path}: row {i} of the checkpoint's 0..{start - 1} is {found}")
-    return rows
-
-
-def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
-    config = ws.config
-    cell_dir = ws.cell_dir(cell)
-    condition_mode = CELL_RULES[cell][0]
-    run = _run_metadata(config, cell)
-    header = ws.header(config.gan_seed) + [f"cell {cell}"]
-    # first, so an output directory that cannot be made fails before any training
-    os.makedirs(cell_dir, exist_ok=True)
     try:
-        model, log, opt_g, opt_d = run_cell(ws, cell, resume=resume)
+        model, log = gan.train(
+            model,
+            dataset,
+            split,
+            cond,
+            embeddings,
+            embedder,
+            tconfig,
+            start_iteration=start_iteration,
+            opt_g=opt_g,
+            opt_d=opt_d,
+            log=log,
+        )
     except NumericalAbort as abort:
         # the state at the start of the failing iteration and the log before
         # it, for post-mortem work or a resume
-        if abort.last_good is not None:
-            path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
-            gan.save_gan(path, abort.last_good, condition_mode, abort.iteration, run)
-            _write_table(os.path.join(cell_dir, ABORTED_LOG), header, gan.METRIC_COLUMNS, abort.log)
+        path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
+        gan.save_gan(path, abort.last_good, condition_mode, abort.iteration, run)
+        _write_table(os.path.join(cell_dir, ABORTED_LOG), header, gan.METRIC_COLUMNS, abort.log)
         raise
     state = gan.gan_state(model, opt_g, opt_d)
     gan.save_gan(ws.checkpoint_path(cell), state, condition_mode, config.gan_iterations, run)
@@ -333,8 +326,8 @@ def _sample_grid(images: np.ndarray) -> np.ndarray:
 
 
 def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = None):
-    """Score one trained cell, write its FID report and table, metric CSVs
-    and sample grids, and return its FidReport.
+    """Score one trained cell, write its FID report, metric CSVs and sample
+    grids, and return its FidReport.
 
     Only the generator is restored from the checkpoint, which is verified
     whole (see ``gan.load_generator``); the condition table is rebuilt from
@@ -347,7 +340,6 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     is written after the loop, so a failure in it writes nothing.
     """
     config = ws.config
-    condition_mode, _, use_knowledge = CELL_RULES[cell]
     dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     split = _split(config)
     path = checkpoint_path or ws.checkpoint_path(cell)
@@ -355,7 +347,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         raise OSError(f"checkpoint missing: {path}")
     embedder = regressor.load_regressor(ws.embedder_path, config)
     run = {"cell": cell, **config_fields(config, regressor.EMBEDDER_FIELDS)}
-    model, cond = _build_model(config, condition_mode, embeddings)
+    model, cond = _build_model(config, CELL_RULES[cell][0], embeddings)
     gan.load_generator(path, model, run=run)
 
     n_grid = GRID_COLUMNS * config.grid_rows
@@ -369,7 +361,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         real_stats = evaluation.feature_stats(regressor.extract_features(embedder, reals))
         fid[cid] = evaluation.frechet_distance(evaluation.feature_stats(features), real_stats)
         consistency[cid] = evaluation.embedding_consistency(embedder, features, embeddings[cid])
-        color[cid] = evaluation.color_fidelity(fakes, dataset.specs[cid].base_color)
+        color[cid] = evaluation.color_fidelity(fakes, dataset.specs[cid].color)
     report = evaluation.fid_report(fid, split)
 
     cell_dir = ws.cell_dir(cell)
@@ -384,8 +376,6 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     _write_table(
         os.path.join(cell_dir, "fid_report.csv"), table_header, ("category_id", "fid", "split"), rows
     )
-    row = (cell, condition_mode, use_knowledge, report.seen_avg, report.unseen_avg)
-    write_atomic(os.path.join(cell_dir, "fid_table.txt"), evaluation.format_fid_table([row], table_header))
     for name, mapping in (("consistency.csv", consistency), ("color_fidelity.csv", color)):
         rows = [(cid, mapping[cid]) for cid in sorted(mapping)]
         _write_table(os.path.join(cell_dir, name), table_header, ("category_id", "value"), rows)

@@ -31,7 +31,7 @@ from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 from .linalg import trace_sqrt_product
 from .regressor import RegressorModel
-from .synthdata import mean_foreground_color
+from .synthdata import PALETTE, mean_foreground_color
 
 SYMMETRY_TOL = 1e-10
 
@@ -103,10 +103,10 @@ def embedding_consistency(embedder: RegressorModel, features, target) -> float:
     return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
 
 
-def color_fidelity(images, base_color) -> float:
-    """Fraction of a draw's [n, 3, S, S] images whose dominant
-    mean-foreground channel is the dominant channel of ``base_color``."""
-    want = int(np.argmax(np.asarray(base_color)))
+def color_fidelity(images, color: str) -> float:
+    """Fraction of a draw's [n, 3, S, S] images whose dominant mean-foreground
+    channel is the dominant channel of the ``PALETTE`` color ``color``."""
+    want = int(np.argmax(PALETTE[color]))
     hits = np.argmax(mean_foreground_color(images), axis=-1) == want
     return int(np.count_nonzero(hits)) / len(images)
 

@@ -118,10 +118,11 @@ class GanModel:
     """Generator and projection discriminator with spectral state.
 
     The generator is one parameter set; conditioning on a seen or an
-    unseen category invokes the same tensors. ``spectral_u`` holds each
-    spectrally normalized D weight's unit vector ``u``, the only spectral
-    state carried over; ``sigma`` holds the estimates that
+    unseen category invokes the same tensors. ``spectral_u`` holds the
+    unit vector ``u`` of each of the ``spectral_weights``, the only
+    spectral state carried over; ``sigma`` holds the estimates that
     ``refresh_spectral`` computes from it, empty until the first refresh.
+    Both are keyed by the weight's ``Tensor.name`` ("D.w1").
     """
 
     def __init__(
@@ -159,9 +160,9 @@ class GanModel:
         self.v_proj = ad.uniform_init((cond_dim, feat_dim), rng, name="D.v_proj")
 
         self.spectral_u = {}
-        for key, weight in self.spectral_weights():
+        for weight in self.spectral_weights():
             u = rng.standard_normal(weight.data.shape[0])
-            self.spectral_u[key] = u / np.linalg.norm(u)
+            self.spectral_u[weight.name] = u / np.linalg.norm(u)
         self.sigma = {}
 
     def generator_params(self):
@@ -171,13 +172,15 @@ class GanModel:
         return [self.dw1, self.db1, self.dw2, self.db2, self.psi_w, self.psi_b, self.v_proj]
 
     def spectral_weights(self):
-        return [("dw1", self.dw1), ("dw2", self.dw2), ("psi_w", self.psi_w), ("v_proj", self.v_proj)]
+        """The four D weights the discriminator divides by their ``sigma``."""
+        return [self.dw1, self.dw2, self.psi_w, self.v_proj]
 
     def refresh_spectral(self):
         """One power-iteration step per discriminator weight from its ``u``:
         sets the new ``u`` and the ``sigma`` the discriminator divides by."""
-        for key, weight in self.spectral_weights():
-            self.spectral_u[key], self.sigma[key] = power_iteration_step(weight, self.spectral_u[key])
+        for w in self.spectral_weights():
+            u, self.sigma[w.name] = power_iteration_step(w.data, self.spectral_u[w.name])
+            self.spectral_u[w.name] = u
 
 
 def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
@@ -204,10 +207,7 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
         )
     if not model.sigma:
         raise ContractError("discriminator_forward before the first refresh_spectral")
-    w1 = spectral_normalize(model.dw1, model.sigma["dw1"])
-    w2 = spectral_normalize(model.dw2, model.sigma["dw2"])
-    psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"])
-    v_proj = spectral_normalize(model.v_proj, model.sigma["v_proj"])
+    w1, w2, psi_w, v_proj = (spectral_normalize(w, model.sigma[w.name]) for w in model.spectral_weights())
 
     h = ad.leaky_relu(ad.affine(x, w1, model.db1), LEAK)
     phi = ad.leaky_relu(ad.affine(h, w2, model.db2), LEAK)
@@ -427,8 +427,8 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
     optimizers' second moments. At ``BETA1`` = 0 Adam keeps no first
     moment. See ``checkpoint`` for what is derived instead."""
     state = {p.name: p.data for p in model.generator_params() + model.discriminator_params()}
-    for key, weight in model.spectral_weights():
-        state[f"spectral.{weight.name}.u"] = model.spectral_u[key]
+    for name, u in model.spectral_u.items():
+        state[f"spectral.{name}.u"] = u
     for tag, opt, params in (
         ("adam_g", opt_g, model.generator_params()),
         ("adam_d", opt_d, model.discriminator_params()),

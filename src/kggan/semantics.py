@@ -21,7 +21,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def embed_text(description: str, dim: int = 64) -> np.ndarray:
-    """Hashed bag-of-words feature vector in [0, 1]."""
+    """Hashed bag-of-words feature vector in [0, 1)."""
     tokens = _TOKEN_RE.findall(description.lower())
     if not any(any(ch.isalpha() for ch in tok) for tok in tokens):
         raise ContractError("description has no alphabetic token")
@@ -32,14 +32,14 @@ def embed_text(description: str, dim: int = 64) -> np.ndarray:
 
 
 def category_embedding(descriptions, dim: int = 64) -> np.ndarray:
-    """Mean of the description embeddings, clamped into [0, 1]."""
+    """Mean of the description embeddings, in [0, 1) as each of them is."""
     descriptions = list(descriptions)
     if not descriptions:
         raise ContractError("category has no descriptions")
     total = np.zeros(dim)
     for text in descriptions:
         total += embed_text(text, dim)
-    return np.clip(total / len(descriptions), 0.0, 1.0)
+    return total / len(descriptions)
 
 
 def build_embeddings(specs, dim: int = 64) -> np.ndarray:

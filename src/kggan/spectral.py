@@ -4,7 +4,9 @@ The dominant left singular vector ``u`` is the only spectral state: it
 persists across training iterations, and one power step per iteration
 from it gives a largest-singular-value estimate that tracks the slowly
 moving weights. The estimate is treated as a constant when the
-normalized weight enters the gradient graph.
+normalized weight enters the gradient graph. A power step reads the
+weight's array; ``gan.GanModel`` keeps each weight's ``u`` and ``sigma``
+under its ``Tensor.name``.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from .autodiff import Tensor, scale
 from .errors import ContractError, DimensionError
 
 
-def power_iteration_step(weight, u: np.ndarray):
-    """One round of power iteration from the unit vector ``u``.
+def power_iteration_step(w: np.ndarray, u: np.ndarray):
+    """One round of power iteration on the float64 matrix ``w`` from the
+    unit vector ``u``.
 
     Returns (u, sigma): the new unit vector, and the estimate that
     converges to the largest singular value under repetition. For a
     (numerically) zero matrix it returns (u, None), ``u`` unchanged.
     """
-    w = weight.data if isinstance(weight, Tensor) else np.asarray(weight, dtype=np.float64)
     if w.ndim != 2:
         raise DimensionError(f"power iteration needs a 2-D matrix, got shape {w.shape}")
     if u.shape != (w.shape[0],):

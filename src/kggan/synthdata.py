@@ -1,12 +1,15 @@
 """Procedural flower dataset: colored shapes on a dark background.
 
-Each category is a recipe (color, shape, stripe frequency) plus templated
-text descriptions. Rendering is a pure function of (spec, instance seed),
-so the whole dataset regenerates bit-identically from its config. The
-palette uses exactly three color words, each with a strictly dominant RGB
-channel, so color metrics are unambiguous and every color word stays
-represented on the seen side of any split that leaves fewer unseen
-categories than there are categories per color.
+Each category is a recipe of three words (color, shape, texture) plus
+templated text descriptions that use them. ``PALETTE`` maps a color word
+to its RGB and ``TEXTURES`` a texture word to its stripe frequency; they
+are read only where pixels are drawn or color is scored. Rendering is a
+pure function of (spec, instance seed), so the whole dataset regenerates
+bit-identically from its config. The palette uses exactly three color
+words, each with a strictly dominant RGB channel, so color metrics are
+unambiguous and every color word stays represented on the seen side of
+any split that leaves fewer unseen categories than there are categories
+per color.
 
 The dataset file is a checkpoint of kind "dataset": the images as
 float32 and the [n_categories, d] category table, with the DATASET_FIELDS
@@ -56,7 +59,7 @@ PALETTE = {
     "blue": (0.15, 0.15, 0.85),
 }
 SHAPES = ("disk", "ring", "cross", "petals")
-TEXTURE_FREQS = (0.0, 2.0, 4.0)
+TEXTURES = {"smooth": 0.0, "striped": 2.0, "banded": 4.0}  # stripe cycles per image width
 
 _SHAPE_WORDS = {"disk": "round", "ring": "hollow", "cross": "angular", "petals": "star"}
 
@@ -93,12 +96,13 @@ _TEMPLATES = (
 
 @dataclass
 class CategorySpec:
-    """Procedural recipe for one flower category."""
+    """Procedural recipe for one flower category: a ``PALETTE`` color word,
+    a ``SHAPES`` entry and a ``TEXTURES`` word, with its species name."""
 
     id: int
-    base_color: tuple
+    color: str
     shape: str
-    texture_freq: float
+    texture: str
     name: str
     descriptions: list = field(default_factory=list)
 
@@ -122,25 +126,6 @@ class Dataset:
         return np.nonzero(self.category_ids == category_id)[0]
 
 
-def color_word(rgb) -> str:
-    """Nearest palette word for an RGB triple."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    best, best_d = None, np.inf
-    for word, ref in PALETTE.items():
-        d = float(np.sum((rgb - np.asarray(ref)) ** 2))
-        if d < best_d:
-            best, best_d = word, d
-    return best
-
-
-def texture_word(freq: float) -> str:
-    if freq <= 0.0:
-        return "smooth"
-    if freq <= 3.0:
-        return "striped"
-    return "banded"
-
-
 def describe_category(spec: CategorySpec, n: int) -> list:
     """n templated sentences for a category, phrasing rotated by index.
 
@@ -148,13 +133,9 @@ def describe_category(spec: CategorySpec, n: int) -> list:
     """
     if n < 1:
         raise ContractError("need at least one description")
-    cw = color_word(spec.base_color)
-    sw = _SHAPE_WORDS[spec.shape]
-    tw = texture_word(spec.texture_freq)
-    return [
-        _TEMPLATES[i % len(_TEMPLATES)].format(name=spec.name, color=cw, shape=sw, texture=tw)
-        for i in range(n)
-    ]
+    shape = _SHAPE_WORDS[spec.shape]
+    words = {"name": spec.name, "color": spec.color, "shape": shape, "texture": spec.texture}
+    return [_TEMPLATES[i % len(_TEMPLATES)].format(**words) for i in range(n)]
 
 
 def make_category_specs(n_categories: int, descriptions_per_category: int = 10) -> list:
@@ -162,18 +143,15 @@ def make_category_specs(n_categories: int, descriptions_per_category: int = 10) 
     ``len(PALETTE)`` ids, and texture cycles by id shifted one step per
     block of colours x shapes ids, so ids 0..35 are 36 distinct recipes.
     ``validate_config`` bounds ``n_categories`` by ``config.MAX_CATEGORIES``."""
-    colors = list(PALETTE.values())
+    colors, textures = list(PALETTE), list(TEXTURES)
     block = len(colors) * len(SHAPES)
     specs = []
     for cid in range(n_categories):
-        color = colors[cid % len(colors)]
-        shape = SHAPES[(cid // len(colors)) % len(SHAPES)]
-        freq = TEXTURE_FREQS[(cid + cid // block) % len(TEXTURE_FREQS)]
         spec = CategorySpec(
             id=cid,
-            base_color=color,
-            shape=shape,
-            texture_freq=freq,
+            color=colors[cid % len(colors)],
+            shape=SHAPES[(cid // len(colors)) % len(SHAPES)],
+            texture=textures[(cid + cid // block) % len(textures)],
             name=NAME_WORDS[cid % len(NAME_WORDS)],
         )
         spec.descriptions = describe_category(spec, descriptions_per_category)
@@ -225,11 +203,11 @@ def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) 
     cx = (0.5 + center_jit[0]) * (s - 1)
     cy = (0.5 + center_jit[1]) * (s - 1)
     r = BASE_RADIUS * s * (1.0 + scale_jit)
-    color = np.clip(np.asarray(spec.base_color) + hue_jit, 0.0, 1.0)
+    color = np.clip(np.asarray(PALETTE[spec.color]) + hue_jit, 0.0, 1.0)
 
     mask = _shape_mask(spec.shape, s, cx, cy, r, rot=rot, aspect=aspect)
     xx = np.arange(s, dtype=np.float64)[None, :].repeat(s, axis=0)
-    texture = 1.0 + TEXTURE_AMPLITUDE * np.sin(2.0 * np.pi * spec.texture_freq * xx / s)
+    texture = 1.0 + TEXTURE_AMPLITUDE * np.sin(2.0 * np.pi * TEXTURES[spec.texture] * xx / s)
 
     img01 = np.full((3, s, s), BACKGROUND)
     for c in range(3):

@@ -160,7 +160,7 @@ class TestConfig:
         from kggan import synthdata as sd
         from kggan.config import MAX_CATEGORIES
 
-        assert MAX_CATEGORIES == len(sd.PALETTE) * len(sd.SHAPES) * len(sd.TEXTURE_FREQS)
+        assert MAX_CATEGORIES == len(sd.PALETTE) * len(sd.SHAPES) * len(sd.TEXTURES)
         assert parse_config(f"n_categories = {MAX_CATEGORIES}\n").n_categories == MAX_CATEGORIES
         assert len(sd.make_category_specs(MAX_CATEGORIES)) == MAX_CATEGORIES
         with pytest.raises(ConfigError, match=rf"^n_categories must be in \[2, {MAX_CATEGORIES}\], got 37$"):
@@ -288,6 +288,26 @@ class TestTrainAndEvaluate:
         ppms = sorted((cell_dir / "samples").glob("category_*.ppm"))
         assert len(ppms) == 6
 
+    def test_evaluate_writes_only_its_scores_and_grids(self, trained_cells, tmp_path):
+        """evaluate writes a cell's three score CSVs and one sample grid per
+        category, and no other file."""
+        from kggan import cli
+
+        root, cfg_path = trained_cells
+        out, cell = tmp_path / "out", Path("cells") / "kggan_full"
+        shutil.copytree(root / "out" / "dataset", out / "dataset")
+        shutil.copy(root / "out" / "embedder.ckpt", out)
+        (out / cell).mkdir(parents=True)
+        shutil.copy(root / "out" / cell / "checkpoint.ckpt", out / cell)
+        before = set(out.rglob("*"))
+        argv = ["--config", str(cfg_path), "--out", str(out), "evaluate", "--cell", "kggan_full"]
+        assert cli.main(argv) == 0
+        new = set(out.rglob("*")) - before
+        written = sorted(p.relative_to(out).as_posix() for p in new if p.is_file())
+        scores = ("fid_report.csv", "consistency.csv", "color_fidelity.csv")
+        grids = tuple(f"samples/category_{cid}.ppm" for cid in range(6))
+        assert written == sorted(f"cells/kggan_full/{name}" for name in scores + grids)
+
     def test_one_draw_scores_match_separate_draws(self, trained_cells):
         from kggan import cli, evaluation, gan, regressor, synthdata
         from kggan.autodiff import Tensor, no_grad
@@ -328,7 +348,7 @@ class TestTrainAndEvaluate:
                 pred = embedder.forward(Tensor(images.reshape(n, -1))).data
             target = embeddings[cid]
             assert consistency[cid] == float(np.mean(np.sum((pred - target) ** 2, axis=1)))
-            want = int(np.argmax(np.asarray(specs_by_id[cid].base_color)))
+            want = int(np.argmax(synthdata.PALETTE[specs_by_id[cid].color]))
             hits = sum(
                 1 for img in images if int(np.argmax(synthdata.mean_foreground_color(img))) == want
             )
@@ -1002,18 +1022,18 @@ class TestAbortCheckpoint:
     def test_aborted_checkpoint_is_the_state_at_the_failing_iteration(self, tmp_path, monkeypatch):
         from kggan import cli, gan, optim
         from kggan.checkpoint import load_checkpoint
-        from kggan.config import load_config
 
         k = 5
-        cfg = tmp_path / "exp.cfg"
+        cfg, cfg_k = tmp_path / "exp.cfg", tmp_path / "exp_k.cfg"
         cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 8"))
+        cfg_k.write_text(TINY.format(out=tmp_path / "out").replace("= 40", f"= {k}"))
         for cmd in (["generate-data"], ["train-embedder"]):
             assert cli.main(["--config", str(cfg), *cmd]) == 0
         # an uninterrupted run of k iterations ends where iteration k starts
-        ws = cli.Workspace(load_config(cfg))
-        ws.config.gan_iterations = k
-        model, _, opt_g, opt_d = cli.run_cell(ws, "kggan_full")
-        expected = gan.gan_state(model, opt_g, opt_d)
+        assert cli.main(["--config", str(cfg_k), "train", "--cell", "kggan_full"]) == 0
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        finished = (cell_dir / "checkpoint.ckpt").read_bytes()
+        expected, _ = load_checkpoint(cell_dir / "checkpoint.ckpt")
 
         calls = []
 
@@ -1025,13 +1045,12 @@ class TestAbortCheckpoint:
 
         monkeypatch.setattr(gan, "adam_step", poisoned)
         assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
-        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
         state, metadata = load_checkpoint(cell_dir / "checkpoint.aborted.ckpt")
         assert (metadata["iteration"], metadata["cell"]) == (k, "kggan_full")
         assert list(state) == list(expected)
         for name, arr in expected.items():
             assert state[name].shape == arr.shape and state[name].tobytes() == arr.tobytes(), name
-        assert not (cell_dir / "checkpoint.ckpt").exists()
+        assert (cell_dir / "checkpoint.ckpt").read_bytes() == finished
 
     def test_aborted_run_resumes_to_the_uninterrupted_log(self, tmp_path, monkeypatch):
         """A NaN in G.w1's gradient at iteration 30 aborts the run; resumed

@@ -51,9 +51,9 @@ def category_fids(fakes_of, dataset, split, extractor):
     }
 
 
-def loop_color_fidelity(images, base_color):
+def loop_color_fidelity(images, rgb):
     """Per-image reference for color_fidelity."""
-    want = int(np.argmax(np.asarray(base_color)))
+    want = int(np.argmax(np.asarray(rgb)))
     return sum(1 for img in images if int(np.argmax(sd.mean_foreground_color(img))) == want) / len(images)
 
 
@@ -229,24 +229,24 @@ class TestColorFidelity:
     def test_solid_base_color_matches_perfectly(self, tiny_world):
         specs, _, _ = tiny_world
         for spec in specs:
-            color = np.asarray(spec.base_color)
+            color = np.asarray(sd.PALETTE[spec.color])
             img = np.ones((3, IMG, IMG)) * (2.0 * color[:, None, None] - 1.0)
-            assert color_fidelity(np.stack([img] * 6), spec.base_color) == 1.0
+            assert color_fidelity(np.stack([img] * 6), spec.color) == 1.0
 
     def test_wrong_channel_scores_zero(self, tiny_world):
         specs, _, _ = tiny_world
         for spec in specs:
-            want = int(np.argmax(np.asarray(spec.base_color)))
+            want = int(np.argmax(sd.PALETTE[spec.color]))
             color = np.full(3, 0.1)
             color[(want + 1) % 3] = 0.9
             img = np.ones((3, IMG, IMG)) * (2.0 * color[:, None, None] - 1.0)
-            assert color_fidelity(np.stack([img] * 6), spec.base_color) == 0.0
+            assert color_fidelity(np.stack([img] * 6), spec.color) == 0.0
 
     def test_real_dataset_samples_match(self, tiny_world):
         specs, dataset, _ = tiny_world
         for spec in specs:
             images = dataset.images[np.resize(dataset.indices_of(spec.id), 10)]
-            assert color_fidelity(images, spec.base_color) == 1.0
+            assert color_fidelity(images, spec.color) == 1.0
 
     def test_matches_per_image_loop(self, tiny_world):
         from kggan import gan
@@ -260,8 +260,8 @@ class TestColorFidelity:
             ):
                 # each base color tried, so draws score between 0 and 1
                 for other in specs:
-                    want = loop_color_fidelity(images, other.base_color)
-                    assert color_fidelity(images, other.base_color) == want
+                    want = loop_color_fidelity(images, sd.PALETTE[other.color])
+                    assert color_fidelity(images, other.color) == want
 
 
 class TestReportFormatting:

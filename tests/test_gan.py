@@ -145,9 +145,9 @@ class TestDiscriminatorForward:
         # independent recomputation of psi(phi(x)) with normalized weights
         from kggan.spectral import spectral_normalize
 
-        w1 = spectral_normalize(model.dw1, model.sigma["dw1"]).data
-        w2 = spectral_normalize(model.dw2, model.sigma["dw2"]).data
-        psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"]).data
+        w1 = spectral_normalize(model.dw1, model.sigma["D.w1"]).data
+        w2 = spectral_normalize(model.dw2, model.sigma["D.w2"]).data
+        psi_w = spectral_normalize(model.psi_w, model.sigma["D.psi_w"]).data
         flat = x.data
         h = np.where(flat @ w1 + model.db1.data > 0, flat @ w1 + model.db1.data, 0.1 * (flat @ w1 + model.db1.data))
         phi = np.where(h @ w2 + model.db2.data > 0, h @ w2 + model.db2.data, 0.1 * (h @ w2 + model.db2.data))
@@ -163,10 +163,10 @@ class TestDiscriminatorForward:
 
         from kggan.spectral import spectral_normalize
 
-        w1 = spectral_normalize(model.dw1, model.sigma["dw1"]).data
-        w2 = spectral_normalize(model.dw2, model.sigma["dw2"]).data
-        psi_w = spectral_normalize(model.psi_w, model.sigma["psi_w"]).data
-        v_proj = spectral_normalize(model.v_proj, model.sigma["v_proj"]).data
+        w1 = spectral_normalize(model.dw1, model.sigma["D.w1"]).data
+        w2 = spectral_normalize(model.dw2, model.sigma["D.w2"]).data
+        psi_w = spectral_normalize(model.psi_w, model.sigma["D.psi_w"]).data
+        v_proj = spectral_normalize(model.v_proj, model.sigma["D.v_proj"]).data
         flat = x.data
         pre1 = flat @ w1 + model.db1.data
         h = np.where(pre1 > 0, pre1, 0.1 * pre1)

@@ -81,14 +81,8 @@ class TestCategoryEmbedding:
 class TestTemplateStructure:
     def test_color_change_hits_only_color_buckets(self):
         specs = sd.make_category_specs(12)
-        red = next(s for s in specs if sd.color_word(s.base_color) == "red" and s.shape == "disk")
-        blue = sd.CategorySpec(
-            id=99,
-            base_color=sd.PALETTE["blue"],
-            shape=red.shape,
-            texture_freq=red.texture_freq,
-            name=red.name,
-        )
+        red = next(s for s in specs if s.color == "red" and s.shape == "disk")
+        blue = sd.CategorySpec(id=99, color="blue", shape=red.shape, texture=red.texture, name=red.name)
         blue.descriptions = sd.describe_category(blue, 10)
         va = sem.category_embedding(red.descriptions, dim=64)
         vb = sem.category_embedding(blue.descriptions, dim=64)
@@ -100,16 +94,13 @@ class TestTemplateStructure:
         specs = sd.make_category_specs(12)
         embeddings = sem.build_embeddings(specs, dim=64)
 
-        def word(s):
-            return sd.color_word(s.base_color)
-
         same_color, diff_color = [], []
         for a in specs:
             for b in specs:
                 if a.id >= b.id or a.shape == b.shape:
                     continue
                 sim = cosine(embeddings[a.id], embeddings[b.id])
-                (same_color if word(a) == word(b) else diff_color).append(sim)
+                (same_color if a.color == b.color else diff_color).append(sim)
         assert min(same_color) > max(diff_color)
 
     def test_embeddings_in_range_and_nonzero(self):

@@ -67,14 +67,6 @@ class TestPowerIteration:
         with pytest.raises(DimensionError):
             power_iteration_step(np.zeros(3), unit_vector(3, rng))
 
-    def test_accepts_tensor_weight(self, rng):
-        w = rng.standard_normal((3, 3))
-        u = unit_vector(3, rng)
-        from_tensor = power_iteration_step(Tensor(w), u)
-        from_array = power_iteration_step(w, u)
-        assert from_tensor[0].tobytes() == from_array[0].tobytes()
-        assert from_tensor[1] == from_array[1]
-
     @pytest.mark.parametrize("shape", [(3, 5), (16, 1), (64, 128), (768, 128)])
     def test_matches_two_product_formula_bitwise(self, rng, shape):
         # reference: the step with w @ v formed a second time for sigma
@@ -124,7 +116,7 @@ class TestSpectralNormalize:
 
     def test_degenerate_returns_weight_unchanged(self, rng):
         w = Tensor(np.zeros((3, 3)))
-        _, sigma = power_iteration_step(w, unit_vector(3, rng))
+        _, sigma = power_iteration_step(w.data, unit_vector(3, rng))
         assert sigma is None
         assert spectral_normalize(w, sigma) is w
 

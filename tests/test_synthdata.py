@@ -32,7 +32,7 @@ def specs():
 
 @pytest.fixture
 def red_disk(specs):
-    spec = next(s for s in specs if s.shape == "disk" and sd.color_word(s.base_color) == "red")
+    spec = next(s for s in specs if s.shape == "disk" and s.color == "red")
     return spec
 
 
@@ -41,7 +41,7 @@ class TestRenderSample:
         # foreground heuristic stands in for the exact interior mask
         for spec in specs:
             mean_color = sd.mean_foreground_color(sd.render_sample(spec, instance_seed=5))
-            assert np.max(np.abs(mean_color - np.asarray(spec.base_color))) < 0.1
+            assert np.max(np.abs(mean_color - np.asarray(sd.PALETTE[spec.color]))) < 0.1
 
     def test_deterministic(self, red_disk):
         a = sd.render_sample(red_disk, instance_seed=11)
@@ -66,12 +66,10 @@ class TestRenderSample:
     def test_monte_carlo_mean_matches_jitter_oracle(self, specs):
         # smooth spec: texture factor is exactly 1, so the expected mean
         # foreground color is E[clip(base + U(-0.05, 0.05))] = base
-        spec = next(
-            s for s in specs if s.texture_freq == 0.0 and sd.color_word(s.base_color) == "red"
-        )
+        spec = next(s for s in specs if s.texture == "smooth" and s.color == "red")
         oracle_rng = np.random.default_rng(99)
         jitters = oracle_rng.uniform(-sd.HUE_JITTER, sd.HUE_JITTER, size=(10000, 3))
-        expected = np.clip(np.asarray(spec.base_color) + jitters, 0.0, 1.0).mean(axis=0)
+        expected = np.clip(np.asarray(sd.PALETTE[spec.color]) + jitters, 0.0, 1.0).mean(axis=0)
 
         rendered = np.stack(
             [
@@ -139,14 +137,8 @@ class TestDescribeCategory:
         assert len(set(texts)) >= 2
 
     def test_color_only_difference_changes_only_color_tokens(self, specs):
-        a = next(s for s in specs if s.shape == "disk" and sd.color_word(s.base_color) == "red")
-        b = sd.CategorySpec(
-            id=99,
-            base_color=sd.PALETTE["blue"],
-            shape=a.shape,
-            texture_freq=a.texture_freq,
-            name=a.name,
-        )
+        a = next(s for s in specs if s.shape == "disk" and s.color == "red")
+        b = sd.CategorySpec(id=99, color="blue", shape=a.shape, texture=a.texture, name=a.name)
         import re
 
         tokens = lambda text: re.findall(r"[a-z0-9]+", text.lower())
@@ -201,27 +193,24 @@ class TestDatasetInvariants:
             mean_color = np.stack(
                 [sd.mean_foreground_color(dataset.images[i]) for i in rows]
             ).mean(axis=0)
-            assert int(np.argmax(mean_color)) == int(np.argmax(np.asarray(spec.base_color)))
+            assert int(np.argmax(mean_color)) == int(np.argmax(sd.PALETTE[spec.color]))
 
     def test_category_ids_unique_and_descriptions_nonempty(self):
         specs = sd.make_category_specs(12)
         assert len({s.id for s in specs}) == 12
         for s in specs:
             assert len(s.descriptions) == 10
-            cw = sd.color_word(s.base_color)
-            assert all(cw in d for d in s.descriptions)
+            assert all(s.color in d for d in s.descriptions)
 
     def test_every_recipe_is_a_distinct_look(self):
         """The 36 ids are the 3 x 4 x 3 (colour, shape, texture) recipes. Ids
         0..11, all that the default config uses, pair texture index with
         colour index, so the default dataset's bytes stay as pinned."""
         specs = sd.make_category_specs(36)
-        looks = [(s.base_color, s.shape, s.texture_freq) for s in specs]
+        looks = [(s.color, s.shape, s.texture) for s in specs]
         assert len(set(looks)) == 36
-        colors = list(sd.PALETTE.values())
-        assert looks[:12] == [
-            (colors[c % 3], sd.SHAPES[c // 3], sd.TEXTURE_FREQS[c % 3]) for c in range(12)
-        ]
+        colors, textures = list(sd.PALETTE), list(sd.TEXTURES)
+        assert looks[:12] == [(colors[c % 3], sd.SHAPES[c // 3], textures[c % 3]) for c in range(12)]
 
 
 class TestPersistence:
