@@ -59,7 +59,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, ContractError, NumericalAbort
-from .gan import CONDITION_ONE_HOT, CONDITION_SEMANTIC, GanModel, TrainConfig
+from .gan import CONDITION_ONE_HOT, CONDITION_SEMANTIC, GanModel
 
 CELLS = ("baseline_full_data", "one_hot_kggan", "kggan_no_se", "kggan_full")
 
@@ -153,7 +153,7 @@ def cmd_train_embedder(ws: Workspace) -> int:
     config = ws.config
     dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
     split = _split(config)
-    seen_rows = np.nonzero(np.isin(dataset.category_ids, sorted(split.seen_ids)))[0]
+    seen_rows = dataset.rows_of(split.seen_ids)
     model = regressor.train_embedder(
         dataset.images[seen_rows],
         dataset.category_ids[seen_rows],
@@ -165,16 +165,6 @@ def cmd_train_embedder(ws: Workspace) -> int:
     history = model.training_loss_history
     print(f"embedder trained for {len(history)} steps, final loss {history[-1]:.6f}")
     return 0
-
-
-def _train_config(config: ExperimentConfig, lambda_se: float) -> TrainConfig:
-    return TrainConfig(
-        lambda_se=lambda_se,
-        iterations=config.gan_iterations,
-        batch_size=config.batch_size,
-        seed=config.gan_seed,
-        learning_rate=config.gan_lr,
-    )
 
 
 def _build_model(config: ExperimentConfig, condition_mode: str, embeddings):
@@ -246,13 +236,13 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         split = synthdata.SplitPlan(seen_ids=all_ids, unseen_ids=set())
     else:
         split = _split(config)
-    tconfig = _train_config(config, run["lambda_se"])
+    cell_config = replace(config, lambda_se=run["lambda_se"])
     model, cond = _build_model(config, condition_mode, embeddings)
 
     start_iteration, log = 0, []
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
-        model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, tconfig, run=expect)
+        model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, cell_config, run=expect)
         if start_iteration >= config.gan_iterations:
             raise ContractError(
                 f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
@@ -261,21 +251,21 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         name = ABORTED_LOG if os.path.basename(resume) == ABORTED_CHECKPOINT else "metrics.csv"
         log = _logged_rows(os.path.join(os.path.dirname(resume), name), start_iteration)
     else:
-        opt_g, opt_d = gan.new_optimizers(model, tconfig)
+        opt_g, opt_d = gan.new_optimizers(model, cell_config)
 
     embedder = None
     if use_knowledge:
         embedder = regressor.load_regressor(ws.embedder_path, config)
 
     try:
-        model, log = gan.train(
+        log = gan.train(
             model,
             dataset,
             split,
             cond,
             embeddings,
             embedder,
-            tconfig,
+            cell_config,
             start_iteration=start_iteration,
             opt_g=opt_g,
             opt_d=opt_d,
@@ -357,7 +347,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         grids[cid] = _sample_grid(images[:n_grid])
         fakes = images[: config.n_gen]
         features = regressor.extract_features(embedder, fakes)
-        reals = dataset.images[dataset.indices_of(cid)]
+        reals = dataset.images[dataset.rows_of([cid])]
         real_stats = evaluation.feature_stats(regressor.extract_features(embedder, reals))
         fid[cid] = evaluation.frechet_distance(evaluation.feature_stats(features), real_stats)
         consistency[cid] = evaluation.embedding_consistency(embedder, features, embeddings[cid])

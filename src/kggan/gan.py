@@ -26,17 +26,18 @@ the whitened embedding table in semantic mode and the identity in one-hot
 mode; row i conditions category i. A batch of categories ``ids`` is
 conditioned on ``cond[ids]`` and its knowledge-loss targets are
 ``embeddings[ids]``. ``train`` logs one ``METRIC_COLUMNS`` row per iteration.
+
+A run's settings are its one ``ExperimentConfig``, with the cell's lambda_se.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import ExperimentConfig
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
 from .regressor import semantic_embedding_loss
@@ -59,14 +60,8 @@ WHITENING = 0.5
 # the columns of a metric-log row, one row per training iteration
 METRIC_COLUMNS = ("iteration", "L_D", "L_G", "L_se_seen", "L_se_unseen")
 
-
-@dataclass
-class TrainConfig:
-    lambda_se: float = 0.1
-    iterations: int = 3000
-    batch_size: int = 16
-    seed: int = 0
-    learning_rate: float = 2e-4
+# for perfbench/checks.py, its only reader: load_gan(path, model, TrainConfig()), gan_lr 2e-4
+TrainConfig = ExperimentConfig
 
 
 def condition_preconditioner(embeddings: np.ndarray):
@@ -131,10 +126,10 @@ class GanModel:
         cond_dim: int,
         condition_mode: str,
         rng: np.random.Generator,
-        z_dim: int = 16,
-        g_hidden: int = 128,
-        d_hidden: int = 128,
-        feat_dim: int = 64,
+        z_dim: int,
+        g_hidden: int,
+        d_hidden: int,
+        feat_dim: int,
     ):
         if condition_mode not in (CONDITION_SEMANTIC, CONDITION_ONE_HOT):
             raise ContractError(f"unknown condition mode {condition_mode!r}")
@@ -246,14 +241,6 @@ def _stream(seed: int, iteration: int, stream: int) -> np.random.Generator:
     )
 
 
-def _pool_and_cats(dataset, category_ids):
-    cats = np.asarray(sorted(int(c) for c in category_ids), dtype=np.int64)
-    pool = np.nonzero(np.isin(dataset.category_ids, cats))[0]
-    if pool.size == 0:
-        raise ContractError("no training samples for the requested categories")
-    return pool, cats
-
-
 def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot):
     rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
     x_real = dataset.images[rows].reshape(config.batch_size, -1)
@@ -266,7 +253,7 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
     with ad.no_grad():
         fakes = generator_forward(model, Tensor(z), v)
     d_real = discriminator_forward(model, Tensor(x_real), v)
-    d_fake = discriminator_forward(model, Tensor(fakes.data), v)
+    d_fake = discriminator_forward(model, fakes, v)
     loss = hinge_d_loss(d_real, d_fake)
     value = loss.item()
     params = model.discriminator_params()
@@ -295,10 +282,10 @@ def _finite_or_abort(losses):
         raise NumericalAbort(f"non-finite loss {', '.join(bad)}")
 
 
-def new_optimizers(model: GanModel, config: TrainConfig):
-    """Fresh Adam states over G's and over D's parameters: (opt_g, opt_d)."""
+def new_optimizers(model: GanModel, config: ExperimentConfig):
+    """Fresh Adam states at ``gan_lr`` over G's and over D's parameters: (opt_g, opt_d)."""
     return tuple(
-        AdamState.for_params(params, learning_rate=config.learning_rate, beta1=BETA1, beta2=BETA2)
+        AdamState.for_params(params, learning_rate=config.gan_lr, beta1=BETA1, beta2=BETA2)
         for params in (model.generator_params(), model.discriminator_params())
     )
 
@@ -310,7 +297,7 @@ def train(
     cond: np.ndarray,
     embeddings: np.ndarray,
     embedder,
-    config: TrainConfig,
+    config: ExperimentConfig,
     start_iteration: int = 0,
     opt_g: AdamState | None = None,
     opt_d: AdamState | None = None,
@@ -327,11 +314,12 @@ def train(
     ``embeddings``, the [n_categories, d] category table, is its
     knowledge-loss target.
 
-    Trains iterations ``start_iteration`` .. ``config.iterations - 1``,
-    continuing ``opt_g`` and ``opt_d`` when given (a resume) or starting
-    ``new_optimizers``. Returns (model, log): a list of ``METRIC_COLUMNS``
-    rows, one per iteration trained here, appended to ``log`` when given (a
-    resume's rows of the iterations before ``start_iteration``). A non-finite
+    Reads ``lambda_se``, ``batch_size``, ``gan_seed`` and ``gan_iterations``
+    from ``config``, and updates ``model`` in place over iterations
+    ``start_iteration`` .. ``gan_iterations - 1``, continuing ``opt_g`` and
+    ``opt_d`` when given (a resume) or starting ``new_optimizers``. Returns
+    the log: ``METRIC_COLUMNS`` rows, one per iteration trained here,
+    appended to ``log`` when given (a resume's earlier rows). A non-finite
     loss or gradient raises NumericalAbort before G is updated, naming what
     it was and "at iteration N"; it carries the state and the log as they
     stood at the start of the failing iteration.
@@ -348,7 +336,10 @@ def train(
     if not split.seen_ids <= dataset_cats:
         raise ContractError("split names categories absent from the dataset")
 
-    pool, seen_cats = _pool_and_cats(dataset, split.seen_ids)
+    seen_cats = np.asarray(sorted(split.seen_ids), dtype=np.int64)
+    pool = dataset.rows_of(seen_cats)
+    if pool.size == 0:
+        raise ContractError("no training samples for the requested categories")
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
     if opt_g is None and opt_d is None:
@@ -356,7 +347,7 @@ def train(
     if log is None:
         log = []
 
-    for iteration in range(start_iteration, config.iterations):
+    for iteration in range(start_iteration, config.gan_iterations):
         # The state at the start of the iteration, kept for an abort. It
         # holds the live arrays, which is safe while nothing writes them:
         # power_iteration_step replaces its vectors, and adam_step writes
@@ -368,19 +359,19 @@ def train(
         # write.
         snapshot = gan_state(model, opt_g, opt_d)
         model.refresh_spectral()
-        rng_real = _stream(config.seed, iteration, 0)
-        rng_zd = _stream(config.seed, iteration, 1)
+        rng_real = _stream(config.gan_seed, iteration, 0)
+        rng_zd = _stream(config.gan_seed, iteration, 1)
 
         try:
             # D and G step once per iteration, so both optimizers' step
             # counts are the iteration (load_gan)
             l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd, snapshot)
 
-            rng_zg = _stream(config.seed, iteration, 2)
+            rng_zg = _stream(config.gan_seed, iteration, 2)
             fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)
             if config.lambda_se > 0.0:
                 se_seen_t = semantic_embedding_loss(fakes, Tensor(embeddings[g_cats]), embedder)
-                rng_u = _stream(config.seed, iteration, 3)
+                rng_u = _stream(config.gan_seed, iteration, 3)
                 u_cats = unseen_cats[rng_u.integers(0, unseen_cats.size, size=config.batch_size)]
                 z_u = rng_u.standard_normal((config.batch_size, model.z_dim))
                 fakes_u = generator_forward(model, Tensor(z_u), Tensor(cond[u_cats]))
@@ -402,7 +393,7 @@ def train(
             raise NumericalAbort(message, last_good=snapshot, iteration=iteration, log=log) from None
 
         log.append((iteration, l_d, l_g, se_seen, se_unseen))
-    return model, log
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +437,7 @@ def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None) -
     save_checkpoint(path, state, {**metadata, **(run or {})})
 
 
-def load_gan(path, model: GanModel, config: TrainConfig, run=None):
+def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     """Restore parameters, spectral ``u`` vectors and both optimizers'
     second moments into ``model``.
 
@@ -457,7 +448,7 @@ def load_gan(path, model: GanModel, config: TrainConfig, run=None):
     and condition mode. The iteration is the metadata's, which must be a
     non-negative int; otherwise ContractError names it. Both optimizers'
     step counts are the iteration, since each iteration steps G and D
-    once. Returns (model, opt_g, opt_d, iteration).
+    once; both learn at ``config.gan_lr``. Returns (model, opt_g, opt_d, iteration).
     """
     opt_g, opt_d = new_optimizers(model, config)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}

@@ -40,7 +40,6 @@ class RegressorModel:
     """MLP [3*S*S -> 128 -> 64 -> d] with leaky-relu hidden and sigmoid out."""
 
     def __init__(self, image_size: int, embed_dim: int, rng: np.random.Generator):
-        self.image_size = image_size
         self.embed_dim = embed_dim
         in_dim = 3 * image_size * image_size
         h1, h2 = HIDDEN

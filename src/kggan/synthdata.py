@@ -115,6 +115,8 @@ class SplitPlan:
 
 @dataclass
 class Dataset:
+    """Row i is an image of category ``category_ids[i]``; built or loaded, category-major."""
+
     images: np.ndarray  # [N, 3, S, S] in [-1, 1]: float32 when loaded, float64 when built
     category_ids: np.ndarray  # [N] int64
     specs: list
@@ -122,8 +124,10 @@ class Dataset:
     def __len__(self):
         return self.images.shape[0]
 
-    def indices_of(self, category_id: int) -> np.ndarray:
-        return np.nonzero(self.category_ids == category_id)[0]
+    def rows_of(self, category_ids) -> np.ndarray:
+        """The rows of the categories in ``category_ids``, any iterable of ids, in row order."""
+        # np.isin takes a set as one object, not as its elements
+        return np.nonzero(np.isin(self.category_ids, list(category_ids)))[0]
 
 
 def describe_category(spec: CategorySpec, n: int) -> list:

@@ -201,7 +201,10 @@ def test_streamed_files_equal_joined_files(rng, tmp_path):
     from kggan import gan
     from kggan.optim import AdamState
 
-    model = gan.GanModel(image_size=8, cond_dim=4, condition_mode=gan.CONDITION_SEMANTIC, rng=rng)
+    model = gan.GanModel(
+        image_size=8, cond_dim=4, condition_mode=gan.CONDITION_SEMANTIC, rng=rng,
+        z_dim=16, g_hidden=128, d_hidden=128, feat_dim=64,
+    )
     opts = [AdamState.for_params(ps) for ps in (model.generator_params(), model.discriminator_params())]
     odd = {
         "transposed": rng.standard_normal((3, 5)).T,

@@ -342,7 +342,7 @@ class TestTrainAndEvaluate:
         # pass, a per-image loop
         for cid in ids:
             images = gan.sample_images(model, cid, n, cond, config.eval_seed)
-            reals = dataset.images[dataset.indices_of(cid)]
+            reals = dataset.images[dataset.rows_of([cid])]
             assert report.per_category[cid] == evaluation.frechet_distance(stats(images), stats(reals))
             with no_grad():
                 pred = embedder.forward(Tensor(images.reshape(n, -1))).data
@@ -920,11 +920,13 @@ class TestEvaluateLoad:
         whitens the dataset's table once, as training did; it writes what a
         whole-state load writes."""
         from kggan import cli, gan
+        from kggan.config import load_config
         from kggan.optim import AdamState
 
         root, cfg_path = trained_cells
         cell_dir = root / "out" / "cells" / "kggan_full"
         argv = ["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]
+        config = load_config(cfg_path)
 
         def written():
             """What evaluate writes: every file but train's checkpoint and log."""
@@ -933,7 +935,7 @@ class TestEvaluateLoad:
             return {p.relative_to(cell_dir): p.read_bytes() for p in files if p.name not in trained}
 
         def whole_state_load(path, model, run=None):
-            return gan.load_gan(path, model, gan.TrainConfig(), run=run)[0]
+            return gan.load_gan(path, model, config, run=run)[0]
 
         with monkeypatch.context() as patch:
             patch.setattr(gan, "load_generator", whole_state_load)
@@ -988,7 +990,7 @@ class TestEvaluateLoad:
         for cid in range(config.n_categories):
             fakes, reals = passes[2 * cid], passes[2 * cid + 1]
             assert fakes.shape == (config.n_gen, 3, config.image_size, config.image_size)
-            assert np.array_equal(reals, dataset.images[dataset.indices_of(cid)])
+            assert np.array_equal(reals, dataset.images[dataset.rows_of([cid])])
 
 
 class TestUnreadableInput:

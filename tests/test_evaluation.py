@@ -45,7 +45,7 @@ def category_fids(fakes_of, dataset, split, extractor):
     return {
         cid: frechet_distance(
             image_stats(fakes_of(cid), extractor),
-            image_stats(dataset.images[dataset.indices_of(cid)], extractor),
+            image_stats(dataset.images[dataset.rows_of([cid])], extractor),
         )
         for cid in sorted(split.seen_ids | split.unseen_ids)
     }
@@ -157,7 +157,7 @@ class TestPerCategoryFid:
 
         # hand back exactly the category's real images
         def reals(cid):
-            return dataset.images[dataset.indices_of(cid)]
+            return dataset.images[dataset.rows_of([cid])]
 
         report = fid_report(category_fids(reals, dataset, split, extractor), split)
         assert set(report.per_category) == split.seen_ids | split.unseen_ids
@@ -171,10 +171,10 @@ class TestPerCategoryFid:
 
         def swapped(cid):
             source = b if cid == a else (a if cid == b else cid)
-            return dataset.images[np.resize(dataset.indices_of(source), 24)]
+            return dataset.images[np.resize(dataset.rows_of([source]), 24)]
 
         def honest(cid):
-            return dataset.images[np.resize(dataset.indices_of(cid), 24)]
+            return dataset.images[np.resize(dataset.rows_of([cid]), 24)]
 
         honest_fids = category_fids(honest, dataset, split, extractor)
         swapped_fids = category_fids(swapped, dataset, split, extractor)
@@ -245,17 +245,20 @@ class TestColorFidelity:
     def test_real_dataset_samples_match(self, tiny_world):
         specs, dataset, _ = tiny_world
         for spec in specs:
-            images = dataset.images[np.resize(dataset.indices_of(spec.id), 10)]
+            images = dataset.images[np.resize(dataset.rows_of([spec.id]), 10)]
             assert color_fidelity(images, spec.color) == 1.0
 
     def test_matches_per_image_loop(self, tiny_world):
         from kggan import gan
 
         specs, dataset, _ = tiny_world
-        model = gan.GanModel(IMG, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(4))
+        model = gan.GanModel(
+            IMG, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(4),
+            z_dim=16, g_hidden=128, d_hidden=128, feat_dim=64,
+        )
         for spec in specs:
             for images in (
-                dataset.images[dataset.indices_of(spec.id)],
+                dataset.images[dataset.rows_of([spec.id])],
                 gan.sample_images(model, spec.id, 64, np.eye(len(specs)), seed=9),
             ):
                 # each base color tried, so draws score between 0 and 1

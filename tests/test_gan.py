@@ -11,12 +11,12 @@ from kggan import cli, gan
 from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.autodiff import Tensor
+from kggan.config import ExperimentConfig
 from kggan.errors import ContractError, DimensionError, NumericalAbort
 from kggan.checkpoint import load_checkpoint, save_checkpoint
 from kggan.hashing import fnv1a_64
 from kggan.gan import (
     GanModel,
-    TrainConfig,
     discriminator_forward,
     generator_forward,
     hinge_d_loss,
@@ -79,13 +79,13 @@ def mini_data():
 def mini_config(**kw):
     defaults = dict(
         lambda_se=0.1,
-        iterations=30,
+        gan_iterations=30,
         batch_size=8,
-        seed=11,
-        learning_rate=2e-4,
+        gan_seed=11,
+        gan_lr=2e-4,
     )
     defaults.update(kw)
-    return TrainConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 class TestGeneratorForward:
@@ -115,7 +115,7 @@ class TestGeneratorForward:
     def test_trained_model_separates_conditions(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        config = mini_config(iterations=150)
+        config = mini_config(gan_iterations=150)
         train(model, dataset, split, embeddings, embeddings, embedder, config)
         rng = np.random.default_rng(0)
         z = Tensor(rng.standard_normal((1, Z)))
@@ -345,7 +345,7 @@ class TestTotalLosses:
             cond=embeddings[[seen] * 4],
             noise=rng.standard_normal((4, Z)),
             targets=embeddings[[seen] * 4],
-            images=dataset.images[dataset.indices_of(seen)[:4]].reshape(4, -1),
+            images=dataset.images[dataset.rows_of([seen])[:4]].reshape(4, -1),
         )
         unseen_batch = dict(
             cond=embeddings[[unseen] * 4],
@@ -417,7 +417,7 @@ class TestTrainLoop:
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         reference = mini_model()
-        train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=0))
+        train(model, dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=0))
         for p, q in zip(
             model.generator_params() + model.discriminator_params(),
             reference.generator_params() + reference.discriminator_params(),
@@ -429,8 +429,8 @@ class TestTrainLoop:
 
         def run():
             model = mini_model()
-            config = mini_config(iterations=50)
-            _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
+            config = mini_config(gan_iterations=50)
+            log = train(model, dataset, split, embeddings, embeddings, embedder, config)
             return log_text(log, tmp_path / "log.csv")
 
         assert run() == run()
@@ -438,7 +438,7 @@ class TestTrainLoop:
     def test_weight_sharing_single_parameter_set(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=10))
+        train(model, dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=10))
         # the generator invoked with seen and unseen conditions is the same object
         before = [p.data.copy() for p in model.generator_params()]
         ids_seen = sorted(split.seen_ids)[0]
@@ -457,9 +457,9 @@ class TestTrainLoop:
             images[np.isin(dataset.category_ids, sorted(categories))] = np.nan
             return sd.Dataset(images, dataset.category_ids, dataset.specs)
 
-        config = mini_config(iterations=40)
+        config = mini_config(gan_iterations=40)
         unseen_nan = poisoned(split.unseen_ids)
-        _, log = train(mini_model(), unseen_nan, split, embeddings, embeddings, embedder, config)
+        log = train(mini_model(), unseen_nan, split, embeddings, embeddings, embedder, config)
         assert len(log) == 40
         # the control: the same run aborts when one seen category is poisoned
         seen_nan = poisoned({min(split.seen_ids)})
@@ -469,8 +469,8 @@ class TestTrainLoop:
     def test_metric_log_schema(self, mini_data, tmp_path):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        config = mini_config(iterations=5)
-        _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
+        config = mini_config(gan_iterations=5)
+        log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         assert len(log) == 5
         text = log_text(log, tmp_path / "log.csv", header_lines=["config abc", "seed 11"])
         lines = text.strip().splitlines()
@@ -481,8 +481,8 @@ class TestTrainLoop:
     def test_lambda_zero_skips_knowledge_terms(self, mini_data):
         _, dataset, split, embeddings, _ = mini_data
         model = mini_model()
-        _, log = train(
-            model, dataset, split, embeddings, embeddings, None, mini_config(iterations=5, lambda_se=0.0)
+        log = train(
+            model, dataset, split, embeddings, embeddings, None, mini_config(gan_iterations=5, lambda_se=0.0)
         )
         for row in log:
             assert row[3] == 0.0 and row[4] == 0.0
@@ -490,28 +490,28 @@ class TestTrainLoop:
     def test_knowledge_loss_needs_unseen_categories(self, mini_data):
         specs, dataset, _, embeddings, embedder = mini_data
         split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
-        config = mini_config(iterations=1)
+        config = mini_config(gan_iterations=1)
         with pytest.raises(ContractError, match="unseen"):
             train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
 
     def test_knowledge_loss_needs_a_regressor(self, mini_data):
         _, dataset, split, embeddings, _ = mini_data
         with pytest.raises(ContractError, match="requires a regressor"):
-            train(mini_model(), dataset, split, embeddings, embeddings, None, mini_config(iterations=1))
+            train(mini_model(), dataset, split, embeddings, embeddings, None, mini_config(gan_iterations=1))
 
     def test_knowledge_loss_leaves_the_regressor_unchanged(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         before = [p.data.tobytes() for p in embedder.parameters()]
-        config = mini_config(iterations=5)
-        _, log = train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
+        config = mini_config(gan_iterations=5)
+        log = train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
         assert all(row[3] > 0.0 and row[4] > 0.0 for row in log)
         assert [p.data.tobytes() for p in embedder.parameters()] == before
 
     def test_all_logged_losses_finite(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        config = mini_config(iterations=60)
-        _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
+        config = mini_config(gan_iterations=60)
+        log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         values = np.asarray([row[1:] for row in log], dtype=float)
         assert np.all(np.isfinite(values))
 
@@ -520,7 +520,7 @@ class TestTrainLoop:
         model = mini_model()
         model.gw2.data[0, 0] = np.nan
         with pytest.raises(NumericalAbort) as excinfo:
-            train(model, dataset, split, embeddings, embeddings, embedder, mini_config(iterations=3))
+            train(model, dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=3))
         assert excinfo.value.last_good is not None
         assert excinfo.value.iteration == 0
 
@@ -532,7 +532,7 @@ class TestTrainLoop:
         poisoned = weight.data.copy()
         poisoned[0, 0] = np.nan
         monkeypatch.setattr(weight, "data", poisoned)
-        config = mini_config(iterations=3)
+        config = mini_config(gan_iterations=3)
         with pytest.raises(NumericalAbort) as excinfo:
             train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
         assert str(excinfo.value) == "non-finite loss L_G, L_se_seen, L_se_unseen at iteration 0"
@@ -601,7 +601,7 @@ class TestTapeSize:
             ad, "backward", lambda *a, **k: counts.append(len(ad.get_tape())) or backward(*a, **k)
         )
         model = mini_model(condition_mode=mode, cond_dim=cond_dim)
-        config = mini_config(iterations=2, lambda_se=lambda_se)
+        config = mini_config(gan_iterations=2, lambda_se=lambda_se)
         cond = gan.condition_table(mode, embeddings)
         train(model, dataset, split, cond, embeddings, embedder if lambda_se else None, config)
         # D's backward, then G's, in each iteration
@@ -617,8 +617,8 @@ class TestKnowledgeLossGolden:
         rewritten."""
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        config = mini_config(iterations=200)
-        _, log = train(model, dataset, split, embeddings, embeddings, embedder, config)
+        config = mini_config(gan_iterations=200)
+        log = train(model, dataset, split, embeddings, embeddings, embedder, config)
         digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
         text = log_text(log, tmp_path / "log.csv", [f"params {digest:016x}"])
         assert text == GOLDEN_KGGAN_LOG.read_text(encoding="utf-8")
@@ -633,26 +633,44 @@ class TestBaselineReduction:
         specs, dataset, _, embeddings, _ = mini_data
         split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
         model = mini_model(condition_mode="one_hot", cond_dim=len(specs))
-        config = mini_config(iterations=200, lambda_se=0.0)
-        _, log = train(model, dataset, split, np.eye(len(specs)), embeddings, None, config)
+        config = mini_config(gan_iterations=200, lambda_se=0.0)
+        log = train(model, dataset, split, np.eye(len(specs)), embeddings, None, config)
         digest = params_hash([p.data for p in model.generator_params() + model.discriminator_params()])
         text = log_text(log, tmp_path / "log.csv", [f"params {digest:016x}"])
         assert text == GOLDEN_SNGAN_LOG.read_text(encoding="utf-8")
 
 
 class TestCheckpointResume:
+    def test_train_and_optimizers_read_the_experiment_config(self, mini_data, tmp_path):
+        """``train`` runs ``gan_iterations`` iterations; ``new_optimizers``
+        and ``load_gan`` learn at ``gan_lr``."""
+        _, dataset, split, embeddings, embedder = mini_data
+        config = ExperimentConfig(gan_iterations=2, batch_size=8, gan_seed=11, gan_lr=3e-4)
+        model = mini_model()
+        opt_g, opt_d = gan.new_optimizers(model, config)
+        log = train(
+            model, dataset, split, embeddings, embeddings, embedder, config, opt_g=opt_g, opt_d=opt_d
+        )
+        assert [row[0] for row in log] == [0, 1]
+        assert opt_g.learning_rate == opt_d.learning_rate == 3e-4
+        path = tmp_path / "gan.ckpt"
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=2)
+        _, opt_g2, opt_d2, start = load_gan(path, mini_model(), config)
+        assert start == 2
+        assert opt_g2.learning_rate == opt_d2.learning_rate == 3e-4
+
     def test_resume_reproduces_uninterrupted_log(self, mini_data, tmp_path):
         _, dataset, split, embeddings, embedder = mini_data
-        config = mini_config(iterations=40)
+        config = mini_config(gan_iterations=40)
 
         model_full = mini_model()
-        _, log_full = train(model_full, dataset, split, embeddings, embeddings, embedder, config)
+        log_full = train(model_full, dataset, split, embeddings, embeddings, embedder, config)
 
         # interruptible path: train to 20, checkpoint, load, continue to 40
-        config_half = mini_config(iterations=20)
+        config_half = mini_config(gan_iterations=20)
         model_a = mini_model()
         opt_g, opt_d = gan.new_optimizers(model_a, config_half)
-        _, log_a = train(
+        log_a = train(
             model_a, dataset, split, embeddings, embeddings, embedder, config_half,
             opt_g=opt_g, opt_d=opt_d,
         )
@@ -662,7 +680,7 @@ class TestCheckpointResume:
         model_c = mini_model(seed=99)  # different init; checkpoint must override
         model_c, opt_g2, opt_d2, start = load_gan(path, model_c, config)
         assert start == 20
-        _, log_c = train(
+        log_c = train(
             model_c,
             dataset,
             split,

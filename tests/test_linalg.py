@@ -173,7 +173,7 @@ class TestJacobiEquivalence:
         fids = {}
         for cid in sorted(split.seen_ids | split.unseen_ids):
             fakes = np.random.default_rng(cid).uniform(-1, 1, size=(16, 3, img, img))
-            reals = dataset.images[dataset.indices_of(cid)]
+            reals = dataset.images[dataset.rows_of([cid])]
             fake_stats = feature_stats(extract_features(extractor, fakes))
             fids[cid] = frechet_distance(fake_stats, feature_stats(extract_features(extractor, reals)))
         report = fid_report(fids, split)

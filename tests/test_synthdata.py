@@ -113,7 +113,10 @@ class TestMeanForegroundColorBatch:
     def test_generated_draw(self, specs):
         from kggan import gan
 
-        model = gan.GanModel(16, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(8))
+        model = gan.GanModel(
+            16, len(specs), gan.CONDITION_ONE_HOT, np.random.default_rng(8),
+            z_dim=16, g_hidden=128, d_hidden=128, feat_dim=64,
+        )
         for spec in specs[:3]:
             self.check(gan.sample_images(model, spec.id, 256, np.eye(len(specs)), seed=105))
 
@@ -189,7 +192,7 @@ class TestDatasetInvariants:
         specs = sd.make_category_specs(12)
         dataset = sd.build_dataset(specs, images_per_category=10, image_size=16, seed=42)
         for spec in specs:
-            rows = dataset.indices_of(spec.id)
+            rows = dataset.rows_of([spec.id])
             mean_color = np.stack(
                 [sd.mean_foreground_color(dataset.images[i]) for i in rows]
             ).mean(axis=0)
@@ -211,6 +214,16 @@ class TestDatasetInvariants:
         assert len(set(looks)) == 36
         colors, textures = list(sd.PALETTE), list(sd.TEXTURES)
         assert looks[:12] == [(colors[c % 3], sd.SHAPES[c // 3], textures[c % 3]) for c in range(12)]
+
+    def test_rows_of_is_each_categorys_rows_in_row_order(self):
+        """A set, a list, an array or one id: the rows where ``category_ids``
+        is one of them, in row order, whatever order the ids come in."""
+        ids = np.array([2, 0, 1, 2, 3, 0, 1, 3, 2], dtype=np.int64)
+        dataset = sd.Dataset(np.zeros((ids.size, 3, 8, 8)), ids, [])
+        for wanted in ({2, 0}, [3, 1], np.array([1, 0, 3]), [2], set()):
+            rows = [np.nonzero(ids == c)[0] for c in wanted]
+            expected = np.sort(np.concatenate(rows)) if rows else np.zeros(0, dtype=np.int64)
+            assert dataset.rows_of(wanted).tolist() == expected.tolist()
 
 
 class TestPersistence:
