@@ -1,4 +1,12 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float32 or float64
+tensors.
+
+A tensor made from a float32 array stays float32; anything else becomes
+float64. Every operation computes in its inputs' dtype, so a float32
+network (the GAN) runs in single precision forward and backward, and a
+float64 one (the embedder) in double, bit for bit as before float32
+tensors existed. Operands of one operation share a dtype: mixing them
+would widen the result to float64.
 
 A module-level tape records every operation run outside ``no_grad``, in
 execution order, so operands always precede the nodes that use them.
@@ -31,16 +39,19 @@ from .errors import ContractError, DimensionError
 
 
 class Tensor:
-    """A dense float64 array; ``backward`` differentiates it when passed it.
+    """A dense float32 or float64 array; ``backward`` differentiates it
+    when passed it.
 
-    ``data`` is kept C-contiguous, i.e. a flat row-major buffer plus a
+    ``data`` keeps a float32 input's dtype and widens anything else to
+    float64. It is kept C-contiguous, i.e. a flat row-major buffer plus a
     shape.
     """
 
     __slots__ = ("data", "name")
 
     def __init__(self, data, name=None):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.ascontiguousarray(data, dtype=dtype)
         self.name = name
 
     def item(self) -> float:
@@ -271,7 +282,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.1) -> Tensor:
-    slope = np.where(a.data > 0.0, 1.0, alpha)
+    # the slope in the input's dtype: python floats would make it float64
+    one, alpha = np.asarray([1.0, alpha], dtype=a.data.dtype)
+    slope = np.where(a.data > 0.0, one, alpha)
 
     def back(g):
         return (g * slope,)

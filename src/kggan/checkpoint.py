@@ -14,8 +14,9 @@ from the dataset's category table (``gan.condition_table``, which
 Adam step counts, which equal the iteration since each iteration steps
 G and D once. A "regressor" holds
 E.w1 ... E.b3. A "dataset" holds float32 ``images`` [N, 3, S, S] and the
-category table ``embeddings`` [n_categories, d]. Only a dataset's images
-are float32.
+category table ``embeddings`` [n_categories, d]. A GAN's arrays and a
+dataset's images are float32, since the GAN trains in float32; a
+regressor's arrays and the category table are float64.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length

@@ -23,6 +23,9 @@ tensor shape or dtype, that does not match its own config, or the first
 sample or category with a non-finite value. A dataset file holding
 float64 images, as files did before the images were stored as float32,
 exits 3 naming the ``images`` tensor; ``generate-data`` writes it anew.
+A GAN checkpoint holding float64 arrays, as files did before the GAN
+trained in float32, exits 3 from ``train --resume`` and from ``evaluate``
+naming its first tensor, ``G.w1``; it cannot be resumed or scored.
 ``evaluate`` scores only its own cell's checkpoint: one another cell
 wrote exits 3 naming ``cell``, and one trained on other data or against
 another embedder exits 3 naming the first ``EMBEDDER_FIELDS`` field that

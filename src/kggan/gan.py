@@ -28,6 +28,17 @@ conditioned on ``cond[ids]`` and its knowledge-loss targets are
 ``embeddings[ids]``. ``train`` logs one ``METRIC_COLUMNS`` row per iteration.
 
 A run's settings are its one ``ExperimentConfig``, with the cell's lambda_se.
+
+The GAN computes in float32 end to end: its parameters, spectral ``u``
+vectors and Adam moments, every noise, condition, real and fake batch,
+and the knowledge loss, which runs a float32 copy of the frozen
+regressor's weights (``regressor.single_precision``). Its initial values
+and noise are drawn in float64 from the same generator calls as ever and
+rounded, so every random stream is consumed as before. The regressor
+itself stays float64: it is also the instrument that scores the GAN, and
+its features, and so the FIDs, do not depend on the GAN's precision. A
+caller may pass float64 condition and target tables; ``train`` and
+``sample_images`` round them once, at entry.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
-from .regressor import semantic_embedding_loss
+from .regressor import semantic_embedding_loss, single_precision
 from .spectral import power_iteration_step, spectral_normalize
 
 CONDITION_SEMANTIC = "semantic_embedding"
@@ -113,7 +124,8 @@ class GanModel:
     """Generator and projection discriminator with spectral state.
 
     The generator is one parameter set; conditioning on a seen or an
-    unseen category invokes the same tensors. ``spectral_u`` holds the
+    unseen category invokes the same tensors. Every parameter and ``u``
+    is float32, its float64 draw rounded. ``spectral_u`` holds the
     unit vector ``u`` of each of the ``spectral_weights``, the only
     spectral state carried over; ``sigma`` holds the estimates that
     ``refresh_spectral`` computes from it, empty until the first refresh.
@@ -153,11 +165,13 @@ class GanModel:
         self.psi_w = ad.uniform_init((feat_dim, 1), rng, name="D.psi_w")
         self.psi_b = ad.zeros_init((1,), name="D.psi_b")
         self.v_proj = ad.uniform_init((cond_dim, feat_dim), rng, name="D.v_proj")
+        for p in self.generator_params() + self.discriminator_params():
+            p.data = p.data.astype(np.float32)
 
         self.spectral_u = {}
         for weight in self.spectral_weights():
             u = rng.standard_normal(weight.data.shape[0])
-            self.spectral_u[weight.name] = u / np.linalg.norm(u)
+            self.spectral_u[weight.name] = (u / np.linalg.norm(u)).astype(np.float32)
         self.sigma = {}
 
     def generator_params(self):
@@ -241,15 +255,21 @@ def _stream(seed: int, iteration: int, stream: int) -> np.random.Generator:
     )
 
 
+def _noise(rng: np.random.Generator, n: int, z_dim: int) -> np.ndarray:
+    """[n, z_dim] standard normal noise: drawn in float64, rounded to float32."""
+    return rng.standard_normal((n, z_dim)).astype(np.float32)
+
+
 def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot):
     rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
-    x_real = dataset.images[rows].reshape(config.batch_size, -1)
+    # float32 as a loaded dataset stores them; a built one's are rounded
+    x_real = dataset.images[rows].reshape(config.batch_size, -1).astype(np.float32, copy=False)
     real_cats = dataset.category_ids[rows]
 
     # fakes share the real batch's conditions: pairing them keeps the
     # projection term's real-vs-fake contrast on the same categories
     v = Tensor(cond[real_cats])
-    z = rng_z.standard_normal((config.batch_size, model.z_dim))
+    z = _noise(rng_z, config.batch_size, model.z_dim)
     with ad.no_grad():
         fakes = generator_forward(model, Tensor(z), v)
     d_real = discriminator_forward(model, Tensor(x_real), v)
@@ -268,7 +288,7 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
 
 def _g_adv(model, cats, cond, config, rng_z):
     g_cats = cats[rng_z.integers(0, cats.size, size=config.batch_size)]
-    z = rng_z.standard_normal((config.batch_size, model.z_dim))
+    z = _noise(rng_z, config.batch_size, model.z_dim)
     v = Tensor(cond[g_cats])
     fakes = generator_forward(model, Tensor(z), v)
     scores = discriminator_forward(model, fakes, v)
@@ -283,7 +303,8 @@ def _finite_or_abort(losses):
 
 
 def new_optimizers(model: GanModel, config: ExperimentConfig):
-    """Fresh Adam states at ``gan_lr`` over G's and over D's parameters: (opt_g, opt_d)."""
+    """Fresh Adam states at ``gan_lr`` over G's and over D's parameters: (opt_g, opt_d).
+    Their moments take the parameters' dtype, float32."""
     return tuple(
         AdamState.for_params(params, learning_rate=config.gan_lr, beta1=BETA1, beta2=BETA2)
         for params in (model.generator_params(), model.discriminator_params())
@@ -312,7 +333,9 @@ def train(
     how the full-data baseline trains on every category. Row i of
     ``cond``, the ``condition_table``, conditions category i, and row i of
     ``embeddings``, the [n_categories, d] category table, is its
-    knowledge-loss target.
+    knowledge-loss target. Both tables are rounded to float32 once, here,
+    and the knowledge loss runs a float32 copy of ``embedder``, which is
+    left as it is.
 
     Reads ``lambda_se``, ``batch_size``, ``gan_seed`` and ``gan_iterations``
     from ``config``, and updates ``model`` in place over iterations
@@ -346,6 +369,10 @@ def train(
         opt_g, opt_d = new_optimizers(model, config)
     if log is None:
         log = []
+    cond = cond.astype(np.float32)
+    embeddings = embeddings.astype(np.float32)
+    if embedder is not None:
+        embedder = single_precision(embedder)
 
     for iteration in range(start_iteration, config.gan_iterations):
         # The state at the start of the iteration, kept for an abort. It
@@ -373,7 +400,7 @@ def train(
                 se_seen_t = semantic_embedding_loss(fakes, Tensor(embeddings[g_cats]), embedder)
                 rng_u = _stream(config.gan_seed, iteration, 3)
                 u_cats = unseen_cats[rng_u.integers(0, unseen_cats.size, size=config.batch_size)]
-                z_u = rng_u.standard_normal((config.batch_size, model.z_dim))
+                z_u = _noise(rng_u, config.batch_size, model.z_dim)
                 fakes_u = generator_forward(model, Tensor(z_u), Tensor(cond[u_cats]))
                 se_unseen_t = semantic_embedding_loss(fakes_u, Tensor(embeddings[u_cats]), embedder)
                 se_seen = se_seen_t.item()
@@ -401,12 +428,12 @@ def train(
 
 
 def sample_images(model: GanModel, category_id: int, n: int, cond: np.ndarray, seed: int):
-    """n generated [3, S, S] images for one category, conditioned on row
-    ``category_id`` of the condition table ``cond``; deterministic in
-    (seed, id)."""
+    """n generated float32 [3, S, S] images for one category, conditioned
+    on row ``category_id`` of the condition table ``cond``; deterministic
+    in (seed, id)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, int(category_id)]))
-    z = rng.standard_normal((n, model.z_dim))
-    v = np.tile(cond[category_id], (n, 1))
+    z = _noise(rng, n, model.z_dim)
+    v = np.tile(cond[category_id].astype(np.float32), (n, 1))
     with ad.no_grad():
         images = generator_forward(model, Tensor(z), Tensor(v))
     return images.data.reshape(n, 3, model.image_size, model.image_size)
@@ -442,7 +469,8 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     second moments into ``model``.
 
     The model must be freshly built with the same architecture config.
-    Nothing of the conditioning is stored: the caller recomputes the
+    Its float32 arrays are the template, so a file holding a float64 GAN
+    is refused naming its first tensor. Nothing of the conditioning is stored: the caller recomputes the
     condition table from the dataset's (``cli._build_model``). Every
     field of ``run`` must match the checkpoint's metadata, after its kind
     and condition mode. The iteration is the metadata's, which must be a
@@ -468,7 +496,7 @@ def load_generator(path, model: GanModel, run=None) -> GanModel:
     """Restore only what sampling reads, the generator. Returns ``model``.
 
     The file is verified as ``load_gan`` verifies it (digest, kind,
-    condition mode, ``run`` and every name and shape) but the
+    condition mode, ``run`` and every name, shape and dtype) but the
     discriminator, spectral and optimizer arrays are not kept, so no
     optimizer state is built. Sampling takes the condition table as an
     argument, which ``cli._build_model`` recomputes from the dataset's.

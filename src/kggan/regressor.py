@@ -8,9 +8,17 @@ input is [b, 3*S*S] image rows, the dataset's [3, S, S] layout flattened;
 ``extract_features`` and ``train_embedder`` flatten the images they are
 given. The penultimate activation doubles as the feature space for
 Frechet-distance evaluation.
+
+The regressor is float64: ``train_embedder`` and ``extract_features``
+widen their images to float64 where they enter it, so its checkpoint and
+every feature it gives the evaluation keep their bits whatever the
+images' dtype. Only the knowledge loss in the float32 GAN runs a float32
+copy of its frozen weights, ``single_precision``.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -73,10 +81,21 @@ class RegressorModel:
         return ad.sigmoid(ad.affine(features, self.w3, self.b3))
 
 
+def single_precision(model: RegressorModel) -> RegressorModel:
+    """A copy of ``model`` whose parameters are its own rounded to float32,
+    for a float32 network's knowledge loss; ``model`` is left as it is."""
+    clone = copy.copy(model)
+    for attr in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        p = getattr(model, attr)
+        setattr(clone, attr, Tensor(p.data.astype(np.float32), name=p.name))
+    return clone
+
+
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
-    """Penultimate-layer features for a [n, 3, S, S] batch."""
+    """Penultimate-layer float64 features for a [n, 3, S, S] batch of any
+    float dtype, widened to float64 as it enters."""
     with ad.no_grad():
-        feats = model.penultimate(Tensor(images.reshape(len(images), -1)))
+        feats = model.penultimate(Tensor(images.reshape(len(images), -1).astype(np.float64)))
     return feats.data
 
 
@@ -145,7 +164,7 @@ def train_embedder(
         idx = order[pos : pos + batch]
         pos += batch
 
-        rows = Tensor(images[idx].reshape(batch, -1))
+        rows = Tensor(images[idx].reshape(batch, -1).astype(np.float64))
         loss = semantic_embedding_loss(rows, Tensor(targets[idx]), model)
         adam_step(params, opt, ad.backward(loss, params))
 

@@ -18,12 +18,15 @@ from .errors import ContractError, DimensionError
 
 
 def power_iteration_step(w: np.ndarray, u: np.ndarray):
-    """One round of power iteration on the float64 matrix ``w`` from the
-    unit vector ``u``.
+    """One round of power iteration on the float32 or float64 matrix
+    ``w`` from the unit vector ``u`` of its dtype.
 
-    Returns (u, sigma): the new unit vector, and the estimate that
-    converges to the largest singular value under repetition. For a
-    (numerically) zero matrix it returns (u, None), ``u`` unchanged.
+    Returns (u, sigma): the new unit vector, in that dtype, and the
+    estimate, a python float, that converges to the largest singular
+    value under repetition. For a (numerically) zero matrix it returns
+    (u, None), ``u`` unchanged. The zero test compares each norm as a
+    python float: against a float32 norm, NumPy would round the 1e-150
+    bound to 0 and the test could never hold.
     """
     if w.ndim != 2:
         raise DimensionError(f"power iteration needs a 2-D matrix, got shape {w.shape}")
@@ -32,13 +35,13 @@ def power_iteration_step(w: np.ndarray, u: np.ndarray):
 
     v = w.T @ u
     v_norm = np.linalg.norm(v)
-    if v_norm < 1e-150:
+    if float(v_norm) < 1e-150:
         return u, None
     v = v / v_norm
 
     u_new = w @ v
     u_norm = np.linalg.norm(u_new)
-    if u_norm < 1e-150:
+    if float(u_norm) < 1e-150:
         return u, None
     u = u_new / u_norm
     return u, float(u @ u_new)

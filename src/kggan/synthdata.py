@@ -13,8 +13,9 @@ per color.
 
 The dataset file is a checkpoint of kind "dataset": the images as
 float32 and the [n_categories, d] category table, with the DATASET_FIELDS
-they depend on. A loaded dataset keeps its images float32; a batch is
-widened to float64, exactly, when it becomes a ``Tensor``. Category ids
+they depend on. A loaded dataset keeps its images float32. The GAN's
+real batches are those float32 values as stored; the embedder widens a
+batch to float64, exactly, where it enters (``regressor``). Category ids
 are not stored; samples are category-major (``sample_category_ids``).
 """
 

@@ -275,6 +275,56 @@ class TestOps:
         assert len(ad.get_tape()) == 0
 
 
+# every operation, as (name, build): build takes two [3, 4] tensors and a
+# [4, 2] one, all of one dtype, and returns the operation's output
+EVERY_OP = [
+    ("add", lambda a, b, w: ad.add(a, b)),
+    ("sub", lambda a, b, w: ad.sub(a, b)),
+    ("mul", lambda a, b, w: ad.mul(a, b)),
+    ("neg", lambda a, b, w: ad.neg(a)),
+    ("scale", lambda a, b, w: ad.scale(a, 0.3)),
+    ("add_scalar", lambda a, b, w: ad.add_scalar(a, 0.3)),
+    ("matmul", lambda a, b, w: ad.matmul(a, w)),
+    ("affine", lambda a, b, w: ad.affine(a, w, Tensor(b.data[0, :2]))),
+    ("relu", lambda a, b, w: ad.relu(a)),
+    ("leaky_relu", lambda a, b, w: ad.leaky_relu(a, 0.1)),
+    ("tanh", lambda a, b, w: ad.tanh(a)),
+    ("sigmoid", lambda a, b, w: ad.sigmoid(a)),
+    ("square", lambda a, b, w: ad.square(a)),
+    ("tsum", lambda a, b, w: ad.tsum(a)),
+    ("tsum_axis", lambda a, b, w: ad.tsum(a, axis=1)),
+    ("tmean", lambda a, b, w: ad.tmean(a)),
+    ("reshape", lambda a, b, w: ad.reshape(a, (4, 3))),
+    ("concat", lambda a, b, w: ad.concat([a, b], axis=1)),
+]
+
+
+class TestDtype:
+    """A float32 tensor stays float32 and a float64 one float64 through
+    every operation, forward and backward; anything else becomes float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name, build", EVERY_OP, ids=[name for name, _ in EVERY_OP])
+    def test_operation_keeps_its_inputs_dtype(self, rng, dtype, name, build):
+        a, b = (Tensor(rng.standard_normal((3, 4)).astype(dtype)) for _ in range(2))
+        w = Tensor(rng.standard_normal((4, 2)).astype(dtype))
+        out = build(a, b, w)
+        grads = ad.backward(ad.tsum(ad.square(out)), [a, b, w])
+        assert out.data.dtype == dtype
+        assert [g.dtype for g in grads if g is not None] and all(
+            g.dtype == dtype for g in grads if g is not None
+        )
+
+    @pytest.mark.parametrize(
+        "data", [[1.0, 2.0], np.arange(3), np.ones(2, dtype=np.float16), np.float64(2.0)]
+    )
+    def test_anything_but_float32_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_is_kept(self):
+        assert Tensor(np.ones((2, 3), dtype=np.float32)).data.dtype == np.float32
+
+
 class TestLayerTypeGradients:
     """Central finite differences over 100 random probes per layer type."""
 

@@ -183,17 +183,20 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch, writer):
 
 
 def join_save_checkpoint(path, state, metadata):
-    """The writer before streaming: every tensor's bytes joined, then hashed."""
-    header, pos = {}, 0
+    """The writer before streaming: every tensor's bytes joined, then hashed.
+    A float32 array is an F32 entry, zero-padded to a multiple of 8 bytes;
+    any other array an F64 entry with no ``dtype``."""
+    header, blobs, pos = {}, [], 0
     for name, arr in state.items():
-        header[name] = {"shape": list(arr.shape), "data_offsets": [pos, pos + 8 * arr.size]}
-        pos += 8 * arr.size
+        f32 = arr.dtype == np.float32
+        blob = np.ascontiguousarray(arr, dtype="<f4" if f32 else "<f8").tobytes()
+        entry = {"shape": list(arr.shape), "data_offsets": [pos, pos + len(blob)]}
+        header[name] = {"dtype": "F32", **entry} if f32 else entry
+        blobs.append(blob + bytes(-len(blob) % 8))
+        pos += len(blobs[-1])
     header["__metadata__"] = metadata
     text = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    body = b"".join(
-        [b"KGCK", struct.pack("<IQ", 3, len(text)), text]
-        + [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in state.values()]
-    )
+    body = b"".join([b"KGCK", struct.pack("<IQ", 3, len(text)), text] + blobs)
     path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
 
 
@@ -213,6 +216,7 @@ def test_streamed_files_equal_joined_files(rng, tmp_path):
         "integer": np.arange(6).reshape(2, 3),
         "empty": np.zeros((0, 3)),
         "scalar": np.asarray(2.5),
+        "odd_float32": rng.standard_normal(3).astype(np.float32),
     }
     for i, state in enumerate([gan.gan_state(model, *opts), odd]):
         save_checkpoint(tmp_path / f"{i}.stream", state, {"kind": "test"})

@@ -629,6 +629,36 @@ class TestResumeChecks:
         assert re.search(named, proc.stderr)
         assert files() == before
 
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    def test_float64_checkpoint_exits_3_naming_the_first_tensor(self, trained_cells, tmp_path, verb):
+        """A file from before the GAN trained in float32 (today's names and
+        metadata, every array float64, saved through ``gan.save_gan``) is
+        refused naming G.w1 and both dtypes; nothing is written or
+        replaced and no traceback is printed."""
+        from kggan import gan
+        from kggan.checkpoint import load_checkpoint
+
+        root, cfg_path = trained_cells
+        state, metadata = load_checkpoint(root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt")
+        assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
+        state = {name: a.astype(np.float64) for name, a in state.items()}
+        run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
+        path = tmp_path / "checkpoint.ckpt"
+        gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
+
+        def files():
+            found = sorted(p for d in (root / "out", tmp_path) for p in d.rglob("*") if p.is_file())
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in found}
+
+        before = files()
+        flag = {"train": "--resume", "evaluate": "--checkpoint"}[verb]
+        proc = run_cli(["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        named = f"contract violation: {path}: tensor G.w1 has dtype float64, expected float32"
+        assert named in proc.stderr
+        assert files() == before
+
     @staticmethod
     def _damage_log(path, damage):
         """Damage a 40-row metric log; returns the row named and what it holds."""

@@ -27,7 +27,7 @@ from kggan.gan import (
     semantic_embedding_loss,
     train,
 )
-from kggan.regressor import RegressorModel
+from kggan.regressor import RegressorModel, extract_features, train_embedder
 
 IMG = 8
 EMB = 16
@@ -35,8 +35,8 @@ Z = 8
 
 
 def params_hash(arrays) -> int:
-    """Order-sensitive FNV-1a content hash of float64 arrays (the golden
-    file's ``params`` line)."""
+    """Order-sensitive FNV-1a content hash of arrays, each widened to
+    float64 (the golden file's ``params`` line)."""
     h = 0xCBF29CE484222325
     for arr in arrays:
         h ^= fnv1a_64(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -538,9 +538,11 @@ class TestTrainLoop:
         assert str(excinfo.value) == "non-finite loss L_G, L_se_seen, L_se_unseen at iteration 0"
         assert (excinfo.value.iteration, excinfo.value.log) == (0, [])
 
-    def test_generator_gradient_matches_finite_differences(self, mini_data):
+    def test_generator_gradient_matches_finite_differences(self, mini_data, float64_gan):
+        """On a float64 copy of the model: central differences at h = 1e-5
+        need double precision, as the float64 embedder does."""
         _, dataset, split, embeddings, embedder = mini_data
-        model = mini_model()
+        model = float64_gan(mini_model())
         model.refresh_spectral()
         rng = np.random.default_rng(5)
         z = rng.standard_normal((1, Z))
@@ -579,6 +581,73 @@ class TestTrainLoop:
                 flat[i] = keep
                 fd = (hi - lo) / (2 * h)
                 assert abs(aflat[i] - fd) / max(abs(fd), 1e-6) < 1e-3
+
+
+class TestPrecision:
+    """The GAN computes in float32; the embedder, the instrument that scores
+    it, in float64."""
+
+    @staticmethod
+    def audit_backward(monkeypatch):
+        """The set of dtypes, filled as training runs, of every tape node's
+        inputs and output, every gradient a backward rule receives or
+        passes on, and every gradient ``backward`` returns."""
+        seen, backward = set(), ad.backward
+
+        def audited_rule(rule):
+            def run(g):
+                grads = rule(g)
+                seen.update([g.dtype, *(gi.dtype for gi in grads if gi is not None)])
+                return grads
+
+            return run
+
+        def audited(loss, params):
+            nodes = ad.get_tape().nodes
+            for out, inputs, _ in nodes:
+                seen.update(t.data.dtype for t in (out, *inputs))
+            nodes[:] = [(out, inputs, audited_rule(rule)) for out, inputs, rule in nodes]
+            grads = backward(loss, params)
+            seen.update(g.dtype for g in grads)
+            return grads
+
+        monkeypatch.setattr(ad, "backward", audited)
+        return seen
+
+    @pytest.mark.parametrize("lambda_se", [0.1, 0.0], ids=["knowledge_loss", "sngan"])
+    def test_gan_iteration_is_float32_throughout(self, mini_data, monkeypatch, lambda_se):
+        """From float64 tables and a built dataset's float64 images: every
+        tape tensor and gradient, parameter, spectral u and second moment,
+        and a sample, is float32; the caller's embedder stays float64."""
+        _, dataset, split, embeddings, embedder = mini_data
+        seen = self.audit_backward(monkeypatch)
+        model = mini_model()
+        config = mini_config(gan_iterations=1, lambda_se=lambda_se)
+        opt_g, opt_d = gan.new_optimizers(model, config)
+        knowledge = embedder if lambda_se else None
+        train(model, dataset, split, embeddings, embeddings, knowledge, config, opt_g=opt_g, opt_d=opt_d)
+        float32 = {np.dtype(np.float32)}
+        assert seen == float32
+        state = gan.gan_state(model, opt_g, opt_d)
+        assert len(state) == 30 and {a.dtype for a in state.values()} == float32
+        assert sample_images(model, 0, 4, embeddings, seed=1).dtype == np.float32
+        assert {p.data.dtype for p in embedder.parameters()} == {np.dtype(np.float64)}
+
+    def test_embedder_trains_and_extracts_in_float64(self, mini_data, monkeypatch):
+        """From float32 images, as a loaded dataset holds them; the features
+        are those of the images widened to float64, bit for bit."""
+        _, dataset, split, embeddings, _ = mini_data
+        seen = self.audit_backward(monkeypatch)
+        images = dataset.images.astype(np.float32)
+        rows = dataset.rows_of(split.seen_ids)
+        config = ExperimentConfig(image_size=IMG, embed_dim=EMB, embedder_steps=1, embedder_batch=8)
+        model = train_embedder(images[rows], dataset.category_ids[rows], embeddings, config)
+        float64 = {np.dtype(np.float64)}
+        assert seen == float64
+        assert {p.data.dtype for p in model.parameters()} == float64
+        features = extract_features(model, images[:4])
+        assert features.dtype == np.float64
+        assert features.tobytes() == extract_features(model, images[:4].astype(np.float64)).tobytes()
 
 
 GOLDEN_SNGAN_LOG = Path(__file__).parent / "golden" / "sngan_mini_metrics.csv"

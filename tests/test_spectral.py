@@ -54,10 +54,13 @@ class TestPowerIteration:
         assert sigma > 0
 
     def test_zero_matrix_flagged_degenerate(self, rng):
-        u = unit_vector(3, rng)
-        got, sigma = power_iteration_step(np.zeros((3, 2)), u)
-        assert sigma is None
-        assert got is u
+        """In float32 too, whose zero norm the bound must be compared
+        against in float64: NumPy rounds a python 1e-150 to float32 0."""
+        for dtype in (np.float64, np.float32):
+            u = unit_vector(3, rng).astype(dtype)
+            got, sigma = power_iteration_step(np.zeros((3, 2), dtype=dtype), u)
+            assert sigma is None
+            assert got is u
 
     def test_wrong_u_length_rejected(self, rng):
         with pytest.raises(DimensionError):

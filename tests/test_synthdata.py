@@ -81,8 +81,10 @@ class TestRenderSample:
 
 
 def loop_mean_foreground_color(image):
-    """Per-image reference: mean over the selected foreground pixels."""
-    values01 = (image + 1.0) / 2.0
+    """Per-image reference: mean over the selected foreground pixels,
+    computed in float64 whatever the image's dtype (a generated draw is
+    float32)."""
+    values01 = (np.asarray(image, dtype=np.float64) + 1.0) / 2.0
     mask = values01.max(axis=0) > 0.3
     if not mask.any():
         mask = np.ones(image.shape[1:], dtype=bool)
