@@ -770,8 +770,9 @@ class TestTrainingGolden:
     def test_metric_log_matches_golden(self, trained_cells, cell):
         """The TINY config's metric log for a cell trained through the CLI
         from the dataset file, on the lambda_se = 0.1 and the lambda_se = 0
-        path, recorded in the golden files before the file stored float32
-        images: every row must be reproduced bit for bit."""
+        path, recorded in the golden files when the GAN moved to float32
+        (the same at 1 and 2 BLAS threads): every row must be reproduced
+        bit for bit."""
         root, _ = trained_cells
         lines = (root / "out" / "cells" / cell / "metrics.csv").read_text(encoding="utf-8")
         rows = "".join(line for line in lines.splitlines(keepends=True) if not line.startswith("#"))
@@ -780,9 +781,11 @@ class TestTrainingGolden:
 
 class TestEvaluationGolden:
     def test_kggan_full_scores_match_golden(self, trained_cells):
-        """The TINY config's kggan_full scores, recorded in the golden files
-        before the dataset moved into one checkpoint file: data, embedder,
-        GAN training and evaluation must reproduce every row bit for bit."""
+        """The TINY config's kggan_full scores: data, embedder, GAN training
+        and evaluation must reproduce every row bit for bit. The FID report
+        and the consistency scores were recorded when the GAN moved to
+        float32; the color fidelities, which that left unchanged, before
+        the dataset moved into one checkpoint file."""
         from kggan import cli
 
         root, cfg_path = trained_cells
@@ -832,8 +835,10 @@ def ablated(tmp_path_factory):
 
 
 class TestAblationGolden:
-    """The TINY config's ``ablate`` tables and kggan_full sample grids,
-    recorded in the golden files before the table writers were merged.
+    """The TINY config's ``ablate`` tables and kggan_full sample grids.
+    The CSV table was recorded when the GAN moved to float32; the text
+    table (FIDs to 4 decimals) and the sample pixels, which that left
+    unchanged, before the table writers were merged.
     Header lines carry the config hash, which changes with every other
     config field, so only the lines below them and the pixels after the
     PPM header are pinned."""

@@ -680,10 +680,10 @@ class TestTapeSize:
 class TestKnowledgeLossGolden:
     def test_knowledge_loss_run_matches_golden_bitwise(self, mini_data, tmp_path):
         """A 200-iteration run at lambda_se = 0.1 (semantic conditions, the
-        frozen regressor on the generator's backward path, 2 unseen
-        categories) writes the metric log, and reaches the parameters,
-        recorded in the golden file before the backward pass was last
-        rewritten."""
+        frozen regressor's float32 copy on the generator's backward path,
+        2 unseen categories) writes the metric log, and reaches the
+        parameters, recorded in the golden file when the GAN moved to
+        float32 (the same at 1 and 2 BLAS threads)."""
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         config = mini_config(gan_iterations=200)
@@ -697,8 +697,10 @@ class TestBaselineReduction:
     def test_lambda_zero_matches_sngan_code_path_bitwise(self, mini_data, tmp_path):
         """The full-data baseline through ``train`` (lambda_se = 0, every
         category seen, none unseen, one-hot conditions) writes the metric
-        log, and reaches the parameters, that the former separate SN-GAN
-        loop recorded in the golden file for the same run."""
+        log, and reaches the parameters, recorded in the golden file when
+        the GAN moved to float32 (the same at 1 and 2 BLAS threads). In
+        float64 this run matched the former separate SN-GAN loop bit for
+        bit."""
         specs, dataset, _, embeddings, _ = mini_data
         split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
         model = mini_model(condition_mode="one_hot", cond_dim=len(specs))
