@@ -4,9 +4,8 @@ tensors.
 A tensor made from a float32 array stays float32; anything else becomes
 float64. Every operation computes in its inputs' dtype, so a float32
 network (the GAN) runs in single precision forward and backward, and a
-float64 one (the embedder) in double, bit for bit as before float32
-tensors existed. Operands of one operation share a dtype: mixing them
-would widen the result to float64.
+float64 one (the embedder) in double. Operands of one operation share a
+dtype: mixing them would widen the result to float64.
 
 A module-level tape records every operation run outside ``no_grad``, in
 execution order, so operands always precede the nodes that use them.

@@ -85,9 +85,9 @@ def single_precision(model: RegressorModel) -> RegressorModel:
     """A copy of ``model`` whose parameters are its own rounded to float32,
     for a float32 network's knowledge loss; ``model`` is left as it is."""
     clone = copy.copy(model)
-    for attr in ("w1", "b1", "w2", "b2", "w3", "b3"):
-        p = getattr(model, attr)
-        setattr(clone, attr, Tensor(p.data.astype(np.float32), name=p.name))
+    for attr, value in vars(model).items():
+        if isinstance(value, Tensor):
+            setattr(clone, attr, Tensor(value.data.astype(np.float32), name=value.name))
     return clone
 
 

@@ -309,20 +309,23 @@ class TestDtype:
         a, b = (Tensor(rng.standard_normal((3, 4)).astype(dtype)) for _ in range(2))
         w = Tensor(rng.standard_normal((4, 2)).astype(dtype))
         out = build(a, b, w)
-        grads = ad.backward(ad.tsum(ad.square(out)), [a, b, w])
+        grads = [g for g in ad.backward(ad.tsum(ad.square(out)), [a, b, w]) if g is not None]
         assert out.data.dtype == dtype
-        assert [g.dtype for g in grads if g is not None] and all(
-            g.dtype == dtype for g in grads if g is not None
-        )
+        assert grads and {g.dtype for g in grads} == {np.dtype(dtype)}
 
     @pytest.mark.parametrize(
-        "data", [[1.0, 2.0], np.arange(3), np.ones(2, dtype=np.float16), np.float64(2.0)]
+        "data, dtype",
+        [
+            (np.ones((2, 3), dtype=np.float32), np.float32),
+            ([1.0, 2.0], np.float64),
+            (np.arange(3), np.float64),
+            (np.ones(2, dtype=np.float16), np.float64),
+            (np.float64(2.0), np.float64),
+        ],
+        ids=["float32", "list", "int", "float16", "float64_scalar"],
     )
-    def test_anything_but_float32_becomes_float64(self, data):
-        assert Tensor(data).data.dtype == np.float64
-
-    def test_float32_is_kept(self):
-        assert Tensor(np.ones((2, 3), dtype=np.float32)).data.dtype == np.float32
+    def test_float32_is_kept_and_anything_else_becomes_float64(self, data, dtype):
+        assert Tensor(data).data.dtype == dtype
 
 
 class TestLayerTypeGradients:

@@ -597,21 +597,18 @@ class TestResumeChecks:
         assert f"contract violation: {path}: {named}" in proc.stderr
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("verb", ["train", "evaluate"])
-    def test_checkpoint_with_first_moments_exits_3_naming_one(self, trained_cells, tmp_path, verb):
-        """A file from when the GAN's Adam stored a first moment (today's
-        state plus the 13 adam_*.m.<param> arrays, saved through
-        ``gan.save_gan``) is refused naming one of them; nothing is written
-        or replaced and no traceback is printed."""
+    @staticmethod
+    def _refused_without_writes(trained_cells, tmp_path, verb, damage):
+        """Save the kggan_full checkpoint's state and metadata, changed by
+        ``damage(state)``, through ``gan.save_gan`` and pass the file to
+        ``verb``: it exits 3 without a traceback, and no file is written or
+        replaced. Returns (the file's path, stderr)."""
         from kggan import gan
         from kggan.checkpoint import load_checkpoint
 
         root, cfg_path = trained_cells
         state, metadata = load_checkpoint(root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt")
-        params = [name for name in state if name[:2] in ("G.", "D.")]
-        assert len(params) == 13
-        for name in params:
-            state[f"adam_{name[0].lower()}.m.{name}"] = np.full_like(state[name], 1e-3)
+        state = damage(state)
         run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
         path = tmp_path / "checkpoint.ckpt"
         gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
@@ -625,9 +622,26 @@ class TestResumeChecks:
         proc = run_cli(["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
-        named = rf"contract violation: {re.escape(str(path))}: unexpected tensor adam_[dg]\.m\."
-        assert re.search(named, proc.stderr)
         assert files() == before
+        return path, proc.stderr
+
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    def test_checkpoint_with_first_moments_exits_3_naming_one(self, trained_cells, tmp_path, verb):
+        """A file from when the GAN's Adam stored a first moment (today's
+        state plus the 13 adam_*.m.<param> arrays, saved through
+        ``gan.save_gan``) is refused naming one of them; nothing is written
+        or replaced and no traceback is printed."""
+
+        def add_first_moments(state):
+            params = [name for name in state if name[:2] in ("G.", "D.")]
+            assert len(params) == 13
+            for name in params:
+                state[f"adam_{name[0].lower()}.m.{name}"] = np.full_like(state[name], 1e-3)
+            return state
+
+        path, stderr = self._refused_without_writes(trained_cells, tmp_path, verb, add_first_moments)
+        named = rf"contract violation: {re.escape(str(path))}: unexpected tensor adam_[dg]\.m\."
+        assert re.search(named, stderr)
 
     @pytest.mark.parametrize("verb", ["train", "evaluate"])
     def test_float64_checkpoint_exits_3_naming_the_first_tensor(self, trained_cells, tmp_path, verb):
@@ -635,29 +649,13 @@ class TestResumeChecks:
         metadata, every array float64, saved through ``gan.save_gan``) is
         refused naming G.w1 and both dtypes; nothing is written or
         replaced and no traceback is printed."""
-        from kggan import gan
-        from kggan.checkpoint import load_checkpoint
 
-        root, cfg_path = trained_cells
-        state, metadata = load_checkpoint(root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt")
-        assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
-        state = {name: a.astype(np.float64) for name, a in state.items()}
-        run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
-        path = tmp_path / "checkpoint.ckpt"
-        gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
+        def widen(state):
+            assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
+            return {name: a.astype(np.float64) for name, a in state.items()}
 
-        def files():
-            found = sorted(p for d in (root / "out", tmp_path) for p in d.rglob("*") if p.is_file())
-            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in found}
-
-        before = files()
-        flag = {"train": "--resume", "evaluate": "--checkpoint"}[verb]
-        proc = run_cli(["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)], cwd=tmp_path)
-        assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        named = f"contract violation: {path}: tensor G.w1 has dtype float64, expected float32"
-        assert named in proc.stderr
-        assert files() == before
+        path, stderr = self._refused_without_writes(trained_cells, tmp_path, verb, widen)
+        assert f"contract violation: {path}: tensor G.w1 has dtype float64, expected float32" in stderr
 
     @staticmethod
     def _damage_log(path, damage):
