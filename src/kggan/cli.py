@@ -245,7 +245,7 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     start_iteration, log = 0, []
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
-        model, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, cell_config, run=expect)
+        _, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, cell_config, run=expect)
         if start_iteration >= config.gan_iterations:
             raise ContractError(
                 f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
@@ -418,18 +418,17 @@ def cmd_ablate(ws: Workspace) -> int:
 
     os.makedirs(ws.ablation_dir, exist_ok=True)
     header = ws.header(ws.config.gan_seed)
-    csv_rows, table_rows = [], []
+    rows = []
     for cell in CELLS:
         condition_mode, _, use_knowledge = CELL_RULES[cell]
-        scores = ("failed", "failed")
-        if cell in results:
-            scores = (results[cell].seen_avg, results[cell].unseen_avg)
-            table_rows.append((cell, condition_mode, use_knowledge, *scores))
-        csv_rows.append((cell, condition_mode, "yes" if use_knowledge else "no", *scores))
+        report = results.get(cell)
+        scores = (report.seen_avg, report.unseen_avg) if report else ("failed", "failed")
+        rows.append((cell, condition_mode, "yes" if use_knowledge else "no", *scores))
     columns = ("method", "condition", "l_se", "seen_fid", "unseen_fid")
-    _write_table(os.path.join(ws.ablation_dir, "combined.csv"), header, columns, csv_rows)
+    _write_table(os.path.join(ws.ablation_dir, "combined.csv"), header, columns, rows)
 
-    table = evaluation.format_fid_table(table_rows, header).rstrip("\n")
+    scored = [row for row in rows if row[0] in results]
+    table = evaluation.format_fid_table(scored, header).rstrip("\n")
     failed = [f"cell {cell} FAILED: {type(exc).__name__}: {exc}" for cell, exc in failures.items()]
     report_text = "\n".join([table, "", *_verdict_lines(results), *failed, ""])
     write_atomic(os.path.join(ws.ablation_dir, "combined.txt"), report_text)

@@ -114,13 +114,13 @@ def color_fidelity(images, color: str) -> float:
 def format_fid_table(rows, header_lines=()) -> str:
     """Aligned text table: method, condition, knowledge-loss flag, FIDs.
 
-    ``rows`` is a list of (method, condition, l_se_flag, seen_fid,
-    unseen_fid) tuples; with none, the table is its header and rule.
+    ``rows`` holds (method, condition, l_se, seen_fid, unseen_fid) tuples,
+    l_se as shown, "yes" or "no"; with none, the table is its header and rule.
     """
     header = ("Method", "Condition", "L_se", "Seen FID", "Unseen FID")
     body = [
-        (method, condition, "yes" if flag else "no", f"{seen:.4f}", f"{unseen:.4f}")
-        for method, condition, flag, seen, unseen in rows
+        (method, condition, l_se, f"{seen:.4f}", f"{unseen:.4f}")
+        for method, condition, l_se, seen, unseen in rows
     ]
     widths = [max([len(header[i]), *(len(r[i]) for r in body)]) for i in range(len(header))]
     lines = [f"# {line}" for line in header_lines]

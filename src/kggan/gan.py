@@ -30,13 +30,14 @@ conditioned on ``cond[ids]`` and its knowledge-loss targets are
 A run's settings are its one ``ExperimentConfig``, with the cell's lambda_se.
 
 The GAN computes in float32 end to end: its parameters, spectral ``u``
-vectors and Adam moments, every noise, condition, real and fake batch,
-and the knowledge loss, which runs a float32 copy of the frozen
-regressor's weights (``regressor.single_precision``). Its initial values
-and noise are drawn in float64 from the same generator calls as ever and
-rounded, so every random stream is consumed as before. The regressor
-itself stays float64: it is also the instrument that scores the GAN, and
-its features, and so the FIDs, do not depend on the GAN's precision. A
+vectors and Adam moments, every noise, condition and fake batch, the
+real batches (the dataset's images as they are, ``synthdata``), and the
+knowledge loss, which runs a float32 copy of the frozen regressor's
+weights (``regressor.single_precision``). Its initial values and noise
+are drawn in float64 from the same generator calls as ever and rounded,
+so every random stream is consumed as before. The regressor itself stays
+float64: it is also the instrument that scores the GAN, and its
+features, and so the FIDs, do not depend on the GAN's precision. A
 caller may pass float64 condition and target tables; ``train`` and
 ``sample_images`` round them once, at entry.
 """
@@ -262,8 +263,7 @@ def _noise(rng: np.random.Generator, n: int, z_dim: int) -> np.ndarray:
 
 def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot):
     rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
-    # float32 as a loaded dataset stores them; a built one's are rounded
-    x_real = dataset.images[rows].reshape(config.batch_size, -1).astype(np.float32, copy=False)
+    x_real = dataset.images[rows].reshape(config.batch_size, -1)
     real_cats = dataset.category_ids[rows]
 
     # fakes share the real batch's conditions: pairing them keeps the

@@ -33,21 +33,16 @@ def _clamp(vals) -> np.ndarray:
     """
     if np.min(vals) < CLAMP_WARN_THRESHOLD:
         warnings.warn(
-            f"clamping eigenvalue {np.min(vals):.3e} to zero", RuntimeWarning, stacklevel=4
+            f"clamping eigenvalue {np.min(vals):.3e} to zero", RuntimeWarning, stacklevel=3
         )
     return np.clip(vals, 0.0, None)
 
 
-def _clamped_eigh(matrix):
-    """Eigendecomposition with negative eigenvalues clamped to zero."""
-    vals, vecs = np.linalg.eigh(_checked_square(matrix))
-    return _clamp(vals), vecs
-
-
 def sym_sqrt(matrix) -> np.ndarray:
-    """Principal square root of a symmetric positive semidefinite matrix."""
-    vals, vecs = _clamped_eigh(matrix)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    """Principal square root of a symmetric positive semidefinite matrix,
+    its negative eigenvalues clamped to zero."""
+    vals, vecs = np.linalg.eigh(_checked_square(matrix))
+    return (vecs * np.sqrt(_clamp(vals))) @ vecs.T
 
 
 def trace_sqrt_product(sigma1, sigma2) -> float:

@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import ContractError, NumericalAbort
 
+EPSILON = 1e-8  # added to sqrt(v / c2), the update's denominator
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 2e-4
     beta1: float = 0.0
     beta2: float = 0.9
-    epsilon: float = 1e-8
     step_count: int = 0
     # one array per parameter, none at beta1 = 0
     first_moment: list = field(default_factory=list)
@@ -85,7 +86,7 @@ def adam_step(params, state: AdamState, grads) -> None:
         v += scratch
         denom = v / correction2
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += EPSILON
         if m is None:
             np.multiply(g, state.learning_rate, out=scratch)
         else:

@@ -11,12 +11,13 @@ unambiguous and every color word stays represented on the seen side of
 any split that leaves fewer unseen categories than there are categories
 per color.
 
-The dataset file is a checkpoint of kind "dataset": the images as
-float32 and the [n_categories, d] category table, with the DATASET_FIELDS
-they depend on. A loaded dataset keeps its images float32. The GAN's
-real batches are those float32 values as stored; the embedder widens a
-batch to float64, exactly, where it enters (``regressor``). Category ids
-are not stored; samples are category-major (``sample_category_ids``).
+A dataset's images are float32, built or loaded: ``build_dataset``
+rounds each float64 ``render_sample`` once, as it stores it. The GAN
+reads them as they are; the embedder widens them to float64, exactly,
+where they enter it (``regressor``). The dataset file is a checkpoint of
+kind "dataset": those images and the float64 [n_categories, d] category
+table, with the DATASET_FIELDS they depend on. Category ids are not
+stored; samples are category-major (``sample_category_ids``).
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class SplitPlan:
 class Dataset:
     """Row i is an image of category ``category_ids[i]``; built or loaded, category-major."""
 
-    images: np.ndarray  # [N, 3, S, S] in [-1, 1]: float32 when loaded, float64 when built
+    images: np.ndarray  # [N, 3, S, S] float32 in [-1, 1]
     category_ids: np.ndarray  # [N] int64
     specs: list
 
@@ -264,7 +265,7 @@ def sample_category_ids(specs, images_per_category: int) -> np.ndarray:
 
 
 def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -> Dataset:
-    images = np.empty((len(specs) * images_per_category, 3, image_size, image_size))
+    images = np.empty((len(specs) * images_per_category, 3, image_size, image_size), np.float32)
     for i, spec in enumerate(specs):
         for k in range(images_per_category):
             # per-sample seed folds dataset seed and sample index together
@@ -278,9 +279,9 @@ def build_dataset(specs, images_per_category: int, image_size: int, seed: int) -
 
 
 def save_dataset(path, dataset: Dataset, embeddings: np.ndarray, config: ExperimentConfig) -> None:
-    """Write ``dataset.images``, cast to float32, and the category table,
-    recording the DATASET_FIELDS of ``config``."""
-    state = {"images": dataset.images.astype(np.float32), "embeddings": embeddings}
+    """Write ``dataset.images`` and the category table, recording the
+    DATASET_FIELDS of ``config``."""
+    state = {"images": dataset.images, "embeddings": embeddings}
     save_checkpoint(path, state, {"kind": "dataset", **config_fields(config, DATASET_FIELDS)})
 
 
@@ -288,7 +289,7 @@ def load_dataset(path, config: ExperimentConfig):
     """(Dataset, embeddings) from a file with ``config``'s DATASET_FIELDS,
     the shapes they imply, float32 images and a float64 table, every value
     finite; else ContractError names the first field, tensor, sample or
-    category that differs. The images are the file's float32 values."""
+    category that differs."""
     if not os.path.exists(path):
         raise OSError(f"dataset missing: {path} (run generate-data first)")
     specs = make_category_specs(config.n_categories, config.descriptions_per_category)

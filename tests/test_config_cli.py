@@ -230,6 +230,20 @@ class TestGenerateData:
         assert dataset.images.shape == (6 * 10, 3, 8, 8)
         assert dataset.category_ids.tolist() == [c for c in range(6) for _ in range(10)]
 
+    def test_written_images_are_the_built_images(self, workspace):
+        """A dataset built in process and the one generate-data wrote hold
+        the same float32 images, bit for bit."""
+        root, cfg_path = workspace
+        from kggan import synthdata as sd
+        from kggan.config import load_config
+
+        config = load_config(cfg_path)
+        written, _ = sd.load_dataset(root / "out" / "dataset" / "dataset.ckpt", config)
+        specs = sd.make_category_specs(config.n_categories, config.descriptions_per_category)
+        built = sd.build_dataset(specs, config.images_per_category, config.image_size, config.data_seed)
+        assert built.images.dtype == written.images.dtype == np.float32
+        assert built.images.tobytes() == written.images.tobytes()
+
     def test_rerun_is_byte_identical(self, workspace):
         root, cfg_path = workspace
         out = root / "out" / "dataset"

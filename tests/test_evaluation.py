@@ -271,8 +271,8 @@ class TestReportFormatting:
     def test_table_layout(self):
         text = format_fid_table(
             [
-                ("baseline_full_data", "one_hot", False, 0.5, 0.61),
-                ("kggan_full", "semantic_embedding", True, 0.1385, 0.1386),
+                ("baseline_full_data", "one_hot", "no", 0.5, 0.61),
+                ("kggan_full", "semantic_embedding", "yes", 0.1385, 0.1386),
             ],
             header_lines=["config ff", "seed 3"],
         )

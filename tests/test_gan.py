@@ -616,9 +616,9 @@ class TestPrecision:
 
     @pytest.mark.parametrize("lambda_se", [0.1, 0.0], ids=["knowledge_loss", "sngan"])
     def test_gan_iteration_is_float32_throughout(self, mini_data, monkeypatch, lambda_se):
-        """From float64 tables and a built dataset's float64 images: every
-        tape tensor and gradient, parameter, spectral u and second moment,
-        and a sample, is float32; the caller's embedder stays float64."""
+        """From float64 tables and a built dataset's images: every tape
+        tensor and gradient, parameter, spectral u and second moment, and a
+        sample, is float32; the caller's embedder stays float64."""
         _, dataset, split, embeddings, embedder = mini_data
         seen = self.audit_backward(monkeypatch)
         model = mini_model()
@@ -634,11 +634,12 @@ class TestPrecision:
         assert {p.data.dtype for p in embedder.parameters()} == {np.dtype(np.float64)}
 
     def test_embedder_trains_and_extracts_in_float64(self, mini_data, monkeypatch):
-        """From float32 images, as a loaded dataset holds them; the features
-        are those of the images widened to float64, bit for bit."""
+        """From a dataset's float32 images; the features are those of the
+        images widened to float64, bit for bit."""
         _, dataset, split, embeddings, _ = mini_data
         seen = self.audit_backward(monkeypatch)
-        images = dataset.images.astype(np.float32)
+        images = dataset.images
+        assert images.dtype == np.float32
         rows = dataset.rows_of(split.seen_ids)
         config = ExperimentConfig(image_size=IMG, embed_dim=EMB, embedder_steps=1, embedder_batch=8)
         model = train_embedder(images[rows], dataset.category_ids[rows], embeddings, config)

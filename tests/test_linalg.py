@@ -1,5 +1,5 @@
-"""Matrix square root and trace-sqrt product against oracles, plus
-equivalence with the cyclic Jacobi solver they replaced.
+"""Matrix square root and trace-sqrt product against oracles, plus the
+outputs of the cyclic Jacobi solver they replaced.
 
 The Jacobi solver was deleted once LAPACK (numpy.linalg.eigh) took over;
 the JACOBI_* constants are its outputs, recorded before the deletion.
@@ -12,7 +12,7 @@ from kggan import gan, semantics, synthdata
 from kggan.config import ExperimentConfig
 from kggan.errors import ContractError
 from kggan.evaluation import feature_stats, fid_report, frechet_distance
-from kggan.linalg import _clamped_eigh, sym_sqrt, trace_sqrt_product
+from kggan.linalg import sym_sqrt, trace_sqrt_product
 from kggan.regressor import RegressorModel, extract_features
 
 # trace_sqrt_product on low_rank_cov pairs, seed 1000 + rank, dimension 64
@@ -43,11 +43,6 @@ JACOBI_FID = {
 }
 JACOBI_FID_SEEN = 17.506797942713742
 JACOBI_FID_UNSEEN = 14.540888161301034
-
-
-def random_symmetric(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n)) * scale
-    return (a + a.T) / 2.0
 
 
 def random_psd(rng, n, scale=1.0):
@@ -85,41 +80,36 @@ def sqrt_roundoff(null_dim, scale):
 
 
 class TestJacobi:
-    """The symmetric eigendecomposition behind every solve.
+    """The checks every solve makes first, and the root against its square.
 
     The class keeps the name of the Jacobi solver these checks were first
-    written for; they now run on the LAPACK-backed ``_clamped_eigh``.
+    written for; they now run through ``sym_sqrt``, the one caller of the
+    LAPACK eigendecomposition.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
     def test_matches_eigh_oracle(self, rng, n):
         a = random_psd(rng, n) / n
-        vals, vecs = _clamped_eigh(a)
-        assert np.all(vals >= 0.0)
-        assert np.max(np.abs(np.sort(vals) - np.sort(np.linalg.eigvalsh(a)))) < 1e-9
-        # reconstruction check confirms eigenvectors pair with eigenvalues
-        assert np.max(np.abs((vecs * vals) @ vecs.T - a)) < 1e-9
-
-    def test_eigenvectors_orthonormal(self, rng):
-        _, vecs = _clamped_eigh(random_symmetric(rng, 10) + 10.0 * np.eye(10))
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(10))) < 1e-10
+        root = sym_sqrt(a)
+        assert np.max(np.abs(root @ root - a)) < 1e-9
+        # the root's eigenvalues are the square roots of the oracle's
+        want = np.sqrt(np.clip(np.linalg.eigvalsh(a), 0.0, None))
+        assert np.max(np.abs(np.linalg.eigvalsh(root) - want)) < 1e-7
 
     def test_zero_matrix(self):
-        vals, vecs = _clamped_eigh(np.zeros((4, 4)))
-        assert np.array_equal(vals, np.zeros(4))
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-12
+        assert np.array_equal(sym_sqrt(np.zeros((4, 4))), np.zeros((4, 4)))
 
     def test_non_square_rejected(self):
         for shape in [(3, 2), (4,), (2, 2, 2)]:
             with pytest.raises(ContractError, match="square"):
-                _clamped_eigh(np.zeros(shape))
+                sym_sqrt(np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         a = np.eye(3)
         a[1, 2] = a[2, 1] = bad
         with pytest.raises(ContractError, match="non-finite"):
-            _clamped_eigh(a)
+            sym_sqrt(a)
 
     def test_non_finite_second_covariance_rejected(self):
         s2 = np.eye(3)
@@ -128,8 +118,9 @@ class TestJacobi:
             trace_sqrt_product(np.eye(3), s2)
 
 
-class TestJacobiEquivalence:
-    """LAPACK results against the recorded Jacobi outputs."""
+class TestRecordedSolverOutputs:
+    """LAPACK results against the recorded Jacobi outputs: trace-sqrt
+    products, the condition preconditioner and per-category FIDs."""
 
     @pytest.mark.parametrize("rank", sorted(JACOBI_TRACE_SQRT, reverse=True))
     def test_trace_sqrt_product(self, rank):

@@ -5,7 +5,7 @@ import pytest
 
 from kggan.autodiff import Tensor, uniform_init, zeros_init
 from kggan.errors import ContractError, NumericalAbort
-from kggan.optim import AdamState, adam_step
+from kggan.optim import EPSILON, AdamState, adam_step
 
 
 def scalar_adam_reference(grad_fn, w0, lr, beta1, beta2, eps, steps):
@@ -131,7 +131,7 @@ def assert_bitwise_the_old_update(mine, ref, state, moments, grad_steps):
     and m too where the state keeps one."""
     for grads in grad_steps:
         adam_step(mine, state, grads=[g.copy() for g in grads])
-        old_adam_step(ref, moments, grads, state.learning_rate, state.beta1, state.beta2, state.epsilon)
+        old_adam_step(ref, moments, grads, state.learning_rate, state.beta1, state.beta2, EPSILON)
     assert state.step_count == moments["t"]
     for a, b, v_a, v_b in zip(mine, ref, state.second_moment, moments["v"]):
         assert a.data.tobytes() == b.data.tobytes()
