@@ -36,6 +36,9 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
+# leaky_relu's slope below zero, in the GAN and in the regressor
+LEAK = 0.1
+
 
 class Tensor:
     """A dense float32 or float64 array; ``backward`` differentiates it
@@ -280,10 +283,10 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), back)
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.1) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
     # the slope in the input's dtype: python floats would make it float64
-    one, alpha = np.asarray([1.0, alpha], dtype=a.data.dtype)
-    slope = np.where(a.data > 0.0, one, alpha)
+    one, leak = np.asarray([1.0, LEAK], dtype=a.data.dtype)
+    slope = np.where(a.data > 0.0, one, leak)
 
     def back(g):
         return (g * slope,)

@@ -21,11 +21,10 @@ and ``embedder.ckpt`` record the config fields they depend on. A verb
 that reads one exits 3 naming the file and the first such field, or
 tensor shape or dtype, that does not match its own config, or the first
 sample or category with a non-finite value. A dataset file holding
-float64 images, as files did before the images were stored as float32,
-exits 3 naming the ``images`` tensor; ``generate-data`` writes it anew.
-A GAN checkpoint holding float64 arrays, as files did before the GAN
-trained in float32, exits 3 from ``train --resume`` and from ``evaluate``
-naming its first tensor, ``G.w1``; it cannot be resumed or scored.
+float64 images exits 3 naming the ``images`` tensor; ``generate-data``
+writes it anew. A GAN checkpoint holding float64 arrays exits 3 from
+``train --resume`` and from ``evaluate`` naming its first tensor,
+``G.w1``; it cannot be resumed or scored.
 ``evaluate`` scores only its own cell's checkpoint: one another cell
 wrote exits 3 naming ``cell``, and one trained on other data or against
 another embedder exits 3 naming the first ``EMBEDDER_FIELDS`` field that
@@ -309,24 +308,23 @@ def _write_ppm(path, grid01: np.ndarray, comment: str) -> None:
 
 
 def _sample_grid(images: np.ndarray) -> np.ndarray:
+    """[3, rows*S, GRID_COLUMNS*S] float64 in [0, 1] from GRID_COLUMNS * rows
+    [3, S, S] images in [-1, 1], row-major; rescaled in their own dtype."""
     n, _, s, _ = images.shape
-    rows = (n + GRID_COLUMNS - 1) // GRID_COLUMNS
-    grid = np.zeros((3, rows * s, GRID_COLUMNS * s))
-    for i in range(n):
-        r, c = divmod(i, GRID_COLUMNS)
-        grid[:, r * s : (r + 1) * s, c * s : (c + 1) * s] = (images[i] + 1.0) / 2.0
-    return grid
+    rows = n // GRID_COLUMNS
+    tiles = ((images + 1.0) / 2.0).astype(np.float64).reshape(rows, GRID_COLUMNS, 3, s, s)
+    return tiles.transpose(2, 0, 3, 1, 4).reshape(3, rows * s, GRID_COLUMNS * s)
 
 
 def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = None):
     """Score one trained cell, write its FID report, metric CSVs and sample
     grids, and return its FidReport.
 
-    Only the generator is restored from the checkpoint, which is verified
-    whole (see ``gan.load_generator``); the condition table is rebuilt from
-    the dataset's category table, as training built it. One loop visits
-    the categories in id order. Each is drawn once, max(n_gen, grid size)
-    images; the head is its sample grid. The first n_gen go through the
+    The checkpoint is restored and verified whole by ``gan.load_gan``, the
+    loader a resume uses; only its generator is read. The condition table
+    is rebuilt from the dataset's category table, as training built it.
+    One loop visits the categories in id order. Each is drawn once,
+    max(n_gen, grid size) images; the head is its sample grid. The first n_gen go through the
     regressor's trunk once, and those features feed the FID statistics and
     embedding consistency, as the draw feeds color fidelity. The category's
     real images go through the trunk for the FID's other side. Every file
@@ -341,7 +339,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     embedder = regressor.load_regressor(ws.embedder_path, config)
     run = {"cell": cell, **config_fields(config, regressor.EMBEDDER_FIELDS)}
     model, cond = _build_model(config, CELL_RULES[cell][0], embeddings)
-    gan.load_generator(path, model, run=run)
+    gan.load_gan(path, model, config, run=run)  # its optimizers go unused
 
     n_grid = GRID_COLUMNS * config.grid_rows
     fid, consistency, color, grids = {}, {}, {}, {}

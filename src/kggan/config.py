@@ -126,9 +126,9 @@ def parse_config(text: str) -> ExperimentConfig:
         set_on[key] = lineno
         kind = known[key]
         try:
-            if kind in ("int", int):
+            if kind == "int":
                 values[key] = int(value)
-            elif kind in ("float", float):
+            elif kind == "float":
                 values[key] = float(value)
             else:
                 values[key] = value

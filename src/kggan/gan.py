@@ -28,18 +28,20 @@ conditioned on ``cond[ids]`` and its knowledge-loss targets are
 ``embeddings[ids]``. ``train`` logs one ``METRIC_COLUMNS`` row per iteration.
 
 A run's settings are its one ``ExperimentConfig``, with the cell's lambda_se.
+One loader, ``load_gan``, restores a checkpoint's whole state: a resume
+continues its optimizers, and evaluation samples from its generator.
 
 The GAN computes in float32 end to end: its parameters, spectral ``u``
 vectors and Adam moments, every noise, condition and fake batch, the
 real batches (the dataset's images as they are, ``synthdata``), and the
 knowledge loss, which runs a float32 copy of the frozen regressor's
 weights (``regressor.single_precision``). Its initial values and noise
-are drawn in float64 from the same generator calls as ever and rounded,
-so every random stream is consumed as before. The regressor itself stays
-float64: it is also the instrument that scores the GAN, and its
-features, and so the FIDs, do not depend on the GAN's precision. A
-caller may pass float64 condition and target tables; ``train`` and
-``sample_images`` round them once, at entry.
+are drawn in float64 and rounded, so every random stream is consumed
+as before. The regressor itself stays float64: it is also the
+instrument that scores the GAN, and its features, and so the FIDs, do
+not depend on the GAN's precision. A caller may pass float64 condition
+and target tables; ``train`` and ``sample_images`` round them once, at
+entry.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ CONDITION_SEMANTIC = "semantic_embedding"
 CONDITION_ONE_HOT = "one_hot"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-LEAK = 0.1
 
 # Adam's moment decays for both networks, the SN-GAN regime
 BETA1 = 0.0
@@ -203,8 +203,8 @@ def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
     if z.data.ndim != 2 or z.data.shape[0] != v.data.shape[0]:
         raise DimensionError(f"noise shape {z.data.shape} does not pair with {v.data.shape}")
     x = ad.concat([z, v], axis=1)
-    h1 = ad.leaky_relu(ad.affine(x, model.gw1, model.gb1), LEAK)
-    h2 = ad.leaky_relu(ad.affine(h1, model.gw2, model.gb2), LEAK)
+    h1 = ad.leaky_relu(ad.affine(x, model.gw1, model.gb1))
+    h2 = ad.leaky_relu(ad.affine(h1, model.gw2, model.gb2))
     return ad.tanh(ad.affine(h2, model.gw3, model.gb3))
 
 
@@ -219,8 +219,8 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
         raise ContractError("discriminator_forward before the first refresh_spectral")
     w1, w2, psi_w, v_proj = (spectral_normalize(w, model.sigma[w.name]) for w in model.spectral_weights())
 
-    h = ad.leaky_relu(ad.affine(x, w1, model.db1), LEAK)
-    phi = ad.leaky_relu(ad.affine(h, w2, model.db2), LEAK)
+    h = ad.leaky_relu(ad.affine(x, w1, model.db1))
+    phi = ad.leaky_relu(ad.affine(h, w2, model.db2))
     psi = ad.affine(phi, psi_w, model.psi_b)
     proj = ad.tsum(ad.mul(ad.matmul(v, v_proj), phi), axis=1)
     return ad.add(ad.reshape(psi, (x.data.shape[0],)), proj)
@@ -466,11 +466,15 @@ def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None) -
 
 def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     """Restore parameters, spectral ``u`` vectors and both optimizers'
-    second moments into ``model``.
+    second moments into ``model``: the one loader, for a resume, which
+    continues the optimizers, and for evaluation, which samples from the
+    generator and discards the rest.
 
-    The model must be freshly built with the same architecture config.
-    Its float32 arrays are the template, so a file holding a float64 GAN
-    is refused naming its first tensor. Nothing of the conditioning is stored: the caller recomputes the
+    The file is verified whole: digest, kind, condition mode, ``run`` and
+    every name, shape and dtype. The model must be freshly built with the
+    same architecture config. Its float32 arrays are the template, so a
+    file holding a float64 GAN is refused naming its first tensor.
+    Nothing of the conditioning is stored: the caller recomputes the
     condition table from the dataset's (``cli._build_model``). Every
     field of ``run`` must match the checkpoint's metadata, after its kind
     and condition mode. The iteration is the metadata's, which must be a
@@ -491,24 +495,3 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     opt_g.step_count = opt_d.step_count = iteration
     return model, opt_g, opt_d, iteration
 
-
-def load_generator(path, model: GanModel, run=None) -> GanModel:
-    """Restore only what sampling reads, the generator. Returns ``model``.
-
-    The file is verified as ``load_gan`` verifies it (digest, kind,
-    condition mode, ``run`` and every name, shape and dtype) but the
-    discriminator, spectral and optimizer arrays are not kept, so no
-    optimizer state is built. Sampling takes the condition table as an
-    argument, which ``cli._build_model`` recomputes from the dataset's.
-    """
-    # each second moment has its parameter's name and shape, so the
-    # parameters themselves stand in for them in the template
-    opt_g, opt_d = (
-        AdamState(second_moment=[p.data for p in params])
-        for params in (model.generator_params(), model.discriminator_params())
-    )
-    expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
-    state, _ = load_checkpoint(path, template=gan_state(model, opt_g, opt_d), expect=expect)
-    for p in model.generator_params():
-        p.data[...] = state[p.name]
-    return model

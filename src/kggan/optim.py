@@ -2,10 +2,11 @@
 
 ``adam_step`` checks every gradient before it writes anything, then
 updates each parameter and its moments in their own arrays, with two
-temporaries per parameter. Defaults follow the usual
-spectrally-normalized GAN regime: lr 2e-4, beta1 0.0, beta2 0.9. At
-beta1 = 0 the first moment is the current gradient, which no later step
-reads, so the state keeps none and the update reads the gradient itself.
+temporaries per parameter. The learning rate and both moment decays are
+always passed; the GAN's come from ``config.gan_lr``, ``gan.BETA1`` and
+``gan.BETA2``. At beta1 = 0 the first moment is the current gradient,
+which no later step reads, so the state keeps none and the update reads
+the gradient itself.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ EPSILON = 1e-8  # added to sqrt(v / c2), the update's denominator
 
 @dataclass
 class AdamState:
-    learning_rate: float = 2e-4
-    beta1: float = 0.0
-    beta2: float = 0.9
+    learning_rate: float
+    beta1: float
+    beta2: float
     step_count: int = 0
     # one array per parameter, none at beta1 = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, learning_rate=2e-4, beta1=0.0, beta2=0.9):
+    def for_params(cls, params, learning_rate, beta1, beta2):
         return cls(
             learning_rate=learning_rate,
             beta1=beta1,

@@ -245,7 +245,7 @@ class TestOps:
         "op",
         [
             lambda t: ad.relu(t),
-            lambda t: ad.leaky_relu(t, 0.1),
+            lambda t: ad.leaky_relu(t),
             lambda t: ad.tanh(t),
             lambda t: ad.sigmoid(t),
             lambda t: ad.square(t),
@@ -287,7 +287,7 @@ EVERY_OP = [
     ("matmul", lambda a, b, w: ad.matmul(a, w)),
     ("affine", lambda a, b, w: ad.affine(a, w, Tensor(b.data[0, :2]))),
     ("relu", lambda a, b, w: ad.relu(a)),
-    ("leaky_relu", lambda a, b, w: ad.leaky_relu(a, 0.1)),
+    ("leaky_relu", lambda a, b, w: ad.leaky_relu(a)),
     ("tanh", lambda a, b, w: ad.tanh(a)),
     ("sigmoid", lambda a, b, w: ad.sigmoid(a)),
     ("square", lambda a, b, w: ad.square(a)),
@@ -365,7 +365,7 @@ class TestLayerTypeGradients:
 
     def test_leaky_relu(self, rng):
         def build(rng, params):
-            return lambda: ad.tsum(ad.square(ad.leaky_relu(params[0], 0.1)))
+            return lambda: ad.tsum(ad.square(ad.leaky_relu(params[0])))
 
         self._probe(rng, build, [(2, 3)])
 

@@ -208,7 +208,10 @@ def test_streamed_files_equal_joined_files(rng, tmp_path):
         image_size=8, cond_dim=4, condition_mode=gan.CONDITION_SEMANTIC, rng=rng,
         z_dim=16, g_hidden=128, d_hidden=128, feat_dim=64,
     )
-    opts = [AdamState.for_params(ps) for ps in (model.generator_params(), model.discriminator_params())]
+    opts = [
+        AdamState.for_params(ps, learning_rate=2e-4, beta1=0.0, beta2=0.9)
+        for ps in (model.generator_params(), model.discriminator_params())
+    ]
     odd = {
         "transposed": rng.standard_normal((3, 5)).T,
         "strided": rng.standard_normal(9)[::2],

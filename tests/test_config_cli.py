@@ -343,7 +343,7 @@ class TestTrainAndEvaluate:
         embedder = regressor.load_regressor(ws.embedder_path, config)
         split = cli._split(config)
         model, cond = cli._build_model(config, gan.CONDITION_SEMANTIC, embeddings)
-        gan.load_generator(ws.checkpoint_path("kggan_full"), model)
+        gan.load_gan(ws.checkpoint_path("kggan_full"), model, config)
 
         def stats(images):
             return evaluation.feature_stats(regressor.extract_features(embedder, images))
@@ -671,6 +671,34 @@ class TestResumeChecks:
         path, stderr = self._refused_without_writes(trained_cells, tmp_path, verb, widen)
         assert f"contract violation: {path}: tensor G.w1 has dtype float64, expected float32" in stderr
 
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "name, stored, named",
+        [
+            ("D.v_proj", None, "tensor D.v_proj is missing"),
+            ("adam_d.v.D.w2", np.zeros(3, np.float32), "tensor adam_d.v.D.w2 has shape (3,), expected (24, 12)"),
+            ("spectral.D.w1.u", None, "tensor spectral.D.w1.u is missing"),
+        ],
+        ids=["discriminator_weight", "second_moment_shape", "spectral_vector"],
+    )
+    def test_damaged_half_evaluate_does_not_read_exits_3_naming_it(
+        self, trained_cells, tmp_path, verb, name, stored, named
+    ):
+        """The file is verified whole, also where evaluate samples from the
+        generator alone: a missing D weight or spectral vector, or a second
+        moment of the wrong shape, is refused naming the tensor; nothing is
+        written or replaced and no traceback is printed."""
+
+        def damage(state):
+            if stored is None:
+                del state[name]
+            else:
+                state[name] = stored
+            return state
+
+        path, stderr = self._refused_without_writes(trained_cells, tmp_path, verb, damage)
+        assert f"contract violation: {path}: {named}" in stderr
+
     @staticmethod
     def _damage_log(path, damage):
         """Damage a 40-row metric log; returns the row named and what it holds."""
@@ -947,8 +975,9 @@ class TestCheckpointLayout:
             feat_dim=config.feat_dim,
         )
         for params in (model.generator_params(), model.discriminator_params()):
-            assert AdamState.for_params(params, beta1=0.0).first_moment == []
-            assert len(AdamState.for_params(params, beta1=0.9).first_moment) == len(params)
+            adam = {"learning_rate": 2e-4, "beta2": 0.9}
+            assert AdamState.for_params(params, beta1=0.0, **adam).first_moment == []
+            assert len(AdamState.for_params(params, beta1=0.9, **adam).first_moment) == len(params)
 
         # the call perfbench/checks.py makes
         model, opt_g, opt_d, iteration = gan.load_gan(path, model, gan.TrainConfig())
@@ -962,50 +991,22 @@ class TestCheckpointLayout:
 
 
 class TestEvaluateLoad:
-    def test_evaluate_builds_no_optimizer_and_one_preconditioner(self, trained_cells, monkeypatch):
-        """evaluate restores the generator alone, builds no optimizer, and
-        whitens the dataset's table once, as training did; it writes what a
-        whole-state load writes."""
+    def test_evaluate_whitens_once_and_restores_through_load_gan_once(self, trained_cells, monkeypatch):
+        """evaluate whitens the dataset's table once, as training did, and
+        restores the checkpoint through the one loader, ``gan.load_gan``, once."""
         from kggan import cli, gan
-        from kggan.config import load_config
-        from kggan.optim import AdamState
 
-        root, cfg_path = trained_cells
-        cell_dir = root / "out" / "cells" / "kggan_full"
-        argv = ["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]
-        config = load_config(cfg_path)
-
-        def written():
-            """What evaluate writes: every file but train's checkpoint and log."""
-            files = sorted(p for p in cell_dir.rglob("*") if p.is_file())
-            trained = ("checkpoint.ckpt", "metrics.csv")
-            return {p.relative_to(cell_dir): p.read_bytes() for p in files if p.name not in trained}
-
-        def whole_state_load(path, model, run=None):
-            return gan.load_gan(path, model, config, run=run)[0]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(gan, "load_generator", whole_state_load)
-            assert cli.main(argv) == 0
-        reference = written()
-
+        _, cfg_path = trained_cells
         calls = []
-        for_params, preconditioner = AdamState.for_params, gan.condition_preconditioner
-        monkeypatch.setattr(
-            AdamState,
-            "for_params",
-            staticmethod(lambda *a, **k: calls.append("for_params") or for_params(*a, **k)),
-        )
-        monkeypatch.setattr(
-            gan,
-            "condition_preconditioner",
-            lambda *a, **k: calls.append("condition_preconditioner") or preconditioner(*a, **k),
-        )
-        for name in reference:
-            (cell_dir / name).unlink()
-        assert cli.main(argv) == 0
-        assert calls == ["condition_preconditioner"]
-        assert written() == reference
+
+        def spy(name):
+            original = getattr(gan, name)
+            return lambda *a, **k: calls.append(name) or original(*a, **k)
+
+        for name in ("condition_preconditioner", "load_gan"):
+            monkeypatch.setattr(gan, name, spy(name))
+        assert cli.main(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]) == 0
+        assert calls == ["condition_preconditioner", "load_gan"]
 
     def test_evaluate_draws_each_category_once(self, trained_cells, monkeypatch):
         """One draw per category, long enough for both the metrics and the

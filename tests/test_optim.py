@@ -27,14 +27,14 @@ class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self, rng):
         p = Tensor(rng.standard_normal((3, 3)))
         before = p.data.copy()
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         adam_step([p], state, grads=[np.zeros((3, 3))])
         assert np.array_equal(p.data, before)
         assert state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self, rng):
         p = Tensor(np.zeros(4))
-        state = AdamState.for_params([p], learning_rate=0.05)
+        state = AdamState.for_params([p], learning_rate=0.05, beta1=0.0, beta2=0.9)
         g = np.full(4, 1.7)
         adam_step([p], state, grads=[g])
         # bias-corrected ratio g / sqrt(g^2) = sign(g)
@@ -53,21 +53,21 @@ class TestAdam:
 
     def test_step_count_increments(self, rng):
         p = Tensor(rng.standard_normal(2))
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         for expected in range(1, 5):
             adam_step([p], state, grads=[np.ones(2)])
             assert state.step_count == expected
 
     def test_second_moment_nonnegative(self, rng):
         p = Tensor(rng.standard_normal(6))
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         for _ in range(20):
             adam_step([p], state, grads=[rng.standard_normal(6)])
             assert np.all(state.second_moment[0] >= 0.0)
 
     def test_nan_gradient_aborts_naming_parameter(self):
         p = Tensor(np.zeros(2), name="G.w1")
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         with pytest.raises(NumericalAbort, match="G.w1"):
             adam_step([p], state, grads=[np.array([np.nan, 0.0])])
 
@@ -78,7 +78,7 @@ class TestAdam:
         step count, as they were."""
         for beta1 in (0.0, 0.9):
             params = [Tensor(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate([(4, 3), (3,), (2, 2)])]
-            state = AdamState.for_params(params, beta1=beta1)
+            state = AdamState.for_params(params, learning_rate=2e-4, beta1=beta1, beta2=0.9)
             for _ in range(3):
                 adam_step(params, state, grads=[rng.standard_normal(p.data.shape) for p in params])
             held = [p.data for p in params] + state.first_moment + state.second_moment
@@ -93,14 +93,14 @@ class TestAdam:
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2))
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         with pytest.raises(ContractError):
             adam_step([p], state, grads=[None])
 
     def test_state_misalignment_rejected(self, rng):
         p = Tensor(np.zeros(2))
         q = Tensor(np.zeros(2))
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         with pytest.raises(ContractError):
             adam_step([p, q], state, grads=[np.zeros(2), np.zeros(2)])
 
