@@ -81,7 +81,7 @@ def adam_step(params, state: AdamState, grads) -> None:
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, moments, state.second_moment):
-        scratch = g * g
+        scratch = np.square(g)  # g * g, the same rounding, in a faster loop
         scratch *= 1.0 - b2
         v *= b2
         v += scratch
