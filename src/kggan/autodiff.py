@@ -369,6 +369,20 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return _make(out, tuple(tensors), back)
 
 
+def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start`` .. ``stop - 1`` along axis 0: a view of ``a``'s rows,
+    not a copy. Its gradient is ``g`` in those rows and zero elsewhere."""
+    if not 0 <= start < stop <= a.data.shape[0]:
+        raise DimensionError(f"rows {start}:{stop} outside a tensor of shape {a.data.shape}")
+
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return (full,)
+
+    return _make(a.data[start:stop], (a,), back)
+
+
 # ---------------------------------------------------------------------------
 # parameter initialization
 

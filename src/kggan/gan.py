@@ -18,6 +18,16 @@ generator state:
 The SN-GAN baseline is ``train`` with lambda_se = 0, every category seen
 and none unseen: no regressor, no unseen batches, streams 0-2 only.
 
+Each step runs each network once over stacked rows. D's step scores the
+real batch and its fakes in one discriminator pass, so both halves are
+scored with one set of normalized weights. At lambda_se > 0, G's step
+makes the seen and the unseen fakes in one generator pass, and the
+regressor predicts all their embeddings in one pass; D scores the seen
+half. No layer of either network mixes rows (no batch statistics), so
+the stacked pass computes the same function and, summed over the same
+rows, the same gradients as one pass per batch. Only the float rounding
+of the weight gradients' sums can differ.
+
 The networks take rows. An image is a row of 3*S*S values, the dataset's
 [3, S, S] layout flattened, so the generator's output feeds the
 discriminator and the regressor as it is. A condition is a row of the
@@ -54,7 +64,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
-from .regressor import semantic_embedding_loss, single_precision
+from .regressor import single_precision
 from .spectral import power_iteration_step, spectral_normalize
 
 CONDITION_SEMANTIC = "semantic_embedding"
@@ -227,7 +237,7 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# losses (the knowledge loss, semantic_embedding_loss, is the regressor's)
+# adversarial losses (``_g_loss`` builds L_se from the regressor's predictions)
 
 
 def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
@@ -261,20 +271,24 @@ def _noise(rng: np.random.Generator, n: int, z_dim: int) -> np.ndarray:
     return rng.standard_normal((n, z_dim)).astype(np.float32)
 
 
-def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot):
-    rows = pool[rng_real.integers(0, pool.size, size=config.batch_size)]
-    x_real = dataset.images[rows].reshape(config.batch_size, -1)
+def _d_step(model, opt_d, dataset, pool, cond, config, iteration, snapshot):
+    b = config.batch_size
+    rng_real = _stream(config.gan_seed, iteration, 0)
+    rows = pool[rng_real.integers(0, pool.size, size=b)]
+    x_real = dataset.images[rows].reshape(b, -1)
     real_cats = dataset.category_ids[rows]
 
     # fakes share the real batch's conditions: pairing them keeps the
     # projection term's real-vs-fake contrast on the same categories
-    v = Tensor(cond[real_cats])
-    z = _noise(rng_z, config.batch_size, model.z_dim)
+    v = cond[real_cats]
+    z = _noise(_stream(config.gan_seed, iteration, 1), b, model.z_dim)
     with ad.no_grad():
-        fakes = generator_forward(model, Tensor(z), v)
-    d_real = discriminator_forward(model, Tensor(x_real), v)
-    d_fake = discriminator_forward(model, fakes, v)
-    loss = hinge_d_loss(d_real, d_fake)
+        fakes = generator_forward(model, Tensor(z), Tensor(v))
+    # one pass scores the real rows, then the fakes
+    scores = discriminator_forward(
+        model, Tensor(np.concatenate([x_real, fakes.data])), Tensor(np.concatenate([v, v]))
+    )
+    loss = hinge_d_loss(ad.row_slice(scores, 0, b), ad.row_slice(scores, b, 2 * b))
     value = loss.item()
     params = model.discriminator_params()
     grads = ad.backward(loss, params)
@@ -286,13 +300,32 @@ def _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_z, snapshot
     return value
 
 
-def _g_adv(model, cats, cond, config, rng_z):
-    g_cats = cats[rng_z.integers(0, cats.size, size=config.batch_size)]
-    z = _noise(rng_z, config.batch_size, model.z_dim)
-    v = Tensor(cond[g_cats])
-    fakes = generator_forward(model, Tensor(z), v)
-    scores = discriminator_forward(model, fakes, v)
-    return fakes, g_cats, hinge_g_loss(scores)
+def _g_loss(model, seen_cats, unseen_cats, cond, embeddings, embedder, config, iteration):
+    """L_G, and L_se over the seen and over the unseen fakes as floats
+    (0.0 and 0.0 at lambda_se = 0, where it is the adversarial loss alone).
+
+    At lambda_se > 0 one generator pass makes the seen fakes, then as
+    many unseen ones, and one regressor pass predicts the embeddings of
+    all of them; D scores the seen half. Each L_se is the mean over its
+    own half's rows of the squared distance between prediction and target.
+    """
+    b = config.batch_size
+    rng_z = _stream(config.gan_seed, iteration, 2)
+    cats = seen_cats[rng_z.integers(0, seen_cats.size, size=b)]
+    z = _noise(rng_z, b, model.z_dim)
+    if config.lambda_se > 0.0:
+        rng_u = _stream(config.gan_seed, iteration, 3)
+        cats = np.concatenate([cats, unseen_cats[rng_u.integers(0, unseen_cats.size, size=b)]])
+        z = np.concatenate([z, _noise(rng_u, b, model.z_dim)])
+    v = cond[cats]
+    fakes = generator_forward(model, Tensor(z), Tensor(v))
+    if config.lambda_se == 0.0:
+        return hinge_g_loss(discriminator_forward(model, fakes, Tensor(v))), 0.0, 0.0
+    adv = hinge_g_loss(discriminator_forward(model, ad.row_slice(fakes, 0, b), Tensor(v[:b])))
+    errors = ad.square(ad.sub(embedder.forward(fakes), Tensor(embeddings[cats])))
+    se = [ad.scale(ad.tsum(ad.row_slice(errors, lo, lo + b)), 1.0 / b) for lo in (0, b)]
+    loss = ad.add(adv, ad.scale(ad.add(*se), config.lambda_se))
+    return loss, se[0].item(), se[1].item()
 
 
 def _finite_or_abort(losses):
@@ -327,9 +360,11 @@ def train(
     """Category-dependent training: seen batches drive the adversarial and
     knowledge losses, unseen batches the knowledge loss alone.
 
-    Real images are only ever drawn from seen categories. With
-    lambda_se = 0 the unseen machinery is skipped entirely and the run is
-    an SN-GAN run; the split may then have no unseen categories, which is
+    Real images are only ever drawn from seen categories. Each iteration
+    runs D once over the real rows and the fakes, then G, D and, with the
+    knowledge loss, the regressor once each over stacked rows (the module
+    docstring says why that is exact up to rounding). With lambda_se = 0
+    the unseen machinery is skipped entirely and the run is an SN-GAN run; the split may then have no unseen categories, which is
     how the full-data baseline trains on every category. Row i of
     ``cond``, the ``condition_table``, conditions category i, and row i of
     ``embeddings``, the [n_categories, d] category table, is its
@@ -386,30 +421,14 @@ def train(
         # write.
         snapshot = gan_state(model, opt_g, opt_d)
         model.refresh_spectral()
-        rng_real = _stream(config.gan_seed, iteration, 0)
-        rng_zd = _stream(config.gan_seed, iteration, 1)
 
         try:
             # D and G step once per iteration, so both optimizers' step
             # counts are the iteration (load_gan)
-            l_d = _d_step(model, opt_d, dataset, pool, cond, config, rng_real, rng_zd, snapshot)
-
-            rng_zg = _stream(config.gan_seed, iteration, 2)
-            fakes, g_cats, adv = _g_adv(model, seen_cats, cond, config, rng_zg)
-            if config.lambda_se > 0.0:
-                se_seen_t = semantic_embedding_loss(fakes, Tensor(embeddings[g_cats]), embedder)
-                rng_u = _stream(config.gan_seed, iteration, 3)
-                u_cats = unseen_cats[rng_u.integers(0, unseen_cats.size, size=config.batch_size)]
-                z_u = _noise(rng_u, config.batch_size, model.z_dim)
-                fakes_u = generator_forward(model, Tensor(z_u), Tensor(cond[u_cats]))
-                se_unseen_t = semantic_embedding_loss(fakes_u, Tensor(embeddings[u_cats]), embedder)
-                se_seen = se_seen_t.item()
-                se_unseen = se_unseen_t.item()
-                loss_g = ad.add(adv, ad.scale(ad.add(se_seen_t, se_unseen_t), config.lambda_se))
-            else:
-                se_seen = 0.0
-                se_unseen = 0.0
-                loss_g = adv
+            l_d = _d_step(model, opt_d, dataset, pool, cond, config, iteration, snapshot)
+            loss_g, se_seen, se_unseen = _g_loss(
+                model, seen_cats, unseen_cats, cond, embeddings, embedder, config, iteration
+            )
             l_g = loss_g.item()
             _finite_or_abort((l_d, l_g, se_seen, se_unseen))
             params = model.generator_params()

@@ -234,6 +234,34 @@ class TestOps:
         assert np.allclose(grad_a, weights[:, :3])
         assert np.allclose(grad_b, weights[:, 3:])
 
+    def test_row_slice_gradient_fills_its_rows_only(self, rng):
+        a = Tensor(rng.standard_normal((5, 3)))
+        part = ad.row_slice(a, 1, 3)
+        weights = rng.standard_normal((2, 3))
+        (grad,) = ad.backward(ad.tsum(ad.mul(part, Tensor(weights))), [a])
+        assert np.array_equal(part.data, a.data[1:3])
+        assert np.array_equal(grad[1:3], weights)
+        assert not grad[[0, 3, 4]].any()
+
+    def test_row_slices_of_one_tensor_accumulate(self, rng):
+        a = Tensor(rng.standard_normal((4, 3)))
+        w_head = rng.standard_normal((3, 3))
+        w_tail = rng.standard_normal((2, 3))
+        loss = ad.add(
+            ad.tsum(ad.mul(ad.row_slice(a, 0, 3), Tensor(w_head))),
+            ad.tsum(ad.mul(ad.row_slice(a, 2, 4), Tensor(w_tail))),
+        )
+        (grad,) = ad.backward(loss, [a])
+        expected = np.zeros((4, 3))
+        expected[0:3] += w_head
+        expected[2:4] += w_tail
+        assert np.array_equal(grad, expected)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 5)])
+    def test_row_slice_outside_the_rows_rejected(self, rng, start, stop):
+        with pytest.raises(DimensionError, match=rf"rows {start}:{stop} outside .*\(4, 3\)"):
+            ad.row_slice(Tensor(rng.standard_normal((4, 3))), start, stop)
+
     def test_sum_axis_backward(self, rng):
         a = Tensor(rng.standard_normal((3, 4)))
         (grad,) = ad.backward(ad.tsum(ad.square(ad.tsum(a, axis=1))), [a])
@@ -296,6 +324,7 @@ EVERY_OP = [
     ("tmean", lambda a, b, w: ad.tmean(a)),
     ("reshape", lambda a, b, w: ad.reshape(a, (4, 3))),
     ("concat", lambda a, b, w: ad.concat([a, b], axis=1)),
+    ("row_slice", lambda a, b, w: ad.row_slice(a, 1, 3)),
 ]
 
 

@@ -24,10 +24,15 @@ from kggan.gan import (
     load_gan,
     sample_images,
     save_gan,
-    semantic_embedding_loss,
     train,
 )
-from kggan.regressor import RegressorModel, extract_features, train_embedder
+from kggan.regressor import (
+    RegressorModel,
+    extract_features,
+    semantic_embedding_loss,
+    single_precision,
+    train_embedder,
+)
 
 IMG = 8
 EMB = 16
@@ -333,6 +338,23 @@ class TestRestrictedBackward:
         self._check(mini_data, self._d_loss, GanModel.discriminator_params, GanModel.generator_params)
 
 
+def separate_losses(model, seen, unseen, embedder, lambda_se):
+    """(L_D, adversarial L_G, L_se seen, L_se unseen, L_G), each network run
+    once per batch: D over the real rows and over the fakes, G and the
+    regressor over the seen batch and over the unseen one. The fakes are
+    G's from ``seen``'s noise and conditions; ``seen["images"]`` are the
+    real rows, conditioned as the fakes."""
+    cond = Tensor(seen["cond"])
+    fakes = generator_forward(model, Tensor(seen["noise"]), cond)
+    d_fake = discriminator_forward(model, fakes, cond)
+    l_d = hinge_d_loss(discriminator_forward(model, Tensor(seen["images"]), cond), d_fake)
+    adv = hinge_g_loss(d_fake)
+    fakes_u = generator_forward(model, Tensor(unseen["noise"]), Tensor(unseen["cond"]))
+    se_seen = semantic_embedding_loss(fakes, Tensor(seen["targets"]), embedder)
+    se_unseen = semantic_embedding_loss(fakes_u, Tensor(unseen["targets"]), embedder)
+    return l_d, adv, se_seen, se_unseen, ad.add(adv, ad.scale(ad.add(se_seen, se_unseen), lambda_se))
+
+
 class TestTotalLosses:
     """The objectives ``train`` builds: L_D = hinge_d_loss(real, fake) and
     L_G = hinge_g_loss(fake) + lambda * (L_se(seen) + L_se(unseen))."""
@@ -354,28 +376,15 @@ class TestTotalLosses:
         )
         return seen_batch, unseen_batch
 
-    def _losses(self, model, seen, unseen, embedder, lambda_se):
-        cond = Tensor(seen["cond"])
-        fakes = generator_forward(model, Tensor(seen["noise"]), cond)
-        d_fake = discriminator_forward(model, fakes, cond)
-        l_d = hinge_d_loss(discriminator_forward(model, Tensor(seen["images"]), cond), d_fake)
-        adv = hinge_g_loss(d_fake)
-        fakes_u = generator_forward(model, Tensor(unseen["noise"]), Tensor(unseen["cond"]))
-        se = ad.add(
-            semantic_embedding_loss(fakes, Tensor(seen["targets"]), embedder),
-            semantic_embedding_loss(fakes_u, Tensor(unseen["targets"]), embedder),
-        )
-        return l_d, adv, ad.add(adv, ad.scale(se, lambda_se))
-
     def test_lambda_zero_reduces_to_adversarial(self, mini_data, rng):
         # train skips the knowledge terms at lambda = 0; that changes neither
         # the generator objective nor its gradient
         model = mini_model()
         model.refresh_spectral()
         seen, unseen = self._batches(mini_data, rng)
-        _, _, l_g = self._losses(model, seen, unseen, mini_data[4], 0.0)
+        *_, l_g = separate_losses(model, seen, unseen, mini_data[4], 0.0)
         composed = ad.backward(l_g, model.generator_params())
-        _, adv, _ = self._losses(model, seen, unseen, mini_data[4], 0.0)
+        _, adv, *_ = separate_losses(model, seen, unseen, mini_data[4], 0.0)
         adv_grads = ad.backward(adv, model.generator_params())
 
         cond = Tensor(seen["cond"])
@@ -392,7 +401,7 @@ class TestTotalLosses:
         model = mini_model()
         model.refresh_spectral()
         seen, unseen = self._batches(mini_data, rng)
-        l_d, _, l_g = self._losses(model, seen, unseen, embedder, 0.1)
+        l_d, *_, l_g = separate_losses(model, seen, unseen, embedder, 0.1)
 
         cond = Tensor(seen["cond"])
         with ad.no_grad():
@@ -410,6 +419,78 @@ class TestTotalLosses:
         exp_g = -np.mean(d_fake.data) + 0.1 * (se_seen + se_unseen)
         assert abs(l_d.item() - exp_d) < 1e-12
         assert abs(l_g.item() - exp_g) < 1e-12
+
+
+class TestStackedPasses:
+    """``train`` runs D once over the real rows and the fakes stacked, and,
+    at lambda_se > 0, G and the regressor once over the seen and unseen
+    batches stacked. One ``train`` iteration matches ``separate_losses``
+    built on the same draws from streams 0-3, run on the state each step
+    starts from: the gradients handed to Adam to rtol 1e-5 and atol 1e-7,
+    and the four logged losses to 1e-6 relative. The stacked products
+    sum more rows at once, so float32 rounding may differ."""
+
+    GRAD_RTOL = 1e-5
+    GRAD_ATOL = 1e-7
+    LOSS_RTOL = 1e-6
+
+    @pytest.mark.parametrize("lambda_se", [0.1, 0.0], ids=["knowledge_loss", "sngan"])
+    def test_one_iteration_matches_separate_passes(self, mini_data, monkeypatch, lambda_se):
+        _, dataset, split, embeddings, embedder = mini_data
+        model = mini_model()
+        config = mini_config(gan_iterations=1, lambda_se=lambda_se)
+        b, seed = config.batch_size, config.gan_seed
+        cond = embeddings.astype(np.float32)
+        embedder32 = single_precision(embedder)
+        seen_cats = np.asarray(sorted(split.seen_ids))
+        unseen_cats = np.asarray(sorted(split.unseen_ids))
+
+        # iteration 0's draws, in train's order and amounts
+        rng = gan._stream(seed, 0, 0)
+        pool = dataset.rows_of(seen_cats)
+        rows = pool[rng.integers(0, pool.size, size=b)]
+        real_cats = dataset.category_ids[rows]
+        images = dataset.images[rows].reshape(b, -1)
+        d_noise = gan._noise(gan._stream(seed, 0, 1), b, Z)
+        rng = gan._stream(seed, 0, 2)
+        g_cats = seen_cats[rng.integers(0, seen_cats.size, size=b)]
+        g_noise = gan._noise(rng, b, Z)
+        rng = gan._stream(seed, 0, 3)
+        u_cats = unseen_cats[rng.integers(0, unseen_cats.size, size=b)]
+        u_noise = gan._noise(rng, b, Z)
+
+        def batch(cats, noise):
+            return dict(cond=cond[cats], noise=noise, targets=cond[cats], images=images)
+
+        d_batch = batch(real_cats, d_noise)
+        g_batch, u_batch = batch(g_cats, g_noise), batch(u_cats, u_noise)
+        expected, adam_step = {}, gan.adam_step
+
+        def checked_adam_step(params, state, grads):
+            if params == model.discriminator_params():
+                l_d, *_ = separate_losses(model, d_batch, u_batch, embedder32, lambda_se)
+                expected["L_D"] = l_d.item()
+                want = ad.backward(l_d, params)
+            else:
+                _, adv, se_seen, se_unseen, l_g = separate_losses(
+                    model, g_batch, u_batch, embedder32, lambda_se
+                )
+                l_g = l_g if lambda_se else adv
+                expected.update(L_G=l_g.item(), L_se_seen=se_seen.item(), L_se_unseen=se_unseen.item())
+                want = ad.backward(l_g, params)
+            for p, got, ref in zip(params, grads, want):
+                np.testing.assert_allclose(got, ref, rtol=self.GRAD_RTOL, atol=self.GRAD_ATOL, err_msg=p.name)
+            adam_step(params, state, grads)
+
+        monkeypatch.setattr(gan, "adam_step", checked_adam_step)
+        knowledge = embedder if lambda_se else None
+        (row,) = train(model, dataset, split, cond, embeddings, knowledge, config)
+        assert expected.keys() == {"L_D", "L_G", "L_se_seen", "L_se_unseen"}
+        if not lambda_se:
+            expected.update(L_se_seen=0.0, L_se_unseen=0.0)
+        got = dict(zip(gan.METRIC_COLUMNS[1:], row[1:]))
+        for name, value in expected.items():
+            assert got[name] == pytest.approx(value, rel=self.LOSS_RTOL), name
 
 
 class TestTrainLoop:
@@ -658,13 +739,18 @@ GOLDEN_KGGAN_LOG = Path(__file__).parent / "golden" / "kggan_mini_metrics.csv"
 class TestTapeSize:
     @pytest.mark.parametrize(
         "mode, cond_dim, lambda_se, expected",
-        [("semantic_embedding", EMB, 0.1, [36, 53]), ("one_hot", 6, 0.0, [36, 23])],
+        [("semantic_embedding", EMB, 0.1, [24, 41]), ("one_hot", 6, 0.0, [24, 23])],
         ids=["semantic", "one_hot"],
     )
     def test_nodes_recorded_per_step(self, mini_data, monkeypatch, mode, cond_dim, lambda_se, expected):
         """The condition rows enter the forwards as the table holds them and
         the images as the rows the networks take: no per-forward transform
-        of constants and no reshape of an image batch is recorded."""
+        of constants and no reshape of an image batch is recorded. D's step
+        is one 14-node discriminator pass over the real rows and the fakes,
+        2 row slices and the 8-node hinge loss. G's is one generator pass
+        (7), D (14) and the hinge (2); with L_se, G's pass covers the unseen
+        batch too, D reads 1 slice of it, and one regressor pass (6) and
+        its two halves' losses (8) add 3 nodes of L_G."""
         _, dataset, split, embeddings, embedder = mini_data
         counts, backward = [], ad.backward
         monkeypatch.setattr(
