@@ -769,8 +769,9 @@ class TestKnowledgeLossGolden:
         """A 200-iteration run at lambda_se = 0.1 (semantic conditions, the
         frozen regressor's float32 copy on the generator's backward path,
         2 unseen categories) writes the metric log, and reaches the
-        parameters, recorded in the golden file when the GAN moved to
-        float32 (the same at 1 and 2 BLAS threads)."""
+        parameters, recorded in the golden file when each float32 step
+        came to run one pass per network over stacked rows (the same at 1
+        and 2 BLAS threads)."""
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         config = mini_config(gan_iterations=200)
@@ -785,9 +786,10 @@ class TestBaselineReduction:
         """The full-data baseline through ``train`` (lambda_se = 0, every
         category seen, none unseen, one-hot conditions) writes the metric
         log, and reaches the parameters, recorded in the golden file when
-        the GAN moved to float32 (the same at 1 and 2 BLAS threads). In
-        float64 this run matched the former separate SN-GAN loop bit for
-        bit."""
+        each float32 step came to run one pass per network over stacked
+        rows (the same at 1 and 2 BLAS threads). In float64, with a D pass
+        per batch, this run matched the former separate SN-GAN loop bit
+        for bit."""
         specs, dataset, _, embeddings, _ = mini_data
         split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
         model = mini_model(condition_mode="one_hot", cond_dim=len(specs))
