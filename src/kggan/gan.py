@@ -96,12 +96,16 @@ def condition_preconditioner(embeddings: np.ndarray):
     smaller exponent would keep proportionally more of the raw
     anisotropy.
 
-    Applying this inside the networks is a reparametrization of their
-    first condition-facing weights, not a change of conditioning: any
-    learned map of the transformed vector equals a learned map of v
-    itself. Raw hashed bag-of-words embeddings share most of their mass
-    across categories, which makes gradient descent on the raw
-    coordinates oscillate along the common direction while barely
+    For the function class this is a reparametrization of the networks'
+    first condition-facing weights: any linear map of the transformed
+    vector equals a linear map of v itself. It does change what training
+    on the seen rows teaches about the unseen ones. Fitted over all n
+    rows of a table whose centred rank is n - 1 (the default table's
+    is), full whitening makes the rows a regular simplex, every pair the
+    same distance apart, so an unseen code lies no nearer to one seen
+    code than to another. Raw hashed bag-of-words embeddings share most
+    of their mass across categories, which makes gradient descent on the
+    raw coordinates oscillate along the common direction while barely
     separating categories; the rescaling equalizes those learning
     speeds.
     """
@@ -364,8 +368,9 @@ def train(
     runs D once over the real rows and the fakes, then G, D and, with the
     knowledge loss, the regressor once each over stacked rows (the module
     docstring says why that is exact up to rounding). With lambda_se = 0
-    the unseen machinery is skipped entirely and the run is an SN-GAN run; the split may then have no unseen categories, which is
-    how the full-data baseline trains on every category. Row i of
+    the unseen machinery is skipped entirely and the run is an SN-GAN
+    run; the split may then have no unseen categories, which is how the
+    full-data baseline trains on every category. Row i of
     ``cond``, the ``condition_table``, conditions category i, and row i of
     ``embeddings``, the [n_categories, d] category table, is its
     knowledge-loss target. Both tables are rounded to float32 once, here,

@@ -5,10 +5,9 @@ frozen means no optimizer holds its parameters, so nothing steps them.
 Gradients still flow *through* it into its input, which is what lets the
 knowledge loss L_se steer a generator. L_se is the loss it trains on,
 ``semantic_embedding_loss``; the GAN takes it over each half of one
-stacked batch (``gan._g_loss``). Its
-input is [b, 3*S*S] image rows, the dataset's [3, S, S] layout flattened;
-``extract_features`` and ``train_embedder`` flatten the images they are
-given. The penultimate activation doubles as the feature space for
+stacked batch (``gan._g_loss``). Its input is [b, 3*S*S] image rows, the
+dataset's [3, S, S] layout flattened; ``extract_features`` and
+``train_embedder`` flatten the images they are given. The penultimate activation doubles as the feature space for
 Frechet-distance evaluation.
 
 The regressor is float64: ``train_embedder`` and ``extract_features``

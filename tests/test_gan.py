@@ -929,3 +929,31 @@ class TestConditionTable:
         ids = np.array([3, 0, 5, 0, 2, 1, 4, 3])  # a batch of 8 naming every category
         cond = gan.condition_table("semantic_embedding", embeddings)
         assert np.array_equal(cond[ids], (embeddings[ids] - shift) @ matrix)
+
+    @staticmethod
+    def _pairwise_distances(table):
+        diffs = table[:, None, :] - table[None, :, :]
+        return np.linalg.norm(diffs, axis=2)[np.triu_indices(len(table), 1)]
+
+    def test_whitening_a_rank_n_minus_1_table_makes_a_regular_simplex(self):
+        """All-row whitening of n rows whose centred table has rank n - 1
+        leaves every pair of rows the same distance apart, whatever the
+        raw geometry: the default 12-category table, and a random one."""
+        tables = [
+            sem.build_embeddings(sd.make_category_specs(12), dim=64),
+            np.random.default_rng(0).standard_normal((12, 64)),
+        ]
+        for embeddings in tables:
+            assert np.linalg.matrix_rank(embeddings - embeddings.mean(axis=0)) == 11
+            raw = self._pairwise_distances(embeddings)
+            assert raw.max() > 1.1 * raw.min()
+            whitened = self._pairwise_distances(gan.condition_table("semantic_embedding", embeddings))
+            np.testing.assert_allclose(whitened, whitened[0], rtol=1e-9)
+
+    def test_whitening_a_lower_rank_table_keeps_unequal_distances(self):
+        """The simplex needs rank n - 1: 12 rows spanning 5 dimensions
+        stay unequally spaced after whitening."""
+        rng = np.random.default_rng(1)
+        embeddings = rng.standard_normal((12, 5)) @ rng.standard_normal((5, 64))
+        whitened = self._pairwise_distances(gan.condition_table("semantic_embedding", embeddings))
+        assert whitened.max() > 1.5 * whitened.min()
