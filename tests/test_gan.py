@@ -748,9 +748,9 @@ class TestTapeSize:
         of constants and no reshape of an image batch is recorded. D's step
         is one 14-node discriminator pass over the real rows and the fakes,
         2 row slices and the 8-node hinge loss. G's is one generator pass
-        (7), D (14) and the hinge (2); with L_se, G's pass covers the unseen
-        batch too, D reads 1 slice of it, and one regressor pass (6) and
-        its two halves' losses (8) add 3 nodes of L_G."""
+        (7), D (14) and the hinge (2). With L_se, G's pass covers the
+        unseen batch too and D reads the seen slice (1); one regressor
+        pass (6), the two halves' losses (8) and L_G's sum (3) follow."""
         _, dataset, split, embeddings, embedder = mini_data
         counts, backward = [], ad.backward
         monkeypatch.setattr(
