@@ -225,14 +225,27 @@ class TestOps:
             op(x, b)
         assert not ad.get_tape().nodes
 
-    def test_concat_splits_gradient(self, rng):
-        a = Tensor(rng.standard_normal((2, 3)))
-        b = Tensor(rng.standard_normal((2, 2)))
-        joined = ad.concat([a, b], axis=1)
-        weights = rng.standard_normal((2, 5))
-        grad_a, grad_b = ad.backward(ad.tsum(ad.mul(joined, Tensor(weights))), [a, b])
-        assert np.allclose(grad_a, weights[:, :3])
-        assert np.allclose(grad_b, weights[:, 3:])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scale_by_minus_one_is_negation_bit_for_bit(self, dtype):
+        """The hinge losses negate with scale(x, -1.0): x * -1.0 has the
+        bits of -x for every value that is not NaN, and so does its
+        gradient, g * -1.0 against -g."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.array(
+            [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.75, 3e-7, np.finfo(dtype).max],
+            dtype=dtype,
+        )
+        bits = f"u{values.itemsize}"
+        x = Tensor(values.copy())
+        out = ad.scale(x, -1.0)
+        # the gradient reaching scale is the weights themselves: ones * w
+        # (the loss's own value overflows at the largest float, harmlessly)
+        with np.errstate(over="ignore"):
+            loss = ad.tsum(ad.mul(out, Tensor(values)))
+        (grad,) = ad.backward(loss, [x])
+        assert out.data.dtype == grad.dtype == dtype
+        assert np.array_equal(out.data.view(bits), (-values).view(bits))
+        assert np.array_equal(grad.view(bits), (-values).view(bits))
 
     def test_row_slice_gradient_fills_its_rows_only(self, rng):
         a = Tensor(rng.standard_normal((5, 3)))
@@ -309,7 +322,6 @@ EVERY_OP = [
     ("add", lambda a, b, w: ad.add(a, b)),
     ("sub", lambda a, b, w: ad.sub(a, b)),
     ("mul", lambda a, b, w: ad.mul(a, b)),
-    ("neg", lambda a, b, w: ad.neg(a)),
     ("scale", lambda a, b, w: ad.scale(a, 0.3)),
     ("add_scalar", lambda a, b, w: ad.add_scalar(a, 0.3)),
     ("matmul", lambda a, b, w: ad.matmul(a, w)),
@@ -323,7 +335,6 @@ EVERY_OP = [
     ("tsum_axis", lambda a, b, w: ad.tsum(a, axis=1)),
     ("tmean", lambda a, b, w: ad.tmean(a)),
     ("reshape", lambda a, b, w: ad.reshape(a, (4, 3))),
-    ("concat", lambda a, b, w: ad.concat([a, b], axis=1)),
     ("row_slice", lambda a, b, w: ad.row_slice(a, 1, 3)),
 ]
 
@@ -409,7 +420,7 @@ class TestLayerTypeGradients:
         def build(rng, params):
             # keep scores away from the hinge kink at +-1
             return lambda: ad.add(
-                ad.tmean(ad.relu(ad.add_scalar(ad.neg(ad.scale(params[0], 0.25)), 1.0))),
+                ad.tmean(ad.relu(ad.add_scalar(ad.scale(ad.scale(params[0], 0.25), -1.0), 1.0))),
                 ad.tmean(ad.relu(ad.add_scalar(ad.scale(params[1], 0.25), 1.0))),
             )
 
