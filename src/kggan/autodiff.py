@@ -212,13 +212,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), back)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python float treated as a constant."""
     s = float(s)
@@ -353,20 +346,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _make(a.data.reshape(shape), (a,), back)
-
-
-def concat(tensors, axis: int = 1) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def back(g):
-        return tuple(
-            np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return _make(out, tuple(tensors), back)
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:

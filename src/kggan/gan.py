@@ -208,15 +208,15 @@ class GanModel:
 
 
 def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
-    """tanh MLP over the concatenated [noise ; condition] input: [b, 3*S*S]
-    image rows."""
+    """tanh MLP over [noise ; condition], two constants joined in numpy
+    before anything is recorded: [b, 3*S*S] image rows."""
     if v.data.ndim != 2 or v.data.shape[1] != model.cond_dim:
         raise DimensionError(
             f"condition shape {v.data.shape} does not match cond_dim {model.cond_dim}"
         )
     if z.data.ndim != 2 or z.data.shape[0] != v.data.shape[0]:
         raise DimensionError(f"noise shape {z.data.shape} does not pair with {v.data.shape}")
-    x = ad.concat([z, v], axis=1)
+    x = Tensor(np.concatenate([z.data, v.data], axis=1))
     h1 = ad.leaky_relu(ad.affine(x, model.gw1, model.gb1))
     h2 = ad.leaky_relu(ad.affine(h1, model.gw2, model.gb2))
     return ad.tanh(ad.affine(h2, model.gw3, model.gb3))
@@ -248,7 +248,7 @@ def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
     """mean(max(0, 1 - real)) + mean(max(0, 1 + fake))."""
     if real_scores.data.size == 0 or fake_scores.data.size == 0:
         raise ContractError("hinge loss over an empty batch")
-    real_term = ad.tmean(ad.relu(ad.add_scalar(ad.neg(real_scores), 1.0)))
+    real_term = ad.tmean(ad.relu(ad.add_scalar(ad.scale(real_scores, -1.0), 1.0)))
     fake_term = ad.tmean(ad.relu(ad.add_scalar(fake_scores, 1.0)))
     return ad.add(real_term, fake_term)
 
@@ -257,7 +257,7 @@ def hinge_g_loss(fake_scores: Tensor) -> Tensor:
     """-mean(fake scores)."""
     if fake_scores.data.size == 0:
         raise ContractError("hinge loss over an empty batch")
-    return ad.neg(ad.tmean(fake_scores))
+    return ad.scale(ad.tmean(fake_scores), -1.0)
 
 
 # ---------------------------------------------------------------------------

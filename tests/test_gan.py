@@ -739,7 +739,7 @@ GOLDEN_KGGAN_LOG = Path(__file__).parent / "golden" / "kggan_mini_metrics.csv"
 class TestTapeSize:
     @pytest.mark.parametrize(
         "mode, cond_dim, lambda_se, expected",
-        [("semantic_embedding", EMB, 0.1, [24, 41]), ("one_hot", 6, 0.0, [24, 23])],
+        [("semantic_embedding", EMB, 0.1, [24, 40]), ("one_hot", 6, 0.0, [24, 22])],
         ids=["semantic", "one_hot"],
     )
     def test_nodes_recorded_per_step(self, mini_data, monkeypatch, mode, cond_dim, lambda_se, expected):
@@ -748,7 +748,7 @@ class TestTapeSize:
         of constants and no reshape of an image batch is recorded. D's step
         is one 14-node discriminator pass over the real rows and the fakes,
         2 row slices and the 8-node hinge loss. G's is one generator pass
-        (7), D (14) and the hinge (2). With L_se, G's pass covers the
+        (6: its input is joined off the tape), D (14) and the hinge (2). With L_se, G's pass covers the
         unseen batch too and D reads the seen slice (1); one regressor
         pass (6), the two halves' losses (8) and L_G's sum (3) follow."""
         _, dataset, split, embeddings, embedder = mini_data
