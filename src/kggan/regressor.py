@@ -7,8 +7,8 @@ knowledge loss L_se steer a generator. L_se is the loss it trains on,
 ``semantic_embedding_loss``; the GAN takes it over each half of one
 stacked batch (``gan._g_loss``). Its input is [b, 3*S*S] image rows, the
 dataset's [3, S, S] layout flattened; ``extract_features`` and
-``train_embedder`` flatten the images they are given. The penultimate activation doubles as the feature space for
-Frechet-distance evaluation.
+``train_embedder`` flatten the images they are given. The penultimate
+activation doubles as the feature space for Frechet-distance evaluation.
 
 The regressor is float64: ``train_embedder`` and ``extract_features``
 widen their images to float64 where they enter it, so its checkpoint and
