@@ -748,9 +748,10 @@ class TestTapeSize:
         of constants and no reshape of an image batch is recorded. D's step
         is one 14-node discriminator pass over the real rows and the fakes,
         2 row slices and the 8-node hinge loss. G's is one generator pass
-        (6: its input is joined off the tape), D (14) and the hinge (2). With L_se, G's pass covers the
-        unseen batch too and D reads the seen slice (1); one regressor
-        pass (6), the two halves' losses (8) and L_G's sum (3) follow."""
+        (6: its input is joined off the tape), D (14) and the hinge (2).
+        With L_se, G's pass covers the unseen batch too and D reads the
+        seen slice (1); one regressor pass (6), the two halves' losses (8)
+        and L_G's sum (3) follow."""
         _, dataset, split, embeddings, embedder = mini_data
         counts, backward = [], ad.backward
         monkeypatch.setattr(
