@@ -10,13 +10,12 @@ moment: at ``gan.BETA1`` = 0 it is the current gradient, which no later
 step reads, so a file that stores adam_*.m.<param> is refused as
 holding unexpected tensors. The rest is derived: the condition table
 from the dataset's category table (``gan.condition_table``, which
-``cli._build_model`` calls), the iteration from the metadata, and both
-Adam step counts, which equal the iteration since each iteration steps
-G and D once. A "regressor" holds
-E.w1 ... E.b3. A "dataset" holds float32 ``images`` [N, 3, S, S] and the
-category table ``embeddings`` [n_categories, d]. A GAN's arrays and a
-dataset's images are float32, since the GAN trains in float32; a
-regressor's arrays and the category table are float64.
+``cli._build_model`` calls), and the iteration from the metadata, which
+also gives both optimizers' Adam step number (iteration + 1). A
+"regressor" holds E.w1 ... E.b3. A "dataset" holds float32 ``images``
+[N, 3, S, S] and the category table ``embeddings`` [n_categories, d].
+A GAN's arrays and a dataset's images are float32, since the GAN trains
+in float32; a regressor's arrays and the category table are float64.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length
@@ -42,8 +41,10 @@ A loader names the metadata it expects, and the first field that differs
 raises ContractError naming it. A resume expects all of it but
 ``config.gan_iterations``, the one field a resume may change (a run may
 train further). Against a template state, a missing, unexpected,
-misshaped or other-dtype tensor is named the same way. Versions 1 and 2
-laid tensors out by position and are rejected.
+misshaped or other-dtype tensor is named the same way. Every load then
+refuses a NaN or an infinity, naming its tensor and first such row
+along axis 0. Versions 1 and 2 laid tensors out by position and are
+rejected.
 
 Files are written to a temporary file beside the target and renamed into
 place, so a reader never sees a partial file. A save hashes and streams
@@ -131,11 +132,12 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
 
     Each field of ``expect`` must equal the file's metadata, in order;
     with a ``template`` state the file must hold exactly its names,
-    shapes and dtypes. The payload is read once, straight into one
-    buffer, and the returned arrays are writable views of it, each in
-    its entry's dtype: a load holds one payload copy. Lengths are
-    checked against the file's size before anything of that size is
-    allocated.
+    shapes and dtypes. Then every value must be finite, or the first
+    tensor holding a NaN or an infinity is named with its first such row
+    along axis 0. The payload is read once, straight into one buffer,
+    and the returned arrays are writable views of it, each in its
+    entry's dtype: a load holds one payload copy. Lengths are checked
+    against the file's size before anything of that size is allocated.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -205,4 +207,9 @@ def load_checkpoint(path, template: dict | None = None, expect: dict | None = No
         extra = sorted(state.keys() - template.keys())
         if extra:
             raise ContractError(f"{path}: unexpected tensor {extra[0]}")
+    for name, arr in state.items():
+        finite = np.isfinite(np.atleast_1d(arr))
+        if not finite.all():
+            row = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0]
+            raise ContractError(f"{path}: tensor {name} row {row} holds a non-finite value")
     return state, metadata

@@ -19,16 +19,18 @@ by ``_write_table``, each float as its ``repr``.
 ``dataset/dataset.ckpt`` (the float32 images and the category table)
 and ``embedder.ckpt`` record the config fields they depend on. A verb
 that reads one exits 3 naming the file and the first such field, or
-tensor shape or dtype, that does not match its own config, or the first
-sample or category with a non-finite value. A dataset file holding
-float64 images exits 3 naming the ``images`` tensor; ``generate-data``
-writes it anew. A GAN checkpoint holding float64 arrays exits 3 from
-``train --resume`` and from ``evaluate`` naming its first tensor,
-``G.w1``; it cannot be resumed or scored.
-``evaluate`` scores only its own cell's checkpoint: one another cell
-wrote exits 3 naming ``cell``, and one trained on other data or against
-another embedder exits 3 naming the first ``EMBEDDER_FIELDS`` field that
-differs. All of these checks run before anything is written.
+tensor shape or dtype, that does not match its own config. A NaN or an
+infinity in any checkpoint a verb reads, these or a GAN's, exits 3
+naming the file, the tensor and its first such row (in the dataset, the
+sample or the category). A dataset file holding float64 images exits 3
+naming the ``images`` tensor; ``generate-data`` writes it anew. A GAN
+checkpoint holding float64 arrays exits 3 from ``train --resume`` and
+from ``evaluate`` naming its first tensor, ``G.w1``; it cannot be
+resumed or scored. ``evaluate`` scores only its own cell's checkpoint:
+one another cell wrote exits 3 naming ``cell``, and one trained on other
+data or against another embedder exits 3 naming the first
+``EMBEDDER_FIELDS`` field that differs. All of these checks run before
+anything is written.
 
 Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field but out_dir, where
@@ -79,8 +81,6 @@ from .config import (
 from .errors import ConfigError, ContractError, NumericalAbort
 from .gan import CONDITION_ONE_HOT, CONDITION_SEMANTIC, GanModel
 
-CELLS = ("baseline_full_data", "one_hot_kggan", "kggan_no_se", "kggan_full")
-
 # (condition_mode, train on full data, knowledge loss active)
 CELL_RULES = {
     "baseline_full_data": (CONDITION_ONE_HOT, True, False),
@@ -88,6 +88,7 @@ CELL_RULES = {
     "kggan_no_se": (CONDITION_SEMANTIC, False, False),
     "kggan_full": (CONDITION_SEMANTIC, False, True),
 }
+CELLS = tuple(CELL_RULES)  # the --cell choices and ablate's order
 
 # sample grids are GRID_COLUMNS images wide and config.grid_rows high
 GRID_COLUMNS = 8

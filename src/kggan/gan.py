@@ -64,7 +64,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .errors import ContractError, DimensionError, NumericalAbort
 from .optim import AdamState, adam_step
-from .regressor import single_precision
+from .regressor import semantic_embedding_loss, single_precision
 from .spectral import power_iteration_step, spectral_normalize
 
 CONDITION_SEMANTIC = "semantic_embedding"
@@ -241,7 +241,7 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# adversarial losses (``_g_loss`` builds L_se from the regressor's predictions)
+# adversarial losses (L_se is ``regressor.semantic_embedding_loss``)
 
 
 def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
@@ -300,7 +300,7 @@ def _d_step(model, opt_d, dataset, pool, cond, config, iteration, snapshot):
     # the abort snapshot holds them live: it keeps copies of the values they had
     written = {id(a) for a in [p.data for p in params] + opt_d.second_moment}
     snapshot.update({name: a.copy() for name, a in snapshot.items() if id(a) in written})
-    adam_step(params, opt_d, grads)
+    adam_step(params, opt_d, grads, iteration + 1)
     return value
 
 
@@ -310,8 +310,8 @@ def _g_loss(model, seen_cats, unseen_cats, cond, embeddings, embedder, config, i
 
     At lambda_se > 0 one generator pass makes the seen fakes, then as
     many unseen ones, and one regressor pass predicts the embeddings of
-    all of them; D scores the seen half. Each L_se is the mean over its
-    own half's rows of the squared distance between prediction and target.
+    all of them; D scores the seen half. Each half's L_se is
+    ``semantic_embedding_loss`` over its rows of that pass.
     """
     b = config.batch_size
     rng_z = _stream(config.gan_seed, iteration, 2)
@@ -326,8 +326,11 @@ def _g_loss(model, seen_cats, unseen_cats, cond, embeddings, embedder, config, i
     if config.lambda_se == 0.0:
         return hinge_g_loss(discriminator_forward(model, fakes, Tensor(v))), 0.0, 0.0
     adv = hinge_g_loss(discriminator_forward(model, ad.row_slice(fakes, 0, b), Tensor(v[:b])))
-    errors = ad.square(ad.sub(embedder.forward(fakes), Tensor(embeddings[cats])))
-    se = [ad.scale(ad.tsum(ad.row_slice(errors, lo, lo + b)), 1.0 / b) for lo in (0, b)]
+    predictions, targets = embedder.forward(fakes), embeddings[cats]
+    se = [
+        semantic_embedding_loss(ad.row_slice(predictions, lo, lo + b), Tensor(targets[lo : lo + b]))
+        for lo in (0, b)
+    ]
     loss = ad.add(adv, ad.scale(ad.add(*se), config.lambda_se))
     return loss, se[0].item(), se[1].item()
 
@@ -428,8 +431,8 @@ def train(
         model.refresh_spectral()
 
         try:
-            # D and G step once per iteration, so both optimizers' step
-            # counts are the iteration (load_gan)
+            # each iteration steps D and G once, so Adam's step number is
+            # iteration + 1 for both, and a resume needs only the iteration
             l_d = _d_step(model, opt_d, dataset, pool, cond, config, iteration, snapshot)
             loss_g, se_seen, se_unseen = _g_loss(
                 model, seen_cats, unseen_cats, cond, embeddings, embedder, config, iteration
@@ -437,7 +440,7 @@ def train(
             l_g = loss_g.item()
             _finite_or_abort((l_d, l_g, se_seen, se_unseen))
             params = model.generator_params()
-            adam_step(params, opt_g, ad.backward(loss_g, params))
+            adam_step(params, opt_g, ad.backward(loss_g, params), iteration + 1)
         except NumericalAbort as abort:
             ad.get_tape().clear()
             message = f"{abort} at iteration {iteration}"
@@ -501,10 +504,11 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     Nothing of the conditioning is stored: the caller recomputes the
     condition table from the dataset's (``cli._build_model``). Every
     field of ``run`` must match the checkpoint's metadata, after its kind
-    and condition mode. The iteration is the metadata's, which must be a
-    non-negative int; otherwise ContractError names it. Both optimizers'
-    step counts are the iteration, since each iteration steps G and D
-    once; both learn at ``config.gan_lr``. Returns (model, opt_g, opt_d, iteration).
+    and condition mode. A non-finite value is refused naming its tensor
+    and row. The iteration is the metadata's, which must be a
+    non-negative int; otherwise ContractError names it. ``train``
+    continues both optimizers' Adam steps from it; both learn at
+    ``config.gan_lr``. Returns (model, opt_g, opt_d, iteration).
     """
     opt_g, opt_d = new_optimizers(model, config)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
@@ -516,6 +520,5 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     # the arrays are the fresh model's and optimizers' own
     for name, arr in live.items():
         arr[...] = state[name]
-    opt_g.step_count = opt_d.step_count = iteration
     return model, opt_g, opt_d, iteration
 

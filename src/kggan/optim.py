@@ -2,11 +2,14 @@
 
 ``adam_step`` checks every gradient before it writes anything, then
 updates each parameter and its moments in their own arrays, with two
-temporaries per parameter. The learning rate and both moment decays are
-always passed; the GAN's come from ``config.gan_lr``, ``gan.BETA1`` and
-``gan.BETA2``. At beta1 = 0 the first moment is the current gradient,
-which no later step reads, so the state keeps none and the update reads
-the gradient itself.
+temporaries per parameter. The state holds the moments only; the
+caller passes the step number t of the bias corrections: the GAN's
+iteration + 1, the embedder's step + 1. So a resume has no count to
+restore. The learning rate and both moment decays are always passed;
+the GAN's come from ``config.gan_lr``, ``gan.BETA1`` and ``gan.BETA2``.
+At beta1 = 0 the first moment is the current gradient, which no later
+step reads, so the state keeps none and the update reads the gradient
+itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ class AdamState:
     learning_rate: float
     beta1: float
     beta2: float
-    step_count: int = 0
     # one array per parameter, none at beta1 = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
@@ -41,16 +43,16 @@ class AdamState:
         )
 
 
-def adam_step(params, state: AdamState, grads) -> None:
-    """Apply one Adam update with ``grads``, one array per parameter, as
-    ``autodiff.backward`` returns them; increments ``step_count``.
+def adam_step(params, state: AdamState, grads, t: int) -> None:
+    """Apply the ``t``-th Adam update, counting from 1, with ``grads``, one
+    array per parameter, as ``autodiff.backward`` returns them.
 
     Every gradient is checked before anything is written: a missing one
     or one of the wrong shape is a contract error, a non-finite one a
     numerical abort, each naming the parameter. A rejected step leaves
-    every parameter, moment and ``step_count`` as it was. The update then
-    writes each parameter's array and its moments in place, so a caller
-    that must keep the old values copies them first. Each parameter costs
+    every parameter and moment as it was. The update then writes each
+    parameter's array and its moments in place, so a caller that must
+    keep the old values copies them first. Each parameter costs
     two temporaries of its size, a scratch array that holds every
     intermediate and the denominator, and 14 elementwise passes. The
     rounding steps are those of
@@ -76,7 +78,6 @@ def adam_step(params, state: AdamState, grads) -> None:
         if not np.all(np.isfinite(g)):
             raise NumericalAbort(f"non-finite gradient for parameter {p.name or i}")
 
-    t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
@@ -98,4 +99,3 @@ def adam_step(params, state: AdamState, grads) -> None:
             scratch *= state.learning_rate
         scratch /= denom
         np.subtract(p.data, scratch, out=p.data)
-    state.step_count = t

@@ -3,9 +3,10 @@
 Trained by mean squared error on seen categories only, then frozen:
 frozen means no optimizer holds its parameters, so nothing steps them.
 Gradients still flow *through* it into its input, which is what lets the
-knowledge loss L_se steer a generator. L_se is the loss it trains on,
-``semantic_embedding_loss``; the GAN takes it over each half of one
-stacked batch (``gan._g_loss``). Its input is [b, 3*S*S] image rows, the
+knowledge loss L_se steer a generator. L_se, ``semantic_embedding_loss``,
+is written once, over predictions: the embedder trains on it, and the
+GAN takes it over each half of one stacked regressor pass
+(``gan._g_loss``). The regressor's input is [b, 3*S*S] image rows, the
 dataset's [3, S, S] layout flattened; ``extract_features`` and
 ``train_embedder`` flatten the images they are given. The penultimate
 activation doubles as the feature space for Frechet-distance evaluation.
@@ -27,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_fields
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .optim import AdamState, adam_step
 from .synthdata import DATASET_FIELDS
 
@@ -49,7 +50,6 @@ class RegressorModel:
     """MLP [3*S*S -> 128 -> 64 -> d] with leaky-relu hidden and sigmoid out."""
 
     def __init__(self, image_size: int, embed_dim: int, rng: np.random.Generator):
-        self.embed_dim = embed_dim
         in_dim = 3 * image_size * image_size
         h1, h2 = HIDDEN
         self.w1 = ad.uniform_init((in_dim, h1), rng, name="E.w1")
@@ -100,20 +100,17 @@ def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
     return feats.data
 
 
-def semantic_embedding_loss(images: Tensor, targets: Tensor, embedder: RegressorModel) -> Tensor:
+def semantic_embedding_loss(predictions: Tensor, targets: Tensor) -> Tensor:
     """L_se: the mean over the batch of the squared distance between the
-    embeddings ``embedder`` predicts for the image rows and ``targets``.
+    [b, d] embeddings a regressor predicts and the [b, d] ``targets``.
 
-    Gradients reach whatever produced ``images`` through the regressor;
-    its own parameters get one only if passed to ``backward``, which only
-    ``train_embedder`` does.
+    Gradients reach whatever produced ``predictions``; a regressor's own
+    parameters get one only if passed to ``backward``, which only
+    ``train_embedder`` does. Targets of another shape raise the
+    DimensionError of ``autodiff.sub``, naming both shapes.
     """
-    if targets.data.ndim != 2 or targets.data.shape[1] != embedder.embed_dim:
-        raise DimensionError(
-            f"target shape {targets.data.shape} does not match embed_dim {embedder.embed_dim}"
-        )
-    diff = ad.sub(embedder.forward(images), targets)
-    return ad.scale(ad.tsum(ad.square(diff)), 1.0 / images.data.shape[0])
+    diff = ad.sub(predictions, targets)
+    return ad.scale(ad.tsum(ad.square(diff)), 1.0 / predictions.data.shape[0])
 
 
 def train_embedder(
@@ -166,8 +163,8 @@ def train_embedder(
         pos += batch
 
         rows = Tensor(images[idx].reshape(batch, -1).astype(np.float64))
-        loss = semantic_embedding_loss(rows, Tensor(targets[idx]), model)
-        adam_step(params, opt, ad.backward(loss, params))
+        loss = semantic_embedding_loss(model.forward(rows), Tensor(targets[idx]))
+        adam_step(params, opt, ad.backward(loss, params), step + 1)
 
         value = loss.item()
         model.training_loss_history.append(value)

@@ -400,8 +400,8 @@ class TestTrainAndEvaluate:
         assert abs(avgs["unseen_avg"] - np.mean(unseen)) < 1e-12
 
 
-def rewrite_dataset(path, damage):
-    """Apply ``damage`` to the dataset file's state and write it back whole,
+def rewrite_checkpoint(path, damage):
+    """Apply ``damage`` to a checkpoint file's state and write it back whole,
     so its digest is valid and only the damaged content is wrong."""
     from kggan.checkpoint import load_checkpoint, save_checkpoint
 
@@ -424,11 +424,11 @@ class TestEmbeddingsFile:
         def poison(state):
             state["embeddings"][4, -1] = np.nan
 
-        rewrite_dataset(path, poison)
+        rewrite_checkpoint(path, poison)
         proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert f"contract violation: {path}: category 4 has a non-finite embedding value" in proc.stderr
+        assert f"contract violation: {path}: tensor embeddings row 4 holds a non-finite value" in proc.stderr
 
     @staticmethod
     def _damage_table(path, damage):
@@ -446,7 +446,7 @@ class TestEmbeddingsFile:
                 rows = [row[:-1] for row in rows]
             state["embeddings"] = np.stack(rows)
 
-        rewrite_dataset(path, table)
+        rewrite_checkpoint(path, table)
         shape = {
             "missing_row": (5, 16), "repeated_row": (7, 16), "extra_row": (7, 16), "short_rows": (6, 15)
         }[damage]
@@ -615,17 +615,22 @@ class TestResumeChecks:
     def _refused_without_writes(trained_cells, tmp_path, verb, damage):
         """Save the kggan_full checkpoint's state and metadata, changed by
         ``damage(state)``, through ``gan.save_gan`` and pass the file to
-        ``verb``: it exits 3 without a traceback, and no file is written or
-        replaced. Returns (the file's path, stderr)."""
+        ``verb``, under a config that would resume it for 20 more
+        iterations: it exits 3 without a traceback or a RuntimeWarning, and
+        no file is written or replaced. Returns (the file's path, stderr)."""
         from kggan import gan
         from kggan.checkpoint import load_checkpoint
 
         root, cfg_path = trained_cells
-        state, metadata = load_checkpoint(root / "out" / "cells" / "kggan_full" / "checkpoint.ckpt")
+        cell_dir = root / "out" / "cells" / "kggan_full"
+        state, metadata = load_checkpoint(cell_dir / "checkpoint.ckpt")
         state = damage(state)
         run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
         path = tmp_path / "checkpoint.ckpt"
         gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
+        shutil.copy(cell_dir / "metrics.csv", tmp_path)  # the log a resume reads
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(cfg_path.read_text().replace("gan_iterations = 40", "gan_iterations = 60"))
 
         def files():
             found = sorted(p for d in (root / "out", tmp_path) for p in d.rglob("*") if p.is_file())
@@ -633,9 +638,9 @@ class TestResumeChecks:
 
         before = files()
         flag = {"train": "--resume", "evaluate": "--checkpoint"}[verb]
-        proc = run_cli(["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)], cwd=tmp_path)
+        proc = run_cli(["--config", str(cfg), verb, "--cell", "kggan_full", flag, str(path)], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert files() == before
         return path, proc.stderr
 
@@ -678,20 +683,27 @@ class TestResumeChecks:
             ("D.v_proj", None, "tensor D.v_proj is missing"),
             ("adam_d.v.D.w2", np.zeros(3, np.float32), "tensor adam_d.v.D.w2 has shape (3,), expected (24, 12)"),
             ("spectral.D.w1.u", None, "tensor spectral.D.w1.u is missing"),
+            ("G.w3", (5, np.nan), "tensor G.w3 row 5 holds a non-finite value"),
+            ("D.w1", (100, np.inf), "tensor D.w1 row 100 holds a non-finite value"),
         ],
-        ids=["discriminator_weight", "second_moment_shape", "spectral_vector"],
+        ids=["discriminator_weight", "second_moment_shape", "spectral_vector", "nan_in_g_w3", "inf_in_d_w1"],
     )
     def test_damaged_half_evaluate_does_not_read_exits_3_naming_it(
         self, trained_cells, tmp_path, verb, name, stored, named
     ):
         """The file is verified whole, also where evaluate samples from the
         generator alone: a missing D weight or spectral vector, or a second
-        moment of the wrong shape, is refused naming the tensor; nothing is
-        written or replaced and no traceback is printed."""
+        moment of the wrong shape, is refused naming the tensor, and a NaN
+        or an infinity in either network naming the tensor and its row;
+        nothing is written or replaced, and no traceback or RuntimeWarning
+        is printed."""
 
         def damage(state):
             if stored is None:
                 del state[name]
+            elif isinstance(stored, tuple):  # (row, value): the row's last entry
+                row, value = stored
+                state[name][row, -1] = value
             else:
                 state[name] = stored
             return state
@@ -745,23 +757,41 @@ class TestResumeChecks:
         assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
-        "verb", [["train", "--cell", "kggan_full"], ["evaluate", "--cell", "kggan_full"]],
-        ids=["train", "evaluate"],
+        "verb, damage",
+        [
+            (["train", "--cell", "kggan_full"], "other_config"),
+            (["evaluate", "--cell", "kggan_full"], "other_config"),
+            (["train", "--cell", "kggan_full"], "nan_weight"),
+            (["evaluate", "--cell", "kggan_full"], "nan_weight"),
+        ],
+        ids=["train", "evaluate", "train_nan_weight", "evaluate_nan_weight"],
     )
-    def test_embedder_of_another_config_exits_3_naming_the_field(self, trained_cells, tmp_path, verb):
-        root, cfg_path = trained_cells
+    def test_embedder_of_another_config_exits_3_naming_the_field(self, trained_cells, tmp_path, verb, damage):
+        """An embedder trained under another config is refused naming the
+        first field that differs, and one with a NaN weight naming the
+        tensor and its row; nothing is written and no traceback or
+        RuntimeWarning is printed."""
+        shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
+        text = TINY.format(out=tmp_path / "out")
+        embedder = tmp_path / "out" / "embedder.ckpt"
+        if damage == "other_config":
+            text = text.replace("embedder_steps = 120", "embedder_steps = 121")
+            named = "checkpoint has config.embedder_steps 120, this run has 121"
+        else:
+
+            def poison(state):
+                state["E.w2"][9, 3] = np.nan
+
+            rewrite_checkpoint(embedder, poison)
+            named = "tensor E.w2 row 9 holds a non-finite value"
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(cfg_path.read_text().replace("embedder_steps = 120", "embedder_steps = 121"))
-        before = {p: p.read_bytes() for p in (root / "out").rglob("*") if p.is_file()}
+        cfg.write_text(text)
+        before = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
         proc = run_cli(["--config", str(cfg), *verb], cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        embedder = root / "out" / "embedder.ckpt"
-        assert (
-            f"contract violation: {embedder}: checkpoint has config.embedder_steps 120, "
-            "this run has 121" in proc.stderr
-        )
-        assert {p: p.read_bytes() for p in (root / "out").rglob("*") if p.is_file()} == before
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert f"contract violation: {embedder}: {named}" in proc.stderr
+        assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()} == before
 
     def test_evaluate_of_another_cells_checkpoint_exits_3_naming_cell(self, trained_cells):
         root, cfg_path = trained_cells
@@ -984,7 +1014,6 @@ class TestCheckpointLayout:
         # the call perfbench/checks.py makes
         model, opt_g, opt_d, iteration = gan.load_gan(path, model, gan.TrainConfig())
         assert iteration == metadata["iteration"] == 40
-        assert opt_g.step_count == opt_d.step_count == 40
         assert opt_g.first_moment == [] and opt_d.first_moment == []
         loaded = gan.gan_state(model, opt_g, opt_d)
         assert list(loaded) == list(state)
@@ -1089,11 +1118,11 @@ class TestAbortCheckpoint:
 
         calls = []
 
-        def poisoned(params, state, grads):
+        def poisoned(params, state, grads, t):
             calls.append(len(params))
             if len(calls) == 2 * k + 2:  # iteration k's G step, after its D step
                 grads[0][0, 0] = np.nan
-            return optim.adam_step(params, state, grads)
+            return optim.adam_step(params, state, grads, t)
 
         monkeypatch.setattr(gan, "adam_step", poisoned)
         assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
@@ -1121,12 +1150,12 @@ class TestAbortCheckpoint:
 
         g_steps = []
 
-        def poisoned(params, state, grads):
+        def poisoned(params, state, grads, t):
             if params[0].name == "G.w1":  # a G step
                 g_steps.append(params[0].name)
                 if len(g_steps) == k + 1:  # iteration k's
                     grads[0][0, 0] = np.nan
-            return optim.adam_step(params, state, grads)
+            return optim.adam_step(params, state, grads, t)
 
         with monkeypatch.context() as patch:
             patch.setattr(gan, "adam_step", poisoned)
@@ -1156,12 +1185,12 @@ class TestAbortMessage:
             assert cli.main(["--config", str(cfg), *cmd]) == 0
         g_steps = []
 
-        def poisoned(params, state, grads):
+        def poisoned(params, state, grads, t):
             if params[0].name == "G.w1":  # a G step
                 g_steps.append(params[0].name)
                 if len(g_steps) == k + 1:  # iteration k's
                     grads[0][0, 0] = np.nan
-            return optim.adam_step(params, state, grads)
+            return optim.adam_step(params, state, grads, t)
 
         monkeypatch.setattr(gan, "adam_step", poisoned)
         capsys.readouterr()
@@ -1234,10 +1263,10 @@ class TestAblateExitCodes:
             poisoned_cells.append(cell == nan_cell)
             return cmd_train(ws, cell, resume)
 
-        def adam_step(params, state, grads):
+        def adam_step(params, state, grads, t):
             if poisoned_cells[-1]:
                 grads[0][0, 0] = np.nan
-            return optim.adam_step(params, state, grads)
+            return optim.adam_step(params, state, grads, t)
 
         monkeypatch.setattr(cli, "cmd_train", train_cell)
         monkeypatch.setattr(gan, "adam_step", adam_step)
@@ -1270,9 +1299,9 @@ class TestNoTapeLeftBehind:
             assert cli.main(["--config", str(cfg), *verb]) == 0, verb
             assert len(ad.get_tape()) == 0, verb
 
-        def poisoned(params, state, grads):
+        def poisoned(params, state, grads, t):
             grads[0][0, 0] = np.nan
-            return optim.adam_step(params, state, grads)
+            return optim.adam_step(params, state, grads, t)
 
         monkeypatch.setattr(gan, "adam_step", poisoned)
         assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
@@ -1288,14 +1317,14 @@ class TestDatasetFiles:
             def poison(state):
                 state["images"][7].flat[9] = np.nan
 
-            rewrite_dataset(path, poison)
-            return "sample 7 has a non-finite pixel"
+            rewrite_checkpoint(path, poison)
+            return "tensor images row 7 holds a non-finite value"
         if damage == "float64_images":  # the file as it was before images were float32
 
             def widen(state):
                 state["images"] = state["images"].astype(np.float64)
 
-            rewrite_dataset(path, widen)
+            rewrite_checkpoint(path, widen)
             return "tensor images has dtype float64, expected float32"
         blob = path.read_bytes()
         if damage == "unknown_dtype":  # under a valid digest

@@ -235,7 +235,7 @@ class TestSemanticEmbeddingLoss:
         images = Tensor(rng.uniform(-1, 1, size=(3, 3 * IMG * IMG)))
         with ad.no_grad():
             targets = embedder.forward(images).data
-        loss = semantic_embedding_loss(images, Tensor(targets), embedder)
+        loss = semantic_embedding_loss(embedder.forward(images), Tensor(targets))
         assert loss.item() < 1e-24
 
     def test_unit_basis_offset_gives_one(self, mini_data, rng):
@@ -245,14 +245,14 @@ class TestSemanticEmbeddingLoss:
             pred = embedder.forward(images).data
         targets = pred.copy()
         targets[:, 0] -= 1.0
-        loss = semantic_embedding_loss(images, Tensor(targets), embedder)
+        loss = semantic_embedding_loss(embedder.forward(images), Tensor(targets))
         assert abs(loss.item() - 1.0) < 1e-12
 
     def test_matches_per_item_loop_oracle(self, mini_data, rng):
         embedder = mini_data[4]
         images = Tensor(rng.uniform(-1, 1, size=(5, 3 * IMG * IMG)))
         targets = rng.uniform(0, 1, size=(5, EMB))
-        got = semantic_embedding_loss(images, Tensor(targets), embedder).item()
+        got = semantic_embedding_loss(embedder.forward(images), Tensor(targets)).item()
         with ad.no_grad():
             pred = embedder.forward(images).data
         acc = 0.0
@@ -268,7 +268,7 @@ class TestSemanticEmbeddingLoss:
         model = mini_model()
         z = Tensor(rng.standard_normal((2, Z)))
         v = Tensor(rng.uniform(0, 1, size=(2, EMB)))
-        loss = semantic_embedding_loss(generator_forward(model, z, v), v, embedder)
+        loss = semantic_embedding_loss(embedder.forward(generator_forward(model, z, v)), v)
         regressor_ids = {id(p) for p in embedder.parameters()}
         products = []
         nodes = ad.get_tape().nodes
@@ -302,8 +302,8 @@ class TestRestrictedBackward:
         adv = hinge_g_loss(discriminator_forward(model, fakes, v))
         fakes_u = generator_forward(model, Tensor(rng.standard_normal((8, Z))), vu)
         se = ad.add(
-            semantic_embedding_loss(fakes, v, embedder),
-            semantic_embedding_loss(fakes_u, vu, embedder),
+            semantic_embedding_loss(embedder.forward(fakes), v),
+            semantic_embedding_loss(embedder.forward(fakes_u), vu),
         )
         return ad.add(adv, ad.scale(se, 0.1))
 
@@ -350,8 +350,8 @@ def separate_losses(model, seen, unseen, embedder, lambda_se):
     l_d = hinge_d_loss(discriminator_forward(model, Tensor(seen["images"]), cond), d_fake)
     adv = hinge_g_loss(d_fake)
     fakes_u = generator_forward(model, Tensor(unseen["noise"]), Tensor(unseen["cond"]))
-    se_seen = semantic_embedding_loss(fakes, Tensor(seen["targets"]), embedder)
-    se_unseen = semantic_embedding_loss(fakes_u, Tensor(unseen["targets"]), embedder)
+    se_seen = semantic_embedding_loss(embedder.forward(fakes), Tensor(seen["targets"]))
+    se_unseen = semantic_embedding_loss(embedder.forward(fakes_u), Tensor(unseen["targets"]))
     return l_d, adv, se_seen, se_unseen, ad.add(adv, ad.scale(ad.add(se_seen, se_unseen), lambda_se))
 
 
@@ -466,7 +466,7 @@ class TestStackedPasses:
         g_batch, u_batch = batch(g_cats, g_noise), batch(u_cats, u_noise)
         expected, adam_step = {}, gan.adam_step
 
-        def checked_adam_step(params, state, grads):
+        def checked_adam_step(params, state, grads, t):
             if params == model.discriminator_params():
                 l_d, *_ = separate_losses(model, d_batch, u_batch, embedder32, lambda_se)
                 expected["L_D"] = l_d.item()
@@ -480,7 +480,7 @@ class TestStackedPasses:
                 want = ad.backward(l_g, params)
             for p, got, ref in zip(params, grads, want):
                 np.testing.assert_allclose(got, ref, rtol=self.GRAD_RTOL, atol=self.GRAD_ATOL, err_msg=p.name)
-            adam_step(params, state, grads)
+            adam_step(params, state, grads, t)
 
         monkeypatch.setattr(gan, "adam_step", checked_adam_step)
         knowledge = embedder if lambda_se else None
@@ -637,9 +637,9 @@ class TestTrainLoop:
         def loss_tensor():
             fakes = generator_forward(model, Tensor(z), Tensor(v))
             adv = hinge_g_loss(discriminator_forward(model, fakes, Tensor(v)))
-            se_s = semantic_embedding_loss(fakes, Tensor(v), embedder)
+            se_s = semantic_embedding_loss(embedder.forward(fakes), Tensor(v))
             fakes_u = generator_forward(model, Tensor(zu), Tensor(vu))
-            se_u = semantic_embedding_loss(fakes_u, Tensor(vu), embedder)
+            se_u = semantic_embedding_loss(embedder.forward(fakes_u), Tensor(vu))
             return ad.add(adv, ad.scale(ad.add(se_s, se_u), lam))
 
         params = model.generator_params()
@@ -739,7 +739,7 @@ GOLDEN_KGGAN_LOG = Path(__file__).parent / "golden" / "kggan_mini_metrics.csv"
 class TestTapeSize:
     @pytest.mark.parametrize(
         "mode, cond_dim, lambda_se, expected",
-        [("semantic_embedding", EMB, 0.1, [24, 40]), ("one_hot", 6, 0.0, [24, 22])],
+        [("semantic_embedding", EMB, 0.1, [24, 42]), ("one_hot", 6, 0.0, [24, 22])],
         ids=["semantic", "one_hot"],
     )
     def test_nodes_recorded_per_step(self, mini_data, monkeypatch, mode, cond_dim, lambda_se, expected):
@@ -750,8 +750,8 @@ class TestTapeSize:
         2 row slices and the 8-node hinge loss. G's is one generator pass
         (6: its input is joined off the tape), D (14) and the hinge (2).
         With L_se, G's pass covers the unseen batch too and D reads the
-        seen slice (1); one regressor pass (6), the two halves' losses (8)
-        and L_G's sum (3) follow."""
+        seen slice (1); one regressor pass (6), the two halves' losses (10:
+        a row slice and L_se's 4 nodes each) and L_G's sum (3) follow."""
         _, dataset, split, embeddings, embedder = mini_data
         counts, backward = [], ad.backward
         monkeypatch.setattr(

@@ -28,15 +28,14 @@ class TestAdam:
         p = Tensor(rng.standard_normal((3, 3)))
         before = p.data.copy()
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
-        adam_step([p], state, grads=[np.zeros((3, 3))])
+        adam_step([p], state, grads=[np.zeros((3, 3))], t=1)
         assert np.array_equal(p.data, before)
-        assert state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self, rng):
         p = Tensor(np.zeros(4))
         state = AdamState.for_params([p], learning_rate=0.05, beta1=0.0, beta2=0.9)
         g = np.full(4, 1.7)
-        adam_step([p], state, grads=[g])
+        adam_step([p], state, grads=[g], t=1)
         # bias-corrected ratio g / sqrt(g^2) = sign(g)
         assert np.allclose(np.abs(p.data), 0.05, rtol=1e-6)
 
@@ -45,64 +44,56 @@ class TestAdam:
         p = Tensor([1.0])
         state = AdamState.for_params([p], learning_rate=lr, beta1=b1, beta2=b2)
         mine = []
-        for _ in range(10):
-            adam_step([p], state, grads=[2.0 * p.data])
+        for t in range(1, 11):
+            adam_step([p], state, grads=[2.0 * p.data], t=t)
             mine.append(float(p.data[0]))
         expected = scalar_adam_reference(lambda w: 2.0 * w, 1.0, lr, b1, b2, eps, 10)
         assert np.max(np.abs(np.asarray(mine) - np.asarray(expected))) < 1e-10
 
-    def test_step_count_increments(self, rng):
-        p = Tensor(rng.standard_normal(2))
-        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
-        for expected in range(1, 5):
-            adam_step([p], state, grads=[np.ones(2)])
-            assert state.step_count == expected
-
     def test_second_moment_nonnegative(self, rng):
         p = Tensor(rng.standard_normal(6))
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
-        for _ in range(20):
-            adam_step([p], state, grads=[rng.standard_normal(6)])
+        for t in range(1, 21):
+            adam_step([p], state, grads=[rng.standard_normal(6)], t=t)
             assert np.all(state.second_moment[0] >= 0.0)
 
     def test_nan_gradient_aborts_naming_parameter(self):
         p = Tensor(np.zeros(2), name="G.w1")
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         with pytest.raises(NumericalAbort, match="G.w1"):
-            adam_step([p], state, grads=[np.array([np.nan, 0.0])])
+            adam_step([p], state, grads=[np.array([np.nan, 0.0])], t=1)
 
     def test_rejected_step_writes_nothing(self, rng):
         """Every gradient is checked before anything is written: a NaN in
         the last parameter's gradient leaves every parameter and whatever
-        moments the state holds (none of the first at beta1 = 0), and the
-        step count, as they were."""
+        moments the state holds (none of the first at beta1 = 0) as they
+        were."""
         for beta1 in (0.0, 0.9):
             params = [Tensor(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate([(4, 3), (3,), (2, 2)])]
             state = AdamState.for_params(params, learning_rate=2e-4, beta1=beta1, beta2=0.9)
-            for _ in range(3):
-                adam_step(params, state, grads=[rng.standard_normal(p.data.shape) for p in params])
+            for t in range(1, 4):
+                adam_step(params, state, grads=[rng.standard_normal(p.data.shape) for p in params], t=t)
             held = [p.data for p in params] + state.first_moment + state.second_moment
             assert len(held) == (3 if beta1 else 2) * len(params)
             before = [a.tobytes() for a in held]
             grads = [rng.standard_normal(p.data.shape) for p in params]
             grads[-1][1, 0] = np.nan
             with pytest.raises(NumericalAbort, match="p2"):
-                adam_step(params, state, grads=grads)
+                adam_step(params, state, grads=grads, t=4)
             assert [a.tobytes() for a in held] == before
-            assert state.step_count == 3
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2))
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         with pytest.raises(ContractError):
-            adam_step([p], state, grads=[None])
+            adam_step([p], state, grads=[None], t=1)
 
     def test_state_misalignment_rejected(self, rng):
         p = Tensor(np.zeros(2))
         q = Tensor(np.zeros(2))
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
         with pytest.raises(ContractError):
-            adam_step([p, q], state, grads=[np.zeros(2), np.zeros(2)])
+            adam_step([p, q], state, grads=[np.zeros(2), np.zeros(2)], t=1)
 
 
 def old_adam_step(params, moments, grads, learning_rate, beta1, beta2, epsilon=1e-8):
@@ -129,10 +120,9 @@ def assert_bitwise_the_old_update(mine, ref, state, moments, grad_steps):
     """Step ``mine`` through ``adam_step`` and ``ref`` through the old
     update with each list of ``grad_steps``; compare p and v byte for byte,
     and m too where the state keeps one."""
-    for grads in grad_steps:
-        adam_step(mine, state, grads=[g.copy() for g in grads])
+    for t, grads in enumerate(grad_steps, start=1):
+        adam_step(mine, state, grads=[g.copy() for g in grads], t=t)
         old_adam_step(ref, moments, grads, state.learning_rate, state.beta1, state.beta2, EPSILON)
-    assert state.step_count == moments["t"]
     for a, b, v_a, v_b in zip(mine, ref, state.second_moment, moments["v"]):
         assert a.data.tobytes() == b.data.tobytes()
         assert v_a.tobytes() == v_b.tobytes()

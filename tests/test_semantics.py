@@ -140,9 +140,9 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "cid, values, message",
         [
-            (2, "0.5 " * 7 + "nan", "category 2 has a non-finite embedding value"),
-            (2, "inf " + "0.5 " * 7, "category 2 has a non-finite embedding value"),
-            (2, "-inf " * 8, "category 2 has a non-finite embedding value"),
+            (2, "0.5 " * 7 + "nan", "tensor embeddings row 2 holds a non-finite value"),
+            (2, "inf " + "0.5 " * 7, "tensor embeddings row 2 holds a non-finite value"),
+            (2, "-inf " * 8, "tensor embeddings row 2 holds a non-finite value"),
         ],
     )
     def test_damaged_row_rejected_naming_file_and_category(self, tmp_path, cid, values, message):

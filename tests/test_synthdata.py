@@ -285,8 +285,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "name, row, message",
-        [("images", 7, "sample 7 has a non-finite pixel"),
-         ("embeddings", 2, "category 2 has a non-finite embedding value")],
+        [("images", 7, "tensor images row 7 holds a non-finite value"),
+         ("embeddings", 2, "tensor embeddings row 2 holds a non-finite value")],
+        ids=["images-7-sample 7", "embeddings-2-category 2"],
     )
     def test_non_finite_value_rejected_naming_the_row(self, tmp_path, name, row, message):
         # rewritten whole, so the file's digest is valid and only the value is wrong
