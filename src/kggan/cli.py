@@ -155,14 +155,9 @@ def cmd_generate_data(ws: Workspace) -> int:
 def cmd_train_embedder(ws: Workspace) -> int:
     config = ws.config
     dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
-    split = _split(config)
-    seen_rows = dataset.rows_of(split.seen_ids)
+    seen_rows = dataset.rows_of(_split(config).seen_ids)
     model = regressor.train_embedder(
-        dataset.images[seen_rows],
-        dataset.category_ids[seen_rows],
-        embeddings,
-        config,
-        seen_ids=split.seen_ids,
+        dataset.images[seen_rows], dataset.category_ids[seen_rows], embeddings, config
     )
     regressor.save_regressor(ws.embedder_path, model, config)
     history = model.training_loss_history

@@ -2,6 +2,13 @@
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
 ContractError (and subclasses) -> 3, NumericalAbort -> 4, OSError -> 5.
+
+Each precondition is checked once, where its value enters the program.
+A ConfigError comes from the config or the CLI. A ContractError comes
+from a file, checkpoint metadata, a resume's log, or an ``autodiff`` or
+``linalg`` operand. Functions trust the values the program built: a
+bound that ``validate_config`` enforces, or the split that ``cli``
+makes, is not checked again downstream.
 """
 
 

@@ -62,7 +62,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
-from .errors import ContractError, DimensionError, NumericalAbort
+from .errors import ContractError, NumericalAbort
 from .optim import AdamState, adam_step
 from .regressor import semantic_embedding_loss, single_precision
 from .spectral import power_iteration_step, spectral_normalize
@@ -158,8 +158,6 @@ class GanModel:
         d_hidden: int,
         feat_dim: int,
     ):
-        if condition_mode not in (CONDITION_SEMANTIC, CONDITION_ONE_HOT):
-            raise ContractError(f"unknown condition mode {condition_mode!r}")
         self.image_size = image_size
         self.cond_dim = cond_dim
         self.condition_mode = condition_mode
@@ -210,12 +208,6 @@ class GanModel:
 def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
     """tanh MLP over [noise ; condition], two constants joined in numpy
     before anything is recorded: [b, 3*S*S] image rows."""
-    if v.data.ndim != 2 or v.data.shape[1] != model.cond_dim:
-        raise DimensionError(
-            f"condition shape {v.data.shape} does not match cond_dim {model.cond_dim}"
-        )
-    if z.data.ndim != 2 or z.data.shape[0] != v.data.shape[0]:
-        raise DimensionError(f"noise shape {z.data.shape} does not pair with {v.data.shape}")
     x = Tensor(np.concatenate([z.data, v.data], axis=1))
     h1 = ad.leaky_relu(ad.affine(x, model.gw1, model.gb1))
     h2 = ad.leaky_relu(ad.affine(h1, model.gw2, model.gb2))
@@ -225,12 +217,6 @@ def generator_forward(model: GanModel, z: Tensor, v: Tensor) -> Tensor:
 def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
     """Projection score psi(phi(x)) + <v, V phi(x)> of [b, 3*S*S] image
     rows ``x``, weights normalized."""
-    if v.data.ndim != 2 or v.data.shape[1] != model.cond_dim:
-        raise DimensionError(
-            f"condition shape {v.data.shape} does not match cond_dim {model.cond_dim}"
-        )
-    if not model.sigma:
-        raise ContractError("discriminator_forward before the first refresh_spectral")
     w1, w2, psi_w, v_proj = (spectral_normalize(w, model.sigma[w.name]) for w in model.spectral_weights())
 
     h = ad.leaky_relu(ad.affine(x, w1, model.db1))
@@ -246,8 +232,6 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
 
 def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
     """mean(max(0, 1 - real)) + mean(max(0, 1 + fake))."""
-    if real_scores.data.size == 0 or fake_scores.data.size == 0:
-        raise ContractError("hinge loss over an empty batch")
     real_term = ad.tmean(ad.relu(ad.add_scalar(ad.scale(real_scores, -1.0), 1.0)))
     fake_term = ad.tmean(ad.relu(ad.add_scalar(fake_scores, 1.0)))
     return ad.add(real_term, fake_term)
@@ -255,8 +239,6 @@ def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
 
 def hinge_g_loss(fake_scores: Tensor) -> Tensor:
     """-mean(fake scores)."""
-    if fake_scores.data.size == 0:
-        raise ContractError("hinge loss over an empty batch")
     return ad.scale(ad.tmean(fake_scores), -1.0)
 
 
@@ -373,7 +355,10 @@ def train(
     docstring says why that is exact up to rounding). With lambda_se = 0
     the unseen machinery is skipped entirely and the run is an SN-GAN
     run; the split may then have no unseen categories, which is how the
-    full-data baseline trains on every category. Row i of
+    full-data baseline trains on every category. ``split`` and
+    ``embedder`` are ``cli.cmd_train``'s: the split's sides are disjoint
+    ids of the dataset's categories, with unseen ones and an embedder
+    whenever lambda_se > 0. Row i of
     ``cond``, the ``condition_table``, conditions category i, and row i of
     ``embeddings``, the [n_categories, d] category table, is its
     knowledge-loss target. Both tables are rounded to float32 once, here,
@@ -390,22 +375,8 @@ def train(
     it was and "at iteration N"; it carries the state and the log as they
     stood at the start of the failing iteration.
     """
-    if not np.isfinite(config.lambda_se) or config.lambda_se < 0.0:
-        raise ContractError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
-    if config.lambda_se > 0.0 and embedder is None:
-        raise ContractError("training with lambda_se > 0 requires a regressor")
-    dataset_cats = set(int(c) for c in np.unique(dataset.category_ids))
-    if split.seen_ids & split.unseen_ids:
-        raise ContractError("split has overlapping seen and unseen ids")
-    if config.lambda_se > 0.0 and not split.unseen_ids:
-        raise ContractError("lambda_se > 0 requires unseen categories")
-    if not split.seen_ids <= dataset_cats:
-        raise ContractError("split names categories absent from the dataset")
-
     seen_cats = np.asarray(sorted(split.seen_ids), dtype=np.int64)
     pool = dataset.rows_of(seen_cats)
-    if pool.size == 0:
-        raise ContractError("no training samples for the requested categories")
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
     if opt_g is None and opt_d is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericalAbort
+from .errors import NumericalAbort
 
 EPSILON = 1e-8  # added to sqrt(v / c2), the update's denominator
 
@@ -45,14 +45,15 @@ class AdamState:
 
 def adam_step(params, state: AdamState, grads, t: int) -> None:
     """Apply the ``t``-th Adam update, counting from 1, with ``grads``, one
-    array per parameter, as ``autodiff.backward`` returns them.
+    array of its parameter's shape per parameter, as ``autodiff.backward``
+    returns them, and ``state`` built over the same list
+    (``AdamState.for_params``).
 
-    Every gradient is checked before anything is written: a missing one
-    or one of the wrong shape is a contract error, a non-finite one a
-    numerical abort, each naming the parameter. A rejected step leaves
-    every parameter and moment as it was. The update then writes each
-    parameter's array and its moments in place, so a caller that must
-    keep the old values copies them first. Each parameter costs
+    Every gradient is checked for finiteness before anything is written:
+    a non-finite one is a numerical abort naming the parameter, and it
+    leaves every parameter and moment as it was. The update then writes
+    each parameter's array and its moments in place, so a caller that
+    must keep the old values copies them first. Each parameter costs
     two temporaries of its size, a scratch array that holds every
     intermediate and the denominator, and 14 elementwise passes. The
     rounding steps are those of
@@ -68,13 +69,7 @@ def adam_step(params, state: AdamState, grads, t: int) -> None:
     gradient, and p - (+-0) = p for any p but -0).
     """
     moments = state.first_moment if state.beta1 else [None] * len(params)
-    if not len(grads) == len(moments) == len(state.second_moment) == len(params):
-        raise ContractError("optimizer state does not align with the parameter list")
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            raise ContractError(f"missing gradient for parameter {p.name or i}")
-        if g.shape != p.data.shape:
-            raise ContractError(f"gradient shape {g.shape} mismatches parameter {p.data.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericalAbort(f"non-finite gradient for parameter {p.name or i}")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 import numpy as np
 
-from .errors import ContractError
 from .hashing import fnv1a_64
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -23,8 +22,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 def embed_text(description: str, dim: int = 64) -> np.ndarray:
     """Hashed bag-of-words feature vector in [0, 1)."""
     tokens = _TOKEN_RE.findall(description.lower())
-    if not any(any(ch.isalpha() for ch in tok) for tok in tokens):
-        raise ContractError("description has no alphabetic token")
     counts = np.zeros(dim)
     for tok in tokens:
         counts[fnv1a_64(tok.encode("utf-8")) % dim] += 1.0
@@ -33,9 +30,6 @@ def embed_text(description: str, dim: int = 64) -> np.ndarray:
 
 def category_embedding(descriptions, dim: int = 64) -> np.ndarray:
     """Mean of the description embeddings, in [0, 1) as each of them is."""
-    descriptions = list(descriptions)
-    if not descriptions:
-        raise ContractError("category has no descriptions")
     total = np.zeros(dim)
     for text in descriptions:
         total += embed_text(text, dim)

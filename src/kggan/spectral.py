@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, scale
-from .errors import ContractError, DimensionError
 
 
 def power_iteration_step(w: np.ndarray, u: np.ndarray):
@@ -28,11 +27,6 @@ def power_iteration_step(w: np.ndarray, u: np.ndarray):
     python float: against a float32 norm, NumPy would round the 1e-150
     bound to 0 and the test could never hold.
     """
-    if w.ndim != 2:
-        raise DimensionError(f"power iteration needs a 2-D matrix, got shape {w.shape}")
-    if u.shape != (w.shape[0],):
-        raise DimensionError(f"spectral state u has length {u.shape[0]}, weight has {w.shape[0]} rows")
-
     v = w.T @ u
     v_norm = np.linalg.norm(v)
     if float(v_norm) < 1e-150:
@@ -50,10 +44,10 @@ def power_iteration_step(w: np.ndarray, u: np.ndarray):
 def spectral_normalize(weight: Tensor, sigma) -> Tensor:
     """Divide a weight matrix by ``sigma``, its estimated largest singular
     value. The original tensor is left untouched. A sigma of None, a
-    numerically zero matrix's, returns the weight unchanged. Any other
-    sigma must be one a power step could give: finite and positive."""
+    numerically zero matrix's, returns the weight unchanged. ``sigma`` is
+    a power step's: finite and positive for a finite weight. A NaN weight
+    gives a NaN sigma, and the step's NaN gradients end in ``adam_step``'s
+    non-finite-gradient abort."""
     if sigma is None:
         return weight
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ContractError(f"spectral_normalize needs the sigma of a power step, got {sigma!r}")
     return scale(weight, 1.0 / sigma)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import ExperimentConfig, config_fields
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 BACKGROUND = 0.05  # in [0, 1] space; images are stored in [-1, 1]
 TEXTURE_AMPLITUDE = 0.15
@@ -138,8 +138,6 @@ def describe_category(spec: CategorySpec, n: int) -> list:
 
     Every sentence contains the category's color word and species name.
     """
-    if n < 1:
-        raise ContractError("need at least one description")
     shape = _SHAPE_WORDS[spec.shape]
     words = {"name": spec.name, "color": spec.color, "shape": shape, "texture": spec.texture}
     return [_TEMPLATES[i % len(_TEMPLATES)].format(**words) for i in range(n)]
@@ -196,8 +194,6 @@ def render_sample(spec: CategorySpec, instance_seed: int, image_size: int = 16) 
     hue, rotation, aspect, all from default_rng(SeedSequence([id, seed]))
     with half-widths from the shape's jitter profile.
     """
-    if image_size < 8:
-        raise ConfigError(f"image size must be >= 8, got {image_size}")
     profile = _SHAPE_JITTER[spec.shape]
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.id), int(instance_seed)]))
     center_jit = rng.uniform(-profile["center"], profile["center"], size=2)
@@ -251,10 +247,9 @@ def mean_foreground_color(image: np.ndarray) -> np.ndarray:
 
 
 def make_split(category_ids, n_unseen: int, seed: int) -> SplitPlan:
-    """Deterministic seen/unseen split: shuffle by seed, last n_unseen unseen."""
+    """Deterministic seen/unseen split: shuffle by seed, last n_unseen unseen.
+    ``validate_config`` keeps n_unseen in [1, len(ids) - 1], so neither side is empty."""
     ids = list(category_ids)
-    if not (1 <= n_unseen < len(ids)):
-        raise ConfigError(f"n_unseen must be in [1, {len(ids) - 1}], got {n_unseen}")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
     return SplitPlan(seen_ids=set(order[:-n_unseen]), unseen_ids=set(order[-n_unseen:]))

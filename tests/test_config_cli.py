@@ -87,12 +87,6 @@ class TestConfig:
         config = parse_config("# hello\n\nn_categories = 9\n")
         assert config.n_categories == 9
 
-    def test_validation_bounds(self):
-        with pytest.raises(ConfigError):
-            parse_config("image_size = 4\n")
-        with pytest.raises(ConfigError):
-            parse_config("n_unseen = 12\n")
-
     def test_hash_changes_with_content(self):
         a = ExperimentConfig()
         b = ExperimentConfig(lambda_se=0.2)
@@ -115,9 +109,11 @@ class TestConfig:
         + ["gan_lr = 0", "embedder_lr = -1e-3", "embedder_lr = inf", "lambda_se = nan",
            "n_gen = 1", "z_dim = 0", "d_hidden = 0", "feat_dim = 0", "grid_rows = 0",
            "n_categories = 1", "embedder_steps = 0", "embedder_plateau = -1",
-           "n_categories = 37"],
+           "n_categories = 37"]
+        + ["image_size = 4", "image_size = 7", "images_per_category = 1",
+           "descriptions_per_category = 0", "n_unseen = 0", "n_unseen = 12", "lambda_se = -0.1"],
     )
-    def test_negative_seed_and_empty_batch_rejected(self, line):
+    def test_out_of_range_value_rejected_naming_its_field(self, line):
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(line + "\n")
 
@@ -282,6 +278,27 @@ class TestTrainAndEvaluate:
         assert proc.returncode == 5
         dataset = tmp_path / "nowhere" / "dataset" / "dataset.ckpt"
         assert f"i/o error: dataset missing: {dataset} (run generate-data first)" in proc.stderr
+
+    def test_embedder_trains_on_seen_categories_only(self, tmp_path, monkeypatch):
+        """The zero-shot split is made once, by ``cli``: ``train-embedder``
+        hands ``regressor.train_embedder`` the images of the seen categories
+        and of no other."""
+        from kggan import cli, regressor
+        from kggan.config import load_config
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        assert cli.main(["--config", str(cfg), "generate-data"]) == 0
+        received, train_embedder = [], regressor.train_embedder
+
+        def spy(images, category_ids, *rest):
+            received.append(category_ids.copy())
+            return train_embedder(images, category_ids, *rest)
+
+        monkeypatch.setattr(regressor, "train_embedder", spy)
+        assert cli.main(["--config", str(cfg), "train-embedder"]) == 0
+        (ids,) = received
+        assert set(ids.tolist()) == cli._split(load_config(cfg)).seen_ids
 
     def test_train_then_evaluate_cell(self, workspace):
         root, cfg_path = workspace

@@ -5,7 +5,6 @@ import pytest
 
 from kggan import semantics as sem
 from kggan import synthdata as sd
-from kggan.errors import ContractError, DimensionError
 from kggan.evaluation import (
     FidReport,
     GaussianStats,
@@ -83,10 +82,6 @@ class TestFeatureStats:
         se_cov = np.sqrt((np.outer(np.diag(cov_true), np.diag(cov_true)) + cov_true**2) / 500)
         assert np.all(np.abs(stats.covariance - cov_true) <= 4 * se_cov)
 
-    def test_single_image_rejected(self, extractor, rng):
-        with pytest.raises(ContractError):
-            image_stats(rng.uniform(-1, 1, size=(1, 3, IMG, IMG)), extractor)
-
     def test_covariance_symmetric(self, extractor, rng):
         stats = image_stats(rng.uniform(-1, 1, size=(10, 3, IMG, IMG)), extractor)
         assert np.max(np.abs(stats.covariance - stats.covariance.T)) < 1e-10
@@ -125,21 +120,6 @@ class TestFrechetDistance:
             p = feature_stats(rng.standard_normal((30, 4)))
             q = feature_stats(rng.standard_normal((30, 4)))
             assert frechet_distance(p, q) >= 0.0
-
-    def test_asymmetric_covariance_rejected(self):
-        cov = np.eye(3)
-        bad = cov.copy()
-        bad[0, 1] = 0.5
-        p = GaussianStats(np.zeros(3), cov)
-        q = GaussianStats(np.zeros(3), bad)
-        with pytest.raises(ContractError):
-            frechet_distance(p, q)
-
-    def test_dimension_mismatch_rejected(self):
-        p = GaussianStats(np.zeros(3), np.eye(3))
-        q = GaussianStats(np.zeros(4), np.eye(4))
-        with pytest.raises(DimensionError):
-            frechet_distance(p, q)
 
     def test_noise_increases_distance_monotonically(self, extractor, rng):
         clean = rng.uniform(-0.6, 0.6, size=(64, 3, IMG, IMG))

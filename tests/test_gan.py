@@ -190,12 +190,6 @@ class TestDiscriminatorForward:
             with pytest.raises(DimensionError, match=re.escape(f"input {shape} vs weight (192, 32)")):
                 discriminator_forward(model, Tensor(np.zeros(shape)), v)
 
-    def test_requires_current_spectral_state(self, rng):
-        model = mini_model()
-        x = Tensor(rng.uniform(-1, 1, size=(2, 3 * IMG * IMG)))
-        with pytest.raises(ContractError, match="before the first refresh_spectral"):
-            discriminator_forward(model, x, Tensor(np.zeros((2, EMB))))
-
 
 class TestHingeLosses:
     def test_d_loss_satisfied_margins(self):
@@ -221,12 +215,6 @@ class TestHingeLosses:
     def test_g_loss_matches_oracle(self, rng):
         fake = rng.standard_normal(17)
         assert abs(hinge_g_loss(Tensor(fake)).item() - (-np.mean(fake))) < 1e-12
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ContractError):
-            hinge_d_loss(Tensor(np.zeros(0)), Tensor([0.0]))
-        with pytest.raises(ContractError):
-            hinge_g_loss(Tensor(np.zeros(0)))
 
 
 class TestSemanticEmbeddingLoss:
@@ -568,18 +556,6 @@ class TestTrainLoop:
         for row in log:
             assert row[3] == 0.0 and row[4] == 0.0
 
-    def test_knowledge_loss_needs_unseen_categories(self, mini_data):
-        specs, dataset, _, embeddings, embedder = mini_data
-        split = sd.SplitPlan(seen_ids={s.id for s in specs}, unseen_ids=set())
-        config = mini_config(gan_iterations=1)
-        with pytest.raises(ContractError, match="unseen"):
-            train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
-
-    def test_knowledge_loss_needs_a_regressor(self, mini_data):
-        _, dataset, split, embeddings, _ = mini_data
-        with pytest.raises(ContractError, match="requires a regressor"):
-            train(mini_model(), dataset, split, embeddings, embeddings, None, mini_config(gan_iterations=1))
-
     def test_knowledge_loss_leaves_the_regressor_unchanged(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
         before = [p.data.tobytes() for p in embedder.parameters()]
@@ -596,12 +572,17 @@ class TestTrainLoop:
         values = np.asarray([row[1:] for row in log], dtype=float)
         assert np.all(np.isfinite(values))
 
-    def test_nan_parameter_aborts_with_last_good(self, mini_data):
+    @pytest.mark.parametrize("name", ["G.w2", "D.w1"])
+    def test_nan_parameter_aborts_with_last_good(self, mini_data, name):
+        """A NaN weight of either network makes D's first gradient
+        non-finite; a NaN D weight gets there through its NaN sigma."""
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
-        model.gw2.data[0, 0] = np.nan
+        params = {p.name: p for p in model.generator_params() + model.discriminator_params()}
+        params[name].data[0, 0] = np.nan
         with pytest.raises(NumericalAbort) as excinfo:
             train(model, dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=3))
+        assert str(excinfo.value) == "non-finite gradient for parameter D.w1 at iteration 0"
         assert excinfo.value.last_good is not None
         assert excinfo.value.iteration == 0
 

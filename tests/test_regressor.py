@@ -99,19 +99,6 @@ class TestTrainEmbedder:
         history = trained[4].training_loss_history
         assert history[-1] < history[0]
 
-    def test_missing_embedding_rejected(self):
-        _, images, ids, embeddings = make_samples(per_category=2)
-        config = mini_config(embedder_steps=10)
-        # the table has rows for categories 0 and 1; the samples reach 2
-        with pytest.raises(ContractError, match="category 2 has no embedding"):
-            train_embedder(images, ids, embeddings[:2], config)
-
-    def test_unseen_sample_rejected(self):
-        _, images, ids, embeddings = make_samples(per_category=2)
-        config = mini_config(embedder_steps=10)
-        with pytest.raises(ContractError, match="unseen"):
-            train_embedder(images, ids, embeddings, config, seen_ids={0, 1})
-
     def test_sampler_audit_sees_only_provided_categories(self, monkeypatch):
         _, images, ids, embeddings = make_samples(per_category=4)
         owner = {image.tobytes(): int(cid) for image, cid in zip(images, ids)}
@@ -126,7 +113,7 @@ class TestTrainEmbedder:
 
         monkeypatch.setattr(RegressorModel, "forward", spy)
         config = mini_config(embedder_steps=40, embedder_batch=5, embedder_seed=3)
-        train_embedder(images[provided], ids[provided], embeddings, config, seen_ids={0, 2})
+        train_embedder(images[provided], ids[provided], embeddings, config)
         assert len(batches) == 40
         for batch in batches:
             assert len(batch) == 5

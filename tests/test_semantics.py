@@ -39,11 +39,6 @@ class TestEmbedText:
         assert vec.min() >= 0.0 and vec.max() <= 1.0
         assert vec.max() > 0.0
 
-    @pytest.mark.parametrize("text", ["", "   ", "!!! ???", "123 456"])
-    def test_no_alphabetic_token_rejected(self, text):
-        with pytest.raises(ContractError):
-            sem.embed_text(text, dim=16)
-
     def test_pure_function_across_calls(self):
         text = "a bright red bloom with banded tones"
         assert np.array_equal(sem.embed_text(text), sem.embed_text(text))
@@ -72,10 +67,6 @@ class TestCategoryEmbedding:
             oracle = oracle + sem.embed_text(t, dim=64)
         oracle = oracle / len(texts)
         assert np.max(np.abs(got - oracle)) < 1e-12
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ContractError):
-            sem.category_embedding([], dim=64)
 
 
 class TestTemplateStructure:

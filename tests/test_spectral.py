@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kggan.autodiff import Tensor
-from kggan.errors import ContractError, DimensionError
 from kggan.spectral import power_iteration_step, spectral_normalize
 
 
@@ -62,14 +61,6 @@ class TestPowerIteration:
             assert sigma is None
             assert got is u
 
-    def test_wrong_u_length_rejected(self, rng):
-        with pytest.raises(DimensionError):
-            power_iteration_step(np.zeros((3, 2)), unit_vector(4, rng))
-
-    def test_non_2d_rejected(self, rng):
-        with pytest.raises(DimensionError):
-            power_iteration_step(np.zeros(3), unit_vector(3, rng))
-
     @pytest.mark.parametrize("shape", [(3, 5), (16, 1), (64, 128), (768, 128)])
     def test_matches_two_product_formula_bitwise(self, rng, shape):
         # reference: the step with w @ v formed a second time for sigma
@@ -109,13 +100,6 @@ class TestSpectralNormalize:
             _, sigma = converged(w.data)
             out = spectral_normalize(w, sigma)
             assert 0.99 <= top_singular_value(out.data) <= 1.01
-
-    def test_requires_prior_power_step(self, rng):
-        # no power step yields these: its sigma is u @ (w v), a positive norm
-        w = Tensor(rng.standard_normal((3, 3)))
-        for sigma in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ContractError, match="sigma of a power step"):
-                spectral_normalize(w, sigma)
 
     def test_degenerate_returns_weight_unchanged(self, rng):
         w = Tensor(np.zeros((3, 3)))

@@ -8,7 +8,7 @@ import pytest
 
 from kggan.checkpoint import load_checkpoint, save_checkpoint
 from kggan.config import ExperimentConfig
-from kggan.errors import ConfigError, ContractError
+from kggan.errors import ContractError
 from kggan import synthdata as sd
 from kggan.semantics import build_embeddings
 
@@ -58,10 +58,6 @@ class TestRenderSample:
             img = sd.render_sample(spec, instance_seed=3, image_size=16)
             assert img.shape == (3, 16, 16)
             assert img.min() >= -1.0 and img.max() <= 1.0
-
-    def test_small_image_rejected(self, red_disk):
-        with pytest.raises(ConfigError):
-            sd.render_sample(red_disk, instance_seed=0, image_size=7)
 
     def test_monte_carlo_mean_matches_jitter_oracle(self, specs):
         # smooth spec: texture factor is exactly 1, so the expected mean
@@ -152,10 +148,6 @@ class TestDescribeCategory:
             diff_b = {w for w in tokens(tb) if w not in tokens(ta)}
             assert diff_a == {"red"} and diff_b == {"blue"}
 
-    def test_zero_descriptions_rejected(self, red_disk):
-        with pytest.raises(ContractError):
-            sd.describe_category(red_disk, 0)
-
 
 class TestMakeSplit:
     def test_boundary_single_seen(self):
@@ -182,11 +174,6 @@ class TestMakeSplit:
         rate = k / n
         sigma = np.sqrt(rate * (1 - rate) / trials)
         assert np.all(np.abs(counts / trials - rate) <= 3 * sigma)
-
-    @pytest.mark.parametrize("n_unseen", [0, 12])
-    def test_out_of_range_rejected(self, n_unseen):
-        with pytest.raises(ConfigError):
-            sd.make_split(list(range(12)), n_unseen=n_unseen, seed=0)
 
 
 class TestDatasetInvariants:
