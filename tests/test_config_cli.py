@@ -300,6 +300,36 @@ class TestTrainAndEvaluate:
         (ids,) = received
         assert set(ids.tolist()) == cli._split(load_config(cfg)).seen_ids
 
+    @pytest.mark.parametrize("cell", ["baseline_full_data", "one_hot_kggan", "kggan_no_se", "kggan_full"])
+    def test_train_gets_the_split_and_embedder_its_lambda_needs(self, tmp_path, monkeypatch, cell):
+        """``cmd_train`` makes what ``gan.train`` trusts: a split whose sides
+        are disjoint and cover the dataset's categories, lambda_se finite
+        and >= 0, and, whenever lambda_se > 0, unseen categories and an
+        embedder. Only the full-data baseline has no unseen side."""
+        from kggan import cli, gan
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        for verb in ("generate-data", "train-embedder"):
+            assert cli.main(["--config", str(cfg), verb]) == 0
+        received, train = [], gan.train
+
+        def spy(model, dataset, split, cond, embeddings, embedder, config, **kw):
+            received.append((split, embedder, config.lambda_se, set(dataset.category_ids.tolist())))
+            return train(model, dataset, split, cond, embeddings, embedder, config, **kw)
+
+        monkeypatch.setattr(gan, "train", spy)
+        assert cli.main(["--config", str(cfg), "train", "--cell", cell]) == 0
+        ((split, embedder, lambda_se, dataset_ids),) = received
+        _, full_data, use_knowledge = cli.CELL_RULES[cell]
+        assert split.seen_ids & split.unseen_ids == set()
+        assert split.seen_ids | split.unseen_ids == dataset_ids == set(range(6))
+        assert bool(split.unseen_ids) == (not full_data)
+        assert np.isfinite(lambda_se) and (lambda_se > 0.0) == use_knowledge
+        assert (embedder is not None) == use_knowledge
+        if lambda_se > 0.0:
+            assert split.unseen_ids
+
     def test_train_then_evaluate_cell(self, workspace):
         root, cfg_path = workspace
         proc = run_cli(["--config", str(cfg_path), "train", "--cell", "kggan_full"], cwd=root)

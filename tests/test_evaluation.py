@@ -5,6 +5,7 @@ import pytest
 
 from kggan import semantics as sem
 from kggan import synthdata as sd
+from kggan.errors import ContractError
 from kggan.evaluation import (
     FidReport,
     GaussianStats,
@@ -120,6 +121,16 @@ class TestFrechetDistance:
             p = feature_stats(rng.standard_normal((30, 4)))
             q = feature_stats(rng.standard_normal((30, 4)))
             assert frechet_distance(p, q) >= 0.0
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_nan_feature_rejected(self, rng, side):
+        """A NaN feature is the one bad input left to the statistics; it
+        reaches the covariance, and linalg refuses it, on either side."""
+        feats = {"p": rng.standard_normal((20, 4)), "q": rng.standard_normal((20, 4))}
+        feats[side][3, 1] = np.nan
+        p, q = feature_stats(feats["p"]), feature_stats(feats["q"])
+        with pytest.raises(ContractError, match="non-finite entries"):
+            frechet_distance(p, q)
 
     def test_noise_increases_distance_monotonically(self, extractor, rng):
         clean = rng.uniform(-0.6, 0.6, size=(64, 3, IMG, IMG))

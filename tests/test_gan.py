@@ -93,6 +93,19 @@ def mini_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+class TestGanModel:
+    @pytest.mark.parametrize("mode, cond_dim", [("semantic_embedding", EMB), ("one_hot", 6)])
+    def test_each_spectral_u_is_a_unit_vector_over_its_weights_rows(self, mode, cond_dim):
+        """The power step takes each ``u`` as the model built it: one
+        float32 unit vector per spectral weight, as long as its rows."""
+        model = mini_model(condition_mode=mode, cond_dim=cond_dim)
+        assert set(model.spectral_u) == {w.name for w in model.spectral_weights()}
+        for w in model.spectral_weights():
+            u = model.spectral_u[w.name]
+            assert u.shape == (w.data.shape[0],) and u.dtype == np.float32, w.name
+            assert abs(np.linalg.norm(u.astype(np.float64)) - 1.0) < 1e-6, w.name
+
+
 class TestGeneratorForward:
     def test_output_range(self, rng):
         model = mini_model()
@@ -189,6 +202,15 @@ class TestDiscriminatorForward:
         for shape in ((2, 3, IMG, IMG), (2, 3 * IMG * IMG + 1)):
             with pytest.raises(DimensionError, match=re.escape(f"input {shape} vs weight (192, 32)")):
                 discriminator_forward(model, Tensor(np.zeros(shape)), v)
+
+    def test_condition_dim_mismatch(self, rng):
+        """A condition of another width fails in the projection's matmul,
+        which names both shapes."""
+        model = mini_model()
+        model.refresh_spectral()
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3 * IMG * IMG)))
+        with pytest.raises(DimensionError, match=re.escape(f"(2, {EMB + 1}) x ({EMB}, 16)")):
+            discriminator_forward(model, x, Tensor(np.zeros((2, EMB + 1))))
 
 
 class TestHingeLosses:
@@ -324,6 +346,21 @@ class TestRestrictedBackward:
 
     def test_discriminator_step(self, mini_data):
         self._check(mini_data, self._d_loss, GanModel.discriminator_params, GanModel.generator_params)
+
+    @pytest.mark.parametrize("step", ["generator", "discriminator"])
+    def test_every_stepped_parameter_gets_a_gradient_of_its_shape(self, mini_data, step):
+        """``adam_step`` takes one array per parameter, of that parameter's
+        shape, as ``backward`` returns them for either step's loss."""
+        model = mini_model()
+        model.refresh_spectral()
+        if step == "generator":
+            loss, params = self._g_loss(model, mini_data), model.generator_params()
+        else:
+            loss, params = self._d_loss(model, mini_data), model.discriminator_params()
+        grads = ad.backward(loss, params)
+        assert len(grads) == len(params)
+        for p, g in zip(params, grads):
+            assert isinstance(g, np.ndarray) and g.shape == p.data.shape, p.name
 
 
 def separate_losses(model, seen, unseen, embedder, lambda_se):
@@ -555,6 +592,29 @@ class TestTrainLoop:
         )
         for row in log:
             assert row[3] == 0.0 and row[4] == 0.0
+
+    def test_every_discriminator_pass_follows_its_iterations_refresh(self, mini_data, monkeypatch):
+        """``train`` refreshes the spectral state at the top of each
+        iteration, before any discriminator pass of that iteration."""
+        _, dataset, split, embeddings, embedder = mini_data
+        events, refresh, forward = [], GanModel.refresh_spectral, gan.discriminator_forward
+
+        def spy_refresh(model):
+            events.append("refresh")
+            refresh(model)
+
+        def spy_forward(model, x, v):
+            events.append("D")
+            return forward(model, x, v)
+
+        monkeypatch.setattr(GanModel, "refresh_spectral", spy_refresh)
+        monkeypatch.setattr(gan, "discriminator_forward", spy_forward)
+        train(mini_model(), dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=3))
+        assert events.count("refresh") == 3
+        assert events[0] == "refresh"
+        passes = "".join("|" if e == "refresh" else "D" for e in events).split("|")[1:]
+        assert len(passes) == 3 and all(passes)
+        assert len(set(passes)) == 1
 
     def test_knowledge_loss_leaves_the_regressor_unchanged(self, mini_data):
         _, dataset, split, embeddings, embedder = mini_data
@@ -854,6 +914,10 @@ class TestCheckpointResume:
             (lambda s: s.update({"G.extra": np.zeros(2)}), "unexpected tensor G.extra"),
             (lambda s: s.update({"D.proj": s.pop("D.v_proj")}), "tensor D.v_proj is missing"),
             (lambda s: s.update({"adam_d.v.D.w2": np.zeros(3)}), r"adam_d.v.D.w2 has shape \(3,\)"),
+            (
+                lambda s: s.update({"spectral.D.w1.u": np.zeros(5, np.float32)}),
+                r"spectral.D.w1.u has shape \(5,\), expected \(192,\)",
+            ),
             # a file from when the spectral sigma, steps and degenerate flag were stored
             (
                 lambda s: s.update({"spectral.D.w1.sigma": np.asarray(1.0)}),
@@ -864,7 +928,14 @@ class TestCheckpointResume:
             (lambda s: s.update({"iteration": np.asarray(0.0)}), "unexpected tensor iteration"),
         ],
         ids=[
-            "missing", "extra", "renamed", "misshaped", "old_spectral_entry", "old_transform", "old_iteration"
+            "missing",
+            "extra",
+            "renamed",
+            "misshaped",
+            "misshaped_u",
+            "old_spectral_entry",
+            "old_transform",
+            "old_iteration",
         ],
     )
     def test_mismatched_tensor_is_named(self, tmp_path, damage, named):
@@ -888,6 +959,19 @@ class TestSampling:
         b = sample_images(model, cid, 4, embeddings, seed=7)
         assert np.array_equal(a, b)
         assert a.shape == (4, 3, IMG, IMG)
+
+    def test_sampling_never_runs_the_discriminator(self, mini_data, monkeypatch):
+        """Sampling needs no spectral refresh: it runs the generator only."""
+        _, _, split, embeddings, _ = mini_data
+
+        def refuse(*args):
+            raise AssertionError("sampling ran the discriminator")
+
+        monkeypatch.setattr(gan, "discriminator_forward", refuse)
+        model = mini_model()
+        images = sample_images(model, sorted(split.unseen_ids)[0], 3, embeddings, seed=7)
+        assert images.shape == (3, 3, IMG, IMG)
+        assert model.sigma == {}
 
 
 class TestConditionTable:

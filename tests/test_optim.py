@@ -57,6 +57,20 @@ class TestAdam:
             adam_step([p], state, grads=[rng.standard_normal(6)], t=t)
             assert np.all(state.second_moment[0] >= 0.0)
 
+    @pytest.mark.parametrize("beta1", [0.0, 0.5])
+    def test_state_holds_a_moment_of_each_parameters_shape(self, rng, beta1):
+        """``adam_step`` takes the state ``for_params`` built over the same
+        list: a zero second moment per parameter, and a first moment too
+        unless beta1 = 0."""
+        params = [Tensor(rng.standard_normal((3, 2))), Tensor(np.zeros(5)), Tensor(np.zeros((1, 4)))]
+        state = AdamState.for_params(params, learning_rate=2e-4, beta1=beta1, beta2=0.9)
+        if not beta1:
+            assert state.first_moment == []
+        for moment in [state.second_moment] + ([state.first_moment] if beta1 else []):
+            assert len(moment) == len(params)
+            for p, m in zip(params, moment):
+                assert m.shape == p.data.shape and not np.any(m)
+
     def test_nan_gradient_aborts_naming_parameter(self):
         p = Tensor(np.zeros(2), name="G.w1")
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)

@@ -61,6 +61,16 @@ class TestPowerIteration:
             assert sigma is None
             assert got is u
 
+    def test_nan_weight_gives_a_nan_sigma(self, rng):
+        """Nothing here stops a NaN weight, and nothing warns: its sigma
+        is NaN, and the training step's NaN gradients end in
+        ``adam_step``'s abort."""
+        for dtype in (np.float64, np.float32):
+            w = rng.standard_normal((4, 3)).astype(dtype)
+            w[0, 0] = np.nan
+            _, sigma = power_iteration_step(w, unit_vector(4, rng).astype(dtype))
+            assert np.isnan(sigma)
+
     @pytest.mark.parametrize("shape", [(3, 5), (16, 1), (64, 128), (768, 128)])
     def test_matches_two_product_formula_bitwise(self, rng, shape):
         # reference: the step with w @ v formed a second time for sigma

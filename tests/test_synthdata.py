@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from kggan.checkpoint import load_checkpoint, save_checkpoint
-from kggan.config import ExperimentConfig
+from kggan.config import MAX_CATEGORIES, ExperimentConfig
 from kggan.errors import ContractError
 from kggan import synthdata as sd
-from kggan.semantics import build_embeddings
+from kggan.semantics import build_embeddings, embed_text
 
 
 def read_descriptions(path):
@@ -148,6 +148,14 @@ class TestDescribeCategory:
             diff_b = {w for w in tokens(tb) if w not in tokens(ta)}
             assert diff_a == {"red"} and diff_b == {"blue"}
 
+    def test_every_description_has_an_alphabetic_token(self):
+        """Every template, filled for every category recipe, gives
+        ``embed_text`` a word to hash."""
+        for spec in sd.make_category_specs(MAX_CATEGORIES):
+            for text in sd.describe_category(spec, len(sd._TEMPLATES)):
+                assert re.search(r"[a-z]", text.lower()), text
+                assert embed_text(text).max() > 0.0, text
+
 
 class TestMakeSplit:
     def test_boundary_single_seen(self):
@@ -162,6 +170,14 @@ class TestMakeSplit:
     def test_partition_properties(self):
         plan = sd.make_split(list(range(12)), n_unseen=3, seed=3)
         assert plan.seen_ids & plan.unseen_ids == set()
+        assert plan.seen_ids | plan.unseen_ids == set(range(12))
+
+    @pytest.mark.parametrize("n_unseen", [1, 11])
+    def test_ends_of_the_valid_range_split_into_two_sides(self, n_unseen):
+        """``validate_config`` keeps n_unseen in [1, n_categories - 1]; at
+        either end the split still has a seen and an unseen side."""
+        plan = sd.make_split(list(range(12)), n_unseen=n_unseen, seed=5)
+        assert len(plan.unseen_ids) == n_unseen and len(plan.seen_ids) == 12 - n_unseen
         assert plan.seen_ids | plan.unseen_ids == set(range(12))
 
     def test_unseen_rate_matches_binomial_oracle(self):
