@@ -35,8 +35,10 @@ a template a dtype other than the template's, naming the tensor.
 The metadata holds the ``kind`` and, as ``config.<field>``, the config
 fields the contents depend on: a dataset's ``synthdata.DATASET_FIELDS``, a
 regressor's ``regressor.EMBEDDER_FIELDS``. A GAN's holds its
-``condition_mode`` and ``iteration``; ``train`` adds its run: the
-``cell``, the cell's ``lambda_se`` and every config field but ``out_dir``.
+``condition_mode``, ``iteration`` and ``log``, the metric-log rows of
+iterations 0..iteration-1, which is all a resume reads besides the
+state (``gan.save_gan``); ``train`` adds its run: the ``cell``, the
+cell's ``lambda_se`` and every config field but ``out_dir``.
 A loader names the metadata it expects, and the first field that differs
 raises ContractError naming it. A resume expects all of it but
 ``config.gan_iterations``, the one field a resume may change (a run may

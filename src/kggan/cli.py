@@ -39,17 +39,19 @@ same run: on the first of those that differs it exits 3 naming it,
 before it trains or writes anything. Only gan_iterations may differ (a
 resume may train further); a checkpoint at or past it exits 3 naming
 both numbers, and one whose metadata iteration is not a non-negative
-int exits 3 naming it. A resume also reads the log written with the
-checkpoint (``metrics.csv``, or ``metrics.aborted.csv`` beside
-``checkpoint.aborted.ckpt``), which must hold the rows of iterations
-0..start-1 as ``train`` wrote them; otherwise it exits 3 naming the
-file and the first bad row. The new log holds those rows, verbatim, and
-then the resumed ones. A numerical abort (exit 4) leaves in the cell's
+int exits 3 naming it. Every GAN checkpoint records its metric log,
+the rows of iterations 0..iteration-1 (``gan.save_gan``), and a resume
+reads that file alone: ``metrics.csv`` and ``metrics.aborted.csv`` are
+written as before, and no verb reads them. A checkpoint whose log is
+missing, misnumbered or non-finite exits 3 from ``train --resume`` and
+from ``evaluate``, naming the file and ``log``. The new log holds the
+recorded rows, rendered as ``train`` first wrote them, and then the
+resumed ones. A numerical abort (exit 4) leaves in the cell's
 directory checkpoint.aborted.ckpt, the named state at the start of the
-failing iteration, and metrics.aborted.csv, the rows of the iterations
-before it; an earlier run's checkpoint.ckpt and metrics.csv are left as
-they were. ``train`` makes the cell's directory first, so one it cannot
-make exits 5 before anything trains.
+failing iteration with the log of the iterations before it, and
+metrics.aborted.csv, those rows; an earlier run's checkpoint.ckpt and
+metrics.csv are left as they were. ``train`` makes the cell's directory
+first, so one it cannot make exits 5 before anything trains.
 
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
@@ -192,34 +194,14 @@ def _run_metadata(config: ExperimentConfig, cell: str) -> dict:
     return {"cell": cell, "lambda_se": lambda_se, **config_fields(config, names)}
 
 
-def _logged_rows(path: str, start: int) -> list:
-    """Rows 0..start-1 of the metric log at ``path``, each written exactly as
-    ``_row_text`` writes it; otherwise ContractError names the first bad row."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = [line for line in fh.read().splitlines() if not line.startswith(("#", "iteration,"))]
-    rows = []
-    for i in range(max(start, len(lines))):
-        try:
-            it, *losses = lines[i].split(",")
-            rows.append((int(it), *map(float, losses)))
-            ok = i < start and rows[i][0] == i and _row_text(rows[i]) == lines[i]
-        except (IndexError, ValueError):  # a missing row, or not an int and four floats
-            ok = False
-        if not ok:
-            found = repr(lines[i]) if i < len(lines) else "missing"
-            raise ContractError(f"{path}: row {i} of the checkpoint's 0..{start - 1} is {found}")
-    return rows
-
-
 def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     """Train one ablation cell and write its checkpoint and metric log.
 
     Every cell trains through ``gan.train``. The full-data baseline is the
     SN-GAN run: lambda_se = 0 and a split that sees every category and
     leaves none unseen, so real batches draw from all of them. A
-    ``resume`` checkpoint must have been written by the same run, and the
-    log beside it must hold its iterations (see the module docstring); the
-    written log then starts with those rows.
+    ``resume`` checkpoint must have been written by the same run (see the
+    module docstring); the written log then starts with the rows it records.
     """
     config = ws.config
     condition_mode, full_data, use_knowledge = CELL_RULES[cell]
@@ -240,14 +222,12 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     start_iteration, log = 0, []
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
-        _, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, cell_config, run=expect)
+        log, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, cell_config, run=expect)
         if start_iteration >= config.gan_iterations:
             raise ContractError(
                 f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
                 f"gan_iterations {config.gan_iterations}; there is nothing to train"
             )
-        name = ABORTED_LOG if os.path.basename(resume) == ABORTED_CHECKPOINT else "metrics.csv"
-        log = _logged_rows(os.path.join(os.path.dirname(resume), name), start_iteration)
     else:
         opt_g, opt_d = gan.new_optimizers(model, cell_config)
 
@@ -273,11 +253,11 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         # the state at the start of the failing iteration and the log before
         # it, for post-mortem work or a resume
         path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
-        gan.save_gan(path, abort.last_good, condition_mode, abort.iteration, run)
+        gan.save_gan(path, abort.last_good, condition_mode, abort.iteration, run, abort.log)
         _write_table(os.path.join(cell_dir, ABORTED_LOG), header, gan.METRIC_COLUMNS, abort.log)
         raise
     state = gan.gan_state(model, opt_g, opt_d)
-    gan.save_gan(ws.checkpoint_path(cell), state, condition_mode, config.gan_iterations, run)
+    gan.save_gan(ws.checkpoint_path(cell), state, condition_mode, config.gan_iterations, run, log)
     _write_table(os.path.join(cell_dir, "metrics.csv"), header, gan.METRIC_COLUMNS, log)
     print(f"trained cell {cell}: {len(log)} iterations logged")
     return 0
@@ -335,7 +315,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     embedder = regressor.load_regressor(ws.embedder_path, config)
     run = {"cell": cell, **config_fields(config, regressor.EMBEDDER_FIELDS)}
     model, cond = _build_model(config, CELL_RULES[cell][0], embeddings)
-    gan.load_gan(path, model, config, run=run)  # its optimizers go unused
+    gan.load_gan(path, model, config, run=run)  # its log and optimizers go unused
 
     n_grid = GRID_COLUMNS * config.grid_rows
     fid, consistency, color, grids = {}, {}, {}, {}

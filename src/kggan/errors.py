@@ -5,10 +5,10 @@ ContractError (and subclasses) -> 3, NumericalAbort -> 4, OSError -> 5.
 
 Each precondition is checked once, where its value enters the program.
 A ConfigError comes from the config or the CLI. A ContractError comes
-from a file, checkpoint metadata, a resume's log, or an ``autodiff`` or
-``linalg`` operand. Functions trust the values the program built: a
-bound that ``validate_config`` enforces, or the split that ``cli``
-makes, is not checked again downstream.
+from a file, checkpoint metadata (a GAN's metric log among it), or an
+``autodiff`` or ``linalg`` operand. Functions trust the values the
+program built: a bound that ``validate_config`` enforces, or the split
+that ``cli`` makes, is not checked again downstream.
 """
 
 
@@ -34,7 +34,9 @@ class NumericalAbort(RuntimeError):
     It holds no iteration or condition table: the iteration is
     ``iteration``, and the table is rebuilt from the dataset's category
     table. ``log`` is the loop's metric log, the list of
-    ``gan.METRIC_COLUMNS`` rows of the iterations before it.
+    ``gan.METRIC_COLUMNS`` rows of the iterations before it; ``cli``
+    saves it with ``last_good`` in checkpoint.aborted.ckpt, the one file
+    a resume from the abort reads.
     """
 
     def __init__(self, message, last_good=None, iteration=None, log=None):

@@ -38,8 +38,9 @@ conditioned on ``cond[ids]`` and its knowledge-loss targets are
 ``embeddings[ids]``. ``train`` logs one ``METRIC_COLUMNS`` row per iteration.
 
 A run's settings are its one ``ExperimentConfig``, with the cell's lambda_se.
-One loader, ``load_gan``, restores a checkpoint's whole state: a resume
-continues its optimizers, and evaluation samples from its generator.
+One loader, ``load_gan``, restores a checkpoint's whole state and reads
+the metric log it records: a resume continues its optimizers and its
+log, and evaluation samples from its generator.
 
 The GAN computes in float32 end to end: its parameters, spectral ``u``
 vectors and Adam moments, every noise, condition and fake batch, the
@@ -55,6 +56,8 @@ entry.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -454,19 +457,23 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
     return state
 
 
-def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None) -> None:
+def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None, log=()) -> None:
     """Write a named state, a ``gan_state`` or an abort's ``last_good``, as
-    the state at the start of ``iteration``; ``run`` adds metadata a resume
-    compares."""
-    metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": iteration}
+    the state at the start of ``iteration``, with ``log``, the
+    ``METRIC_COLUMNS`` rows of iterations 0..iteration-1 (none at 0), so a
+    resume reads the one file; ``run`` adds metadata a resume compares.
+    The log is JSON in the metadata, not a tensor: its length is the
+    iteration, which no load template knows in advance. JSON writes each
+    float as its ``repr``, so every loss comes back with the same bits."""
+    metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": iteration, "log": log}
     save_checkpoint(path, state, {**metadata, **(run or {})})
 
 
 def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     """Restore parameters, spectral ``u`` vectors and both optimizers'
-    second moments into ``model``: the one loader, for a resume, which
-    continues the optimizers, and for evaluation, which samples from the
-    generator and discards the rest.
+    second moments into ``model``, and read the metric log: the one
+    loader, for a resume, which continues the optimizers and the log, and
+    for evaluation, which samples from the generator and discards the rest.
 
     The file is verified whole: digest, kind, condition mode, ``run`` and
     every name, shape and dtype. The model must be freshly built with the
@@ -477,9 +484,13 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     field of ``run`` must match the checkpoint's metadata, after its kind
     and condition mode. A non-finite value is refused naming its tensor
     and row. The iteration is the metadata's, which must be a
-    non-negative int; otherwise ContractError names it. ``train``
-    continues both optimizers' Adam steps from it; both learn at
-    ``config.gan_lr``. Returns (model, opt_g, opt_d, iteration).
+    non-negative int; otherwise ContractError names it. The metadata's
+    ``log`` must hold exactly that many rows, row i an int i and four
+    finite floats, as ``train`` logs them; otherwise ContractError names
+    the file, ``log`` and what it found. ``train`` continues both
+    optimizers' Adam steps from the iteration; both learn at
+    ``config.gan_lr``. Returns (log, opt_g, opt_d, iteration), the log a
+    list of row tuples.
     """
     opt_g, opt_d = new_optimizers(model, config)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
@@ -488,8 +499,16 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     iteration = metadata.get("iteration")
     if type(iteration) is not int or iteration < 0:
         raise ContractError(f"{path}: checkpoint has iteration {iteration!r}, expected a non-negative int")
+    log = metadata.get("log")
+    if type(log) is not list or len(log) != iteration:
+        found = f"{len(log)} rows" if type(log) is list else repr(log)
+        raise ContractError(f"{path}: checkpoint has log {found}, expected {iteration} rows")
+    for i, row in enumerate(log):
+        ok = type(row) is list and tuple(map(type, row)) == (int, float, float, float, float) and row[0] == i
+        if not (ok and all(map(math.isfinite, row[1:]))):
+            expected = f"expected {i} and four finite floats"
+            raise ContractError(f"{path}: checkpoint has log row {i} {row!r}, {expected}")
     # the arrays are the fresh model's and optimizers' own
     for name, arr in live.items():
         arr[...] = state[name]
-    return model, opt_g, opt_d, iteration
-
+    return [tuple(row) for row in log], opt_g, opt_d, iteration

@@ -2,14 +2,14 @@
 
 ``adam_step`` checks every gradient before it writes anything, then
 updates each parameter and its moments in their own arrays, with two
-temporaries per parameter. The state holds the moments only; the
-caller passes the step number t of the bias corrections: the GAN's
-iteration + 1, the embedder's step + 1. So a resume has no count to
-restore. The learning rate and both moment decays are always passed;
-the GAN's come from ``config.gan_lr``, ``gan.BETA1`` and ``gan.BETA2``.
-At beta1 = 0 the first moment is the current gradient, which no later
-step reads, so the state keeps none and the update reads the gradient
-itself.
+work rows that the state allocates once. The state holds the moments
+and those rows only; the caller passes the step number t of the bias
+corrections: the GAN's iteration + 1, the embedder's step + 1. So a
+resume has no count to restore. The learning rate and both moment
+decays are always passed; the GAN's come from ``config.gan_lr``,
+``gan.BETA1`` and ``gan.BETA2``. At beta1 = 0 the first moment is the
+current gradient, which no later step reads, so the state keeps none
+and the update reads the gradient itself.
 """
 
 from __future__ import annotations
@@ -28,16 +28,25 @@ class AdamState:
     learning_rate: float
     beta1: float
     beta2: float
+    # per parameter, adam_step's two work arrays: views of two rows, each as
+    # long as the largest parameter, made once. Kept, since glibc returns a
+    # freed array that large to the OS and the next step's would fault in
+    # anew; views made every step would cost ~6% of the GAN's Adam time
+    work: list
     # one array per parameter, none at beta1 = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params, learning_rate, beta1, beta2):
+        """Zero moments of each parameter's shape and dtype, and work rows of
+        the first parameter's dtype: a state's parameters share one."""
+        rows = np.empty((2, max(p.data.size for p in params)), params[0].data.dtype)
         return cls(
             learning_rate=learning_rate,
             beta1=beta1,
             beta2=beta2,
+            work=[tuple(row[: p.data.size].reshape(p.data.shape) for row in rows) for p in params],
             first_moment=[np.zeros_like(p.data) for p in params] if beta1 else [],
             second_moment=[np.zeros_like(p.data) for p in params],
         )
@@ -53,9 +62,10 @@ def adam_step(params, state: AdamState, grads, t: int) -> None:
     a non-finite one is a numerical abort naming the parameter, and it
     leaves every parameter and moment as it was. The update then writes
     each parameter's array and its moments in place, so a caller that
-    must keep the old values copies them first. Each parameter costs
-    two temporaries of its size, a scratch array that holds every
-    intermediate and the denominator, and 14 elementwise passes. The
+    must keep the old values copies them first. Each parameter has its
+    views of the state's two work rows, a scratch array that holds every
+    intermediate and the denominator, and costs 14 elementwise passes;
+    the step allocates no array of its size. The
     rounding steps are those of
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
@@ -76,12 +86,12 @@ def adam_step(params, state: AdamState, grads, t: int) -> None:
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, moments, state.second_moment):
-        scratch = np.square(g)  # g * g, the same rounding, in a faster loop
+    for p, g, m, v, (scratch, denom) in zip(params, grads, moments, state.second_moment, state.work):
+        np.square(g, out=scratch)  # g * g, the same rounding, in a faster loop
         scratch *= 1.0 - b2
         v *= b2
         v += scratch
-        denom = v / correction2
+        np.divide(v, correction2, out=denom)
         np.sqrt(denom, out=denom)
         denom += EPSILON
         if m is None:

@@ -1,15 +1,17 @@
 """Properties: whatever tiny config file and verbs it is given, the CLI ends
 with a documented exit code and lets no exception escape; and a metric log
-it writes reads back, on resume, bit for bit."""
+a checkpoint records reads back, on resume, bit for bit."""
 
 import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kggan import cli, gan
+from kggan.config import ExperimentConfig
 
 # a desk-scale run small enough that every verb takes milliseconds
 BASE = {
@@ -94,17 +96,33 @@ def test_cli_exits_with_a_documented_code(run):
 LOSS = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def tiny_model():
+    """A GAN of a few dozen weights, the least that a checkpoint can hold."""
+    rng = np.random.default_rng(0)
+    dims = {"z_dim": 2, "g_hidden": 2, "d_hidden": 2, "feat_dim": 2}
+    return gan.GanModel(image_size=2, cond_dim=2, condition_mode=gan.CONDITION_ONE_HOT, rng=rng, **dims)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @example([(-0.0, 5e-324, -2.2250738585072014e-308, 1e300)])
 @example([(1.7976931348623157e308, -1e-300, 0.0, 9.999999999999999e299), (1e-300, -0.0, 2e-310, -1e300)])
 @given(st.lists(st.tuples(LOSS, LOSS, LOSS, LOSS), max_size=6))
 def test_written_metric_rows_read_back_bit_for_bit(losses):
-    """Rows ``_write_table`` writes, ``_logged_rows`` reads back with the
-    same bits: the iteration an int, each loss the same double, -0.0 kept."""
+    """Rows ``gan.save_gan`` records, ``gan.load_gan`` reads back with the
+    same bits: the iteration an int, each loss the same double, -0.0 kept;
+    and ``_write_table`` renders them to the same text as the rows saved."""
     rows = [(i, *values) for i, values in enumerate(losses)]
+    model, config = tiny_model(), ExperimentConfig()
+    state = gan.gan_state(model, *gan.new_optimizers(model, config))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "metrics.csv"
-        cli._write_table(path, ["config abc", "seed 1"], gan.METRIC_COLUMNS, rows)
-        back = cli._logged_rows(str(path), len(rows))
+        path = Path(tmp) / "checkpoint.ckpt"
+        gan.save_gan(path, state, model.condition_mode, len(rows), log=rows)
+        back, _, _, iteration = gan.load_gan(path, tiny_model(), config)
+        texts = []
+        for name, log in (("saved.csv", rows), ("loaded.csv", back)):
+            cli._write_table(Path(tmp) / name, ["config abc", "seed 1"], gan.METRIC_COLUMNS, log)
+            texts.append((Path(tmp) / name).read_text())
+    assert iteration == len(rows)
     assert all(type(row[0]) is int for row in back)
     assert [struct.pack("<q4d", *row) for row in back] == [struct.pack("<q4d", *row) for row in rows]
+    assert texts[0] == texts[1]

@@ -4,7 +4,6 @@ import hashlib
 import os
 import re
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +544,48 @@ class TestResume:
         assert proc.returncode == 0, proc.stderr
         assert metrics.read_bytes() == full_log
 
+    @pytest.mark.parametrize("stop", ["interrupted", "aborted"])
+    def test_resume_reads_only_the_checkpoint(self, tmp_path, monkeypatch, stop):
+        """With every metric CSV deleted, a resume from a half-length run's
+        checkpoint.ckpt, or from the checkpoint.aborted.ckpt of a run that
+        aborted at iteration 30, writes the uninterrupted run's metrics.csv
+        and checkpoint.ckpt byte for byte: the log comes from the checkpoint."""
+        from kggan import cli, gan, optim
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
+            assert cli.main(["--config", str(cfg), *cmd]) == 0
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        finished = {name: (cell_dir / name).read_bytes() for name in ("checkpoint.ckpt", "metrics.csv")}
+
+        if stop == "interrupted":
+            half = tmp_path / "half.cfg"
+            half.write_text(cfg.read_text().replace("gan_iterations = 40", "gan_iterations = 20"))
+            assert cli.main(["--config", str(half), "train", "--cell", "kggan_full"]) == 0
+            resume, logs = cell_dir / "checkpoint.ckpt", ["metrics.csv"]
+        else:
+            g_steps = []
+
+            def poisoned(params, state, grads, t):
+                if params[0].name == "G.w1":  # a G step
+                    g_steps.append(params[0].name)
+                    if len(g_steps) == 31:  # iteration 30's
+                        grads[0][0, 0] = np.nan
+                return optim.adam_step(params, state, grads, t)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(gan, "adam_step", poisoned)
+                assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
+            resume, logs = cell_dir / "checkpoint.aborted.ckpt", ["metrics.aborted.csv", "metrics.csv"]
+        assert sorted(p.name for p in cell_dir.glob("metrics*.csv")) == logs
+        for name in logs:
+            (cell_dir / name).unlink()
+
+        argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
+        assert cli.main(argv) == 0
+        assert {name: (cell_dir / name).read_bytes() for name in finished} == finished
+
 
 @pytest.fixture(scope="module")
 def trained_cells(workspace):
@@ -626,15 +667,41 @@ class TestResumeChecks:
             ("missing", "train", "checkpoint has iteration None, expected a non-negative int"),
             ("older_layout", "train", "unexpected tensor adam_d.step"),
             ("older_layout", "evaluate", "unexpected tensor adam_d.step"),
+            ("log_missing", "train", "checkpoint has log None, expected 40 rows"),
+            ("log_missing", "evaluate", "checkpoint has log None, expected 40 rows"),
+            ("log_short", "train", "checkpoint has log 39 rows, expected 40 rows"),
+            ("log_misnumbered", "train", "checkpoint has log row 3 [4, "),
+            ("log_misnumbered", "evaluate", "checkpoint has log row 3 [4, "),
+            ("log_non_finite", "train", "checkpoint has log row 5 [5, "),
+            ("log_non_finite", "evaluate", "checkpoint has log row 5 [5, "),
+            ("log_int_loss", "train", "checkpoint has log row 7 [7, 1, "),
         ],
-        ids=["negative", "fraction", "missing", "older_layout_train", "older_layout_evaluate"],
+        ids=[
+            "negative",
+            "fraction",
+            "missing",
+            "older_layout_train",
+            "older_layout_evaluate",
+            "log_missing_train",
+            "log_missing_evaluate",
+            "log_short_train",
+            "log_misnumbered_train",
+            "log_misnumbered_evaluate",
+            "log_non_finite_train",
+            "log_non_finite_evaluate",
+            "log_int_loss_train",
+        ],
     )
     def test_checkpoint_iteration_or_layout_exits_3_naming_it(
         self, trained_cells, tmp_path, damage, verb, named
     ):
         """The iteration is the metadata's and must be a count; a file that
         still stores derived state (the iteration, the Adam step counts,
-        the condition transform) is refused naming the first such tensor."""
+        the condition transform) is refused naming the first such tensor.
+        The metadata's log must hold the rows of iterations 0..39 as
+        ``train`` logs them, each an int and four finite floats; a file
+        written before checkpoints carried their log has none. The config
+        would resume the file for 20 more iterations."""
         from kggan.checkpoint import load_checkpoint, save_checkpoint
 
         root, cfg_path = trained_cells
@@ -645,13 +712,25 @@ class TestResumeChecks:
             state.update({"cond.transform": np.eye(16), "cond.shift": np.zeros(16)})
         elif damage == "missing":
             del metadata["iteration"]
+        elif damage == "log_missing":
+            del metadata["log"]
+        elif damage == "log_short":
+            del metadata["log"][-1]
+        elif damage == "log_misnumbered":
+            metadata["log"][3][0] = 4
+        elif damage == "log_non_finite":
+            metadata["log"][5][2] = {"train": np.nan, "evaluate": np.inf}[verb]
+        elif damage == "log_int_loss":  # the value 1.0, but not as train logs it
+            metadata["log"][7][1] = 1
         else:
             metadata["iteration"] = {"negative": -1, "fraction": 2.5}[damage]
         path = tmp_path / "checkpoint.ckpt"
         save_checkpoint(path, state, metadata)
         before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(cfg_path.read_text().replace("gan_iterations = 40", "gan_iterations = 60"))
         flag = {"train": "--resume", "evaluate": "--checkpoint"}[verb]
-        argv = ["--config", str(cfg_path), verb, "--cell", "kggan_full", flag, str(path)]
+        argv = ["--config", str(cfg), verb, "--cell", "kggan_full", flag, str(path)]
         proc = run_cli(argv, cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -675,7 +754,6 @@ class TestResumeChecks:
         run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
         path = tmp_path / "checkpoint.ckpt"
         gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
-        shutil.copy(cell_dir / "metrics.csv", tmp_path)  # the log a resume reads
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(cfg_path.read_text().replace("gan_iterations = 40", "gan_iterations = 60"))
 
@@ -757,51 +835,6 @@ class TestResumeChecks:
 
         path, stderr = self._refused_without_writes(trained_cells, tmp_path, verb, damage)
         assert f"contract violation: {path}: {named}" in stderr
-
-    @staticmethod
-    def _damage_log(path, damage):
-        """Damage a 40-row metric log; returns the row named and what it holds."""
-        lines = path.read_text().splitlines()
-        first = next(i for i, line in enumerate(lines) if line.startswith("0,"))
-        if damage == "missing_row":
-            del lines[first + 5]
-            named = 5, repr(lines[first + 5])
-        elif damage == "garbled_row":
-            lines[first + 3] = lines[first + 3].replace(",", ";", 1)
-            named = 3, repr(lines[first + 3])
-        elif damage == "rewritten_value":  # the same number, not as train writes it
-            it, l_d, rest = lines[first + 3].split(",", 2)
-            lines[first + 3] = f"{it},{float(l_d):.20e},{rest}"
-            named = 3, repr(lines[first + 3])
-        elif damage == "extra_row":
-            lines.append("40," + lines[-1].split(",", 1)[1])
-            named = 40, repr(lines[-1])
-        else:
-            del lines[-3:]
-            named = 37, "missing"
-        path.write_text("\n".join(lines) + "\n")
-        return "row {} of the checkpoint's 0..39 is {}".format(*named)
-
-    @pytest.mark.parametrize(
-        "damage", ["missing_row", "garbled_row", "rewritten_value", "extra_row", "short_log"]
-    )
-    def test_damaged_metric_log_exits_3_naming_file_and_row(self, trained_cells, tmp_path, damage):
-        # a copy of the workspace, resumed from 40 to 60 iterations
-        shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TINY.format(out=tmp_path / "out").replace("= 40", "= 60"))
-        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
-        named = self._damage_log(cell_dir / "metrics.csv", damage)
-        before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
-        resume = cell_dir / "checkpoint.ckpt"
-        proc = run_cli(
-            ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)],
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert f"contract violation: {cell_dir / 'metrics.csv'}: {named}" in proc.stderr
-        assert {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
         "verb, damage",
@@ -1058,8 +1091,8 @@ class TestCheckpointLayout:
             assert AdamState.for_params(params, beta1=0.0, **adam).first_moment == []
             assert len(AdamState.for_params(params, beta1=0.9, **adam).first_moment) == len(params)
 
-        # the call perfbench/checks.py makes
-        model, opt_g, opt_d, iteration = gan.load_gan(path, model, gan.TrainConfig())
+        # the call perfbench/checks.py makes; the model is loaded in place
+        _, opt_g, opt_d, iteration = gan.load_gan(path, model, gan.TrainConfig())
         assert iteration == metadata["iteration"] == 40
         assert opt_g.first_moment == [] and opt_d.first_moment == []
         loaded = gan.gan_state(model, opt_g, opt_d)

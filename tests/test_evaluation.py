@@ -7,7 +7,6 @@ from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.errors import ContractError
 from kggan.evaluation import (
-    FidReport,
     GaussianStats,
     color_fidelity,
     embedding_consistency,

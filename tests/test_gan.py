@@ -632,14 +632,22 @@ class TestTrainLoop:
         values = np.asarray([row[1:] for row in log], dtype=float)
         assert np.all(np.isfinite(values))
 
-    @pytest.mark.parametrize("name", ["G.w2", "D.w1"])
-    def test_nan_parameter_aborts_with_last_good(self, mini_data, name):
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param("G.w2", np.nan, id="G.w2"),
+            pytest.param("D.w1", np.nan, id="D.w1"),
+            pytest.param("D.w1", np.inf, id="D.w1-inf"),
+        ],
+    )
+    def test_nan_parameter_aborts_with_last_good(self, mini_data, name, value):
         """A NaN weight of either network makes D's first gradient
-        non-finite; a NaN D weight gets there through its NaN sigma."""
+        non-finite; a NaN or an infinite D weight gets there through its
+        NaN sigma, with no RuntimeWarning on the way."""
         _, dataset, split, embeddings, embedder = mini_data
         model = mini_model()
         params = {p.name: p for p in model.generator_params() + model.discriminator_params()}
-        params[name].data[0, 0] = np.nan
+        params[name].data[0, 0] = value
         with pytest.raises(NumericalAbort) as excinfo:
             train(model, dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=3))
         assert str(excinfo.value) == "non-finite gradient for parameter D.w1 at iteration 0"
@@ -856,7 +864,7 @@ class TestCheckpointResume:
         assert [row[0] for row in log] == [0, 1]
         assert opt_g.learning_rate == opt_d.learning_rate == 3e-4
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=2)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=2, log=log)
         _, opt_g2, opt_d2, start = load_gan(path, mini_model(), config)
         assert start == 2
         assert opt_g2.learning_rate == opt_d2.learning_rate == 3e-4
@@ -877,10 +885,11 @@ class TestCheckpointResume:
             opt_g=opt_g, opt_d=opt_d,
         )
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model_a, opt_g, opt_d), model_a.condition_mode, iteration=20)
+        state_a = gan.gan_state(model_a, opt_g, opt_d)
+        save_gan(path, state_a, model_a.condition_mode, iteration=20, log=log_a)
 
         model_c = mini_model(seed=99)  # different init; checkpoint must override
-        model_c, opt_g2, opt_d2, start = load_gan(path, model_c, config)
+        log_c, opt_g2, opt_d2, start = load_gan(path, model_c, config)
         assert start == 20
         log_c = train(
             model_c,
@@ -893,8 +902,10 @@ class TestCheckpointResume:
             start_iteration=start,
             opt_g=opt_g2,
             opt_d=opt_d2,
+            log=log_c,
         )
-        resumed = log_text(log_a + log_c, tmp_path / "resumed.csv")
+        # the log comes back from the checkpoint, its first 20 rows log_a's
+        resumed = log_text(log_c, tmp_path / "resumed.csv")
         assert resumed == log_text(log_full, tmp_path / "full.csv")
 
     def test_checkpoint_preserves_condition_mode(self, mini_data, tmp_path):

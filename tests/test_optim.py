@@ -1,5 +1,7 @@
 """Adaptive-moment updates against a hand-rolled scalar reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,23 @@ class TestAdam:
             assert len(moment) == len(params)
             for p, m in zip(params, moment):
                 assert m.shape == p.data.shape and not np.any(m)
+
+    def test_second_step_allocates_no_array_of_the_parameters_size(self, rng):
+        """The state holds the step's work arrays: a second step on a
+        98,304-element float64 parameter, the embedder's first weight at
+        the default config, allocates less than one array of its size (the
+        finiteness check's bools are an eighth of one)."""
+        p = Tensor(rng.standard_normal((768, 128)))
+        state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
+        grads = [rng.standard_normal(p.data.shape)]
+        adam_step([p], state, grads, t=1)
+        tracemalloc.start()
+        try:
+            adam_step([p], state, grads, t=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes
 
     def test_nan_gradient_aborts_naming_parameter(self):
         p = Tensor(np.zeros(2), name="G.w1")

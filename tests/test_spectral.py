@@ -61,13 +61,14 @@ class TestPowerIteration:
             assert sigma is None
             assert got is u
 
-    def test_nan_weight_gives_a_nan_sigma(self, rng):
-        """Nothing here stops a NaN weight, and nothing warns: its sigma
-        is NaN, and the training step's NaN gradients end in
-        ``adam_step``'s abort."""
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nan_weight_gives_a_nan_sigma(self, rng, value):
+        """Nothing here stops a NaN or an infinite weight, and nothing
+        warns: its sigma is NaN, and the training step's NaN gradients end
+        in ``adam_step``'s abort."""
         for dtype in (np.float64, np.float32):
             w = rng.standard_normal((4, 3)).astype(dtype)
-            w[0, 0] = np.nan
+            w[0, 0] = value
             _, sigma = power_iteration_step(w, unit_vector(4, rng).astype(dtype))
             assert np.isnan(sigma)
 

@@ -26,9 +26,10 @@ A dataclass field that nothing reads as an attribute is state written
 for no one. As with definitions, a field counts as read when any module
 in the package loads an attribute of its spelling.
 
-An import its module never spells is a dependency nothing needs. The
-package's ``__init__`` imports to re-export, and an import marked
-``# noqa`` is kept on purpose, so both are exempt.
+An import its module never spells is a dependency nothing needs, in the
+package and in the tests alike. The package's ``__init__`` imports to
+re-export, and an import marked ``# noqa`` is kept on purpose, so both
+are exempt.
 
 A ``_private`` name is its module's own. Another module that reads it,
 as ``module._name`` through a ``from . import module``, depends on what
@@ -47,6 +48,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kggan"
+TESTS = Path(__file__).resolve().parent
 EXEMPT = {"cli.main"}
 
 
@@ -211,9 +213,10 @@ def test_every_dataclass_field_is_read_in_the_package():
 
 
 def unused_imports():
-    """``module:name`` of each name an import binds that its module never uses."""
+    """``module:name`` of each name an import binds that its module, of the
+    package or of the tests, never uses."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         source = path.read_text(encoding="utf-8")
