@@ -14,8 +14,8 @@ from the dataset's category table (``gan.condition_table``, which
 also gives both optimizers' Adam step number (iteration + 1). A
 "regressor" holds E.w1 ... E.b3. A "dataset" holds float32 ``images``
 [N, 3, S, S] and the category table ``embeddings`` [n_categories, d].
-A GAN's arrays and a dataset's images are float32, since the GAN trains
-in float32; a regressor's arrays and the category table are float64.
+A GAN's and a regressor's arrays and a dataset's images are float32,
+since both networks train in float32; the category table is float64.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length

@@ -23,14 +23,17 @@ tensor shape or dtype, that does not match its own config. A NaN or an
 infinity in any checkpoint a verb reads, these or a GAN's, exits 3
 naming the file, the tensor and its first such row (in the dataset, the
 sample or the category). A dataset file holding float64 images exits 3
-naming the ``images`` tensor; ``generate-data`` writes it anew. A GAN
-checkpoint holding float64 arrays exits 3 from ``train --resume`` and
-from ``evaluate`` naming its first tensor, ``G.w1``; it cannot be
-resumed or scored. ``evaluate`` scores only its own cell's checkpoint:
-one another cell wrote exits 3 naming ``cell``, and one trained on other
-data or against another embedder exits 3 naming the first
-``EMBEDDER_FIELDS`` field that differs. All of these checks run before
-anything is written.
+naming the ``images`` tensor; ``generate-data`` writes it anew. An
+``embedder.ckpt`` holding float64 arrays, from before the regressor
+trained in float32, exits 3 from ``train`` of a cell with the knowledge
+loss and from ``evaluate`` naming the file and ``E.w1``;
+``train-embedder`` writes it anew. A GAN checkpoint holding float64
+arrays exits 3 from ``train --resume`` and from ``evaluate`` naming its
+first tensor, ``G.w1``; it cannot be resumed or scored. ``evaluate``
+scores only its own cell's checkpoint: one another cell wrote exits 3
+naming ``cell``, and one trained on other data or against another
+embedder exits 3 naming the first ``EMBEDDER_FIELDS`` field that
+differs. All of these checks run before anything is written.
 
 Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field but out_dir, where
@@ -63,7 +66,9 @@ Ablation cells (condition, training data, knowledge loss):
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
+import platform
 import sys
 from dataclasses import asdict, replace
 
@@ -100,6 +105,9 @@ RESUME_FREE = ("config.gan_iterations",)
 
 # a numerical abort's state and log, a pair beside checkpoint.ckpt and metrics.csv
 ABORTED_CHECKPOINT, ABORTED_LOG = "checkpoint.aborted.ckpt", "metrics.aborted.csv"
+
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
 # each failure a verb may raise: its exit code and its stderr label
 EXIT_CODES = {
@@ -437,7 +445,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Where the C library is glibc, keep freed memory in the process:
+    trim the heap only past 256 MiB free, and map from the kernel only
+    blocks of 32 MiB or more. Every training step frees and reallocates
+    arrays of a weight's size; by default glibc returns them to the
+    kernel and faults them back in on the next step, hundreds of
+    thousands of page faults in one default ``train``. Elsewhere this
+    does nothing."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()

@@ -53,8 +53,9 @@ class FidReport:
 
 
 def feature_stats(features) -> GaussianStats:
-    """Mean and unbiased covariance of an [n, d] feature matrix, n >= 2."""
-    feats = np.asarray(features)
+    """Float64 mean and unbiased covariance of an [n, d] feature matrix,
+    n >= 2: the regressor's float32 features are widened first."""
+    feats = np.asarray(features, dtype=np.float64)
     n = feats.shape[0]
     mean = feats.mean(axis=0)
     centered = feats - mean

@@ -45,14 +45,11 @@ log, and evaluation samples from its generator.
 The GAN computes in float32 end to end: its parameters, spectral ``u``
 vectors and Adam moments, every noise, condition and fake batch, the
 real batches (the dataset's images as they are, ``synthdata``), and the
-knowledge loss, which runs a float32 copy of the frozen regressor's
-weights (``regressor.single_precision``). Its initial values and noise
-are drawn in float64 and rounded, so every random stream is consumed
-as before. The regressor itself stays float64: it is also the
-instrument that scores the GAN, and its features, and so the FIDs, do
-not depend on the GAN's precision. A caller may pass float64 condition
-and target tables; ``train`` and ``sample_images`` round them once, at
-entry.
+knowledge loss, which runs the frozen regressor as it is, float32 too
+(``regressor``). Its initial values and noise are drawn in float64 and
+rounded, so every random stream is consumed as before. A caller may
+pass float64 condition and target tables; ``train`` and
+``sample_images`` round them once, at entry.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .errors import ContractError, NumericalAbort
 from .optim import AdamState, adam_step
-from .regressor import semantic_embedding_loss, single_precision
+from .regressor import semantic_embedding_loss
 from .spectral import power_iteration_step, spectral_normalize
 
 CONDITION_SEMANTIC = "semantic_embedding"
@@ -364,9 +361,8 @@ def train(
     whenever lambda_se > 0. Row i of
     ``cond``, the ``condition_table``, conditions category i, and row i of
     ``embeddings``, the [n_categories, d] category table, is its
-    knowledge-loss target. Both tables are rounded to float32 once, here,
-    and the knowledge loss runs a float32 copy of ``embedder``, which is
-    left as it is.
+    knowledge-loss target. Both tables are rounded to float32 once, here;
+    ``embedder``, a float32 ``regressor.RegressorModel``, runs as it is.
 
     Reads ``lambda_se``, ``batch_size``, ``gan_seed`` and ``gan_iterations``
     from ``config``, and updates ``model`` in place over iterations
@@ -388,8 +384,6 @@ def train(
         log = []
     cond = cond.astype(np.float32)
     embeddings = embeddings.astype(np.float32)
-    if embedder is not None:
-        embedder = single_precision(embedder)
 
     for iteration in range(start_iteration, config.gan_iterations):
         # The state at the start of the iteration, kept for an abort. It

@@ -11,16 +11,16 @@ dataset's [3, S, S] layout flattened; ``extract_features`` and
 ``train_embedder`` flatten the images they are given. The penultimate
 activation doubles as the feature space for Frechet-distance evaluation.
 
-The regressor is float64: ``train_embedder`` and ``extract_features``
-widen their images to float64 where they enter it, so its checkpoint and
-every feature it gives the evaluation keep their bits whatever the
-images' dtype. Only the knowledge loss in the float32 GAN runs a float32
-copy of its frozen weights, ``single_precision``.
+The regressor computes in float32, as the GAN does: its parameters are
+drawn in float64 and rounded once, and ``train_embedder`` and
+``extract_features`` round their images to float32 where they enter it
+(a dataset's images already are), so its checkpoint holds float32 arrays
+and the features it gives the evaluation are float32. The GAN's
+knowledge loss runs it as it is. The FID statistics widen its features
+to float64 (``evaluation.feature_stats``).
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -46,7 +46,8 @@ EMBEDDER_FIELDS = DATASET_FIELDS + (
 
 
 class RegressorModel:
-    """MLP [3*S*S -> 128 -> 64 -> d] with leaky-relu hidden and sigmoid out."""
+    """MLP [3*S*S -> 128 -> 64 -> d] with leaky-relu hidden and sigmoid out;
+    every parameter is float32, its float64 draw rounded."""
 
     def __init__(self, image_size: int, embed_dim: int, rng: np.random.Generator):
         in_dim = 3 * image_size * image_size
@@ -57,6 +58,8 @@ class RegressorModel:
         self.b2 = ad.zeros_init((h2,), name="E.b2")
         self.w3 = ad.uniform_init((h2, embed_dim), rng, name="E.w3")
         self.b3 = ad.zeros_init((embed_dim,), name="E.b3")
+        for p in self.parameters():
+            p.data = p.data.astype(np.float32)
         self.training_loss_history = []
 
     def parameters(self):
@@ -81,21 +84,11 @@ class RegressorModel:
         return ad.sigmoid(ad.affine(features, self.w3, self.b3))
 
 
-def single_precision(model: RegressorModel) -> RegressorModel:
-    """A copy of ``model`` whose parameters are its own rounded to float32,
-    for a float32 network's knowledge loss; ``model`` is left as it is."""
-    clone = copy.copy(model)
-    for attr, value in vars(model).items():
-        if isinstance(value, Tensor):
-            setattr(clone, attr, Tensor(value.data.astype(np.float32), name=value.name))
-    return clone
-
-
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:
-    """Penultimate-layer float64 features for a [n, 3, S, S] batch of any
-    float dtype, widened to float64 as it enters."""
+    """Penultimate-layer float32 features for a [n, 3, S, S] batch of any
+    float dtype, rounded to float32 as it enters."""
     with ad.no_grad():
-        feats = model.penultimate(Tensor(images.reshape(len(images), -1).astype(np.float64)))
+        feats = model.penultimate(Tensor(images.reshape(len(images), -1).astype(np.float32)))
     return feats.data
 
 
@@ -122,9 +115,9 @@ def train_embedder(
 
     ``images`` is [n, 3, S, S] and ``category_ids`` [n], n >= 1; sample
     k's target is row ``category_ids[k]`` of the [n_categories, d]
-    ``embeddings`` table. The caller picks the rows: ``cli`` passes the
-    seen rows of a dataset ``load_dataset`` verified, so no unseen
-    category's image reaches the embedder.
+    ``embeddings`` table, rounded to float32 once, here. The caller picks
+    the rows: ``cli`` passes the seen rows of a dataset ``load_dataset``
+    verified, so no unseen category's image reaches the embedder.
 
     Reads from the ``ExperimentConfig``: ``image_size`` and ``embed_dim``
     (the model), ``embedder_seed`` (initialization and batch order),
@@ -136,7 +129,7 @@ def train_embedder(
     n = len(category_ids)
     rng = np.random.default_rng(config.embedder_seed)
     model = RegressorModel(config.image_size, config.embed_dim, rng)
-    targets = embeddings[category_ids]
+    targets = embeddings.astype(np.float32)[category_ids]
     batch = min(config.embedder_batch, n)
 
     params = model.parameters()
@@ -153,7 +146,7 @@ def train_embedder(
         idx = order[pos : pos + batch]
         pos += batch
 
-        rows = Tensor(images[idx].reshape(batch, -1).astype(np.float64))
+        rows = Tensor(images[idx].reshape(batch, -1).astype(np.float32))
         loss = semantic_embedding_loss(model.forward(rows), Tensor(targets[idx]))
         adam_step(params, opt, ad.backward(loss, params), step + 1)
 

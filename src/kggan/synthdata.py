@@ -13,12 +13,12 @@ per color.
 
 A dataset's images are float32, built or loaded: ``build_dataset``
 rounds each float64 ``render_sample`` once, as it stores it. The GAN
-reads them as they are; the embedder widens them to float64, exactly,
-where they enter it (``regressor``). The dataset file is a checkpoint of
-kind "dataset": those images and the float64 [n_categories, d] category
-table, with the DATASET_FIELDS they depend on, verified on load as every
-checkpoint is, finiteness included. Category ids are not stored;
-samples are category-major (``sample_category_ids``).
+and the embedder, both float32, read them as they are (``regressor``).
+The dataset file is a checkpoint of kind "dataset": those images and
+the float64 [n_categories, d] category table, with the DATASET_FIELDS
+they depend on, verified on load as every checkpoint is, finiteness
+included. Category ids are not stored; samples are category-major
+(``sample_category_ids``).
 """
 
 from __future__ import annotations

@@ -203,6 +203,28 @@ class TestVerbs:
         assert "Traceback" not in proc.stderr
 
 
+class TestAllocatorThresholds:
+    @pytest.mark.parametrize(
+        "libc, calls", [("glibc", [(-1, 256 << 20), (-3, 32 << 20)]), ("", [])], ids=["glibc", "other"]
+    )
+    def test_main_sets_the_thresholds_only_under_glibc(self, monkeypatch, libc, calls):
+        """``main`` first sets glibc's M_TRIM_THRESHOLD to 256 MiB and
+        M_MMAP_THRESHOLD to 32 MiB through ``mallopt``, and under another
+        C library loads nothing."""
+        from kggan import cli
+
+        made = []
+
+        class Libc:
+            def __init__(self, name):
+                self.mallopt = lambda *args: made.append(args) or 1
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: (libc, ""))
+        monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+        assert cli.main(["--seed", "-1", "generate-data"]) == 2  # refused before any work
+        assert made == calls
+
+
 class TestGenerateData:
     def test_dataset_files_exist_and_parse(self, workspace):
         root, cfg_path = workspace
@@ -455,6 +477,17 @@ def rewrite_checkpoint(path, damage):
     state = {name: np.array(arr) for name, arr in state.items()}
     damage(state)
     save_checkpoint(path, state, metadata)
+
+
+def widen_embedder(path):
+    """Rewrite an embedder file as one from before the regressor trained in
+    float32: the same names and metadata, every array float64."""
+
+    def widen(state):
+        assert {a.dtype for a in state.values()} == {np.dtype(np.float32)}
+        state.update({name: a.astype(np.float64) for name, a in state.items()})
+
+    rewrite_checkpoint(path, widen)
 
 
 class TestEmbeddingsFile:
@@ -843,20 +876,27 @@ class TestResumeChecks:
             (["evaluate", "--cell", "kggan_full"], "other_config"),
             (["train", "--cell", "kggan_full"], "nan_weight"),
             (["evaluate", "--cell", "kggan_full"], "nan_weight"),
+            (["train", "--cell", "kggan_full"], "float64"),
+            (["evaluate", "--cell", "kggan_full"], "float64"),
         ],
-        ids=["train", "evaluate", "train_nan_weight", "evaluate_nan_weight"],
+        ids=["train", "evaluate", "train_nan_weight", "evaluate_nan_weight", "train_float64", "evaluate_float64"],
     )
     def test_embedder_of_another_config_exits_3_naming_the_field(self, trained_cells, tmp_path, verb, damage):
         """An embedder trained under another config is refused naming the
-        first field that differs, and one with a NaN weight naming the
-        tensor and its row; nothing is written and no traceback or
-        RuntimeWarning is printed."""
+        first field that differs, one with a NaN weight naming the tensor
+        and its row, and one from before the regressor trained in float32
+        (today's names and metadata, every array float64) naming E.w1 and
+        both dtypes; nothing is written and no traceback or RuntimeWarning
+        is printed."""
         shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
         text = TINY.format(out=tmp_path / "out")
         embedder = tmp_path / "out" / "embedder.ckpt"
         if damage == "other_config":
             text = text.replace("embedder_steps = 120", "embedder_steps = 121")
             named = "checkpoint has config.embedder_steps 120, this run has 121"
+        elif damage == "float64":
+            widen_embedder(embedder)
+            named = "tensor E.w1 has dtype float64, expected float32"
         else:
 
             def poison(state):
@@ -872,6 +912,19 @@ class TestResumeChecks:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert f"contract violation: {embedder}: {named}" in proc.stderr
         assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()} == before
+
+    def test_train_embedder_writes_a_float64_embedder_anew(self, trained_cells, tmp_path):
+        """``train-embedder`` over a float64 embedder file writes the
+        float32 file the workspace's own ``train-embedder`` wrote."""
+        shutil.copytree(trained_cells[0] / "out", tmp_path / "out")
+        embedder = tmp_path / "out" / "embedder.ckpt"
+        written = embedder.read_bytes()
+        widen_embedder(embedder)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        proc = run_cli(["--config", str(cfg), "train-embedder"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert embedder.read_bytes() == written
 
     def test_evaluate_of_another_cells_checkpoint_exits_3_naming_cell(self, trained_cells):
         root, cfg_path = trained_cells

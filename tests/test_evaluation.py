@@ -86,6 +86,17 @@ class TestFeatureStats:
         stats = image_stats(rng.uniform(-1, 1, size=(10, 3, IMG, IMG)), extractor)
         assert np.max(np.abs(stats.covariance - stats.covariance.T)) < 1e-10
 
+    def test_float32_features_give_float64_statistics(self, extractor, rng):
+        """The regressor's features are float32; their statistics are
+        float64, bit for bit those of the features widened first."""
+        features = extract_features(extractor, rng.uniform(-1, 1, size=(10, 3, IMG, IMG)))
+        assert features.dtype == np.float32
+        stats = feature_stats(features)
+        widened = feature_stats(features.astype(np.float64))
+        assert stats.mean.dtype == stats.covariance.dtype == np.float64
+        assert stats.mean.tobytes() == widened.mean.tobytes()
+        assert stats.covariance.tobytes() == widened.covariance.tobytes()
+
 
 class TestFrechetDistance:
     def test_identical_gaussians_zero(self, rng):
@@ -186,8 +197,9 @@ class TestPerCategoryFid:
 
 class TestEmbeddingConsistency:
     def test_ideal_generator_scores_zero(self, tiny_world, extractor, rng):
-        # a generator that always emits images whose prediction is the target
-        constant = np.stack([rng.uniform(-1, 1, size=(3, IMG, IMG))] * 4)
+        # a generator that always emits images whose prediction is the
+        # target; float32, as a generator's draw and the regressor are
+        constant = np.stack([rng.uniform(-1, 1, size=(3, IMG, IMG)).astype(np.float32)] * 4)
         from kggan.autodiff import Tensor, no_grad
 
         with no_grad():
@@ -198,7 +210,7 @@ class TestEmbeddingConsistency:
     def test_matches_per_item_loop_oracle(self, tiny_world, extractor, rng):
         specs, dataset, split = tiny_world
         embeddings = sem.build_embeddings(specs, dim=EMB)
-        pool = rng.uniform(-1, 1, size=(8, 3, IMG, IMG))
+        pool = rng.uniform(-1, 1, size=(8, 3, IMG, IMG)).astype(np.float32)  # a float32 draw
         features = extract_features(extractor, pool)
         from kggan.autodiff import Tensor, no_grad
 

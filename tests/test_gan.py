@@ -30,7 +30,6 @@ from kggan.regressor import (
     RegressorModel,
     extract_features,
     semantic_embedding_loss,
-    single_precision,
     train_embedder,
 )
 
@@ -466,7 +465,6 @@ class TestStackedPasses:
         config = mini_config(gan_iterations=1, lambda_se=lambda_se)
         b, seed = config.batch_size, config.gan_seed
         cond = embeddings.astype(np.float32)
-        embedder32 = single_precision(embedder)
         seen_cats = np.asarray(sorted(split.seen_ids))
         unseen_cats = np.asarray(sorted(split.unseen_ids))
 
@@ -493,12 +491,12 @@ class TestStackedPasses:
 
         def checked_adam_step(params, state, grads, t):
             if params == model.discriminator_params():
-                l_d, *_ = separate_losses(model, d_batch, u_batch, embedder32, lambda_se)
+                l_d, *_ = separate_losses(model, d_batch, u_batch, embedder, lambda_se)
                 expected["L_D"] = l_d.item()
                 want = ad.backward(l_d, params)
             else:
                 _, adv, se_seen, se_unseen, l_g = separate_losses(
-                    model, g_batch, u_batch, embedder32, lambda_se
+                    model, g_batch, u_batch, embedder, lambda_se
                 )
                 l_g = l_g if lambda_se else adv
                 expected.update(L_G=l_g.item(), L_se_seen=se_seen.item(), L_se_unseen=se_unseen.item())
@@ -670,7 +668,9 @@ class TestTrainLoop:
 
     def test_generator_gradient_matches_finite_differences(self, mini_data, float64_gan):
         """On a float64 copy of the model: central differences at h = 1e-5
-        need double precision, as the float64 embedder does."""
+        need double precision. The float32 embedder's weights widen
+        exactly where they meet the float64 fakes, so it runs in double
+        here too."""
         _, dataset, split, embeddings, embedder = mini_data
         model = float64_gan(mini_model())
         model.refresh_spectral()
@@ -714,8 +714,8 @@ class TestTrainLoop:
 
 
 class TestPrecision:
-    """The GAN computes in float32; the embedder, the instrument that scores
-    it, in float64."""
+    """The GAN and the embedder, the instrument that scores it, compute in
+    float32."""
 
     @staticmethod
     def audit_backward(monkeypatch):
@@ -748,7 +748,7 @@ class TestPrecision:
     def test_gan_iteration_is_float32_throughout(self, mini_data, monkeypatch, lambda_se):
         """From float64 tables and a built dataset's images: every tape
         tensor and gradient, parameter, spectral u and second moment, and a
-        sample, is float32; the caller's embedder stays float64."""
+        sample, is float32; the caller's embedder runs as it is, float32."""
         _, dataset, split, embeddings, embedder = mini_data
         seen = self.audit_backward(monkeypatch)
         model = mini_model()
@@ -761,11 +761,11 @@ class TestPrecision:
         state = gan.gan_state(model, opt_g, opt_d)
         assert len(state) == 30 and {a.dtype for a in state.values()} == float32
         assert sample_images(model, 0, 4, embeddings, seed=1).dtype == np.float32
-        assert {p.data.dtype for p in embedder.parameters()} == {np.dtype(np.float64)}
+        assert {p.data.dtype for p in embedder.parameters()} == float32
 
-    def test_embedder_trains_and_extracts_in_float64(self, mini_data, monkeypatch):
+    def test_embedder_trains_and_extracts_in_float32(self, mini_data, monkeypatch):
         """From a dataset's float32 images; the features are those of the
-        images widened to float64, bit for bit."""
+        images rounded to float32, bit for bit, from any float dtype."""
         _, dataset, split, embeddings, _ = mini_data
         seen = self.audit_backward(monkeypatch)
         images = dataset.images
@@ -773,11 +773,11 @@ class TestPrecision:
         rows = dataset.rows_of(split.seen_ids)
         config = ExperimentConfig(image_size=IMG, embed_dim=EMB, embedder_steps=1, embedder_batch=8)
         model = train_embedder(images[rows], dataset.category_ids[rows], embeddings, config)
-        float64 = {np.dtype(np.float64)}
-        assert seen == float64
-        assert {p.data.dtype for p in model.parameters()} == float64
+        float32 = {np.dtype(np.float32)}
+        assert seen == float32
+        assert {p.data.dtype for p in model.parameters()} == float32
         features = extract_features(model, images[:4])
-        assert features.dtype == np.float64
+        assert features.dtype == np.float32
         assert features.tobytes() == extract_features(model, images[:4].astype(np.float64)).tobytes()
 
 

@@ -75,12 +75,12 @@ class TestAdam:
 
     def test_second_step_allocates_no_array_of_the_parameters_size(self, rng):
         """The state holds the step's work arrays: a second step on a
-        98,304-element float64 parameter, the embedder's first weight at
+        98,304-element float32 parameter, the embedder's first weight at
         the default config, allocates less than one array of its size (the
-        finiteness check's bools are an eighth of one)."""
-        p = Tensor(rng.standard_normal((768, 128)))
+        finiteness check's bools are a quarter of one)."""
+        p = Tensor(rng.standard_normal((768, 128)).astype(np.float32))
         state = AdamState.for_params([p], learning_rate=2e-4, beta1=0.0, beta2=0.9)
-        grads = [rng.standard_normal(p.data.shape)]
+        grads = [rng.standard_normal(p.data.shape).astype(np.float32)]
         adam_step([p], state, grads, t=1)
         tracemalloc.start()
         try:

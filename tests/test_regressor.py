@@ -1,6 +1,7 @@
 """Embedding regressor: training, the frozen regressor's gradients,
 prediction, persistence."""
 
+import ctypes
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,9 +46,11 @@ def mini_config(**kw):
 
 
 def predict(model, images):
-    """No-grad predictions for an [n,3,S,S] batch."""
+    """No-grad predictions for an [n,3,S,S] batch, rounded to float32 as
+    ``train_embedder`` and ``extract_features`` round it."""
     with ad.no_grad():
-        return model.forward(Tensor(np.asarray(images).reshape(len(images), -1))).data
+        rows = np.asarray(images, dtype=np.float32).reshape(len(images), -1)
+        return model.forward(Tensor(rows)).data
 
 
 def param_bytes(model):
@@ -101,6 +104,7 @@ class TestTrainEmbedder:
 
     def test_sampler_audit_sees_only_provided_categories(self, monkeypatch):
         _, images, ids, embeddings = make_samples(per_category=4)
+        images = images.astype(np.float32)  # as a dataset holds them, and the embedder reads them
         owner = {image.tobytes(): int(cid) for image, cid in zip(images, ids)}
         assert len(owner) == len(ids)
         provided = np.isin(ids, [0, 2])
@@ -123,15 +127,50 @@ class TestTrainEmbedder:
 GOLDEN_EMBEDDER_LOG = Path(__file__).parent / "golden" / "embedder_mini_losses.csv"
 
 
+def bundled_openblas():
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*.so``),
+    or None where none exports the thread-count setter."""
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+    for path in sorted(libs):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = ()
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
 class TestEmbedderGolden:
     def test_training_matches_golden_bitwise(self, trained):
         """``train_embedder`` on the mini samples writes the loss history,
         and reaches the parameters (the ``params`` hash line), recorded in
-        the golden file before the backward pass was last rewritten."""
+        the golden file when the regressor came to train in float32."""
         model = trained[4]
         lines = [f"# params {fnv1a_64(param_bytes(model)):016x}", "step,loss"]
         lines += [f"{step},{loss!r}" for step, loss in enumerate(model.training_loss_history)]
         assert "\n".join(lines) + "\n" == GOLDEN_EMBEDDER_LOG.read_text(encoding="utf-8")
+
+    def test_training_is_the_same_at_one_and_two_blas_threads(self):
+        """The mini embedder's parameters, trained with numpy's OpenBLAS set
+        to one thread and then to two in this process, are the same bytes,
+        so the golden above holds whatever count the machine gives. (In
+        float64 they were not: one thread rounded the first forward matmul
+        differently.) The count is restored afterwards."""
+        lib = bundled_openblas()
+        if lib is None:
+            pytest.skip("no numpy.libs/libscipy_openblas64_*.so exports scipy_openblas_set_num_threads64_")
+        _, images, ids, embeddings = make_samples()
+        before = lib.scipy_openblas_get_num_threads64_()
+        trained = []
+        try:
+            for threads in (1, 2):
+                lib.scipy_openblas_set_num_threads64_(threads)
+                trained.append(param_bytes(train_embedder(images, ids, embeddings, TRAINED_CONFIG)))
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        assert trained[0] == trained[1]
 
 
 class TestFreeze:
