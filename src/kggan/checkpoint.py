@@ -7,15 +7,15 @@ spectral.<D weight>.u vectors (each iteration's power step recomputes
 sigma from them); and for each optimizer (adam_g over G, adam_d over D)
 the second moments adam_g.v.<param>, 13 in all. There is no first
 moment: at ``gan.BETA1`` = 0 it is the current gradient, which no later
-step reads, so a file that stores adam_*.m.<param> is refused as
-holding unexpected tensors. The rest is derived: the condition table
-from the dataset's category table (``gan.condition_table``, which
-``cli._build_model`` calls), and the iteration from the metadata, which
-also gives both optimizers' Adam step number (iteration + 1). A
-"regressor" holds E.w1 ... E.b3. A "dataset" holds float32 ``images``
-[N, 3, S, S] and the category table ``embeddings`` [n_categories, d].
-A GAN's and a regressor's arrays and a dataset's images are float32,
-since both networks train in float32; the category table is float64.
+step reads, so a file that stores adam_*.m.<param> is refused as holding
+unexpected tensors. The rest is derived: the condition table from the
+dataset's category table (``gan.condition_table``, which
+``cli._build_model`` calls), and the iteration, the length of the
+metadata's log, which gives both optimizers' Adam step (iteration + 1).
+A "regressor" holds E.w1 ... E.b3. A "dataset" holds float32 ``images``
+[N, 3, S, S] and the category table ``embeddings`` [n_categories, d]. A
+GAN's and a regressor's arrays and a dataset's images are float32, since
+both networks train in float32; the category table is float64.
 
 Layout (version 3, the safetensors layout):
     "KGCK" | u32 version | u64 header length
@@ -35,9 +35,9 @@ a template a dtype other than the template's, naming the tensor.
 The metadata holds the ``kind`` and, as ``config.<field>``, the config
 fields the contents depend on: a dataset's ``synthdata.DATASET_FIELDS``, a
 regressor's ``regressor.EMBEDDER_FIELDS``. A GAN's holds its
-``condition_mode``, ``iteration`` and ``log``, the metric-log rows of
-iterations 0..iteration-1, which is all a resume reads besides the
-state (``gan.save_gan``); ``train`` adds its run: the ``cell``, the
+``condition_mode`` and ``log``, one metric-log row per iteration
+trained, which is all a resume reads besides the state
+(``gan.save_gan``); ``train`` adds its run: the ``cell``, the
 cell's ``lambda_se`` and every config field but ``out_dir``.
 A loader names the metadata it expects, and the first field that differs
 raises ContractError naming it. A resume expects all of it but

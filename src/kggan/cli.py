@@ -39,22 +39,21 @@ Every checkpoint ``train`` writes records its run: the cell, the cell's
 lambda_se, the condition mode and every config field but out_dir, where
 the run writes. ``train --resume`` continues only a checkpoint of the
 same run: on the first of those that differs it exits 3 naming it,
-before it trains or writes anything. Only gan_iterations may differ (a
-resume may train further); a checkpoint at or past it exits 3 naming
-both numbers, and one whose metadata iteration is not a non-negative
-int exits 3 naming it. Every GAN checkpoint records its metric log,
-the rows of iterations 0..iteration-1 (``gan.save_gan``), and a resume
-reads that file alone: ``metrics.csv`` and ``metrics.aborted.csv`` are
-written as before, and no verb reads them. A checkpoint whose log is
-missing, misnumbered or non-finite exits 3 from ``train --resume`` and
-from ``evaluate``, naming the file and ``log``. The new log holds the
-recorded rows, rendered as ``train`` first wrote them, and then the
-resumed ones. A numerical abort (exit 4) leaves in the cell's
-directory checkpoint.aborted.ckpt, the named state at the start of the
-failing iteration with the log of the iterations before it, and
-metrics.aborted.csv, those rows; an earlier run's checkpoint.ckpt and
-metrics.csv are left as they were. ``train`` makes the cell's directory
-first, so one it cannot make exits 5 before anything trains.
+before it trains or writes anything. Every GAN checkpoint records its
+metric log, one row per iteration trained (``gan.save_gan``), so the
+log's length is the iteration it resumes from. Only gan_iterations may
+differ (a resume may train further); a checkpoint at or past it exits 3
+naming both numbers. A resume reads that file alone: ``metrics.csv`` and
+``metrics.aborted.csv`` are written as before, and no verb reads them. A
+checkpoint whose log is missing, misnumbered or non-finite exits 3 from
+``train --resume`` and from ``evaluate``, naming the file and ``log``.
+The new log holds the recorded rows, rendered as ``train`` first wrote
+them, and then the resumed ones. A numerical abort (exit 4) leaves in
+the cell's directory checkpoint.aborted.ckpt, the named state at the
+start of the failing iteration with the log of the iterations before it,
+and metrics.aborted.csv, those rows; an earlier run's checkpoint.ckpt
+and metrics.csv are left as they were. ``train`` makes the cell's
+directory first, so one it cannot make exits 5 before anything trains.
 
 Ablation cells (condition, training data, knowledge loss):
     baseline_full_data  one-hot     all categories   off
@@ -227,13 +226,13 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
     cell_config = replace(config, lambda_se=run["lambda_se"])
     model, cond = _build_model(config, condition_mode, embeddings)
 
-    start_iteration, log = 0, []
+    log = []
     if resume:
         expect = {k: v for k, v in run.items() if k not in RESUME_FREE}
-        log, opt_g, opt_d, start_iteration = gan.load_gan(resume, model, cell_config, run=expect)
-        if start_iteration >= config.gan_iterations:
+        log, opt_g, opt_d, _ = gan.load_gan(resume, model, cell_config, run=expect)
+        if len(log) >= config.gan_iterations:
             raise ContractError(
-                f"{resume}: checkpoint has iteration {start_iteration}, at or past this run's "
+                f"{resume}: checkpoint has iteration {len(log)}, at or past this run's "
                 f"gan_iterations {config.gan_iterations}; there is nothing to train"
             )
     else:
@@ -252,7 +251,6 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
             embeddings,
             embedder,
             cell_config,
-            start_iteration=start_iteration,
             opt_g=opt_g,
             opt_d=opt_d,
             log=log,
@@ -261,11 +259,11 @@ def cmd_train(ws: Workspace, cell: str, resume: str | None = None) -> int:
         # the state at the start of the failing iteration and the log before
         # it, for post-mortem work or a resume
         path = os.path.join(cell_dir, ABORTED_CHECKPOINT)
-        gan.save_gan(path, abort.last_good, condition_mode, abort.iteration, run, abort.log)
+        gan.save_gan(path, abort.last_good, condition_mode, run, abort.log)
         _write_table(os.path.join(cell_dir, ABORTED_LOG), header, gan.METRIC_COLUMNS, abort.log)
         raise
     state = gan.gan_state(model, opt_g, opt_d)
-    gan.save_gan(ws.checkpoint_path(cell), state, condition_mode, config.gan_iterations, run, log)
+    gan.save_gan(ws.checkpoint_path(cell), state, condition_mode, run, log)
     _write_table(os.path.join(cell_dir, "metrics.csv"), header, gan.METRIC_COLUMNS, log)
     print(f"trained cell {cell}: {len(log)} iterations logged")
     return 0
@@ -365,7 +363,8 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
 
 
 def _verdict_lines(results: dict) -> list:
-    """Ordering checks over the unseen-average FIDs of the four cells."""
+    """Ordering checks over the unseen-average FIDs of the four cells, each
+    a strict ``<``: a tie fails."""
     lines = []
 
     def check(label, a, b):
@@ -378,9 +377,10 @@ def _verdict_lines(results: dict) -> list:
 
     check("embedding condition beats one-hot (unseen)", "kggan_full", "one_hot_kggan")
     check("interpolation without knowledge loss (unseen)", "kggan_no_se", "one_hot_kggan")
-    if all(c in results for c in ("kggan_full", "one_hot_kggan", "kggan_no_se")):
-        best = min(("kggan_full", "one_hot_kggan", "kggan_no_se"), key=lambda c: results[c].unseen_avg)
-        ok = "holds" if best == "kggan_full" else "FAILS"
+    knowledge = ("kggan_full", "one_hot_kggan", "kggan_no_se")
+    if all(c in results for c in knowledge):
+        full, *others = (results[c].unseen_avg for c in knowledge)
+        ok = "holds" if all(full < other for other in others) else "FAILS"
         lines.append(f"verdict: full method best among knowledge cells (unseen) -> {ok}")
     return lines
 

@@ -31,16 +31,14 @@ class NumericalAbort(RuntimeError):
     (see ``checkpoint``) at the start of the failing iteration: the
     parameters, the spectral ``u`` vectors and both optimizers' second
     moments (the GAN's Adam keeps no first moment).
-    It holds no iteration or condition table: the iteration is
-    ``iteration``, and the table is rebuilt from the dataset's category
-    table. ``log`` is the loop's metric log, the list of
-    ``gan.METRIC_COLUMNS`` rows of the iterations before it; ``cli``
-    saves it with ``last_good`` in checkpoint.aborted.ckpt, the one file
-    a resume from the abort reads.
+    ``log`` is the loop's metric log, the list of ``gan.METRIC_COLUMNS``
+    rows of the iterations before it, so the failing iteration is its
+    length. The condition table is not held: it is rebuilt from the
+    dataset's category table. ``cli`` saves ``last_good`` with ``log`` in
+    checkpoint.aborted.ckpt, the one file a resume from the abort reads.
     """
 
-    def __init__(self, message, last_good=None, iteration=None, log=None):
+    def __init__(self, message, last_good=None, log=None):
         super().__init__(message)
         self.last_good = last_good
-        self.iteration = iteration
         self.log = log

@@ -159,7 +159,6 @@ class GanModel:
         feat_dim: int,
     ):
         self.image_size = image_size
-        self.cond_dim = cond_dim
         self.condition_mode = condition_mode
         self.z_dim = z_dim
         out_dim = 3 * image_size * image_size
@@ -341,7 +340,6 @@ def train(
     embeddings: np.ndarray,
     embedder,
     config: ExperimentConfig,
-    start_iteration: int = 0,
     opt_g: AdamState | None = None,
     opt_d: AdamState | None = None,
     log: list | None = None,
@@ -365,11 +363,12 @@ def train(
     ``embedder``, a float32 ``regressor.RegressorModel``, runs as it is.
 
     Reads ``lambda_se``, ``batch_size``, ``gan_seed`` and ``gan_iterations``
-    from ``config``, and updates ``model`` in place over iterations
-    ``start_iteration`` .. ``gan_iterations - 1``, continuing ``opt_g`` and
-    ``opt_d`` when given (a resume) or starting ``new_optimizers``. Returns
-    the log: ``METRIC_COLUMNS`` rows, one per iteration trained here,
-    appended to ``log`` when given (a resume's earlier rows). A non-finite
+    from ``config``. The run's iteration is the length of ``log``, the
+    ``METRIC_COLUMNS`` rows of the iterations trained before (a resume's,
+    or none): ``train`` updates ``model`` in place over iterations
+    ``len(log)`` .. ``gan_iterations - 1``, continuing ``opt_g`` and
+    ``opt_d`` when given (a resume) or starting ``new_optimizers``, and
+    returns the log with one row appended per iteration. A non-finite
     loss or gradient raises NumericalAbort before G is updated, naming what
     it was and "at iteration N"; it carries the state and the log as they
     stood at the start of the failing iteration.
@@ -385,7 +384,7 @@ def train(
     cond = cond.astype(np.float32)
     embeddings = embeddings.astype(np.float32)
 
-    for iteration in range(start_iteration, config.gan_iterations):
+    for iteration in range(len(log), config.gan_iterations):
         # The state at the start of the iteration, kept for an abort. It
         # holds the live arrays, which is safe while nothing writes them:
         # power_iteration_step replaces its vectors, and adam_step writes
@@ -400,7 +399,7 @@ def train(
 
         try:
             # each iteration steps D and G once, so Adam's step number is
-            # iteration + 1 for both, and a resume needs only the iteration
+            # iteration + 1 for both, and a resume needs only the log
             l_d = _d_step(model, opt_d, dataset, pool, cond, config, iteration, snapshot)
             loss_g, se_seen, se_unseen = _g_loss(
                 model, seen_cats, unseen_cats, cond, embeddings, embedder, config, iteration
@@ -412,7 +411,7 @@ def train(
         except NumericalAbort as abort:
             ad.get_tape().clear()
             message = f"{abort} at iteration {iteration}"
-            raise NumericalAbort(message, last_good=snapshot, iteration=iteration, log=log) from None
+            raise NumericalAbort(message, last_good=snapshot, log=log) from None
 
         log.append((iteration, l_d, l_g, se_seen, se_unseen))
     return log
@@ -451,15 +450,15 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
     return state
 
 
-def save_gan(path, state: dict, condition_mode: str, iteration: int, run=None, log=()) -> None:
-    """Write a named state, a ``gan_state`` or an abort's ``last_good``, as
-    the state at the start of ``iteration``, with ``log``, the
-    ``METRIC_COLUMNS`` rows of iterations 0..iteration-1 (none at 0), so a
+def save_gan(path, state: dict, condition_mode: str, run=None, log=()) -> None:
+    """Write a named state, a ``gan_state`` or an abort's ``last_good``,
+    with ``log``, the ``METRIC_COLUMNS`` rows of the iterations before it:
+    the state is the one at the start of iteration ``len(log)``, so a
     resume reads the one file; ``run`` adds metadata a resume compares.
-    The log is JSON in the metadata, not a tensor: its length is the
-    iteration, which no load template knows in advance. JSON writes each
-    float as its ``repr``, so every loss comes back with the same bits."""
-    metadata = {"kind": "gan", "condition_mode": condition_mode, "iteration": iteration, "log": log}
+    The log is JSON in the metadata, not a tensor: its length, which no
+    load template knows in advance, is the run's iteration. JSON writes
+    each float as its ``repr``, so every loss comes back with the same bits."""
+    metadata = {"kind": "gan", "condition_mode": condition_mode, "log": log}
     save_checkpoint(path, state, {**metadata, **(run or {})})
 
 
@@ -477,26 +476,20 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     condition table from the dataset's (``cli._build_model``). Every
     field of ``run`` must match the checkpoint's metadata, after its kind
     and condition mode. A non-finite value is refused naming its tensor
-    and row. The iteration is the metadata's, which must be a
-    non-negative int; otherwise ContractError names it. The metadata's
-    ``log`` must hold exactly that many rows, row i an int i and four
-    finite floats, as ``train`` logs them; otherwise ContractError names
-    the file, ``log`` and what it found. ``train`` continues both
-    optimizers' Adam steps from the iteration; both learn at
-    ``config.gan_lr``. Returns (log, opt_g, opt_d, iteration), the log a
-    list of row tuples.
+    and row. The metadata's ``log`` must be a list whose row i is an int
+    i and four finite floats, as ``train`` logs them; otherwise
+    ContractError names the file, ``log`` and what it found. Its length
+    is the iteration, from which ``train`` continues both optimizers'
+    Adam steps; both learn at ``config.gan_lr``. Returns (log, opt_g,
+    opt_d, len(log)), the log a list of row tuples.
     """
     opt_g, opt_d = new_optimizers(model, config)
     expect = {"kind": "gan", "condition_mode": model.condition_mode, **(run or {})}
     live = gan_state(model, opt_g, opt_d)
     state, metadata = load_checkpoint(path, template=live, expect=expect)
-    iteration = metadata.get("iteration")
-    if type(iteration) is not int or iteration < 0:
-        raise ContractError(f"{path}: checkpoint has iteration {iteration!r}, expected a non-negative int")
     log = metadata.get("log")
-    if type(log) is not list or len(log) != iteration:
-        found = f"{len(log)} rows" if type(log) is list else repr(log)
-        raise ContractError(f"{path}: checkpoint has log {found}, expected {iteration} rows")
+    if type(log) is not list:
+        raise ContractError(f"{path}: checkpoint has log {log!r}, expected a list")
     for i, row in enumerate(log):
         ok = type(row) is list and tuple(map(type, row)) == (int, float, float, float, float) and row[0] == i
         if not (ok and all(map(math.isfinite, row[1:]))):
@@ -505,4 +498,4 @@ def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):
     # the arrays are the fresh model's and optimizers' own
     for name, arr in live.items():
         arr[...] = state[name]
-    return [tuple(row) for row in log], opt_g, opt_d, iteration
+    return [tuple(row) for row in log], opt_g, opt_d, len(log)

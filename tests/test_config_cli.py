@@ -619,6 +619,48 @@ class TestResume:
         assert cli.main(argv) == 0
         assert {name: (cell_dir / name).read_bytes() for name in finished} == finished
 
+    def test_checkpoint_that_also_stores_its_iteration_resumes_and_scores(self, tmp_path):
+        """A checkpoint as written when the metadata also held the iteration
+        (the log's length, after the condition mode) still works: resumed
+        from a half-length run's, ``train`` writes the uninterrupted run's
+        metrics.csv and checkpoint.ckpt byte for byte, and ``evaluate``
+        of the finished run's writes the same fid_report.csv."""
+        from kggan import cli
+        from kggan.checkpoint import load_checkpoint, save_checkpoint
+
+        def with_iteration(path):
+            state, metadata = load_checkpoint(path)
+            assert "iteration" not in metadata
+            head = {"kind": "gan", "condition_mode": metadata["condition_mode"]}
+            stored = {**head, "iteration": len(metadata["log"]), **metadata}
+            assert list(stored)[:4] == ["kind", "condition_mode", "iteration", "log"]
+            target = tmp_path / f"{len(metadata['log'])}_with_iteration.ckpt"
+            save_checkpoint(target, state, stored)
+            return target
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY.format(out=tmp_path / "out"))
+        for cmd in (["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"]):
+            assert cli.main(["--config", str(cfg), *cmd]) == 0
+        assert cli.main(["--config", str(cfg), "evaluate", "--cell", "kggan_full"]) == 0
+        cell_dir = tmp_path / "out" / "cells" / "kggan_full"
+        names = ("checkpoint.ckpt", "metrics.csv", "fid_report.csv")
+        finished = {name: (cell_dir / name).read_bytes() for name in names}
+
+        full = with_iteration(cell_dir / "checkpoint.ckpt")
+        (cell_dir / "fid_report.csv").unlink()
+        argv = ["--config", str(cfg), "evaluate", "--cell", "kggan_full", "--checkpoint", str(full)]
+        assert cli.main(argv) == 0
+        assert (cell_dir / "fid_report.csv").read_bytes() == finished["fid_report.csv"]
+
+        half = tmp_path / "half.cfg"
+        half.write_text(cfg.read_text().replace("gan_iterations = 40", "gan_iterations = 20"))
+        assert cli.main(["--config", str(half), "train", "--cell", "kggan_full"]) == 0
+        resume = with_iteration(cell_dir / "checkpoint.ckpt")
+        argv = ["--config", str(cfg), "train", "--cell", "kggan_full", "--resume", str(resume)]
+        assert cli.main(argv) == 0
+        assert {name: (cell_dir / name).read_bytes() for name in names} == finished
+
 
 @pytest.fixture(scope="module")
 def trained_cells(workspace):
@@ -695,14 +737,10 @@ class TestResumeChecks:
     @pytest.mark.parametrize(
         "damage, verb, named",
         [
-            ("negative", "train", "checkpoint has iteration -1, expected a non-negative int"),
-            ("fraction", "train", "checkpoint has iteration 2.5, expected a non-negative int"),
-            ("missing", "train", "checkpoint has iteration None, expected a non-negative int"),
             ("older_layout", "train", "unexpected tensor adam_d.step"),
             ("older_layout", "evaluate", "unexpected tensor adam_d.step"),
-            ("log_missing", "train", "checkpoint has log None, expected 40 rows"),
-            ("log_missing", "evaluate", "checkpoint has log None, expected 40 rows"),
-            ("log_short", "train", "checkpoint has log 39 rows, expected 40 rows"),
+            ("log_missing", "train", "checkpoint has log None, expected a list"),
+            ("log_missing", "evaluate", "checkpoint has log None, expected a list"),
             ("log_misnumbered", "train", "checkpoint has log row 3 [4, "),
             ("log_misnumbered", "evaluate", "checkpoint has log row 3 [4, "),
             ("log_non_finite", "train", "checkpoint has log row 5 [5, "),
@@ -710,14 +748,10 @@ class TestResumeChecks:
             ("log_int_loss", "train", "checkpoint has log row 7 [7, 1, "),
         ],
         ids=[
-            "negative",
-            "fraction",
-            "missing",
             "older_layout_train",
             "older_layout_evaluate",
             "log_missing_train",
             "log_missing_evaluate",
-            "log_short_train",
             "log_misnumbered_train",
             "log_misnumbered_evaluate",
             "log_non_finite_train",
@@ -728,13 +762,12 @@ class TestResumeChecks:
     def test_checkpoint_iteration_or_layout_exits_3_naming_it(
         self, trained_cells, tmp_path, damage, verb, named
     ):
-        """The iteration is the metadata's and must be a count; a file that
-        still stores derived state (the iteration, the Adam step counts,
-        the condition transform) is refused naming the first such tensor.
-        The metadata's log must hold the rows of iterations 0..39 as
-        ``train`` logs them, each an int and four finite floats; a file
-        written before checkpoints carried their log has none. The config
-        would resume the file for 20 more iterations."""
+        """A file that still stores derived state (the iteration, the Adam
+        step counts, the condition transform) is refused naming the first
+        such tensor. The metadata's log must be a list of the rows of
+        iterations 0, 1, ... as ``train`` logs them, each an int and four
+        finite floats; a file written before checkpoints carried their log
+        has none. The config would resume the file for 20 more iterations."""
         from kggan.checkpoint import load_checkpoint, save_checkpoint
 
         root, cfg_path = trained_cells
@@ -743,20 +776,14 @@ class TestResumeChecks:
         if damage == "older_layout":
             state.update({name: np.asarray(40.0) for name in ("adam_g.step", "adam_d.step", "iteration")})
             state.update({"cond.transform": np.eye(16), "cond.shift": np.zeros(16)})
-        elif damage == "missing":
-            del metadata["iteration"]
         elif damage == "log_missing":
             del metadata["log"]
-        elif damage == "log_short":
-            del metadata["log"][-1]
         elif damage == "log_misnumbered":
             metadata["log"][3][0] = 4
         elif damage == "log_non_finite":
             metadata["log"][5][2] = {"train": np.nan, "evaluate": np.inf}[verb]
         elif damage == "log_int_loss":  # the value 1.0, but not as train logs it
             metadata["log"][7][1] = 1
-        else:
-            metadata["iteration"] = {"negative": -1, "fraction": 2.5}[damage]
         path = tmp_path / "checkpoint.ckpt"
         save_checkpoint(path, state, metadata)
         before = {p: p.read_bytes() for p in cell_dir.rglob("*") if p.is_file()}
@@ -784,9 +811,9 @@ class TestResumeChecks:
         cell_dir = root / "out" / "cells" / "kggan_full"
         state, metadata = load_checkpoint(cell_dir / "checkpoint.ckpt")
         state = damage(state)
-        run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "iteration")}
+        run = {k: v for k, v in metadata.items() if k not in ("kind", "condition_mode", "log")}
         path = tmp_path / "checkpoint.ckpt"
-        gan.save_gan(path, state, metadata["condition_mode"], metadata["iteration"], run)
+        gan.save_gan(path, state, metadata["condition_mode"], run, metadata["log"])
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(cfg_path.read_text().replace("gan_iterations = 40", "gan_iterations = 60"))
 
@@ -1082,6 +1109,30 @@ class TestAblationGolden:
         assert changed == {f"out_dir = {ablated}", f"out_dir = {tmp_path / 'out'}"}
 
 
+class TestVerdicts:
+    @pytest.mark.parametrize(
+        "one_hot, no_se, ok",
+        [
+            (1100.0, 1057.4659, "FAILS"),
+            (1057.4659, 1100.0, "FAILS"),
+            (1100.0, 1057.46591, "holds"),
+            (1100.0, 1057.0, "FAILS"),
+        ],
+        ids=["tie_with_no_se", "tie_with_one_hot", "strictly_best", "beaten"],
+    )
+    def test_full_method_best_holds_only_strictly_below_both(self, one_hot, no_se, ok):
+        """On stub reports: kggan_full at 1057.4659 unseen is best only when
+        both other knowledge cells score strictly more; a tie is no win,
+        as the two pairwise verdicts' strict ``<`` has it."""
+        from kggan import cli
+        from kggan.evaluation import FidReport
+
+        unseen = {"kggan_full": 1057.4659, "one_hot_kggan": one_hot, "kggan_no_se": no_se}
+        results = {cell: FidReport(per_category={}, seen_avg=0.0, unseen_avg=v) for cell, v in unseen.items()}
+        lines = cli._verdict_lines(results)
+        assert lines[-1] == f"verdict: full method best among knowledge cells (unseen) -> {ok}"
+
+
 class TestBenchmarkChecks:
     def test_checkpoint_check_loads_what_train_writes(self, trained_cells):
         """The benchmark's checkpoint check runs against the package as it
@@ -1146,7 +1197,7 @@ class TestCheckpointLayout:
 
         # the call perfbench/checks.py makes; the model is loaded in place
         _, opt_g, opt_d, iteration = gan.load_gan(path, model, gan.TrainConfig())
-        assert iteration == metadata["iteration"] == 40
+        assert iteration == len(metadata["log"]) == 40 and "iteration" not in metadata
         assert opt_g.first_moment == [] and opt_d.first_moment == []
         loaded = gan.gan_state(model, opt_g, opt_d)
         assert list(loaded) == list(state)
@@ -1260,7 +1311,7 @@ class TestAbortCheckpoint:
         monkeypatch.setattr(gan, "adam_step", poisoned)
         assert cli.main(["--config", str(cfg), "train", "--cell", "kggan_full"]) == 4
         state, metadata = load_checkpoint(cell_dir / "checkpoint.aborted.ckpt")
-        assert (metadata["iteration"], metadata["cell"]) == (k, "kggan_full")
+        assert (len(metadata["log"]), metadata["cell"]) == (k, "kggan_full")
         assert list(state) == list(expected)
         for name, arr in expected.items():
             assert state[name].shape == arr.shape and state[name].tobytes() == arr.tobytes(), name

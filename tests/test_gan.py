@@ -650,7 +650,7 @@ class TestTrainLoop:
             train(model, dataset, split, embeddings, embeddings, embedder, mini_config(gan_iterations=3))
         assert str(excinfo.value) == "non-finite gradient for parameter D.w1 at iteration 0"
         assert excinfo.value.last_good is not None
-        assert excinfo.value.iteration == 0
+        assert excinfo.value.log == []
 
     def test_nan_regressor_weight_names_every_knowledge_loss(self, mini_data, monkeypatch):
         """A NaN in the frozen regressor leaves L_D finite and makes L_G and
@@ -664,7 +664,7 @@ class TestTrainLoop:
         with pytest.raises(NumericalAbort) as excinfo:
             train(mini_model(), dataset, split, embeddings, embeddings, embedder, config)
         assert str(excinfo.value) == "non-finite loss L_G, L_se_seen, L_se_unseen at iteration 0"
-        assert (excinfo.value.iteration, excinfo.value.log) == (0, [])
+        assert excinfo.value.log == []
 
     def test_generator_gradient_matches_finite_differences(self, mini_data, float64_gan):
         """On a float64 copy of the model: central differences at h = 1e-5
@@ -864,7 +864,7 @@ class TestCheckpointResume:
         assert [row[0] for row in log] == [0, 1]
         assert opt_g.learning_rate == opt_d.learning_rate == 3e-4
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=2, log=log)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, log=log)
         _, opt_g2, opt_d2, start = load_gan(path, mini_model(), config)
         assert start == 2
         assert opt_g2.learning_rate == opt_d2.learning_rate == 3e-4
@@ -886,7 +886,7 @@ class TestCheckpointResume:
         )
         path = tmp_path / "gan.ckpt"
         state_a = gan.gan_state(model_a, opt_g, opt_d)
-        save_gan(path, state_a, model_a.condition_mode, iteration=20, log=log_a)
+        save_gan(path, state_a, model_a.condition_mode, log=log_a)
 
         model_c = mini_model(seed=99)  # different init; checkpoint must override
         log_c, opt_g2, opt_d2, start = load_gan(path, model_c, config)
@@ -899,7 +899,6 @@ class TestCheckpointResume:
             embeddings,
             embedder,
             config,
-            start_iteration=start,
             opt_g=opt_g2,
             opt_d=opt_d2,
             log=log_c,
@@ -913,7 +912,7 @@ class TestCheckpointResume:
         config = mini_config()
         opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=0)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode)
         wrong = mini_model(condition_mode="semantic_embedding")
         with pytest.raises(ContractError, match="condition_mode 'one_hot'"):
             load_gan(path, wrong, config)
@@ -953,7 +952,7 @@ class TestCheckpointResume:
         model, config = mini_model(), mini_config()
         opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, iteration=0)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode)
         state, metadata = load_checkpoint(path)
         damage(state)
         save_checkpoint(path, state, metadata)

@@ -1,8 +1,9 @@
 """Guards: every function and class in ``src/kggan`` has a caller there,
 every defaulted parameter is passed there, every ``ExperimentConfig``
-field is read there, every dataclass field is read there, every import
-is used by its module, no module reads another's private attribute, and
-only ``checkpoint.write_atomic`` opens a file for writing.
+field is read there, every dataclass field and instance attribute is
+read there, every import is used by its module, no module reads
+another's private attribute, and only ``checkpoint.write_atomic`` opens
+a file for writing.
 
 A definition that only tests reach is dead weight for the program: the
 tests pin behaviour nothing else uses. Names are matched by spelling, so
@@ -23,8 +24,9 @@ module other than ``config.py`` loads it as ``config.<field>`` or
 ``<obj>.config.<field>``.
 
 A dataclass field that nothing reads as an attribute is state written
-for no one. As with definitions, a field counts as read when any module
-in the package loads an attribute of its spelling.
+for no one, and so is an instance attribute a class's methods store as
+``self.<name> = ...``. As with definitions, either counts as read when
+any module in the package loads an attribute of its spelling.
 
 An import its module never spells is a dependency nothing needs, in the
 package and in the tests alike. The package's ``__init__`` imports to
@@ -185,15 +187,20 @@ def test_every_config_field_is_read_outside_config():
     assert unread_config_fields() == []
 
 
-def unread_dataclass_fields():
-    """``module.Class.field`` of each ``@dataclass`` field no module loads as an attribute."""
-    trees = _trees()
-    read = {
+def _attribute_loads(trees):
+    """Every attribute name any module loads, as in ``obj.<name>``."""
+    return {
         node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def unread_dataclass_fields():
+    """``module.Class.field`` of each ``@dataclass`` field no module loads as an attribute."""
+    trees = _trees()
+    read = _attribute_loads(trees)
     found = []
     for module, tree in sorted(trees.items()):
         for cls in tree.body:
@@ -210,6 +217,47 @@ def unread_dataclass_fields():
 
 def test_every_dataclass_field_is_read_in_the_package():
     assert unread_dataclass_fields() == []
+
+
+def unread_instance_attributes(trees=None):
+    """``module.Class.attribute`` of each ``self.<attribute>`` a class's
+    methods store that no module loads as an attribute."""
+    trees = trees or _trees()
+    read = _attribute_loads(trees)
+    found = []
+    for module, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored = {
+                node.attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            }
+            found += [f"{module}.{cls.name}.{name}" for name in sorted(stored - read)]
+    return found
+
+
+def test_every_instance_attribute_is_read_in_the_package():
+    assert unread_instance_attributes() == []
+
+
+def test_instance_attribute_guard_sees_stores_against_loads():
+    source = '''
+class Model:
+    def __init__(self, size, width):
+        self.size = size
+        self.width = width
+        self.count = 0
+
+    def grow(self):
+        self.count += 1
+        return self.size
+'''
+    assert unread_instance_attributes({"gan": ast.parse(source)}) == ["gan.Model.count", "gan.Model.width"]
 
 
 def unused_imports():
