@@ -26,6 +26,15 @@ gradients.
 Gradient arrays are never mutated in place; accumulation always allocates,
 so it is safe for a backward rule to hand back the incoming gradient
 object itself (as ``add`` does).
+
+A constant enters an operation as a ``Tensor``, which gets a gradient
+only if passed to ``backward``. No rule exists for an operation that a
+composition of other rules gives bit for bit: ``-x`` is
+``scale(x, -1.0)``, ``x - t`` for a constant ``t`` is
+``add(x, Tensor(-t))``, ``x + 1`` is ``add`` of a constant of ones,
+``x * x`` is ``mul(x, x)``, whose gradient ``g*x + g*x`` is ``2g*x``
+unless ``g*x`` is subnormal, and an [n, 1] column as an [n] vector is
+``tsum(x, axis=1)``, which gives -0.0 back as +0.0.
 """
 
 from __future__ import annotations
@@ -190,16 +199,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b)
-    out = a.data - b.data
-
-    def back(g):
-        return g, -g
-
-    return _make(out, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b)
     out = a.data * b.data
@@ -221,15 +220,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return _make(a.data * s, (a,), back)
-
-
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def back(g):
-        return (g,)
-
-    return _make(a.data + s, (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -312,13 +302,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
-def square(a: Tensor) -> Tensor:
-    def back(g):
-        return (g * 2.0 * a.data,)
-
-    return _make(a.data * a.data, (a,), back)
-
-
 def tsum(a: Tensor, axis=None) -> Tensor:
     out = a.data.sum(axis=axis)
 
@@ -338,15 +321,6 @@ def tmean(a: Tensor) -> Tensor:
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
 
     return _make(out, (a,), back)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def back(g):
-        return (g.reshape(a.data.shape),)
-
-    return _make(a.data.reshape(shape), (a,), back)
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:

@@ -222,7 +222,10 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
     phi = ad.leaky_relu(ad.affine(h, w2, model.db2))
     psi = ad.affine(phi, psi_w, model.psi_b)
     proj = ad.tsum(ad.mul(ad.matmul(v, v_proj), phi), axis=1)
-    return ad.add(ad.reshape(psi, (x.data.shape[0],)), proj)
+    # psi's one column as a vector: a sum over one element gives it back,
+    # -0.0 as +0.0, and psi is never -0.0 (psi_b starts at +0.0, and
+    # Adam's p - step never turns +0.0 into -0.0)
+    return ad.add(ad.tsum(psi, axis=1), proj)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +233,12 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
 
 
 def hinge_d_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
-    """mean(max(0, 1 - real)) + mean(max(0, 1 + fake))."""
-    real_term = ad.tmean(ad.relu(ad.add_scalar(ad.scale(real_scores, -1.0), 1.0)))
-    fake_term = ad.tmean(ad.relu(ad.add_scalar(fake_scores, 1.0)))
+    """mean(max(0, 1 - real)) + mean(max(0, 1 + fake)), over scores of one
+    shape, as the D step's two row slices are: both terms add one
+    constant of ones."""
+    ones = Tensor(np.ones_like(real_scores.data))
+    real_term = ad.tmean(ad.relu(ad.add(ad.scale(real_scores, -1.0), ones)))
+    fake_term = ad.tmean(ad.relu(ad.add(fake_scores, ones)))
     return ad.add(real_term, fake_term)
 
 
@@ -340,9 +346,9 @@ def train(
     embeddings: np.ndarray,
     embedder,
     config: ExperimentConfig,
-    opt_g: AdamState | None = None,
-    opt_d: AdamState | None = None,
-    log: list | None = None,
+    opt_g: AdamState,
+    opt_d: AdamState,
+    log: list,
 ):
     """Category-dependent training: seen batches drive the adversarial and
     knowledge losses, unseen batches the knowledge loss alone.
@@ -366,9 +372,9 @@ def train(
     from ``config``. The run's iteration is the length of ``log``, the
     ``METRIC_COLUMNS`` rows of the iterations trained before (a resume's,
     or none): ``train`` updates ``model`` in place over iterations
-    ``len(log)`` .. ``gan_iterations - 1``, continuing ``opt_g`` and
-    ``opt_d`` when given (a resume) or starting ``new_optimizers``, and
-    returns the log with one row appended per iteration. A non-finite
+    ``len(log)`` .. ``gan_iterations - 1``, stepping ``opt_g`` and
+    ``opt_d`` (a resume's, or ``new_optimizers``), and returns the log
+    with one row appended per iteration. A non-finite
     loss or gradient raises NumericalAbort before G is updated, naming what
     it was and "at iteration N"; it carries the state and the log as they
     stood at the start of the failing iteration.
@@ -377,10 +383,6 @@ def train(
     pool = dataset.rows_of(seen_cats)
     unseen_cats = np.asarray(sorted(split.unseen_ids), dtype=np.int64)
 
-    if opt_g is None and opt_d is None:
-        opt_g, opt_d = new_optimizers(model, config)
-    if log is None:
-        log = []
     cond = cond.astype(np.float32)
     embeddings = embeddings.astype(np.float32)
 
@@ -450,7 +452,7 @@ def gan_state(model: GanModel, opt_g: AdamState, opt_d: AdamState) -> dict:
     return state
 
 
-def save_gan(path, state: dict, condition_mode: str, run=None, log=()) -> None:
+def save_gan(path, state: dict, condition_mode: str, run: dict, log) -> None:
     """Write a named state, a ``gan_state`` or an abort's ``last_good``,
     with ``log``, the ``METRIC_COLUMNS`` rows of the iterations before it:
     the state is the one at the start of iteration ``len(log)``, so a
@@ -459,7 +461,7 @@ def save_gan(path, state: dict, condition_mode: str, run=None, log=()) -> None:
     load template knows in advance, is the run's iteration. JSON writes
     each float as its ``repr``, so every loss comes back with the same bits."""
     metadata = {"kind": "gan", "condition_mode": condition_mode, "log": log}
-    save_checkpoint(path, state, {**metadata, **(run or {})})
+    save_checkpoint(path, state, {**metadata, **run})
 
 
 def load_gan(path, model: GanModel, config: ExperimentConfig, run=None):

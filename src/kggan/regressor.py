@@ -98,11 +98,12 @@ def semantic_embedding_loss(predictions: Tensor, targets: Tensor) -> Tensor:
 
     Gradients reach whatever produced ``predictions``; a regressor's own
     parameters get one only if passed to ``backward``, which only
-    ``train_embedder`` does. Targets of another shape raise the
-    DimensionError of ``autodiff.sub``, naming both shapes.
+    ``train_embedder`` does. The targets are a constant: they enter
+    negated, so the difference is one ``autodiff.add``, and targets of
+    another shape raise its DimensionError, naming both shapes.
     """
-    diff = ad.sub(predictions, targets)
-    return ad.scale(ad.tsum(ad.square(diff)), 1.0 / predictions.data.shape[0])
+    diff = ad.add(predictions, Tensor(-targets.data))
+    return ad.scale(ad.tsum(ad.mul(diff, diff)), 1.0 / predictions.data.shape[0])
 
 
 def train_embedder(

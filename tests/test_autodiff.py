@@ -8,6 +8,8 @@ import pytest
 from kggan import autodiff as ad
 from kggan.autodiff import Tensor
 from kggan.errors import ContractError, DimensionError
+from kggan.gan import hinge_d_loss
+from kggan.regressor import semantic_embedding_loss
 
 
 def triple_loop_matmul(a, b):
@@ -20,6 +22,11 @@ def triple_loop_matmul(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def square(t):
+    """t * t on the tape, the way L_se squares its difference."""
+    return ad.mul(t, t)
 
 
 def finite_difference(f, params, h=1e-5):
@@ -93,8 +100,9 @@ class TestBackward:
         assert np.array_equal(grad, np.ones((3, 5)))
 
     def test_square_sum_gradient(self):
+        # both inputs of mul(w, w) are w: its two gradients accumulate
         w = Tensor([2.0, -3.0])
-        (grad,) = ad.backward(ad.tsum(ad.square(w)), [w])
+        (grad,) = ad.backward(ad.tsum(ad.mul(w, w)), [w])
         assert np.array_equal(grad, [4.0, -6.0])
 
     def test_two_layer_tanh_network_matches_finite_differences(self, rng):
@@ -106,14 +114,14 @@ class TestBackward:
 
         def loss():
             h = ad.tanh(ad.affine(x, w1, b1))
-            return ad.tsum(ad.square(ad.affine(h, w2, b2)))
+            return ad.tsum(square(ad.affine(h, w2, b2)))
 
         assert_close_to_fd(loss, [w1, b1, w2, b2])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0])
         with pytest.raises(ContractError):
-            ad.backward(ad.square(w), [w])
+            ad.backward(square(w), [w])
 
     def test_empty_tape_rejected(self):
         with pytest.raises(ContractError):
@@ -127,7 +135,7 @@ class TestBackward:
         x = Tensor(rng.standard_normal((4, 3)))
         w = Tensor(rng.standard_normal((3, 2)))
         held = ad.matmul(x, w)
-        loss = ad.tsum(ad.square(ad.tanh(held)))
+        loss = ad.tsum(square(ad.tanh(held)))
         nodes = ad.get_tape().nodes
         later = weakref.ref(nodes[1][0].data)  # the tanh output
         kept = weakref.ref(held.data)
@@ -148,7 +156,7 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 2)))
 
         def run():
-            (grad,) = ad.backward(ad.tsum(ad.square(ad.matmul(x, w))), [w])
+            (grad,) = ad.backward(ad.tsum(square(ad.matmul(x, w))), [w])
             return grad
 
         first = run()
@@ -158,7 +166,7 @@ class TestBackward:
 
     def test_branching_graph_accumulates(self):
         w = Tensor([3.0])
-        y = ad.add(ad.square(w), ad.scale(w, 2.0))  # w^2 + 2w
+        y = ad.add(square(w), ad.scale(w, 2.0))  # w^2 + 2w
         (grad,) = ad.backward(ad.tsum(y), [w])
         assert np.allclose(grad, [8.0])
 
@@ -200,7 +208,7 @@ class TestRestrictedBackward:
 
         def loss():
             h = ad.tanh(ad.affine(x, w1, b1))
-            return ad.tsum(ad.square(ad.affine(h, w2, b2)))
+            return ad.tsum(square(ad.affine(h, w2, b2)))
 
         full = ad.backward(loss(), [w1, b1, w2, b2])
         first = ad.backward(loss(), [w1, b1])
@@ -212,12 +220,12 @@ class TestRestrictedBackward:
         assert grad_x.shape == x.data.shape and np.any(grad_x != 0.0) and unreached is None
         # an intermediate passed keeps its gradient though the pass frees others'
         h = ad.tanh(ad.affine(x, w1, b1))
-        (grad_h,) = ad.backward(ad.tsum(ad.square(h)), [h])
+        (grad_h,) = ad.backward(ad.tsum(square(h)), [h])
         assert np.array_equal(grad_h, 2.0 * h.data)
 
 
 class TestOps:
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_unequal_shapes_rejected_naming_both(self, rng, op):
         x = Tensor(rng.standard_normal((5, 4)))
         b = Tensor(rng.standard_normal(4))
@@ -277,7 +285,7 @@ class TestOps:
 
     def test_sum_axis_backward(self, rng):
         a = Tensor(rng.standard_normal((3, 4)))
-        (grad,) = ad.backward(ad.tsum(ad.square(ad.tsum(a, axis=1))), [a])
+        (grad,) = ad.backward(ad.tsum(square(ad.tsum(a, axis=1))), [a])
         with ad.no_grad():
             expected = np.repeat(2.0 * a.data.sum(axis=1)[:, None], 4, axis=1)
         assert np.allclose(grad, expected)
@@ -289,13 +297,13 @@ class TestOps:
             lambda t: ad.leaky_relu(t),
             lambda t: ad.tanh(t),
             lambda t: ad.sigmoid(t),
-            lambda t: ad.square(t),
+            lambda t: ad.mul(t, t),
         ],
     )
     def test_elementwise_gradients_match_fd(self, op, rng):
         # offset away from relu's kink so finite differences are valid
         w = Tensor(rng.standard_normal((3, 3)) + 0.31)
-        assert_close_to_fd(lambda: ad.tsum(ad.square(op(w))), [w])
+        assert_close_to_fd(lambda: ad.tsum(square(op(w))), [w])
 
     def test_sigmoid_stable_for_large_inputs(self):
         out = ad.sigmoid(Tensor([[-800.0, 800.0]]))
@@ -305,36 +313,178 @@ class TestOps:
     def test_detach_blocks_gradient(self):
         # a tensor rebuilt from another's values, as the D step feeds G's fakes
         w = Tensor([2.0])
-        y = Tensor(ad.square(w).data)
+        y = Tensor(square(w).data)
         z = ad.mul(Tensor([3.0]), y)
         assert ad.backward(ad.tsum(z), [w]) == [None]
 
     def test_no_grad_suppresses_recording(self):
         w = Tensor([2.0])
         with ad.no_grad():
-            ad.square(w)
+            square(w)
         assert len(ad.get_tape()) == 0
+
+
+# The tape's rules for a difference, a shift by a constant, a square and a
+# reshape, as they stood before each became a composition of the rules
+# that stay; kept to check the compositions against them
+def old_sub(a, b):
+    return ad._make(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def old_add_scalar(a, s):
+    return ad._make(a.data + float(s), (a,), lambda g: (g,))
+
+
+def old_square(a):
+    return ad._make(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
+
+
+def old_reshape(a, shape):
+    return ad._make(a.data.reshape(tuple(shape)), (a,), lambda g: (g.reshape(a.data.shape),))
+
+
+def old_semantic_embedding_loss(predictions, targets):
+    diff = old_sub(predictions, targets)
+    return ad.scale(ad.tsum(old_square(diff)), 1.0 / predictions.data.shape[0])
+
+
+def old_hinge_d_loss(real_scores, fake_scores):
+    real_term = ad.tmean(ad.relu(old_add_scalar(ad.scale(real_scores, -1.0), 1.0)))
+    fake_term = ad.tmean(ad.relu(old_add_scalar(fake_scores, 1.0)))
+    return ad.add(real_term, fake_term)
+
+
+def edge_values(dtype):
+    """Signed zeros, subnormals, the smallest normal, ordinary values, a
+    quarter of the largest float and the infinities, in ``dtype``."""
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    values = [0.0, -0.0, tiny, -3 * tiny, info.smallest_normal, 1.0, -1.0, 0.5, -2.75, 3e-7, 1e4]
+    return np.array(values + [info.max / 4, np.inf, -np.inf], dtype=dtype)
+
+
+def forward_and_grads(build, inputs, weights):
+    """``build(*inputs)`` and the gradients of sum(out * weights) for the
+    inputs: the gradient reaching the output is ``weights`` itself. The
+    edge values overflow and make NaN on purpose, so nothing warns."""
+    with np.errstate(all="ignore"):
+        out = build(*inputs)
+        loss = ad.tsum(ad.mul(out, Tensor(weights)))
+        return out.data, ad.backward(loss, list(inputs))
+
+
+def assert_same_bits(got, want):
+    """The same bits, with NaN (from inf - inf or inf * 0) where and only
+    where ``want`` has it, whatever its payload."""
+    nan = np.isnan(want)
+    assert got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+    view = f"u{want.itemsize}"
+    assert np.array_equal(got.view(view)[~nan], want.view(view)[~nan])
+
+
+class TestCompositionsMatchTheDeletedRules:
+    """Each composition that replaced a deleted rule against that rule, on
+    float32 and float64 edge values: forward values and gradients bit for
+    bit, but for two exceptions each test below names."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_difference_with_a_constant_is_add_of_its_negation(self, dtype):
+        # a - t is a + (-t) by IEEE definition, and negation is exact
+        a, t = np.meshgrid(edge_values(dtype), edge_values(dtype), indexing="ij")
+        w = t[::-1].copy()
+        old, (old_grad,) = forward_and_grads(lambda x: old_sub(x, Tensor(t)), [Tensor(a)], w)
+        new, (new_grad,) = forward_and_grads(lambda x: ad.add(x, Tensor(-t)), [Tensor(a)], w)
+        assert_same_bits(new, old)
+        assert_same_bits(new_grad, old_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shift_by_one_is_add_of_ones(self, dtype):
+        # a python float is weak: x + 1.0 computes in x's dtype, as x + ones
+        x = np.concatenate([edge_values(dtype), -edge_values(dtype)])
+        w = x[::-1].copy()
+        old, (old_grad,) = forward_and_grads(lambda t: old_add_scalar(t, 1.0), [Tensor(x)], w)
+        ones = Tensor(np.ones_like(x))
+        new, (new_grad,) = forward_and_grads(lambda t: ad.add(t, ones), [Tensor(x)], w)
+        assert_same_bits(new, old)
+        assert_same_bits(new_grad, old_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_product_with_itself_is_the_square_but_where_the_product_is_subnormal(self, rng, dtype):
+        """mul(x, x)'s gradient is g*x + g*x, the square's (2g)*x: doubling
+        is exact and commutes with rounding, unless g*x is subnormal (at
+        most the smallest normal in magnitude). There the two can differ,
+        and they do at g = 0.5, x = -3 times the smallest subnormal. (They
+        would differ too where 2g overflows and g*x does not; no g here
+        exceeds a quarter of the largest float.)"""
+        edges = edge_values(dtype)
+        x_edges, g_edges = np.meshgrid(edges, edges, indexing="ij")
+        x = np.concatenate([x_edges.ravel(), rng.standard_normal(10_000).astype(dtype)])
+        g = np.concatenate([g_edges.ravel(), rng.standard_normal(10_000).astype(dtype)])
+        old, (old_grad,) = forward_and_grads(old_square, [Tensor(x)], g)
+        new, (new_grad,) = forward_and_grads(lambda t: ad.mul(t, t), [Tensor(x)], g)
+        assert_same_bits(new, old)
+        with np.errstate(all="ignore"):
+            product = g * x
+        subnormal = (g != 0) & (x != 0) & (np.abs(product) <= np.finfo(dtype).smallest_normal)
+        assert_same_bits(new_grad[~subnormal], old_grad[~subnormal])
+        differ = new_grad.view(f"u{x.itemsize}") != old_grad.view(f"u{x.itemsize}")
+        assert differ[subnormal].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_over_one_column_is_the_reshape_but_for_negative_zero(self, dtype):
+        """tsum(x, axis=1) of an [n, 1] column gives back each element, as
+        reshape to [n] did, except -0.0, which comes back +0.0 (the sum
+        starts from +0.0). The gradients are the same bits."""
+        column = np.concatenate([edge_values(dtype), -edge_values(dtype)])[:, None]
+        w = column[::-1, 0].copy()
+        old, (old_grad,) = forward_and_grads(lambda t: old_reshape(t, (len(column),)), [Tensor(column)], w)
+        new, (new_grad,) = forward_and_grads(lambda t: ad.tsum(t, axis=1), [Tensor(column)], w)
+        negative_zero = (column[:, 0] == 0) & np.signbit(column[:, 0])
+        assert negative_zero.sum() == 2
+        assert_same_bits(new[~negative_zero], old[~negative_zero])
+        assert not np.signbit(new[negative_zero]).any() and np.signbit(old[negative_zero]).all()
+        assert_same_bits(new_grad, old_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_losses_are_the_old_losses_bit_for_bit(self, rng, dtype):
+        """L_se and the hinge D loss, values and gradients, against the
+        same losses built from the deleted rules: predictions that equal
+        their targets, signed zeros and scores on the hinge."""
+        predictions = rng.uniform(0.0, 1.0, size=(12, 8)).astype(dtype)
+        targets = rng.uniform(0.0, 1.0, size=(12, 8)).astype(dtype)
+        targets[0] = predictions[0]
+        predictions[1, :4], targets[1, :4] = -0.0, [0.0, -0.0, 0.0, -0.0]
+        scores = rng.standard_normal((2, 12)).astype(dtype)
+        above_one = np.nextafter(dtype(1), dtype(2))
+        scores[:, :6] = [0.0, -0.0, 1.0, -1.0, above_one, -above_one]
+        for old_loss, new_loss, inputs, constant in (
+            (old_semantic_embedding_loss, semantic_embedding_loss, [predictions], [targets]),
+            (old_hinge_d_loss, hinge_d_loss, list(scores), []),
+        ):
+            results = []
+            for loss_fn in (old_loss, new_loss):
+                tensors = [Tensor(x.copy()) for x in inputs]
+                loss = loss_fn(*tensors, *(Tensor(c) for c in constant))
+                results.append([loss.data, *ad.backward(loss, tensors)])
+            for new, old in zip(results[1], results[0]):
+                assert_same_bits(new, old)
 
 
 # every operation, as (name, build): build takes two [3, 4] tensors and a
 # [4, 2] one, all of one dtype, and returns the operation's output
 EVERY_OP = [
     ("add", lambda a, b, w: ad.add(a, b)),
-    ("sub", lambda a, b, w: ad.sub(a, b)),
     ("mul", lambda a, b, w: ad.mul(a, b)),
     ("scale", lambda a, b, w: ad.scale(a, 0.3)),
-    ("add_scalar", lambda a, b, w: ad.add_scalar(a, 0.3)),
     ("matmul", lambda a, b, w: ad.matmul(a, w)),
     ("affine", lambda a, b, w: ad.affine(a, w, Tensor(b.data[0, :2]))),
     ("relu", lambda a, b, w: ad.relu(a)),
     ("leaky_relu", lambda a, b, w: ad.leaky_relu(a)),
     ("tanh", lambda a, b, w: ad.tanh(a)),
     ("sigmoid", lambda a, b, w: ad.sigmoid(a)),
-    ("square", lambda a, b, w: ad.square(a)),
     ("tsum", lambda a, b, w: ad.tsum(a)),
     ("tsum_axis", lambda a, b, w: ad.tsum(a, axis=1)),
     ("tmean", lambda a, b, w: ad.tmean(a)),
-    ("reshape", lambda a, b, w: ad.reshape(a, (4, 3))),
     ("row_slice", lambda a, b, w: ad.row_slice(a, 1, 3)),
 ]
 
@@ -349,7 +499,7 @@ class TestDtype:
         a, b = (Tensor(rng.standard_normal((3, 4)).astype(dtype)) for _ in range(2))
         w = Tensor(rng.standard_normal((4, 2)).astype(dtype))
         out = build(a, b, w)
-        grads = [g for g in ad.backward(ad.tsum(ad.square(out)), [a, b, w]) if g is not None]
+        grads = [g for g in ad.backward(ad.tsum(square(out)), [a, b, w]) if g is not None]
         assert out.data.dtype == dtype
         assert grads and {g.dtype for g in grads} == {np.dtype(dtype)}
 
@@ -393,36 +543,33 @@ class TestLayerTypeGradients:
     def test_affine(self, rng):
         def build(rng, params):
             x = Tensor(rng.standard_normal((2, 3)))
-            return lambda: ad.tsum(ad.square(ad.affine(x, params[0], params[1])))
+            return lambda: ad.tsum(square(ad.affine(x, params[0], params[1])))
 
         self._probe(rng, build, [(3, 2), (2,)])
 
     def test_tanh(self, rng):
         def build(rng, params):
-            return lambda: ad.tsum(ad.square(ad.tanh(params[0])))
+            return lambda: ad.tsum(square(ad.tanh(params[0])))
 
         self._probe(rng, build, [(2, 3)])
 
     def test_leaky_relu(self, rng):
         def build(rng, params):
-            return lambda: ad.tsum(ad.square(ad.leaky_relu(params[0])))
+            return lambda: ad.tsum(square(ad.leaky_relu(params[0])))
 
         self._probe(rng, build, [(2, 3)])
 
     def test_squared_error(self, rng):
         def build(rng, params):
             target = Tensor(rng.standard_normal((2, 3)))
-            return lambda: ad.tsum(ad.square(ad.sub(params[0], target)))
+            return lambda: semantic_embedding_loss(params[0], target)
 
         self._probe(rng, build, [(2, 3)])
 
     def test_hinge_terms(self, rng):
         def build(rng, params):
             # keep scores away from the hinge kink at +-1
-            return lambda: ad.add(
-                ad.tmean(ad.relu(ad.add_scalar(ad.scale(ad.scale(params[0], 0.25), -1.0), 1.0))),
-                ad.tmean(ad.relu(ad.add_scalar(ad.scale(params[1], 0.25), 1.0))),
-            )
+            return lambda: hinge_d_loss(ad.scale(params[0], 0.25), ad.scale(params[1], 0.25))
 
         self._probe(rng, build, [(4,), (4,)])
 
@@ -433,7 +580,7 @@ class TestDeterminism:
             rng = np.random.default_rng(7)
             w = ad.uniform_init((4, 4), rng)
             x = Tensor(rng.standard_normal((2, 4)))
-            out = ad.tsum(ad.square(ad.tanh(ad.matmul(x, w))))
+            out = ad.tsum(square(ad.tanh(ad.matmul(x, w))))
             (grad,) = ad.backward(out, [w])
             return w.data.tobytes(), grad.tobytes()
 

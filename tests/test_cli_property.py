@@ -116,7 +116,7 @@ def test_written_metric_rows_read_back_bit_for_bit(losses):
     state = gan.gan_state(model, *gan.new_optimizers(model, config))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.ckpt"
-        gan.save_gan(path, state, model.condition_mode, log=rows)
+        gan.save_gan(path, state, model.condition_mode, {}, rows)
         back, _, _, iteration = gan.load_gan(path, tiny_model(), config)
         texts = []
         for name, log in (("saved.csv", rows), ("loaded.csv", back)):

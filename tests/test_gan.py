@@ -24,7 +24,6 @@ from kggan.gan import (
     load_gan,
     sample_images,
     save_gan,
-    train,
 )
 from kggan.regressor import (
     RegressorModel,
@@ -46,6 +45,13 @@ def params_hash(arrays) -> int:
         h ^= fnv1a_64(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def train(model, dataset, split, cond, embeddings, embedder, config):
+    """A fresh ``gan.train`` run, as ``cli.cmd_train`` starts one: new
+    optimizers and an empty log."""
+    opt_g, opt_d = gan.new_optimizers(model, config)
+    return gan.train(model, dataset, split, cond, embeddings, embedder, config, opt_g, opt_d, [])
 
 
 def log_text(log, path, header_lines=()):
@@ -755,7 +761,7 @@ class TestPrecision:
         config = mini_config(gan_iterations=1, lambda_se=lambda_se)
         opt_g, opt_d = gan.new_optimizers(model, config)
         knowledge = embedder if lambda_se else None
-        train(model, dataset, split, embeddings, embeddings, knowledge, config, opt_g=opt_g, opt_d=opt_d)
+        gan.train(model, dataset, split, embeddings, embeddings, knowledge, config, opt_g, opt_d, [])
         float32 = {np.dtype(np.float32)}
         assert seen == float32
         state = gan.gan_state(model, opt_g, opt_d)
@@ -858,13 +864,11 @@ class TestCheckpointResume:
         config = ExperimentConfig(gan_iterations=2, batch_size=8, gan_seed=11, gan_lr=3e-4)
         model = mini_model()
         opt_g, opt_d = gan.new_optimizers(model, config)
-        log = train(
-            model, dataset, split, embeddings, embeddings, embedder, config, opt_g=opt_g, opt_d=opt_d
-        )
+        log = gan.train(model, dataset, split, embeddings, embeddings, embedder, config, opt_g, opt_d, [])
         assert [row[0] for row in log] == [0, 1]
         assert opt_g.learning_rate == opt_d.learning_rate == 3e-4
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, log=log)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, {}, log)
         _, opt_g2, opt_d2, start = load_gan(path, mini_model(), config)
         assert start == 2
         assert opt_g2.learning_rate == opt_d2.learning_rate == 3e-4
@@ -880,28 +884,18 @@ class TestCheckpointResume:
         config_half = mini_config(gan_iterations=20)
         model_a = mini_model()
         opt_g, opt_d = gan.new_optimizers(model_a, config_half)
-        log_a = train(
-            model_a, dataset, split, embeddings, embeddings, embedder, config_half,
-            opt_g=opt_g, opt_d=opt_d,
+        log_a = gan.train(
+            model_a, dataset, split, embeddings, embeddings, embedder, config_half, opt_g, opt_d, []
         )
         path = tmp_path / "gan.ckpt"
         state_a = gan.gan_state(model_a, opt_g, opt_d)
-        save_gan(path, state_a, model_a.condition_mode, log=log_a)
+        save_gan(path, state_a, model_a.condition_mode, {}, log_a)
 
         model_c = mini_model(seed=99)  # different init; checkpoint must override
         log_c, opt_g2, opt_d2, start = load_gan(path, model_c, config)
         assert start == 20
-        log_c = train(
-            model_c,
-            dataset,
-            split,
-            embeddings,
-            embeddings,
-            embedder,
-            config,
-            opt_g=opt_g2,
-            opt_d=opt_d2,
-            log=log_c,
+        log_c = gan.train(
+            model_c, dataset, split, embeddings, embeddings, embedder, config, opt_g2, opt_d2, log_c
         )
         # the log comes back from the checkpoint, its first 20 rows log_a's
         resumed = log_text(log_c, tmp_path / "resumed.csv")
@@ -912,7 +906,7 @@ class TestCheckpointResume:
         config = mini_config()
         opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, {}, [])
         wrong = mini_model(condition_mode="semantic_embedding")
         with pytest.raises(ContractError, match="condition_mode 'one_hot'"):
             load_gan(path, wrong, config)
@@ -952,7 +946,7 @@ class TestCheckpointResume:
         model, config = mini_model(), mini_config()
         opt_g, opt_d = gan.new_optimizers(model, config)
         path = tmp_path / "gan.ckpt"
-        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode)
+        save_gan(path, gan.gan_state(model, opt_g, opt_d), model.condition_mode, {}, [])
         state, metadata = load_checkpoint(path)
         damage(state)
         save_checkpoint(path, state, metadata)
