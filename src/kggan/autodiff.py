@@ -12,7 +12,7 @@ A module-level tape records every operation run outside ``no_grad``, in
 execution order, so operands always precede the nodes that use them.
 ``backward(loss, params)`` seeds the loss with ones and replays, in
 reverse and exactly once, only the nodes that depend on ``params``; the
-product rules (affine, matmul, mul) skip the product for any input whose
+product rules (affine, mul) skip the product for any input whose
 gradient is not wanted. It returns a gradient for exactly the params
 passed, one each, from a dict local to the pass: tensors carry no
 gradient and no flag, nothing is reset between passes, and only an
@@ -33,8 +33,14 @@ composition of other rules gives bit for bit: ``-x`` is
 ``scale(x, -1.0)``, ``x - t`` for a constant ``t`` is
 ``add(x, Tensor(-t))``, ``x + 1`` is ``add`` of a constant of ones,
 ``x * x`` is ``mul(x, x)``, whose gradient ``g*x + g*x`` is ``2g*x``
-unless ``g*x`` is subnormal, and an [n, 1] column as an [n] vector is
-``tsum(x, axis=1)``, which gives -0.0 back as +0.0.
+unless ``g*x`` is subnormal, an [n, 1] column as an [n] vector is
+``tsum(x, axis=1)``, which gives -0.0 back as +0.0, ``leaky_relu`` is
+``mul`` by its constant slope (1 above zero, ``LEAK`` elsewhere), and
+``x @ w`` is ``affine`` over a bias of -0.0, the one float whose sum
+with any float gives that float back (+0.0 turns -0.0 into +0.0).
+``scale`` stays a rule, although ``mul`` by a constant filled with ``s``
+gives its bits: that constant would be allocated, the size of each
+spectral-normalized weight, on every call.
 """
 
 from __future__ import annotations
@@ -222,20 +228,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul shapes do not conform: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
-
-    def back(g):
-        return (
-            g @ b.data.T if _tape.needs_grad(a) else None,
-            a.data.T @ g if _tape.needs_grad(b) else None,
-        )
-
-    return _make(out, (a, b), back)
-
-
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused x @ weight + bias for a [batch, in] input."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
@@ -270,12 +262,7 @@ def relu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor) -> Tensor:
     # the slope in the input's dtype: python floats would make it float64
     one, leak = np.asarray([1.0, LEAK], dtype=a.data.dtype)
-    slope = np.where(a.data > 0.0, one, leak)
-
-    def back(g):
-        return (g * slope,)
-
-    return _make(a.data * slope, (a,), back)
+    return mul(a, Tensor(np.where(a.data > 0.0, one, leak)))
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -4,8 +4,10 @@ four-cell ablation.
 Verbs: generate-data, train-embedder, train --cell <name>, evaluate,
 ablate. Global flags: --config <path>, --seed <u64>, --out <dir>.
 Exit codes: 0 success, 2 usage/config error, 3 contract violation,
-4 numerical abort, 5 I/O error. ``train`` is ``cmd_train``: it trains
-one cell and writes its checkpoint.ckpt and metrics.csv. ``evaluate`` is
+4 numerical abort, 5 I/O error. An empty ``out_dir`` (a bare
+``out_dir =`` line or ``--out ""``) exits 2 before anything is written,
+as every invalid config does. ``train`` is ``cmd_train``: it trains one
+cell and writes its checkpoint.ckpt and metrics.csv. ``evaluate`` is
 ``evaluate_checkpoint``: one loop draws and scores each category once,
 then it writes a cell's fid_report.csv, consistency.csv,
 color_fidelity.csv and samples/category_<id>.ppm grids, each grid the
@@ -470,7 +472,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             rebase_seeds(config, args.seed)
-        if args.out:
+        if args.out is not None:
             config.out_dir = args.out
         validate_config(config)
         ws = Workspace(config)

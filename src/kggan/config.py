@@ -2,7 +2,8 @@
 
 Every seed is explicit; nothing draws from hidden entropy. Defaults are
 desk scale: 12 categories (9 seen / 3 unseen), 80 images each at 16x16,
-3000 GAN iterations.
+3000 GAN iterations. ``validate_config`` refuses an out-of-range value
+and an empty ``out_dir``, which would write into the working directory.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
     if not (math.isfinite(config.lambda_se) and config.lambda_se >= 0):
         raise ConfigError(f"lambda_se must be finite and >= 0, got {config.lambda_se}")
+    if not config.out_dir:
+        raise ConfigError("out_dir must not be empty")
     return config
 
 

@@ -221,7 +221,11 @@ def discriminator_forward(model: GanModel, x: Tensor, v: Tensor) -> Tensor:
     h = ad.leaky_relu(ad.affine(x, w1, model.db1))
     phi = ad.leaky_relu(ad.affine(h, w2, model.db2))
     psi = ad.affine(phi, psi_w, model.psi_b)
-    proj = ad.tsum(ad.mul(ad.matmul(v, v_proj), phi), axis=1)
+    # v @ V as an affine over a bias of -0.0, which gives every float back
+    # bit for bit (+0.0 would turn a -0.0 product into +0.0); v and the
+    # bias are constants, so only V's gradient v.T @ g is computed
+    bias = Tensor(np.full(v_proj.data.shape[1], -0.0, v_proj.data.dtype))
+    proj = ad.tsum(ad.mul(ad.affine(v, v_proj, bias), phi), axis=1)
     # psi's one column as a vector: a sum over one element gives it back,
     # -0.0 as +0.0, and psi is never -0.0 (psi_b starts at +0.0, and
     # Adam's p - step never turns +0.0 into -0.0)

@@ -8,7 +8,7 @@ import pytest
 from kggan import autodiff as ad
 from kggan.autodiff import Tensor
 from kggan.errors import ContractError, DimensionError
-from kggan.gan import hinge_d_loss
+from kggan.gan import CONDITION_SEMANTIC, condition_table, hinge_d_loss
 from kggan.regressor import semantic_embedding_loss
 
 
@@ -134,7 +134,7 @@ class TestBackward:
         while one the caller holds is not."""
         x = Tensor(rng.standard_normal((4, 3)))
         w = Tensor(rng.standard_normal((3, 2)))
-        held = ad.matmul(x, w)
+        held = ad.affine(x, w, Tensor(np.zeros(2)))
         loss = ad.tsum(square(ad.tanh(held)))
         nodes = ad.get_tape().nodes
         later = weakref.ref(nodes[1][0].data)  # the tanh output
@@ -156,7 +156,7 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 2)))
 
         def run():
-            (grad,) = ad.backward(ad.tsum(square(ad.matmul(x, w))), [w])
+            (grad,) = ad.backward(ad.tsum(square(ad.affine(x, w, Tensor(np.zeros(2))))), [w])
             return grad
 
         first = run()
@@ -173,16 +173,16 @@ class TestBackward:
 
 class TestRestrictedBackward:
     def test_products_skipped_for_inputs_without_gradient(self, rng):
-        # only w is passed to backward: x, b and s are on the tape, but no
-        # product is computed for them
+        # only w is passed to backward: x, b, s and leaky_relu's slope are
+        # on the tape, but no product is computed for them
         x = Tensor(rng.standard_normal((4, 3)))
         w = Tensor(rng.standard_normal((3, 2)))
         b = Tensor(np.zeros(2))
         s = Tensor(rng.standard_normal((4, 2)))
         for op, computed in (
             (lambda: ad.affine(x, w, b), [False, True, False]),
-            (lambda: ad.matmul(x, w), [False, True]),
-            (lambda: ad.mul(s, ad.matmul(x, w)), [False, True]),
+            (lambda: ad.mul(s, ad.affine(x, w, b)), [False, True]),
+            (lambda: ad.leaky_relu(ad.affine(x, w, b)), [True, False]),
         ):
             out = op()
             nodes = ad.get_tape().nodes
@@ -343,6 +343,19 @@ def old_reshape(a, shape):
     return ad._make(a.data.reshape(tuple(shape)), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
+# The tape's rules for a product and a leaky ReLU, as they stood before
+# the projection became an affine over a zero bias and the leaky ReLU a
+# mul by its slope
+def old_matmul(a, b):
+    return ad._make(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def old_leaky_relu(a):
+    one, leak = np.asarray([1.0, ad.LEAK], dtype=a.data.dtype)
+    slope = np.where(a.data > 0.0, one, leak)
+    return ad._make(a.data * slope, (a,), lambda g: (g * slope,))
+
+
 def old_semantic_embedding_loss(predictions, targets):
     diff = old_sub(predictions, targets)
     return ad.scale(ad.tsum(old_square(diff)), 1.0 / predictions.data.shape[0])
@@ -469,6 +482,59 @@ class TestCompositionsMatchTheDeletedRules:
             for new, old in zip(results[1], results[0]):
                 assert_same_bits(new, old)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_is_one_mul_by_its_slope(self, rng, dtype):
+        """leaky_relu is mul(a, slope): the forward a * slope and the
+        gradient g * slope are the deleted rule's own expressions, and it
+        records one mul node, with no backward of its own."""
+        edges = edge_values(dtype)
+        x_edges, g_edges = np.meshgrid(edges, edges, indexing="ij")
+        x = np.concatenate([x_edges.ravel(), -x_edges.ravel(), rng.standard_normal(1000).astype(dtype)])
+        g = np.concatenate([g_edges.ravel(), g_edges.ravel(), rng.standard_normal(1000).astype(dtype)])
+        old, (old_grad,) = forward_and_grads(old_leaky_relu, [Tensor(x)], g)
+        new, (new_grad,) = forward_and_grads(ad.leaky_relu, [Tensor(x)], g)
+        assert_same_bits(new, old)
+        assert_same_bits(new_grad, old_grad)
+        ad.leaky_relu(Tensor(x))
+        ((_, _, backward_fn),) = ad.get_tape().nodes
+        assert backward_fn.__qualname__ == "mul.<locals>.back"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_projection_is_an_affine_over_a_bias_of_negative_zero(self, rng, dtype):
+        """v @ V is affine(v, V, -0.0), forward and both gradients, at the
+        discriminator's shapes: one-hot and whitened condition rows, 16 and
+        32 of them, 64 features. -0.0 added to any float gives it back,
+        +0.0 too, where a bias of +0.0 would turn -0.0 into +0.0. The rows
+        include one of -0.0 and a one-hot row that picks a -0.0 weight row,
+        and V's columns are of one sign each, so every term of those two
+        rows' products is -0.0: the bits match whatever sign a BLAS gives
+        their zero sums."""
+        edges = edge_values(dtype)
+        assert_same_bits(edges + dtype(-0.0), edges)
+        assert not np.array_equal(np.signbit(edges + dtype(0.0)), np.signbit(edges))
+        feat_dim = 64
+        whitened = condition_table(CONDITION_SEMANTIC, rng.uniform(0.0, 1.0, size=(12, 64)))
+        for table in (np.eye(12), whitened):
+            cond = table.astype(dtype)
+            weight = rng.uniform(0.1, 1.0, size=(cond.shape[1], feat_dim)).astype(dtype)
+            weight[:, feat_dim // 2 :] *= -1
+            weight[3] = -0.0
+            bias = Tensor(np.full(feat_dim, -0.0, dtype))
+            for rows in (16, 32):
+                v = cond[rng.integers(0, len(cond), rows)]
+                v[0] = -0.0
+                v[1] = np.eye(cond.shape[1], dtype=dtype)[3]
+                g = rng.standard_normal((rows, feat_dim)).astype(dtype)
+                inputs = (v, weight)
+                old, old_grads = forward_and_grads(old_matmul, [Tensor(x) for x in inputs], g)
+                new, new_grads = forward_and_grads(
+                    lambda a, w: ad.affine(a, w, bias), [Tensor(x) for x in inputs], g
+                )
+                assert not old[:2].any()
+                assert_same_bits(new, old)
+                for new_grad, old_grad in zip(new_grads, old_grads):
+                    assert_same_bits(new_grad, old_grad)
+
 
 # every operation, as (name, build): build takes two [3, 4] tensors and a
 # [4, 2] one, all of one dtype, and returns the operation's output
@@ -476,7 +542,6 @@ EVERY_OP = [
     ("add", lambda a, b, w: ad.add(a, b)),
     ("mul", lambda a, b, w: ad.mul(a, b)),
     ("scale", lambda a, b, w: ad.scale(a, 0.3)),
-    ("matmul", lambda a, b, w: ad.matmul(a, w)),
     ("affine", lambda a, b, w: ad.affine(a, w, Tensor(b.data[0, :2]))),
     ("relu", lambda a, b, w: ad.relu(a)),
     ("leaky_relu", lambda a, b, w: ad.leaky_relu(a)),
@@ -580,7 +645,7 @@ class TestDeterminism:
             rng = np.random.default_rng(7)
             w = ad.uniform_init((4, 4), rng)
             x = Tensor(rng.standard_normal((2, 4)))
-            out = ad.tsum(square(ad.tanh(ad.matmul(x, w))))
+            out = ad.tsum(square(ad.tanh(ad.affine(x, w, Tensor(np.zeros(4))))))
             (grad,) = ad.backward(out, [w])
             return w.data.tobytes(), grad.tobytes()
 

@@ -186,6 +186,28 @@ class TestConfig:
         assert f"config error: unknown config key '{key}' on line {n}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["generate-data"], ["train-embedder"], ["train", "--cell", "kggan_full"],
+         ["evaluate", "--cell", "kggan_full"], ["ablate"]],
+    )
+    @pytest.mark.parametrize("spelling", ["config", "flag"])
+    def test_empty_out_dir_exits_2_writing_nothing(self, tmp_path, monkeypatch, capsys, verb, spelling):
+        """An empty out_dir, an ``out_dir =`` line or ``--out ""``, would
+        write into the working directory; every verb refuses it first."""
+        from kggan import cli
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("out_dir =\n" if spelling == "config" else "gan_iterations = 2\n")
+        args = ["--config", str(cfg)] + (["--out", ""] if spelling == "flag" else [])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main([*args, *verb]) == 2
+        err = capsys.readouterr().err
+        assert "config error: out_dir must not be empty" in err and "Traceback" not in err
+        assert list(work.iterdir()) == [] and sorted(tmp_path.iterdir()) == [cfg, work]
+
 
 class TestVerbs:
     def test_docstring_names_every_verb_the_parser_takes(self):

@@ -209,12 +209,12 @@ class TestDiscriminatorForward:
                 discriminator_forward(model, Tensor(np.zeros(shape)), v)
 
     def test_condition_dim_mismatch(self, rng):
-        """A condition of another width fails in the projection's matmul,
+        """A condition of another width fails in the projection's affine,
         which names both shapes."""
         model = mini_model()
         model.refresh_spectral()
         x = Tensor(rng.uniform(-1, 1, size=(2, 3 * IMG * IMG)))
-        with pytest.raises(DimensionError, match=re.escape(f"(2, {EMB + 1}) x ({EMB}, 16)")):
+        with pytest.raises(DimensionError, match=re.escape(f"input (2, {EMB + 1}) vs weight ({EMB}, 16)")):
             discriminator_forward(model, x, Tensor(np.zeros((2, EMB + 1))))
 
 
