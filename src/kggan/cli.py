@@ -9,9 +9,11 @@ Exit codes: 0 success, 2 usage/config error, 3 contract violation,
 as every invalid config does. ``train`` is ``cmd_train``: it trains one
 cell and writes its checkpoint.ckpt and metrics.csv. ``evaluate`` is
 ``evaluate_checkpoint``: one loop draws and scores each category once,
-then it writes a cell's fid_report.csv, consistency.csv,
-color_fidelity.csv and samples/category_<id>.ppm grids, each grid the
-head of the draw the metrics score. ``ablate`` is ``generate-data``,
+then it writes a cell's fid_report.csv, color_fidelity.csv and
+samples/category_<id>.ppm grids, each grid the head of the draw the
+metrics score. A workspace written before the embedding-consistency
+score was deleted keeps its stale consistency.csv; no verb reads or
+rewrites it. ``ablate`` is ``generate-data``,
 ``train-embedder``, then ``cmd_train`` and ``evaluate_checkpoint`` per
 cell; it writes ablation/combined.csv and combined.txt, whose table
 holds each cell's seen and unseen FID averages, and exits with the code
@@ -301,18 +303,18 @@ def _sample_grid(images: np.ndarray) -> np.ndarray:
 
 
 def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = None):
-    """Score one trained cell, write its FID report, metric CSVs and sample
-    grids, and return its FidReport.
+    """Score one trained cell, write its FID report, color fidelity CSV and
+    sample grids, and return its FidReport.
 
     The checkpoint is restored and verified whole by ``gan.load_gan``, the
     loader a resume uses; only its generator is read. The condition table
     is rebuilt from the dataset's category table, as training built it.
     One loop visits the categories in id order. Each is drawn once,
-    max(n_gen, grid size) images; the head is its sample grid. The first n_gen go through the
-    regressor's trunk once, and those features feed the FID statistics and
-    embedding consistency, as the draw feeds color fidelity. The category's
-    real images go through the trunk for the FID's other side. Every file
-    is written after the loop, so a failure in it writes nothing.
+    max(n_gen, grid size) images; the head is its sample grid. The first
+    n_gen feed color fidelity and go through the regressor's trunk once
+    for the FID statistics; the category's real images go through the
+    trunk for the FID's other side. Every file is written after the loop,
+    so a failure in it writes nothing.
     """
     config = ws.config
     dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
@@ -326,7 +328,7 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     gan.load_gan(path, model, config, run=run)  # its log and optimizers go unused
 
     n_grid = GRID_COLUMNS * config.grid_rows
-    fid, consistency, color, grids = {}, {}, {}, {}
+    fid, color, grids = {}, {}, {}
     for cid in sorted(split.seen_ids | split.unseen_ids):
         images = gan.sample_images(model, cid, max(config.n_gen, n_grid), cond, config.eval_seed)
         grids[cid] = _sample_grid(images[:n_grid])
@@ -335,7 +337,6 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
         reals = dataset.images[dataset.rows_of([cid])]
         real_stats = evaluation.feature_stats(regressor.extract_features(embedder, reals))
         fid[cid] = evaluation.frechet_distance(evaluation.feature_stats(features), real_stats)
-        consistency[cid] = evaluation.embedding_consistency(embedder, features, embeddings[cid])
         color[cid] = evaluation.color_fidelity(fakes, dataset.specs[cid].color)
     report = evaluation.fid_report(fid, split)
 
@@ -351,9 +352,8 @@ def evaluate_checkpoint(ws: Workspace, cell: str, checkpoint_path: str | None = 
     _write_table(
         os.path.join(cell_dir, "fid_report.csv"), table_header, ("category_id", "fid", "split"), rows
     )
-    for name, mapping in (("consistency.csv", consistency), ("color_fidelity.csv", color)):
-        rows = [(cid, mapping[cid]) for cid in sorted(mapping)]
-        _write_table(os.path.join(cell_dir, name), table_header, ("category_id", "value"), rows)
+    color_path = os.path.join(cell_dir, "color_fidelity.csv")
+    _write_table(color_path, table_header, ("category_id", "value"), sorted(color.items()))
 
     samples_dir = os.path.join(cell_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from .checkpoint import write_atomic
 from .errors import ConfigError
-from .hashing import fnv1a_64_hex
+from .hashing import fnv1a_64
 
 
 @dataclass
@@ -156,7 +156,7 @@ def save_config(path, config: ExperimentConfig) -> None:
 def config_hash(config: ExperimentConfig) -> str:
     """The hash of every field but ``out_dir``: where a run writes does not
     change what it computes."""
-    return fnv1a_64_hex(serialize_config(replace(config, out_dir="")).encode("utf-8"))
+    return f"{fnv1a_64(serialize_config(replace(config, out_dir='')).encode('utf-8')):016x}"
 
 
 def config_fields(config: ExperimentConfig, names) -> dict:

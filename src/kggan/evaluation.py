@@ -1,4 +1,4 @@
-"""Per-category Frechet-distance scoring plus two knowledge metrics.
+"""Per-category Frechet-distance scoring, color fidelity and the FID table.
 
 Fake and real feature distributions are fit with Gaussians in the frozen
 regressor's penultimate-layer space, then compared per category; seen and
@@ -9,11 +9,10 @@ at zero.
 
 Each category's draw is scored in batched passes: one trunk pass of the
 regressor gives the draw's penultimate features, which feed the FID
-statistics and, through the output layer alone, the embedding-consistency
-predictions; color fidelity takes the foreground means of the whole draw
+statistics; color fidelity takes the foreground means of the whole draw
 at once. The caller (``cli.evaluate_checkpoint``) owns the per-category
-loop, so the knowledge metrics need no second draw and no second trunk
-pass; ``fid_report`` averages its per-category distances.
+loop and runs the regressor, so this module is numpy statistics only;
+``fid_report`` averages its per-category distances.
 
 The statistics trust what the program built: ``validate_config`` keeps
 every draw (``n_gen``) and every category (``images_per_category``) at
@@ -32,10 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .linalg import trace_sqrt_product
-from .regressor import RegressorModel
 from .synthdata import PALETTE, mean_foreground_color
 
 
@@ -84,20 +80,6 @@ def fid_report(per_category: dict, split) -> FidReport:
         return float(np.mean([per_category[c] for c in sorted(ids)]))
 
     return FidReport(per_category, average(split.seen_ids), average(split.unseen_ids))
-
-
-def embedding_consistency(embedder: RegressorModel, features, target) -> float:
-    """Mean squared distance between the regressor's predictions for one
-    draw and the category's target embedding.
-
-    ``features`` are the draw's penultimate features; only the output
-    layer runs here, and ``RegressorModel.forward`` is that same layer over
-    the same features, so the predictions are bitwise those of a full
-    forward pass over the draw.
-    """
-    with ad.no_grad():
-        pred = embedder.head(Tensor(features)).data
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
 
 
 def color_fidelity(images, color: str) -> float:

@@ -12,7 +12,3 @@ def fnv1a_64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
-
-
-def fnv1a_64_hex(data: bytes) -> str:
-    return f"{fnv1a_64(data):016x}"

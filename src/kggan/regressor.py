@@ -66,22 +66,14 @@ class RegressorModel:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def forward(self, images: Tensor) -> Tensor:
-        """Differentiable forward pass over [b, 3*S*S] image rows; output
-        entries in (0, 1).
-
-        Exactly ``head(penultimate(images))``, so predictions made from
-        already extracted features carry the same bits.
-        """
-        return self.head(self.penultimate(images))
+        """Differentiable forward pass over [b, 3*S*S] image rows: the
+        sigmoid output layer over ``penultimate``; entries in (0, 1)."""
+        return ad.sigmoid(ad.affine(self.penultimate(images), self.w3, self.b3))
 
     def penultimate(self, images: Tensor) -> Tensor:
         """The two leaky-relu hidden layers: [b, 64] features."""
         h1 = ad.leaky_relu(ad.affine(images, self.w1, self.b1))
         return ad.leaky_relu(ad.affine(h1, self.w2, self.b2))
-
-    def head(self, features: Tensor) -> Tensor:
-        """The sigmoid output layer over penultimate features."""
-        return ad.sigmoid(ad.affine(features, self.w3, self.b3))
 
 
 def extract_features(model: RegressorModel, images: np.ndarray) -> np.ndarray:

@@ -34,3 +34,13 @@ def test_count_skips_docstrings_comments_and_blank_lines():
     lines of the return, whose second holds a token of its own."""
     assert load_tool().count(SOURCE) == (13, 4)
 
+
+def test_columns_stay_aligned_past_sixteen_characters(tmp_path, capsys):
+    """A module name longer than the default column pushes the numbers of
+    every row right, so each column ends where its heading does."""
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "a_module_with_a_long_name.py").write_text(SOURCE)
+    assert load_tool().main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len({len(line) for line in lines}) == 1
+    assert all(line.split()[-2:] == ["13", "4"] for line in lines[1:3])

@@ -387,13 +387,12 @@ class TestTrainAndEvaluate:
         proc = run_cli(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"], cwd=root)
         assert proc.returncode == 0, proc.stderr
         assert (cell_dir / "fid_report.csv").exists()
-        assert (cell_dir / "consistency.csv").exists()
         assert (cell_dir / "color_fidelity.csv").exists()
         ppms = sorted((cell_dir / "samples").glob("category_*.ppm"))
         assert len(ppms) == 6
 
     def test_evaluate_writes_only_its_scores_and_grids(self, trained_cells, tmp_path):
-        """evaluate writes a cell's three score CSVs and one sample grid per
+        """evaluate writes a cell's two score CSVs and one sample grid per
         category, and no other file."""
         from kggan import cli
 
@@ -408,13 +407,12 @@ class TestTrainAndEvaluate:
         assert cli.main(argv) == 0
         new = set(out.rglob("*")) - before
         written = sorted(p.relative_to(out).as_posix() for p in new if p.is_file())
-        scores = ("fid_report.csv", "consistency.csv", "color_fidelity.csv")
+        scores = ("fid_report.csv", "color_fidelity.csv")
         grids = tuple(f"samples/category_{cid}.ppm" for cid in range(6))
         assert written == sorted(f"cells/kggan_full/{name}" for name in scores + grids)
 
     def test_one_draw_scores_match_separate_draws(self, trained_cells):
         from kggan import cli, evaluation, gan, regressor, synthdata
-        from kggan.autodiff import Tensor, no_grad
         from kggan.config import load_config
 
         ws = cli.Workspace(load_config(trained_cells[1]))
@@ -427,7 +425,7 @@ class TestTrainAndEvaluate:
             assert rows[0] == ["category_id", "value"]
             return {int(cid): float(value) for cid, value in rows[1:]}
 
-        consistency, color = written("consistency.csv"), written("color_fidelity.csv")
+        color = written("color_fidelity.csv")
         config = ws.config
         dataset, embeddings = synthdata.load_dataset(ws.dataset_path, config)
         embedder = regressor.load_regressor(ws.embedder_path, config)
@@ -442,16 +440,11 @@ class TestTrainAndEvaluate:
         specs_by_id = {s.id: s for s in dataset.specs}
         n = config.n_gen
         assert sorted(report.per_category) == ids
-        # references from fresh n-image draws: the FID, a full forward
-        # pass, a per-image loop
+        # references from fresh n-image draws: the FID and a per-image loop
         for cid in ids:
             images = gan.sample_images(model, cid, n, cond, config.eval_seed)
             reals = dataset.images[dataset.rows_of([cid])]
             assert report.per_category[cid] == evaluation.frechet_distance(stats(images), stats(reals))
-            with no_grad():
-                pred = embedder.forward(Tensor(images.reshape(n, -1))).data
-            target = embeddings[cid]
-            assert consistency[cid] == float(np.mean(np.sum((pred - target) ** 2, axis=1)))
             want = int(np.argmax(synthdata.PALETTE[specs_by_id[cid].color]))
             hits = sum(
                 1 for img in images if int(np.argmax(synthdata.mean_foreground_color(img))) == want
@@ -1035,16 +1028,16 @@ class TestEvaluationGolden:
     def test_kggan_full_scores_match_golden(self, trained_cells):
         """The TINY config's kggan_full scores: data, embedder, GAN training
         and evaluation must reproduce every row bit for bit. The FID report
-        and the consistency scores were recorded when each training step
-        came to run one pass per network over stacked rows; the color
-        fidelities, which that and the move to float32 left unchanged,
-        before the dataset moved into one checkpoint file."""
+        was recorded when each training step came to run one pass per
+        network over stacked rows; the color fidelities, which that and the
+        move to float32 left unchanged, before the dataset moved into one
+        checkpoint file."""
         from kggan import cli
 
         root, cfg_path = trained_cells
         assert cli.main(["--config", str(cfg_path), "evaluate", "--cell", "kggan_full"]) == 0
         cell_dir = root / "out" / "cells" / "kggan_full"
-        for name in ("fid_report.csv", "consistency.csv", "color_fidelity.csv"):
+        for name in ("fid_report.csv", "color_fidelity.csv"):
             lines = (cell_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
             rows = "".join(line for line in lines if not line.startswith("#"))
             assert rows == (GOLDEN / f"tiny_kggan_full_{name}").read_text(encoding="utf-8"), name
@@ -1110,6 +1103,19 @@ class TestAblationGolden:
             assert (magic, maxval) == (b"P6", b"255")
             digests.append(f"{ppm.name} {hashlib.blake2b(pixels).hexdigest()}\n")
         assert "".join(digests) == (GOLDEN / "tiny_kggan_full_samples.blake2b").read_text(encoding="utf-8")
+
+    def test_each_cell_holds_exactly_its_outputs(self, ablated):
+        """Every cell's directory holds its checkpoint, its metric log, its
+        two score CSVs and one sample grid per category, and no other file."""
+        from kggan import cli
+
+        grids = [f"samples/category_{cid}.ppm" for cid in range(6)]
+        want = sorted(["checkpoint.ckpt", "metrics.csv", "fid_report.csv", "color_fidelity.csv", *grids])
+        assert sorted(p.name for p in (ablated / "cells").iterdir()) == sorted(cli.CELLS)
+        for cell in cli.CELLS:
+            cell_dir = ablated / "cells" / cell
+            files = sorted(p.relative_to(cell_dir).as_posix() for p in cell_dir.rglob("*") if p.is_file())
+            assert files == want, cell
 
     def test_output_directory_changes_only_config_cfg(self, ablated, tmp_path):
         """Where a run writes is in no header and no checkpoint: the same

@@ -1,15 +1,13 @@
-"""Frechet suite, embedding consistency, and color fidelity."""
+"""Frechet suite, color fidelity and the FID table."""
 
 import numpy as np
 import pytest
 
-from kggan import semantics as sem
 from kggan import synthdata as sd
 from kggan.errors import ContractError
 from kggan.evaluation import (
     GaussianStats,
     color_fidelity,
-    embedding_consistency,
     feature_stats,
     fid_report,
     format_fid_table,
@@ -193,38 +191,6 @@ class TestPerCategoryFid:
         unseen_vals = [report.per_category[c] for c in sorted(split.unseen_ids)]
         assert abs(report.seen_avg - sum(seen_vals) / len(seen_vals)) < 1e-12
         assert abs(report.unseen_avg - sum(unseen_vals) / len(unseen_vals)) < 1e-12
-
-
-class TestEmbeddingConsistency:
-    def test_ideal_generator_scores_zero(self, tiny_world, extractor, rng):
-        # a generator that always emits images whose prediction is the
-        # target; float32, as a generator's draw and the regressor are
-        constant = np.stack([rng.uniform(-1, 1, size=(3, IMG, IMG)).astype(np.float32)] * 4)
-        from kggan.autodiff import Tensor, no_grad
-
-        with no_grad():
-            pred0 = extractor.forward(Tensor(constant.reshape(4, -1))).data
-        out = embedding_consistency(extractor, extract_features(extractor, constant), pred0[0])
-        assert out < 1e-24
-
-    def test_matches_per_item_loop_oracle(self, tiny_world, extractor, rng):
-        specs, dataset, split = tiny_world
-        embeddings = sem.build_embeddings(specs, dim=EMB)
-        pool = rng.uniform(-1, 1, size=(8, 3, IMG, IMG)).astype(np.float32)  # a float32 draw
-        features = extract_features(extractor, pool)
-        from kggan.autodiff import Tensor, no_grad
-
-        with no_grad():
-            preds = extractor.forward(Tensor(pool.reshape(8, -1))).data
-        for cid in sorted(split.seen_ids):
-            target = embeddings[cid]
-            out = embedding_consistency(extractor, features, target)
-            acc = 0.0
-            for i in range(8):
-                acc += float(np.sum((preds[i] - target) ** 2))
-            assert abs(out - acc / 8.0) < 1e-12
-            # the shared trunk gives forward's predictions exactly
-            assert out == float(np.mean(np.sum((preds - target) ** 2, axis=1)))
 
 
 class TestColorFidelity:

@@ -276,13 +276,6 @@ class TestPredict:
         feats = extract_features(model, trained[1][:7])
         assert feats.shape == (7, 64)
 
-    def test_head_over_extracted_features_is_forward_bitwise(self, trained, rng):
-        model = trained[4]
-        images = np.concatenate([trained[1][:20], rng.uniform(-1, 1, size=(9, 3, 12, 12))])
-        with ad.no_grad():
-            shared = model.head(Tensor(extract_features(model, images))).data
-        assert np.array_equal(shared, predict(model, images))
-
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, trained, tmp_path):

@@ -47,9 +47,10 @@ def main(argv) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "kggan"
     rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in sorted(root.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print(f"{'module':<16}{'lines':>7}{'code':>7}")
+    width = max(16, *(len(r[0]) + 1 for r in rows))
+    print(f"{'module':<{width}}{'lines':>7}{'code':>7}")
     for name, lines, code in rows:
-        print(f"{name:<16}{lines:>7}{code:>7}")
+        print(f"{name:<{width}}{lines:>7}{code:>7}")
     return 0
 
 
