@@ -91,6 +91,11 @@ class TestConfig:
         b = ExperimentConfig(lambda_se=0.2)
         assert config_hash(a) != config_hash(b)
 
+    def test_hash_of_defaults_is_pinned(self):
+        """Every CSV header carries this hash in its ``# config`` line, so
+        a change to how it is computed shows here first."""
+        assert config_hash(ExperimentConfig()) == "4d0b72312d1906ae"
+
     def test_rebase_seeds(self):
         config = rebase_seeds(ExperimentConfig(), 7000)
         assert (

@@ -276,6 +276,13 @@ class TestPredict:
         feats = extract_features(model, trained[1][:7])
         assert feats.shape == (7, 64)
 
+    def test_forward_is_the_output_layer_over_extracted_features(self, trained, rng):
+        model = trained[4]
+        images = np.concatenate([trained[1][:20], rng.uniform(-1, 1, size=(9, 3, 12, 12))])
+        with ad.no_grad():
+            shared = ad.sigmoid(ad.affine(Tensor(extract_features(model, images)), model.w3, model.b3)).data
+        assert np.array_equal(shared, predict(model, images))
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, trained, tmp_path):
